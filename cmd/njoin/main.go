@@ -12,6 +12,7 @@
 //	njoin -graph yeast.graph -sets 3-U,5-F,8-D -agg SUM -algo pj -m 100
 //	njoin -graph yeast.graph -sets 3-U,8-D -k 10 -explain         # plan only
 //	njoin -graph yeast.graph -sets 3-U,5-F,8-D -measure simrank -k 5
+//	njoin -graph yeast.graph -sets 3-U,8-D -measure ppr -lambda 0.3
 //
 // By default (-algo auto) the cost-based planner picks the evaluation
 // algorithm from the graph's structural stats and the query shape; -explain
@@ -23,14 +24,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/measure"
 	"repro/internal/plan"
@@ -38,36 +40,42 @@ import (
 )
 
 func main() {
-	var (
-		graphPath = flag.String("graph", "", "graph file in text format (required)")
-		setNames  = flag.String("sets", "", "comma-separated node set names, in query order (required)")
-		shape     = flag.String("shape", "chain", "chain | triangle | star | clique")
-		k         = flag.Int("k", 50, "number of answers")
-		m         = flag.Int("m", 50, "per-edge 2-way join budget (PJ/PJ-i)")
-		algo      = flag.String("algo", "auto", "auto (cost-based planner) | nl | ap | pj | pji")
-		accuracy  = flag.String("accuracy", "exact", "planner kernel contract: exact | fast (certified fast kernel; identical answers)")
-		explain   = flag.Bool("explain", false, "print the chosen plan and cost table without running the join")
-		aggName   = flag.String("agg", "MIN", "aggregate: SUM | MIN | MAX | AVG")
-		measureID = flag.String("measure", "", "scoring measure from the registry: dht | reach | ppr | simrank (default \"dht\")")
-		lambda    = flag.Float64("lambda", 0.2, "DHTλ decay factor")
-		useDHTE   = flag.Bool("dhte", false, "use the DHTe measure instead of DHTλ")
-		usePPR    = flag.Bool("ppr", false, "join over Personalized PageRank (reach measure) with -lambda as damping factor")
-		eps       = flag.Float64("eps", 1e-6, "truncation accuracy target (Lemma 1)")
-		limit     = flag.Int("limit", 0, "trim each node set to its first N members (0 = all)")
-		quiet     = flag.Bool("q", false, "print answers only, no timing")
-	)
-	flag.Parse()
-	if err := run(*graphPath, *setNames, *shape, *k, *m, *algo, *accuracy, *aggName, *measureID, *lambda, *useDHTE, *usePPR, *eps, *limit, *quiet, *explain); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "njoin:", err)
 		os.Exit(1)
 	}
 }
 
-func run(graphPath, setNames, shape string, k, m int, algo, accuracy, aggName, measureID string, lambda float64, useDHTE, usePPR bool, eps float64, limit int, quiet, explain bool) error {
-	if graphPath == "" || setNames == "" {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("njoin", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		graphPath = fs.String("graph", "", "graph file in text format (required)")
+		setNames  = fs.String("sets", "", "comma-separated node set names, in query order (required)")
+		shape     = fs.String("shape", "chain", "chain | triangle | star | clique")
+		k         = fs.Int("k", 50, "number of answers")
+		m         = fs.Int("m", 0, "per-edge 2-way join budget (PJ/PJ-i; default 50)")
+		algo      = fs.String("algo", "auto", "auto (cost-based planner) | nl | ap | pj | pji")
+		accuracy  = fs.String("accuracy", "exact", "planner kernel contract: exact | fast (certified fast kernel; identical answers)")
+		explain   = fs.Bool("explain", false, "print the chosen plan and cost table without running the join")
+		aggName   = fs.String("agg", "MIN", "aggregate: SUM | MIN | MAX | AVG")
+		measureID = fs.String("measure", "", "scoring measure from the registry: dht | reach | ppr | simrank (default \"dht\")")
+		lambda    = fs.Float64("lambda", 0, "the measure's decay: DHTλ's λ, ppr's damping factor (default: the measure's own, 0.2 for dht, 0.5 for ppr)")
+		useDHTE   = fs.Bool("dhte", false, "use the DHTe measure instead of DHTλ")
+		eps       = fs.Float64("eps", 0, "truncation accuracy target (Lemma 1; default 1e-6)")
+		limit     = fs.Int("limit", 0, "trim each node set to its first N members (0 = all)")
+		quiet     = fs.Bool("q", false, "print answers only, no timing")
+	)
+	if err := fs.Parse(args); err != nil {
+		if strings.Contains(err.Error(), "-ppr") {
+			err = fmt.Errorf("%w: select the measure by name instead (-measure ppr, with -lambda as its damping factor)", err)
+		}
+		return err
+	}
+	if *graphPath == "" || *setNames == "" {
 		return fmt.Errorf("-graph and -sets are required (see -h)")
 	}
-	f, err := os.Open(graphPath)
+	f, err := os.Open(*graphPath)
 	if err != nil {
 		return err
 	}
@@ -81,19 +89,19 @@ func run(graphPath, setNames, shape string, k, m int, algo, accuracy, aggName, m
 		byName[s.Name] = s
 	}
 	var chosen []*graph.NodeSet
-	for _, name := range strings.Split(setNames, ",") {
+	for _, name := range strings.Split(*setNames, ",") {
 		s, ok := byName[strings.TrimSpace(name)]
 		if !ok {
 			return fmt.Errorf("graph file declares no node set %q (has: %s)", name, names(sets))
 		}
-		if limit > 0 {
-			s = s.Take(limit)
+		if *limit > 0 {
+			s = s.Take(*limit)
 		}
 		chosen = append(chosen, s)
 	}
 
 	var q *core.QueryGraph
-	switch shape {
+	switch *shape {
 	case "chain":
 		q = core.Chain(chosen...)
 	case "triangle":
@@ -106,51 +114,38 @@ func run(graphPath, setNames, shape string, k, m int, algo, accuracy, aggName, m
 	case "clique":
 		q = core.Clique(chosen...)
 	default:
-		return fmt.Errorf("unknown shape %q", shape)
+		return fmt.Errorf("unknown shape %q", *shape)
 	}
 
-	agg, err := rankjoin.ByName(aggName)
+	agg, err := rankjoin.ByName(*aggName)
 	if err != nil {
 		return err
 	}
-	// Resolve the measure kernel first ("" defaults to dht); its registered
-	// defaults apply before the DHTλ fallback, mirroring the serving layer.
-	kern, err := measure.Lookup(measureID)
+	// The flags go through the same resolver as dhtjoin.Options and the
+	// njoind wire options, so njoin answers exactly as they do.
+	params, err := measure.ParamsFor(*measureID, *lambda, *useDHTE)
 	if err != nil {
 		return err
 	}
-	var params dht.Params
-	walkKind := dht.FirstHit
-	switch {
-	case useDHTE && usePPR:
-		return fmt.Errorf("-dhte and -ppr are mutually exclusive")
-	case useDHTE:
-		params = dht.DHTE()
-	case usePPR:
-		params = dht.PPR(lambda)
-		walkKind = dht.Reach
-	}
-	params = kern.ResolveParams(params)
-	if params == (dht.Params{}) {
-		params = dht.DHTLambda(lambda)
-	}
-	// An explicit -measure wins over the walk kind -ppr implies.
-	if measureID != "" && kern.WalkBased {
-		walkKind = kern.Walk
+	res, err := measure.Resolve(measure.Request{
+		Measure: *measureID, Params: params, Epsilon: *eps, Agg: agg, M: *m, Accuracy: *accuracy,
+	})
+	if err != nil {
+		return err
 	}
 	spec := core.Spec{
 		Graph:   g,
 		Query:   q,
-		Params:  params,
-		D:       params.StepsForEpsilon(eps),
-		Agg:     agg,
-		K:       k,
-		Measure: walkKind,
+		Params:  res.Params,
+		D:       res.D,
+		Agg:     res.Agg,
+		K:       *k,
+		Measure: res.Kernel.Walk,
 	}
 
 	// Resolve the -algo flag to a registered executor name ("" = planner).
 	var forced string
-	switch algo {
+	switch *algo {
 	case "auto":
 	case "nl":
 		forced = "NL"
@@ -161,13 +156,9 @@ func run(graphPath, setNames, shape string, k, m int, algo, accuracy, aggName, m
 	case "pji":
 		forced = "PJ-i"
 	default:
-		return fmt.Errorf("unknown algorithm %q (want auto, nl, ap, pj, or pji)", algo)
+		return fmt.Errorf("unknown algorithm %q (want auto, nl, ap, pj, or pji)", *algo)
 	}
-	acc, err := plan.ParseAccuracy(accuracy)
-	if err != nil {
-		return err
-	}
-	w := plan.Workload{Stats: g.Stats(), K: k, M: m, D: spec.D, Accuracy: acc, Measure: kern.PlanMeasure}
+	w := plan.Workload{Stats: g.Stats(), K: *k, M: res.M, D: res.D, Accuracy: res.Accuracy, Measure: res.Kernel.PlanMeasure}
 	for _, s := range chosen {
 		w.SetSizes = append(w.SetSizes, s.Len())
 	}
@@ -178,11 +169,11 @@ func run(graphPath, setNames, shape string, k, m int, algo, accuracy, aggName, m
 	if err != nil {
 		return err
 	}
-	if explain {
-		fmt.Print(pl.Format())
+	if *explain {
+		fmt.Fprint(stdout, pl.Format())
 		return nil
 	}
-	alg, err := core.NewNamed(pl.Algorithm, spec, m)
+	alg, err := core.NewNamed(pl.Algorithm, spec, res.M)
 	if err != nil {
 		return err
 	}
@@ -194,11 +185,11 @@ func run(graphPath, setNames, shape string, k, m int, algo, accuracy, aggName, m
 	}
 	elapsed := time.Since(start)
 	for i, a := range answers {
-		fmt.Printf("%3d  %s\n", i+1, a.Format(g))
+		fmt.Fprintf(stdout, "%3d  %s\n", i+1, a.Format(g))
 	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "%s: %d answers in %v (d=%d, %s)\n",
-			alg.Name(), len(answers), elapsed, spec.D, params)
+	if !*quiet {
+		fmt.Fprintf(stderr, "%s: %d answers in %v (d=%d, %s)\n",
+			alg.Name(), len(answers), elapsed, res.D, res.Params)
 	}
 	return nil
 }

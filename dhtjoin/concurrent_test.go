@@ -2,11 +2,14 @@ package dhtjoin
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/plan"
 )
 
 // TestConcurrentOptionsJoins drives Options-level joins — with Relabel on,
@@ -158,7 +161,7 @@ func TestServiceFacadeBitIdentical(t *testing.T) {
 		nil,
 		{D: 5},
 		{Params: DHTLambda(0.5), Epsilon: 1e-4},
-		{Measure: MeasureReach, Params: PPR(0.2)},
+		{MeasureName: "reach", Params: PPR(0.2)},
 		{Agg: Sum, M: 20},
 	} {
 		want, err := TopKPairs(g, p, q, 8, opts)
@@ -194,6 +197,98 @@ func TestServiceFacadeBitIdentical(t *testing.T) {
 		}
 		if gotS != wantS {
 			t.Fatalf("opts %+v: facade Score %v != %v", opts, gotS, wantS)
+		}
+	}
+}
+
+// TestServiceFacadeAccuracy: the served facade honours Options.Accuracy
+// exactly as the one-shot path does — "fast" reaches the planner, and an
+// unknown spelling is rejected with ErrInvalidOptions at every entry point.
+func TestServiceFacadeAccuracy(t *testing.T) {
+	ctx := context.Background()
+	g, sets, err := graph.GenerateCommunity(graph.CommunityConfig{
+		Sizes: []int{30, 30}, PIn: 0.2, POut: 0.08, Seed: 5, MinOutLink: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, q := sets[0], sets[1]
+	svc := NewService(ServiceConfig{})
+	if err := svc.LoadGraph("g", g, p, q); err != nil {
+		t.Fatal(err)
+	}
+
+	fast := &Options{Accuracy: "fast"}
+	oneShot, err := NewPairQuery(g, p, q).WithOptions(fast).ExplainTopK(ctx, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := svc.ExplainPairs(ctx, "g", p, q, 8, fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Workload.Accuracy != plan.Fast || served.Workload.Accuracy != oneShot.Workload.Accuracy {
+		t.Fatalf("served plan accuracy=%s, one-shot accuracy=%s, want fast", served.Workload.Accuracy, oneShot.Workload.Accuracy)
+	}
+	want, err := TopKPairs(g, p, q, 8, fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := svc.TopKPairs(ctx, "g", p, q, 8, fast)
+	if err != nil || !pairsEqual(got, want) {
+		t.Fatalf("served fast join diverged from one-shot (err=%v)", err)
+	}
+
+	bogus := &Options{Accuracy: "bogus"}
+	if _, err := TopKPairs(g, p, q, 8, bogus); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("one-shot bogus accuracy: %v, want ErrInvalidOptions", err)
+	}
+	calls := map[string]func() error{
+		"TopKPairs":    func() error { _, err := svc.TopKPairs(ctx, "g", p, q, 8, bogus); return err },
+		"OpenPairs":    func() error { _, err := svc.OpenPairs(ctx, "g", p, q, bogus); return err },
+		"TopK":         func() error { _, err := svc.TopK(ctx, "g", Chain(p, q), 5, bogus); return err },
+		"OpenAnswers":  func() error { _, err := svc.OpenAnswers(ctx, "g", Chain(p, q), bogus); return err },
+		"Score":        func() error { _, err := svc.Score(ctx, "g", 0, 1, bogus); return err },
+		"ExplainPairs": func() error { _, err := svc.ExplainPairs(ctx, "g", p, q, 8, bogus); return err },
+		"ExplainJoin":  func() error { _, err := svc.ExplainJoin(ctx, "g", Chain(p, q), bogus); return err },
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("served %s with bogus accuracy: %v, want ErrInvalidOptions", name, err)
+		}
+	}
+}
+
+// TestOptionsReachQuery is the copy-completeness check of the facade: every
+// field of Options, set alone, changes the service.Query it is served with.
+// A field added to Options without a line in toQuery fails here.
+func TestOptionsReachQuery(t *testing.T) {
+	zero := toQuery(&Options{})
+	ot := reflect.TypeOf(Options{})
+	for i := 0; i < ot.NumField(); i++ {
+		var o Options
+		fv := reflect.ValueOf(&o).Elem().Field(i)
+		switch name := ot.Field(i).Name; name {
+		case "Params":
+			o.Params = PPR(0.3)
+		case "Agg":
+			o.Agg = Sum
+		default:
+			switch fv.Kind() {
+			case reflect.String:
+				fv.SetString("x")
+			case reflect.Int, reflect.Int64:
+				fv.SetInt(3)
+			case reflect.Float64:
+				fv.SetFloat(0.5)
+			case reflect.Bool:
+				fv.SetBool(true)
+			default:
+				t.Fatalf("Options.%s: kind %s has no test value; extend this test", name, fv.Kind())
+			}
+		}
+		if reflect.DeepEqual(toQuery(&o), zero) {
+			t.Errorf("Options.%s never reaches service.Query", ot.Field(i).Name)
 		}
 	}
 }

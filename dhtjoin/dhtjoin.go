@@ -140,15 +140,11 @@ type Options struct {
 	// two research areas), where the degenerate h(v,v)=0 self-pairs would
 	// otherwise dominate the ranking.
 	Distinct bool
-	// Measure selects the walk measure: MeasureDHT (first-hit, the paper's
-	// default) or MeasureReach (reach probabilities, for Personalized
-	// PageRank via the PPR params — the extension named in the paper's
-	// conclusion). Ignored when MeasureName is set.
-	Measure Measure
 	// MeasureName selects a registered proximity measure by name ("dht",
-	// "reach", "ppr", "simrank"; Measures lists them). It subsumes Measure:
-	// the kernel fixes the walk kind, the customary parameterization (e.g.
-	// "ppr" defaults zero-value Params to PPR(0.5)), and — for measures with
+	// "reach", "ppr", "simrank"; Measures lists them). The kernel fixes the
+	// step probability the walks fold (first-hit for "dht", reach for
+	// "reach" and "ppr"), the customary parameterization (e.g. "ppr"
+	// defaults zero-value Params to PPR(0.5)), and — for measures with
 	// dedicated executors, like "simrank" — the planner's executor set.
 	// Empty means "dht". Unknown names fail with ErrUnknownMeasure.
 	MeasureName string
@@ -206,84 +202,21 @@ type Options struct {
 	Accuracy string
 }
 
-// Measure selects the step probability the score folds.
-type Measure = dht.Kind
-
-// Measure values.
-const (
-	// MeasureDHT folds first-hit probabilities (discounted hitting time).
-	MeasureDHT = dht.FirstHit
-	// MeasureReach folds reach probabilities (e.g. Personalized PageRank).
-	MeasureReach = dht.Reach
-)
-
-// PPR returns the Personalized-PageRank parameters for damping factor c;
-// pair it with MeasureReach.
+// PPR returns the Personalized-PageRank parameters for damping factor c,
+// for use with MeasureName "ppr" (or "reach").
 func PPR(c float64) Params { return dht.PPR(c) }
 
-func (o *Options) resolve() (Params, int, Aggregate, int, error) {
-	_, p, d, agg, m, err := o.resolveMeasure()
-	return p, d, agg, m, err
-}
-
-// resolveMeasure resolves the measure kernel alongside the defaults. The
-// kernel goes first because it owns the customary parameterization: "ppr"
-// defaults zero-value Params to PPR(0.5) before the DHTλ(0.2) fallback.
-// This must stay in lockstep with service.Query.resolve, which serves the
-// same options over the wire.
-func (o *Options) resolveMeasure() (measure.Kernel, Params, int, Aggregate, int, error) {
-	opts := Options{}
-	if o != nil {
-		opts = *o
-	}
-	kern, err := measure.Lookup(opts.MeasureName)
+// resolve runs the options through the system's one resolver, spelled as
+// the serving layer's Query so Options are mapped field by field once.
+func (o *Options) resolve() (measure.Resolved, error) {
+	q := toQuery(o)
+	res, err := q.Resolve()
 	if err != nil {
-		return measure.Kernel{}, Params{}, 0, nil, 0, err
+		// %w twice keeps the cause inspectable: errors.Is still matches
+		// ErrUnknownMeasure through the ErrInvalidOptions wrapper.
+		return res, fmt.Errorf("%w: %w", ErrInvalidOptions, err)
 	}
-	p := kern.ResolveParams(opts.Params)
-	if p == (Params{}) {
-		p = dht.DHTLambda(0.2)
-	}
-	if err := p.Validate(); err != nil {
-		return measure.Kernel{}, Params{}, 0, nil, 0, err
-	}
-	d := opts.D
-	if d == 0 {
-		eps := opts.Epsilon
-		if eps == 0 {
-			eps = 1e-6
-		}
-		d = p.StepsForEpsilon(eps)
-	}
-	if d < 1 {
-		return measure.Kernel{}, Params{}, 0, nil, 0, fmt.Errorf("dhtjoin: depth d must be >= 1, got %d", d)
-	}
-	agg := opts.Agg
-	if agg == nil {
-		agg = rankjoin.Min
-	}
-	m := opts.M
-	if m == 0 {
-		m = 50
-	}
-	if m < 0 {
-		return measure.Kernel{}, Params{}, 0, nil, 0, fmt.Errorf("dhtjoin: m must be >= 0, got %d", m)
-	}
-	return kern, p, d, agg, m, nil
-}
-
-// walkKind resolves the step-probability kind the walk engines fold: an
-// explicit measure name fixes it from the kernel (so "ppr" folds reach
-// probabilities regardless of the Measure field), otherwise the legacy
-// Measure field applies unchanged.
-func (o *Options) walkKind(kern measure.Kernel) dht.Kind {
-	if o == nil {
-		return MeasureDHT
-	}
-	if o.MeasureName != "" && kern.WalkBased {
-		return kern.Walk
-	}
-	return o.Measure
+	return res, nil
 }
 
 // Measures lists the registered proximity-measure names — the valid values
@@ -306,26 +239,26 @@ func TopKPairs(g *Graph, p, q *NodeSet, k int, opts *Options) ([]PairResult, err
 // h_d(u, v) under the default DHT measure, or whatever Options.MeasureName
 // selects.
 func Score(g *Graph, u, v NodeID, opts *Options) (float64, error) {
-	kern, params, d, _, _, err := opts.resolveMeasure()
+	res, err := opts.resolve()
 	if err != nil {
 		return 0, err
 	}
-	if !kern.WalkBased {
-		ev, err := kern.NewEvaluator(g, params, d)
+	if !res.Kernel.WalkBased {
+		ev, err := res.Kernel.NewEvaluator(g, res.Params, res.D)
 		if err != nil {
 			return 0, err
 		}
 		var dst [1]float64
-		if err := ev.ScoresInto(u, []NodeID{v}, d, dst[:]); err != nil {
+		if err := ev.ScoresInto(u, []NodeID{v}, res.D, dst[:]); err != nil {
 			return 0, err
 		}
 		return dst[0], nil
 	}
-	e, err := dht.NewEngine(g, params, d)
+	e, err := dht.NewEngine(g, res.Params, res.D)
 	if err != nil {
 		return 0, err
 	}
-	return e.ForwardScoreKind(opts.walkKind(kern), u, v, d), nil
+	return e.ForwardScoreKind(res.Kernel.Walk, u, v, res.D), nil
 }
 
 // ScoresFrom computes the score of (u, v) for every node u at once — one
@@ -333,15 +266,15 @@ func Score(g *Graph, u, v NodeID, opts *Options) (float64, error) {
 // matrix ones (SimRank is symmetric, so its column equals its row). out
 // must have length g.NumNodes() (or be nil to allocate).
 func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, error) {
-	kern, params, d, _, _, err := opts.resolveMeasure()
+	res, err := opts.resolve()
 	if err != nil {
 		return nil, err
 	}
 	if out == nil {
 		out = make([]float64, g.NumNodes())
 	}
-	if !kern.WalkBased {
-		ev, err := kern.NewEvaluator(g, params, d)
+	if !res.Kernel.WalkBased {
+		ev, err := res.Kernel.NewEvaluator(g, res.Params, res.D)
 		if err != nil {
 			return nil, err
 		}
@@ -349,16 +282,16 @@ func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, er
 		for i := range targets {
 			targets[i] = NodeID(i)
 		}
-		if err := ev.ScoresInto(v, targets, d, out); err != nil {
+		if err := ev.ScoresInto(v, targets, res.D, out); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-	e, err := dht.NewEngine(g, params, d)
+	e, err := dht.NewEngine(g, res.Params, res.D)
 	if err != nil {
 		return nil, err
 	}
-	e.BackWalkKind(opts.walkKind(kern), v, d, out)
+	e.BackWalkKind(res.Kernel.Walk, v, res.D, out)
 	return out, nil
 }
 

@@ -123,7 +123,7 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestPPRThroughFacade(t *testing.T) {
 	g, p, q, r := world(t)
-	opts := &dhtjoin.Options{Params: dhtjoin.PPR(0.5), Measure: dhtjoin.MeasureReach}
+	opts := &dhtjoin.Options{Params: dhtjoin.PPR(0.5), MeasureName: "reach"}
 	pairs, err := dhtjoin.TopKPairs(g, p, q, 5, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -159,80 +159,64 @@ func (qy *Query) WithMeasure(name string) *Query {
 	return &cp
 }
 
-// kernel resolves the query's measure kernel. Callers run it only after
-// Validate has accepted the options, so lookup cannot fail here; an unknown
-// name yields the zero kernel, which plans like the walk family.
-func (qy *Query) kernel() measure.Kernel {
-	var name string
-	if qy.opts != nil {
-		name = qy.opts.MeasureName
-	}
-	kern, _ := measure.Lookup(name)
-	return kern
-}
-
 // Validate checks the query's inputs without executing it, returning the
 // package's typed errors (wrapped, so use errors.Is).
 func (qy *Query) Validate() error {
+	_, err := qy.validate()
+	return err
+}
+
+// validate checks the inputs and resolves the options in one pass, so every
+// entry point reads the same resolved request it validated.
+func (qy *Query) validate() (measure.Resolved, error) {
+	var none measure.Resolved
 	if qy == nil || qy.g == nil {
-		return ErrNilGraph
+		return none, ErrNilGraph
 	}
 	pairForm := qy.p != nil || qy.q != nil
 	if pairForm == (qy.join != nil) {
-		return ErrQueryForm
+		return none, ErrQueryForm
 	}
 	if pairForm {
 		if qy.p == nil || qy.p.Len() == 0 {
-			return fmt.Errorf("%w (P)", ErrEmptyNodeSet)
+			return none, fmt.Errorf("%w (P)", ErrEmptyNodeSet)
 		}
 		if qy.q == nil || qy.q.Len() == 0 {
-			return fmt.Errorf("%w (Q)", ErrEmptyNodeSet)
+			return none, fmt.Errorf("%w (Q)", ErrEmptyNodeSet)
 		}
 		if err := qy.p.Validate(qy.g); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+			return none, fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 		}
 		if err := qy.q.Validate(qy.g); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+			return none, fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 		}
 	} else if err := qy.join.Validate(qy.g); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+		return none, fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 	}
-	if _, _, _, _, err := qy.opts.resolve(); err != nil {
-		// %w twice keeps the cause inspectable — errors.Is still matches
-		// ErrUnknownMeasure through the ErrInvalidOptions wrapper.
-		return fmt.Errorf("%w: %w", ErrInvalidOptions, err)
+	res, err := qy.opts.resolve()
+	if err != nil {
+		return none, err
 	}
-	if _, err := qy.accuracy(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-	}
-	return qy.validateHints()
-}
-
-// accuracy resolves Options.Accuracy to the planner knob.
-func (qy *Query) accuracy() (plan.Accuracy, error) {
-	if qy.opts == nil {
-		return plan.Exact, nil
-	}
-	return plan.ParseAccuracy(qy.opts.Accuracy)
-}
-
-// validateHints rejects invalid hint combinations with the typed sentinels.
-func (qy *Query) validateHints() error {
 	switch qy.hints.Relabel {
 	case RelabelOff, RelabelDegree, RelabelBFS:
 	default:
-		return fmt.Errorf("%w: unknown relabel mode %d", ErrHintConflict, qy.hints.Relabel)
+		return none, fmt.Errorf("%w: unknown relabel mode %d", ErrHintConflict, qy.hints.Relabel)
 	}
-	if qy.hints.Algorithm == "" {
-		return nil
-	}
-	if err := plan.ValidateForced(qy.class(), qy.hints.Algorithm, qy.kernel().PlanMeasure); err != nil {
-		if errors.Is(err, plan.ErrWrongClass) || errors.Is(err, plan.ErrWrongMeasure) {
-			return fmt.Errorf("%w: %v", ErrHintConflict, err)
+	if qy.hints.Algorithm != "" {
+		if err := plan.ValidateForced(qy.class(), qy.hints.Algorithm, res.Kernel.PlanMeasure); err != nil {
+			return none, hintErr(err)
 		}
-		return fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
 	}
-	return nil
+	return res, nil
+}
+
+// hintErr maps a planner rejection of a forced algorithm to the typed
+// sentinels.
+func hintErr(err error) error {
+	if errors.Is(err, plan.ErrWrongClass) || errors.Is(err, plan.ErrWrongMeasure) {
+		return fmt.Errorf("%w: %v", ErrHintConflict, err)
+	}
+	return fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
 }
 
 // class maps the query form to its planner class.
@@ -260,17 +244,15 @@ func (qy *Query) knobs() (workers, batchWidth int, relabel RelabelMode) {
 	return workers, batchWidth, relabel
 }
 
-// workload assembles the planner's view of the query. k is the demand the
-// plan is sized for (streams have unknown demand, so callers pass the
-// initial batch budget); the graph's structural stats come from the cached
-// Graph.Stats snapshot.
-func (qy *Query) workload(d, k, m int) plan.Workload {
+// decide runs the planner (or validates the forced hint) for demand k
+// (streams have unknown demand, so callers pass the initial batch budget).
+// It plans against the original graph's cached stats — relabeling permutes
+// ids, never structure — and every executor returns the bit-identical
+// ranking, so the pick is purely a cost decision.
+func (qy *Query) decide(res measure.Resolved, k int) (*QueryPlan, error) {
 	workers, batchWidth, _ := qy.knobs()
-	w := plan.Workload{Stats: qy.g.Stats(), K: k, M: m, D: d, Workers: workers, BatchWidth: batchWidth}
-	w.Measure = qy.kernel().PlanMeasure
-	// Invalid accuracy spellings were rejected at Validate/open time; a
-	// parse failure here can only leave the conservative Exact default.
-	w.Accuracy, _ = qy.accuracy()
+	w := plan.Workload{Stats: qy.g.Stats(), K: k, M: res.M, D: res.D, Workers: workers, BatchWidth: batchWidth,
+		Measure: res.Kernel.PlanMeasure, Accuracy: res.Accuracy}
 	if qy.join != nil {
 		w.SetSizes = make([]int, qy.join.NumSets())
 		for i := range w.SetSizes {
@@ -279,20 +261,12 @@ func (qy *Query) workload(d, k, m int) plan.Workload {
 		for _, e := range qy.join.Edges() {
 			w.QueryEdges = append(w.QueryEdges, [2]int{e.From, e.To})
 		}
-		return w
+	} else {
+		w.P, w.Q = qy.p.Len(), qy.q.Len()
 	}
-	w.P, w.Q = qy.p.Len(), qy.q.Len()
-	return w
-}
-
-// decide runs the planner (or validates the forced hint) for demand k.
-func (qy *Query) decide(d, k, m int) (*QueryPlan, error) {
-	pl, err := plan.Decide(qy.class(), qy.workload(d, k, m), qy.hints.Algorithm)
+	pl, err := plan.Decide(qy.class(), w, qy.hints.Algorithm)
 	if err != nil {
-		if errors.Is(err, plan.ErrWrongClass) || errors.Is(err, plan.ErrWrongMeasure) {
-			return nil, fmt.Errorf("%w: %v", ErrHintConflict, err)
-		}
-		return nil, fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
+		return nil, hintErr(err)
 	}
 	return pl, nil
 }
@@ -310,14 +284,11 @@ func (qy *Query) decide(d, k, m int) (*QueryPlan, error) {
 // alongside the full cost table.
 func (qy *Query) Explain(ctx context.Context) (*QueryPlan, error) {
 	_ = ctx // planning never blocks; ctx kept for API symmetry with execution
-	if err := qy.Validate(); err != nil {
+	res, err := qy.validate()
+	if err != nil {
 		return nil, err
 	}
-	_, d, _, m, err := qy.opts.resolve()
-	if err != nil {
-		return nil, err // unreachable: Validate already resolved the options
-	}
-	return qy.decide(d, m, m)
+	return qy.decide(res, res.M)
 }
 
 // ExplainTopK returns the plan the batch wrappers would run for demand k:
@@ -329,17 +300,14 @@ func (qy *Query) ExplainTopK(ctx context.Context, k int) (*QueryPlan, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
-	if err := qy.Validate(); err != nil {
+	res, err := qy.validate()
+	if err != nil {
 		return nil, err
 	}
-	_, d, _, m, err := qy.opts.resolve()
-	if err != nil {
-		return nil, err // unreachable: Validate already resolved the options
-	}
 	if qy.join != nil {
-		return qy.decide(d, m, m)
+		k = res.M
 	}
-	return qy.decide(d, k, m)
+	return qy.decide(res, k)
 }
 
 // openPairs validates and opens the 2-way stream with the given initial
@@ -350,44 +318,38 @@ func (qy *Query) ExplainTopK(ctx context.Context, k int) (*QueryPlan, error) {
 // pay for nothing — and runs one plain top-k join behind a doubling
 // re-join, which prices the wrapper identically to a direct joiner call.
 func (qy *Query) openPairs(ctx context.Context, initial int, batch bool) (*PairStream, error) {
-	if err := qy.Validate(); err != nil {
+	res, err := qy.validate()
+	if err != nil {
 		return nil, err
 	}
 	if qy.join != nil {
 		return nil, fmt.Errorf("%w: 2-way stream requested for an n-way query", ErrQueryForm)
 	}
-	kern, params, d, _, m, err := qy.opts.resolveMeasure()
-	if err != nil {
-		return nil, err
-	}
 	if initial <= 0 {
-		initial = m
+		initial = res.M
 	}
-	// Plan against the original graph's cached stats (relabeling permutes
-	// ids, never structure), then execute the pick on the possibly
-	// relabeled config. All executors produce bit-identical rankings, so
-	// the choice is purely a cost decision.
-	pl, err := qy.decide(d, initial, m)
+	pl, err := qy.decide(res, initial)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := qy.budgetContext(ctx)
-	cfg := join2.Config{Graph: qy.g, Params: params, D: d, P: qy.p.Nodes(), Q: qy.q.Nodes()}
 	workers, batchWidth, relabel := qy.knobs()
-	cfg.Workers = workers
-	cfg.BatchWidth = batchWidth
-	// The joiners poll this at walk-round granularity, so a cancelled ctx
-	// (or an expired budget) stops the join mid-round instead of only
-	// between pulls. context.Cause is nil while the ctx is live.
-	cfg.Cancel = func() error { return context.Cause(ctx) }
-	cfg.Measure = qy.opts.walkKind(kern)
-	rl := relabelPairConfig(&cfg, relabel)
+	ctx, cancel := qy.budgetContext(ctx)
+	cfg := join2.Config{Graph: qy.g, Params: res.Params, D: res.D, P: qy.p.Nodes(), Q: qy.q.Nodes(),
+		Measure: res.Kernel.Walk, Workers: workers, BatchWidth: batchWidth, Cancel: cancelPoll(ctx)}
+	toOld := relabelPairConfig(&cfg, relabel)
 	st, err := join2.NewNamedStream(pl.Algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	return &PairStream{ctx: ctx, cancel: cancel, st: st, rl: rl}, nil
+	return &PairStream{ctx: ctx, cancel: cancel, st: st, toOld: toOld}, nil
+}
+
+// cancelPoll is the hook the joiners poll at walk-round granularity, so a
+// cancelled ctx (or an expired budget) stops the join mid-round instead of
+// only between pulls. context.Cause is nil while the ctx is live.
+func cancelPoll(ctx context.Context) func() error {
+	return func() error { return context.Cause(ctx) }
 }
 
 // budgetContext applies Options.Budget as a deadline whose cancellation
@@ -424,17 +386,7 @@ func (qy *Query) TopKPairs(ctx context.Context, k int) ([]PairResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Stop()
-	res, err := s.NextK(k)
-	if err != nil {
-		return nil, err
-	}
-	if s.Truncated() {
-		// The deadline budget expired: res is a correct-but-short prefix.
-		// Return it alongside the sentinel so callers can choose.
-		return res, ErrBudgetExceeded
-	}
-	return res, nil
+	return s.topK(k)
 }
 
 // TopK executes the n-way query as a one-shot batch: the k best answers in
@@ -448,15 +400,7 @@ func (qy *Query) TopK(ctx context.Context, k int) ([]Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Stop()
-	answers, err := s.NextK(k)
-	if err != nil {
-		return nil, err
-	}
-	if s.Truncated() {
-		return answers, ErrBudgetExceeded
-	}
-	return answers, nil
+	return s.topK(k)
 }
 
 // Results executes a 2-way query as a pull-based iterator: pairs arrive in
@@ -469,65 +413,34 @@ func (qy *Query) TopK(ctx context.Context, k int) ([]Answer, error) {
 //		// use pr.Pair, pr.Score; break whenever enough
 //	}
 func (qy *Query) Results(ctx context.Context) iter.Seq2[PairResult, error] {
-	return func(yield func(PairResult, error) bool) {
-		s, err := qy.OpenPairs(ctx)
-		if err != nil {
-			yield(PairResult{}, err)
-			return
-		}
-		defer s.Stop()
-		for {
-			r, ok, err := s.Next()
-			if err != nil {
-				yield(PairResult{}, err)
-				return
-			}
-			if !ok {
-				return
-			}
-			if !yield(r, nil) {
-				return
-			}
-		}
-	}
+	return seq(func() (*PairStream, error) { return qy.OpenPairs(ctx) })
 }
 
-// openAnswers validates and opens the n-way stream with the given initial
-// per-edge budget (0 selects the resolved Options.M).
-func (qy *Query) openAnswers(ctx context.Context, initial int) (*AnswerStream, error) {
-	if err := qy.Validate(); err != nil {
+// OpenAnswers opens the rank-ordered answer stream of an n-way query; see
+// OpenPairs for the handle contract.
+func (qy *Query) OpenAnswers(ctx context.Context) (*AnswerStream, error) {
+	res, err := qy.validate()
+	if err != nil {
 		return nil, err
 	}
 	if qy.join == nil {
 		return nil, fmt.Errorf("%w: n-way stream requested for a 2-way query", ErrQueryForm)
 	}
-	kern, params, d, agg, m, err := qy.opts.resolveMeasure()
+	pl, err := qy.decide(res, res.M)
 	if err != nil {
 		return nil, err
 	}
-	if initial > 0 {
-		m = initial
-	}
-	// Plan before the relabel rewrite, as in openPairs; every n-way
-	// operator streams the identical ranking, so the pick is cost-only.
-	pl, err := qy.decide(d, m, m)
-	if err != nil {
-		return nil, err
-	}
+	workers, batchWidth, relabel := qy.knobs()
+	ctx, cancel := qy.budgetContext(ctx)
 	// K is required by Spec.Validate but never bounds a stream; the PBRJ
 	// emission loop is k-free by construction.
-	spec := core.Spec{Graph: qy.g, Query: qy.join, Params: params, D: d, Agg: agg, K: 1}
-	workers, batchWidth, relabel := qy.knobs()
-	spec.Workers = workers
-	spec.BatchWidth = batchWidth
+	spec := core.Spec{Graph: qy.g, Query: qy.join, Params: res.Params, D: res.D, Agg: res.Agg, K: 1,
+		Measure: res.Kernel.Walk, Workers: workers, BatchWidth: batchWidth, Cancel: cancelPoll(ctx)}
 	if qy.opts != nil {
 		spec.Distinct = qy.opts.Distinct
 	}
-	spec.Measure = qy.opts.walkKind(kern)
-	ctx, cancel := qy.budgetContext(ctx)
-	spec.Cancel = func() error { return context.Cause(ctx) }
-	rl := relabelSpec(&spec, relabel)
-	alg, err := core.NewNamed(pl.Algorithm, spec, m)
+	toOld := relabelSpec(&spec, relabel)
+	alg, err := core.NewNamed(pl.Algorithm, spec, res.M)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -537,191 +450,133 @@ func (qy *Query) openAnswers(ctx context.Context, initial int) (*AnswerStream, e
 		cancel()
 		return nil, err
 	}
-	return &AnswerStream{ctx: ctx, cancel: cancel, st: st, rl: rl}, nil
-}
-
-// OpenAnswers opens the rank-ordered answer stream of an n-way query; see
-// OpenPairs for the handle contract.
-func (qy *Query) OpenAnswers(ctx context.Context) (*AnswerStream, error) {
-	return qy.openAnswers(ctx, 0)
+	return &AnswerStream{ctx: ctx, cancel: cancel, st: st, toOld: toOld}, nil
 }
 
 // Answers executes an n-way query as a pull-based iterator — the n-way
 // analogue of Results, with the same stop-and-release contract.
 func (qy *Query) Answers(ctx context.Context) iter.Seq2[Answer, error] {
-	return func(yield func(Answer, error) bool) {
-		s, err := qy.OpenAnswers(ctx)
+	return seq(func() (*AnswerStream, error) { return qy.OpenAnswers(ctx) })
+}
+
+// seq adapts a stream opener to a range-over-func iterator that stops the
+// stream however the loop ends.
+func seq[T any](open func() (*Stream[T], error)) iter.Seq2[T, error] {
+	return func(yield func(T, error) bool) {
+		var zero T
+		s, err := open()
 		if err != nil {
-			yield(Answer{}, err)
+			yield(zero, err)
 			return
 		}
 		defer s.Stop()
 		for {
-			a, ok, err := s.Next()
+			v, ok, err := s.Next()
 			if err != nil {
-				yield(Answer{}, err)
+				yield(zero, err)
 				return
 			}
-			if !ok {
-				return
-			}
-			if !yield(a, nil) {
+			if !ok || !yield(v, nil) {
 				return
 			}
 		}
 	}
 }
 
-// PairStream is the pull handle of a 2-way query: results arrive one at a
-// time in descending score order (prefix-identical to the batch ranking).
+// Stream is the pull handle of a query: results arrive one at a time in
+// descending score order (prefix-identical to the batch ranking).
 // Single-goroutine, like the engines it drives.
-type PairStream struct {
-	ctx       context.Context
-	cancel    context.CancelFunc
-	st        join2.Stream
-	rl        *Relabeling
+type Stream[T any] struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	st     interface {
+		Next() (T, bool, error)
+		Release()
+	}
+	toOld     func(*T) // maps a result's node ids back to the caller's; nil when not relabeled
 	stopped   bool
 	exhausted bool
 	truncated bool
 }
+
+// PairStream is the handle of a 2-way query, AnswerStream of an n-way one.
+type (
+	PairStream   = Stream[PairResult]
+	AnswerStream = Stream[Answer]
+)
 
 // Truncated reports whether the stream ended early because its deadline
 // budget (Options.Budget) expired. The results pulled before the deadline
 // are still bit-identical to the same-length prefix of the full ranking —
 // the budget shortens the ranking, never corrupts it.
-func (s *PairStream) Truncated() bool { return s.truncated }
+func (s *Stream[T]) Truncated() bool { return s.truncated }
 
-// Next returns the next-best pair. ok is false once the |P|·|Q| candidate
-// space is exhausted (the stream auto-stops and further calls keep
-// reporting ok=false); pulling after an explicit Stop returns
-// ErrStreamStopped instead. A cancelled context surfaces as
-// (zero, false, ctx.Err()) and also stops the stream.
-func (s *PairStream) Next() (PairResult, bool, error) {
+// Next returns the next-best result. ok is false once the candidate space
+// is exhausted (the stream auto-stops and further calls keep reporting
+// ok=false); pulling after an explicit Stop returns ErrStreamStopped
+// instead. A cancelled context surfaces as (zero, false, ctx.Err()) and
+// also stops the stream.
+func (s *Stream[T]) Next() (T, bool, error) {
+	var zero T
 	if s.exhausted {
-		return PairResult{}, false, nil
+		return zero, false, nil
 	}
 	if s.stopped {
-		return PairResult{}, false, ErrStreamStopped
+		return zero, false, ErrStreamStopped
 	}
-	if err := context.Cause(s.ctx); err != nil {
-		if errors.Is(err, ErrBudgetExceeded) {
-			s.truncated, s.exhausted = true, true
-			s.Stop()
-			return PairResult{}, false, nil
-		}
-		s.Stop()
-		return PairResult{}, false, err
+	err := context.Cause(s.ctx)
+	var v T
+	ok := false
+	if err == nil {
+		v, ok, err = s.st.Next()
 	}
-	r, ok, err := s.st.Next()
 	if err != nil || !ok {
 		if errors.Is(err, ErrBudgetExceeded) {
-			s.truncated, s.exhausted = true, true
-			err, ok = nil, false
-		} else if err == nil {
-			s.exhausted = true
+			s.truncated, err = true, nil
 		}
+		s.exhausted = err == nil
 		s.Stop()
-		return PairResult{}, ok, err
+		return zero, false, err
 	}
-	if s.rl != nil {
-		r.Pair.P = s.rl.ToOld(r.Pair.P)
-		r.Pair.Q = s.rl.ToOld(r.Pair.Q)
+	if s.toOld != nil {
+		s.toOld(&v)
 	}
-	return r, true, nil
+	return v, true, nil
 }
 
 // NextK pulls up to k further results — the "give me the next k"
 // continuation. Fewer than k are returned at exhaustion (on error, the
 // results drained before it come back alongside); k must be positive.
-func (s *PairStream) NextK(k int) ([]PairResult, error) {
+func (s *Stream[T]) NextK(k int) ([]T, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
 	return join2.Drain(k, s.Next)
+}
+
+// topK drains the stream as a one-shot batch. When the deadline budget
+// expired the correct-but-short prefix comes back alongside
+// ErrBudgetExceeded, so callers can choose.
+func (s *Stream[T]) topK(k int) ([]T, error) {
+	defer s.Stop()
+	res, err := s.NextK(k)
+	if err != nil {
+		return nil, err
+	}
+	if s.truncated {
+		return res, ErrBudgetExceeded
+	}
+	return res, nil
 }
 
 // Stop ends the stream and releases every pooled engine it holds. It is
 // idempotent and always safe — including mid-stream, which is the whole
 // point: early termination must not leak pool entries.
-func (s *PairStream) Stop() {
+func (s *Stream[T]) Stop() {
 	if s.stopped {
 		return
 	}
 	s.stopped = true
-	if s.cancel != nil {
-		s.cancel()
-	}
-	s.st.Release()
-}
-
-// AnswerStream is the pull handle of an n-way query; same contract as
-// PairStream.
-type AnswerStream struct {
-	ctx       context.Context
-	cancel    context.CancelFunc
-	st        core.TupleStream
-	rl        *Relabeling
-	stopped   bool
-	exhausted bool
-	truncated bool
-}
-
-// Truncated reports whether the stream ended early on an expired deadline
-// budget; see PairStream.Truncated.
-func (s *AnswerStream) Truncated() bool { return s.truncated }
-
-// Next returns the next-best answer; see PairStream.Next for the contract.
-func (s *AnswerStream) Next() (Answer, bool, error) {
-	if s.exhausted {
-		return Answer{}, false, nil
-	}
-	if s.stopped {
-		return Answer{}, false, ErrStreamStopped
-	}
-	if err := context.Cause(s.ctx); err != nil {
-		if errors.Is(err, ErrBudgetExceeded) {
-			s.truncated, s.exhausted = true, true
-			s.Stop()
-			return Answer{}, false, nil
-		}
-		s.Stop()
-		return Answer{}, false, err
-	}
-	a, ok, err := s.st.Next()
-	if err != nil || !ok {
-		if errors.Is(err, ErrBudgetExceeded) {
-			s.truncated, s.exhausted = true, true
-			err, ok = nil, false
-		} else if err == nil {
-			s.exhausted = true
-		}
-		s.Stop()
-		return Answer{}, ok, err
-	}
-	if s.rl != nil {
-		for i := range a.Nodes {
-			a.Nodes[i] = s.rl.ToOld(a.Nodes[i])
-		}
-	}
-	return a, true, nil
-}
-
-// NextK pulls up to k further answers; see PairStream.NextK.
-func (s *AnswerStream) NextK(k int) ([]Answer, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
-	}
-	return join2.Drain(k, s.Next)
-}
-
-// Stop ends the stream and releases its pooled engines; idempotent.
-func (s *AnswerStream) Stop() {
-	if s.stopped {
-		return
-	}
-	s.stopped = true
-	if s.cancel != nil {
-		s.cancel()
-	}
+	s.cancel()
 	s.st.Release()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -212,20 +213,75 @@ func TestQueryTypedErrors(t *testing.T) {
 	}
 }
 
-// TestAnswerStreamStopIdempotent: Stop twice, and NextK after exhaustion,
-// must be harmless.
-func TestAnswerStreamStopIdempotent(t *testing.T) {
+// TestStreamContract pins the handle contract once for both instantiations
+// of Stream[T]: Stop is idempotent and a pull after it reports
+// ErrStreamStopped; an exhausted stream keeps reporting a quiet ok=false;
+// an expired budget ends the stream cleanly with Truncated set.
+func TestStreamContract(t *testing.T) {
 	g, sets := queryWorld(t)
-	s, err := NewJoinQuery(g, Chain(sets[0], sets[1])).OpenAnswers(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.NextK(3); err != nil {
-		t.Fatal(err)
-	}
-	s.Stop()
-	s.Stop()
-	if _, ok, err := s.Next(); ok || !errors.Is(err, ErrStreamStopped) {
-		t.Fatalf("next after stop: ok=%v err=%v", ok, err)
-	}
+	p, q := sets[0].Take(4), sets[1].Take(4) // 16 results: cheap to exhaust
+	streamContract(t, "PairStream", func(ctx context.Context, o *Options) (*PairStream, error) {
+		return NewPairQuery(g, p, q).WithOptions(o).OpenPairs(ctx)
+	})
+	streamContract(t, "AnswerStream", func(ctx context.Context, o *Options) (*AnswerStream, error) {
+		return NewJoinQuery(g, Chain(p, q)).WithOptions(o).OpenAnswers(ctx)
+	})
+}
+
+func streamContract[T any](t *testing.T, name string, open func(context.Context, *Options) (*Stream[T], error)) {
+	ctx := context.Background()
+	t.Run(name+"/stop", func(t *testing.T) {
+		s, err := open(ctx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.NextK(3); err != nil {
+			t.Fatal(err)
+		}
+		s.Stop()
+		s.Stop()
+		if _, ok, err := s.Next(); ok || !errors.Is(err, ErrStreamStopped) {
+			t.Fatalf("next after stop: ok=%v err=%v", ok, err)
+		}
+		if _, err := s.NextK(0); !errors.Is(err, ErrInvalidK) {
+			t.Fatalf("NextK(0): %v, want ErrInvalidK", err)
+		}
+	})
+	t.Run(name+"/exhausted", func(t *testing.T) {
+		s, err := open(ctx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := s.NextK(100)
+		if err != nil || len(all) != 16 {
+			t.Fatalf("drained %d results (err=%v), want the whole 16-result ranking", len(all), err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, ok, err := s.Next(); ok || err != nil {
+				t.Fatalf("next after exhaustion: ok=%v err=%v, want a quiet end", ok, err)
+			}
+		}
+		if s.Truncated() {
+			t.Fatal("an exhausted stream reports Truncated")
+		}
+	})
+	t.Run(name+"/budget", func(t *testing.T) {
+		// The budget outlives the open, then expires while the caller sits
+		// on the handle.
+		s, err := open(ctx, &Options{Budget: 100 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Stop()
+		<-s.ctx.Done()
+		if _, ok, err := s.Next(); ok || err != nil {
+			t.Fatalf("next past the budget: ok=%v err=%v, want a clean end", ok, err)
+		}
+		if !s.Truncated() {
+			t.Fatal("budget expiry did not set Truncated")
+		}
+		if _, ok, err := s.Next(); ok || err != nil {
+			t.Fatalf("next after truncation: ok=%v err=%v", ok, err)
+		}
+	})
 }

@@ -135,8 +135,9 @@ func relabeledFor(g *Graph, mode RelabelMode) (*Graph, *Relabeling) {
 	return rl.g, rl.r
 }
 
-// relabelPairConfig rewrites a 2-way config into the relabeled id space.
-func relabelPairConfig(cfg *join2.Config, mode RelabelMode) *Relabeling {
+// relabelPairConfig rewrites a 2-way config into the relabeled id space and
+// returns the map-back for its results (nil when mode is off).
+func relabelPairConfig(cfg *join2.Config, mode RelabelMode) func(*PairResult) {
 	rg, r := relabeledFor(cfg.Graph, mode)
 	if r == nil {
 		return nil
@@ -144,12 +145,15 @@ func relabelPairConfig(cfg *join2.Config, mode RelabelMode) *Relabeling {
 	cfg.Graph = rg
 	cfg.P = r.MapToNew(cfg.P)
 	cfg.Q = r.MapToNew(cfg.Q)
-	return r
+	return func(pr *PairResult) {
+		pr.Pair.P, pr.Pair.Q = r.ToOld(pr.Pair.P), r.ToOld(pr.Pair.Q)
+	}
 }
 
 // relabelSpec rewrites an n-way spec (graph and query node sets) into the
-// relabeled id space.
-func relabelSpec(spec *core.Spec, mode RelabelMode) *Relabeling {
+// relabeled id space and returns the map-back for its answers (nil when mode
+// is off).
+func relabelSpec(spec *core.Spec, mode RelabelMode) func(*Answer) {
 	rg, r := relabeledFor(spec.Graph, mode)
 	if r == nil {
 		return nil
@@ -164,5 +168,9 @@ func relabelSpec(spec *core.Spec, mode RelabelMode) *Relabeling {
 	}
 	spec.Graph = rg
 	spec.Query = q
-	return r
+	return func(a *Answer) {
+		for i := range a.Nodes {
+			a.Nodes[i] = r.ToOld(a.Nodes[i])
+		}
+	}
 }

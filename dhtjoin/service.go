@@ -66,9 +66,8 @@ func (s *Service) Graphs() []GraphInfo { return s.s.Graphs() }
 // Stats snapshots the service counters.
 func (s *Service) Stats() ServiceStats { return s.s.Stats() }
 
-// toQuery maps Options onto the serving layer's query form. The field sets
-// are isomorphic and both resolve defaults identically, which is what keeps
-// served results bit-identical to one-shot calls.
+// toQuery maps Options onto the serving layer's query form field by field
+// (TestOptionsReachQuery pins that none is dropped); nil means all defaults.
 func toQuery(o *Options) service.Query {
 	if o == nil {
 		return service.Query{}
@@ -77,7 +76,6 @@ func toQuery(o *Options) service.Query {
 		Params:      o.Params,
 		Epsilon:     o.Epsilon,
 		D:           o.D,
-		Measure:     o.Measure,
 		MeasureName: o.MeasureName,
 		Agg:         o.Agg,
 		M:           o.M,
@@ -85,6 +83,7 @@ func toQuery(o *Options) service.Query {
 		Workers:     o.Workers,
 		BatchWidth:  o.BatchWidth,
 		Relabel:     o.Relabel,
+		Accuracy:    o.Accuracy,
 		Tenant:      o.Tenant,
 		Budget:      o.Budget,
 	}
@@ -94,18 +93,52 @@ func toQuery(o *Options) service.Query {
 	return q
 }
 
+// servedQuery is toQuery for the facade's entry points: options that do not
+// resolve fail with ErrInvalidOptions exactly as on the one-shot path.
+func servedQuery(o *Options) (service.Query, error) {
+	_, err := o.resolve()
+	return toQuery(o), err
+}
+
+// pairArgs validates the inputs of a served 2-way call and maps them onto
+// the serving layer's form.
+func pairArgs(p, q *NodeSet, opts *Options) (pr, qr service.SetRef, query service.Query, err error) {
+	if p == nil || p.Len() == 0 || q == nil || q.Len() == 0 {
+		return pr, qr, query, ErrEmptyNodeSet
+	}
+	query, err = servedQuery(opts)
+	return service.SetRef{IDs: p.Nodes()}, service.SetRef{IDs: q.Nodes()}, query, err
+}
+
+// joinArgs is pairArgs for n-way calls: it flattens the QueryGraph into the
+// serving layer's sets-and-edges form.
+func joinArgs(join *QueryGraph, opts *Options) (sets []service.SetRef, edges [][2]int, query service.Query, err error) {
+	if join == nil {
+		return nil, nil, query, ErrInvalidQueryGraph
+	}
+	sets = make([]service.SetRef, join.NumSets())
+	for i := range sets {
+		sets[i] = service.SetRef{IDs: join.Set(i).Nodes()}
+	}
+	for _, e := range join.Edges() {
+		edges = append(edges, [2]int{e.From, e.To})
+	}
+	query, err = servedQuery(opts)
+	return sets, edges, query, err
+}
+
 // TopKPairs serves a top-k 2-way join on the named graph, bit-identical to
 // the package-level TopKPairs with the same Options. ctx cancels the work
 // (including the wait for worker admission); nil means Background.
 func (s *Service) TopKPairs(ctx context.Context, graphName string, p, q *NodeSet, k int, opts *Options) ([]PairResult, error) {
-	if p == nil || p.Len() == 0 || q == nil || q.Len() == 0 {
-		return nil, ErrEmptyNodeSet
+	pr, qr, query, err := pairArgs(p, q, opts)
+	if err != nil {
+		return nil, err
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
-	return s.s.Join2(ctx, graphName,
-		service.SetRef{IDs: p.Nodes()}, service.SetRef{IDs: q.Nodes()}, k, toQuery(opts))
+	return s.s.Join2(ctx, graphName, pr, qr, k, query)
 }
 
 // OpenPairs serves a 2-way join as a rank-ordered pull stream through the
@@ -114,11 +147,11 @@ func (s *Service) TopKPairs(ctx context.Context, graphName string, p, q *NodeSet
 // publishes the drained prefix to the result cache, so a later TopKPairs
 // for any k it covers is served without a join.
 func (s *Service) OpenPairs(ctx context.Context, graphName string, p, q *NodeSet, opts *Options) (*ServicePairStream, error) {
-	if p == nil || p.Len() == 0 || q == nil || q.Len() == 0 {
-		return nil, ErrEmptyNodeSet
+	pr, qr, query, err := pairArgs(p, q, opts)
+	if err != nil {
+		return nil, err
 	}
-	return s.s.OpenJoin2(ctx, graphName,
-		service.SetRef{IDs: p.Nodes()}, service.SetRef{IDs: q.Nodes()}, toQuery(opts))
+	return s.s.OpenJoin2(ctx, graphName, pr, qr, query)
 }
 
 // ServicePairStream is the streaming handle returned by Service.OpenPairs.
@@ -130,46 +163,34 @@ type ServiceAnswerStream = service.JoinNStream
 // TopK serves a top-k n-way join on the named graph, bit-identical to the
 // package-level TopK with the same Options. ctx as in TopKPairs.
 func (s *Service) TopK(ctx context.Context, graphName string, query *QueryGraph, k int, opts *Options) ([]Answer, error) {
-	sets, edges, err := splitQueryGraph(query)
+	sets, edges, q, err := joinArgs(query, opts)
 	if err != nil {
 		return nil, err
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
-	return s.s.JoinN(ctx, graphName, sets, edges, k, toQuery(opts))
+	return s.s.JoinN(ctx, graphName, sets, edges, k, q)
 }
 
 // OpenAnswers serves an n-way join as a rank-ordered pull stream; see
 // OpenPairs for the handle contract.
 func (s *Service) OpenAnswers(ctx context.Context, graphName string, query *QueryGraph, opts *Options) (*ServiceAnswerStream, error) {
-	sets, edges, err := splitQueryGraph(query)
+	sets, edges, q, err := joinArgs(query, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.s.OpenJoinN(ctx, graphName, sets, edges, toQuery(opts))
-}
-
-// splitQueryGraph flattens a QueryGraph into the serving layer's wire form.
-func splitQueryGraph(query *QueryGraph) ([]service.SetRef, [][2]int, error) {
-	if query == nil {
-		return nil, nil, ErrInvalidQueryGraph
-	}
-	sets := make([]service.SetRef, query.NumSets())
-	for i := range sets {
-		sets[i] = service.SetRef{IDs: query.Set(i).Nodes()}
-	}
-	edges := make([][2]int, 0, len(query.Edges()))
-	for _, e := range query.Edges() {
-		edges = append(edges, [2]int{e.From, e.To})
-	}
-	return sets, edges, nil
+	return s.s.OpenJoinN(ctx, graphName, sets, edges, q)
 }
 
 // Score serves the truncated score h_d(u, v) on the named graph,
 // bit-identical to the package-level Score.
 func (s *Service) Score(ctx context.Context, graphName string, u, v NodeID, opts *Options) (float64, error) {
-	return s.s.Score(ctx, graphName, u, v, toQuery(opts))
+	q, err := servedQuery(opts)
+	if err != nil {
+		return 0, err
+	}
+	return s.s.Score(ctx, graphName, u, v, q)
 }
 
 // ExplainPairs returns the plan a TopKPairs/OpenPairs call on the named
@@ -177,18 +198,18 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v NodeID, opts
 // serving session's calibrated cost unit — without executing anything.
 // k <= 0 prices the plan for the default streaming batch.
 func (s *Service) ExplainPairs(ctx context.Context, graphName string, p, q *NodeSet, k int, opts *Options) (*QueryPlan, error) {
-	if p == nil || p.Len() == 0 || q == nil || q.Len() == 0 {
-		return nil, ErrEmptyNodeSet
+	pr, qr, query, err := pairArgs(p, q, opts)
+	if err != nil {
+		return nil, err
 	}
-	return s.s.ExplainJoin2(ctx, graphName,
-		service.SetRef{IDs: p.Nodes()}, service.SetRef{IDs: q.Nodes()}, k, toQuery(opts))
+	return s.s.ExplainJoin2(ctx, graphName, pr, qr, k, query)
 }
 
 // ExplainJoin is ExplainPairs for n-way queries.
 func (s *Service) ExplainJoin(ctx context.Context, graphName string, query *QueryGraph, opts *Options) (*QueryPlan, error) {
-	sets, edges, err := splitQueryGraph(query)
+	sets, edges, q, err := joinArgs(query, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.s.ExplainJoinN(ctx, graphName, sets, edges, 0, toQuery(opts))
+	return s.s.ExplainJoinN(ctx, graphName, sets, edges, 0, q)
 }

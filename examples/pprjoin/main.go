@@ -29,8 +29,7 @@ func main() {
 
 	dhtOpts := &dhtjoin.Options{Params: dhtjoin.DHTLambda(0.2)}
 	// Naming the measure pulls params and walk kind from the registry
-	// (ppr defaults to damping 0.5 over the reach fold) — the registered
-	// spelling of the old {Params: PPR(0.5), Measure: MeasureReach} pair.
+	// (ppr defaults to damping 0.5 over the reach fold).
 	pprOpts := &dhtjoin.Options{MeasureName: "ppr"}
 
 	dhtPairs, err := dhtjoin.TopKPairs(yeast.Graph, p3u, p8d, 10, dhtOpts)

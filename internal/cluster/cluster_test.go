@@ -2,13 +2,17 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/join2"
+	"repro/internal/rankjoin"
 	"repro/internal/service"
 )
 
@@ -138,12 +142,15 @@ func sameRanking(t *testing.T, label string, want, got []join2.Result) {
 }
 
 // TestClusterBitIdenticalRankings is the acceptance property: across graph
-// shapes, seeds, and k, a 3-node scatter returns exactly the single-node
-// ranking.
+// shapes, seeds, measures, and k, a 3-node scatter returns exactly the
+// single-node ranking. The measure dimension pins the wire rule: shards
+// evaluate the coordinator's resolved request, so a scattered "ppr" join is
+// PPR on every shard, never the shard's own default.
 func TestClusterBitIdenticalRankings(t *testing.T) {
 	nodes := startTestCluster(t, 3, 2)
 	baseline := service.New(service.Config{MaxConcurrency: 16})
 	ctx := context.Background()
+	scattered := map[string]int64{} // per measure; placement keeps some graphs' parts all local
 	for _, sh := range shapes(t) {
 		for _, seed := range []int64{1, 7} {
 			name := fmt.Sprintf("g-%s-%d", sh.name, seed)
@@ -154,23 +161,81 @@ func TestClusterBitIdenticalRankings(t *testing.T) {
 			}
 			pref := service.SetRef{IDs: p}
 			qref := service.SetRef{IDs: q}
-			for _, k := range []int{1, 10, 57} {
-				label := fmt.Sprintf("%s k=%d", name, k)
-				want, err := baseline.Join2(ctx, name, pref, qref, k, service.Query{})
-				if err != nil {
-					t.Fatalf("%s: local: %v", label, err)
+			for _, measure := range []string{"dht", "reach", "ppr"} {
+				query := service.Query{MeasureName: measure}
+				// The full ranking makes every part contribute, so a shard
+				// scoring another measure cannot hide below the cut.
+				for _, k := range []int{1, 10, 57, len(p) * len(q)} {
+					label := fmt.Sprintf("%s %s k=%d", name, measure, k)
+					want, err := baseline.Join2(ctx, name, pref, qref, k, query)
+					if err != nil {
+						t.Fatalf("%s: local: %v", label, err)
+					}
+					before := nodes[0].node.RouterStats().ScatterQueries
+					got, err := nodes[0].svc.Join2(ctx, name, pref, qref, k, query)
+					if err != nil {
+						t.Fatalf("%s: cluster: %v", label, err)
+					}
+					scattered[measure] += nodes[0].node.RouterStats().ScatterQueries - before
+					sameRanking(t, label, want, got)
 				}
-				got, err := nodes[0].svc.Join2(ctx, name, pref, qref, k, service.Query{})
-				if err != nil {
-					t.Fatalf("%s: cluster: %v", label, err)
-				}
-				sameRanking(t, label, want, got)
 			}
 		}
 	}
-	rs := nodes[0].node.RouterStats()
-	if rs.ScatterQueries == 0 {
-		t.Fatal("no query was actually scattered — the property test ran against the local path")
+	for _, measure := range []string{"dht", "reach", "ppr"} {
+		if scattered[measure] == 0 {
+			t.Fatalf("no %s query was actually scattered — the property test ran against the local path", measure)
+		}
+	}
+}
+
+// TestQueryWireRoundTrip is the copy-completeness check of the cluster
+// wire: every service.Query field set alone survives the scatter body's
+// JSON round trip bit-exactly, or is listed here as deliberately not
+// shipped. A field added to Query that cannot travel fails this test.
+func TestQueryWireRoundTrip(t *testing.T) {
+	localOnly := map[string]string{
+		"Agg": "n-way only; scatter serves 2-way joins",
+	}
+	qt := reflect.TypeOf(service.Query{})
+	for i := 0; i < qt.NumField(); i++ {
+		f := qt.Field(i)
+		var q service.Query
+		fv := reflect.ValueOf(&q).Elem().Field(i)
+		switch f.Name {
+		case "Params":
+			q.Params = dht.Params{Alpha: 1.0 / 3, Beta: -math.Pi, Lambda: 0.1 + 0.2}
+		case "Agg":
+			q.Agg = rankjoin.Sum
+		default:
+			switch fv.Kind() {
+			case reflect.String:
+				fv.SetString("x-" + f.Name)
+			case reflect.Int, reflect.Int64:
+				fv.SetInt(1234567)
+			case reflect.Float64:
+				fv.SetFloat(0.1 + 0.2)
+			case reflect.Bool:
+				fv.SetBool(true)
+			default:
+				t.Fatalf("Query.%s: kind %s has no test value; extend this test", f.Name, fv.Kind())
+			}
+		}
+		raw, err := json.Marshal(scatterBody{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body scatterBody
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatal(err)
+		}
+		_, local := localOnly[f.Name]
+		switch got := body.Query; {
+		case local && !reflect.DeepEqual(got, service.Query{}):
+			t.Errorf("Query.%s is listed local-only but reached the wire: %+v", f.Name, got)
+		case !local && !reflect.DeepEqual(got, q):
+			t.Errorf("Query.%s does not survive the cluster wire: sent %+v, shard sees %+v", f.Name, q, got)
+		}
 	}
 }
 

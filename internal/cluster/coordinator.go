@@ -175,7 +175,7 @@ func (sh *shard) nextRemote(ctx context.Context) error {
 			}
 			owner := sh.owners[sh.ownerIdx]
 			rs, err := sh.n.tr.OpenStream(owner.Addr, msgScatter, scatterBody{
-				Graph: sh.graph, P: sh.pids, Q: sh.qids, Query: wireQuery(sh.query),
+				Graph: sh.graph, P: sh.pids, Q: sh.qids, Query: sh.query,
 				Cursor: sh.consumed, Window: scatterWindow,
 			})
 			if err != nil {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -355,57 +354,19 @@ type fetchOKBody struct {
 	Segment  []byte `json:"segment"`
 }
 
-// queryWire ships the join parameters that determine the ranking. It must
-// round-trip every field bit-exactly (floats survive Go's JSON shortest-
-// representation encoding) or shards would compute a different ranking than
-// the coordinator's local evaluation. The n-way-only knobs (Agg) do not
-// travel: scatter serves 2-way joins only.
-type queryWire struct {
-	Alpha      float64 `json:"alpha"`
-	Beta       float64 `json:"beta"`
-	Lambda     float64 `json:"lambda"`
-	Epsilon    float64 `json:"epsilon,omitempty"`
-	D          int     `json:"d,omitempty"`
-	Measure    int     `json:"measure,omitempty"`
-	M          int     `json:"m,omitempty"`
-	Workers    int     `json:"workers,omitempty"`
-	BatchWidth int     `json:"batch_width,omitempty"`
-	Relabel    int     `json:"relabel,omitempty"`
-	Algorithm  string  `json:"algorithm,omitempty"`
-	Accuracy   string  `json:"accuracy,omitempty"`
-	Tenant     string  `json:"tenant,omitempty"`
-	Priority   int     `json:"priority,omitempty"`
-	BudgetMS   int64   `json:"budget_ms,omitempty"`
-}
-
-func wireQuery(q service.Query) queryWire {
-	return queryWire{
-		Alpha: q.Params.Alpha, Beta: q.Params.Beta, Lambda: q.Params.Lambda,
-		Epsilon: q.Epsilon, D: q.D, Measure: int(q.Measure), M: q.M,
-		Workers: q.Workers, BatchWidth: q.BatchWidth, Relabel: int(q.Relabel),
-		Algorithm: q.Algorithm, Accuracy: q.Accuracy,
-		Tenant: q.Tenant, Priority: q.Priority, BudgetMS: q.Budget.Milliseconds(),
-	}
-}
-
-func (w queryWire) toQuery() service.Query {
-	return service.Query{
-		Params:  dht.Params{Alpha: w.Alpha, Beta: w.Beta, Lambda: w.Lambda},
-		Epsilon: w.Epsilon, D: w.D, Measure: dht.Kind(w.Measure), M: w.M,
-		Workers: w.Workers, BatchWidth: w.BatchWidth, Relabel: graph.RelabelMode(w.Relabel),
-		Algorithm: w.Algorithm, Accuracy: w.Accuracy,
-		Tenant: w.Tenant, Priority: w.Priority,
-		Budget: time.Duration(w.BudgetMS) * time.Millisecond,
-	}
-}
-
 type scatterBody struct {
-	Graph  string         `json:"graph"`
-	P      []graph.NodeID `json:"p"` // already restricted to the part's range
-	Q      []graph.NodeID `json:"q"`
-	Query  queryWire      `json:"query"`
-	Cursor int            `json:"cursor,omitempty"` // lines to skip (failover resume)
-	Window int            `json:"window"`           // initial flow-control credit
+	Graph string         `json:"graph"`
+	P     []graph.NodeID `json:"p"` // already restricted to the part's range
+	Q     []graph.NodeID `json:"q"`
+	// Query is the coordinator's resolved form (service.Query.pinned:
+	// canonical measure name, explicit params, depth), so a shard has no
+	// defaults left to apply and cannot disagree with the coordinator's
+	// local evaluation. The struct itself is the wire form — floats survive
+	// Go's JSON shortest-representation encoding bit-exactly — so a field
+	// added to it travels without a hand copy (TestQueryWireRoundTrip).
+	Query  service.Query `json:"query"`
+	Cursor int           `json:"cursor,omitempty"` // lines to skip (failover resume)
+	Window int           `json:"window"`           // initial flow-control credit
 }
 
 type scatterLineBody struct {
@@ -587,8 +548,8 @@ func (n *Node) handleScatter(rep *Replier, env *Envelope, st *scatterState) {
 		return
 	}
 	n.scatterServed.Add(1)
-	query := body.Query.toQuery()
-	if err := query.Validate(); err != nil {
+	query := body.Query
+	if _, err := query.Resolve(); err != nil {
 		_ = rep.Reply(env.MsgID, msgScatterDone, scatterDoneBody{Err: err.Error()})
 		return
 	}

@@ -157,6 +157,7 @@ func init() {
 		WalkBased:     true,
 		Walk:          dht.Reach,
 		DefaultParams: func(dht.Params) dht.Params { return dht.PPR(0.5) },
+		LambdaParams:  dht.PPR,
 		NewEvaluator: func(g *graph.Graph, p dht.Params, d int) (Evaluator, error) {
 			if err := p.Validate(); err != nil {
 				return nil, err

@@ -2,11 +2,11 @@
 // that turns "one paper's operator" into a graph-proximity query engine. A
 // measure is a named kernel — a score-column evaluator, a monotone rank-join
 // bound function, and a declared accuracy contract — mirroring the
-// plan.Descriptor idiom for executors. The execution layers resolve a
-// measure name once (dhtjoin.Query.WithMeasure, the service's "measure"
-// wire option, njoin's -measure flag) and thread the kernel's walk kind,
-// default parameters, and planner measure key through the existing planner
-// and executor machinery.
+// plan.Descriptor idiom for executors. Every execution layer (dhtjoin, the
+// service, njoin) resolves its request through Resolve — the one place the
+// measure name, the kernel's walk kind and default parameters, and the
+// system defaults are applied — and threads the result through the existing
+// planner and executor machinery.
 //
 // Registered measures come in two families:
 //
@@ -114,9 +114,12 @@ type Kernel struct {
 
 	// DefaultParams resolves zero-value caller params to the measure's
 	// customary parameterization (e.g. ppr → dht.PPR(0.5)). Non-zero caller
-	// params always win. Nil means the caller's resolution applies
-	// unchanged (the dht default, DHTλ(0.2), lives in the facades).
+	// params always win. Nil leaves the system default (Resolve's DHTλ(0.2)).
 	DefaultParams func(p dht.Params) dht.Params
+
+	// LambdaParams maps a front end's single "lambda" number to this
+	// measure's coefficients (ppr → dht.PPR(c)). Nil means dht.DHTLambda.
+	LambdaParams func(lambda float64) dht.Params
 
 	// NewEvaluator builds the kernel's score-column evaluator for a graph
 	// at parameters p and depth d.

@@ -1,0 +1,100 @@
+package measure
+
+import (
+	"fmt"
+
+	"repro/internal/dht"
+	"repro/internal/plan"
+	"repro/internal/rankjoin"
+)
+
+// Request is the ranking-determining part of a join or score request as the
+// caller spelled it. The zero value asks for the paper's defaults.
+type Request struct {
+	Measure  string             // registered measure name; "" selects "dht"
+	Params   dht.Params         // zero selects the kernel's own default
+	Epsilon  float64            // truncation error bound; zero selects 1e-6; ignored when D is set
+	D        int                // forces the truncation depth
+	Agg      rankjoin.Aggregate // n-way aggregate; nil selects Min
+	M        int                // n-way per-edge budget; zero selects 50
+	Accuracy string             // planner kernel contract: "" | "exact" | "fast"
+}
+
+// Resolved is a Request with every default applied and every field
+// validated. It is the only form the execution layers read, so one-shot,
+// served and scattered evaluations of one Request cannot disagree. The walk
+// kind the engines fold is Kernel.Walk.
+type Resolved struct {
+	Kernel   Kernel
+	Params   dht.Params
+	D        int
+	Agg      rankjoin.Aggregate
+	M        int
+	Accuracy plan.Accuracy
+}
+
+// Resolve is the single place the system's defaults live: the kernel's
+// customary parameterization first (ppr → PPR(0.5)), then DHTλ(0.2),
+// ε = 1e-6, MIN, m = 50 and the exact kernel contract.
+func Resolve(r Request) (Resolved, error) {
+	kern, err := Lookup(r.Measure)
+	if err != nil {
+		return Resolved{}, err
+	}
+	p := kern.ResolveParams(r.Params)
+	if p == (dht.Params{}) {
+		p = dht.DHTLambda(0.2)
+	}
+	if err := p.Validate(); err != nil {
+		return Resolved{}, err
+	}
+	d := r.D
+	if d == 0 {
+		eps := r.Epsilon
+		if eps == 0 {
+			eps = 1e-6
+		}
+		if eps < 0 {
+			return Resolved{}, fmt.Errorf("measure: epsilon must be positive, got %g", eps)
+		}
+		d = p.StepsForEpsilon(eps)
+	}
+	if d < 1 {
+		return Resolved{}, fmt.Errorf("measure: depth d must be >= 1, got %d", d)
+	}
+	agg := r.Agg
+	if agg == nil {
+		agg = rankjoin.Min
+	}
+	m := r.M
+	if m == 0 {
+		m = 50
+	}
+	if m < 0 {
+		return Resolved{}, fmt.Errorf("measure: m must be >= 0, got %d", m)
+	}
+	acc, err := plan.ParseAccuracy(r.Accuracy)
+	if err != nil {
+		return Resolved{}, err
+	}
+	return Resolved{Kernel: kern, Params: p, D: d, Agg: agg, M: m, Accuracy: acc}, nil
+}
+
+// ParamsFor maps the one-number parameterization the front ends expose (the
+// wire's "lambda", njoin's -lambda; dhte selects the DHTe form instead) to
+// the named measure's coefficients. A zero lambda yields zero Params, which
+// Resolve then defaults.
+func ParamsFor(name string, lambda float64, dhte bool) (dht.Params, error) {
+	kern, err := Lookup(name)
+	switch {
+	case err != nil:
+		return dht.Params{}, err
+	case dhte:
+		return dht.DHTE(), nil
+	case lambda == 0:
+		return dht.Params{}, nil
+	case kern.LambdaParams != nil:
+		return kern.LambdaParams(lambda), nil
+	}
+	return dht.DHTLambda(lambda), nil
+}

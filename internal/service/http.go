@@ -5,15 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/dht"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/join2"
 	"repro/internal/measure"
+	"repro/internal/plan"
 	"repro/internal/rankjoin"
 )
 
@@ -23,11 +24,10 @@ import (
 const maxGraphBody = 256 << 20
 
 // OptionsJSON is the wire form of a Query. All fields are optional; zero
-// values select the paper's defaults, exactly as dhtjoin.Options does.
+// values select the paper's defaults (measure.Resolve applies them).
 type OptionsJSON struct {
-	Lambda     float64 `json:"lambda,omitempty"`  // DHTλ decay (default 0.2)
+	Lambda     float64 `json:"lambda,omitempty"`  // the measure's decay: DHTλ's λ (default 0.2), ppr's damping factor (default 0.5)
 	DHTE       bool    `json:"dhte,omitempty"`    // use the DHTe parameterization
-	PPR        bool    `json:"ppr,omitempty"`     // Personalized PageRank params (damping = lambda); implies measure "reach" unless measure is set explicitly
 	Epsilon    float64 `json:"epsilon,omitempty"` // truncation accuracy target (default 1e-6)
 	D          int     `json:"d,omitempty"`       // forced truncation depth (overrides epsilon)
 	Agg        string  `json:"agg,omitempty"`     // SUM | MIN | MAX | AVG (n-way; default MIN)
@@ -50,27 +50,14 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	if o == nil {
 		return q, nil
 	}
-	switch {
-	case o.DHTE && o.PPR:
-		return q, fmt.Errorf("options: dhte and ppr are mutually exclusive")
-	case o.DHTE:
-		q.Params = dht.DHTE()
-	case o.PPR:
-		c := o.Lambda
-		if c == 0 {
-			c = 0.2
-		}
-		q.Params = dht.PPR(c)
-		q.Measure = dht.Reach
-	case o.Lambda != 0:
-		q.Params = dht.DHTLambda(o.Lambda)
+	// lambda means whatever the named measure's kernel says it means
+	// (DHTλ's decay, ppr's damping factor); an unknown name fails here with
+	// ErrUnknownMeasure, listing the registered spellings.
+	params, err := measure.ParamsFor(o.Measure, o.Lambda, o.DHTE)
+	if err != nil {
+		return q, err
 	}
-	// The measure resolves through the registry (service.Query.resolve calls
-	// measure.Lookup), so every registered kernel — walk-based or not — is
-	// one wire spelling away. An empty name keeps the legacy semantics: the
-	// PPR flag above may have implied the reach kind, and "dht" stays the
-	// default. Unknown names fail at resolve time with ErrUnknownMeasure
-	// (mapped to HTTP 400), listing the registered spellings.
+	q.Params = params
 	q.MeasureName = o.Measure
 	if o.Agg != "" {
 		agg, err := rankjoin.ByName(o.Agg)
@@ -93,13 +80,8 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	q.Algorithm = o.Algo
 	q.Accuracy = o.Accuracy
 	q.Tenant = o.Tenant
-	switch o.Priority {
-	case "", "interactive":
-		q.Priority = PriorityInteractive
-	case "batch":
-		q.Priority = PriorityBatch
-	default:
-		return q, fmt.Errorf("options: unknown priority %q (want interactive or batch)", o.Priority)
+	if q.Priority, err = parsePriority(o.Priority); err != nil {
+		return q, fmt.Errorf("options: %w", err)
 	}
 	if o.BudgetMS < 0 {
 		return q, fmt.Errorf("options: budget_ms must be >= 0, got %d", o.BudgetMS)
@@ -108,24 +90,36 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	return q, nil
 }
 
-// applyIdentity fills the query's tenant and priority from the request
-// headers when the options body left them unset — X-Tenant names the quota
-// bucket, X-Priority: batch selects the batch admission class. Body options
-// win over headers so a proxy can set coarse defaults that clients refine.
-func applyIdentity(r *http.Request, q *Query) error {
+// queryOf resolves a request's wire options (nil means defaults) into a
+// Query, filling tenant and priority from the request headers when the
+// options left them unset — X-Tenant names the quota bucket, X-Priority:
+// batch selects the batch admission class. Body options win over headers so
+// a proxy can set coarse defaults that clients refine.
+func queryOf(r *http.Request, o *OptionsJSON) (Query, error) {
+	q, err := o.toQuery()
+	if err != nil {
+		return q, err
+	}
 	if q.Tenant == "" {
 		q.Tenant = r.Header.Get("X-Tenant")
 	}
 	if q.Priority == PriorityInteractive {
-		switch strings.ToLower(r.Header.Get("X-Priority")) {
-		case "", "interactive":
-		case "batch":
-			q.Priority = PriorityBatch
-		default:
-			return fmt.Errorf("options: unknown X-Priority %q (want interactive or batch)", r.Header.Get("X-Priority"))
+		if q.Priority, err = parsePriority(strings.ToLower(r.Header.Get("X-Priority"))); err != nil {
+			return q, fmt.Errorf("options: X-Priority: %w", err)
 		}
 	}
-	return nil
+	return q, nil
+}
+
+// parsePriority maps the wire spelling of an admission class.
+func parsePriority(s string) (int, error) {
+	switch s {
+	case "", "interactive":
+		return PriorityInteractive, nil
+	case "batch":
+		return PriorityBatch, nil
+	}
+	return 0, fmt.Errorf("unknown priority %q (want interactive or batch)", s)
 }
 
 // SetRefJSON is the wire form of a SetRef.
@@ -136,21 +130,26 @@ type SetRefJSON struct {
 
 func (r SetRefJSON) toRef() SetRef { return SetRef{Name: r.Set, IDs: r.IDs} }
 
-// join2Request is the POST /join2 body. Stream selects an NDJSON streaming
-// response (one result object per line, flushed as produced; k = 0 then
-// means "stream until exhausted"). Cursor skips the first Cursor results of
-// the ranking — the "next page" continuation: a response's next_cursor is
-// the Cursor of the request that continues it. Cursor works with and
-// without Stream.
-type join2Request struct {
+// joinCommon is the part of a join request body both routes share. Stream
+// selects an NDJSON streaming response (one result object per line, flushed
+// as produced; k = 0 then means "stream until exhausted"). Cursor skips the
+// first Cursor results of the ranking — the "next page" continuation: a
+// response's next_cursor is the Cursor of the request that continues it.
+// Cursor works with and without Stream.
+type joinCommon struct {
 	Graph   string       `json:"graph"`
-	P       SetRefJSON   `json:"p"`
-	Q       SetRefJSON   `json:"q"`
 	K       int          `json:"k"`
 	Stream  bool         `json:"stream,omitempty"`
 	Cursor  int          `json:"cursor,omitempty"`
 	Explain bool         `json:"explain,omitempty"` // dry run: return the plan, execute nothing
 	Options *OptionsJSON `json:"options,omitempty"`
+}
+
+// join2Request is the POST /join2 body.
+type join2Request struct {
+	joinCommon
+	P SetRefJSON `json:"p"`
+	Q SetRefJSON `json:"q"`
 }
 
 // edgeUpdateRequest is the POST /graphs/{name}/edges body: one atomic batch
@@ -185,15 +184,10 @@ type pairJSON struct {
 // shape over the sets (chain | triangle | star | clique) or as explicit
 // edges indexing into sets.
 type joinNRequest struct {
-	Graph   string       `json:"graph"`
-	Sets    []SetRefJSON `json:"sets"`
-	Shape   string       `json:"shape,omitempty"`
-	Edges   [][2]int     `json:"edges,omitempty"`
-	K       int          `json:"k"`
-	Stream  bool         `json:"stream,omitempty"`
-	Cursor  int          `json:"cursor,omitempty"`
-	Explain bool         `json:"explain,omitempty"` // dry run: return the plan, execute nothing
-	Options *OptionsJSON `json:"options,omitempty"`
+	joinCommon
+	Sets  []SetRefJSON `json:"sets"`
+	Shape string       `json:"shape,omitempty"`
+	Edges [][2]int     `json:"edges,omitempty"`
 }
 
 // answerJSON is one served n-way answer.
@@ -202,11 +196,11 @@ type answerJSON struct {
 	Score float64        `json:"score"`
 }
 
-// shapeEdges expands a named query shape over n sets into explicit edges,
-// mirroring core.Chain/Triangle/Star/Clique.
+// shapeEdges expands a named query shape (empty means chain) over n sets
+// into explicit edges, mirroring core.Chain/Triangle/Star/Clique.
 func shapeEdges(shape string, n int) ([][2]int, error) {
 	switch shape {
-	case "chain":
+	case "chain", "":
 		if n < 2 {
 			return nil, fmt.Errorf("chain needs >= 2 sets, got %d", n)
 		}
@@ -361,181 +355,34 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("POST /join2", func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context() // a disconnected client cancels it, aborting the join
 		var req join2Request
 		if err := decodeJSON(r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		query, err := req.Options.toQuery()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := applyIdentity(r, &query); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.Explain {
-			pl, err := svc.ExplainJoin2(ctx, req.Graph, req.P.toRef(), req.Q.toRef(), req.K, query)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"plan": pl})
-			return
-		}
-		if req.Cursor < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("join2: cursor must be >= 0, got %d", req.Cursor))
-			return
-		}
-		// k = 0 means "until exhausted" when streaming; the batch form
-		// needs a positive page size (a k <= 0 page could never terminate
-		// a client's cursor loop).
-		if req.Stream && req.K < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("join2: k must be >= 0 when streaming, got %d", req.K))
-			return
-		}
-		if !req.Stream && req.K <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("join2: k must be positive, got %d", req.K))
-			return
-		}
-		if req.Stream {
-			st, err := svc.OpenJoin2(ctx, req.Graph, req.P.toRef(), req.Q.toRef(), query)
-			if err != nil {
-				writeSvcError(w, err)
-				return
-			}
-			defer st.Stop()
-			streamNDJSON(svc, w, req.Cursor, req.K, func() (any, bool, error) {
-				r, ok, err := st.Next()
-				if err != nil || !ok {
-					return nil, ok, err
-				}
-				return pairJSON{P: r.Pair.P, Q: r.Pair.Q, Score: r.Score}, true, nil
-			}, st.Truncated)
-			return
-		}
-		// Batch (optionally paged): drain cursor+k, return the page past the
-		// cursor. The prefix cache makes page n+1 re-serve page n's work.
-		res, meta, err := svc.Join2Meta(ctx, req.Graph, req.P.toRef(), req.Q.toRef(), req.Cursor+req.K, query)
-		if err != nil {
-			writeSvcError(w, err)
-			return
-		}
-		exhausted := len(res) < req.Cursor+req.K && !meta.Truncated && meta.ClampedK == 0
-		if req.Cursor > len(res) {
-			res = res[len(res):]
-		} else {
-			res = res[req.Cursor:]
-		}
-		pairs := make([]pairJSON, len(res))
-		for i, pr := range res {
-			pairs[i] = pairJSON{P: pr.Pair.P, Q: pr.Pair.Q, Score: pr.Score}
-		}
-		// Paging bookkeeping rides on every response — page one of a
-		// cursor loop needs "exhausted" as much as page two does.
-		body := map[string]any{
-			"results":     pairs,
-			"cursor":      req.Cursor,
-			"next_cursor": req.Cursor + len(pairs),
-			"exhausted":   exhausted,
-		}
-		addMeta(body, meta)
-		writeJSON(w, http.StatusOK, body)
+		serveJoin(svc, w, r, "join2", "results", &req.joinCommon, pairSpec{req.P.toRef(), req.Q.toRef()},
+			func(pr join2.Result) any { return pairJSON{P: pr.Pair.P, Q: pr.Pair.Q, Score: pr.Score} })
 	})
 
 	mux.HandleFunc("POST /joinN", func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
 		var req joinNRequest
 		if err := decodeJSON(r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		query, err := req.Options.toQuery()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := applyIdentity(r, &query); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		edges := req.Edges
-		if len(edges) == 0 {
-			shape := req.Shape
-			if shape == "" {
-				shape = "chain"
-			}
-			if edges, err = shapeEdges(shape, len(req.Sets)); err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		refs := make([]SetRef, len(req.Sets))
+		spec := tupleSpec{sets: make([]SetRef, len(req.Sets)), edges: req.Edges}
 		for i, s := range req.Sets {
-			refs[i] = s.toRef()
+			spec.sets[i] = s.toRef()
 		}
-		if req.Explain {
-			pl, err := svc.ExplainJoinN(ctx, req.Graph, refs, edges, req.K, query)
-			if err != nil {
+		if len(spec.edges) == 0 {
+			var err error
+			if spec.edges, err = shapeEdges(req.Shape, len(spec.sets)); err != nil {
 				writeError(w, http.StatusBadRequest, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, map[string]any{"plan": pl})
-			return
 		}
-		if req.Cursor < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("joinN: cursor must be >= 0, got %d", req.Cursor))
-			return
-		}
-		if req.Stream && req.K < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("joinN: k must be >= 0 when streaming, got %d", req.K))
-			return
-		}
-		if !req.Stream && req.K <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("joinN: k must be positive, got %d", req.K))
-			return
-		}
-		if req.Stream {
-			st, err := svc.OpenJoinN(ctx, req.Graph, refs, edges, query)
-			if err != nil {
-				writeSvcError(w, err)
-				return
-			}
-			defer st.Stop()
-			streamNDJSON(svc, w, req.Cursor, req.K, func() (any, bool, error) {
-				a, ok, err := st.Next()
-				if err != nil || !ok {
-					return nil, ok, err
-				}
-				return answerJSON{Nodes: a.Nodes, Score: a.Score}, true, nil
-			}, st.Truncated)
-			return
-		}
-		answers, meta, err := svc.JoinNMeta(ctx, req.Graph, refs, edges, req.Cursor+req.K, query)
-		if err != nil {
-			writeSvcError(w, err)
-			return
-		}
-		exhausted := len(answers) < req.Cursor+req.K && !meta.Truncated && meta.ClampedK == 0
-		if req.Cursor > len(answers) {
-			answers = answers[len(answers):]
-		} else {
-			answers = answers[req.Cursor:]
-		}
-		out := make([]answerJSON, len(answers))
-		for i, a := range answers {
-			out[i] = answerJSON{Nodes: a.Nodes, Score: a.Score}
-		}
-		body := map[string]any{
-			"answers":     out,
-			"cursor":      req.Cursor,
-			"next_cursor": req.Cursor + len(out),
-			"exhausted":   exhausted,
-		}
-		addMeta(body, meta)
-		writeJSON(w, http.StatusOK, body)
+		serveJoin(svc, w, r, "joinN", "answers", &req.joinCommon, spec,
+			func(a core.Answer) any { return answerJSON{Nodes: a.Nodes, Score: a.Score} })
 	})
 
 	mux.HandleFunc("GET /score", func(w http.ResponseWriter, r *http.Request) {
@@ -546,17 +393,8 @@ func NewHandler(svc *Service) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("score: u and v must be integer node ids"))
 			return
 		}
-		opts, err := optionsFromQuery(qp)
+		query, err := queryFromURL(r)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		query, err := opts.toQuery()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := applyIdentity(r, &query); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -570,54 +408,32 @@ func NewHandler(svc *Service) http.Handler {
 
 	// GET /explain is the dry-run convenience route over named sets:
 	// ?graph=g&p=U&q=D plans a 2-way join, ?graph=g&sets=U,F,D&shape=chain
-	// an n-way one. Knobs: k, m, algo, lambda, dhte, ppr, d, epsilon,
-	// relabel, measure. Explicit node-id lists need POST with
+	// an n-way one. Knobs: k, m, algo, lambda, dhte, d, epsilon, relabel,
+	// measure, accuracy. Explicit node-id lists need POST with
 	// "explain":true.
 	mux.HandleFunc("GET /explain", func(w http.ResponseWriter, r *http.Request) {
 		qp := r.URL.Query()
-		opts, err := optionsFromQuery(qp)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+		query, err := queryFromURL(r)
 		k := 0
-		if s := qp.Get("k"); s != "" {
+		if s := qp.Get("k"); err == nil && s != "" {
 			if k, err = strconv.Atoi(s); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("explain: bad k %q", s))
-				return
+				err = fmt.Errorf("explain: bad k %q", s)
 			}
 		}
-		query, err := opts.toQuery()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+		var pl *plan.Plan
+		switch sets := qp.Get("sets"); {
+		case err != nil:
+		case sets != "":
+			var spec tupleSpec
+			for _, n := range strings.Split(sets, ",") {
+				spec.sets = append(spec.sets, SetRef{Name: strings.TrimSpace(n)})
+			}
+			if spec.edges, err = shapeEdges(qp.Get("shape"), len(spec.sets)); err == nil {
+				pl, err = explainJoin(svc, qp.Get("graph"), spec, k, query)
+			}
+		default:
+			pl, err = explainJoin(svc, qp.Get("graph"), pairSpec{SetRef{Name: qp.Get("p")}, SetRef{Name: qp.Get("q")}}, k, query)
 		}
-		graphName := qp.Get("graph")
-		if sets := qp.Get("sets"); sets != "" {
-			names := strings.Split(sets, ",")
-			refs := make([]SetRef, len(names))
-			for i, n := range names {
-				refs[i] = SetRef{Name: strings.TrimSpace(n)}
-			}
-			shape := qp.Get("shape")
-			if shape == "" {
-				shape = "chain"
-			}
-			edges, err := shapeEdges(shape, len(refs))
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			pl, err := svc.ExplainJoinN(r.Context(), graphName, refs, edges, k, query)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"plan": pl})
-			return
-		}
-		pl, err := svc.ExplainJoin2(r.Context(), graphName,
-			SetRef{Name: qp.Get("p")}, SetRef{Name: qp.Get("q")}, k, query)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -630,6 +446,81 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	return withRecover(svc, withDrain(svc, mux))
+}
+
+// serveJoin is the one body of the join routes: options → explain | NDJSON
+// stream | paged batch. route prefixes error messages, field names the
+// batch response's result array, and wire renders one result.
+func serveJoin[T any](svc *Service, w http.ResponseWriter, r *http.Request, route, field string, req *joinCommon, spec joinSpec[T], wire func(T) any) {
+	ctx := r.Context() // a disconnected client cancels it, aborting the join
+	query, err := queryOf(r, req.Options)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.Explain {
+		pl, err := explainJoin(svc, req.Graph, spec, req.K, query)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"plan": pl})
+		return
+	}
+	// k = 0 means "until exhausted" when streaming; the batch form needs a
+	// positive page size (a k <= 0 page could never terminate a client's
+	// cursor loop).
+	switch {
+	case req.Cursor < 0:
+		err = fmt.Errorf("%s: cursor must be >= 0, got %d", route, req.Cursor)
+	case req.Stream && req.K < 0:
+		err = fmt.Errorf("%s: k must be >= 0 when streaming, got %d", route, req.K)
+	case !req.Stream && req.K <= 0:
+		err = fmt.Errorf("%s: k must be positive, got %d", route, req.K)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.Stream {
+		st, err := openJoin(svc, ctx, req.Graph, spec, query)
+		if err != nil {
+			writeSvcError(w, err)
+			return
+		}
+		defer st.Stop()
+		streamNDJSON(svc, w, req.Cursor, req.K, func() (any, bool, error) {
+			v, ok, err := st.Next()
+			if err != nil || !ok {
+				return nil, ok, err
+			}
+			return wire(v), true, nil
+		}, st.Truncated)
+		return
+	}
+	// Batch (optionally paged): drain cursor+k, return the page past the
+	// cursor. The prefix cache makes page n+1 re-serve page n's work.
+	res, meta, err := joinBatch(svc, ctx, req.Graph, spec, req.Cursor+req.K, query)
+	if err != nil {
+		writeSvcError(w, err)
+		return
+	}
+	exhausted := len(res) < req.Cursor+req.K && !meta.Truncated && meta.ClampedK == 0
+	res = res[min(req.Cursor, len(res)):]
+	page := make([]any, len(res))
+	for i, v := range res {
+		page[i] = wire(v)
+	}
+	// Paging bookkeeping rides on every response — page one of a cursor
+	// loop needs "exhausted" as much as page two does.
+	body := map[string]any{
+		field:         page,
+		"cursor":      req.Cursor,
+		"next_cursor": req.Cursor + len(page),
+		"exhausted":   exhausted,
+	}
+	addMeta(body, meta)
+	writeJSON(w, http.StatusOK, body)
 }
 
 // withDrain rejects new work with 503 + Retry-After once the service is
@@ -807,11 +698,12 @@ func addMeta(body map[string]any, meta BatchMeta) {
 	}
 }
 
-// optionsFromQuery parses the option knobs the GET routes (/score,
-// /explain) share from query parameters — one parser, so the two routes
-// cannot drift. Knobs a route does not use (e.g. agg on /score) are
-// harmlessly ignored downstream.
-func optionsFromQuery(qp url.Values) (OptionsJSON, error) {
+// queryFromURL parses the option knobs the GET routes (/score, /explain)
+// share from query parameters — one parser, so the two routes cannot drift.
+// Knobs a route does not use (e.g. agg on /score) are harmlessly ignored
+// downstream.
+func queryFromURL(r *http.Request) (Query, error) {
+	qp := r.URL.Query()
 	opts := OptionsJSON{
 		Agg:      qp.Get("agg"),
 		Measure:  qp.Get("measure"),
@@ -819,37 +711,42 @@ func optionsFromQuery(qp url.Values) (OptionsJSON, error) {
 		Algo:     qp.Get("algo"),
 		Accuracy: qp.Get("accuracy"),
 		DHTE:     qp.Get("dhte") == "true",
-		PPR:      qp.Get("ppr") == "true",
+	}
+	if qp.Has("ppr") {
+		return Query{}, errors.New("options: unknown parameter ppr: " + retiredPPR)
 	}
 	var err error
-	if s := qp.Get("lambda"); s != "" {
-		if opts.Lambda, err = strconv.ParseFloat(s, 64); err != nil {
-			return opts, fmt.Errorf("options: bad lambda %q", s)
+	for name, dst := range map[string]*float64{"lambda": &opts.Lambda, "epsilon": &opts.Epsilon} {
+		if s := qp.Get(name); s != "" {
+			if *dst, err = strconv.ParseFloat(s, 64); err != nil {
+				return Query{}, fmt.Errorf("options: bad %s %q", name, s)
+			}
 		}
 	}
-	if s := qp.Get("epsilon"); s != "" {
-		if opts.Epsilon, err = strconv.ParseFloat(s, 64); err != nil {
-			return opts, fmt.Errorf("options: bad epsilon %q", s)
+	for name, dst := range map[string]*int{"d": &opts.D, "m": &opts.M} {
+		if s := qp.Get(name); s != "" {
+			if *dst, err = strconv.Atoi(s); err != nil {
+				return Query{}, fmt.Errorf("options: bad %s %q", name, s)
+			}
 		}
 	}
-	if s := qp.Get("d"); s != "" {
-		if opts.D, err = strconv.Atoi(s); err != nil {
-			return opts, fmt.Errorf("options: bad d %q", s)
-		}
-	}
-	if s := qp.Get("m"); s != "" {
-		if opts.M, err = strconv.Atoi(s); err != nil {
-			return opts, fmt.Errorf("options: bad m %q", s)
-		}
-	}
-	return opts, nil
+	return queryOf(r, &opts)
 }
+
+// retiredPPR points users of the removed ppr flag at its replacement. The
+// GET routes ignore unknown parameters, so without the explicit rejection a
+// stale ?ppr=true would silently score plain DHT.
+const retiredPPR = `select the measure by name instead ("measure":"ppr", with lambda as its damping factor)`
 
 // decodeJSON strictly decodes a request body.
 func decodeJSON(r *http.Request, into any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	return dec.Decode(into)
+	err := dec.Decode(into)
+	if err != nil && strings.Contains(err.Error(), `unknown field "ppr"`) {
+		err = fmt.Errorf("%w: %s", err, retiredPPR)
+	}
+	return err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -364,3 +364,54 @@ func TestServiceAccuracyFast(t *testing.T) {
 		t.Fatalf("exact-accuracy plan picked certified %s", exact.Algorithm)
 	}
 }
+
+// TestServiceCalibrationBucketOneRule: the bucket a plan is priced with is
+// the bucket its run feeds. No n-way executor is certified, so an n-way
+// request under accuracy=fast must be priced — and its plan-cache entry
+// stamped — with the exact bucket its counters go to, not the fast one that
+// n-way runs never feed.
+func TestServiceCalibrationBucketOneRule(t *testing.T) {
+	g, sets := testGraph(t)
+	svc := New(Config{ResultCacheSize: -1})
+	if err := svc.LoadGraph("g", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	refs := []SetRef{{Name: sets[0].Name}, {Name: sets[1].Name}, {Name: sets[2].Name}}
+	edges := [][2]int{{0, 1}, {1, 2}}
+	fast := Query{Accuracy: "fast"}
+
+	if _, err := svc.JoinN(ctx, "g", refs, edges, 5, fast); err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	var sess *session
+	for _, s := range svc.sessions {
+		sess = s
+	}
+	svc.mu.Unlock()
+	if sess.calib.Samples() == 0 || sess.calibFast.Samples() != 0 {
+		t.Fatalf("n-way run fed exact=%d fast=%d samples, want all in the exact bucket",
+			sess.calib.Samples(), sess.calibFast.Samples())
+	}
+	pl, err := svc.ExplainJoinN(ctx, "g", refs, edges, 5, fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Workload.Calib != sess.calib {
+		t.Fatal("n-way fast plan priced with a bucket its runs never feed")
+	}
+
+	// A 2-way fast request can run certified, so it prices with the fast
+	// bucket; forcing a certified executor under exact accuracy does too.
+	p, q := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
+	for _, query := range []Query{fast, {Algorithm: "B-BJ-fast"}} {
+		pl, err := svc.ExplainJoin2(ctx, "g", p, q, 10, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Workload.Calib != sess.calibFast {
+			t.Fatalf("2-way %+v priced with the exact bucket", query)
+		}
+	}
+}

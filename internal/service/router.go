@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/join2"
-	"repro/internal/measure"
 )
 
 // This file is the service's cluster seam. The service itself knows nothing
@@ -23,8 +22,9 @@ import (
 type Router interface {
 	// RouteJoin2 either claims the request (claimed=true, with a stream the
 	// caller owns and must Release) or declines it (claimed=false), leaving
-	// the service to evaluate locally. The returned stream yields results in
-	// the caller's id space.
+	// the service to evaluate locally. query arrives resolved (see
+	// Query.pinned), so it can be shipped to peers as is. The returned
+	// stream yields results in the caller's id space.
 	RouteJoin2(ctx context.Context, graphName string, p, q SetRef, query Query) (st join2.Stream, claimed bool, err error)
 	// RouterStats snapshots the router's monotone counters for /stats and
 	// /metrics.
@@ -81,14 +81,15 @@ func (s *Service) routed(ctx context.Context, graphName string, p, q SetRef, que
 	}
 	// Scatter stays walk-only: matrix measures (simrank) score through a
 	// global fixed point no per-shard subgraph can reproduce, so those
-	// queries always evaluate locally. An unknown name falls through to
-	// local resolution, which rejects it with ErrUnknownMeasure.
-	if query.MeasureName != "" {
-		if kern, err := measure.Lookup(query.MeasureName); err != nil || !kern.WalkBased {
-			return nil, false, nil
-		}
+	// queries always evaluate locally. A query that does not resolve falls
+	// through to local resolution, which reports the error.
+	res, err := query.Resolve()
+	if err != nil || !res.Kernel.WalkBased {
+		return nil, false, nil
 	}
-	st, claimed, err := r.RouteJoin2(ctx, graphName, p, q, query)
+	// The router gets the pinned query: every shard, local or remote, then
+	// evaluates the coordinator's resolution instead of its own defaults.
+	st, claimed, err := r.RouteJoin2(ctx, graphName, p, q, query.pinned(res))
 	if err != nil {
 		return nil, true, err
 	}
@@ -124,14 +125,4 @@ func (s *Service) GraphData(name string) (*graph.Graph, []*graph.NodeSet, uint64
 		sets = append(sets, set)
 	}
 	return ge.g, sets, ge.gen, nil
-}
-
-// Validate resolves the query's parameters without running anything; the
-// shard side rejects a malformed scatter before opening a stream.
-func (q *Query) Validate() error {
-	if _, _, _, _, _, err := q.resolve(); err != nil {
-		return err
-	}
-	_, err := q.accuracy()
-	return err
 }

@@ -9,8 +9,8 @@
 // oversubscribe GOMAXPROCS.
 //
 // Results are bit-identical to the corresponding one-shot dhtjoin calls:
-// the service resolves defaults exactly as dhtjoin.Options does, worker
-// count and batch width never change a result (ties break on the canonical
+// both resolve their options through measure.Resolve, worker count and
+// batch width never change a result (ties break on the canonical
 // pair key), memo-served columns are byte-for-byte the columns a fresh walk
 // would produce, and the result LRU stores exactly what the join returned.
 package service
@@ -164,26 +164,24 @@ func (c Config) withDefaults() Config {
 }
 
 // Query carries one request's join options; the zero value means the
-// paper's defaults, resolved identically to dhtjoin.Options (DHTλ with
-// λ = 0.2, ε = 1e-6, MIN aggregation, m = 50, B-IDJ-Y / PJ-i).
+// paper's defaults (DHTλ with λ = 0.2, ε = 1e-6, MIN aggregation, m = 50),
+// applied by measure.Resolve — the same resolver the one-shot dhtjoin calls
+// and njoin run, so every way of asking resolves identically.
 type Query struct {
-	// Params are the DHT coefficients; zero means DHTLambda(0.2).
+	// Params are the DHT coefficients; zero means the measure's default.
 	Params dht.Params
 	// Epsilon bounds the truncation error; zero means 1e-6. Ignored when D
 	// is set.
 	Epsilon float64
 	// D forces the truncation depth directly.
 	D int
-	// Measure selects first-hit DHT (zero) or reach probabilities. When
-	// MeasureName is set it is resolved from the registered kernel instead,
-	// and this field is ignored.
-	Measure dht.Kind
 	// MeasureName selects a registered proximity measure by name ("dht",
 	// "reach", "ppr", "simrank"); empty means "dht", the paper's measure.
 	// An unknown name fails the request with measure.ErrUnknownMeasure.
 	MeasureName string
-	// Agg is the n-way aggregate; nil means Min.
-	Agg rankjoin.Aggregate
+	// Agg is the n-way aggregate; nil means Min. It is the one field the
+	// cluster wire does not carry (scatter serves 2-way joins only).
+	Agg rankjoin.Aggregate `json:"-"`
 	// M is the initial per-edge budget of the n-way join; zero means 50.
 	M int
 	// Distinct drops n-way answers repeating a node across positions.
@@ -228,63 +226,23 @@ const (
 	PriorityBatch       = classBatch
 )
 
-// resolve applies the defaults; it must stay in lockstep with
-// dhtjoin.Options.resolve so served results are bit-identical to one-shot
-// calls (the integration tests pin this). The measure kernel is resolved
-// first because it owns the customary parameterization (e.g. "ppr" defaults
-// zero-value params to dht.PPR(0.5) before the DHTλ(0.2) fallback applies).
-func (q *Query) resolve() (measure.Kernel, dht.Params, int, rankjoin.Aggregate, int, error) {
-	kern, err := measure.Lookup(q.MeasureName)
-	if err != nil {
-		return measure.Kernel{}, dht.Params{}, 0, nil, 0, err
-	}
-	p := kern.ResolveParams(q.Params)
-	if p == (dht.Params{}) {
-		p = dht.DHTLambda(0.2)
-	}
-	if err := p.Validate(); err != nil {
-		return measure.Kernel{}, dht.Params{}, 0, nil, 0, err
-	}
-	d := q.D
-	if d == 0 {
-		eps := q.Epsilon
-		if eps == 0 {
-			eps = 1e-6
-		}
-		d = p.StepsForEpsilon(eps)
-	}
-	if d < 1 {
-		return measure.Kernel{}, dht.Params{}, 0, nil, 0, fmt.Errorf("service: depth d must be >= 1, got %d", d)
-	}
-	agg := q.Agg
-	if agg == nil {
-		agg = rankjoin.Min
-	}
-	m := q.M
-	if m == 0 {
-		m = 50
-	}
-	if m < 0 {
-		return measure.Kernel{}, dht.Params{}, 0, nil, 0, fmt.Errorf("service: m must be >= 0, got %d", m)
-	}
-	return kern, p, d, agg, m, nil
+// Resolve runs the query's ranking-determining options through the system's
+// one resolver, without executing anything.
+func (q *Query) Resolve() (measure.Resolved, error) {
+	return measure.Resolve(measure.Request{
+		Measure: q.MeasureName, Params: q.Params, Epsilon: q.Epsilon, D: q.D,
+		Agg: q.Agg, M: q.M, Accuracy: q.Accuracy,
+	})
 }
 
-// applyKernel normalizes the query's measure fields from the resolved
-// kernel: an explicit measure name fixes the walk kind (so "ppr" folds reach
-// probabilities regardless of the legacy Measure field, while a zero-valued
-// MeasureName keeps honoring a caller-set Measure kind), and the name is
-// canonicalized so "" and "dht" share cache and session keys.
-func (q *Query) applyKernel(kern measure.Kernel) {
-	if q.MeasureName != "" && kern.WalkBased {
-		q.Measure = kern.Walk
-	}
-	q.MeasureName = kern.Name
-}
-
-// accuracy resolves the planner's kernel-contract knob.
-func (q *Query) accuracy() (plan.Accuracy, error) {
-	return plan.ParseAccuracy(q.Accuracy)
+// pinned returns q with its resolution written back: canonical measure
+// name, explicit params, depth, m and accuracy. Resolving a pinned query is
+// the identity, so a peer that receives one has no defaults left to apply —
+// the form the cluster wire ships.
+func (q Query) pinned(res measure.Resolved) Query {
+	q.MeasureName, q.Params, q.D, q.Epsilon = res.Kernel.Name, res.Params, res.D, 0
+	q.Agg, q.M, q.Accuracy = res.Agg, res.M, res.Accuracy.String()
+	return q
 }
 
 // SetRef names the node set of one join position: either a set declared by
@@ -569,12 +527,11 @@ func (s *Service) budgetContext(ctx context.Context, q *Query) (context.Context,
 // were stamped with still holds, so a session recalibrated by observed
 // counters re-plans with the fresh cost unit. Forced algorithms skip the
 // cache (validation is the whole cost).
-func (s *Service) planFor(sess *session, class plan.Class, baseKey string, k int, w plan.Workload, forced string) (*plan.Plan, error) {
+func (s *Service) planFor(sess *session, class plan.Class, baseKey string, w plan.Workload, forced string) (*plan.Plan, error) {
 	s.planReqs.Add(1)
-	// Fast-accuracy plans are priced (and their cache entries validated)
-	// with the fast-kernel calibration bucket; the contract the executed
-	// stream actually ran under decides which bucket its counters feed.
-	cal := sess.calibFor(w.Accuracy == plan.Fast)
+	// Plans are priced (and their cache entries validated) with the bucket
+	// their execution will feed — one rule, calibFor, at both ends.
+	cal := sess.calibFor(runsCertified(class, w, forced))
 	w.Calib = cal
 	if forced != "" {
 		return plan.Decide(class, w, forced)
@@ -584,7 +541,7 @@ func (s *Service) planFor(sess *session, class plan.Class, baseKey string, k int
 	if baseKey != "" {
 		// baseKey embeds the accuracy mode (queryKey), so exact and fast
 		// decisions never alias one cache slot.
-		key = fmt.Sprintf("%s|plan-k=%d", baseKey, k)
+		key = fmt.Sprintf("%s|plan-k=%d", baseKey, w.K)
 		gen = cal.Gen()
 		if pl, ok := sess.plans.get(key, gen); ok {
 			s.planCacheHits.Add(1)
@@ -599,6 +556,26 @@ func (s *Service) planFor(sess *session, class plan.Class, baseKey string, k int
 		sess.plans.put(key, gen, pl)
 	}
 	return pl, nil
+}
+
+// runsCertified reports whether a request can execute on the certified fast
+// kernel: a forced certified executor, or fast accuracy on a class and
+// measure that has one (no n-way executor is certified, so n-way plans are
+// always priced with the exact bucket their runs feed).
+func runsCertified(class plan.Class, w plan.Workload, forced string) bool {
+	if forced != "" {
+		d, _ := plan.Lookup(forced)
+		return d.Certified
+	}
+	if w.Accuracy != plan.Fast {
+		return false
+	}
+	for _, d := range plan.Executors(class) {
+		if d.Certified && d.Measure == w.Measure {
+			return true
+		}
+	}
+	return false
 }
 
 // recordPick counts one execution of the chosen executor.
@@ -905,46 +882,213 @@ func refKey(sb *strings.Builder, ref SetRef) {
 	}
 }
 
-// queryKey serializes the parts of a resolved query shared by all ops.
-// Accuracy is part of the key even though certified plans emit the same
-// ranking: the plan cache is keyed off this string, and an exact-accuracy
-// request must never be served a plan whose eligibility set included the
-// certified executors (or vice versa).
-func queryKey(sb *strings.Builder, params dht.Params, d int, q *Query, acc plan.Accuracy) {
-	fmt.Fprintf(sb, "|p=%v,%v,%v|d=%d|ms=%d|mn=%s|acc=%s", params.Alpha, params.Beta, params.Lambda, d, q.Measure, q.MeasureName, acc)
+// source is the executor stream a request runs: join2.Stream for pairs,
+// core.TupleStream for tuples.
+type source[T any] interface {
+	Next() (T, bool, error)
+	Release()
 }
 
-// join2Req is one resolved 2-way request: registry entry, session, node
-// sets (original id space), resolved parameters, and the prefix-cache key.
-type join2Req struct {
-	svc    *Service
-	sess   *session
-	pn, qn []graph.NodeID
-	params dht.Params
-	d      int
-	m      int // resolved per-edge budget: the default initial stream batch
-	acc    plan.Accuracy
-	kern   measure.Kernel
-	query  Query
-	key    string
+// resultKind is what the generic request path must know about a result
+// type: how to map its node ids back through a relabeling, and how to deep
+// copy it (cached rankings are immutable snapshots).
+type resultKind[T any] struct {
+	toOld func(rl *graph.Relabeling, v *T)
+	clone func(v T) T
 }
 
-// resolveJoin2 resolves names, sets, parameters, and the session. A forced
-// algorithm is validated here, before any cache can serve the request —
-// a bad hint must fail even when the ranking itself is already cached.
-func (s *Service) resolveJoin2(graphName string, p, q SetRef, query Query) (*join2Req, error) {
-	kern, params, d, _, m, err := query.resolve()
+var pairKind = &resultKind[join2.Result]{
+	toOld: func(rl *graph.Relabeling, r *join2.Result) {
+		r.Pair.P, r.Pair.Q = rl.ToOld(r.Pair.P), rl.ToOld(r.Pair.Q)
+	},
+	clone: func(r join2.Result) join2.Result { return r },
+}
+
+var answerKind = &resultKind[core.Answer]{
+	toOld: func(rl *graph.Relabeling, a *core.Answer) {
+		for i := range a.Nodes {
+			a.Nodes[i] = rl.ToOld(a.Nodes[i])
+		}
+	},
+	clone: func(a core.Answer) core.Answer {
+		return core.Answer{Nodes: append([]graph.NodeID(nil), a.Nodes...), Score: a.Score}
+	},
+}
+
+// joinSpec is what a join request ranks — a (P, Q) pair of sets or an n-way
+// query graph. It is the only part of the request path the two join kinds
+// do not share.
+type joinSpec[T any] interface {
+	class() plan.Class
+	// route offers the request to the cluster router before local
+	// resolution; only pair joins scatter.
+	route(ctx context.Context, s *Service, graphName string, query Query) (*Stream[T], bool, error)
+	// bind resolves the spec's sets against ge and completes rq: the
+	// workload's sizes, the result kind, the start hook, and the spec's part
+	// of the cache key ("" when the request must bypass the caches).
+	bind(rq *request[T], ge *graphEntry) (string, error)
+}
+
+// runEnv is the per-run execution environment a start hook threads into its
+// join2.Config or core.Spec, next to the session's pool and memo.
+type runEnv struct {
+	workers int           // admission-granted worker count
+	ctrs    *dht.Counters // run-scoped; feeds the session calibration on Stop
+	cancel  func() error  // walk-round cancellation poll
+}
+
+// request is one resolved join request: session, resolved parameters, the
+// planner's view of it, and the prefix-cache key.
+type request[T any] struct {
+	svc   *Service
+	sess  *session
+	res   measure.Resolved
+	query Query
+	class plan.Class
+	kind  *resultKind[T]
+	work  plan.Workload // K is filled per demand
+	key   string        // empty when the request must bypass the caches
+
+	// start opens the executor stream of the planned algorithm. initial
+	// sizes a pair stream's first batch, and batch marks a
+	// drain-exactly-initial caller: the stream then skips the incremental F
+	// structure — whose O(|P|·|Q|) population a caller that never pulls
+	// past the initial batch pays for nothing — and runs one plain top-k
+	// join behind a doubling re-join. Tuple streams are sized by m alone.
+	start func(algorithm string, env runEnv, initial int, batch bool) (source[T], error)
+}
+
+// pairSpec is a 2-way join from p to q.
+type pairSpec struct{ p, q SetRef }
+
+func (pairSpec) class() plan.Class { return plan.TwoWay }
+
+func (sp pairSpec) route(ctx context.Context, s *Service, graphName string, query Query) (*Join2Stream, bool, error) {
+	return s.routed(ctx, graphName, sp.p, sp.q, query)
+}
+
+func (sp pairSpec) bind(rq *request[join2.Result], ge *graphEntry) (string, error) {
+	pn, err := ge.resolveSet(sp.p)
+	if err != nil {
+		return "", err
+	}
+	qn, err := ge.resolveSet(sp.q)
+	if err != nil {
+		return "", err
+	}
+	rq.kind = pairKind
+	rq.work.P, rq.work.Q = len(pn), len(qn)
+	rq.start = func(algorithm string, env runEnv, initial int, batch bool) (source[join2.Result], error) {
+		sess := rq.sess
+		cfg := join2.Config{
+			Graph: sess.g, Params: rq.res.Params, D: rq.res.D, P: pn, Q: qn, Measure: rq.res.Kernel.Walk,
+			Workers: env.workers, BatchWidth: rq.query.BatchWidth,
+			Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
+		}
+		if sess.rl != nil {
+			cfg.P, cfg.Q = sess.rl.MapToNew(pn), sess.rl.MapToNew(qn)
+		}
+		return join2.NewNamedStream(algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
+	}
+	// The key deliberately excludes k: the cache stores ranking prefixes,
+	// and the prefix invariant makes one entry serve every k up to its
+	// length.
+	var sb strings.Builder
+	sb.WriteString("join2|")
+	refKey(&sb, sp.p)
+	sb.WriteByte('|')
+	refKey(&sb, sp.q)
+	return sb.String(), nil
+}
+
+// tupleSpec is an n-way join over sets connected by edges (which index into
+// sets).
+type tupleSpec struct {
+	sets  []SetRef
+	edges [][2]int
+}
+
+func (tupleSpec) class() plan.Class { return plan.NWay }
+
+func (tupleSpec) route(context.Context, *Service, string, Query) (*JoinNStream, bool, error) {
+	return nil, false, nil
+}
+
+func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, error) {
+	nodeSets := make([]*graph.NodeSet, len(sp.sets)) // original id space
+	rq.work.SetSizes = make([]int, len(sp.sets))
+	for i, ref := range sp.sets {
+		ids, err := ge.resolveSet(ref)
+		if err != nil {
+			return "", err
+		}
+		name := ref.Name
+		if name == "" {
+			name = fmt.Sprintf("R%d", i)
+		}
+		nodeSets[i] = graph.NewNodeSet(name, ids)
+		rq.work.SetSizes[i] = len(ids)
+	}
+	rq.kind = answerKind
+	rq.work.QueryEdges = sp.edges
+	rq.start = func(algorithm string, env runEnv, _ int, _ bool) (source[core.Answer], error) {
+		sess := rq.sess
+		querySets := nodeSets
+		if sess.rl != nil {
+			querySets = make([]*graph.NodeSet, len(nodeSets))
+			for i, set := range nodeSets {
+				querySets[i] = sess.rl.MapSetToNew(set)
+			}
+		}
+		qg := core.NewQueryGraph(querySets...)
+		for _, e := range sp.edges {
+			qg.AddEdge(e[0], e[1])
+		}
+		alg, err := core.NewNamed(algorithm, core.Spec{
+			Graph: sess.g, Query: qg, Params: rq.res.Params, D: rq.res.D, Agg: rq.res.Agg,
+			K:        1, // required by Validate; the stream itself is k-free
+			Distinct: rq.query.Distinct, Measure: rq.res.Kernel.Walk,
+			Workers: env.workers, BatchWidth: rq.query.BatchWidth,
+			Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
+		}, rq.res.M)
+		if err != nil {
+			return nil, err
+		}
+		return alg.Stream()
+	}
+	// The aggregate enters the cache key by name, which identifies it only
+	// for the built-in aggregates; a caller-supplied implementation could
+	// share a name with a different function, so those requests bypass the
+	// result cache rather than risk serving another aggregate's answers.
+	// Like the 2-way key, k is excluded: the cache stores ranking prefixes.
+	if !builtinAgg(rq.res.Agg) {
+		return "", nil
+	}
+	var sb strings.Builder
+	sb.WriteString("joinN|")
+	for _, ref := range sp.sets {
+		refKey(&sb, ref)
+		sb.WriteByte('|')
+	}
+	for _, e := range sp.edges {
+		fmt.Fprintf(&sb, "e%d-%d,", e[0], e[1])
+	}
+	fmt.Fprintf(&sb, "|agg=%s|m=%d|dist=%v", rq.res.Agg.Name(), rq.res.M, rq.query.Distinct)
+	return sb.String(), nil
+}
+
+// resolveJoin resolves the query, names, sets and session of one join
+// request. A forced algorithm is validated here, before any cache can serve
+// the request — a bad hint must fail even when the ranking itself is
+// already cached.
+func resolveJoin[T any](s *Service, graphName string, spec joinSpec[T], query Query) (*request[T], error) {
+	res, err := query.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	query.applyKernel(kern)
-	s.recordMeasure(kern.Name)
-	acc, err := query.accuracy()
-	if err != nil {
-		return nil, err
-	}
+	s.recordMeasure(res.Kernel.Name)
 	if query.Algorithm != "" {
-		if err := plan.ValidateForced(plan.TwoWay, query.Algorithm, kern.PlanMeasure); err != nil {
+		if err := plan.ValidateForced(spec.class(), query.Algorithm, res.Kernel.PlanMeasure); err != nil {
 			return nil, err
 		}
 	}
@@ -952,91 +1096,90 @@ func (s *Service) resolveJoin2(graphName string, p, q SetRef, query Query) (*joi
 	if err != nil {
 		return nil, err
 	}
-	pn, err := ge.resolveSet(p)
+	rq := &request[T]{svc: s, res: res, query: query, class: spec.class()}
+	key, err := spec.bind(rq, ge)
 	if err != nil {
 		return nil, err
 	}
-	qn, err := ge.resolveSet(q)
-	if err != nil {
+	if rq.sess, err = s.sessionFor(ge, res.Params, res.D, query.Relabel, res.Kernel.Name); err != nil {
 		return nil, err
 	}
-	sess, err := s.sessionFor(ge, params, d, query.Relabel, kern.Name)
-	if err != nil {
-		return nil, err
+	rq.work.Stats = rq.sess.g.Stats()
+	rq.work.M, rq.work.D = res.M, res.D
+	rq.work.Measure, rq.work.Accuracy = res.Kernel.PlanMeasure, res.Accuracy
+	rq.work.Workers, rq.work.BatchWidth = query.Workers, query.BatchWidth
+	if key != "" {
+		// Accuracy is part of the key even though certified plans emit the
+		// same ranking: the plan cache is keyed off this string, and an
+		// exact-accuracy request must never be served a plan whose
+		// eligibility set included the certified executors (or vice versa).
+		p := res.Params
+		rq.key = fmt.Sprintf("%s|p=%v,%v,%v|d=%d|mn=%s|acc=%s", key, p.Alpha, p.Beta, p.Lambda, res.D, res.Kernel.Name, res.Accuracy)
 	}
-	// The key deliberately excludes k: the cache stores ranking prefixes,
-	// and the prefix invariant makes one entry serve every k up to its
-	// length.
-	var sb strings.Builder
-	sb.WriteString("join2|")
-	refKey(&sb, p)
-	sb.WriteByte('|')
-	refKey(&sb, q)
-	queryKey(&sb, params, d, &query, acc)
-	return &join2Req{svc: s, sess: sess, pn: pn, qn: qn, params: params, d: d, m: m, acc: acc, kern: kern, query: query, key: sb.String()}, nil
+	return rq, nil
 }
 
-// open acquires admission (honoring ctx) and starts the pair stream.
-// initial sizes the first batch; 0 selects the resolved per-edge budget.
-// batch marks a drain-exactly-initial caller (Join2): the stream then
-// skips the incremental F structure — whose O(|P|·|Q|) population a caller
-// that never pulls past the initial batch pays for nothing — and runs one
-// plain top-k join behind a doubling re-join.
-func (rq *join2Req) open(ctx context.Context, initial int, batch bool) (*Join2Stream, error) {
-	if initial <= 0 {
-		initial = rq.m
+// demand is the k a plan is priced and a stream is sized for: the caller's
+// for pair joins (0 = the per-edge budget, as streams of unknown demand
+// ask), always the per-edge budget for tuple joins.
+func (rq *request[T]) demand(k int) int {
+	if rq.class == plan.NWay || k <= 0 {
+		return rq.res.M
 	}
+	return k
+}
+
+// plan runs the planner for demand k through the session's plan cache.
+func (rq *request[T]) plan(k int) (*plan.Plan, error) {
+	w := rq.work
+	w.K = rq.demand(k)
+	return rq.svc.planFor(rq.sess, rq.class, rq.key, w, rq.query.Algorithm)
+}
+
+// open acquires admission (honoring ctx) and starts the planned stream.
+func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], error) {
+	svc, sess := rq.svc, rq.sess
 	// Plan (or validate the forced algorithm) before admission: planning is
 	// sub-microsecond against the graph's cached stats, and a rejected hint
 	// must not consume admission tokens.
-	pl, err := rq.svc.planFor(rq.sess, plan.TwoWay, rq.key, initial, rq.workload(initial), rq.query.Algorithm)
+	pl, err := rq.plan(k)
 	if err != nil {
 		return nil, err
 	}
 	// The budget clock starts here, covering the admission wait too: a
 	// request that spends its whole budget queued is already late.
-	qctx, cancel := rq.svc.budgetContext(ctx, &rq.query)
-	g, err := rq.svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority, resolveWorkers(rq.query.Workers))
+	qctx, cancel := svc.budgetContext(ctx, &rq.query)
+	g, err := svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority, resolveWorkers(rq.query.Workers))
 	if err != nil {
 		cancel()
 		return nil, admitErr(qctx, err)
 	}
-	if err := rq.svc.cfg.Fault.Inject(fault.Checkout); err != nil {
-		rq.svc.adm.release(g)
-		cancel()
-		return nil, err
-	}
-	sess := rq.sess
 	// The run-scoped counters feed the session calibration on Stop and
 	// forward every increment to the service's lifetime totals.
-	ctrs := &dht.Counters{Chain: &rq.svc.counters}
-	cfg := join2.Config{
-		Graph:      sess.g,
-		Params:     rq.params,
-		D:          rq.d,
-		P:          rq.pn,
-		Q:          rq.qn,
-		Measure:    rq.query.Measure,
-		Workers:    g.n,
-		BatchWidth: rq.query.BatchWidth,
-		Pool:       sess.pool,
-		Memo:       sess.memo,
-		Counters:   ctrs,
-		Cancel:     rq.svc.cancelPoll(qctx),
+	ctrs := &dht.Counters{Chain: &svc.counters}
+	var st source[T]
+	if err = svc.cfg.Fault.Inject(fault.Checkout); err == nil {
+		st, err = rq.start(pl.Algorithm, runEnv{workers: g.n, ctrs: ctrs, cancel: svc.cancelPoll(qctx)}, rq.demand(k), batch)
 	}
-	if sess.rl != nil {
-		cfg.P = sess.rl.MapToNew(cfg.P)
-		cfg.Q = sess.rl.MapToNew(cfg.Q)
-	}
-	st, err := join2.NewNamedStream(pl.Algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
 	if err != nil {
-		rq.svc.adm.release(g)
+		svc.adm.release(g)
 		cancel()
 		return nil, err
 	}
-	rq.svc.recordPick(pl.Algorithm)
-	return &Join2Stream{svc: rq.svc, ctx: qctx, cancel: cancel, sess: sess, key: rq.key, st: st, rl: sess.rl, grant: g,
+	svc.recordPick(pl.Algorithm)
+	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: rq.key, kind: rq.kind, st: st, grant: g,
 		ctrs: ctrs, calib: sess.calibFor(planCertified(pl))}, nil
+}
+
+// served copies the first k results of a cached prefix, so cached rankings
+// can never be mutated by a caller.
+func (rq *request[T]) served(pre prefix, k int) []T {
+	res := pre.results.([]T)
+	out := make([]T, min(k, len(res)))
+	for i := range out {
+		out[i] = rq.kind.clone(res[i])
+	}
+	return out
 }
 
 // planCertified reports whether the plan's chosen executor runs the
@@ -1077,22 +1220,6 @@ func admitErr(ctx context.Context, err error) error {
 	return err
 }
 
-// workload assembles the planner's view of the request for demand k.
-func (rq *join2Req) workload(k int) plan.Workload {
-	return plan.Workload{
-		Stats:      rq.sess.g.Stats(),
-		P:          len(rq.pn),
-		Q:          len(rq.qn),
-		K:          k,
-		M:          rq.m,
-		D:          rq.d,
-		Measure:    rq.kern.PlanMeasure,
-		Workers:    rq.query.Workers,
-		BatchWidth: rq.query.BatchWidth,
-		Accuracy:   rq.acc,
-	}
-}
-
 // maxCachedPrefix bounds how much of a drained ranking a stream records
 // for publication to the result cache. Without a cap a single exhaustive
 // stream over large sets would make the server buffer (and then pin in the
@@ -1101,122 +1228,121 @@ func (rq *join2Req) workload(k int) plan.Workload {
 // claim the ranking is exhausted.
 const maxCachedPrefix = 4096
 
-// Join2Stream streams one 2-way join request through the session's shared
-// pool and memo. It holds admission tokens and pooled engines until Stop —
-// callers MUST Stop (idempotent; draining to exhaustion or a ctx error
-// stops automatically). On Stop the drained prefix (up to maxCachedPrefix
+// Stream streams one join request through the session's shared pool and
+// memo. It holds admission tokens and pooled engines until Stop — callers
+// MUST Stop (idempotent; draining to exhaustion or a ctx error stops
+// automatically). On Stop the drained prefix (up to maxCachedPrefix
 // results) is published to the session's result cache, so a later request
 // for any k up to that length is served without a join.
-type Join2Stream struct {
+type Stream[T any] struct {
 	svc       *Service
 	ctx       context.Context
-	cancel    context.CancelFunc // releases the budget timer; nil for replays
+	cancel    context.CancelFunc // releases the budget timer; nil for replayed and routed streams
 	sess      *session
-	key       string
-	st        join2.Stream
-	rl        *graph.Relabeling
+	key       string // where Stop publishes; empty for replayed, routed and uncacheable streams
+	kind      *resultKind[T]
+	st        source[T]
 	grant     *grant
-	ctrs      *dht.Counters     // run-scoped; feeds the session calibration on Stop
-	calib     *plan.Calibration // the kernel bucket the run's counters feed
-	drained   []join2.Result
-	truncated bool // results past maxCachedPrefix were not recorded
-	budgetHit bool // the deadline budget cut the ranking short
+	ctrs      *dht.Counters     // run-scoped; feeds calib on Stop
+	calib     *plan.Calibration // the kernel bucket of the executed plan
+	drained   []T               // private deep copies of what was served
+	truncated bool              // results past maxCachedPrefix were not recorded
+	budgetHit bool              // the deadline budget cut the ranking short
 	exhausted bool
 	stopped   bool
 
-	// replay, when non-nil, is a cached complete ranking served in place
-	// of a live join (no engines, no admission tokens, nothing to publish).
-	replay []join2.Result
-	pos    int
+	// replaying serves replay, a cached complete ranking, in place of a live
+	// join (no engines, no admission tokens, nothing to publish).
+	replaying bool
+	replay    []T
+	pos       int
 }
+
+// Join2Stream and JoinNStream are the pair and tuple instantiations.
+type (
+	Join2Stream = Stream[join2.Result]
+	JoinNStream = Stream[core.Answer]
+)
 
 // Truncated reports whether the stream's deadline budget expired: everything
 // already returned is a correct ranking prefix, but the ranking was cut
 // short. Meaningful once Next has returned an error or Stop has run.
-func (s *Join2Stream) Truncated() bool { return s.budgetHit }
+func (s *Stream[T]) Truncated() bool { return s.budgetHit }
 
-// Next returns the next-best pair in the caller's id space; ok is false at
+// Next returns the next-best result in the caller's id space; ok is false at
 // exhaustion (or after Stop). A cancelled ctx stops the stream and returns
 // its cause: ErrBudgetExceeded marks a truncated-but-correct prefix, while a
 // plain cancel is an aborted request.
-func (s *Join2Stream) Next() (join2.Result, bool, error) {
+func (s *Stream[T]) Next() (T, bool, error) {
+	var zero T
 	if s.stopped {
-		return join2.Result{}, false, nil
+		return zero, false, nil
 	}
-	if s.ctx.Err() != nil {
-		err := context.Cause(s.ctx)
-		s.noteBudget(err)
-		s.Stop()
-		return join2.Result{}, false, err
-	}
-	if s.replay != nil {
-		if s.pos < len(s.replay) {
-			r := s.replay[s.pos]
+	var v T
+	ok := false
+	err := context.Cause(s.ctx)
+	switch {
+	case err != nil:
+	case s.replaying:
+		if ok = s.pos < len(s.replay); ok {
+			// The replay slice is the cache's immutable snapshot.
+			v = s.kind.clone(s.replay[s.pos])
 			s.pos++
-			return r, true, nil
+			return v, true, nil
 		}
-		s.exhausted = true
+	default:
+		v, ok, err = s.safeNext()
+	}
+	if err != nil || !ok {
+		// A budget expiry is counted as a truncation once per stream.
+		if errors.Is(err, ErrBudgetExceeded) && !s.budgetHit {
+			s.budgetHit = true
+			s.svc.budgetTruncs.Add(1)
+		}
+		s.exhausted = err == nil
 		s.Stop()
-		return join2.Result{}, false, nil
+		return zero, false, err
 	}
-	r, ok, err := s.safeNext()
-	if err != nil {
-		s.noteBudget(err)
-		s.Stop()
-		return join2.Result{}, false, err
+	if s.sess != nil && s.sess.rl != nil {
+		s.kind.toOld(s.sess.rl, &v)
 	}
-	if !ok {
-		s.exhausted = true
-		s.Stop()
-		return join2.Result{}, false, nil
+	if s.key == "" {
+		return v, true, nil // nowhere to publish: nothing to record
 	}
-	if s.rl != nil {
-		r.Pair.P = s.rl.ToOld(r.Pair.P)
-		r.Pair.Q = s.rl.ToOld(r.Pair.Q)
-	}
-	if s.sess == nil {
-		// Routed (cluster-merged) streams have no session: nothing to record,
-		// no cache to publish to.
-		return r, true, nil
-	}
+	// The caller owns what it is handed, so the drained prefix keeps its own
+	// deep copy — a caller mutating a served tuple before Stop must not
+	// poison what Stop publishes to the result cache.
 	if len(s.drained) < maxCachedPrefix {
-		s.drained = append(s.drained, r)
+		s.drained = append(s.drained, s.kind.clone(v))
 	} else {
 		s.truncated = true
 	}
-	return r, true, nil
+	return v, true, nil
 }
 
 // safeNext pulls from the underlying stream, converting a panic into an
 // error so a crashing joiner still flows into Stop (engines released,
 // admission returned) instead of unwinding through the caller.
-func (s *Join2Stream) safeNext() (r join2.Result, ok bool, err error) {
+func (s *Stream[T]) safeNext() (v T, ok bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.svc.notePanic()
-			r, ok, err = join2.Result{}, false, fmt.Errorf("service: panic in join stream: %v", p)
+			var zero T
+			v, ok, err = zero, false, fmt.Errorf("service: panic in join stream: %v", p)
 		}
 	}()
 	return s.st.Next()
 }
 
-// noteBudget records a budget-expiry truncation exactly once per stream.
-func (s *Join2Stream) noteBudget(err error) {
-	if errors.Is(err, ErrBudgetExceeded) && !s.budgetHit {
-		s.budgetHit = true
-		s.svc.budgetTruncs.Add(1)
-	}
-}
-
 // NextK pulls up to k further results (fewer at exhaustion; on error the
 // results drained before it are returned alongside).
-func (s *Join2Stream) NextK(k int) ([]join2.Result, error) {
+func (s *Stream[T]) NextK(k int) ([]T, error) {
 	return join2.Drain(k, s.Next)
 }
 
 // Stop releases the stream's engines and admission tokens and publishes the
 // drained prefix to the result cache. Idempotent.
-func (s *Join2Stream) Stop() {
+func (s *Stream[T]) Stop() {
 	if s.stopped {
 		return
 	}
@@ -1234,41 +1360,51 @@ func (s *Join2Stream) Stop() {
 		// cost-unit estimate of the kernel bucket the stream executed under.
 		s.calib.Observe(s.ctrs.Snapshot(), s.sess.g.NumEdges())
 	}
-	if s.sess != nil && s.replay == nil && (len(s.drained) > 0 || s.exhausted) {
-		cp := make([]join2.Result, len(s.drained))
-		copy(cp, s.drained)
+	if s.key != "" && (len(s.drained) > 0 || s.exhausted) {
 		// A truncated recording is still a valid prefix, but it is not the
 		// complete ranking even if the stream ran to exhaustion.
-		s.sess.results.put(s.key, prefix{results: cp, n: len(cp), exhausted: s.exhausted && !s.truncated})
+		s.sess.results.put(s.key, prefix{results: s.drained, n: len(s.drained), exhausted: s.exhausted && !s.truncated})
 	}
 }
 
-// OpenJoin2 opens a streaming top-pairs request on the named graph: results
-// arrive one at a time in rank order, bit-identical to the prefix of the
-// corresponding batch Join2. ctx cancellation (e.g. a disconnected HTTP
-// client) aborts the work and returns the engines to the session pool.
-func (s *Service) OpenJoin2(ctx context.Context, graphName string, p, q SetRef, query Query) (*Join2Stream, error) {
-	s.join2Reqs.Add(1)
-	if err := s.admitGate(); err != nil {
+// enter counts one join request and applies the drain gate.
+func (s *Service) enter(class plan.Class) error {
+	if class == plan.NWay {
+		s.joinNReqs.Add(1)
+	} else {
+		s.join2Reqs.Add(1)
+	}
+	return s.admitGate()
+}
+
+// openJoin opens a streaming join request: results arrive one at a time in
+// rank order, bit-identical to the prefix of the corresponding batch call.
+// ctx cancellation (e.g. a disconnected HTTP client) aborts the work and
+// returns the engines to the session pool.
+func openJoin[T any](s *Service, ctx context.Context, graphName string, spec joinSpec[T], query Query) (*Stream[T], error) {
+	if err := s.enter(spec.class()); err != nil {
 		return nil, err
 	}
-	if st, claimed, err := s.routed(ctx, graphName, p, q, query); claimed {
+	if st, claimed, err := spec.route(ctx, s, graphName, query); claimed {
 		return st, err
 	}
-	rq, err := s.resolveJoin2(graphName, p, q, query)
+	rq, err := resolveJoin(s, graphName, spec, query)
 	if err != nil {
 		return nil, err
 	}
-	// A cached complete ranking replays without a join (a stream's demand
-	// is unknown up front, so only an exhausted prefix can serve it whole).
-	if pre, ok := rq.sess.results.getFull(rq.key); ok {
-		s.resultHits.Add(1)
-		if ctx == nil {
-			ctx = context.Background()
+	if rq.key != "" {
+		// A cached complete ranking replays without a join (a stream's
+		// demand is unknown up front, so only an exhausted prefix can serve
+		// it whole).
+		if pre, ok := rq.sess.results.getFull(rq.key); ok {
+			s.resultHits.Add(1)
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			return &Stream[T]{svc: s, ctx: ctx, kind: rq.kind, replaying: true, replay: pre.results.([]T)}, nil
 		}
-		return &Join2Stream{svc: s, ctx: ctx, sess: rq.sess, replay: pre.results.([]join2.Result)}, nil
+		s.resultMisses.Add(1)
 	}
-	s.resultMisses.Add(1)
 	return rq.open(ctx, 0, false)
 }
 
@@ -1283,32 +1419,18 @@ type BatchMeta struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
-// Join2 runs (or serves from the prefix cache) a top-k 2-way join from p to
-// q with B-IDJ-Y, exactly as dhtjoin.TopKPairs would evaluate it. It drains
-// the same stream OpenJoin2 exposes. When the deadline budget expires
-// mid-join, the prefix drained so far is returned alongside
-// ErrBudgetExceeded.
-func (s *Service) Join2(ctx context.Context, graphName string, p, q SetRef, k int, query Query) ([]join2.Result, error) {
-	res, meta, err := s.Join2Meta(ctx, graphName, p, q, k, query)
-	if err == nil && meta.Truncated {
-		err = ErrBudgetExceeded
-	}
-	return res, err
-}
-
-// Join2Meta is Join2 with load-degradation metadata: the HTTP layer uses it
-// to report shed clamps and budget truncations as part of a 200 response
-// instead of an opaque failure.
-func (s *Service) Join2Meta(ctx context.Context, graphName string, p, q SetRef, k int, query Query) ([]join2.Result, BatchMeta, error) {
+// joinBatch runs (or serves from the prefix cache) a top-k join by draining
+// the stream openJoin exposes, reporting shed clamps and budget truncations
+// as metadata instead of an opaque failure.
+func joinBatch[T any](s *Service, ctx context.Context, graphName string, spec joinSpec[T], k int, query Query) ([]T, BatchMeta, error) {
 	var meta BatchMeta
-	s.join2Reqs.Add(1)
-	if err := s.admitGate(); err != nil {
+	if err := s.enter(spec.class()); err != nil {
 		return nil, meta, err
 	}
 	if k <= 0 {
 		return nil, meta, fmt.Errorf("service: k must be positive, got %d", k)
 	}
-	if st, claimed, err := s.routed(ctx, graphName, p, q, query); claimed {
+	if st, claimed, err := spec.route(ctx, s, graphName, query); claimed {
 		// A routed join bypasses the local result cache and shed clamping:
 		// the shards apply their own admission and budgets, and the corner
 		// bound already stops their streams at the demanded k.
@@ -1319,17 +1441,13 @@ func (s *Service) Join2Meta(ctx context.Context, graphName string, p, q SetRef, 
 		res, err := st.NextK(k)
 		return res, meta, err
 	}
-	rq, err := s.resolveJoin2(graphName, p, q, query)
+	rq, err := resolveJoin(s, graphName, spec, query)
 	if err != nil {
 		return nil, meta, err
 	}
 	if pre, ok := rq.sess.results.get(rq.key, k); ok {
 		s.resultHits.Add(1)
-		res := pre.results.([]join2.Result)
-		n := min(k, len(res))
-		out := make([]join2.Result, n)
-		copy(out, res[:n])
-		return out, meta, nil
+		return rq.served(pre, k), meta, nil
 	}
 	// Under shed, an over-demanding miss degrades: any cached prefix beats
 	// running a join, and failing that the demand is clamped to ShedK. The
@@ -1339,18 +1457,16 @@ func (s *Service) Join2Meta(ctx context.Context, graphName string, p, q SetRef, 
 		if pre, ok := rq.sess.results.getAny(rq.key); ok && pre.n > 0 {
 			s.resultHits.Add(1)
 			s.shedClamps.Add(1)
-			res := pre.results.([]join2.Result)
-			n := min(k, pre.n)
-			out := make([]join2.Result, n)
-			copy(out, res[:n])
-			meta.ClampedK = n
-			return out, meta, nil
+			meta.ClampedK = min(k, pre.n)
+			return rq.served(pre, k), meta, nil
 		}
 		k = shedK
 		meta.ClampedK = shedK
 		s.shedClamps.Add(1)
 	}
-	s.resultMisses.Add(1)
+	if rq.key != "" {
+		s.resultMisses.Add(1)
+	}
 	st, err := rq.open(ctx, k, true)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExceeded) {
@@ -1376,424 +1492,70 @@ func (s *Service) Join2Meta(ctx context.Context, graphName string, p, q SetRef, 
 	return res, meta, nil
 }
 
-// joinNReq is one resolved n-way request.
-type joinNReq struct {
-	svc      *Service
-	sess     *session
-	nodeSets []*graph.NodeSet // original id space
-	edges    [][2]int
-	params   dht.Params
-	d        int
-	agg      rankjoin.Aggregate
-	m        int
-	acc      plan.Accuracy
-	kern     measure.Kernel
-	query    Query
-	key      string // empty when the request must bypass the cache
-}
-
-// resolveJoinN resolves names, sets, parameters, and the session; forced
-// algorithms are validated before any cache, as in resolveJoin2.
-func (s *Service) resolveJoinN(graphName string, sets []SetRef, edges [][2]int, query Query) (*joinNReq, error) {
-	kern, params, d, agg, m, err := query.resolve()
-	if err != nil {
-		return nil, err
-	}
-	query.applyKernel(kern)
-	s.recordMeasure(kern.Name)
-	acc, err := query.accuracy()
-	if err != nil {
-		return nil, err
-	}
-	if query.Algorithm != "" {
-		if err := plan.ValidateForced(plan.NWay, query.Algorithm, kern.PlanMeasure); err != nil {
-			return nil, err
-		}
-	}
-	ge, err := s.graphFor(graphName)
-	if err != nil {
-		return nil, err
-	}
-	nodeSets := make([]*graph.NodeSet, len(sets))
-	for i, ref := range sets {
-		ids, err := ge.resolveSet(ref)
-		if err != nil {
-			return nil, err
-		}
-		name := ref.Name
-		if name == "" {
-			name = fmt.Sprintf("R%d", i)
-		}
-		nodeSets[i] = graph.NewNodeSet(name, ids)
-	}
-	sess, err := s.sessionFor(ge, params, d, query.Relabel, kern.Name)
-	if err != nil {
-		return nil, err
-	}
-	// The aggregate enters the cache key by name, which identifies it only
-	// for the built-in aggregates; a caller-supplied implementation could
-	// share a name with a different function, so those requests bypass the
-	// result cache rather than risk serving another aggregate's answers.
-	// Like the 2-way key, k is excluded: the cache stores ranking prefixes.
-	var key string
-	if builtinAgg(agg) {
-		var sb strings.Builder
-		sb.WriteString("joinN|")
-		for _, ref := range sets {
-			refKey(&sb, ref)
-			sb.WriteByte('|')
-		}
-		for _, e := range edges {
-			fmt.Fprintf(&sb, "e%d-%d,", e[0], e[1])
-		}
-		fmt.Fprintf(&sb, "|agg=%s|m=%d|dist=%v", agg.Name(), m, query.Distinct)
-		queryKey(&sb, params, d, &query, acc)
-		key = sb.String()
-	}
-	return &joinNReq{svc: s, sess: sess, nodeSets: nodeSets, edges: edges,
-		params: params, d: d, agg: agg, m: m, acc: acc, kern: kern, query: query, key: key}, nil
-}
-
-// open acquires admission (honoring ctx) and starts the answer stream.
-func (rq *joinNReq) open(ctx context.Context) (*JoinNStream, error) {
-	// Plan before admission, as in join2Req.open.
-	pl, err := rq.svc.planFor(rq.sess, plan.NWay, rq.key, rq.m, rq.workload(), rq.query.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	qctx, cancel := rq.svc.budgetContext(ctx, &rq.query)
-	g, err := rq.svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority, resolveWorkers(rq.query.Workers))
-	if err != nil {
-		cancel()
-		return nil, admitErr(qctx, err)
-	}
-	if err := rq.svc.cfg.Fault.Inject(fault.Checkout); err != nil {
-		rq.svc.adm.release(g)
-		cancel()
-		return nil, err
-	}
-	sess := rq.sess
-	querySets := rq.nodeSets
-	if sess.rl != nil {
-		querySets = make([]*graph.NodeSet, len(rq.nodeSets))
-		for i, set := range rq.nodeSets {
-			querySets[i] = sess.rl.MapSetToNew(set)
-		}
-	}
-	qg := core.NewQueryGraph(querySets...)
-	for _, e := range rq.edges {
-		qg.AddEdge(e[0], e[1])
-	}
-	// The run-scoped counters feed the session calibration on Stop; core
-	// chains its own per-run counters behind these, and these forward to
-	// the service's lifetime totals.
-	ctrs := &dht.Counters{Chain: &rq.svc.counters}
-	spec := core.Spec{
-		Graph:      sess.g,
-		Query:      qg,
-		Params:     rq.params,
-		D:          rq.d,
-		Agg:        rq.agg,
-		K:          1, // required by Validate; the stream itself is k-free
-		Distinct:   rq.query.Distinct,
-		Measure:    rq.query.Measure,
-		Workers:    g.n,
-		BatchWidth: rq.query.BatchWidth,
-		Pool:       sess.pool,
-		Memo:       sess.memo,
-		Counters:   ctrs,
-		Cancel:     rq.svc.cancelPoll(qctx),
-	}
-	alg, err := core.NewNamed(pl.Algorithm, spec, rq.m)
-	if err != nil {
-		rq.svc.adm.release(g)
-		cancel()
-		return nil, err
-	}
-	st, err := alg.Stream()
-	if err != nil {
-		rq.svc.adm.release(g)
-		cancel()
-		return nil, err
-	}
-	rq.svc.recordPick(pl.Algorithm)
-	return &JoinNStream{svc: rq.svc, ctx: qctx, cancel: cancel, sess: sess, key: rq.key, st: st, rl: sess.rl, grant: g, ctrs: ctrs}, nil
-}
-
-// workload assembles the planner's view of the n-way request.
-func (rq *joinNReq) workload() plan.Workload {
-	w := plan.Workload{
-		Stats:      rq.sess.g.Stats(),
-		K:          rq.m, // stream demand is unknown; plan for the initial batch
-		M:          rq.m,
-		D:          rq.d,
-		Measure:    rq.kern.PlanMeasure,
-		Workers:    rq.query.Workers,
-		BatchWidth: rq.query.BatchWidth,
-		Accuracy:   rq.acc,
-	}
-	w.SetSizes = make([]int, len(rq.nodeSets))
-	for i, set := range rq.nodeSets {
-		w.SetSizes[i] = set.Len()
-	}
-	w.QueryEdges = rq.edges
-	return w
-}
-
-// JoinNStream streams one n-way join request; same contract as Join2Stream.
-type JoinNStream struct {
-	svc       *Service
-	ctx       context.Context
-	cancel    context.CancelFunc // releases the budget timer; nil for replays
-	sess      *session
-	key       string
-	st        core.TupleStream
-	rl        *graph.Relabeling
-	grant     *grant
-	ctrs      *dht.Counters // run-scoped; feeds the session calibration on Stop
-	drained   []core.Answer
-	truncated bool // answers past maxCachedPrefix were not recorded
-	budgetHit bool // the deadline budget cut the ranking short
-	exhausted bool
-	stopped   bool
-
-	// replay, when non-nil, is a cached complete ranking served in place
-	// of a live join; see Join2Stream.replay.
-	replay []core.Answer
-	pos    int
-}
-
-// Truncated reports whether the stream's deadline budget expired; see
-// Join2Stream.Truncated.
-func (s *JoinNStream) Truncated() bool { return s.budgetHit }
-
-// noteBudget records a budget-expiry truncation exactly once per stream.
-func (s *JoinNStream) noteBudget(err error) {
-	if errors.Is(err, ErrBudgetExceeded) && !s.budgetHit {
-		s.budgetHit = true
-		s.svc.budgetTruncs.Add(1)
-	}
-}
-
-// safeNext pulls from the underlying stream with panic recovery; see
-// Join2Stream.safeNext.
-func (s *JoinNStream) safeNext() (a core.Answer, ok bool, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.svc.notePanic()
-			a, ok, err = core.Answer{}, false, fmt.Errorf("service: panic in join stream: %v", p)
-		}
-	}()
-	return s.st.Next()
-}
-
-// Next returns the next-best answer in the caller's id space; see
-// Join2Stream.Next.
-func (s *JoinNStream) Next() (core.Answer, bool, error) {
-	if s.stopped {
-		return core.Answer{}, false, nil
-	}
-	if s.ctx.Err() != nil {
-		err := context.Cause(s.ctx)
-		s.noteBudget(err)
-		s.Stop()
-		return core.Answer{}, false, err
-	}
-	if s.replay != nil {
-		if s.pos < len(s.replay) {
-			// Served answers are deep copies: the replay slice is the
-			// cache's immutable snapshot.
-			cached := s.replay[s.pos]
-			s.pos++
-			a := core.Answer{Nodes: make([]graph.NodeID, len(cached.Nodes)), Score: cached.Score}
-			copy(a.Nodes, cached.Nodes)
-			return a, true, nil
-		}
-		s.exhausted = true
-		s.Stop()
-		return core.Answer{}, false, nil
-	}
-	a, ok, err := s.safeNext()
-	if err != nil {
-		s.noteBudget(err)
-		s.Stop()
-		return core.Answer{}, false, err
-	}
-	if !ok {
-		s.exhausted = true
-		s.Stop()
-		return core.Answer{}, false, nil
-	}
-	if s.rl != nil {
-		for i := range a.Nodes {
-			a.Nodes[i] = s.rl.ToOld(a.Nodes[i])
-		}
-	}
-	// The caller owns the returned Nodes slice, so the drained prefix keeps
-	// its own deep copy — a caller mutating a served tuple before Stop must
-	// not poison what Stop publishes to the result cache.
-	if len(s.drained) < maxCachedPrefix {
-		kept := core.Answer{Nodes: make([]graph.NodeID, len(a.Nodes)), Score: a.Score}
-		copy(kept.Nodes, a.Nodes)
-		s.drained = append(s.drained, kept)
-	} else {
-		s.truncated = true
-	}
-	return a, true, nil
-}
-
-// NextK pulls up to k further answers (fewer at exhaustion; on error the
-// answers drained before it are returned alongside).
-func (s *JoinNStream) NextK(k int) ([]core.Answer, error) {
-	return join2.Drain(k, s.Next)
-}
-
-// Stop releases engines and admission tokens and publishes the drained
-// prefix (unless the request bypasses the cache). Idempotent.
-func (s *JoinNStream) Stop() {
-	if s.stopped {
-		return
-	}
-	s.stopped = true
-	if s.st != nil {
-		s.st.Release()
-	}
-	s.svc.adm.release(s.grant)
-	s.grant = nil
-	if s.cancel != nil {
-		s.cancel()
-	}
-	if s.ctrs != nil {
-		s.sess.calib.Observe(s.ctrs.Snapshot(), s.sess.g.NumEdges())
-	}
-	if s.replay == nil && s.key != "" && (len(s.drained) > 0 || s.exhausted) {
-		// drained holds private deep copies (see Next), so it can be
-		// published as the immutable cache snapshot directly; a truncated
-		// recording is a valid prefix but never a complete ranking.
-		s.sess.results.put(s.key, prefix{results: s.drained, n: len(s.drained), exhausted: s.exhausted && !s.truncated})
-	}
-}
-
-// OpenJoinN opens a streaming n-way join request; see OpenJoin2.
-func (s *Service) OpenJoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, query Query) (*JoinNStream, error) {
-	s.joinNReqs.Add(1)
-	if err := s.admitGate(); err != nil {
-		return nil, err
-	}
-	rq, err := s.resolveJoinN(graphName, sets, edges, query)
-	if err != nil {
-		return nil, err
-	}
-	if rq.key != "" {
-		if pre, ok := rq.sess.results.getFull(rq.key); ok {
-			s.resultHits.Add(1)
-			if ctx == nil {
-				ctx = context.Background()
-			}
-			return &JoinNStream{svc: s, ctx: ctx, sess: rq.sess, replay: pre.results.([]core.Answer)}, nil
-		}
-		s.resultMisses.Add(1)
-	}
-	return rq.open(ctx)
-}
-
-// JoinN runs (or serves from the prefix cache) a top-k n-way join with PJ-i
-// over the query graph described by sets and edges (edges index into sets),
-// exactly as dhtjoin.TopK would evaluate it. It drains the same stream
-// OpenJoinN exposes. When the deadline budget expires mid-join, the prefix
-// drained so far is returned alongside ErrBudgetExceeded.
-func (s *Service) JoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, k int, query Query) ([]core.Answer, error) {
-	res, meta, err := s.JoinNMeta(ctx, graphName, sets, edges, k, query)
+// truncErr folds batch truncation metadata back into ErrBudgetExceeded for
+// the callers that want it as an error.
+func truncErr(meta BatchMeta, err error) error {
 	if err == nil && meta.Truncated {
-		err = ErrBudgetExceeded
+		return ErrBudgetExceeded
 	}
-	return res, err
+	return err
 }
 
-// JoinNMeta is JoinN with load-degradation metadata; see Join2Meta.
-func (s *Service) JoinNMeta(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, k int, query Query) ([]core.Answer, BatchMeta, error) {
-	var meta BatchMeta
-	s.joinNReqs.Add(1)
-	if err := s.admitGate(); err != nil {
-		return nil, meta, err
-	}
-	if k <= 0 {
-		return nil, meta, fmt.Errorf("service: k must be positive, got %d", k)
-	}
-	rq, err := s.resolveJoinN(graphName, sets, edges, query)
-	if err != nil {
-		return nil, meta, err
-	}
-	if rq.key != "" {
-		if pre, ok := rq.sess.results.get(rq.key, k); ok {
-			s.resultHits.Add(1)
-			res := pre.results.([]core.Answer)
-			return copyAnswers(res[:min(k, len(res))]), meta, nil
-		}
-	}
-	if shedK := s.cfg.ShedK; s.Shedding() && k > shedK {
-		if rq.key != "" {
-			if pre, ok := rq.sess.results.getAny(rq.key); ok && pre.n > 0 {
-				s.resultHits.Add(1)
-				s.shedClamps.Add(1)
-				res := pre.results.([]core.Answer)
-				n := min(k, pre.n)
-				meta.ClampedK = n
-				return copyAnswers(res[:n]), meta, nil
-			}
-		}
-		k = shedK
-		meta.ClampedK = shedK
-		s.shedClamps.Add(1)
-	}
-	if rq.key != "" {
-		s.resultMisses.Add(1)
-	}
-	st, err := rq.open(ctx)
-	if err != nil {
-		if errors.Is(err, ErrBudgetExceeded) {
-			s.budgetTruncs.Add(1)
-			meta.Truncated = true
-			return nil, meta, nil
-		}
-		return nil, meta, err
-	}
-	defer st.Stop()
-	answers, err := st.NextK(k)
-	if errors.Is(err, ErrBudgetExceeded) {
-		meta.Truncated = true
-		return answers, meta, nil
-	}
-	if err != nil {
-		return nil, meta, err
-	}
-	return answers, meta, nil
+// OpenJoin2 opens a streaming top-pairs request on the named graph; see
+// openJoin.
+func (s *Service) OpenJoin2(ctx context.Context, graphName string, p, q SetRef, query Query) (*Join2Stream, error) {
+	return openJoin(s, ctx, graphName, pairSpec{p, q}, query)
 }
 
-// ExplainJoin2 resolves a 2-way request and returns the plan its execution
-// would run — the chosen algorithm, every candidate's cost estimate, and the
+// Join2 runs (or serves from the prefix cache) a top-k 2-way join from p to
+// q, exactly as dhtjoin.TopKPairs would evaluate it. When the deadline
+// budget expires mid-join, the prefix drained so far is returned alongside
+// ErrBudgetExceeded.
+func (s *Service) Join2(ctx context.Context, graphName string, p, q SetRef, k int, query Query) ([]join2.Result, error) {
+	res, meta, err := s.Join2Meta(ctx, graphName, p, q, k, query)
+	return res, truncErr(meta, err)
+}
+
+// Join2Meta is Join2 with load-degradation metadata; see joinBatch.
+func (s *Service) Join2Meta(ctx context.Context, graphName string, p, q SetRef, k int, query Query) ([]join2.Result, BatchMeta, error) {
+	return joinBatch(s, ctx, graphName, pairSpec{p, q}, k, query)
+}
+
+// OpenJoinN opens a streaming n-way join request over the query graph
+// described by sets and edges (edges index into sets); see openJoin.
+func (s *Service) OpenJoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, query Query) (*JoinNStream, error) {
+	return openJoin(s, ctx, graphName, tupleSpec{sets, edges}, query)
+}
+
+// JoinN runs (or serves from the prefix cache) a top-k n-way join, exactly
+// as dhtjoin.TopK would evaluate it; budget expiry as in Join2.
+func (s *Service) JoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, k int, query Query) ([]core.Answer, error) {
+	res, meta, err := joinBatch(s, ctx, graphName, tupleSpec{sets, edges}, k, query)
+	return res, truncErr(meta, err)
+}
+
+// explainJoin resolves a request and returns the plan its execution would
+// run — the chosen algorithm, every candidate's cost estimate, and the
 // stats snapshot — without executing anything (a dry run: no admission
-// tokens, no engines). k sizes the demand the plan is priced for; k <= 0
-// plans for the resolved per-edge budget, as the streaming entry points do.
-func (s *Service) ExplainJoin2(ctx context.Context, graphName string, p, q SetRef, k int, query Query) (*plan.Plan, error) {
-	rq, err := s.resolveJoin2(graphName, p, q, query)
+// tokens, no engines). k sizes the demand a pair plan is priced for; k <= 0
+// and every tuple plan are priced for the resolved per-edge budget, as the
+// streaming entry points do.
+func explainJoin[T any](s *Service, graphName string, spec joinSpec[T], k int, query Query) (*plan.Plan, error) {
+	rq, err := resolveJoin(s, graphName, spec, query)
 	if err != nil {
 		return nil, err
 	}
-	if k <= 0 {
-		k = rq.m
-	}
-	return s.planFor(rq.sess, plan.TwoWay, rq.key, k, rq.workload(k), query.Algorithm)
+	return rq.plan(k)
 }
 
-// ExplainJoinN is ExplainJoin2 for n-way requests (k is accepted for API
-// symmetry; n-way plans are priced for the per-edge budget either way).
+// ExplainJoin2 is the dry run of a 2-way request; see explainJoin.
+func (s *Service) ExplainJoin2(ctx context.Context, graphName string, p, q SetRef, k int, query Query) (*plan.Plan, error) {
+	return explainJoin(s, graphName, pairSpec{p, q}, k, query)
+}
+
+// ExplainJoinN is the dry run of an n-way request; see explainJoin.
 func (s *Service) ExplainJoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, k int, query Query) (*plan.Plan, error) {
-	rq, err := s.resolveJoinN(graphName, sets, edges, query)
-	if err != nil {
-		return nil, err
-	}
-	return s.planFor(rq.sess, plan.NWay, rq.key, rq.m, rq.workload(), query.Algorithm)
+	return explainJoin(s, graphName, tupleSpec{sets, edges}, k, query)
 }
 
 // Score computes the truncated score h_d(u, v) exactly as dhtjoin.Score (on
@@ -1804,12 +1566,11 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID
 	if err := s.admitGate(); err != nil {
 		return 0, err
 	}
-	kern, params, d, _, _, err := query.resolve()
+	res, err := query.Resolve()
 	if err != nil {
 		return 0, err
 	}
-	query.applyKernel(kern)
-	s.recordMeasure(kern.Name)
+	s.recordMeasure(res.Kernel.Name)
 	ge, err := s.graphFor(graphName)
 	if err != nil {
 		return 0, err
@@ -1818,7 +1579,7 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID
 	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
 		return 0, fmt.Errorf("service: node pair (%d,%d) out of range [0,%d)", u, v, n)
 	}
-	sess, err := s.sessionFor(ge, params, d, graph.NoRelabel, kern.Name)
+	sess, err := s.sessionFor(ge, res.Params, res.D, graph.NoRelabel, res.Kernel.Name)
 	if err != nil {
 		return 0, err
 	}
@@ -1827,22 +1588,22 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID
 		return 0, err
 	}
 	defer s.adm.release(g)
-	if !kern.WalkBased {
+	if !res.Kernel.WalkBased {
 		// Matrix measures (simrank) score through the kernel's evaluator; the
 		// session pool holds walk engines these measures never touch.
-		ev, err := kern.NewEvaluator(sess.g, params, d)
+		ev, err := res.Kernel.NewEvaluator(sess.g, res.Params, res.D)
 		if err != nil {
 			return 0, err
 		}
 		var dst [1]float64
-		if err := ev.ScoresInto(u, []graph.NodeID{v}, d, dst[:]); err != nil {
+		if err := ev.ScoresInto(u, []graph.NodeID{v}, res.D, dst[:]); err != nil {
 			return 0, err
 		}
 		return dst[0], nil
 	}
 	e := sess.pool.Get()
 	defer sess.pool.Put(e)
-	return e.ForwardScoreKind(query.Measure, u, v, d), nil
+	return e.ForwardScoreKind(res.Kernel.Walk, u, v, res.D), nil
 }
 
 // Stats snapshots the service counters. All int64 fields are monotone over
@@ -1945,16 +1706,4 @@ func resolveWorkers(w int) int {
 		return 1
 	}
 	return w
-}
-
-// copyAnswers deep-copies answers (Nodes slices included) so cached tuples
-// can never be mutated by a caller.
-func copyAnswers(in []core.Answer) []core.Answer {
-	out := make([]core.Answer, len(in))
-	for i, a := range in {
-		nodes := make([]graph.NodeID, len(a.Nodes))
-		copy(nodes, a.Nodes)
-		out[i] = core.Answer{Nodes: nodes, Score: a.Score}
-	}
-	return out
 }

@@ -4,6 +4,11 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/join2"
 )
 
 // poolOutstanding sums the checked-out engines of every live session pool.
@@ -142,59 +147,6 @@ func TestJoin2PrefixCache(t *testing.T) {
 	}
 }
 
-// TestServiceStreamCancellation: cancelling a request context mid-stream
-// must stop the stream, release admission tokens, and return every pooled
-// engine — no leaks for a disconnected client.
-func TestServiceStreamCancellation(t *testing.T) {
-	g, sets := testGraph(t)
-	svc := New(Config{MaxConcurrency: 2})
-	if err := svc.LoadGraph("g", g, sets); err != nil {
-		t.Fatal(err)
-	}
-	p, q := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	st, err := svc.OpenJoin2(ctx, "g", p, q, Query{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := st.Next(); !ok || err != nil {
-		t.Fatalf("first pull: ok=%v err=%v", ok, err)
-	}
-	cancel()
-	if _, ok, err := st.Next(); ok || !errors.Is(err, context.Canceled) {
-		t.Fatalf("post-cancel pull: ok=%v err=%v", ok, err)
-	}
-	if n := poolOutstanding(svc); n != 0 {
-		t.Fatalf("%d engines outstanding after cancellation", n)
-	}
-	// Admission tokens are back: a full-width request is granted instantly.
-	granted, err := svc.adm.acquire(context.Background(), "", classInteractive, 2)
-	if err != nil || granted.n != 2 {
-		t.Fatalf("admission after cancel: granted=%+v err=%v", granted, err)
-	}
-	svc.adm.release(granted)
-
-	// Same for the n-way stream.
-	refs := []SetRef{{Name: sets[0].Name}, {Name: sets[1].Name}, {Name: sets[2].Name}}
-	edges := [][2]int{{0, 1}, {1, 2}}
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	nst, err := svc.OpenJoinN(ctx2, "g", refs, edges, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := nst.Next(); !ok || err != nil {
-		t.Fatalf("n-way first pull: ok=%v err=%v", ok, err)
-	}
-	cancel2()
-	if _, ok, err := nst.Next(); ok || !errors.Is(err, context.Canceled) {
-		t.Fatalf("n-way post-cancel pull: ok=%v err=%v", ok, err)
-	}
-	if n := poolOutstanding(svc); n != 0 {
-		t.Fatalf("%d engines outstanding after n-way cancellation", n)
-	}
-}
-
 // TestOpenJoinNMatchesBatch: the n-way streaming handle against JoinN.
 func TestOpenJoinNMatchesBatch(t *testing.T) {
 	g, sets := testGraph(t)
@@ -247,83 +199,183 @@ func TestOpenJoinNMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestOpenJoin2ReplaysExhaustedPrefix: once a drain exhausted the ranking,
-// opening a new stream must replay the cached ranking without touching the
-// engines, and still look exhausted to the consumer.
-func TestOpenJoin2ReplaysExhaustedPrefix(t *testing.T) {
-	g, sets := testGraph(t)
-	svc := New(Config{})
-	if err := svc.LoadGraph("g", g, sets); err != nil {
-		t.Fatal(err)
-	}
-	p, q := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
-	ctx := context.Background()
-	total := len(sets[0].Nodes()) * len(sets[1].Nodes())
-
-	full, err := svc.Join2(ctx, "g", p, q, total+10, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	walksBefore := svc.Stats().Walks
-	hitsBefore := svc.Stats().ResultHits
-	st, err := svc.OpenJoin2(ctx, "g", p, q, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Stop()
-	replayed, err := st.NextK(total + 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed) != total {
-		t.Fatalf("replayed %d of %d", len(replayed), total)
-	}
-	for i := range full {
-		if replayed[i] != full[i] {
-			t.Fatalf("replay rank %d: %+v vs %+v", i, replayed[i], full[i])
-		}
-	}
-	if _, ok, _ := st.Next(); ok {
-		t.Fatal("replay stream not exhausted")
-	}
-	s := svc.Stats()
-	if s.Walks != walksBefore {
-		t.Fatalf("replay performed %d walks", s.Walks-walksBefore)
-	}
-	if s.ResultHits != hitsBefore+1 {
-		t.Fatalf("replay not counted as a hit: %+v", s)
-	}
+// streamCase is one instantiation of the generic stream handle, as the
+// contract table below drives it.
+type streamCase[T any] struct {
+	name   string
+	open   func(svc *Service, ctx context.Context, sets []SetRef, q Query) (*Stream[T], error)
+	clone  func(T) T
+	mutate func(*T) // a hostile caller scribbling over a served result
+	same   func(a, b T) bool
 }
 
-// TestJoinNStreamCacheImmutable: mutating an answer served by the stream
-// must not alter what Stop publishes to the result cache.
-func TestJoinNStreamCacheImmutable(t *testing.T) {
+var pairCase = streamCase[join2.Result]{
+	name: "Join2Stream",
+	open: func(svc *Service, ctx context.Context, sets []SetRef, q Query) (*Join2Stream, error) {
+		return svc.OpenJoin2(ctx, "g", sets[0], sets[1], q)
+	},
+	clone:  func(r join2.Result) join2.Result { return r },
+	mutate: func(r *join2.Result) { r.Pair.P, r.Score = -999, -1 },
+	same:   func(a, b join2.Result) bool { return a == b },
+}
+
+var answerCase = streamCase[core.Answer]{
+	name: "JoinNStream",
+	open: func(svc *Service, ctx context.Context, sets []SetRef, q Query) (*JoinNStream, error) {
+		return svc.OpenJoinN(ctx, "g", sets[:2], [][2]int{{0, 1}}, q)
+	},
+	clone: func(a core.Answer) core.Answer {
+		return core.Answer{Nodes: append([]graph.NodeID(nil), a.Nodes...), Score: a.Score}
+	},
+	mutate: func(a *core.Answer) { a.Nodes[0], a.Score = -999, -1 },
+	same:   func(a, b core.Answer) bool { return sameAnswers([]core.Answer{a}, []core.Answer{b}) },
+}
+
+// TestStreamContract pins the handle contract once for both instantiations
+// of Stream[T]: idempotent Stop and a quiet Next after it, cancellation and
+// budget expiry surfacing through Next with every engine and admission token
+// returned, and the cache's immutability — what a caller does to a served
+// result reaches neither the prefix Stop publishes nor a later replay.
+func TestStreamContract(t *testing.T) {
+	runStreamContract(t, pairCase)
+	runStreamContract(t, answerCase)
+}
+
+func runStreamContract[T any](t *testing.T, c streamCase[T]) {
 	g, sets := testGraph(t)
-	svc := New(Config{})
-	if err := svc.LoadGraph("g", g, sets); err != nil {
-		t.Fatal(err)
+	named := []SetRef{{Name: sets[0].Name}, {Name: sets[1].Name}}
+	// Small enough that a stream drains the whole ranking (36 results).
+	small := []SetRef{{IDs: sets[0].Nodes()[:6]}, {IDs: sets[1].Nodes()[:6]}}
+	newSvc := func(t *testing.T, cfg Config) *Service {
+		svc := New(cfg)
+		if err := svc.LoadGraph("g", g, sets); err != nil {
+			t.Fatal(err)
+		}
+		return svc
 	}
-	refs := []SetRef{{Name: sets[0].Name}, {Name: sets[1].Name}}
-	edges := [][2]int{{0, 1}}
-	st, err := svc.OpenJoinN(context.Background(), "g", refs, edges, Query{})
-	if err != nil {
-		t.Fatal(err)
+	// released asserts the stream gave back its engines and tokens.
+	released := func(t *testing.T, svc *Service, width int) {
+		t.Helper()
+		if n := poolOutstanding(svc); n != 0 {
+			t.Fatalf("%d engines outstanding", n)
+		}
+		granted, err := svc.adm.acquire(context.Background(), "", classInteractive, width)
+		if err != nil || granted.n != width {
+			t.Fatalf("admission not restored: granted=%+v err=%v", granted, err)
+		}
+		svc.adm.release(granted)
 	}
-	a, ok, err := st.Next()
-	if !ok || err != nil {
-		t.Fatalf("first pull: ok=%v err=%v", ok, err)
-	}
-	want := a.Nodes[0]
-	a.Nodes[0] = -999 // hostile caller
-	st.Stop()
-	cached, err := svc.JoinN(context.Background(), "g", refs, edges, 1, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.Stats().ResultHits != 1 {
-		t.Fatalf("expected the published prefix to serve k=1: %+v", svc.Stats())
-	}
-	if cached[0].Nodes[0] != want {
-		t.Fatalf("cache poisoned: got node %d, want %d", cached[0].Nodes[0], want)
-	}
+
+	t.Run(c.name+"/stop", func(t *testing.T) {
+		svc := newSvc(t, Config{MaxConcurrency: 2})
+		st, err := c.open(svc, context.Background(), named, Query{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := st.Next(); !ok || err != nil {
+			t.Fatalf("first pull: ok=%v err=%v", ok, err)
+		}
+		st.Stop()
+		st.Stop()
+		if _, ok, err := st.Next(); ok || err != nil {
+			t.Fatalf("pull after Stop: ok=%v err=%v, want a quiet end", ok, err)
+		}
+		if st.Truncated() {
+			t.Fatal("a stopped stream reports Truncated")
+		}
+		released(t, svc, 2)
+	})
+
+	t.Run(c.name+"/cancel", func(t *testing.T) {
+		svc := newSvc(t, Config{MaxConcurrency: 2})
+		ctx, cancel := context.WithCancel(context.Background())
+		st, err := c.open(svc, ctx, named, Query{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := st.Next(); !ok || err != nil {
+			t.Fatalf("first pull: ok=%v err=%v", ok, err)
+		}
+		cancel()
+		if _, ok, err := st.Next(); ok || !errors.Is(err, context.Canceled) {
+			t.Fatalf("post-cancel pull: ok=%v err=%v", ok, err)
+		}
+		if st.Truncated() {
+			t.Fatal("a cancelled stream reports Truncated")
+		}
+		released(t, svc, 2)
+	})
+
+	t.Run(c.name+"/budget", func(t *testing.T) {
+		// The budget outlives the open and the first pull, then expires
+		// while the caller sits on the handle.
+		svc := newSvc(t, Config{MaxConcurrency: 2})
+		st, err := c.open(svc, context.Background(), named, Query{Budget: 100 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Stop()
+		if _, ok, err := st.Next(); !ok || err != nil {
+			t.Fatalf("first pull: ok=%v err=%v", ok, err)
+		}
+		<-st.ctx.Done()
+		if _, ok, err := st.Next(); ok || !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("pull past the budget: ok=%v err=%v, want ErrBudgetExceeded", ok, err)
+		}
+		if !st.Truncated() {
+			t.Fatal("stream does not report Truncated after budget expiry")
+		}
+		if svc.Stats().BudgetTruncations != 1 {
+			t.Fatalf("BudgetTruncations = %d, want 1", svc.Stats().BudgetTruncations)
+		}
+		released(t, svc, 2)
+	})
+
+	t.Run(c.name+"/immutable", func(t *testing.T) {
+		svc := newSvc(t, Config{})
+		ctx := context.Background()
+		drain := func() []T {
+			t.Helper()
+			st, err := c.open(svc, ctx, small, Query{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Stop()
+			var kept []T
+			for {
+				v, ok, err := st.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return kept
+				}
+				kept = append(kept, c.clone(v))
+				c.mutate(&v) // live: before Stop publishes; replayed: never the cache's snapshot
+			}
+		}
+		want := drain() // live: runs the join, publishes the exhausted ranking
+		if len(want) != 36 {
+			t.Fatalf("drained %d results, want the whole 36-result ranking", len(want))
+		}
+		walks, hits := svc.Stats().Walks, svc.Stats().ResultHits
+		for round := 1; round <= 2; round++ {
+			got := drain() // replays: served from the cache, scribbled over again
+			if len(got) != len(want) {
+				t.Fatalf("replay %d returned %d of %d results", round, len(got), len(want))
+			}
+			for i := range want {
+				if !c.same(got[i], want[i]) {
+					t.Fatalf("replay %d rank %d: %+v, want %+v (cache poisoned by a caller)", round, i, got[i], want[i])
+				}
+			}
+		}
+		s := svc.Stats()
+		if s.Walks != walks {
+			t.Fatalf("replays performed %d walks", s.Walks-walks)
+		}
+		if s.ResultHits != hits+2 {
+			t.Fatalf("replays not counted as hits: %+v", s)
+		}
+	})
 }

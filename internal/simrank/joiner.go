@@ -85,7 +85,7 @@ func NewJoiner(cfg join2.Config) (*Joiner, error) {
 	// point), so a caller that never resolved them should not be rejected
 	// by the walk-centric config validation.
 	if cfg.Params == (dht.Params{}) {
-		cfg.Params = dht.DHTLambda(0.2)
+		cfg.Params = dht.DHTE() // any valid coefficients: never read
 	}
 	if cfg.D == 0 {
 		cfg.D = 1
