@@ -1,0 +1,251 @@
+package service
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/join2"
+	"repro/internal/plan"
+)
+
+// enter counts one join request and applies the drain gate.
+func (s *Service) enter(class plan.Class) error {
+	if class == plan.NWay {
+		s.joinNReqs.Add(1)
+	} else {
+		s.join2Reqs.Add(1)
+	}
+	return s.admitGate()
+}
+
+// openJoin opens a streaming join request: results arrive one at a time in
+// rank order, bit-identical to the prefix of the corresponding batch call.
+// ctx cancellation (e.g. a disconnected HTTP client) aborts the work and
+// returns the engines to the session pool.
+func openJoin[T any](s *Service, ctx context.Context, graphName string, spec joinSpec[T], query Query) (*Stream[T], error) {
+	if err := s.enter(spec.class()); err != nil {
+		return nil, err
+	}
+	if st, claimed, err := spec.route(ctx, s, graphName, query); claimed {
+		return st, err
+	}
+	rq, err := resolveJoin(s, graphName, spec, query)
+	if err != nil {
+		return nil, err
+	}
+	if rq.key != "" {
+		// A cached complete ranking replays without a join (a stream's
+		// demand is unknown up front, so only an exhausted prefix can serve
+		// it whole).
+		if pre, ok := rq.sess.results.getFull(rq.key); ok {
+			s.resultHits.Add(1)
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			return &Stream[T]{svc: s, ctx: ctx, kind: rq.kind, replaying: true, replay: pre.results.([]T)}, nil
+		}
+		s.resultMisses.Add(1)
+	}
+	return rq.open(ctx, 0, false)
+}
+
+// BatchMeta describes how a batch response was degraded under pressure; the
+// zero value means "served exactly as demanded".
+type BatchMeta struct {
+	// ClampedK, when non-zero, is the k the request was degraded to by load
+	// shedding (the served ranking is the exact top-ClampedK).
+	ClampedK int `json:"clamped_k,omitempty"`
+	// Truncated reports that the deadline budget expired mid-join: the
+	// served results are a correct ranking prefix, but shorter than asked.
+	Truncated bool `json:"truncated,omitempty"`
+}
+
+// joinBatch runs (or serves from the prefix cache) a top-k join by draining
+// the stream openJoin exposes, reporting shed clamps and budget truncations
+// as metadata instead of an opaque failure.
+func joinBatch[T any](s *Service, ctx context.Context, graphName string, spec joinSpec[T], k int, query Query) ([]T, BatchMeta, error) {
+	var meta BatchMeta
+	if err := s.enter(spec.class()); err != nil {
+		return nil, meta, err
+	}
+	if k <= 0 {
+		return nil, meta, fmt.Errorf("service: k must be positive, got %d", k)
+	}
+	if st, claimed, err := spec.route(ctx, s, graphName, query); claimed {
+		// A routed join bypasses the local result cache and shed clamping:
+		// the shards apply their own admission and budgets, and the corner
+		// bound already stops their streams at the demanded k.
+		if err != nil {
+			return nil, meta, err
+		}
+		defer st.Stop()
+		res, err := st.NextK(k)
+		return res, meta, err
+	}
+	rq, err := resolveJoin(s, graphName, spec, query)
+	if err != nil {
+		return nil, meta, err
+	}
+	if pre, ok := rq.sess.results.get(rq.key, k); ok {
+		s.resultHits.Add(1)
+		return rq.served(pre, k), meta, nil
+	}
+	// Under shed, an over-demanding miss degrades: any cached prefix beats
+	// running a join, and failing that the demand is clamped to ShedK. The
+	// served results are still the exact top of the ranking — shedding only
+	// shortens it.
+	if shedK := s.cfg.ShedK; s.Shedding() && k > shedK {
+		if pre, ok := rq.sess.results.getAny(rq.key); ok && pre.n > 0 {
+			s.resultHits.Add(1)
+			s.shedClamps.Add(1)
+			meta.ClampedK = min(k, pre.n)
+			return rq.served(pre, k), meta, nil
+		}
+		k = shedK
+		meta.ClampedK = shedK
+		s.shedClamps.Add(1)
+	}
+	if rq.key != "" {
+		s.resultMisses.Add(1)
+	}
+	st, err := rq.open(ctx, k, true)
+	if err != nil {
+		if errors.Is(err, ErrBudgetExceeded) {
+			// The budget expired before the join could start (e.g. spent
+			// queued at admission): the correct prefix is the empty one.
+			s.budgetTruncs.Add(1)
+			meta.Truncated = true
+			return nil, meta, nil
+		}
+		return nil, meta, err
+	}
+	defer st.Stop()
+	res, err := st.NextK(k)
+	if errors.Is(err, ErrBudgetExceeded) {
+		// The drained prefix is correct as far as it goes; surface it with
+		// the truncation marker instead of discarding paid-for work.
+		meta.Truncated = true
+		return res, meta, nil
+	}
+	if err != nil {
+		return nil, meta, err
+	}
+	return res, meta, nil
+}
+
+// truncErr folds batch truncation metadata back into ErrBudgetExceeded for
+// the callers that want it as an error.
+func truncErr(meta BatchMeta, err error) error {
+	if err == nil && meta.Truncated {
+		return ErrBudgetExceeded
+	}
+	return err
+}
+
+// OpenJoin2 opens a streaming top-pairs request on the named graph; see
+// openJoin.
+func (s *Service) OpenJoin2(ctx context.Context, graphName string, p, q SetRef, query Query) (*Join2Stream, error) {
+	return openJoin(s, ctx, graphName, pairSpec{p, q}, query)
+}
+
+// Join2 runs (or serves from the prefix cache) a top-k 2-way join from p to
+// q, exactly as dhtjoin.TopKPairs would evaluate it. When the deadline
+// budget expires mid-join, the prefix drained so far is returned alongside
+// ErrBudgetExceeded.
+func (s *Service) Join2(ctx context.Context, graphName string, p, q SetRef, k int, query Query) ([]join2.Result, error) {
+	res, meta, err := s.Join2Meta(ctx, graphName, p, q, k, query)
+	return res, truncErr(meta, err)
+}
+
+// Join2Meta is Join2 with load-degradation metadata; see joinBatch.
+func (s *Service) Join2Meta(ctx context.Context, graphName string, p, q SetRef, k int, query Query) ([]join2.Result, BatchMeta, error) {
+	return joinBatch(s, ctx, graphName, pairSpec{p, q}, k, query)
+}
+
+// OpenJoinN opens a streaming n-way join request over the query graph
+// described by sets and edges (edges index into sets); see openJoin.
+func (s *Service) OpenJoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, query Query) (*JoinNStream, error) {
+	return openJoin(s, ctx, graphName, tupleSpec{sets, edges}, query)
+}
+
+// JoinN runs (or serves from the prefix cache) a top-k n-way join, exactly
+// as dhtjoin.TopK would evaluate it; budget expiry as in Join2.
+func (s *Service) JoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, k int, query Query) ([]core.Answer, error) {
+	res, meta, err := joinBatch(s, ctx, graphName, tupleSpec{sets, edges}, k, query)
+	return res, truncErr(meta, err)
+}
+
+// explainJoin resolves a request and returns the plan its execution would
+// run — the chosen algorithm, every candidate's cost estimate, and the
+// stats snapshot — without executing anything (a dry run: no admission
+// tokens, no engines). k sizes the demand a pair plan is priced for; k <= 0
+// and every tuple plan are priced for the resolved per-edge budget, as the
+// streaming entry points do.
+func explainJoin[T any](s *Service, graphName string, spec joinSpec[T], k int, query Query) (*plan.Plan, error) {
+	rq, err := resolveJoin(s, graphName, spec, query)
+	if err != nil {
+		return nil, err
+	}
+	return rq.plan(k)
+}
+
+// ExplainJoin2 is the dry run of a 2-way request; see explainJoin.
+func (s *Service) ExplainJoin2(ctx context.Context, graphName string, p, q SetRef, k int, query Query) (*plan.Plan, error) {
+	return explainJoin(s, graphName, pairSpec{p, q}, k, query)
+}
+
+// ExplainJoinN is the dry run of an n-way request; see explainJoin.
+func (s *Service) ExplainJoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, k int, query Query) (*plan.Plan, error) {
+	return explainJoin(s, graphName, tupleSpec{sets, edges}, k, query)
+}
+
+// Score computes the truncated score h_d(u, v) exactly as dhtjoin.Score (on
+// the graph as loaded; relabeling is a join-side optimization and is ignored
+// here, matching the one-shot facade). ctx bounds the wait for admission.
+func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID, query Query) (float64, error) {
+	s.scoreReqs.Add(1)
+	if err := s.admitGate(); err != nil {
+		return 0, err
+	}
+	res, err := query.Resolve()
+	if err != nil {
+		return 0, err
+	}
+	s.recordMeasure(res.Kernel.Name)
+	ge, err := s.graphFor(graphName)
+	if err != nil {
+		return 0, err
+	}
+	n := ge.g.NumNodes()
+	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+		return 0, fmt.Errorf("service: node pair (%d,%d) out of range [0,%d)", u, v, n)
+	}
+	sess, err := s.sessionFor(ge, res.Params, res.D, graph.NoRelabel, res.Kernel.Name)
+	if err != nil {
+		return 0, err
+	}
+	g, err := s.adm.acquire(ctx, query.Tenant, query.Priority, 1)
+	if err != nil {
+		return 0, err
+	}
+	defer s.adm.release(g)
+	if !res.Kernel.WalkBased {
+		// Matrix measures (simrank) score through the kernel's evaluator; the
+		// session pool holds walk engines these measures never touch.
+		ev, err := res.Kernel.NewEvaluator(sess.g, res.Params, res.D)
+		if err != nil {
+			return 0, err
+		}
+		var dst [1]float64
+		if err := ev.ScoresInto(u, []graph.NodeID{v}, res.D, dst[:]); err != nil {
+			return 0, err
+		}
+		return dst[0], nil
+	}
+	e := sess.pool.Get()
+	defer sess.pool.Put(e)
+	return e.ForwardScoreKind(res.Kernel.Walk, u, v, res.D), nil
+}

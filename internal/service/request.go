@@ -1,0 +1,565 @@
+package service
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dht"
+	"repro/internal/fault"
+	"repro/internal/graph"
+	"repro/internal/join2"
+	"repro/internal/measure"
+	"repro/internal/plan"
+	"repro/internal/rankjoin"
+)
+
+// Query carries one request's join options; the zero value means the
+// paper's defaults (DHTλ with λ = 0.2, ε = 1e-6, MIN aggregation, m = 50),
+// applied by measure.Resolve — the same resolver the one-shot dhtjoin calls
+// and njoin run, so every way of asking resolves identically.
+type Query struct {
+	// Params are the DHT coefficients; zero means the measure's default.
+	Params dht.Params
+	// Epsilon bounds the truncation error; zero means 1e-6. Ignored when D
+	// is set.
+	Epsilon float64
+	// D forces the truncation depth directly.
+	D int
+	// MeasureName selects a registered proximity measure by name ("dht",
+	// "reach", "ppr", "simrank"); empty means "dht", the paper's measure.
+	// An unknown name fails the request with measure.ErrUnknownMeasure.
+	MeasureName string
+	// Agg is the n-way aggregate; nil means Min. It is the one field the
+	// cluster wire does not carry (scatter serves 2-way joins only).
+	Agg rankjoin.Aggregate `json:"-"`
+	// M is the initial per-edge budget of the n-way join; zero means 50.
+	M int
+	// Distinct drops n-way answers repeating a node across positions.
+	Distinct bool
+	// Workers requests a worker count; the admission controller may grant
+	// fewer (results are identical at any count). 0/1 serial, negative
+	// GOMAXPROCS.
+	Workers int
+	// BatchWidth tunes the batched walk kernel; 0 default, 1 disables.
+	BatchWidth int
+	// Relabel applies the locality-aware reordering (cached per graph).
+	Relabel graph.RelabelMode
+	// Algorithm forces the named registered executor ("B-IDJ-Y", "B-BJ",
+	// "PJ-i", "AP", …) instead of the cost-based planner's pick. Results
+	// are bit-identical under any choice; an unknown name or one of the
+	// wrong query class fails the request.
+	Algorithm string
+	// Accuracy selects the planner's kernel contract: "" or "exact" (the
+	// default) restricts plans to bit-identical executors, "fast" also
+	// admits the certified fast-kernel executors — same emitted ranking
+	// (every answer near the cut is re-verified through the exact kernel),
+	// different cost. Any other spelling fails the request.
+	Accuracy string
+	// Tenant attributes the request to an admission-quota bucket; empty is
+	// the anonymous shared bucket. Quotas never change results — only
+	// whether and when a request is admitted.
+	Tenant string
+	// Priority selects the admission class: PriorityInteractive (the zero
+	// value) or PriorityBatch. Batch requests still make progress under
+	// load, just at a lower weighted-fair share.
+	Priority int
+	// Budget is this query's wall-clock deadline budget; 0 defers to the
+	// service's DefaultBudget. An expired budget truncates the query to the
+	// ranking prefix produced so far (marked truncated) rather than failing
+	// it outright.
+	Budget time.Duration
+}
+
+// Priority classes for Query.Priority.
+const (
+	PriorityInteractive = classInteractive
+	PriorityBatch       = classBatch
+)
+
+// Resolve runs the query's ranking-determining options through the system's
+// one resolver, without executing anything.
+func (q *Query) Resolve() (measure.Resolved, error) {
+	return measure.Resolve(measure.Request{
+		Measure: q.MeasureName, Params: q.Params, Epsilon: q.Epsilon, D: q.D,
+		Agg: q.Agg, M: q.M, Accuracy: q.Accuracy,
+	})
+}
+
+// pinned returns q with its resolution written back: canonical measure
+// name, explicit params, depth, m and accuracy. Resolving a pinned query is
+// the identity, so a peer that receives one has no defaults left to apply —
+// the form the cluster wire ships.
+func (q Query) pinned(res measure.Resolved) Query {
+	q.MeasureName, q.Params, q.D, q.Epsilon = res.Kernel.Name, res.Params, res.D, 0
+	q.Agg, q.M, q.Accuracy = res.Agg, res.M, res.Accuracy.String()
+	return q
+}
+
+// SetRef names the node set of one join position: either a set declared by
+// the loaded graph (Name) or an explicit node list (IDs). Exactly one must
+// be set.
+type SetRef struct {
+	Name string
+	IDs  []graph.NodeID
+}
+
+// budgetContext applies the query's resolved wall-clock budget to ctx,
+// installing ErrBudgetExceeded as the cancellation cause so budget expiry is
+// distinguishable from a client cancel. The returned cancel must always be
+// called. With no budget configured the context passes through unchanged.
+func (s *Service) budgetContext(ctx context.Context, q *Query) (context.Context, context.CancelFunc) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	b := q.Budget
+	if b <= 0 {
+		b = s.cfg.DefaultBudget
+	}
+	if s.cfg.MaxBudget > 0 && (b <= 0 || b > s.cfg.MaxBudget) {
+		b = s.cfg.MaxBudget
+	}
+	if b <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeoutCause(ctx, b, ErrBudgetExceeded)
+}
+
+// planFor runs the planner for one request through the session's plan
+// cache: cached decisions are reused while the calibration generation they
+// were stamped with still holds, so a session recalibrated by observed
+// counters re-plans with the fresh cost unit. Forced algorithms skip the
+// cache (validation is the whole cost).
+func (s *Service) planFor(sess *session, class plan.Class, baseKey string, w plan.Workload, forced string) (*plan.Plan, error) {
+	s.planReqs.Add(1)
+	// Plans are priced (and their cache entries validated) with the bucket
+	// their execution will feed — one rule, calibFor, at both ends.
+	cal := sess.calibFor(runsCertified(class, w, forced))
+	w.Calib = cal
+	if forced != "" {
+		return plan.Decide(class, w, forced)
+	}
+	var key string
+	var gen uint64
+	if baseKey != "" {
+		// baseKey embeds the accuracy mode (queryKey), so exact and fast
+		// decisions never alias one cache slot.
+		key = fmt.Sprintf("%s|plan-k=%d", baseKey, w.K)
+		gen = cal.Gen()
+		if pl, ok := sess.plans.get(key, gen); ok {
+			s.planCacheHits.Add(1)
+			return pl, nil
+		}
+	}
+	pl, err := plan.Decide(class, w, "")
+	if err != nil {
+		return nil, err
+	}
+	if key != "" {
+		sess.plans.put(key, gen, pl)
+	}
+	return pl, nil
+}
+
+// runsCertified reports whether a request can execute on the certified fast
+// kernel: a forced certified executor, or fast accuracy on a class and
+// measure that has one (no n-way executor is certified, so n-way plans are
+// always priced with the exact bucket their runs feed).
+func runsCertified(class plan.Class, w plan.Workload, forced string) bool {
+	if forced != "" {
+		d, _ := plan.Lookup(forced)
+		return d.Certified
+	}
+	if w.Accuracy != plan.Fast {
+		return false
+	}
+	for _, d := range plan.Executors(class) {
+		if d.Certified && d.Measure == w.Measure {
+			return true
+		}
+	}
+	return false
+}
+
+// refKey serializes a SetRef for the result-cache key. Explicit id lists are
+// written in full — a hashed key could collide and silently serve another
+// request's results — and names are length-prefixed for the same reason:
+// set names are caller-chosen strings, so a name containing the key
+// delimiters could otherwise alias a different request's key.
+func refKey(sb *strings.Builder, ref SetRef) {
+	if ref.Name != "" {
+		fmt.Fprintf(sb, "n%d:%s", len(ref.Name), ref.Name)
+		return
+	}
+	fmt.Fprintf(sb, "i%d:", len(ref.IDs))
+	for _, id := range ref.IDs {
+		sb.WriteString(strconv.Itoa(int(id)))
+		sb.WriteByte(',')
+	}
+}
+
+// source is the executor stream a request runs: join2.Stream for pairs,
+// core.TupleStream for tuples.
+type source[T any] interface {
+	Next() (T, bool, error)
+	Release()
+}
+
+// resultKind is what the generic request path must know about a result
+// type: how to map its node ids back through a relabeling, and how to deep
+// copy it (cached rankings are immutable snapshots).
+type resultKind[T any] struct {
+	toOld func(rl *graph.Relabeling, v *T)
+	clone func(v T) T
+}
+
+var pairKind = &resultKind[join2.Result]{
+	toOld: func(rl *graph.Relabeling, r *join2.Result) {
+		r.Pair.P, r.Pair.Q = rl.ToOld(r.Pair.P), rl.ToOld(r.Pair.Q)
+	},
+	clone: func(r join2.Result) join2.Result { return r },
+}
+
+var answerKind = &resultKind[core.Answer]{
+	toOld: func(rl *graph.Relabeling, a *core.Answer) {
+		for i := range a.Nodes {
+			a.Nodes[i] = rl.ToOld(a.Nodes[i])
+		}
+	},
+	clone: func(a core.Answer) core.Answer {
+		return core.Answer{Nodes: append([]graph.NodeID(nil), a.Nodes...), Score: a.Score}
+	},
+}
+
+// joinSpec is what a join request ranks — a (P, Q) pair of sets or an n-way
+// query graph. It is the only part of the request path the two join kinds
+// do not share.
+type joinSpec[T any] interface {
+	class() plan.Class
+	// route offers the request to the cluster router before local
+	// resolution; only pair joins scatter.
+	route(ctx context.Context, s *Service, graphName string, query Query) (*Stream[T], bool, error)
+	// bind resolves the spec's sets against ge and completes rq: the
+	// workload's sizes, the result kind, the start hook, and the spec's part
+	// of the cache key ("" when the request must bypass the caches).
+	bind(rq *request[T], ge *graphEntry) (string, error)
+}
+
+// runEnv is the per-run execution environment a start hook threads into its
+// join2.Config or core.Spec, next to the session's pool and memo.
+type runEnv struct {
+	workers int           // admission-granted worker count
+	ctrs    *dht.Counters // run-scoped; feeds the session calibration on Stop
+	cancel  func() error  // walk-round cancellation poll
+}
+
+// request is one resolved join request: session, resolved parameters, the
+// planner's view of it, and the prefix-cache key.
+type request[T any] struct {
+	svc   *Service
+	sess  *session
+	res   measure.Resolved
+	query Query
+	class plan.Class
+	kind  *resultKind[T]
+	work  plan.Workload // K is filled per demand
+	key   string        // empty when the request must bypass the caches
+
+	// start opens the executor stream of the planned algorithm. initial
+	// sizes a pair stream's first batch, and batch marks a
+	// drain-exactly-initial caller: the stream then skips the incremental F
+	// structure — whose O(|P|·|Q|) population a caller that never pulls
+	// past the initial batch pays for nothing — and runs one plain top-k
+	// join behind a doubling re-join. Tuple streams are sized by m alone.
+	start func(algorithm string, env runEnv, initial int, batch bool) (source[T], error)
+}
+
+// pairSpec is a 2-way join from p to q.
+type pairSpec struct{ p, q SetRef }
+
+func (pairSpec) class() plan.Class { return plan.TwoWay }
+
+func (sp pairSpec) route(ctx context.Context, s *Service, graphName string, query Query) (*Join2Stream, bool, error) {
+	return s.routed(ctx, graphName, sp.p, sp.q, query)
+}
+
+func (sp pairSpec) bind(rq *request[join2.Result], ge *graphEntry) (string, error) {
+	pn, err := ge.resolveSet(sp.p)
+	if err != nil {
+		return "", err
+	}
+	qn, err := ge.resolveSet(sp.q)
+	if err != nil {
+		return "", err
+	}
+	rq.kind = pairKind
+	rq.work.P, rq.work.Q = len(pn), len(qn)
+	rq.start = func(algorithm string, env runEnv, initial int, batch bool) (source[join2.Result], error) {
+		sess := rq.sess
+		cfg := join2.Config{
+			Graph: sess.g, Params: rq.res.Params, D: rq.res.D, P: pn, Q: qn, Measure: rq.res.Kernel.Walk,
+			Workers: env.workers, BatchWidth: rq.query.BatchWidth,
+			Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
+		}
+		if sess.rl != nil {
+			cfg.P, cfg.Q = sess.rl.MapToNew(pn), sess.rl.MapToNew(qn)
+		}
+		return join2.NewNamedStream(algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
+	}
+	// The key deliberately excludes k: the cache stores ranking prefixes,
+	// and the prefix invariant makes one entry serve every k up to its
+	// length.
+	var sb strings.Builder
+	sb.WriteString("join2|")
+	refKey(&sb, sp.p)
+	sb.WriteByte('|')
+	refKey(&sb, sp.q)
+	return sb.String(), nil
+}
+
+// tupleSpec is an n-way join over sets connected by edges (which index into
+// sets).
+type tupleSpec struct {
+	sets  []SetRef
+	edges [][2]int
+}
+
+func (tupleSpec) class() plan.Class { return plan.NWay }
+
+func (tupleSpec) route(context.Context, *Service, string, Query) (*JoinNStream, bool, error) {
+	return nil, false, nil
+}
+
+func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, error) {
+	nodeSets := make([]*graph.NodeSet, len(sp.sets)) // original id space
+	rq.work.SetSizes = make([]int, len(sp.sets))
+	for i, ref := range sp.sets {
+		ids, err := ge.resolveSet(ref)
+		if err != nil {
+			return "", err
+		}
+		name := ref.Name
+		if name == "" {
+			name = fmt.Sprintf("R%d", i)
+		}
+		nodeSets[i] = graph.NewNodeSet(name, ids)
+		rq.work.SetSizes[i] = len(ids)
+	}
+	rq.kind = answerKind
+	rq.work.QueryEdges = sp.edges
+	rq.start = func(algorithm string, env runEnv, _ int, _ bool) (source[core.Answer], error) {
+		sess := rq.sess
+		querySets := nodeSets
+		if sess.rl != nil {
+			querySets = make([]*graph.NodeSet, len(nodeSets))
+			for i, set := range nodeSets {
+				querySets[i] = sess.rl.MapSetToNew(set)
+			}
+		}
+		qg := core.NewQueryGraph(querySets...)
+		for _, e := range sp.edges {
+			qg.AddEdge(e[0], e[1])
+		}
+		alg, err := core.NewNamed(algorithm, core.Spec{
+			Graph: sess.g, Query: qg, Params: rq.res.Params, D: rq.res.D, Agg: rq.res.Agg,
+			K:        1, // required by Validate; the stream itself is k-free
+			Distinct: rq.query.Distinct, Measure: rq.res.Kernel.Walk,
+			Workers: env.workers, BatchWidth: rq.query.BatchWidth,
+			Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
+		}, rq.res.M)
+		if err != nil {
+			return nil, err
+		}
+		return alg.Stream()
+	}
+	// The aggregate enters the cache key by name, which identifies it only
+	// for the built-in aggregates; a caller-supplied implementation could
+	// share a name with a different function, so those requests bypass the
+	// result cache rather than risk serving another aggregate's answers.
+	// Like the 2-way key, k is excluded: the cache stores ranking prefixes.
+	if !builtinAgg(rq.res.Agg) {
+		return "", nil
+	}
+	var sb strings.Builder
+	sb.WriteString("joinN|")
+	for _, ref := range sp.sets {
+		refKey(&sb, ref)
+		sb.WriteByte('|')
+	}
+	for _, e := range sp.edges {
+		fmt.Fprintf(&sb, "e%d-%d,", e[0], e[1])
+	}
+	fmt.Fprintf(&sb, "|agg=%s|m=%d|dist=%v", rq.res.Agg.Name(), rq.res.M, rq.query.Distinct)
+	return sb.String(), nil
+}
+
+// resolveJoin resolves the query, names, sets and session of one join
+// request. A forced algorithm is validated here, before any cache can serve
+// the request — a bad hint must fail even when the ranking itself is
+// already cached.
+func resolveJoin[T any](s *Service, graphName string, spec joinSpec[T], query Query) (*request[T], error) {
+	res, err := query.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	s.recordMeasure(res.Kernel.Name)
+	if query.Algorithm != "" {
+		if err := plan.ValidateForced(spec.class(), query.Algorithm, res.Kernel.PlanMeasure); err != nil {
+			return nil, err
+		}
+	}
+	ge, err := s.graphFor(graphName)
+	if err != nil {
+		return nil, err
+	}
+	rq := &request[T]{svc: s, res: res, query: query, class: spec.class()}
+	key, err := spec.bind(rq, ge)
+	if err != nil {
+		return nil, err
+	}
+	if rq.sess, err = s.sessionFor(ge, res.Params, res.D, query.Relabel, res.Kernel.Name); err != nil {
+		return nil, err
+	}
+	rq.work.Stats = rq.sess.g.Stats()
+	rq.work.M, rq.work.D = res.M, res.D
+	rq.work.Measure, rq.work.Accuracy = res.Kernel.PlanMeasure, res.Accuracy
+	rq.work.Workers, rq.work.BatchWidth = query.Workers, query.BatchWidth
+	if key != "" {
+		// Accuracy is part of the key even though certified plans emit the
+		// same ranking: the plan cache is keyed off this string, and an
+		// exact-accuracy request must never be served a plan whose
+		// eligibility set included the certified executors (or vice versa).
+		p := res.Params
+		rq.key = fmt.Sprintf("%s|p=%v,%v,%v|d=%d|mn=%s|acc=%s", key, p.Alpha, p.Beta, p.Lambda, res.D, res.Kernel.Name, res.Accuracy)
+	}
+	return rq, nil
+}
+
+// demand is the k a plan is priced and a stream is sized for: the caller's
+// for pair joins (0 = the per-edge budget, as streams of unknown demand
+// ask), always the per-edge budget for tuple joins.
+func (rq *request[T]) demand(k int) int {
+	if rq.class == plan.NWay || k <= 0 {
+		return rq.res.M
+	}
+	return k
+}
+
+// plan runs the planner for demand k through the session's plan cache.
+func (rq *request[T]) plan(k int) (*plan.Plan, error) {
+	w := rq.work
+	w.K = rq.demand(k)
+	return rq.svc.planFor(rq.sess, rq.class, rq.key, w, rq.query.Algorithm)
+}
+
+// open acquires admission (honoring ctx) and starts the planned stream.
+func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], error) {
+	svc, sess := rq.svc, rq.sess
+	// Plan (or validate the forced algorithm) before admission: planning is
+	// sub-microsecond against the graph's cached stats, and a rejected hint
+	// must not consume admission tokens.
+	pl, err := rq.plan(k)
+	if err != nil {
+		return nil, err
+	}
+	// The budget clock starts here, covering the admission wait too: a
+	// request that spends its whole budget queued is already late.
+	qctx, cancel := svc.budgetContext(ctx, &rq.query)
+	g, err := svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority, resolveWorkers(rq.query.Workers))
+	if err != nil {
+		cancel()
+		return nil, admitErr(qctx, err)
+	}
+	// The run-scoped counters feed the session calibration on Stop and
+	// forward every increment to the service's lifetime totals.
+	ctrs := &dht.Counters{Chain: &svc.counters}
+	var st source[T]
+	if err = svc.cfg.Fault.Inject(fault.Checkout); err == nil {
+		st, err = rq.start(pl.Algorithm, runEnv{workers: g.n, ctrs: ctrs, cancel: svc.cancelPoll(qctx)}, rq.demand(k), batch)
+	}
+	if err != nil {
+		svc.adm.release(g)
+		cancel()
+		return nil, err
+	}
+	svc.recordPick(pl.Algorithm)
+	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: rq.key, kind: rq.kind, st: st, grant: g,
+		ctrs: ctrs, calib: sess.calibFor(planCertified(pl))}, nil
+}
+
+// served copies the first k results of a cached prefix, so cached rankings
+// can never be mutated by a caller.
+func (rq *request[T]) served(pre prefix, k int) []T {
+	res := pre.results.([]T)
+	out := make([]T, min(k, len(res)))
+	for i := range out {
+		out[i] = rq.kind.clone(res[i])
+	}
+	return out
+}
+
+// planCertified reports whether the plan's chosen executor runs the
+// certified fast kernel, looked up in the plan's own estimate table (which
+// forced plans carry too).
+func planCertified(pl *plan.Plan) bool {
+	for _, e := range pl.Estimates {
+		if e.Algorithm == pl.Algorithm {
+			return e.Certified
+		}
+	}
+	return false
+}
+
+// cancelPoll builds the joiners' walk-round cancellation hook for a query
+// context: it reports the context's cause (ErrBudgetExceeded on budget
+// expiry, context.Canceled on client disconnect) and doubles as the
+// walk-round fault-injection site.
+func (s *Service) cancelPoll(ctx context.Context) func() error {
+	return func() error {
+		if err := s.cfg.Fault.Inject(fault.WalkRound); err != nil {
+			return err
+		}
+		// Cause is nil while ctx is live, so this is a pure poll.
+		return context.Cause(ctx)
+	}
+}
+
+// admitErr maps an admission wait that died with the context to the richer
+// cancellation cause (budget expiry vs. plain cancel); quota rejections pass
+// through.
+func admitErr(ctx context.Context, err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if cause := context.Cause(ctx); cause != nil {
+			return cause
+		}
+	}
+	return err
+}
+
+// builtinAgg reports whether agg is one of the package-provided aggregates,
+// whose Name() uniquely identifies it. (Interface equality is safe here:
+// comparison against these comparable struct values never inspects a
+// non-comparable dynamic type on the other side.)
+func builtinAgg(agg rankjoin.Aggregate) bool {
+	switch agg {
+	case rankjoin.Sum, rankjoin.Min, rankjoin.Max, rankjoin.Avg:
+		return true
+	}
+	return false
+}
+
+// resolveWorkers normalizes a requested worker count to [1, GOMAXPROCS·1].
+func resolveWorkers(w int) int {
+	if w < 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	if w < 1 {
+		return 1
+	}
+	return w
+}
