@@ -493,7 +493,7 @@ type Stream[T any] struct {
 		Next() (T, bool, error)
 		Release()
 	}
-	toOld     func(*T) // maps a result's node ids back to the caller's; nil when not relabeled
+	toOld     func(T) T // maps a result's node ids back to the caller's; nil when not relabeled
 	stopped   bool
 	exhausted bool
 	truncated bool
@@ -539,7 +539,7 @@ func (s *Stream[T]) Next() (T, bool, error) {
 		return zero, false, err
 	}
 	if s.toOld != nil {
-		s.toOld(&v)
+		v = s.toOld(v)
 	}
 	return v, true, nil
 }

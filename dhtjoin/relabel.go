@@ -137,7 +137,7 @@ func relabeledFor(g *Graph, mode RelabelMode) (*Graph, *Relabeling) {
 
 // relabelPairConfig rewrites a 2-way config into the relabeled id space and
 // returns the map-back for its results (nil when mode is off).
-func relabelPairConfig(cfg *join2.Config, mode RelabelMode) func(*PairResult) {
+func relabelPairConfig(cfg *join2.Config, mode RelabelMode) func(PairResult) PairResult {
 	rg, r := relabeledFor(cfg.Graph, mode)
 	if r == nil {
 		return nil
@@ -145,15 +145,16 @@ func relabelPairConfig(cfg *join2.Config, mode RelabelMode) func(*PairResult) {
 	cfg.Graph = rg
 	cfg.P = r.MapToNew(cfg.P)
 	cfg.Q = r.MapToNew(cfg.Q)
-	return func(pr *PairResult) {
+	return func(pr PairResult) PairResult {
 		pr.Pair.P, pr.Pair.Q = r.ToOld(pr.Pair.P), r.ToOld(pr.Pair.Q)
+		return pr
 	}
 }
 
 // relabelSpec rewrites an n-way spec (graph and query node sets) into the
 // relabeled id space and returns the map-back for its answers (nil when mode
 // is off).
-func relabelSpec(spec *core.Spec, mode RelabelMode) func(*Answer) {
+func relabelSpec(spec *core.Spec, mode RelabelMode) func(Answer) Answer {
 	rg, r := relabeledFor(spec.Graph, mode)
 	if r == nil {
 		return nil
@@ -168,9 +169,10 @@ func relabelSpec(spec *core.Spec, mode RelabelMode) func(*Answer) {
 	}
 	spec.Graph = rg
 	spec.Query = q
-	return func(a *Answer) {
+	return func(a Answer) Answer {
 		for i := range a.Nodes {
 			a.Nodes[i] = r.ToOld(a.Nodes[i])
 		}
+		return a
 	}
 }

@@ -145,7 +145,7 @@ func NewHandler(svc *Service) http.Handler {
 			return
 		}
 		serveJoin(svc, w, r, "join2", "results", &req.joinCommon, pairSpec{req.P.toRef(), req.Q.toRef()},
-			func(pr join2.Result) any { return pairJSON{P: pr.Pair.P, Q: pr.Pair.Q, Score: pr.Score} })
+			func(pr join2.Result) pairJSON { return pairJSON{P: pr.Pair.P, Q: pr.Pair.Q, Score: pr.Score} })
 	})
 
 	mux.HandleFunc("POST /joinN", func(w http.ResponseWriter, r *http.Request) {
@@ -166,7 +166,7 @@ func NewHandler(svc *Service) http.Handler {
 			}
 		}
 		serveJoin(svc, w, r, "joinN", "answers", &req.joinCommon, spec,
-			func(a core.Answer) any { return answerJSON{Nodes: a.Nodes, Score: a.Score} })
+			func(a core.Answer) answerJSON { return answerJSON{Nodes: a.Nodes, Score: a.Score} })
 	})
 
 	mux.HandleFunc("GET /score", func(w http.ResponseWriter, r *http.Request) {
@@ -235,7 +235,7 @@ func NewHandler(svc *Service) http.Handler {
 // serveJoin is the one body of the join routes: options → explain | NDJSON
 // stream | paged batch. route prefixes error messages, field names the
 // batch response's result array, and wire renders one result.
-func serveJoin[T any](svc *Service, w http.ResponseWriter, r *http.Request, route, field string, req *joinCommon, spec joinSpec[T], wire func(T) any) {
+func serveJoin[T, W any](svc *Service, w http.ResponseWriter, r *http.Request, route, field string, req *joinCommon, spec joinSpec[T], wire func(T) W) {
 	ctx := r.Context() // a disconnected client cancels it, aborting the join
 	query, err := queryOf(r, req.Options)
 	if err != nil {
@@ -291,7 +291,7 @@ func serveJoin[T any](svc *Service, w http.ResponseWriter, r *http.Request, rout
 	}
 	exhausted := len(res) < req.Cursor+req.K && !meta.Truncated && meta.ClampedK == 0
 	res = res[min(req.Cursor, len(res)):]
-	page := make([]any, len(res))
+	page := make([]W, len(res))
 	for i, v := range res {
 		page[i] = wire(v)
 	}

@@ -92,12 +92,12 @@ func (q *Query) Resolve() (measure.Resolved, error) {
 }
 
 // pinned returns q with its resolution written back: canonical measure
-// name, explicit params, depth, m and accuracy. Resolving a pinned query is
+// name, explicit params, depth, m and accuracy (Agg, n-way only, stays). Resolving a pinned query is
 // the identity, so a peer that receives one has no defaults left to apply —
 // the form the cluster wire ships.
 func (q Query) pinned(res measure.Resolved) Query {
 	q.MeasureName, q.Params, q.D, q.Epsilon = res.Kernel.Name, res.Params, res.D, 0
-	q.Agg, q.M, q.Accuracy = res.Agg, res.M, res.Accuracy.String()
+	q.M, q.Accuracy = res.M, res.Accuracy.String()
 	return q
 }
 
@@ -214,22 +214,24 @@ type source[T any] interface {
 // type: how to map its node ids back through a relabeling, and how to deep
 // copy it (cached rankings are immutable snapshots).
 type resultKind[T any] struct {
-	toOld func(rl *graph.Relabeling, v *T)
+	toOld func(rl *graph.Relabeling, v T) T
 	clone func(v T) T
 }
 
 var pairKind = &resultKind[join2.Result]{
-	toOld: func(rl *graph.Relabeling, r *join2.Result) {
+	toOld: func(rl *graph.Relabeling, r join2.Result) join2.Result {
 		r.Pair.P, r.Pair.Q = rl.ToOld(r.Pair.P), rl.ToOld(r.Pair.Q)
+		return r
 	},
 	clone: func(r join2.Result) join2.Result { return r },
 }
 
 var answerKind = &resultKind[core.Answer]{
-	toOld: func(rl *graph.Relabeling, a *core.Answer) {
+	toOld: func(rl *graph.Relabeling, a core.Answer) core.Answer {
 		for i := range a.Nodes {
 			a.Nodes[i] = rl.ToOld(a.Nodes[i])
 		}
+		return a
 	},
 	clone: func(a core.Answer) core.Answer {
 		return core.Answer{Nodes: append([]graph.NodeID(nil), a.Nodes...), Score: a.Score}
@@ -267,7 +269,7 @@ type request[T any] struct {
 	query Query
 	class plan.Class
 	kind  *resultKind[T]
-	work  plan.Workload // K is filled per demand
+	work  plan.Workload // the spec's sizes; plan fills in the rest
 	key   string        // empty when the request must bypass the caches
 
 	// start opens the executor stream of the planned algorithm. initial
@@ -425,10 +427,6 @@ func resolveJoin[T any](s *Service, graphName string, spec joinSpec[T], query Qu
 	if rq.sess, err = s.sessionFor(ge, res.Params, res.D, query.Relabel, res.Kernel.Name); err != nil {
 		return nil, err
 	}
-	rq.work.Stats = rq.sess.g.Stats()
-	rq.work.M, rq.work.D = res.M, res.D
-	rq.work.Measure, rq.work.Accuracy = res.Kernel.PlanMeasure, res.Accuracy
-	rq.work.Workers, rq.work.BatchWidth = query.Workers, query.BatchWidth
 	if key != "" {
 		// Accuracy is part of the key even though certified plans emit the
 		// same ranking: the plan cache is keyed off this string, and an
@@ -452,8 +450,11 @@ func (rq *request[T]) demand(k int) int {
 
 // plan runs the planner for demand k through the session's plan cache.
 func (rq *request[T]) plan(k int) (*plan.Plan, error) {
-	w := rq.work
-	w.K = rq.demand(k)
+	w, res := rq.work, rq.res
+	w.Stats = rq.sess.g.Stats()
+	w.K, w.M, w.D = rq.demand(k), res.M, res.D
+	w.Measure, w.Accuracy = res.Kernel.PlanMeasure, res.Accuracy
+	w.Workers, w.BatchWidth = rq.query.Workers, rq.query.BatchWidth
 	return rq.svc.planFor(rq.sess, rq.class, rq.key, w, rq.query.Algorithm)
 }
 

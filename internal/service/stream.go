@@ -95,7 +95,7 @@ func (s *Stream[T]) Next() (T, bool, error) {
 		return zero, false, err
 	}
 	if s.sess != nil && s.sess.rl != nil {
-		s.kind.toOld(s.sess.rl, &v)
+		v = s.kind.toOld(s.sess.rl, v)
 	}
 	if s.key == "" {
 		return v, true, nil // nowhere to publish: nothing to record
