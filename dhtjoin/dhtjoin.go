@@ -155,13 +155,6 @@ type Options struct {
 	// at any setting — ties are broken by the canonical pair key.
 	Workers int
 
-	// BatchWidth is the column width of the batched walk kernel the joins
-	// use for deep walks: 0 selects the default (8 columns — one cache line
-	// per node), 1 disables batching, any other positive value is used
-	// as-is. Worker count × batch width are tuned together by the joiners.
-	// Results are identical at any setting.
-	BatchWidth int
-
 	// Relabel applies a locality-aware node reordering to the graph before
 	// joining (cached per graph, so repeated joins pay the rebuild once):
 	// the join runs on the cache-friendlier CSR and all returned node ids

@@ -3,6 +3,7 @@ package dhtjoin
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -202,7 +203,6 @@ func TestHintRejection(t *testing.T) {
 		{"unknown n-way algorithm", nway, Hints{Algorithm: "PJ-ii"}, ErrUnknownAlgorithm},
 		{"n-way executor on pair query", pair, Hints{Algorithm: "PJ-i"}, ErrHintConflict},
 		{"2-way executor on n-way query", nway, Hints{Algorithm: "B-BJ"}, ErrHintConflict},
-		{"invalid relabel mode", pair, Hints{Relabel: RelabelMode(99)}, ErrHintConflict},
 	}
 	for _, tc := range cases {
 		qy := tc.query.WithHints(tc.hints)
@@ -330,9 +330,13 @@ func TestPlannerPicksBBJForFullRanking(t *testing.T) {
 	}
 }
 
-// TestHintsOverrideOptions: hint-level Workers/BatchWidth/Relabel knobs win
-// over Options and still produce the identical ranking.
-func TestHintsOverrideOptions(t *testing.T) {
+// TestHintsForceAlgorithmOnly: Hints carries the forced executor and nothing
+// else — how a query executes (Workers, Relabel) is spelled once, in Options,
+// and still produces the identical ranking under a forced algorithm.
+func TestHintsForceAlgorithmOnly(t *testing.T) {
+	if ht := reflect.TypeOf(Hints{}); ht.NumField() != 1 || ht.Field(0).Name != "Algorithm" {
+		t.Fatalf("Hints has fields beyond Algorithm: %v", ht)
+	}
 	ctx := context.Background()
 	g, sets := plannerWorld(t, 21)
 	p, q := sets[0], sets[1]
@@ -341,13 +345,13 @@ func TestHintsOverrideOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := NewPairQuery(g, p, q).
-		WithOptions(&Options{Workers: 1, BatchWidth: 1}).
-		WithHints(Hints{Workers: 3, BatchWidth: 4, Relabel: RelabelDegree}).
+		WithOptions(&Options{Workers: 3, Relabel: RelabelDegree}).
+		WithHints(Hints{Algorithm: "B-BJ"}).
 		TopKPairs(ctx, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comparePairs(t, "hints-override", 21, 20, got, want)
+	comparePairs(t, "forced-with-options", 21, 20, got, want)
 }
 
 // TestAccuracyOption covers the Options.Accuracy knob end to end: an

@@ -39,12 +39,12 @@ type Query struct {
 }
 
 // Hints force planner decisions for one query. The zero value defers
-// everything to the cost-based planner (and the query's Options); a non-zero
-// field overrides both. Invalid hints are rejected at Validate/open time
-// with the package's typed errors: an Algorithm naming no registered
-// executor fails with ErrUnknownAlgorithm, an algorithm of the wrong query
-// class (a 2-way joiner on an n-way query, or vice versa) or an invalid
-// Relabel mode fails with ErrHintConflict — both errors.Is-able.
+// everything to the cost-based planner. Invalid hints are rejected at
+// Validate/open time with the package's typed errors: an Algorithm naming no
+// registered executor fails with ErrUnknownAlgorithm, an algorithm of the
+// wrong query class (a 2-way joiner on an n-way query, or vice versa) or of
+// another measure fails with ErrHintConflict — both errors.Is-able. How a
+// query executes (Workers, Relabel) is set in Options only.
 type Hints struct {
 	// Algorithm forces the named executor instead of the planner's pick:
 	// one of Algorithms2Way for pair queries ("B-IDJ-Y", "B-IDJ-X", "B-BJ",
@@ -52,20 +52,10 @@ type Hints struct {
 	// "PJ", "PJ-i"). Results are bit-identical under any choice — forcing
 	// is purely a cost decision.
 	Algorithm string
-
-	// Workers overrides Options.Workers when non-zero (negative selects
-	// GOMAXPROCS, exactly as in Options).
-	Workers int
-
-	// BatchWidth overrides Options.BatchWidth when non-zero.
-	BatchWidth int
-
-	// Relabel overrides Options.Relabel when not RelabelOff.
-	Relabel RelabelMode
 }
 
 // WithHints returns a copy of the query carrying h; see Hints for the
-// override and validation semantics.
+// validation semantics.
 func (qy *Query) WithHints(h Hints) *Query {
 	cp := *qy
 	cp.hints = h
@@ -197,11 +187,6 @@ func (qy *Query) validate() (measure.Resolved, error) {
 	if err != nil {
 		return none, err
 	}
-	switch qy.hints.Relabel {
-	case RelabelOff, RelabelDegree, RelabelBFS:
-	default:
-		return none, fmt.Errorf("%w: unknown relabel mode %d", ErrHintConflict, qy.hints.Relabel)
-	}
 	if qy.hints.Algorithm != "" {
 		if err := plan.ValidateForced(qy.class(), qy.hints.Algorithm, res.Kernel.PlanMeasure); err != nil {
 			return none, hintErr(err)
@@ -227,21 +212,12 @@ func (qy *Query) class() plan.Class {
 	return plan.TwoWay
 }
 
-// knobs resolves the execution knobs hints may override.
-func (qy *Query) knobs() (workers, batchWidth int, relabel RelabelMode) {
-	if qy.opts != nil {
-		workers, batchWidth, relabel = qy.opts.Workers, qy.opts.BatchWidth, qy.opts.Relabel
+// execOpts returns the options that say how (not what) the query executes.
+func (qy *Query) execOpts() (workers int, relabel RelabelMode) {
+	if qy.opts == nil {
+		return 0, RelabelOff
 	}
-	if qy.hints.Workers != 0 {
-		workers = qy.hints.Workers
-	}
-	if qy.hints.BatchWidth != 0 {
-		batchWidth = qy.hints.BatchWidth
-	}
-	if qy.hints.Relabel != RelabelOff {
-		relabel = qy.hints.Relabel
-	}
-	return workers, batchWidth, relabel
+	return qy.opts.Workers, qy.opts.Relabel
 }
 
 // decide runs the planner (or validates the forced hint) for demand k
@@ -250,8 +226,8 @@ func (qy *Query) knobs() (workers, batchWidth int, relabel RelabelMode) {
 // ids, never structure — and every executor returns the bit-identical
 // ranking, so the pick is purely a cost decision.
 func (qy *Query) decide(res measure.Resolved, k int) (*QueryPlan, error) {
-	workers, batchWidth, _ := qy.knobs()
-	w := plan.Workload{Stats: qy.g.Stats(), K: k, M: res.M, D: res.D, Workers: workers, BatchWidth: batchWidth,
+	workers, _ := qy.execOpts()
+	w := plan.Workload{Stats: qy.g.Stats(), K: k, M: res.M, D: res.D, Workers: workers,
 		Measure: res.Kernel.PlanMeasure, Accuracy: res.Accuracy}
 	if qy.join != nil {
 		w.SetSizes = make([]int, qy.join.NumSets())
@@ -332,10 +308,10 @@ func (qy *Query) openPairs(ctx context.Context, initial int, batch bool) (*PairS
 	if err != nil {
 		return nil, err
 	}
-	workers, batchWidth, relabel := qy.knobs()
+	workers, relabel := qy.execOpts()
 	ctx, cancel := qy.budgetContext(ctx)
 	cfg := join2.Config{Graph: qy.g, Params: res.Params, D: res.D, P: qy.p.Nodes(), Q: qy.q.Nodes(),
-		Measure: res.Kernel.Walk, Workers: workers, BatchWidth: batchWidth, Cancel: cancelPoll(ctx)}
+		Measure: res.Kernel.Walk, Workers: workers, Cancel: cancelPoll(ctx)}
 	toOld := relabelPairConfig(&cfg, relabel)
 	st, err := join2.NewNamedStream(pl.Algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
 	if err != nil {
@@ -430,12 +406,12 @@ func (qy *Query) OpenAnswers(ctx context.Context) (*AnswerStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers, batchWidth, relabel := qy.knobs()
+	workers, relabel := qy.execOpts()
 	ctx, cancel := qy.budgetContext(ctx)
 	// K is required by Spec.Validate but never bounds a stream; the PBRJ
 	// emission loop is k-free by construction.
 	spec := core.Spec{Graph: qy.g, Query: qy.join, Params: res.Params, D: res.D, Agg: res.Agg, K: 1,
-		Measure: res.Kernel.Walk, Workers: workers, BatchWidth: batchWidth, Cancel: cancelPoll(ctx)}
+		Measure: res.Kernel.Walk, Workers: workers, Cancel: cancelPoll(ctx)}
 	if qy.opts != nil {
 		spec.Distinct = qy.opts.Distinct
 	}

@@ -29,23 +29,19 @@ func TestOptionsRelabelRoundTripsPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []RelabelMode{RelabelOff, RelabelDegree, RelabelBFS} {
-		for _, width := range []int{0, 1, 5} {
-			got, err := TopKPairs(g, p, q, 12, &Options{Relabel: mode, BatchWidth: width})
-			if err != nil {
-				t.Fatalf("mode %v width %d: %v", mode, width, err)
+		got, err := TopKPairs(g, p, q, 12, &Options{Relabel: mode})
+		if err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("mode %v: %d results, want %d", mode, len(got), len(want))
+		}
+		for i := range got {
+			if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+				t.Fatalf("mode %v rank %d: score %v, want %v", mode, i, got[i].Score, want[i].Score)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("mode %v width %d: %d results, want %d", mode, width, len(got), len(want))
-			}
-			for i := range got {
-				if math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-					t.Fatalf("mode %v width %d rank %d: score %v, want %v",
-						mode, width, i, got[i].Score, want[i].Score)
-				}
-				if !p.Contains(got[i].Pair.P) || !q.Contains(got[i].Pair.Q) {
-					t.Fatalf("mode %v width %d rank %d: pair %v not in the original id space",
-						mode, width, i, got[i].Pair)
-				}
+			if !p.Contains(got[i].Pair.P) || !q.Contains(got[i].Pair.Q) {
+				t.Fatalf("mode %v rank %d: pair %v not in the original id space", mode, i, got[i].Pair)
 			}
 		}
 	}

@@ -81,7 +81,6 @@ func toQuery(o *Options) service.Query {
 		M:           o.M,
 		Distinct:    o.Distinct,
 		Workers:     o.Workers,
-		BatchWidth:  o.BatchWidth,
 		Relabel:     o.Relabel,
 		Accuracy:    o.Accuracy,
 		Tenant:      o.Tenant,

@@ -76,18 +76,17 @@ func (t TwoWayKind) newJoiner(cfg join2.Config) (join2.Joiner, error) {
 // join draws on the same shared resources.
 func edgeConfig(spec *Spec, e QEdge, counters *dht.Counters) join2.Config {
 	return join2.Config{
-		Graph:      spec.Graph,
-		Params:     spec.Params,
-		D:          spec.D,
-		P:          spec.Query.Set(e.From).Nodes(),
-		Q:          spec.Query.Set(e.To).Nodes(),
-		Measure:    spec.Measure,
-		Workers:    spec.Workers,
-		BatchWidth: spec.BatchWidth,
-		Counters:   counters,
-		Pool:       spec.Pool,
-		Memo:       spec.Memo,
-		Cancel:     spec.Cancel,
+		Graph:    spec.Graph,
+		Params:   spec.Params,
+		D:        spec.D,
+		P:        spec.Query.Set(e.From).Nodes(),
+		Q:        spec.Query.Set(e.To).Nodes(),
+		Measure:  spec.Measure,
+		Workers:  spec.Workers,
+		Counters: counters,
+		Pool:     spec.Pool,
+		Memo:     spec.Memo,
+		Cancel:   spec.Cancel,
 	}
 }
 

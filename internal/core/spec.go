@@ -39,11 +39,6 @@ type Spec struct {
 	// value selects GOMAXPROCS. Results are identical at any setting.
 	Workers int
 
-	// BatchWidth is the per-edge 2-way joins' batched-kernel column width
-	// (join2.Config.BatchWidth): 0 selects the default width, 1 disables
-	// batching. Results are identical at any setting.
-	BatchWidth int
-
 	// Pool, when non-nil, supplies the engines of every per-edge 2-way join
 	// (join2.Config.Pool): the joins check engines out per call/round and the
 	// algorithms return them after Run, so a long-lived owner (the serving

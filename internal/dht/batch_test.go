@@ -211,9 +211,8 @@ func TestBatchPoolCheckout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.BatchWidth = 4
 	be := pl.GetBatch()
-	if be.G != gs[0] || be.W < 4 {
+	if be.G != gs[0] || be.W < DefaultBatchWidth {
 		t.Fatalf("GetBatch handed out engine for wrong config: G ok=%v W=%d", be.G == gs[0], be.W)
 	}
 	pl.PutBatch(be)

@@ -46,13 +46,6 @@ type Engine struct {
 	// always.
 	DenseThreshold float64
 
-	// SparseEps, when positive, drops frontier entries whose probability
-	// mass is ≤ SparseEps (the entry is zeroed, not just hidden). The
-	// default 0 keeps every nonzero entry, which makes the kernel
-	// bit-identical to the dense reference; a positive threshold trades a
-	// bounded amount of mass for smaller frontiers.
-	SparseEps float64
-
 	// ForceDense disables the sparse path entirely, recovering the plain
 	// dense-sweep engine. Used by tests as the reference kernel and by
 	// counter-sensitive callers that want the original cost model.
@@ -286,7 +279,6 @@ func (e *Engine) commit(last bool) {
 		e.cur, e.next = e.next, e.cur
 		return
 	}
-	eps := e.SparseEps
 	next := e.next
 	n := len(next)
 	switch {
@@ -301,12 +293,7 @@ func (e *Engine) commit(last bool) {
 		// than sorting the touched list.
 		front := e.nextF[:0]
 		for v := range next {
-			x := next[v]
-			if x == 0 {
-				continue
-			}
-			if x <= eps {
-				next[v] = 0
+			if next[v] == 0 {
 				continue
 			}
 			front = append(front, graph.NodeID(v))
@@ -319,12 +306,7 @@ func (e *Engine) commit(last bool) {
 		slices.Sort(e.nextF)
 		kept := e.nextF[:0]
 		for _, v := range e.nextF {
-			x := next[v]
-			if x == 0 {
-				continue
-			}
-			if x <= eps {
-				next[v] = 0
+			if next[v] == 0 {
 				continue
 			}
 			kept = append(kept, v)

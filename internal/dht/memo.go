@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/pqueue"
 )
 
 // DefaultMemoSize is the number of score columns a ScoreMemo retains when
@@ -46,10 +47,8 @@ func (k memoKey) shard(mask uint32) uint32 {
 
 // memoShard is one independently locked LRU stripe.
 type memoShard struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[memoKey][]float64
-	order   []memoKey // most recently used last
+	mu   sync.Mutex
+	cols *pqueue.LRU[memoKey, []float64]
 }
 
 // ScoreMemo is an LRU cache of backward-walk score columns keyed by
@@ -93,8 +92,7 @@ func NewScoreMemo(capacity int) *ScoreMemo {
 	}
 	per := (capacity + n - 1) / n
 	for i := range m.shards {
-		m.shards[i].cap = per
-		m.shards[i].entries = make(map[memoKey][]float64, per)
+		m.shards[i].cols = pqueue.NewLRU[memoKey, []float64](per)
 	}
 	return m
 }
@@ -109,10 +107,7 @@ func (m *ScoreMemo) Get(kind Kind, q graph.NodeID, steps int) ([]float64, bool) 
 	k := memoKey{kind, q, steps}
 	s := &m.shards[k.shard(m.mask)]
 	s.mu.Lock()
-	col, ok := s.entries[k]
-	if ok {
-		s.touchLocked(k)
-	}
+	col, ok := s.cols.Get(k)
 	s.mu.Unlock()
 	if ok {
 		m.hits.Add(1)
@@ -140,17 +135,10 @@ func (m *ScoreMemo) Put(kind Kind, q graph.NodeID, steps int, scores []float64) 
 	copy(col, scores)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[k]; ok {
-		s.touchLocked(k)
+	if _, ok := s.cols.Get(k); ok {
 		return
 	}
-	if len(s.order) >= s.cap {
-		oldest := s.order[0]
-		s.order = s.order[1:]
-		delete(s.entries, oldest)
-	}
-	s.entries[k] = col
-	s.order = append(s.order, k)
+	s.cols.Put(k, col)
 }
 
 // Len reports the number of cached columns.
@@ -162,7 +150,7 @@ func (m *ScoreMemo) Len() int {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
-		n += len(s.entries)
+		n += s.cols.Len()
 		s.mu.Unlock()
 	}
 	return n
@@ -195,17 +183,4 @@ func (m *ScoreMemo) Misses() int64 {
 		return 0
 	}
 	return m.misses.Load()
-}
-
-// touchLocked moves k to the shard's most-recently-used position. O(shard
-// cap), which is fine for the small per-shard capacities the memo is meant
-// for. The caller holds the shard lock and has verified k is present.
-func (s *memoShard) touchLocked(k memoKey) {
-	for i, ok := range s.order {
-		if ok == k {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = k
-			return
-		}
-	}
 }

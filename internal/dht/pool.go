@@ -82,17 +82,13 @@ func (c *Counters) Reset() {
 // by Get carry the pool's Sink; each engine is still single-goroutine — the
 // pool only makes checkout/checkin concurrency-safe.
 //
-// Batch engines are pooled too (GetBatch/PutBatch): workers that batch their
-// walks check out a BatchEngine of at least the pool's BatchWidth, so worker
-// count × batch width are tuned together by the joiner that owns the pool.
+// Batch engines are pooled too (GetBatch/PutBatch), every one at least
+// DefaultBatchWidth columns wide; callers chunk at the width of the engine
+// they were handed (BatchEngine.W).
 type EnginePool struct {
 	G      *graph.Graph
 	Params Params
 	D      int
-
-	// BatchWidth is the column capacity of the batch engines GetBatch hands
-	// out; zero selects DefaultBatchWidth. Set it before the first GetBatch.
-	BatchWidth int
 
 	// FastWidth is the lane count of the fast engines GetFast hands out;
 	// zero selects DefaultFastWidth. Set it before the first GetFast.
@@ -159,16 +155,8 @@ func (pl *EnginePool) Put(e *Engine) {
 // that after a mid-stream abort.
 func (pl *EnginePool) Outstanding() int64 { return pl.outstanding.Load() }
 
-// batchWidth resolves the pool's batch-engine column capacity.
-func (pl *EnginePool) batchWidth() int {
-	if pl.BatchWidth > 0 {
-		return pl.BatchWidth
-	}
-	return DefaultBatchWidth
-}
-
 // GetBatch checks out a bit-identical batch engine with column capacity ≥
-// the pool's BatchWidth. Entries are validated like Get's: a mismatched or
+// DefaultBatchWidth. Entries are validated like Get's: a mismatched or
 // too-narrow engine is dropped and replaced. The validation is also the
 // cross-contract firewall: sync.Pool stores untyped values, so a recycled
 // entry of the wrong engine kind (e.g. a FastCertified engine shoved into
@@ -177,11 +165,10 @@ func (pl *EnginePool) batchWidth() int {
 // checkout, because every caller of GetBatch relies on == comparability of
 // the scores.
 func (pl *EnginePool) GetBatch() *BatchEngine {
-	w := pl.batchWidth()
 	be, _ := pl.bpool.Get().(*BatchEngine)
 	if be == nil || be.Contract() != BitIdentical ||
-		be.G != pl.G || be.Params != pl.Params || be.D != pl.D || be.W < w {
-		be, _ = NewBatchEngine(pl.G, pl.Params, pl.D, w)
+		be.G != pl.G || be.Params != pl.Params || be.D != pl.D || be.W < DefaultBatchWidth {
+		be, _ = NewBatchEngine(pl.G, pl.Params, pl.D, DefaultBatchWidth)
 	}
 	be.Sink = pl.Sink
 	pl.outstanding.Add(1)
@@ -196,7 +183,7 @@ func (pl *EnginePool) PutBatch(be *BatchEngine) {
 	}
 	pl.outstanding.Add(-1)
 	if be.Contract() != BitIdentical ||
-		be.G != pl.G || be.Params != pl.Params || be.D != pl.D || be.W < pl.batchWidth() {
+		be.G != pl.G || be.Params != pl.Params || be.D != pl.D || be.W < DefaultBatchWidth {
 		return
 	}
 	pl.bpool.Put(be)

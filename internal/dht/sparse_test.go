@@ -221,31 +221,6 @@ func TestWalkStateHygiene(t *testing.T) {
 	}
 }
 
-// TestSparseEpsApproximation: a positive mass threshold must stay within an
-// absolute α·ε·d·λ-ish envelope of the exact kernel (each dropped entry
-// carries at most ε mass per step).
-func TestSparseEpsApproximation(t *testing.T) {
-	g := sparseTestGraphs(t)[1]
-	p := DHTLambda(0.5)
-	d := 8
-	exact := mustEngine(t, g, p, d)
-	approx := mustEngine(t, g, p, d)
-	approx.SparseEps = 1e-9
-	approx.DenseThreshold = 1e9 // keep every step sparse so the threshold acts
-	n := g.NumNodes()
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for _, q := range []graph.NodeID{0, graph.NodeID(n / 2)} {
-		exact.BackWalk(q, d, a)
-		approx.BackWalk(q, d, b)
-		for u := range a {
-			if math.Abs(a[u]-b[u]) > 1e-6 {
-				t.Fatalf("eps-approx too far at %d→%d: %v vs %v", u, q, a[u], b[u])
-			}
-		}
-	}
-}
-
 // TestEnginePoolReuse checks the pool hands engines back out after Put and
 // that pooled engines aggregate into the shared sink from many goroutines.
 func TestEnginePoolReuse(t *testing.T) {

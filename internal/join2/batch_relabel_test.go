@@ -6,54 +6,44 @@ import (
 	"repro/internal/graph"
 )
 
-// TestBatchWidthsBitIdenticalTopK: every joiner must return *exactly* the
-// same results (score bits included) at any batch width, including widths
-// far beyond the target count and width 1 (the solo engine), because the
-// batched kernel is bit-identical to solo walks. Workers × widths are
-// crossed to cover the batch-aware pool checkout.
-func TestBatchWidthsBitIdenticalTopK(t *testing.T) {
+// TestWorkersBitIdenticalTopK: every joiner must return *exactly* the same
+// results (score bits included) at any worker count — the walker's fan-out,
+// chunk claiming and partial-heap merge are invisible in the ranking.
+func TestWorkersBitIdenticalTopK(t *testing.T) {
 	cfg := testConfig(t, 41, 0.3)
-	base := cfg
-	base.BatchWidth = 1 // solo reference
-	for _, workers := range []int{0, 3} {
-		base.Workers = workers
-		want := map[string][]Result{}
-		for _, j := range allJoiners(t, base) {
-			res, err := j.TopK(20)
-			if err != nil {
-				t.Fatalf("%s solo: %v", j.Name(), err)
-			}
-			want[j.Name()] = res
+	want := map[string][]Result{}
+	for _, j := range allJoiners(t, cfg) {
+		res, err := j.TopK(20)
+		if err != nil {
+			t.Fatalf("%s serial: %v", j.Name(), err)
 		}
-		for _, w := range []int{2, 7, 8, 64} {
-			bcfg := cfg
-			bcfg.Workers = workers
-			bcfg.BatchWidth = w
-			for _, j := range allJoiners(t, bcfg) {
-				got, err := j.TopK(20)
-				if err != nil {
-					t.Fatalf("%s width %d: %v", j.Name(), w, err)
-				}
-				ref := want[j.Name()]
-				if len(got) != len(ref) {
-					t.Fatalf("%s width %d workers %d: %d results, want %d",
-						j.Name(), w, workers, len(got), len(ref))
-				}
-				for i := range got {
-					if got[i] != ref[i] {
-						t.Fatalf("%s width %d workers %d rank %d: %+v != solo %+v",
-							j.Name(), w, workers, i, got[i], ref[i])
-					}
+		want[j.Name()] = res
+	}
+	for _, workers := range []int{2, 3, -1} {
+		wcfg := cfg
+		wcfg.Workers = workers
+		for _, j := range allJoiners(t, wcfg) {
+			got, err := j.TopK(20)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", j.Name(), workers, err)
+			}
+			ref := want[j.Name()]
+			if len(got) != len(ref) {
+				t.Fatalf("%s workers %d: %d results, want %d", j.Name(), workers, len(got), len(ref))
+			}
+			for i := range got {
+				if got[i] != ref[i] {
+					t.Fatalf("%s workers %d rank %d: %+v != serial %+v", j.Name(), workers, i, got[i], ref[i])
 				}
 			}
 		}
 	}
 }
 
-// TestIncrementalBatchWidthsAndMemo: the PJ-i stream must emit the same
-// sequence at any batch width and with the memo on or off (memo hits replay
-// cached columns of the same engine, so even the bits agree).
-func TestIncrementalBatchWidthsAndMemo(t *testing.T) {
+// TestIncrementalMemoSizes: the PJ-i stream must emit the same sequence with
+// the memo on, tiny, or off (memo hits replay cached columns of the same
+// kernel, so even the bits agree).
+func TestIncrementalMemoSizes(t *testing.T) {
 	cfg := testConfig(t, 42, 0.25)
 	stream := func(c Config) []Result {
 		t.Helper()
@@ -77,25 +67,19 @@ func TestIncrementalBatchWidthsAndMemo(t *testing.T) {
 		}
 		return res
 	}
-	solo := cfg
-	solo.BatchWidth = 1
-	solo.MemoSize = -1
-	want := stream(solo)
-	for _, variant := range []Config{
-		{BatchWidth: 0, MemoSize: 0},   // defaults: batched + memo
-		{BatchWidth: 7, MemoSize: 2},   // odd width, tiny memo
-		{BatchWidth: 64, MemoSize: -1}, // wide, memo off
-	} {
+	off := cfg
+	off.MemoSize = -1
+	want := stream(off)
+	for _, memoSize := range []int{0, 2} { // default, tiny
 		c := cfg
-		c.BatchWidth = variant.BatchWidth
-		c.MemoSize = variant.MemoSize
+		c.MemoSize = memoSize
 		got := stream(c)
 		if len(got) != len(want) {
-			t.Fatalf("width %d memo %d: %d results, want %d", c.BatchWidth, c.MemoSize, len(got), len(want))
+			t.Fatalf("memo %d: %d results, want %d", memoSize, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("width %d memo %d rank %d: %+v != %+v", c.BatchWidth, c.MemoSize, i, got[i], want[i])
+				t.Fatalf("memo %d rank %d: %+v != %+v", memoSize, i, got[i], want[i])
 			}
 		}
 	}

@@ -8,23 +8,15 @@ import (
 
 // BBJ is the Backward Basic Join (§VI-A): one d-step backward walk per q ∈ Q
 // yields h_d(p, q) for every p at once, so the complexity is O(|Q|·d·|E|) —
-// a factor |P| better than F-BJ. The per-target walks run through the
-// batched kernel (Config.BatchWidth columns per CSR traversal) behind a
+// a factor |P| better than F-BJ. The walks go through the walker behind a
 // small (q, l)-keyed memo that serves repeated TopK calls on the same
-// joiner — the PJ re-join stream — without re-walking recently seen targets.
-// With Config.Workers set, the walks are spread over a worker pool (see
-// ParallelBBJ for the dedicated type); either way the engines and their
-// O(|V|) scratch are reused across TopK calls, so a joiner is
-// single-goroutine like the engines it owns.
+// joiner — the PJ re-join stream — without re-walking recently seen targets,
+// at any Config.Workers. Engines and their O(|V|) scratch are reused across
+// TopK calls, so a joiner is single-goroutine like the engines it owns.
 type BBJ struct {
 	cfg  Config
-	e    *dht.Engine
-	be   *dht.BatchEngine
+	w    *walker
 	memo *dht.ScoreMemo
-	par  *ParallelBBJ // cached worker-pool delegate when Workers > 1
-
-	// scratch for the memo-miss batch, reused across TopK calls
-	pending []graph.NodeID
 }
 
 // NewBBJ validates the config and returns the joiner.
@@ -32,18 +24,18 @@ func NewBBJ(cfg Config) (*BBJ, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &BBJ{cfg: cfg, memo: cfg.newMemo()}, nil
+	b := &BBJ{cfg: cfg, memo: cfg.newMemo()}
+	b.w = newWalker(&b.cfg)
+	return b, nil
 }
 
 // Name implements Joiner.
 func (b *BBJ) Name() string { return "B-BJ" }
 
-// Release returns the joiner's cached engines to the caller-owned pool
-// (Config.Pool); no-op without one. The memo is untouched — a caller-owned
-// memo outlives the joiner by design, and a joiner-built one is garbage.
-func (b *BBJ) Release() {
-	b.cfg.releaseEngines(&b.e, &b.be)
-}
+// Release returns the joiner's held engines to the pool (Config.Pool when
+// set). The memo is untouched — a caller-owned memo outlives the joiner by
+// design, and a joiner-built one is garbage.
+func (b *BBJ) Release() { b.w.release() }
 
 // TopK implements Joiner.
 func (b *BBJ) TopK(k int) ([]Result, error) {
@@ -51,90 +43,29 @@ func (b *BBJ) TopK(k int) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w := b.cfg.workerCount(len(b.cfg.Q)); w > 1 {
-		if b.par == nil {
-			if b.par, err = NewParallelBBJ(b.cfg, w); err != nil {
-				return nil, err
-			}
-		}
-		return b.par.TopK(k)
+	tops := newPartials[Pair](k, b.cfg.workerCount(len(b.cfg.Q)))
+	if err := b.w.columns(b.cfg.Q, b.cfg.D, b.memo, func(wi, qi int, scores []float64) {
+		addColumn(tops[wi], b.cfg.P, b.cfg.Q[qi], scores)
+	}); err != nil {
+		return nil, err
 	}
-	d := b.cfg.D
-	top := pqueue.NewTopK[Pair](k)
-	// scores[q] is 0 by definition (h(v,v) = 0), so pairs with p == q
-	// participate with score 0, matching the forward algorithms. AddTie's
-	// canonical tie key makes the selection independent of target order, so
-	// serving memo hits first cannot change the result.
-	addColumn := func(q graph.NodeID, scores []float64) {
-		for _, p := range b.cfg.P {
-			pr := Pair{p, q}
-			top.AddTie(pr, scores[p], pairTie(pr))
-		}
-	}
-	// A sequential pass over more targets than the LRU holds would evict
-	// every entry before its next-TopK re-use — all copy cost, zero hits —
-	// so the memo only engages when Q fits in it.
-	memo := b.memo
-	if len(b.cfg.Q) > memo.Cap() {
-		memo = nil
-	}
-	if b.cfg.batchRounds(d) {
-		if b.be == nil {
-			b.be = b.cfg.batchEngine()
-		}
-		bw := b.be.W
-		b.pending = b.pending[:0]
-		flush := func() error {
-			for base := 0; base < len(b.pending); base += bw {
-				// Each chunk is one full-depth batched walk — the serial
-				// B-BJ's walk round, and its cancellation poll point.
-				if err := b.cfg.canceled(); err != nil {
-					return err
-				}
-				end := min(base+bw, len(b.pending))
-				chunk := b.pending[base:end]
-				cols := b.be.BackWalkScoresBatch(b.cfg.Measure, chunk, d)
-				for ci, q := range chunk {
-					memo.Put(b.cfg.Measure, q, d, cols[ci])
-					addColumn(q, cols[ci])
-				}
-			}
-			b.pending = b.pending[:0]
-			return nil
-		}
-		for _, q := range b.cfg.Q {
-			if scores, ok := memo.Get(b.cfg.Measure, q, d); ok {
-				addColumn(q, scores)
-				continue
-			}
-			b.pending = append(b.pending, q)
-		}
-		if err := flush(); err != nil {
-			return nil, err
-		}
-		return collect(top), nil
-	}
-	if b.e == nil {
-		if b.e, err = b.cfg.engine(); err != nil {
-			return nil, err
-		}
-	}
-	for _, q := range b.cfg.Q {
-		if scores, ok := memo.Get(b.cfg.Measure, q, d); ok {
-			addColumn(q, scores)
-			continue
-		}
-		if err := b.cfg.canceled(); err != nil {
-			return nil, err
-		}
-		scores := b.e.BackWalkScores(b.cfg.Measure, q, d)
-		memo.Put(b.cfg.Measure, q, d, scores)
-		addColumn(q, scores)
-	}
-	return collect(top), nil
+	return collect(mergePartials(tops, k, pairTie)), nil
 }
 
 // AllPairs evaluates every pair and returns the full descending ranking.
 func (b *BBJ) AllPairs() ([]Result, error) {
 	return b.TopK(b.cfg.MaxPairs())
+}
+
+// addColumn offers every pair (p, q), p ∈ ps, with its score from q's
+// backward column. scores[q] is 0 by definition (h(v,v) = 0), so pairs with
+// p == q participate with score 0, matching the forward algorithms. The
+// canonical tie key makes the selection independent of the order targets
+// arrive in, so memo hits served first and workers racing each other cannot
+// change the result.
+func addColumn(top *pqueue.TopK[Pair], ps []graph.NodeID, q graph.NodeID, scores []float64) {
+	for _, p := range ps {
+		pr := Pair{p, q}
+		top.AddTie(pr, scores[p], pairTie(pr))
+	}
 }

@@ -82,11 +82,13 @@ func BenchmarkIncrementalNext(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelBBJ measures the worker-pool backward join against
-// BenchmarkBBJTop50.
-func BenchmarkParallelBBJ(b *testing.B) {
+// BenchmarkBBJWorkers measures B-BJ fanned out over GOMAXPROCS workers
+// against BenchmarkBBJTop50.
+func BenchmarkBBJWorkers(b *testing.B) {
 	cfg := benchConfig(b)
-	j, err := NewParallelBBJ(cfg, 0)
+	cfg.Workers = -1
+	cfg.MemoSize = -1 // measure the walks, not the memo the repeated TopK would hit
+	j, err := NewBBJ(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package join2
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/dht"
 	"repro/internal/graph"
@@ -47,18 +46,16 @@ type IterStat struct {
 // and with the sparse walk kernel the early short-walk rounds cost only the
 // frontier edges they actually touch.
 //
-// The joiner caches its engine and the Y⁺ₗ table across TopK calls (the PJ
+// The joiner caches its engines and the Y⁺ₗ table across TopK calls (the PJ
 // re-join stream calls TopK repeatedly), so a BIDJ is single-goroutine. With
-// Config.Workers set, each deepening round spreads its per-target walks over
-// an engine pool; the merged bounds, pruning decisions, and final ranking
-// are bit-identical to the serial run.
+// Config.Workers set, the walker spreads each round's walks over workers;
+// the merged bounds, pruning decisions, and final ranking are bit-identical
+// to the serial run.
 type BIDJ struct {
 	cfg     Config
 	variant BoundVariant
-	e       *dht.Engine
-	be      *dht.BatchEngine // batched kernel for deep rounds; lazily built
+	w       *walker
 	yt      *dht.YBoundTable
-	pool    *dht.EnginePool
 
 	// LinearSchedule advances the deepening walk length by +1 per round
 	// instead of doubling it. Exists for the schedule ablation bench; the
@@ -70,7 +67,8 @@ type BIDJ struct {
 
 	// record, when non-nil, receives every (pair, lower, upper, l) bound
 	// observation; the incremental join uses it to populate its F structure.
-	// A recording run is always serial.
+	// It is called from the walker's callback, so a recording joiner's
+	// config has one worker.
 	record func(pr Pair, lower, upper float64, l int)
 }
 
@@ -80,7 +78,9 @@ func NewBIDJ(cfg Config, variant BoundVariant) (*BIDJ, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &BIDJ{cfg: cfg, variant: variant}, nil
+	b := &BIDJ{cfg: cfg, variant: variant}
+	b.w = newWalker(&b.cfg)
+	return b, nil
 }
 
 // NewBIDJX returns the B-IDJ-X joiner.
@@ -92,40 +92,23 @@ func NewBIDJY(cfg Config) (*BIDJ, error) { return NewBIDJ(cfg, BoundY) }
 // Name implements Joiner.
 func (b *BIDJ) Name() string { return "B-IDJ-" + b.variant.String() }
 
-// TopK implements Joiner.
-func (b *BIDJ) TopK(k int) ([]Result, error) {
-	k, err := b.cfg.clampK(k)
-	if err != nil {
-		return nil, err
-	}
-	if w := b.cfg.workerCount(len(b.cfg.Q)); w > 1 && b.record == nil {
-		return b.runParallel(k, w)
-	}
-	if b.e == nil {
-		if b.e, err = b.cfg.engine(); err != nil {
-			return nil, err
-		}
-	}
-	return b.run(b.e, k)
-}
-
-// Release returns the joiner's cached engines to the caller-owned pool
-// (Config.Pool), so a serving layer that constructs joiners per request
-// recycles their O(|V|) scratch. No-op without a caller pool. The joiner
-// stays usable — engines are re-checked out lazily — but the idiomatic
-// pattern is Release after the last TopK. The Y⁺ₗ table is retained: it
-// depends only on (P, Q, d) and is the joiner's to keep.
-func (b *BIDJ) Release() {
-	b.cfg.releaseEngines(&b.e, &b.be)
-}
+// Release returns the joiner's held engines to the pool (Config.Pool when
+// set), so a serving layer that constructs joiners per request recycles
+// their O(|V|) scratch. The joiner stays usable — engines are re-checked out
+// lazily — but the idiomatic pattern is Release after the last TopK. The
+// Y⁺ₗ table is retained: it depends only on (P, Q, d) and is the joiner's to
+// keep.
+func (b *BIDJ) Release() { b.w.release() }
 
 // ubound returns the U⁺ₗ provider, building (and caching) the Y table on
-// first use. The table only depends on P, Q, and d — not on which q's remain
-// alive — so one build serves every TopK call of the joiner's lifetime.
-func (b *BIDJ) ubound(e *dht.Engine) func(q graph.NodeID, l int) float64 {
+// first use — one serial O(d·|E|) walk from all of P simultaneously. The
+// table only depends on P, Q, and d — not on which q's remain alive — so one
+// build serves every TopK call of the joiner's lifetime, and every worker of
+// every round reads the same table.
+func (b *BIDJ) ubound() func(q graph.NodeID, l int) float64 {
 	if b.variant == BoundY {
 		if b.yt == nil {
-			b.yt = dht.NewYBoundTable(e, b.cfg.P, b.cfg.Q)
+			b.yt = dht.NewYBoundTable(b.w.solo(), b.cfg.P, b.cfg.Q)
 		}
 		return b.yt.Bound
 	}
@@ -141,51 +124,39 @@ func (b *BIDJ) advance(l int) int {
 	return l * 2
 }
 
-// forEachScores hands fn the backward score column of every target in qs at
-// walk length l, in qs order. Deep rounds run through the batched kernel —
-// one CSR traversal per step serves a whole width of targets — while short
-// rounds stay on the solo β-prefilled column (see batchMinSteps). Columns
-// are valid only within the fn invocation.
-func (b *BIDJ) forEachScores(e *dht.Engine, qs []graph.NodeID, l int, fn func(qi int, scores []float64)) {
-	if !b.cfg.batchRounds(l) || len(qs) < 2 {
-		for qi, q := range qs {
-			fn(qi, e.BackWalkScores(b.cfg.Measure, q, l))
-		}
-		return
+// TopK implements Joiner: Algorithm 2, written against one partial heap per
+// walker worker. The threshold T_k of a round is the k-th largest of the
+// union of the workers' candidate lower bounds — a value independent of
+// insertion order — and ties in the final heap are broken by the canonical
+// pair key, so the output is bit-identical at any worker count; with one
+// worker the partial is the round's heap. The cancellation hook is polled
+// once per deepening round (and by the walker per chunk), so a budgeted or
+// disconnected request stops early instead of walking to d.
+func (b *BIDJ) TopK(k int) ([]Result, error) {
+	k, err := b.cfg.clampK(k)
+	if err != nil {
+		return nil, err
 	}
-	if b.be == nil {
-		b.be = b.cfg.batchEngine()
-	}
-	bw := b.be.W
-	for base := 0; base < len(qs); base += bw {
-		end := min(base+bw, len(qs))
-		cols := b.be.BackWalkScoresBatch(b.cfg.Measure, qs[base:end], l)
-		for ci := range cols {
-			fn(base+ci, cols[ci])
-		}
-	}
-}
-
-// run executes Algorithm 2 serially. It assumes k is already clamped. The
-// cancellation hook is polled once per deepening round, so a budgeted or
-// disconnected request stops between rounds instead of walking to d.
-func (b *BIDJ) run(e *dht.Engine, k int) ([]Result, error) {
 	d := b.cfg.D
 	b.Stats = b.Stats[:0]
-	ubound := b.ubound(e)
+	ubound := b.ubound()
 
 	alive := make([]graph.NodeID, len(b.cfg.Q))
 	copy(alive, b.cfg.Q)
 	beta := b.cfg.Params.Beta
+	workers := b.cfg.workerCount(len(alive))
 
-	lower := pqueue.NewTopK[struct{}](k)
+	lowers := newPartials[struct{}](k, workers)
 	for l := 1; l < d; l = b.advance(l) {
 		if err := b.cfg.canceled(); err != nil {
 			return nil, err
 		}
-		lower.Reset()
+		for _, lo := range lowers {
+			lo.Reset()
+		}
 		qUpper := make([]float64, len(alive))
-		b.forEachScores(e, alive, l, func(qi int, scores []float64) {
+		if err := b.w.columns(alive, l, nil, func(wi, qi int, scores []float64) {
+			lower := lowers[wi]
 			q := alive[qi]
 			pMax := math.Inf(-1)
 			for _, p := range b.cfg.P {
@@ -203,26 +174,29 @@ func (b *BIDJ) run(e *dht.Engine, k int) ([]Result, error) {
 					b.record(Pair{p, q}, scores[p], scores[p]+ubound(q, l), l)
 				}
 			}
-		})
-		alive = b.prune(alive, qUpper, lower, l)
+		}); err != nil {
+			return nil, err
+		}
+		alive = b.prune(alive, qUpper, mergePartials(lowers, k, nil), l)
 	}
 
 	// Final exact round over the survivors.
 	if err := b.cfg.canceled(); err != nil {
 		return nil, err
 	}
-	top := pqueue.NewTopK[Pair](k)
-	b.forEachScores(e, alive, d, func(qi int, scores []float64) {
+	tops := newPartials[Pair](k, workers)
+	if err := b.w.columns(alive, d, nil, func(wi, qi int, scores []float64) {
 		q := alive[qi]
-		for _, p := range b.cfg.P {
-			pr := Pair{p, q}
-			top.AddTie(pr, scores[p], pairTie(pr))
-			if b.record != nil {
-				b.record(pr, scores[p], scores[p], d)
+		addColumn(tops[wi], b.cfg.P, q, scores)
+		if b.record != nil {
+			for _, p := range b.cfg.P {
+				b.record(Pair{p, q}, scores[p], scores[p], d)
 			}
 		}
-	})
-	return collect(top), nil
+	}); err != nil {
+		return nil, err
+	}
+	return collect(mergePartials(tops, k, pairTie)), nil
 }
 
 // prune applies the round's bound test, appends the IterStat, and returns
@@ -242,187 +216,6 @@ func (b *BIDJ) prune(alive []graph.NodeID, qUpper []float64, lower *pqueue.TopK[
 	}
 	b.Stats = append(b.Stats, st)
 	return alive
-}
-
-// scatterScores fans the backward walks of targets qs at length l over at
-// most workers goroutines and calls fn(wi, qi, scores) once per target. fn
-// invocations with distinct wi run concurrently; scores columns are valid
-// only within the call. Deep rounds check batch engines out of the pool and
-// hand each worker whole width-sized chunks — the round spawns one engine
-// sweep per chunk instead of one per target — and the worker count is capped
-// at the chunk count, so worker count × batch width stay tuned together.
-// Short rounds stride targets over solo engines as before. Returns the
-// worker count used (the maximum wi is one less). Worker bodies run under
-// guard (a panic unwinds the worker's engine checkouts and surfaces as an
-// error) and poll the cancellation hook per chunk; the first error wins and
-// the remaining workers stop at their next poll.
-func (b *BIDJ) scatterScores(pool *dht.EnginePool, qs []graph.NodeID, l, workers int, fn func(wi, qi int, scores []float64)) (int, error) {
-	bw := 1
-	if b.cfg.batchRounds(l) && len(qs) >= 2 {
-		bw = b.cfg.batchWidth()
-	}
-	w := workers
-	if chunks := (len(qs) + bw - 1) / bw; w > chunks {
-		w = chunks
-	}
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	bail := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			if err := guard(func() {
-				if bw > 1 {
-					be := b.cfg.checkoutBatch(pool)
-					defer pool.PutBatch(be)
-					for base := wi * bw; base < len(qs); base += w * bw {
-						if err := b.cfg.canceled(); err != nil {
-							fail(err)
-							return
-						}
-						if bail() {
-							return
-						}
-						end := min(base+bw, len(qs))
-						cols := be.BackWalkScoresBatch(b.cfg.Measure, qs[base:end], l)
-						for ci := range cols {
-							fn(wi, base+ci, cols[ci])
-						}
-					}
-				} else {
-					e := b.cfg.checkout(pool)
-					defer pool.Put(e)
-					for qi := wi; qi < len(qs); qi += w {
-						if err := b.cfg.canceled(); err != nil {
-							fail(err)
-							return
-						}
-						if bail() {
-							return
-						}
-						fn(wi, qi, e.BackWalkScores(b.cfg.Measure, qs[qi], l))
-					}
-				}
-			}); err != nil {
-				fail(err)
-			}
-		}(wi)
-	}
-	wg.Wait()
-	return w, firstErr
-}
-
-// runParallel is run with each round's per-target walks spread over an
-// engine pool. The threshold T_k of a round is the k-th largest of the union
-// of the workers' candidate lower bounds — a value independent of insertion
-// order — and ties in the final heap are broken by the canonical pair key,
-// so the output is bit-identical to the serial run at any worker count and
-// any batch width.
-func (b *BIDJ) runParallel(k, workers int) ([]Result, error) {
-	if b.pool == nil {
-		pool, err := b.cfg.enginePool()
-		if err != nil {
-			return nil, err
-		}
-		b.pool = pool
-	}
-	pool := b.pool
-	d := b.cfg.D
-	b.Stats = b.Stats[:0]
-
-	// The Y table is built once on a pooled engine (one serial O(d·|E|)
-	// walk from all of P simultaneously); every worker of every round reads
-	// the same table.
-	e0 := b.cfg.checkout(pool)
-	ubound := b.ubound(e0)
-	pool.Put(e0)
-
-	alive := make([]graph.NodeID, len(b.cfg.Q))
-	copy(alive, b.cfg.Q)
-	beta := b.cfg.Params.Beta
-
-	for l := 1; l < d; l = b.advance(l) {
-		if err := b.cfg.canceled(); err != nil {
-			return nil, err
-		}
-		qUpper := make([]float64, len(alive))
-		lowers := make([]*pqueue.TopK[struct{}], workers)
-		_, err := b.scatterScores(pool, alive, l, workers, func(wi, qi int, scores []float64) {
-			lo := lowers[wi]
-			if lo == nil {
-				lo = pqueue.NewTopK[struct{}](k)
-				lowers[wi] = lo
-			}
-			q := alive[qi]
-			pMax := math.Inf(-1)
-			for _, p := range b.cfg.P {
-				s := scores[p]
-				if s > beta || p == q {
-					lo.Add(struct{}{}, s)
-				}
-				if s > pMax {
-					pMax = s
-				}
-			}
-			qUpper[qi] = pMax + ubound(q, l)
-		})
-		if err != nil {
-			return nil, err
-		}
-		lower := pqueue.NewTopK[struct{}](k)
-		for _, lo := range lowers {
-			if lo == nil {
-				continue
-			}
-			_, scores := lo.Sorted()
-			for _, s := range scores {
-				lower.Add(struct{}{}, s)
-			}
-		}
-		alive = b.prune(alive, qUpper, lower, l)
-	}
-
-	// Final exact round over the survivors, merged like ParallelBBJ.
-	top := pqueue.NewTopK[Pair](k)
-	tops := make([]*pqueue.TopK[Pair], workers)
-	_, err := b.scatterScores(pool, alive, d, workers, func(wi, qi int, scores []float64) {
-		tp := tops[wi]
-		if tp == nil {
-			tp = pqueue.NewTopK[Pair](k)
-			tops[wi] = tp
-		}
-		q := alive[qi]
-		for _, p := range b.cfg.P {
-			pr := Pair{p, q}
-			tp.AddTie(pr, scores[p], pairTie(pr))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, tp := range tops {
-		if tp == nil {
-			continue
-		}
-		pairs, scores := tp.Sorted()
-		for i := range pairs {
-			top.AddTie(pairs[i], scores[i], pairTie(pairs[i]))
-		}
-	}
-	return collect(top), nil
 }
 
 // PrunedFractionPerIter reports, for the latest TopK run, the cumulative

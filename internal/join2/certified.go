@@ -46,7 +46,7 @@ type CertifiedJoin struct {
 	cfg     Config
 	forward bool // fast-pass shape: forward per-pair walks instead of backward columns
 	fe      *dht.FastBatchEngine
-	be      *dht.BatchEngine
+	w       *walker // exact re-verification; its pool also supplies fe
 	memo    *dht.ScoreMemo
 
 	// scratch reused across TopK calls
@@ -59,20 +59,23 @@ type CertifiedJoin struct {
 // the fast pass is one backward column per target, the factor-|P| win of
 // backward processing on the fast kernel.
 func NewCertifiedBBJ(cfg Config) (*CertifiedJoin, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &CertifiedJoin{cfg: cfg, memo: cfg.newMemo()}, nil
+	return newCertified(cfg, false)
 }
 
 // NewCertifiedFBJ returns the forward-shaped certified joiner ("F-BJ-fast"):
 // the fast pass walks each pair forward, batched at the fast kernel's
 // width. Only competitive when |P|·|Q| is small; the planner prices it.
 func NewCertifiedFBJ(cfg Config) (*CertifiedJoin, error) {
+	return newCertified(cfg, true)
+}
+
+func newCertified(cfg Config, forward bool) (*CertifiedJoin, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &CertifiedJoin{cfg: cfg, forward: true, memo: cfg.newMemo()}, nil
+	j := &CertifiedJoin{cfg: cfg, forward: forward, memo: cfg.newMemo()}
+	j.w = newWalker(&j.cfg)
+	return j, nil
 }
 
 // Name implements Joiner.
@@ -86,11 +89,12 @@ func (j *CertifiedJoin) Name() string {
 // MaxPairs returns |P|·|Q|, the size of the join's candidate space.
 func (j *CertifiedJoin) MaxPairs() int { return j.cfg.MaxPairs() }
 
-// Release returns the joiner's cached engines to the caller-owned pool
-// (Config.Pool); no-op without one.
+// Release returns the joiner's held engines to the pool (Config.Pool when
+// set).
 func (j *CertifiedJoin) Release() {
-	j.cfg.releaseEngines(nil, &j.be)
-	j.cfg.releaseFastEngine(&j.fe)
+	j.w.release()
+	j.w.pool.PutFast(j.fe)
+	j.fe = nil
 }
 
 // AllPairs evaluates every pair and returns the full descending ranking.
@@ -106,7 +110,13 @@ func (j *CertifiedJoin) TopK(k int) ([]Result, error) {
 		return nil, err
 	}
 	if j.fe == nil {
-		j.fe = j.cfg.fastEngine()
+		// The bit-identical joiners never see a fast engine — the pool's
+		// contract validation enforces the same separation on reuse.
+		j.fe = j.w.pool.GetFast()
+		j.fe.Workers = j.cfg.Workers
+		if j.cfg.Counters != nil {
+			j.fe.Sink = j.cfg.Counters
+		}
 	}
 	lenQ := len(j.cfg.Q)
 	if need := len(j.cfg.P) * lenQ; cap(j.approx) < need {
@@ -158,45 +168,16 @@ func (j *CertifiedJoin) TopK(k int) ([]Result, error) {
 	}
 
 	// Phase 3: exact re-verification of the band through the bit-identical
-	// kernel, memo-served like B-BJ's walk loop: hits feed the heap
-	// directly, misses batch-walk at the exact kernel's width.
-	top := pqueue.NewTopK[Pair](k)
-	addBand := func(bi int, scores []float64) {
+	// kernel, one backward column per distinct band target.
+	tops := newPartials[Pair](k, j.cfg.workerCount(len(j.pending)))
+	if err := j.w.columns(j.pending, j.cfg.D, j.memo, func(wi, bi int, scores []float64) {
 		q := j.pending[bi]
 		for _, pi := range j.pis[bi] {
-			p := j.cfg.P[pi]
-			pr := Pair{p, q}
-			top.AddTie(pr, scores[p], pairTie(pr))
+			pr := Pair{j.cfg.P[pi], q}
+			tops[wi].AddTie(pr, scores[pr.P], pairTie(pr))
 		}
-	}
-	memo := j.memo
-	if len(j.pending) > memo.Cap() {
-		memo = nil
-	}
-	if j.be == nil {
-		j.be = j.cfg.batchEngine()
-	}
-	var missQ []graph.NodeID
-	var missBI []int
-	for bi, q := range j.pending {
-		if scores, hit := memo.Get(j.cfg.Measure, q, j.cfg.D); hit {
-			addBand(bi, scores)
-			continue
-		}
-		missQ = append(missQ, q)
-		missBI = append(missBI, bi)
-	}
-	bw := j.be.W
-	for base := 0; base < len(missQ); base += bw {
-		if err := j.cfg.canceled(); err != nil {
-			return nil, err
-		}
-		end := min(base+bw, len(missQ))
-		cols := j.be.BackWalkScoresBatch(j.cfg.Measure, missQ[base:end], j.cfg.D)
-		for ci, q := range missQ[base:end] {
-			memo.Put(j.cfg.Measure, q, j.cfg.D, cols[ci])
-			addBand(missBI[base+ci], cols[ci])
-		}
+	}); err != nil {
+		return nil, err
 	}
 
 	if j.cfg.Counters != nil {
@@ -206,7 +187,7 @@ func (j *CertifiedJoin) TopK(k int) ([]Result, error) {
 		}
 		j.cfg.Counters.Certify(1, int64(band), fallback)
 	}
-	return collect(top), nil
+	return collect(mergePartials(tops, k, pairTie)), nil
 }
 
 // fastBackwardPass fills approx with one fast backward column per target:

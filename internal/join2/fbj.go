@@ -1,7 +1,6 @@
 package join2
 
 import (
-	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/pqueue"
 )
@@ -9,14 +8,15 @@ import (
 // FBJ is the Forward Basic Join (§V-B): it evaluates h_d(p, q) for every pair
 // with a per-pair forward absorbing walk and keeps the k best. Complexity
 // O(|P|·|Q|·d·|E|) — the baseline every other algorithm is measured against.
-// The per-pair walks run through the batched kernel, Config.BatchWidth pair
-// columns per CSR traversal, which amortizes the dominant full-depth sweeps
-// without changing a bit of any score. The joiner reuses its engines across
-// TopK calls, so it is single-goroutine.
+// The walker batches the per-pair walks, which amortizes the dominant
+// full-depth sweeps without changing a bit of any score. The joiner reuses
+// its engines across TopK calls, so it is single-goroutine.
 type FBJ struct {
 	cfg Config
-	e   *dht.Engine
-	be  *dht.BatchEngine
+	w   *walker
+
+	// ps[i], qs[i] is the i-th pair of P×Q, P-major; built on first TopK
+	ps, qs []graph.NodeID
 }
 
 // NewFBJ validates the config and returns the joiner.
@@ -24,17 +24,17 @@ func NewFBJ(cfg Config) (*FBJ, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &FBJ{cfg: cfg}, nil
+	f := &FBJ{cfg: cfg}
+	f.w = newWalker(&f.cfg)
+	return f, nil
 }
 
 // Name implements Joiner.
 func (f *FBJ) Name() string { return "F-BJ" }
 
-// Release returns the joiner's cached engines to the caller-owned pool
-// (Config.Pool); no-op without one.
-func (f *FBJ) Release() {
-	f.cfg.releaseEngines(&f.e, &f.be)
-}
+// Release returns the joiner's held engines to the pool (Config.Pool when
+// set).
+func (f *FBJ) Release() { f.w.release() }
 
 // TopK implements Joiner.
 func (f *FBJ) TopK(k int) ([]Result, error) {
@@ -42,66 +42,20 @@ func (f *FBJ) TopK(k int) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	top := pqueue.NewTopK[Pair](k)
-	d := f.cfg.D
-	if f.cfg.batchRounds(d) && f.cfg.MaxPairs() >= 2 {
-		if f.be == nil {
-			f.be = f.cfg.batchEngine()
-		}
-		bw := f.be.W
-		ps := make([]graph.NodeID, 0, bw)
-		qs := make([]graph.NodeID, 0, bw)
-		flush := func() error {
-			if len(ps) == 0 {
-				return nil
-			}
-			// One batched full-depth sweep per chunk — F-BJ's walk round and
-			// its cancellation poll point.
-			if err := f.cfg.canceled(); err != nil {
-				return err
-			}
-			rows := f.be.ForwardProbsBatch(f.cfg.Measure, ps, qs, d)
-			for c := range ps {
-				pr := Pair{ps[c], qs[c]}
-				s := f.cfg.Params.Score(rows[c])
-				if f.cfg.Measure == dht.FirstHit && pr.P == pr.Q {
-					s = 0 // h(v,v) = 0 by definition, as in ForwardScoreAt
-				}
-				top.AddTie(pr, s, pairTie(pr))
-			}
-			ps, qs = ps[:0], qs[:0]
-			return nil
-		}
+	if f.ps == nil {
 		for _, p := range f.cfg.P {
 			for _, q := range f.cfg.Q {
-				ps = append(ps, p)
-				qs = append(qs, q)
-				if len(ps) == bw {
-					if err := flush(); err != nil {
-						return nil, err
-					}
-				}
+				f.ps = append(f.ps, p)
+				f.qs = append(f.qs, q)
 			}
 		}
-		if err := flush(); err != nil {
-			return nil, err
-		}
-		return collect(top), nil
 	}
-	if f.e == nil {
-		if f.e, err = f.cfg.engine(); err != nil {
-			return nil, err
-		}
-	}
-	e := f.e
-	for _, p := range f.cfg.P {
-		for _, q := range f.cfg.Q {
-			if err := f.cfg.canceled(); err != nil {
-				return nil, err
-			}
-			pr := Pair{p, q}
-			top.AddTie(pr, e.ForwardScoreKind(f.cfg.Measure, p, q, f.cfg.D), pairTie(pr))
-		}
+	top := pqueue.NewTopK[Pair](k)
+	if err := f.w.pairScores(f.ps, f.qs, f.cfg.D, func(i int, score float64) {
+		pr := Pair{f.ps[i], f.qs[i]}
+		top.AddTie(pr, score, pairTie(pr))
+	}); err != nil {
+		return nil, err
 	}
 	return collect(top), nil
 }

@@ -3,7 +3,6 @@ package join2
 import (
 	"math"
 
-	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/pqueue"
 )
@@ -13,15 +12,13 @@ import (
 // walk length l = 2^(j-1): short walks are cheap and already give usable
 // bounds (h_l is a lower bound of h_d; h_l + X⁺ₗ an upper bound), so many
 // source nodes p ∈ P are pruned before the expensive full-depth walks of the
-// final round. Worst case remains O(|P|·|Q|·d·|E|). Deep rounds run each
-// source's |Q| forward walks through the batched kernel, Config.BatchWidth
-// pair columns per CSR traversal.
+// final round. Worst case remains O(|P|·|Q|·d·|E|). The walker batches each
+// source's |Q| forward walks in the deep rounds.
 type FIDJ struct {
 	cfg Config
-	e   *dht.Engine
-	be  *dht.BatchEngine
+	w   *walker
 
-	// batching scratch: the repeated-source column and one row of scores
+	// scratch: the repeated-source column and one row of scores
 	ps       []graph.NodeID
 	scoreBuf []float64
 
@@ -35,56 +32,33 @@ func NewFIDJ(cfg Config) (*FIDJ, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &FIDJ{cfg: cfg}, nil
+	f := &FIDJ{cfg: cfg}
+	f.w = newWalker(&f.cfg)
+	return f, nil
 }
 
 // Name implements Joiner.
 func (f *FIDJ) Name() string { return "F-IDJ" }
 
-// Release returns the joiner's cached engines to the caller-owned pool
-// (Config.Pool); no-op without one.
-func (f *FIDJ) Release() {
-	f.cfg.releaseEngines(&f.e, &f.be)
-}
+// Release returns the joiner's held engines to the pool (Config.Pool when
+// set).
+func (f *FIDJ) Release() { f.w.release() }
 
 // scoresForSource fills and returns a row with the forward truncated scores
-// h_l(p, q) for every q ∈ Q, batching the walks when l is deep enough. The
-// row is owned by the joiner and valid until the next call.
-func (f *FIDJ) scoresForSource(p graph.NodeID, l int) []float64 {
+// h_l(p, q) for every q ∈ Q. The row is owned by the joiner and valid until
+// the next call.
+func (f *FIDJ) scoresForSource(p graph.NodeID, l int) ([]float64, error) {
 	qs := f.cfg.Q
-	if cap(f.scoreBuf) < len(qs) {
+	if f.scoreBuf == nil {
 		f.scoreBuf = make([]float64, len(qs))
+		f.ps = make([]graph.NodeID, len(qs))
 	}
-	scores := f.scoreBuf[:len(qs)]
-	if !f.cfg.batchRounds(l) || len(qs) < 2 {
-		for qi, q := range qs {
-			scores[qi] = f.e.ForwardScoreKind(f.cfg.Measure, p, q, l)
-		}
-		return scores
+	for i := range f.ps {
+		f.ps[i] = p
 	}
-	if f.be == nil {
-		f.be = f.cfg.batchEngine()
-	}
-	bw := f.be.W
-	if cap(f.ps) < bw {
-		f.ps = make([]graph.NodeID, bw)
-	}
-	for c := range f.ps[:bw] {
-		f.ps[c] = p
-	}
-	firstHit := f.cfg.Measure == dht.FirstHit
-	for base := 0; base < len(qs); base += bw {
-		end := min(base+bw, len(qs))
-		rows := f.be.ForwardProbsBatch(f.cfg.Measure, f.ps[:end-base], qs[base:end], l)
-		for ci, q := range qs[base:end] {
-			if firstHit && p == q {
-				scores[base+ci] = 0 // h(v,v) = 0 by definition, as in ForwardScoreAt
-				continue
-			}
-			scores[base+ci] = f.cfg.Params.Score(rows[ci])
-		}
-	}
-	return scores
+	scores := f.scoreBuf
+	err := f.w.pairScores(f.ps, qs, l, func(i int, score float64) { scores[i] = score })
+	return scores, err
 }
 
 // TopK implements Joiner.
@@ -92,11 +66,6 @@ func (f *FIDJ) TopK(k int) ([]Result, error) {
 	k, err := f.cfg.clampK(k)
 	if err != nil {
 		return nil, err
-	}
-	if f.e == nil {
-		if f.e, err = f.cfg.engine(); err != nil {
-			return nil, err
-		}
 	}
 	d := f.cfg.D
 	f.PrunedPerRound = f.PrunedPerRound[:0]
@@ -119,7 +88,10 @@ func (f *FIDJ) TopK(k int) ([]Result, error) {
 			if err := f.cfg.canceled(); err != nil {
 				return nil, err
 			}
-			scores := f.scoresForSource(p, l)
+			scores, err := f.scoresForSource(p, l)
+			if err != nil {
+				return nil, err
+			}
 			best := math.Inf(-1)
 			for _, hl := range scores {
 				lower.Add(struct{}{}, hl)
@@ -149,7 +121,10 @@ func (f *FIDJ) TopK(k int) ([]Result, error) {
 		if err := f.cfg.canceled(); err != nil {
 			return nil, err
 		}
-		scores := f.scoresForSource(p, d)
+		scores, err := f.scoresForSource(p, d)
+		if err != nil {
+			return nil, err
+		}
 		for qi, q := range f.cfg.Q {
 			pr := Pair{p, q}
 			top.AddTie(pr, scores[qi], pairTie(pr))

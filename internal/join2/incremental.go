@@ -23,12 +23,11 @@ type fentry struct {
 // getNextNodePair requests by refining only the pairs that contend for the
 // next rank — instead of re-running a top-(m+1) join from scratch.
 type Incremental struct {
-	cfg     Config
-	variant BoundVariant
-	e       *dht.Engine
+	b       *BIDJ // the initial join; Next refines on its config, walker and bounds
 	f       *pqueue.Indexed[Pair, fentry]
 	ubound  func(q graph.NodeID, l int) float64
 	started bool
+	one     [1]graph.NodeID // refine's target set
 
 	// memo caches full-depth score columns by (kind, q, d): the winner path
 	// of Next re-walks the same hot target once per emitted pair of that
@@ -37,30 +36,30 @@ type Incremental struct {
 	// not cached — they are near-free under the sparse kernel, while a memo
 	// hit would still cost an O(|V|) column copy on insert.
 	memo *dht.ScoreMemo
-
-	// Refines counts backward walks performed by Next calls (memo hits are
-	// not walks and do not count); the ablation bench compares it against
-	// from-scratch re-join costs.
-	Refines int
 }
 
 // NewIncremental validates the config and returns an idle join state; call
-// Run to execute the initial top-m join.
+// Run to execute the initial top-m join. The state records bound
+// observations from the walker's callback and refines one target at a time,
+// so it always runs one worker, whatever Config.Workers says.
 func NewIncremental(cfg Config, variant BoundVariant) (*Incremental, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	e, err := cfg.engine()
+	cfg.Workers = 1
+	b, err := NewBIDJ(cfg, variant)
 	if err != nil {
 		return nil, err
 	}
-	return &Incremental{
-		cfg:     cfg,
-		variant: variant,
-		e:       e,
-		f:       pqueue.NewIndexed[Pair, fentry](),
-		memo:    cfg.newMemo(),
-	}, nil
+	inc := &Incremental{
+		b:    b,
+		f:    pqueue.NewIndexed[Pair, fentry](),
+		memo: cfg.newMemo(),
+	}
+	b.record = func(pr Pair, lower, upper float64, l int) {
+		if old, _, ok := inc.f.Get(pr); ok && old.l >= l {
+			return // keep the tighter (longer-walk) bounds
+		}
+		inc.f.Set(pr, upper, fentry{lower: lower, l: l})
+	}
+	return inc, nil
 }
 
 // Run executes the initial top-m 2-way join (B-IDJ with the configured bound
@@ -71,35 +70,14 @@ func (inc *Incremental) Run(m int) ([]Result, error) {
 		return nil, fmt.Errorf("join2: Incremental.Run called twice")
 	}
 	inc.started = true
-	m, err := inc.cfg.clampK(m)
-	if err != nil {
-		return nil, err
-	}
-	b, err := NewBIDJ(inc.cfg, inc.variant)
-	if err != nil {
-		return nil, err
-	}
-	// Bound provider shared with Next; for Y it is built once here over the
-	// full P and Q.
-	switch inc.variant {
-	case BoundY:
-		yt := dht.NewYBoundTable(inc.e, inc.cfg.P, inc.cfg.Q)
-		inc.ubound = yt.Bound
-	default:
-		inc.ubound = func(_ graph.NodeID, l int) float64 { return inc.cfg.Params.XBound(l) }
-	}
-	b.record = func(pr Pair, lower, upper float64, l int) {
-		if old, _, ok := inc.f.Get(pr); ok && old.l >= l {
-			return // keep the tighter (longer-walk) bounds
-		}
-		inc.f.Set(pr, upper, fentry{lower: lower, l: l})
-	}
-	// The recording run walks on inc.e, but deep rounds may still check a
-	// batch engine out of a caller-owned pool (b.be); return it — b is
-	// dropped right here, and an unreleased checkout would leak the pool
-	// entry for the incremental state's whole lifetime.
-	defer b.Release()
-	res, err := b.run(inc.e, m)
+	// The bound provider is shared with Next; for Y it is built once, here,
+	// over the full P and Q.
+	inc.ubound = inc.b.ubound()
+	res, err := inc.b.TopK(m)
+	// The initial join is this state's only batched walk (refinements walk
+	// one target): hand the batch engine back rather than sit on it for the
+	// stream's lifetime. The solo engine stays, held until Release.
+	inc.b.w.releaseBatch()
 	if err != nil {
 		return nil, err
 	}
@@ -122,11 +100,11 @@ func (inc *Incremental) Next() (Result, bool, error) {
 	if !inc.started {
 		return Result{}, false, fmt.Errorf("join2: Incremental.Next before Run")
 	}
-	d := inc.cfg.D
+	d := inc.b.cfg.D
 	for {
 		// Refinement steps are the incremental join's walk rounds; the poll
 		// here is what lets a deadline budget truncate a slow pull mid-way.
-		if err := inc.cfg.canceled(); err != nil {
+		if err := inc.b.cfg.canceled(); err != nil {
 			return Result{}, false, err
 		}
 		pr, _, ent, ok := inc.f.Max()
@@ -145,7 +123,9 @@ func (inc *Incremental) Next() (Result, bool, error) {
 		}
 		if ent.lower >= second {
 			// Winner decided by bounds; fetch its exact score.
-			inc.refine(pr.Q, d)
+			if err := inc.refine(pr.Q, d); err != nil {
+				return Result{}, false, err
+			}
 			v, _, stillThere := inc.f.Get(pr)
 			if !stillThere {
 				return Result{}, false, fmt.Errorf("join2: F entry for %v vanished during refinement", pr)
@@ -158,46 +138,35 @@ func (inc *Incremental) Next() (Result, bool, error) {
 		if next > d {
 			next = d
 		}
-		inc.refine(pr.Q, next)
+		if err := inc.refine(pr.Q, next); err != nil {
+			return Result{}, false, err
+		}
 	}
 }
 
 // refine re-walks q at depth l and tightens every still-pending pair of q.
 // Full-depth walks go through the (q, l)-keyed memo.
-func (inc *Incremental) refine(q graph.NodeID, l int) {
-	var scores []float64
-	if l == inc.cfg.D {
-		if cached, ok := inc.memo.Get(inc.cfg.Measure, q, l); ok {
-			scores = cached
-		} else {
-			inc.Refines++
-			scores = inc.e.BackWalkScores(inc.cfg.Measure, q, l)
-			inc.memo.Put(inc.cfg.Measure, q, l, scores)
+func (inc *Incremental) refine(q graph.NodeID, l int) error {
+	inc.one[0] = q
+	return inc.b.w.columns(inc.one[:], l, inc.memo, func(_, _ int, scores []float64) {
+		for _, p := range inc.b.cfg.P {
+			pr := Pair{P: p, Q: q}
+			old, _, ok := inc.f.Get(pr)
+			if !ok || old.l >= l {
+				continue
+			}
+			up := scores[p]
+			if l < inc.b.cfg.D {
+				up += inc.ubound(q, l)
+			}
+			inc.f.Set(pr, up, fentry{lower: scores[p], l: l})
 		}
-	} else {
-		inc.Refines++
-		scores = inc.e.BackWalkScores(inc.cfg.Measure, q, l)
-	}
-	for _, p := range inc.cfg.P {
-		pr := Pair{P: p, Q: q}
-		old, _, ok := inc.f.Get(pr)
-		if !ok || old.l >= l {
-			continue
-		}
-		up := scores[p]
-		if l < inc.cfg.D {
-			up += inc.ubound(q, l)
-		}
-		inc.f.Set(pr, up, fentry{lower: scores[p], l: l})
-	}
+	})
 }
 
 // Pending returns the number of pairs still held in F.
 func (inc *Incremental) Pending() int { return inc.f.Len() }
 
-// Release returns the join state's engine to the caller-owned pool
-// (Config.Pool); no-op without one. Call it once no further Next pulls are
-// needed — afterwards the state must not be used.
-func (inc *Incremental) Release() {
-	inc.cfg.releaseEngines(&inc.e, nil)
-}
+// Release returns the join state's engines to the pool (Config.Pool when
+// set). Call it once no further Next pulls are needed.
+func (inc *Incremental) Release() { inc.b.Release() }

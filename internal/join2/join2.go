@@ -42,22 +42,11 @@ type Config struct {
 	// measures such as Personalized PageRank (the paper's §VIII extension).
 	Measure dht.Kind
 
-	// Workers caps the goroutines the backward joiners may spread their
-	// per-target walks across. 0 (the default) and 1 run serially, matching
+	// Workers caps the goroutines a backward walk round (walker.columns) may
+	// spread its targets across. 0 (the default) and 1 run serially, matching
 	// the paper's single-threaded evaluation; a negative value selects
 	// GOMAXPROCS. Results are bit-identical at any worker count.
 	Workers int
-
-	// BatchWidth is the column width of the batched walk kernel
-	// (dht.BatchEngine) used for deep walks: B-IDJ's later deepening rounds
-	// and final exact round, B-BJ's per-target walks, and F-BJ's forward
-	// walks. 0 selects dht.DefaultBatchWidth, 1 disables batching (every
-	// walk runs on the solo engine, as in PR 1), and any other positive
-	// value is used as-is. Walks shorter than batchMinSteps always run solo
-	// through the β-prefilled column regardless of this setting — their
-	// frontiers are too sparse for column batching to pay. Results are
-	// bit-identical at any width.
-	BatchWidth int
 
 	// MemoSize bounds the (kind, q, l)-keyed memo of backward score columns
 	// that B-BJ and the incremental join consult before re-walking a target
@@ -71,14 +60,12 @@ type Config struct {
 	Counters *dht.Counters
 
 	// Pool, when non-nil, supplies the join's engines (solo and batched)
-	// instead of per-joiner construction: serial paths check one engine out
-	// and keep it until Release, worker rounds check engines in and out per
-	// round, so a long-lived owner (the serving layer) shares one pool's
-	// O(|V|) scratch across requests. The pool must be built for the same
-	// (Graph, Params, D); Validate rejects a mismatch. With a caller pool the
-	// pool's BatchWidth governs batch-engine width (Config.BatchWidth still
-	// decides WHETHER deep rounds batch) — results are bit-identical at any
-	// width, so sharing pool-width engines never changes an answer.
+	// instead of a joiner-owned pool: the calling goroutine checks its
+	// engines out on first use and keeps them until Release, extra workers
+	// check theirs in and out per round (see walker), so a long-lived owner
+	// (the serving layer) shares one pool's O(|V|) scratch across requests.
+	// The pool must be built for the same (Graph, Params, D); Validate
+	// rejects a mismatch.
 	Pool *dht.EnginePool
 
 	// Memo, when non-nil, replaces the joiner-constructed score-column memo
@@ -89,7 +76,7 @@ type Config struct {
 	Memo *dht.ScoreMemo
 
 	// Cancel, when non-nil, is polled at walk-round granularity: once per
-	// deepening round, per target chunk of the scatter paths, and per
+	// deepening round, per walked chunk of targets or pairs, and per
 	// refinement step of the incremental join. A non-nil return aborts the
 	// join with that error, which is how the serving layer enforces deadline
 	// budgets (and client disconnects) mid-round instead of only between
@@ -106,21 +93,6 @@ func (c *Config) canceled() error {
 		return nil
 	}
 	return c.Cancel()
-}
-
-// guard runs fn, converting a panic into an error. The worker-pool paths run
-// every goroutine body under it: a panic crossing a goroutine boundary would
-// crash the whole process, while under guard it unwinds the worker's defers
-// (returning checked-out engines to the pool) and surfaces as a joiner
-// error the serving layer can answer with.
-func guard(fn func()) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("join2: panic in join worker: %v", p)
-		}
-	}()
-	fn()
-	return nil
 }
 
 // Validate checks the configuration.
@@ -154,127 +126,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// engine builds (or, with a caller pool, checks out) a DHT engine for the
-// config, attached to its counter sink.
-func (c *Config) engine() (*dht.Engine, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if c.Pool != nil {
-		return c.checkout(c.Pool), nil
-	}
-	e, err := dht.NewEngine(c.Graph, c.Params, c.D)
-	if err != nil {
-		return nil, err
-	}
-	e.Sink = c.Counters
-	return e, nil
-}
-
-// enginePool returns the caller-owned pool when one is set, otherwise builds
-// a pool for the config's worker joins, carrying the config's batch width so
-// GetBatch hands out matching batch engines.
-func (c *Config) enginePool() (*dht.EnginePool, error) {
-	if c.Pool != nil {
-		return c.Pool, nil
-	}
-	pl, err := dht.NewEnginePool(c.Graph, c.Params, c.D)
-	if err != nil {
-		return nil, err
-	}
-	pl.Sink = c.Counters
-	pl.BatchWidth = c.batchWidth()
-	return pl, nil
-}
-
-// checkout hands out a pool engine with the config's counter sink attached.
-// A caller-owned pool may carry its owner's sink (or none); the config's
-// Counters must win for the duration of this checkout so run-scoped stats
-// see the walks — owners that also want lifetime totals chain them
-// (dht.Counters.Chain).
-func (c *Config) checkout(pool *dht.EnginePool) *dht.Engine {
-	e := pool.Get()
-	if c.Counters != nil {
-		e.Sink = c.Counters
-	}
-	return e
-}
-
-// checkoutBatch is checkout for batch engines.
-func (c *Config) checkoutBatch(pool *dht.EnginePool) *dht.BatchEngine {
-	be := pool.GetBatch()
-	if c.Counters != nil {
-		be.Sink = c.Counters
-	}
-	return be
-}
-
-// fastEngine builds (or, with a caller pool, checks out) a FastCertified
-// kernel for the config, attached to its counter sink. Only the certified
-// joiners call it; the bit-identical joiners never see a fast engine — the
-// pool's contract validation enforces the same separation on reuse.
-func (c *Config) fastEngine() *dht.FastBatchEngine {
-	if c.Pool != nil {
-		fe := c.Pool.GetFast()
-		fe.Workers = c.Workers
-		if c.Counters != nil {
-			fe.Sink = c.Counters
-		}
-		return fe
-	}
-	fe, err := dht.NewFastBatchEngine(c.Graph, c.Params, c.D, 0, c.Workers)
-	if err != nil {
-		panic(err) // unreachable: Validate ran in the joiner constructor
-	}
-	fe.Sink = c.Counters
-	return fe
-}
-
-// releaseFastEngine is releaseEngines for the FastCertified kernel.
-func (c *Config) releaseFastEngine(fe **dht.FastBatchEngine) {
-	if *fe == nil {
-		return
-	}
-	if c.Pool != nil {
-		c.Pool.PutFast(*fe)
-	}
-	*fe = nil
-}
-
-// batchMinSteps is the shortest walk the joiners hand to the batched kernel.
-// Shorter walks (the l = 1, 2 deepening rounds) touch so few nodes that the
-// batch's zero lanes cost more than the amortized CSR traversal saves; they
-// stay on the solo engine's β-prefilled column, which serves them in O(walk
-// frontier) time.
-const batchMinSteps = 3
-
-// batchWidth resolves Config.BatchWidth: 0 → default, ≤ 1 → solo.
-func (c *Config) batchWidth() int {
-	switch {
-	case c.BatchWidth == 0:
-		return dht.DefaultBatchWidth
-	case c.BatchWidth < 1:
-		return 1
-	default:
-		return c.BatchWidth
-	}
-}
-
-// batchEngine builds (or, with a caller pool, checks out) a batch engine for
-// the config, attached to its counter sink. The config was validated by the
-// joiner constructor, so construction cannot fail.
-func (c *Config) batchEngine() *dht.BatchEngine {
-	if c.Pool != nil {
-		return c.checkoutBatch(c.Pool)
-	}
-	be, err := dht.NewBatchEngine(c.Graph, c.Params, c.D, c.batchWidth())
-	if err != nil {
-		panic(err) // unreachable: Validate ran in the joiner constructor
-	}
-	be.Sink = c.Counters
-	return be
-}
-
 // newMemo returns the caller-owned memo when one is set, otherwise builds
 // the config's score-column memo (nil when disabled).
 func (c *Config) newMemo() *dht.ScoreMemo {
@@ -287,38 +138,8 @@ func (c *Config) newMemo() *dht.ScoreMemo {
 	return dht.NewScoreMemo(c.MemoSize)
 }
 
-// releaseEngines returns a joiner's cached engines to the caller-owned pool
-// (no-op without one — the engines are simply garbage). Joiner Release
-// methods call this with their cached engine slots; the slots are nil'd so a
-// released joiner lazily re-checks out if used again.
-func (c *Config) releaseEngines(e **dht.Engine, be **dht.BatchEngine) {
-	if c.Pool == nil {
-		if e != nil {
-			*e = nil
-		}
-		if be != nil {
-			*be = nil
-		}
-		return
-	}
-	if e != nil && *e != nil {
-		c.Pool.Put(*e)
-		*e = nil
-	}
-	if be != nil && *be != nil {
-		c.Pool.PutBatch(*be)
-		*be = nil
-	}
-}
-
-// batchRounds reports whether walks of length l should use the batched
-// kernel under this config.
-func (c *Config) batchRounds(l int) bool {
-	return c.batchWidth() > 1 && l >= batchMinSteps
-}
-
 // workerCount resolves Config.Workers against the number of independent
-// targets: 0/1 → serial, negative → GOMAXPROCS, always capped by targets.
+// work items: 0/1 → serial, negative → GOMAXPROCS, always capped by items.
 func (c *Config) workerCount(targets int) int {
 	w := c.Workers
 	if w < 0 {

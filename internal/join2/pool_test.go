@@ -35,7 +35,6 @@ func TestCallerOwnedPoolBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.BatchWidth = base.batchWidth()
 	memo := dht.NewScoreMemo(256)
 
 	mk := map[string]func(Config) (Joiner, error){

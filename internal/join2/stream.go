@@ -74,8 +74,9 @@ func (s *StreamSpec) initial() int {
 // NewIncrementalStream opens a stream over cfg backed by the B-IDJ bound
 // state: the paper's PJ-i production path. The initial batch runs B-IDJ with
 // the given bound variant while recording every bound observation; pulls
-// past it refine only contending pairs (§VI-D). The engine is checked out at
-// open time and held until Release.
+// past it refine only contending pairs (§VI-D). The initial batch checks the
+// engines out and returns the batch engine; the solo engine the refinements
+// walk on is held until Release.
 func NewIncrementalStream(cfg Config, variant BoundVariant, spec StreamSpec) (Stream, error) {
 	inc, err := NewIncremental(cfg, variant)
 	if err != nil {
@@ -230,9 +231,6 @@ func (b *BIDJ) MaxPairs() int { return b.cfg.MaxPairs() }
 
 // MaxPairs reports the joiner's candidate-space size |P|·|Q|.
 func (b *BBJ) MaxPairs() int { return b.cfg.MaxPairs() }
-
-// MaxPairs reports the joiner's candidate-space size |P|·|Q|.
-func (b *ParallelBBJ) MaxPairs() int { return b.cfg.MaxPairs() }
 
 // MaxPairs reports the joiner's candidate-space size |P|·|Q|.
 func (f *FBJ) MaxPairs() int { return f.cfg.MaxPairs() }

@@ -237,11 +237,9 @@ type Workload struct {
 	// D is the truncation depth (walk length) every walk runs to.
 	D int `json:"d"`
 
-	// Workers and BatchWidth are carried for the Explain report; they speed
-	// the backward family roughly uniformly, so they do not enter the cost
-	// ranking.
-	Workers    int `json:"workers,omitempty"`
-	BatchWidth int `json:"batch_width,omitempty"`
+	// Workers is carried for the Explain report; it speeds the backward
+	// family roughly uniformly, so it does not enter the cost ranking.
+	Workers int `json:"workers,omitempty"`
 
 	// Measure selects the executor family by proximity measure, mirroring
 	// Descriptor.Measure: empty means the walk family (dht, reach, ppr —

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -267,6 +268,48 @@ func TestHTTPBadRequests(t *testing.T) {
 		"k":     5,
 	}, &out); code != http.StatusBadRequest {
 		t.Fatalf("bad shape = %d, want 400", code)
+	}
+}
+
+// TestHTTPWorkersServeOneRanking: workers is the one execution option on the
+// wire. A forced B-BJ over a target set wider than one batch must answer the
+// ==-identical ranking whether it walks on one worker, two, or GOMAXPROCS
+// (every worker cuts its chunks at the width of the engine it checked out),
+// and the retired batch_width option is rejected by name.
+func TestHTTPWorkersServeOneRanking(t *testing.T) {
+	srv, g, sets := startServer(t)
+	want := refJoin2(t, g, sets[0].Nodes(), sets[1].Nodes(), 25)
+	body := func(opts map[string]any) map[string]any {
+		return map[string]any{
+			"graph": "test",
+			"p":     map[string]any{"set": sets[0].Name},
+			"q":     map[string]any{"set": sets[1].Name},
+			"k":     25, "options": opts,
+		}
+	}
+	for _, workers := range []int{1, 2, -1} {
+		var out struct {
+			Results []pairJSON `json:"results"`
+			Error   struct{ Message string }
+		}
+		if code := postJSON(t, srv.URL+"/join2", body(map[string]any{"workers": workers, "algo": "B-BJ"}), &out); code != http.StatusOK {
+			t.Fatalf("workers=%d: POST /join2 = %d (%s)", workers, code, out.Error.Message)
+		}
+		if len(out.Results) != len(want) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(out.Results), len(want))
+		}
+		for i, r := range out.Results {
+			if r.P != want[i].Pair.P || r.Q != want[i].Pair.Q || r.Score != want[i].Score {
+				t.Fatalf("workers=%d rank %d: %+v, want %+v", workers, i, r, want[i])
+			}
+		}
+	}
+	var out struct {
+		Error struct{ Message string }
+	}
+	code := postJSON(t, srv.URL+"/join2", body(map[string]any{"workers": 2, "batch_width": 16, "algo": "B-BJ"}), &out)
+	if msg := out.Error.Message; code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") || !strings.Contains(msg, "batch_width") {
+		t.Fatalf("batch_width on the wire = %d %q, want a 400 from the strict decoder naming the field", code, msg)
 	}
 }
 

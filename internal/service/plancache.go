@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/plan"
+	"repro/internal/pqueue"
 )
 
 // planCacheCap bounds each session's plan cache. Plans are tiny (a handful
@@ -20,9 +21,7 @@ const planCacheCap = 64
 // Safe for concurrent use.
 type planCache struct {
 	mu      sync.Mutex
-	cap     int
-	entries map[string]planEntry
-	order   lruOrder
+	entries *pqueue.LRU[string, planEntry]
 }
 
 type planEntry struct {
@@ -31,7 +30,7 @@ type planEntry struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, entries: make(map[string]planEntry, capacity)}
+	return &planCache{entries: pqueue.NewLRU[string, planEntry](capacity)}
 }
 
 // get returns the cached plan for key if it was computed under the same
@@ -39,11 +38,10 @@ func newPlanCache(capacity int) *planCache {
 func (c *planCache) get(key string, gen uint64) (*plan.Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || e.gen != gen {
+	if e, ok := c.entries.Peek(key); !ok || e.gen != gen {
 		return nil, false
 	}
-	c.order.touch(key)
+	e, _ := c.entries.Get(key)
 	return e.pl, true
 }
 
@@ -52,14 +50,5 @@ func (c *planCache) get(key string, gen uint64) (*plan.Plan, bool) {
 func (c *planCache) put(key string, gen uint64, pl *plan.Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		c.entries[key] = planEntry{pl: pl, gen: gen}
-		c.order.touch(key)
-		return
-	}
-	if len(c.order) >= c.cap {
-		delete(c.entries, c.order.evictOldest())
-	}
-	c.entries[key] = planEntry{pl: pl, gen: gen}
-	c.order.push(key)
+	c.entries.Put(key, planEntry{pl: pl, gen: gen})
 }

@@ -46,8 +46,6 @@ type Query struct {
 	// fewer (results are identical at any count). 0/1 serial, negative
 	// GOMAXPROCS.
 	Workers int
-	// BatchWidth tunes the batched walk kernel; 0 default, 1 disables.
-	BatchWidth int
 	// Relabel applies the locality-aware reordering (cached per graph).
 	Relabel graph.RelabelMode
 	// Algorithm forces the named registered executor ("B-IDJ-Y", "B-BJ",
@@ -305,8 +303,7 @@ func (sp pairSpec) bind(rq *request[join2.Result], ge *graphEntry) (string, erro
 		sess := rq.sess
 		cfg := join2.Config{
 			Graph: sess.g, Params: rq.res.Params, D: rq.res.D, P: pn, Q: qn, Measure: rq.res.Kernel.Walk,
-			Workers: env.workers, BatchWidth: rq.query.BatchWidth,
-			Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
+			Workers: env.workers, Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
 		}
 		if sess.rl != nil {
 			cfg.P, cfg.Q = sess.rl.MapToNew(pn), sess.rl.MapToNew(qn)
@@ -371,8 +368,7 @@ func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, erro
 			Graph: sess.g, Query: qg, Params: rq.res.Params, D: rq.res.D, Agg: rq.res.Agg,
 			K:        1, // required by Validate; the stream itself is k-free
 			Distinct: rq.query.Distinct, Measure: rq.res.Kernel.Walk,
-			Workers: env.workers, BatchWidth: rq.query.BatchWidth,
-			Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
+			Workers: env.workers, Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
 		}, rq.res.M)
 		if err != nil {
 			return nil, err
@@ -454,7 +450,7 @@ func (rq *request[T]) plan(k int) (*plan.Plan, error) {
 	w.Stats = rq.sess.g.Stats()
 	w.K, w.M, w.D = rq.demand(k), res.M, res.D
 	w.Measure, w.Accuracy = res.Kernel.PlanMeasure, res.Accuracy
-	w.Workers, w.BatchWidth = rq.query.Workers, rq.query.BatchWidth
+	w.Workers = rq.query.Workers
 	return rq.svc.planFor(rq.sess, rq.class, rq.key, w, rq.query.Algorithm)
 }
 

@@ -1,6 +1,10 @@
 package service
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/pqueue"
+)
 
 // prefix is one cached ranking prefix: the longest contiguous run of
 // top-ranked results a request (batch or streamed) has drained for one
@@ -22,9 +26,7 @@ type prefix struct {
 // request signature (which deliberately excludes k).
 type resultLRU struct {
 	mu      sync.Mutex
-	cap     int
-	entries map[string]prefix
-	order   lruOrder
+	entries *pqueue.LRU[string, prefix]
 }
 
 // newResultLRU returns a cache of the given capacity; capacity < 0 disables
@@ -33,7 +35,7 @@ func newResultLRU(capacity int) *resultLRU {
 	if capacity < 0 {
 		return nil
 	}
-	return &resultLRU{cap: capacity, entries: make(map[string]prefix, capacity)}
+	return &resultLRU{entries: pqueue.NewLRU[string, prefix](capacity)}
 }
 
 // get returns the cached prefix when it can serve k results: it holds at
@@ -44,12 +46,10 @@ func (c *resultLRU) get(key string, k int) (prefix, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.entries[key]
-	if !ok || (v.n < k && !v.exhausted) {
+	if v, ok := c.entries.Peek(key); !ok || (v.n < k && !v.exhausted) {
 		return prefix{}, false
 	}
-	c.order.touch(key)
-	return v, true
+	return c.entries.Get(key)
 }
 
 // getAny returns whatever prefix is cached for key, however short — the load
@@ -61,12 +61,7 @@ func (c *resultLRU) getAny(key string) (prefix, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.entries[key]
-	if !ok {
-		return prefix{}, false
-	}
-	c.order.touch(key)
-	return v, true
+	return c.entries.Get(key)
 }
 
 // getFull returns the cached prefix only when it is the complete ranking
@@ -78,33 +73,23 @@ func (c *resultLRU) getFull(key string) (prefix, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.entries[key]
-	if !ok || !v.exhausted {
+	if v, ok := c.entries.Peek(key); !ok || !v.exhausted {
 		return prefix{}, false
 	}
-	c.order.touch(key)
-	return v, true
+	return c.entries.Get(key)
 }
 
 // put offers a drained prefix. It only ever extends knowledge: a stored
 // prefix is replaced when the offer is longer, or marks the ranking
 // exhausted where the stored one did not.
 func (c *resultLRU) put(key string, v prefix) {
-	if c == nil || c.cap == 0 {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.entries[key]; ok {
-		if v.n > old.n || (v.exhausted && !old.exhausted) {
-			c.entries[key] = v
-		}
-		c.order.touch(key)
+	if old, ok := c.entries.Get(key); ok && !(v.n > old.n || (v.exhausted && !old.exhausted)) {
 		return
 	}
-	if len(c.order) >= c.cap {
-		delete(c.entries, c.order.evictOldest())
-	}
-	c.entries[key] = v
-	c.order.push(key)
+	c.entries.Put(key, v)
 }

@@ -9,9 +9,8 @@
 // oversubscribe GOMAXPROCS.
 //
 // Results are bit-identical to the corresponding one-shot dhtjoin calls:
-// both resolve their options through measure.Resolve, worker count and
-// batch width never change a result (ties break on the canonical
-// pair key), memo-served columns are byte-for-byte the columns a fresh walk
+// both resolve their options through measure.Resolve, the worker count
+// never changes a result (ties break on the canonical pair key), memo-served columns are byte-for-byte the columns a fresh walk
 // would produce, and the result LRU stores exactly what the join returned.
 package service
 

@@ -17,22 +17,21 @@ import (
 // OptionsJSON is the wire form of a Query. All fields are optional; zero
 // values select the paper's defaults (measure.Resolve applies them).
 type OptionsJSON struct {
-	Lambda     float64 `json:"lambda,omitempty"`  // the measure's decay: DHTλ's λ (default 0.2), ppr's damping factor (default 0.5)
-	DHTE       bool    `json:"dhte,omitempty"`    // use the DHTe parameterization
-	Epsilon    float64 `json:"epsilon,omitempty"` // truncation accuracy target (default 1e-6)
-	D          int     `json:"d,omitempty"`       // forced truncation depth (overrides epsilon)
-	Agg        string  `json:"agg,omitempty"`     // SUM | MIN | MAX | AVG (n-way; default MIN)
-	M          int     `json:"m,omitempty"`       // per-edge budget (n-way; default 50)
-	Distinct   bool    `json:"distinct,omitempty"`
-	Measure    string  `json:"measure,omitempty"` // registered measure name: "dht" (default) | "reach" | "ppr" | "simrank" (GET /measures lists them)
-	Workers    int     `json:"workers,omitempty"`
-	BatchWidth int     `json:"batch_width,omitempty"`
-	Relabel    string  `json:"relabel,omitempty"`   // off | degree | bfs
-	Algo       string  `json:"algo,omitempty"`      // force an executor (B-IDJ-Y, B-BJ, PJ-i, AP, …); empty = cost-based planner
-	Accuracy   string  `json:"accuracy,omitempty"`  // planner kernel contract: "exact" (default) | "fast" (certified fast kernel; same ranking)
-	Tenant     string  `json:"tenant,omitempty"`    // admission-quota bucket (X-Tenant header is the fallback)
-	Priority   string  `json:"priority,omitempty"`  // "interactive" (default) | "batch" (X-Priority header is the fallback)
-	BudgetMS   int     `json:"budget_ms,omitempty"` // wall-clock deadline budget in milliseconds; 0 = server default
+	Lambda   float64 `json:"lambda,omitempty"`  // the measure's decay: DHTλ's λ (default 0.2), ppr's damping factor (default 0.5)
+	DHTE     bool    `json:"dhte,omitempty"`    // use the DHTe parameterization
+	Epsilon  float64 `json:"epsilon,omitempty"` // truncation accuracy target (default 1e-6)
+	D        int     `json:"d,omitempty"`       // forced truncation depth (overrides epsilon)
+	Agg      string  `json:"agg,omitempty"`     // SUM | MIN | MAX | AVG (n-way; default MIN)
+	M        int     `json:"m,omitempty"`       // per-edge budget (n-way; default 50)
+	Distinct bool    `json:"distinct,omitempty"`
+	Measure  string  `json:"measure,omitempty"` // registered measure name: "dht" (default) | "reach" | "ppr" | "simrank" (GET /measures lists them)
+	Workers  int     `json:"workers,omitempty"`
+	Relabel  string  `json:"relabel,omitempty"`   // off | degree | bfs
+	Algo     string  `json:"algo,omitempty"`      // force an executor (B-IDJ-Y, B-BJ, PJ-i, AP, …); empty = cost-based planner
+	Accuracy string  `json:"accuracy,omitempty"`  // planner kernel contract: "exact" (default) | "fast" (certified fast kernel; same ranking)
+	Tenant   string  `json:"tenant,omitempty"`    // admission-quota bucket (X-Tenant header is the fallback)
+	Priority string  `json:"priority,omitempty"`  // "interactive" (default) | "batch" (X-Priority header is the fallback)
+	BudgetMS int     `json:"budget_ms,omitempty"` // wall-clock deadline budget in milliseconds; 0 = server default
 }
 
 // toQuery resolves the wire options into a Query.
@@ -67,7 +66,6 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	q.M = o.M
 	q.Distinct = o.Distinct
 	q.Workers = o.Workers
-	q.BatchWidth = o.BatchWidth
 	q.Algorithm = o.Algo
 	q.Accuracy = o.Accuracy
 	q.Tenant = o.Tenant

@@ -28,13 +28,8 @@ const matrixCacheCap = 2
 
 var matrixCache = struct {
 	sync.Mutex
-	entries []matrixEntry // LRU order, most recent last
-}{}
-
-type matrixEntry struct {
-	g *graph.Graph
-	m *Matrix
-}
+	byGraph *pqueue.LRU[*graph.Graph, *Matrix]
+}{byGraph: pqueue.NewLRU[*graph.Graph, *Matrix](matrixCacheCap)}
 
 // SharedMatrix returns the default-options SimRank matrix for g, computing
 // it on first use and caching the most recent graphs by identity. Graphs are
@@ -45,24 +40,17 @@ type matrixEntry struct {
 // one fixed-point iteration.
 func SharedMatrix(g *graph.Graph) (*Matrix, error) {
 	matrixCache.Lock()
-	for i, e := range matrixCache.entries {
-		if e.g == g {
-			// Refresh LRU position.
-			matrixCache.entries = append(append(matrixCache.entries[:i:i], matrixCache.entries[i+1:]...), e)
-			matrixCache.Unlock()
-			return e.m, nil
-		}
-	}
+	m, ok := matrixCache.byGraph.Get(g)
 	matrixCache.Unlock()
+	if ok {
+		return m, nil
+	}
 	m, err := Compute(g, nil)
 	if err != nil {
 		return nil, err
 	}
 	matrixCache.Lock()
-	matrixCache.entries = append(matrixCache.entries, matrixEntry{g: g, m: m})
-	if len(matrixCache.entries) > matrixCacheCap {
-		matrixCache.entries = matrixCache.entries[1:]
-	}
+	matrixCache.byGraph.Put(g, m)
 	matrixCache.Unlock()
 	return m, nil
 }
@@ -70,7 +58,7 @@ func SharedMatrix(g *graph.Graph) (*Matrix, error) {
 // Joiner is SR-SCAN: the top-k 2-way join under SimRank. It satisfies
 // join2.Joiner, so the rejoin stream, the serving layer, and the n-way
 // per-edge machinery drive it exactly like the walk joiners. The walk knobs
-// of the config (Params, D, Measure, Workers, BatchWidth, Pool, Memo) are
+// of the config (Params, D, Measure, Workers, Pool, Memo) are
 // accepted and ignored — SimRank scores come from the fixed point, not from
 // walks — which is what lets one join2.Config type serve every measure.
 type Joiner struct {
