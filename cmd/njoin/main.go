@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,10 +33,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/dhtjoin"
 	"repro/internal/graph"
 	"repro/internal/measure"
-	"repro/internal/plan"
 	"repro/internal/rankjoin"
 )
 
@@ -100,19 +100,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		chosen = append(chosen, s)
 	}
 
-	var q *core.QueryGraph
+	var q *dhtjoin.QueryGraph
 	switch *shape {
 	case "chain":
-		q = core.Chain(chosen...)
+		q = dhtjoin.Chain(chosen...)
 	case "triangle":
 		if len(chosen) != 3 {
 			return fmt.Errorf("triangle needs exactly 3 sets, got %d", len(chosen))
 		}
-		q = core.Triangle(chosen[0], chosen[1], chosen[2])
+		q = dhtjoin.Triangle(chosen[0], chosen[1], chosen[2])
 	case "star":
-		q = core.Star(chosen[0], chosen[1:]...)
+		q = dhtjoin.Star(chosen[0], chosen[1:]...)
 	case "clique":
-		q = core.Clique(chosen...)
+		q = dhtjoin.Clique(chosen...)
 	default:
 		return fmt.Errorf("unknown shape %q", *shape)
 	}
@@ -121,28 +121,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The flags go through the same resolver as dhtjoin.Options and the
-	// njoind wire options, so njoin answers exactly as they do.
+	// -lambda / -dhte name the measure's coefficients the way the njoind
+	// wire does; everything else is a dhtjoin.Query, so njoin resolves,
+	// plans and executes exactly as the library and the server do.
 	params, err := measure.ParamsFor(*measureID, *lambda, *useDHTE)
 	if err != nil {
 		return err
 	}
-	res, err := measure.Resolve(measure.Request{
-		Measure: *measureID, Params: params, Epsilon: *eps, Agg: agg, M: *m, Accuracy: *accuracy,
-	})
-	if err != nil {
-		return err
-	}
-	spec := core.Spec{
-		Graph:   g,
-		Query:   q,
-		Params:  res.Params,
-		D:       res.D,
-		Agg:     res.Agg,
-		K:       *k,
-		Measure: res.Kernel.Walk,
-	}
-
 	// Resolve the -algo flag to a registered executor name ("" = planner).
 	var forced string
 	switch *algo {
@@ -158,14 +143,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q (want auto, nl, ap, pj, or pji)", *algo)
 	}
-	w := plan.Workload{Stats: g.Stats(), K: *k, M: res.M, D: res.D, Accuracy: res.Accuracy, Measure: res.Kernel.PlanMeasure}
-	for _, s := range chosen {
-		w.SetSizes = append(w.SetSizes, s.Len())
-	}
-	for _, e := range q.Edges() {
-		w.QueryEdges = append(w.QueryEdges, [2]int{e.From, e.To})
-	}
-	pl, err := plan.Decide(plan.NWay, w, forced)
+	query := dhtjoin.NewJoinQuery(g, q).
+		WithOptions(&dhtjoin.Options{MeasureName: *measureID, Params: params, Epsilon: *eps, Agg: agg, M: *m, Accuracy: *accuracy}).
+		WithHints(dhtjoin.Hints{Algorithm: forced})
+	ctx := context.Background()
+	pl, err := query.ExplainTopK(ctx, *k)
 	if err != nil {
 		return err
 	}
@@ -173,13 +155,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprint(stdout, pl.Format())
 		return nil
 	}
-	alg, err := core.NewNamed(pl.Algorithm, spec, res.M)
-	if err != nil {
-		return err
-	}
 
 	start := time.Now()
-	answers, err := alg.Run()
+	answers, err := query.TopK(ctx, *k)
 	if err != nil {
 		return err
 	}
@@ -188,8 +166,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "%3d  %s\n", i+1, a.Format(g))
 	}
 	if !*quiet {
+		// For the report only: the coefficients the query resolved to (the
+		// plan above already validated them).
+		res, _ := measure.Resolve(measure.Request{Measure: *measureID, Params: params})
 		fmt.Fprintf(stderr, "%s: %d answers in %v (d=%d, %s)\n",
-			alg.Name(), len(answers), elapsed, res.D, res.Params)
+			pl.Algorithm, len(answers), elapsed, pl.Workload.D, res.Params)
 	}
 	return nil
 }

@@ -49,6 +49,11 @@
 //
 // and the first m streamed results are always bit-identical to the
 // one-shot top-m. See the examples/ directory for complete programs.
+//
+// There is one execution path: every call above runs as a throw-away
+// session of the serving layer (internal/service, the layer behind Service
+// and njoind) with its caches off, so a one-shot call is the served request
+// path, not a second implementation kept equal to it.
 package dhtjoin
 
 import (
@@ -63,6 +68,7 @@ import (
 	"repro/internal/join2"
 	"repro/internal/measure"
 	"repro/internal/rankjoin"
+	"repro/internal/service"
 	"repro/internal/simrank"
 )
 
@@ -232,26 +238,14 @@ func TopKPairs(g *Graph, p, q *NodeSet, k int, opts *Options) ([]PairResult, err
 // h_d(u, v) under the default DHT measure, or whatever Options.MeasureName
 // selects.
 func Score(g *Graph, u, v NodeID, opts *Options) (float64, error) {
-	res, err := opts.resolve()
+	if g == nil {
+		return 0, ErrNilGraph
+	}
+	q, err := servedQuery(opts)
 	if err != nil {
 		return 0, err
 	}
-	if !res.Kernel.WalkBased {
-		ev, err := res.Kernel.NewEvaluator(g, res.Params, res.D)
-		if err != nil {
-			return 0, err
-		}
-		var dst [1]float64
-		if err := ev.ScoresInto(u, []NodeID{v}, res.D, dst[:]); err != nil {
-			return 0, err
-		}
-		return dst[0], nil
-	}
-	e, err := dht.NewEngine(g, res.Params, res.D)
-	if err != nil {
-		return 0, err
-	}
-	return e.ForwardScoreKind(res.Kernel.Walk, u, v, res.D), nil
+	return service.Ephemeral(g, 1).Score(context.Background(), "", u, v, q)
 }
 
 // ScoresFrom computes the score of (u, v) for every node u at once — one

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"iter"
 
-	"repro/internal/core"
 	"repro/internal/join2"
 	"repro/internal/measure"
 	"repro/internal/plan"
+	"repro/internal/service"
 )
 
 // Query is the query-centric entry point: a value describing one join —
@@ -152,99 +152,71 @@ func (qy *Query) WithMeasure(name string) *Query {
 // Validate checks the query's inputs without executing it, returning the
 // package's typed errors (wrapped, so use errors.Is).
 func (qy *Query) Validate() error {
-	_, err := qy.validate()
-	return err
-}
-
-// validate checks the inputs and resolves the options in one pass, so every
-// entry point reads the same resolved request it validated.
-func (qy *Query) validate() (measure.Resolved, error) {
-	var none measure.Resolved
 	if qy == nil || qy.g == nil {
-		return none, ErrNilGraph
+		return ErrNilGraph
 	}
 	pairForm := qy.p != nil || qy.q != nil
 	if pairForm == (qy.join != nil) {
-		return none, ErrQueryForm
+		return ErrQueryForm
 	}
 	if pairForm {
 		if qy.p == nil || qy.p.Len() == 0 {
-			return none, fmt.Errorf("%w (P)", ErrEmptyNodeSet)
+			return fmt.Errorf("%w (P)", ErrEmptyNodeSet)
 		}
 		if qy.q == nil || qy.q.Len() == 0 {
-			return none, fmt.Errorf("%w (Q)", ErrEmptyNodeSet)
+			return fmt.Errorf("%w (Q)", ErrEmptyNodeSet)
 		}
 		if err := qy.p.Validate(qy.g); err != nil {
-			return none, fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+			return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 		}
 		if err := qy.q.Validate(qy.g); err != nil {
-			return none, fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+			return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 		}
 	} else if err := qy.join.Validate(qy.g); err != nil {
-		return none, fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+		return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 	}
 	res, err := qy.opts.resolve()
 	if err != nil {
-		return none, err
+		return err
 	}
-	if qy.hints.Algorithm != "" {
-		if err := plan.ValidateForced(qy.class(), qy.hints.Algorithm, res.Kernel.PlanMeasure); err != nil {
-			return none, hintErr(err)
-		}
+	if qy.hints.Algorithm == "" {
+		return nil
 	}
-	return res, nil
-}
-
-// hintErr maps a planner rejection of a forced algorithm to the typed
-// sentinels.
-func hintErr(err error) error {
-	if errors.Is(err, plan.ErrWrongClass) || errors.Is(err, plan.ErrWrongMeasure) {
+	class := plan.TwoWay
+	if qy.join != nil {
+		class = plan.NWay
+	}
+	err = plan.ValidateForced(class, qy.hints.Algorithm, res.Kernel.PlanMeasure)
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, plan.ErrWrongClass) || errors.Is(err, plan.ErrWrongMeasure):
 		return fmt.Errorf("%w: %v", ErrHintConflict, err)
 	}
 	return fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
 }
 
-// class maps the query form to its planner class.
-func (qy *Query) class() plan.Class {
-	if qy.join != nil {
-		return plan.NWay
+// session validates the query and builds what every entry point executes
+// on: a throw-away serving session over the caller's graph
+// (service.Ephemeral — caches off, admission sized to the query's own
+// workers) and the options in the serving layer's form, the forced
+// algorithm included. The one-shot call is thus the served request path by
+// construction: the same resolver, planner, executor openers, relabel
+// map-back, budget and cancellation — there is no second copy to keep
+// equal. wantJoin names the form the entry point needs.
+func (qy *Query) session(wantJoin bool) (*service.Service, service.Query, error) {
+	if err := qy.Validate(); err != nil {
+		return nil, service.Query{}, err
 	}
-	return plan.TwoWay
-}
-
-// execOpts returns the options that say how (not what) the query executes.
-func (qy *Query) execOpts() (workers int, relabel RelabelMode) {
-	if qy.opts == nil {
-		return 0, RelabelOff
+	switch {
+	case wantJoin && qy.join == nil:
+		return nil, service.Query{}, fmt.Errorf("%w: n-way stream requested for a 2-way query", ErrQueryForm)
+	case !wantJoin && qy.join != nil:
+		return nil, service.Query{}, fmt.Errorf("%w: 2-way stream requested for an n-way query", ErrQueryForm)
 	}
-	return qy.opts.Workers, qy.opts.Relabel
-}
-
-// decide runs the planner (or validates the forced hint) for demand k
-// (streams have unknown demand, so callers pass the initial batch budget).
-// It plans against the original graph's cached stats — relabeling permutes
-// ids, never structure — and every executor returns the bit-identical
-// ranking, so the pick is purely a cost decision.
-func (qy *Query) decide(res measure.Resolved, k int) (*QueryPlan, error) {
-	workers, _ := qy.execOpts()
-	w := plan.Workload{Stats: qy.g.Stats(), K: k, M: res.M, D: res.D, Workers: workers,
-		Measure: res.Kernel.PlanMeasure, Accuracy: res.Accuracy}
-	if qy.join != nil {
-		w.SetSizes = make([]int, qy.join.NumSets())
-		for i := range w.SetSizes {
-			w.SetSizes[i] = qy.join.Set(i).Len()
-		}
-		for _, e := range qy.join.Edges() {
-			w.QueryEdges = append(w.QueryEdges, [2]int{e.From, e.To})
-		}
-	} else {
-		w.P, w.Q = qy.p.Len(), qy.q.Len()
-	}
-	pl, err := plan.Decide(qy.class(), w, qy.hints.Algorithm)
-	if err != nil {
-		return nil, hintErr(err)
-	}
-	return pl, nil
+	q := toQuery(qy.opts)
+	q.Algorithm = qy.hints.Algorithm
+	return service.Ephemeral(qy.g, q.Workers), q, nil
 }
 
 // Explain validates the query and returns the plan its streaming entry
@@ -259,12 +231,7 @@ func (qy *Query) decide(res measure.Resolved, k int) (*QueryPlan, error) {
 // forced Hints.Algorithm is validated and reported with Forced set
 // alongside the full cost table.
 func (qy *Query) Explain(ctx context.Context) (*QueryPlan, error) {
-	_ = ctx // planning never blocks; ctx kept for API symmetry with execution
-	res, err := qy.validate()
-	if err != nil {
-		return nil, err
-	}
-	return qy.decide(res, res.M)
+	return qy.explain(ctx, 0) // 0: the streams' demand
 }
 
 // ExplainTopK returns the plan the batch wrappers would run for demand k:
@@ -272,111 +239,73 @@ func (qy *Query) Explain(ctx context.Context) (*QueryPlan, error) {
 // k results), for an n-way query the same plan as Explain (TopK drains the
 // answer stream, which is sized for the per-edge budget M regardless of k).
 func (qy *Query) ExplainTopK(ctx context.Context, k int) (*QueryPlan, error) {
-	_ = ctx
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
-	res, err := qy.validate()
-	if err != nil {
-		return nil, err
-	}
-	if qy.join != nil {
-		k = res.M
-	}
-	return qy.decide(res, k)
+	return qy.explain(ctx, k)
 }
 
-// openPairs validates and opens the 2-way stream with the given initial
-// batch budget (0 selects the resolved per-edge budget, Options.M). batch
-// marks a drain-exactly-initial caller (TopKPairs): the stream then skips
-// the incremental F structure — populating it costs O(|P|·|Q|) heap
-// insertions that a caller who never pulls past the initial batch would
-// pay for nothing — and runs one plain top-k join behind a doubling
-// re-join, which prices the wrapper identically to a direct joiner call.
-func (qy *Query) openPairs(ctx context.Context, initial int, batch bool) (*PairStream, error) {
-	res, err := qy.validate()
+func (qy *Query) explain(ctx context.Context, k int) (*QueryPlan, error) {
+	nway := qy != nil && qy.join != nil // a nil Query fails in session
+	svc, q, err := qy.session(nway)
 	if err != nil {
 		return nil, err
 	}
-	if qy.join != nil {
-		return nil, fmt.Errorf("%w: 2-way stream requested for an n-way query", ErrQueryForm)
+	if nway {
+		sets, edges := setRefs(qy.join)
+		return svc.ExplainJoinN(ctx, "", sets, edges, k, q)
 	}
-	if initial <= 0 {
-		initial = res.M
-	}
-	pl, err := qy.decide(res, initial)
-	if err != nil {
-		return nil, err
-	}
-	workers, relabel := qy.execOpts()
-	ctx, cancel := qy.budgetContext(ctx)
-	cfg := join2.Config{Graph: qy.g, Params: res.Params, D: res.D, P: qy.p.Nodes(), Q: qy.q.Nodes(),
-		Measure: res.Kernel.Walk, Workers: workers, Cancel: cancelPoll(ctx)}
-	toOld := relabelPairConfig(&cfg, relabel)
-	st, err := join2.NewNamedStream(pl.Algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	return &PairStream{ctx: ctx, cancel: cancel, st: st, toOld: toOld}, nil
-}
-
-// cancelPoll is the hook the joiners poll at walk-round granularity, so a
-// cancelled ctx (or an expired budget) stops the join mid-round instead of
-// only between pulls. context.Cause is nil while the ctx is live.
-func cancelPoll(ctx context.Context) func() error {
-	return func() error { return context.Cause(ctx) }
-}
-
-// budgetContext applies Options.Budget as a deadline whose cancellation
-// cause is ErrBudgetExceeded — distinguishable from a caller cancel, so
-// streams can degrade to a truncated-but-correct prefix instead of erroring.
-// A nil ctx means Background; without a budget the ctx passes through with a
-// no-op cancel.
-func (qy *Query) budgetContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if qy.opts == nil || qy.opts.Budget <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeoutCause(ctx, qy.opts.Budget, ErrBudgetExceeded)
+	return svc.ExplainJoin2(ctx, "", idsRef(qy.p), idsRef(qy.q), k, q)
 }
 
 // OpenPairs opens the rank-ordered pair stream of a 2-way query. The caller
 // owns the handle: pull with Next or NextK, and Stop when done — Stop (or
 // draining to exhaustion, or a ctx error) releases every pooled engine.
 func (qy *Query) OpenPairs(ctx context.Context) (*PairStream, error) {
-	return qy.openPairs(ctx, 0, false)
+	svc, q, err := qy.session(false)
+	if err != nil {
+		return nil, err
+	}
+	st, err := svc.OpenJoin2(ctx, "", idsRef(qy.p), idsRef(qy.q), q)
+	if err != nil {
+		return nil, err
+	}
+	return &PairStream{st}, nil
 }
 
 // TopKPairs executes the 2-way query as a one-shot batch: the k best pairs
 // in descending score order, evaluated by the planner's pick (or the forced
 // Hints.Algorithm) — the hints-aware form of the package-level TopKPairs,
-// and bit-identical to the first k elements of Results.
+// and bit-identical to the first k elements of Results. It plans for
+// exactly k and skips the stream's incremental F structure, whose
+// O(|P|·|Q|) population a caller that never pulls past k would pay for
+// nothing. When the deadline budget expired the correct-but-short prefix
+// comes back alongside ErrBudgetExceeded, so callers can choose.
 func (qy *Query) TopKPairs(ctx context.Context, k int) ([]PairResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
-	s, err := qy.openPairs(ctx, k, true)
+	svc, q, err := qy.session(false)
 	if err != nil {
 		return nil, err
 	}
-	return s.topK(k)
+	return svc.Join2(ctx, "", idsRef(qy.p), idsRef(qy.q), k, q)
 }
 
 // TopK executes the n-way query as a one-shot batch: the k best answers in
 // descending aggregate order — the hints-aware form of the package-level
-// TopK, bit-identical to the first k elements of Answers.
+// TopK, bit-identical to the first k elements of Answers. Budget expiry as
+// in TopKPairs.
 func (qy *Query) TopK(ctx context.Context, k int) ([]Answer, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
-	s, err := qy.OpenAnswers(ctx)
+	svc, q, err := qy.session(true)
 	if err != nil {
 		return nil, err
 	}
-	return s.topK(k)
+	sets, edges := setRefs(qy.join)
+	return svc.JoinN(ctx, "", sets, edges, k, q)
 }
 
 // Results executes a 2-way query as a pull-based iterator: pairs arrive in
@@ -395,38 +324,16 @@ func (qy *Query) Results(ctx context.Context) iter.Seq2[PairResult, error] {
 // OpenAnswers opens the rank-ordered answer stream of an n-way query; see
 // OpenPairs for the handle contract.
 func (qy *Query) OpenAnswers(ctx context.Context) (*AnswerStream, error) {
-	res, err := qy.validate()
+	svc, q, err := qy.session(true)
 	if err != nil {
 		return nil, err
 	}
-	if qy.join == nil {
-		return nil, fmt.Errorf("%w: n-way stream requested for a 2-way query", ErrQueryForm)
-	}
-	pl, err := qy.decide(res, res.M)
+	sets, edges := setRefs(qy.join)
+	st, err := svc.OpenJoinN(ctx, "", sets, edges, q)
 	if err != nil {
 		return nil, err
 	}
-	workers, relabel := qy.execOpts()
-	ctx, cancel := qy.budgetContext(ctx)
-	// K is required by Spec.Validate but never bounds a stream; the PBRJ
-	// emission loop is k-free by construction.
-	spec := core.Spec{Graph: qy.g, Query: qy.join, Params: res.Params, D: res.D, Agg: res.Agg, K: 1,
-		Measure: res.Kernel.Walk, Workers: workers, Cancel: cancelPoll(ctx)}
-	if qy.opts != nil {
-		spec.Distinct = qy.opts.Distinct
-	}
-	toOld := relabelSpec(&spec, relabel)
-	alg, err := core.NewNamed(pl.Algorithm, spec, res.M)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	st, err := alg.Stream()
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	return &AnswerStream{ctx: ctx, cancel: cancel, st: st, toOld: toOld}, nil
+	return &AnswerStream{st}, nil
 }
 
 // Answers executes an n-way query as a pull-based iterator — the n-way
@@ -461,19 +368,11 @@ func seq[T any](open func() (*Stream[T], error)) iter.Seq2[T, error] {
 
 // Stream is the pull handle of a query: results arrive one at a time in
 // descending score order (prefix-identical to the batch ranking).
-// Single-goroutine, like the engines it drives.
-type Stream[T any] struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	st     interface {
-		Next() (T, bool, error)
-		Release()
-	}
-	toOld     func(T) T // maps a result's node ids back to the caller's; nil when not relabeled
-	stopped   bool
-	exhausted bool
-	truncated bool
-}
+// Single-goroutine, like the engines it drives. It is the serving layer's
+// stream handle under the facade's two contract differences: a pull after
+// Stop is an error (ErrStreamStopped), and an expired budget is a clean,
+// Truncated end rather than an error.
+type Stream[T any] struct{ st *service.Stream[T] }
 
 // PairStream is the handle of a 2-way query, AnswerStream of an n-way one.
 type (
@@ -485,39 +384,22 @@ type (
 // budget (Options.Budget) expired. The results pulled before the deadline
 // are still bit-identical to the same-length prefix of the full ranking —
 // the budget shortens the ranking, never corrupts it.
-func (s *Stream[T]) Truncated() bool { return s.truncated }
+func (s *Stream[T]) Truncated() bool { return s.st.Truncated() }
 
 // Next returns the next-best result. ok is false once the candidate space
-// is exhausted (the stream auto-stops and further calls keep reporting
-// ok=false); pulling after an explicit Stop returns ErrStreamStopped
-// instead. A cancelled context surfaces as (zero, false, ctx.Err()) and
-// also stops the stream.
+// is exhausted or the budget expired (the stream auto-stops and further
+// calls keep reporting ok=false); pulling after an explicit Stop returns
+// ErrStreamStopped instead. A cancelled context surfaces as
+// (zero, false, ctx.Err()) and also stops the stream.
 func (s *Stream[T]) Next() (T, bool, error) {
-	var zero T
-	if s.exhausted {
-		return zero, false, nil
+	v, ok, err := s.st.Next()
+	switch {
+	case errors.Is(err, ErrBudgetExceeded):
+		err = nil
+	case err == nil && !ok && !s.st.Exhausted() && !s.st.Truncated():
+		err = ErrStreamStopped
 	}
-	if s.stopped {
-		return zero, false, ErrStreamStopped
-	}
-	err := context.Cause(s.ctx)
-	var v T
-	ok := false
-	if err == nil {
-		v, ok, err = s.st.Next()
-	}
-	if err != nil || !ok {
-		if errors.Is(err, ErrBudgetExceeded) {
-			s.truncated, err = true, nil
-		}
-		s.exhausted = err == nil
-		s.Stop()
-		return zero, false, err
-	}
-	if s.toOld != nil {
-		v = s.toOld(v)
-	}
-	return v, true, nil
+	return v, ok, err
 }
 
 // NextK pulls up to k further results — the "give me the next k"
@@ -530,29 +412,7 @@ func (s *Stream[T]) NextK(k int) ([]T, error) {
 	return join2.Drain(k, s.Next)
 }
 
-// topK drains the stream as a one-shot batch. When the deadline budget
-// expired the correct-but-short prefix comes back alongside
-// ErrBudgetExceeded, so callers can choose.
-func (s *Stream[T]) topK(k int) ([]T, error) {
-	defer s.Stop()
-	res, err := s.NextK(k)
-	if err != nil {
-		return nil, err
-	}
-	if s.truncated {
-		return res, ErrBudgetExceeded
-	}
-	return res, nil
-}
-
 // Stop ends the stream and releases every pooled engine it holds. It is
 // idempotent and always safe — including mid-stream, which is the whole
 // point: early termination must not leak pool entries.
-func (s *Stream[T]) Stop() {
-	if s.stopped {
-		return
-	}
-	s.stopped = true
-	s.cancel()
-	s.st.Release()
-}
+func (s *Stream[T]) Stop() { s.st.Stop() }

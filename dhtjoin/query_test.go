@@ -3,10 +3,12 @@ package dhtjoin
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/service"
 )
 
 func queryWorld(t testing.TB) (*Graph, []*NodeSet) {
@@ -273,7 +275,7 @@ func streamContract[T any](t *testing.T, name string, open func(context.Context,
 			t.Fatal(err)
 		}
 		defer s.Stop()
-		<-s.ctx.Done()
+		time.Sleep(150 * time.Millisecond)
 		if _, ok, err := s.Next(); ok || err != nil {
 			t.Fatalf("next past the budget: ok=%v err=%v, want a clean end", ok, err)
 		}
@@ -284,4 +286,101 @@ func streamContract[T any](t *testing.T, name string, open func(context.Context,
 			t.Fatalf("next after truncation: ok=%v err=%v", ok, err)
 		}
 	})
+}
+
+// TestBudgetSpentAtOpen: a budget that is gone before the stream can open
+// is the shortest truncation, not a failure — the handle comes back
+// Truncated with zero results, and the batch calls return the empty exact
+// prefix alongside ErrBudgetExceeded, exactly as a mid-join expiry would.
+func TestBudgetSpentAtOpen(t *testing.T) {
+	g, sets := queryWorld(t)
+	ctx := context.Background()
+	spent := &Options{Budget: time.Nanosecond}
+	pairs := NewPairQuery(g, sets[0], sets[1]).WithOptions(spent)
+	join := NewJoinQuery(g, Chain(sets[0], sets[1], sets[2])).WithOptions(spent)
+
+	ps, err := pairs.OpenPairs(ctx)
+	if err != nil {
+		t.Fatalf("OpenPairs past its budget: %v, want a truncated handle", err)
+	}
+	defer ps.Stop()
+	as, err := join.OpenAnswers(ctx)
+	if err != nil {
+		t.Fatalf("OpenAnswers past its budget: %v, want a truncated handle", err)
+	}
+	defer as.Stop()
+	if !ps.Truncated() || !as.Truncated() {
+		t.Fatal("a handle opened past its budget does not report Truncated")
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok, err := ps.Next(); ok || err != nil {
+			t.Fatalf("pair pull %d: ok=%v err=%v, want a clean end", i, ok, err)
+		}
+		if _, ok, err := as.Next(); ok || err != nil {
+			t.Fatalf("answer pull %d: ok=%v err=%v, want a clean end", i, ok, err)
+		}
+	}
+
+	if res, err := pairs.TopKPairs(ctx, 5); !errors.Is(err, ErrBudgetExceeded) || len(res) != 0 {
+		t.Fatalf("TopKPairs: %d results, err=%v; want the empty prefix with ErrBudgetExceeded", len(res), err)
+	}
+	if res, err := join.TopK(ctx, 5); !errors.Is(err, ErrBudgetExceeded) || len(res) != 0 {
+		t.Fatalf("TopK: %d results, err=%v; want the empty prefix with ErrBudgetExceeded", len(res), err)
+	}
+}
+
+// TestEphemeralSessionRestored: whatever the options make the throw-away
+// session do — fan out, relabel, run a forced executor — a Stop mid-stream
+// must leave it holding nothing: no engine checked out of its pool, every
+// admission token back.
+func TestEphemeralSessionRestored(t *testing.T) {
+	g, sets := queryWorld(t)
+	ctx := context.Background()
+	// midStop pulls three results, checks the live stream holds a token,
+	// stops it and checks the session holds nothing.
+	midStop := func(t *testing.T, svc *service.Service, nextK func(int) (int, error), stop func()) {
+		t.Helper()
+		if n, err := nextK(3); err != nil || n != 3 {
+			t.Fatalf("pulled %d results, err=%v", n, err)
+		}
+		if _, tokens := svc.Outstanding(); tokens == 0 {
+			t.Fatal("a live stream holds no admission token")
+		}
+		stop()
+		if engines, tokens := svc.Outstanding(); engines != 0 || tokens != 0 {
+			t.Fatalf("Stop left %d engines and %d tokens outstanding", engines, tokens)
+		}
+	}
+	for _, workers := range []int{0, 3, -1} {
+		for _, relabel := range []RelabelMode{RelabelOff, RelabelDegree} {
+			for _, forced := range [][2]string{{"B-BJ", "AP"}, {"", ""}} {
+				opts := &Options{Workers: workers, Relabel: relabel}
+				t.Run(fmt.Sprintf("workers=%d/relabel=%v/forced=%q", workers, relabel, forced), func(t *testing.T) {
+					pairs := NewPairQuery(g, sets[0], sets[1]).WithOptions(opts).WithHints(Hints{Algorithm: forced[0]})
+					svc, q, err := pairs.session(false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pst, err := svc.OpenJoin2(ctx, "", idsRef(sets[0]), idsRef(sets[1]), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ps := &PairStream{pst}
+					midStop(t, svc, func(k int) (int, error) { r, err := ps.NextK(k); return len(r), err }, ps.Stop)
+
+					join := NewJoinQuery(g, Chain(sets[0], sets[1], sets[2])).WithOptions(opts).WithHints(Hints{Algorithm: forced[1]})
+					if svc, q, err = join.session(true); err != nil {
+						t.Fatal(err)
+					}
+					refs, edges := setRefs(join.join)
+					ast, err := svc.OpenJoinN(ctx, "", refs, edges, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					as := &AnswerStream{ast}
+					midStop(t, svc, func(k int) (int, error) { r, err := as.NextK(k); return len(r), err }, as.Stop)
+				})
+			}
+		}
+	}
 }

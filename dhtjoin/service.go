@@ -11,10 +11,10 @@ import (
 // Service is the library facade over the long-lived serving layer
 // (internal/service): it owns a bounded registry of named graphs and, per
 // (graph, params, d, relabel) configuration, shared engine pools, a
-// concurrency-safe score-column memo, the cached relabeling, and an LRU of
-// recent top-k results. All methods are safe for concurrent use, and every
-// join result is bit-identical to the corresponding one-shot call
-// (TopKPairs / TopK / Score) with the same Options.
+// concurrency-safe score-column memo, and a cache of recent top-k results.
+// All methods are safe for concurrent use. The one-shot calls (TopKPairs /
+// TopK / Score) are this same request path with the caches off, so a served
+// result equals the one-shot result with the same Options.
 //
 // Use it when the same graphs are queried repeatedly — a server, a notebook
 // session, a batch evaluator. One-shot calls remain the right tool for
@@ -92,11 +92,27 @@ func toQuery(o *Options) service.Query {
 	return q
 }
 
-// servedQuery is toQuery for the facade's entry points: options that do not
-// resolve fail with ErrInvalidOptions exactly as on the one-shot path.
+// servedQuery is toQuery for the entry points that take bare Options:
+// options that do not resolve fail with ErrInvalidOptions.
 func servedQuery(o *Options) (service.Query, error) {
 	_, err := o.resolve()
 	return toQuery(o), err
+}
+
+// idsRef names a node set to the serving layer by its explicit members.
+func idsRef(s *NodeSet) service.SetRef { return service.SetRef{IDs: s.Nodes()} }
+
+// setRefs flattens a QueryGraph into the serving layer's sets-and-edges
+// form.
+func setRefs(join *QueryGraph) (sets []service.SetRef, edges [][2]int) {
+	sets = make([]service.SetRef, join.NumSets())
+	for i := range sets {
+		sets[i] = idsRef(join.Set(i))
+	}
+	for _, e := range join.Edges() {
+		edges = append(edges, [2]int{e.From, e.To})
+	}
+	return sets, edges
 }
 
 // pairArgs validates the inputs of a served 2-way call and maps them onto
@@ -106,29 +122,23 @@ func pairArgs(p, q *NodeSet, opts *Options) (pr, qr service.SetRef, query servic
 		return pr, qr, query, ErrEmptyNodeSet
 	}
 	query, err = servedQuery(opts)
-	return service.SetRef{IDs: p.Nodes()}, service.SetRef{IDs: q.Nodes()}, query, err
+	return idsRef(p), idsRef(q), query, err
 }
 
-// joinArgs is pairArgs for n-way calls: it flattens the QueryGraph into the
-// serving layer's sets-and-edges form.
+// joinArgs is pairArgs for n-way calls.
 func joinArgs(join *QueryGraph, opts *Options) (sets []service.SetRef, edges [][2]int, query service.Query, err error) {
 	if join == nil {
 		return nil, nil, query, ErrInvalidQueryGraph
 	}
-	sets = make([]service.SetRef, join.NumSets())
-	for i := range sets {
-		sets[i] = service.SetRef{IDs: join.Set(i).Nodes()}
-	}
-	for _, e := range join.Edges() {
-		edges = append(edges, [2]int{e.From, e.To})
-	}
+	sets, edges = setRefs(join)
 	query, err = servedQuery(opts)
 	return sets, edges, query, err
 }
 
-// TopKPairs serves a top-k 2-way join on the named graph, bit-identical to
-// the package-level TopKPairs with the same Options. ctx cancels the work
-// (including the wait for worker admission); nil means Background.
+// TopKPairs serves a top-k 2-way join on the named graph — the request path
+// the package-level TopKPairs runs, with the session's caches on. ctx
+// cancels the work (including the wait for worker admission); nil means
+// Background.
 func (s *Service) TopKPairs(ctx context.Context, graphName string, p, q *NodeSet, k int, opts *Options) ([]PairResult, error) {
 	pr, qr, query, err := pairArgs(p, q, opts)
 	if err != nil {
@@ -159,8 +169,7 @@ type ServicePairStream = service.Join2Stream
 // ServiceAnswerStream is the streaming handle returned by Service.OpenAnswers.
 type ServiceAnswerStream = service.JoinNStream
 
-// TopK serves a top-k n-way join on the named graph, bit-identical to the
-// package-level TopK with the same Options. ctx as in TopKPairs.
+// TopK serves a top-k n-way join on the named graph; see TopKPairs.
 func (s *Service) TopK(ctx context.Context, graphName string, query *QueryGraph, k int, opts *Options) ([]Answer, error) {
 	sets, edges, q, err := joinArgs(query, opts)
 	if err != nil {
@@ -182,8 +191,8 @@ func (s *Service) OpenAnswers(ctx context.Context, graphName string, query *Quer
 	return s.s.OpenJoinN(ctx, graphName, sets, edges, q)
 }
 
-// Score serves the truncated score h_d(u, v) on the named graph,
-// bit-identical to the package-level Score.
+// Score serves the truncated score h_d(u, v) on the named graph, as the
+// package-level Score does.
 func (s *Service) Score(ctx context.Context, graphName string, u, v NodeID, opts *Options) (float64, error) {
 	q, err := servedQuery(opts)
 	if err != nil {

@@ -51,7 +51,7 @@ func (a *PJ) Stream() (TupleStream, error) {
 			return nil, err
 		}
 		// PJ must keep the from-scratch re-join strategy even for B-IDJ
-		// joiners (OpenStream would upgrade those to the incremental F
+		// joiners (NewNamedStream would upgrade those to the incremental F
 		// structure, i.e. to PJ-i), so the rejoin stream is named directly.
 		// m = 0 is allowed: the initial batch is then a top-1 join.
 		return join2.NewRejoinStream(j, join2.StreamSpec{Initial: a.m, Refetches: &a.Stats.Refetches})

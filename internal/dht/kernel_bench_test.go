@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -98,3 +99,43 @@ func BenchmarkBatchBackWalkW16(b *testing.B) { benchBatchBackWalk(b, 16, 8) }
 
 // BenchmarkBatchBackWalkShortW8: the l=1 deepening-round regime, batched.
 func BenchmarkBatchBackWalkShortW8(b *testing.B) { benchBatchBackWalk(b, 8, 1) }
+
+// BenchmarkSoloVsBatchW1 is the measurement behind keeping the solo push
+// kernel next to the batch engine (DESIGN.md, kernel section): one target
+// per op on a 25k-node preferential-attachment graph, walked l steps by
+// the solo engine, by a width-1 batch engine, and by a width-8 batch engine
+// with a single active column. If width 1 matched solo, Engine could be a
+// W=1 view of BatchEngine; it does not.
+func BenchmarkSoloVsBatchW1(b *testing.B) {
+	g, err := graph.GeneratePreferential(25000, 3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumNodes()
+	for _, l := range []int{1, 2, 3, 5, 8} {
+		b.Run(fmt.Sprintf("l=%d/solo", l), func(b *testing.B) {
+			e, err := NewEngine(g, DHTLambda(0.2), 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.BackWalkScores(FirstHit, graph.NodeID(i%n), l)
+			}
+		})
+		for _, w := range []int{1, 8} {
+			b.Run(fmt.Sprintf("l=%d/batchW%d", l, w), func(b *testing.B) {
+				be, err := NewBatchEngine(g, DHTLambda(0.2), 8, w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				q := make([]graph.NodeID, 1)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					q[0] = graph.NodeID(i % n)
+					be.BackWalkScoresBatch(FirstHit, q, l)
+				}
+			})
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // The generators below are the substitutes for the paper's real datasets: a
@@ -191,17 +192,20 @@ func GeneratePreferential(n, m int, seed int64) (*Graph, error) {
 			targets = append(targets, NodeID(i), NodeID(j))
 		}
 	}
-	chosen := make(map[NodeID]struct{}, m)
+	// Arrivals link in draw order: the order they enter targets steers every
+	// later draw, so it must be a function of the seed alone (ranging over a
+	// map here made one seed give a different graph on every call).
+	chosen := make([]NodeID, 0, m)
 	for u := m + 1; u < n; u++ {
-		clear(chosen)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			v := targets[rng.Intn(len(targets))]
-			if int(v) == u {
+			if int(v) == u || slices.Contains(chosen, v) {
 				continue
 			}
-			chosen[v] = struct{}{}
+			chosen = append(chosen, v)
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			b.AddEdge(NodeID(u), v, 1)
 			targets = append(targets, NodeID(u), v)
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +105,24 @@ func TestGeneratePreferential(t *testing.T) {
 	}
 	if _, err := GeneratePreferential(1, 1, 0); err == nil {
 		t.Fatal("n=1 accepted")
+	}
+}
+
+// TestGeneratePreferentialReproducible: one seed is one graph — two calls
+// must agree on every CSR array, not just on the shape.
+func TestGeneratePreferentialReproducible(t *testing.T) {
+	a, err := GeneratePreferential(400, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := GeneratePreferential(400, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ai, at, aw := a.CSR()
+	bi, bt, bw := b.CSR()
+	if !slices.Equal(ai, bi) || !slices.Equal(at, bt) || !slices.Equal(aw, bw) {
+		t.Fatal("two calls with one seed built different graphs")
 	}
 }
 

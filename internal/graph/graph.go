@@ -45,6 +45,14 @@ type Graph struct {
 	// planner consults it per query.
 	statsOnce sync.Once
 	stats     Stats
+
+	// Cached locality reorderings (Relabeled method), one slot per mode
+	// after NoRelabel; same idiom and lifetime as the stats above.
+	relabeled [2]struct {
+		once sync.Once
+		g    *Graph
+		r    *Relabeling
+	}
 }
 
 // NumNodes returns the number of nodes.

@@ -212,3 +212,17 @@ func Relabel(g *Graph, mode RelabelMode) (*Graph, *Relabeling) {
 		return g, nil
 	}
 }
+
+// Relabeled returns g reordered under mode with its id map, built on first
+// use and cached for the graph's lifetime (graphs are immutable, and the
+// O(|E| log |E|) rebuild must not be paid per query). Concurrent first
+// callers of one mode share a single build. NoRelabel is the identity:
+// (g, nil).
+func (g *Graph) Relabeled(mode RelabelMode) (*Graph, *Relabeling) {
+	if mode != ByDegree && mode != ByBFS {
+		return g, nil
+	}
+	c := &g.relabeled[mode-ByDegree]
+	c.once.Do(func() { c.g, c.r = Relabel(g, mode) })
+	return c.g, c.r
+}

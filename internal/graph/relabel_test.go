@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -131,5 +132,41 @@ func TestRelabelMapHelpers(t *testing.T) {
 		if r.ToOld(id) != ids[i] {
 			t.Fatalf("set member %d maps back to %d, want %d", id, r.ToOld(id), ids[i])
 		}
+	}
+}
+
+// TestRelabeledCachesPerMode: the graph builds each reordering once (the
+// cache lives on the graph, so it dies with it), concurrent first callers
+// share one build, distinct modes get distinct entries, and NoRelabel is
+// the identity.
+func TestRelabeledCachesPerMode(t *testing.T) {
+	g, _, err := GenerateCommunity(CommunityConfig{Sizes: []int{20, 20}, PIn: 0.2, POut: 0.05, Seed: 3, MinOutLink: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Graph, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = g.Relabeled(ByDegree)
+		}()
+	}
+	wg.Wait()
+	rg, r := g.Relabeled(ByDegree)
+	if rg == g || r == nil {
+		t.Fatal("ByDegree returned the graph as given")
+	}
+	for i, x := range got {
+		if x != rg {
+			t.Fatalf("caller %d got its own rebuild of the degree ordering", i)
+		}
+	}
+	if bg, _ := g.Relabeled(ByBFS); bg == rg || bg == g {
+		t.Fatal("distinct modes shared one cache entry")
+	}
+	if og, or := g.Relabeled(NoRelabel); og != g || or != nil {
+		t.Fatal("NoRelabel must be the identity")
 	}
 }

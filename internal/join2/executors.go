@@ -166,8 +166,8 @@ func init() {
 }
 
 // NewNamedStream opens the serving stream of the named registered 2-way
-// executor over cfg — the planner-facing generalization of NewBIDJYStream.
-// The B-IDJ family streams through the incremental F structure when the
+// executor over cfg — the one strategy choice in the system. The B-IDJ
+// family streams through the incremental F structure when the
 // config is serial and the caller is not a batch drain (batch = true: the
 // caller will pull exactly the initial budget and stop, so populating the F
 // structure would be paid for nothing); everything else — non-B-IDJ

@@ -53,8 +53,8 @@ type StreamSpec struct {
 
 	// Grow picks the next re-join budget from the current one for
 	// NewRejoinStream: nil selects the +1 schedule of the paper's PJ
-	// ("simply running a top-(m+1) join"). OpenStream overrides nil with a
-	// doubling schedule, which amortizes re-joins to O(log) of the drained
+	// ("simply running a top-(m+1) join"). NewNamedStream overrides nil with
+	// a doubling schedule, which amortizes re-joins to O(log) of the drained
 	// length. Ignored by NewIncrementalStream.
 	Grow func(current int) int
 
@@ -143,7 +143,7 @@ func NewRejoinStream(j Joiner, spec StreamSpec) (Stream, error) {
 	return &rejoinStream{j: j, maxPairs: mp, budget: spec.initial(), grow: grow, refetches: spec.Refetches}, nil
 }
 
-// growDouble is OpenStream's budget schedule: each re-join doubles the
+// growDouble is NewNamedStream's budget schedule: each re-join doubles the
 // drained length, so draining r results costs O(log r) re-joins.
 func growDouble(n int) int {
 	if n < 1 {
@@ -256,39 +256,4 @@ func Drain[T any](k int, next func() (T, bool, error)) ([]T, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// NewBIDJYStream opens the standard serving stream over cfg — the one
-// strategy choice shared by the dhtjoin facade and the serving layer.
-// Serial configs stream through the incremental F structure (no work is
-// repeated between pulls); parallel configs (cfg.Workers < 0 or > 1, which
-// keep their worker-pool deepening rounds) and batch drains (batch = true:
-// the caller will pull exactly the initial budget and stop, so the F
-// structure's O(|P|·|Q|) population would be paid for nothing) run one
-// plain B-IDJ-Y top-k behind a doubling re-join. Either strategy yields
-// the identical ranking (canonical tie keys), so this is purely a cost
-// choice.
-func NewBIDJYStream(cfg Config, spec StreamSpec, batch bool) (Stream, error) {
-	return NewNamedStream("B-IDJ-Y", cfg, spec, batch)
-}
-
-// OpenStream adapts a joiner into a pull stream, picking the best strategy
-// for its type: a B-IDJ joiner streams through the incremental F structure
-// (no work is ever repeated), every other joiner streams through doubling
-// re-joins (unless spec.Grow overrides the schedule). The joiner should be
-// freshly constructed — a B-IDJ's own cached engines are bypassed by the
-// incremental state, and OpenStream releases them.
-func OpenStream(j Joiner, spec StreamSpec) (Stream, error) {
-	if b, ok := j.(*BIDJ); ok {
-		st, err := NewIncrementalStream(b.cfg, b.variant, spec)
-		if err != nil {
-			return nil, err
-		}
-		b.Release() // any cached engines go back; the stream owns its own
-		return st, nil
-	}
-	if spec.Grow == nil {
-		spec.Grow = growDouble
-	}
-	return NewRejoinStream(j, spec)
 }

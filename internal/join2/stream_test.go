@@ -42,12 +42,8 @@ func streamFor(t *testing.T, cfg Config, name string, spec StreamSpec) Stream {
 			t.Fatal(jerr)
 		}
 		st, err = NewRejoinStream(j, spec)
-	case "open-BIDJY": // OpenStream upgrades B-IDJ to the incremental path
-		j, jerr := NewBIDJY(cfg)
-		if jerr != nil {
-			t.Fatal(jerr)
-		}
-		st, err = OpenStream(j, spec)
+	case "named-BIDJY": // NewNamedStream upgrades B-IDJ to the incremental path
+		st, err = NewNamedStream("B-IDJ-Y", cfg, spec, false)
 	default:
 		t.Fatalf("unknown stream strategy %q", name)
 	}
@@ -58,7 +54,7 @@ func streamFor(t *testing.T, cfg Config, name string, spec StreamSpec) Stream {
 }
 
 var streamStrategies = []string{
-	"inc-X", "inc-Y", "rejoin-BIDJY", "rejoin-BBJ", "rejoin-FBJ", "rejoin-FIDJ", "open-BIDJY",
+	"inc-X", "inc-Y", "rejoin-BIDJY", "rejoin-BBJ", "rejoin-FBJ", "rejoin-FIDJ", "named-BIDJY",
 }
 
 // TestStreamPrefixEquivalence is the acceptance property of the streaming

@@ -113,19 +113,13 @@ func joinBatch[T any](s *Service, ctx context.Context, graphName string, spec jo
 	}
 	st, err := rq.open(ctx, k, true)
 	if err != nil {
-		if errors.Is(err, ErrBudgetExceeded) {
-			// The budget expired before the join could start (e.g. spent
-			// queued at admission): the correct prefix is the empty one.
-			s.budgetTruncs.Add(1)
-			meta.Truncated = true
-			return nil, meta, nil
-		}
 		return nil, meta, err
 	}
 	defer st.Stop()
 	res, err := st.NextK(k)
 	if errors.Is(err, ErrBudgetExceeded) {
-		// The drained prefix is correct as far as it goes; surface it with
+		// The drained prefix (empty when the budget was spent before the
+		// join could start) is correct as far as it goes; surface it with
 		// the truncation marker instead of discarding paid-for work.
 		meta.Truncated = true
 		return res, meta, nil
@@ -152,8 +146,8 @@ func (s *Service) OpenJoin2(ctx context.Context, graphName string, p, q SetRef, 
 }
 
 // Join2 runs (or serves from the prefix cache) a top-k 2-way join from p to
-// q, exactly as dhtjoin.TopKPairs would evaluate it. When the deadline
-// budget expires mid-join, the prefix drained so far is returned alongside
+// q; dhtjoin.TopKPairs is this call on an Ephemeral service. When the
+// deadline budget expires, the prefix drained so far is returned alongside
 // ErrBudgetExceeded.
 func (s *Service) Join2(ctx context.Context, graphName string, p, q SetRef, k int, query Query) ([]join2.Result, error) {
 	res, meta, err := s.Join2Meta(ctx, graphName, p, q, k, query)
@@ -171,8 +165,9 @@ func (s *Service) OpenJoinN(ctx context.Context, graphName string, sets []SetRef
 	return openJoin(s, ctx, graphName, tupleSpec{sets, edges}, query)
 }
 
-// JoinN runs (or serves from the prefix cache) a top-k n-way join, exactly
-// as dhtjoin.TopK would evaluate it; budget expiry as in Join2.
+// JoinN runs (or serves from the prefix cache) a top-k n-way join
+// (dhtjoin.TopK is this call on an Ephemeral service); budget expiry as in
+// Join2.
 func (s *Service) JoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, k int, query Query) ([]core.Answer, error) {
 	res, meta, err := joinBatch(s, ctx, graphName, tupleSpec{sets, edges}, k, query)
 	return res, truncErr(meta, err)
@@ -202,9 +197,10 @@ func (s *Service) ExplainJoinN(ctx context.Context, graphName string, sets []Set
 	return explainJoin(s, graphName, tupleSpec{sets, edges}, k, query)
 }
 
-// Score computes the truncated score h_d(u, v) exactly as dhtjoin.Score (on
-// the graph as loaded; relabeling is a join-side optimization and is ignored
-// here, matching the one-shot facade). ctx bounds the wait for admission.
+// Score computes the truncated score h_d(u, v) on the graph as loaded
+// (relabeling is a join-side optimization and is ignored here);
+// dhtjoin.Score is this call on an Ephemeral service. ctx bounds the wait
+// for admission.
 func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID, query Query) (float64, error) {
 	s.scoreReqs.Add(1)
 	if err := s.admitGate(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/dht"
 	"repro/internal/graph"
@@ -27,42 +26,12 @@ type GraphInfo struct {
 	Evicted bool `json:"evicted,omitempty"`
 }
 
-// relabeledGraph pairs a reordered graph with its id map.
-type relabeledGraph struct {
-	g *graph.Graph
-	r *graph.Relabeling
-}
-
-// graphEntry is one registry slot.
+// graphEntry is one registry slot. The locality reorderings a session may
+// run on are cached on the immutable graph itself (graph.Graph.Relabeled).
 type graphEntry struct {
 	g    *graph.Graph
 	sets map[string]*graph.NodeSet
 	gen  uint64 // durable generation (see GraphInfo.Generation)
-
-	mu        sync.Mutex
-	relabeled map[graph.RelabelMode]*relabeledGraph // built once per mode
-}
-
-// relabeledFor returns the cached reordering, building it on first use. The
-// build runs under the entry lock: concurrent first requests for one mode
-// must not both pay the O(|E| log |E|) rebuild, and later requests hit the
-// map without rebuilding.
-func (ge *graphEntry) relabeledFor(mode graph.RelabelMode) *relabeledGraph {
-	if mode == graph.NoRelabel {
-		return &relabeledGraph{g: ge.g}
-	}
-	ge.mu.Lock()
-	defer ge.mu.Unlock()
-	if rl, ok := ge.relabeled[mode]; ok {
-		return rl
-	}
-	rg, r := graph.Relabel(ge.g, mode)
-	rl := &relabeledGraph{g: rg, r: r}
-	if ge.relabeled == nil {
-		ge.relabeled = make(map[graph.RelabelMode]*relabeledGraph, 2)
-	}
-	ge.relabeled[mode] = rl
-	return rl
 }
 
 // sessionKey identifies one shared-resource session. The graph pointer (not
@@ -280,16 +249,16 @@ func (s *Service) sessionFor(ge *graphEntry, params dht.Params, d int, mode grap
 	}
 	s.mu.Unlock()
 
-	// Build outside the lock: the relabel rebuild is O(|E| log |E|).
-	rl := ge.relabeledFor(mode)
-	pool, err := dht.NewEnginePool(rl.g, params, d)
+	// Build outside the lock: a first relabel rebuild is O(|E| log |E|).
+	rg, rl := ge.g.Relabeled(mode)
+	pool, err := dht.NewEnginePool(rg, params, d)
 	if err != nil {
 		return nil, err
 	}
 	pool.Sink = &s.counters
 	sess := &session{
-		g:         rl.g,
-		rl:        rl.r,
+		g:         rg,
+		rl:        rl,
 		pool:      pool,
 		memo:      newSessionMemo(s.cfg.MemoSize),
 		results:   newResultLRU(s.cfg.ResultCacheSize),

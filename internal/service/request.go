@@ -21,8 +21,8 @@ import (
 
 // Query carries one request's join options; the zero value means the
 // paper's defaults (DHTλ with λ = 0.2, ε = 1e-6, MIN aggregation, m = 50),
-// applied by measure.Resolve — the same resolver the one-shot dhtjoin calls
-// and njoin run, so every way of asking resolves identically.
+// applied by measure.Resolve. The one-shot dhtjoin calls and njoin build
+// this same struct and run it on an Ephemeral service.
 type Query struct {
 	// Params are the DHT coefficients; zero means the measure's default.
 	Params dht.Params
@@ -469,8 +469,7 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 	qctx, cancel := svc.budgetContext(ctx, &rq.query)
 	g, err := svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority, resolveWorkers(rq.query.Workers))
 	if err != nil {
-		cancel()
-		return nil, admitErr(qctx, err)
+		return rq.unopened(qctx, cancel, admitErr(qctx, err))
 	}
 	// The run-scoped counters feed the session calibration on Stop and
 	// forward every increment to the service's lifetime totals.
@@ -481,12 +480,31 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 	}
 	if err != nil {
 		svc.adm.release(g)
+		return rq.unopened(qctx, cancel, err)
+	}
+	svc.recordPick(pl.Algorithm)
+	key := rq.key
+	if sess.results == nil {
+		key = "" // nowhere to publish, so the stream records nothing
+	}
+	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: key, kind: rq.kind, st: st, grant: g,
+		ctrs: ctrs, calib: sess.calibFor(planCertified(pl))}, nil
+}
+
+// unopened ends an open that failed before its stream existed. A budget
+// already spent — queued at admission, or cancelled while the executor was
+// priming — is not a failure but the shortest truncation: the caller gets a
+// handle holding no engines and no tokens, Truncated from the start, whose
+// first pull reports the expired budget exactly as a mid-stream expiry
+// does. So batch, stream, NDJSON and one-shot callers all see the empty
+// exact prefix, marked truncated.
+func (rq *request[T]) unopened(qctx context.Context, cancel context.CancelFunc, err error) (*Stream[T], error) {
+	if !errors.Is(err, ErrBudgetExceeded) {
 		cancel()
 		return nil, err
 	}
-	svc.recordPick(pl.Algorithm)
-	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: rq.key, kind: rq.kind, st: st, grant: g,
-		ctrs: ctrs, calib: sess.calibFor(planCertified(pl))}, nil
+	rq.svc.budgetTruncs.Add(1)
+	return &Stream[T]{svc: rq.svc, ctx: qctx, cancel: cancel, kind: rq.kind, budgetHit: true}, nil
 }
 
 // served copies the first k results of a cached prefix, so cached rankings

@@ -467,6 +467,49 @@ func TestHTTPBudgetTruncation(t *testing.T) {
 	}
 }
 
+// TestHTTPBudgetSpentAtOpen: a budget gone before the join can start (here
+// a 1ns server cap; in production, a request that spent it queued at
+// admission) is the shortest truncation on every surface — the NDJSON
+// stream is a 200 whose only line is the truncated terminator, agreeing
+// with the batch form's empty truncated page, not an error envelope.
+func TestHTTPBudgetSpentAtOpen(t *testing.T) {
+	srv, svc, _, sets := serverFor(t, Config{MaxBudget: time.Nanosecond})
+	body := func(stream bool) map[string]any {
+		return map[string]any{
+			"graph":  "test",
+			"p":      map[string]any{"set": sets[0].Name},
+			"q":      map[string]any{"set": sets[1].Name},
+			"k":      5,
+			"stream": stream,
+		}
+	}
+	lines, _ := ndjsonLines(t, srv.URL+"/join2", body(true))
+	if len(lines) != 1 {
+		t.Fatalf("stream past its budget wrote %d lines, want only the terminator: %v", len(lines), lines)
+	}
+	if last := lines[0]; last["done"] != true || last["truncated"] != true || last["exhausted"] != false || last["count"] != float64(0) {
+		t.Fatalf("terminator = %v, want done, truncated, not exhausted, count 0", last)
+	}
+
+	var batch struct {
+		Results   []pairJSON `json:"results"`
+		Truncated bool       `json:"truncated"`
+		Exhausted bool       `json:"exhausted"`
+	}
+	if code := postJSON(t, srv.URL+"/join2", body(false), &batch); code != http.StatusOK {
+		t.Fatalf("batch past its budget = %d", code)
+	}
+	if !batch.Truncated || batch.Exhausted || len(batch.Results) != 0 {
+		t.Fatalf("batch past its budget: %d results truncated=%v exhausted=%v", len(batch.Results), batch.Truncated, batch.Exhausted)
+	}
+	if got := svc.Stats().BudgetTruncations; got != 2 {
+		t.Fatalf("BudgetTruncations = %d, want one per request", got)
+	}
+	if engines, tokens := svc.Outstanding(); engines != 0 || tokens != 0 {
+		t.Fatalf("%d engines and %d tokens outstanding", engines, tokens)
+	}
+}
+
 // TestHTTPTenantHeadersAndQuota: tenant identity and priority flow from the
 // X-Tenant / X-Priority headers, and a tenant past its quota gets 429 with
 // Retry-After while other tenants keep being served.

@@ -3,15 +3,16 @@
 // (graph, params, d, relabel-mode) configuration, a session holding the
 // shared resources that make cross-request reuse safe and worthwhile — a
 // dht.EnginePool (engines and batch engines recycled across requests), a
-// concurrency-safe score-column memo, the cached locality relabeling, and an
-// LRU of recent top-k results. A per-request admission controller caps the
-// total worker goroutines in flight, so concurrent requests cannot
-// oversubscribe GOMAXPROCS.
+// concurrency-safe score-column memo, and an LRU of recent top-k results. A
+// per-request admission controller caps the total worker goroutines in
+// flight, so concurrent requests cannot oversubscribe GOMAXPROCS.
 //
-// Results are bit-identical to the corresponding one-shot dhtjoin calls:
-// both resolve their options through measure.Resolve, the worker count
-// never changes a result (ties break on the canonical pair key), memo-served columns are byte-for-byte the columns a fresh walk
-// would produce, and the result LRU stores exactly what the join returned.
+// The one-shot dhtjoin calls are this same request path with the caches off
+// (Ephemeral), so there is no second implementation to agree with; what the
+// caches add never changes a result: the worker count does not (ties break
+// on the canonical pair key), memo-served columns are byte-for-byte the
+// columns a fresh walk would produce, and the result LRU stores exactly what
+// the join returned.
 package service
 
 import (
@@ -22,6 +23,7 @@ import (
 
 	"repro/internal/dht"
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/store"
 )
 
@@ -194,6 +196,18 @@ func New(cfg Config) *Service {
 
 		measureQueries: make(map[string]int64),
 	}
+}
+
+// Ephemeral returns the throw-away Service a one-shot dhtjoin call runs on:
+// g alone, registered under the empty name, with the cross-request parts
+// absent — no result LRU, no session memo (each joiner builds its private
+// one, as a direct executor call does) — and admission sized to the call's
+// own workers, so its one request is granted in full without waiting.
+// Everything else is the served request path.
+func Ephemeral(g *graph.Graph, workers int) *Service {
+	s := New(Config{ResultCacheSize: -1, MemoSize: -1, MaxConcurrency: resolveWorkers(workers)})
+	s.graphs[""] = &graphEntry{g: g}
+	return s
 }
 
 // StartDrain moves the service into graceful drain: every subsequent query

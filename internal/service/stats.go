@@ -68,6 +68,20 @@ type Stats struct {
 	Cluster *RouterStats `json:"cluster,omitempty"`
 }
 
+// Outstanding is the service's leak gauge, as EnginePool.Outstanding is a
+// pool's: the engines checked out of its live sessions' pools and the
+// admission tokens held, right now. Both are zero when nothing is in flight
+// — what a stream stopped mid-way must restore.
+func (s *Service) Outstanding() (engines int64, tokens int) {
+	s.mu.Lock()
+	for _, sess := range s.sessions {
+		engines += sess.pool.Outstanding()
+	}
+	s.mu.Unlock()
+	free, _, _ := s.adm.snapshot()
+	return engines, s.adm.total - free
+}
+
 // recordPick counts one execution of the chosen executor.
 func (s *Service) recordPick(name string) {
 	s.picksMu.Lock()

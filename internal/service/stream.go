@@ -60,6 +60,10 @@ type (
 // short. Meaningful once Next has returned an error or Stop has run.
 func (s *Stream[T]) Truncated() bool { return s.budgetHit }
 
+// Exhausted reports whether the stream ended because the ranking ran out —
+// as opposed to a Stop, an error, or a budget cut.
+func (s *Stream[T]) Exhausted() bool { return s.exhausted }
+
 // Next returns the next-best result in the caller's id space; ok is false at
 // exhaustion (or after Stop). A cancelled ctx stops the stream and returns
 // its cause: ErrBudgetExceeded marks a truncated-but-correct prefix, while a

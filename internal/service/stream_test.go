@@ -13,12 +13,7 @@ import (
 
 // poolOutstanding sums the checked-out engines of every live session pool.
 func poolOutstanding(svc *Service) int64 {
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	var n int64
-	for _, sess := range svc.sessions {
-		n += sess.pool.Outstanding()
-	}
+	n, _ := svc.Outstanding()
 	return n
 }
 
