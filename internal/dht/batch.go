@@ -91,21 +91,77 @@ type BatchEngine struct {
 	// one batched step counts its CSR traversal once, not once per column:
 	// EdgeSweeps is the number of dense batch sweeps and FrontierEdges the
 	// number of CSR edges scanned by sparse batch pushes. Walks counts
-	// individual columns, so walks-per-sweep shows the amortization.
+	// individual columns, so walks-per-sweep shows the amortization. A gather
+	// step (rows form only) is neither: GatherSteps counts it and its scanned
+	// out-edges go to FrontierEdges, as Counters documents.
 	EdgeSweeps    int64
 	FrontierEdges int64
 	SparseSteps   int64
+	GatherSteps   int64
 	Walks         int64
+}
+
+// ReadSet names the rows a caller reads from backward score columns: the
+// rows form of the batched walk (BackWalkRowsBatch) accumulates scores at
+// those rows only and computes its last two steps, when they would be dense
+// sweeps, in pull form over the rows' out-neighbourhood. It belongs to one
+// graph, is immutable, and may be shared by concurrent engines.
+type ReadSet struct {
+	g    *graph.Graph
+	rows []graph.NodeID // R0: ascending, duplicate-free
+	// tail[h] is the gather set of a step with h more steps to follow: mass
+	// can still reach a row only from within h out-hops of the rows, so the
+	// last step needs R0 and the one before it R1 = R0 ∪ out-neighbours(R0).
+	tail [2]hopSet
+}
+
+// hopSet is one gather set. nodes is nil when the set is not worth a gather:
+// a set whose out-edges are not below half the graph's saves too little over
+// the sweep it would replace (and one hop further is most of the graph on
+// any small-world input, which is why there is no tail[2]).
+type hopSet struct {
+	nodes []graph.NodeID // ascending, duplicate-free
+	edges int64          // Σ out-degree over nodes: what one gather scans
+}
+
+// NewReadSet returns the read set of rows (any order, duplicates allowed,
+// not retained). Rows that are not a minority of the graph's nodes are no
+// restriction worth tracking, and the result is nil — which every consumer
+// reads as "all rows".
+func NewReadSet(g *graph.Graph, rows []graph.NodeID) *ReadSet {
+	if 2*len(rows) >= g.NumNodes() {
+		return nil
+	}
+	rs := &ReadSet{g: g, rows: slices.Compact(slices.Sorted(slices.Values(rows)))}
+	hop := rs.rows
+	for h := range rs.tail {
+		if h > 0 {
+			prev := rs.tail[h-1]
+			hop = append(make([]graph.NodeID, 0, len(prev.nodes)+int(prev.edges)), prev.nodes...)
+			for _, u := range prev.nodes {
+				to, _, _ := g.OutEdges(u)
+				hop = append(hop, to...)
+			}
+			slices.Sort(hop)
+			hop = slices.Compact(hop)
+		}
+		var edges int64
+		for _, u := range hop {
+			edges += int64(g.OutDegree(u))
+		}
+		if 2*edges >= int64(g.NumEdges()) {
+			break
+		}
+		rs.tail[h] = hopSet{nodes: hop, edges: edges}
+	}
+	return rs
 }
 
 // NewBatchEngine builds a batch engine for g with column capacity w
 // (w <= 0 selects DefaultBatchWidth). d is the truncation depth.
 func NewBatchEngine(g *graph.Graph, p Params, d, w int) (*BatchEngine, error) {
-	if err := p.Validate(); err != nil {
+	if err := validateConfig(p, d); err != nil {
 		return nil, err
-	}
-	if d < 1 {
-		return nil, fmt.Errorf("dht: depth d must be >= 1, got %d", d)
 	}
 	if w <= 0 {
 		w = DefaultBatchWidth
@@ -198,7 +254,10 @@ func (be *BatchEngine) seedColumns(seeds []graph.NodeID) {
 // The union frontier plays the role of the solo engine's frontier; zero-mass
 // lanes are skipped inside each row, so per column the additions are exactly
 // the solo walk's, in the same ascending source order.
-func (be *BatchEngine) push(backward bool, aw int) {
+//
+// tail, when it names a gather set, replaces the dense sweep this backward
+// step would otherwise be (see gather); a step that stays sparse ignores it.
+func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 	g := be.G
 	w := be.W
 	be.nextF = be.nextF[:0]
@@ -226,7 +285,8 @@ func (be *BatchEngine) push(backward bool, aw int) {
 			be.FrontierEdges += work
 		}
 	}
-	be.lastDense = !sparse
+	pull := !sparse && tail.nodes != nil
+	be.lastDense = !sparse && !pull
 	cur, next := be.cur, be.next
 	// The lane loops add every lane unconditionally, zero-mass lanes
 	// included: lane accumulators only ever hold sums of non-negative
@@ -282,6 +342,12 @@ func (be *BatchEngine) push(backward bool, aw int) {
 			}
 		}
 		be.nextF = touched
+	case pull:
+		be.GatherSteps++
+		be.FrontierEdges += tail.edges
+		be.gather(tail.nodes, aw)
+		// The set is the step's touched list; commit filters a copy of it.
+		be.nextF = append(be.nextF, tail.nodes...)
 	case backward:
 		be.EdgeSweeps++
 		for v := 0; v < g.NumNodes(); v++ {
@@ -359,7 +425,7 @@ func (be *BatchEngine) push(backward bool, aw int) {
 	}
 	// cur is consumed; clear it incrementally while the frontier is tracked,
 	// wholesale once the batch has gone dense.
-	if sparse || !be.full {
+	if !be.full {
 		for _, u := range be.curF {
 			b := int(u) * w
 			for i := b; i < b+w; i++ {
@@ -370,8 +436,51 @@ func (be *BatchEngine) push(backward bool, aw int) {
 	} else {
 		clearVec(cur)
 	}
-	if !sparse {
-		be.full = true // sticky: the rest of the batch stays dense
+	// Dense is sticky for the rest of the batch, except that a gather leaves
+	// mass on its set only, so the frontier is tracked again after it.
+	be.full = be.lastDense
+}
+
+// gather is the backward step in pull form over an ascending node set:
+// next[u] = Σ_j outP[j]·cur[outTo[j]] for u in nodes, and nothing anywhere
+// else. Out-lists are strictly ascending and inP mirrors outP bit for bit
+// (Graph.Validate checks both), so next[u] receives exactly the additions
+// the push makes into it, in the same ascending-source order; the zero rows
+// a push skips are x + (+0) no-ops here. next is therefore == the push's at
+// every node of the set, which is all a caller that reads nothing beyond
+// the set's remaining reach can observe.
+func (be *BatchEngine) gather(nodes []graph.NodeID, aw int) {
+	g, w := be.G, be.W
+	cur, next := be.cur, be.next
+	wide := w == laneWidth && aw == laneWidth
+	for _, u := range nodes {
+		to, _, tp := g.OutEdges(u)
+		if wide {
+			var s [laneWidth]float64
+			for j, v := range to {
+				p := tp[j]
+				mb := (*[laneWidth]float64)(cur[int(v)*laneWidth:])
+				s[0] += mb[0] * p
+				s[1] += mb[1] * p
+				s[2] += mb[2] * p
+				s[3] += mb[3] * p
+				s[4] += mb[4] * p
+				s[5] += mb[5] * p
+				s[6] += mb[6] * p
+				s[7] += mb[7] * p
+			}
+			*(*[laneWidth]float64)(next[int(u)*laneWidth:]) = s
+		} else {
+			nb := next[int(u)*w : int(u)*w+aw]
+			for j, v := range to {
+				p := tp[j]
+				mb := cur[int(v)*w : int(v)*w+aw]
+				mb = mb[:len(nb)]
+				for c, m := range mb {
+					nb[c] += m * p
+				}
+			}
+		}
 	}
 }
 
@@ -492,9 +601,22 @@ func (be *BatchEngine) betaColumnsStart(aw int) [][]float64 {
 // valid until the next BackWalkScoresBatch call on this engine; they must
 // not be modified. len(qs) must be in [1, W].
 func (be *BatchEngine) BackWalkScoresBatch(kind Kind, qs []graph.NodeID, steps int) [][]float64 {
+	return be.BackWalkRowsBatch(kind, qs, steps, nil)
+}
+
+// BackWalkRowsBatch is BackWalkScoresBatch for a caller that reads the
+// columns at the rows of rs only (nil: every node — the full form). Entries
+// at those rows are == the full form's; every other entry is unspecified.
+// The restriction is what the kernel saves work on: scores accumulate at the
+// rows alone, so no node-major accumulator is swept or transposed, and the
+// last two steps gather over rs's hop sets instead of sweeping the graph.
+func (be *BatchEngine) BackWalkRowsBatch(kind Kind, qs []graph.NodeID, steps int, rs *ReadSet) [][]float64 {
 	aw := len(qs)
 	if aw == 0 || aw > be.W {
-		panic(fmt.Sprintf("dht: BackWalkScoresBatch with %d targets, want 1..%d", aw, be.W))
+		panic(fmt.Sprintf("dht: backward batch walk with %d targets, want 1..%d", aw, be.W))
+	}
+	if rs != nil && rs.g != be.G {
+		panic("dht: read set built for another graph")
 	}
 	w := be.W
 	sweeps0, frontier0 := be.beginBatch(aw)
@@ -508,9 +630,13 @@ func (be *BatchEngine) BackWalkScoresBatch(kind Kind, qs []graph.NodeID, steps i
 			break // no column can reach its target anymore
 		}
 		pow *= be.Params.Lambda
-		be.push(true, aw)
+		var tail hopSet
+		if rs != nil && steps-i < len(rs.tail) {
+			tail = rs.tail[steps-i]
+		}
+		be.push(true, aw, tail)
 		next := be.next
-		if be.lastDense {
+		if be.lastDense && rs == nil {
 			// First dense step: move the raw sparse-step sums from the out
 			// columns into the node-major accumulator (β-prefill entries
 			// start from zero, mirroring the solo engine's first-touch
@@ -539,7 +665,15 @@ func (be *BatchEngine) BackWalkScoresBatch(kind Kind, qs []graph.NodeID, steps i
 				}
 			}
 		} else {
-			for _, v := range be.nextF {
+			// Accumulate at the step's touched nodes, or at the read rows
+			// when those are fewer (after a dense sweep nothing is tracked,
+			// and the rows are all there is); either list covers every row
+			// a caller reads that the step reached.
+			rows := be.nextF
+			if rs != nil && (be.lastDense || len(rs.rows) < len(rows)) {
+				rows = rs.rows
+			}
+			for _, v := range rows {
 				b := int(v) * w
 				for c := 0; c < aw; c++ {
 					m := next[b+c]
@@ -631,7 +765,7 @@ func (be *BatchEngine) ForwardProbsBatch(kind Kind, ps, qs []graph.NodeID, steps
 		if be.frontierEmpty() {
 			break // all mass absorbed or lost in sinks; P_j = 0 from here
 		}
-		be.push(false, aw)
+		be.push(false, aw, hopSet{})
 		next := be.next
 		for c, q := range qs {
 			idx := int(q)*w + c

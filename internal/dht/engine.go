@@ -89,14 +89,23 @@ type Engine struct {
 	Walks         int64 // number of walk invocations (forward or backward)
 }
 
+// validateConfig checks the (params, depth) half of an engine configuration,
+// for every engine constructor and for the pool that builds engines later.
+func validateConfig(p Params, d int) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if d < 1 {
+		return fmt.Errorf("dht: depth d must be >= 1, got %d", d)
+	}
+	return nil
+}
+
 // NewEngine builds an engine for g. d is the truncation depth (Equation 4);
 // use Params.StepsForEpsilon to derive it from an accuracy target.
 func NewEngine(g *graph.Graph, p Params, d int) (*Engine, error) {
-	if err := p.Validate(); err != nil {
+	if err := validateConfig(p, d); err != nil {
 		return nil, err
-	}
-	if d < 1 {
-		return nil, fmt.Errorf("dht: depth d must be >= 1, got %d", d)
 	}
 	n := g.NumNodes()
 	return &Engine{

@@ -100,11 +100,8 @@ type FastBatchEngine struct {
 // (0 selects DefaultFastWidth) and the given sweep fan-out (0 selects
 // GOMAXPROCS at run time).
 func NewFastBatchEngine(g *graph.Graph, p Params, d, w, workers int) (*FastBatchEngine, error) {
-	if err := p.Validate(); err != nil {
+	if err := validateConfig(p, d); err != nil {
 		return nil, err
-	}
-	if d < 1 {
-		return nil, fmt.Errorf("dht: depth d must be >= 1, got %d", d)
 	}
 	if w == 0 {
 		w = DefaultFastWidth

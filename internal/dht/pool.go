@@ -11,9 +11,13 @@ import (
 // across the concurrent engines of a worker pool. Attach one as Engine.Sink
 // (or EnginePool.Sink) and read it with Snapshot once the workers are done.
 type Counters struct {
-	Walks         int64 // walk invocations
-	EdgeSweeps    int64 // full O(|E|) dense relaxation sweeps
-	FrontierEdges int64 // edges relaxed by sparse frontier pushes
+	Walks      int64 // walk invocations
+	EdgeSweeps int64 // full O(|E|) dense relaxation sweeps
+	// FrontierEdges counts every CSR edge scanned outside a dense sweep: by
+	// sparse frontier pushes and by the gathered tail steps of the batched
+	// kernel's rows form. EdgeSweeps·|E| + FrontierEdges is therefore all the
+	// edge work the engines did.
+	FrontierEdges int64
 
 	// Certification counters, maintained by the certified joiners through
 	// Certify rather than by the engines themselves: how often the fast
@@ -108,15 +112,14 @@ type EnginePool struct {
 	outstanding atomic.Int64
 }
 
-// NewEnginePool validates the configuration once and returns the pool.
+// NewEnginePool validates the configuration once and returns the pool. No
+// engine is built until the first checkout, so a pool — and with it a
+// throw-away serving session — costs O(1) in |V|.
 func NewEnginePool(g *graph.Graph, p Params, d int) (*EnginePool, error) {
-	first, err := NewEngine(g, p, d)
-	if err != nil {
+	if err := validateConfig(p, d); err != nil {
 		return nil, err
 	}
-	pl := &EnginePool{G: g, Params: p, D: d}
-	pl.pool.Put(first)
-	return pl, nil
+	return &EnginePool{G: g, Params: p, D: d}, nil
 }
 
 // Get checks out an engine. The configuration was validated by

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -259,6 +260,37 @@ func TestEnginePoolReuse(t *testing.T) {
 	}
 	if _, err := NewEnginePool(g, Params{Alpha: 0, Beta: 0, Lambda: 0.5}, 4); err == nil {
 		t.Fatal("invalid pool config accepted")
+	}
+}
+
+// TestEnginePoolConstructionIsLazy: a pool is what every throw-away serving
+// session builds first, so constructing one must not allocate per node —
+// the bytes NewEnginePool allocates are the same on a graph 100× larger —
+// while still rejecting a bad depth up front.
+func TestEnginePoolConstructionIsLazy(t *testing.T) {
+	poolBytes := func(n int) uint64 {
+		g, err := graph.GenerateRing(n, 2, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := NewEnginePool(g, DHTLambda(0.2), 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := poolBytes(100), poolBytes(10000)
+	if small != large || small > 1024 {
+		t.Fatalf("NewEnginePool allocates %d B on 100 nodes and %d B on 10000: want equal and small", small, large)
+	}
+	g := sparseTestGraphs(t)[0]
+	if _, err := NewEnginePool(g, DHTLambda(0.2), 0); err == nil {
+		t.Fatal("pool with depth 0 accepted")
 	}
 }
 

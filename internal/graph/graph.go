@@ -133,8 +133,13 @@ func (g *Graph) Label(u NodeID) string {
 func (g *Graph) Labeled() bool { return g.labels != nil }
 
 // Validate checks structural invariants: CSR monotonicity, target bounds,
-// weight positivity and finiteness, and that every non-sink transition row
-// sums to 1 within tolerance. It is used by tests and by graph loading.
+// weight positivity and finiteness, that every non-sink transition row sums
+// to 1 within tolerance, and that the in-adjacency is the exact mirror of
+// the out-adjacency — every in-list strictly ascending by source, inP
+// bit-equal to the forward arc's outP. The walk kernels rest on that mirror:
+// a backward step pushed along in-edges and the same step gathered along
+// out-edges (dht.BatchEngine) must make the same additions in the same
+// order. It is used by tests and by graph loading.
 func (g *Graph) Validate() error {
 	if len(g.outIndex) != g.n+1 || len(g.inIndex) != g.n+1 {
 		return fmt.Errorf("graph: index arrays have wrong length (n=%d)", g.n)
@@ -165,6 +170,24 @@ func (g *Graph) Validate() error {
 		}
 		if len(to) > 0 && math.Abs(sum-1) > 1e-9 {
 			return fmt.Errorf("graph: transition row of %d sums to %g, want 1", u, sum)
+		}
+	}
+	// One cursor per in-list: walking the out-CSR in order must meet every
+	// in-list's entries one after another. Sources then ascend strictly,
+	// since u only grows and contributes at most one arc per target.
+	if len(g.inFrom) != len(g.outTo) || g.inIndex[g.n] != int64(len(g.outTo)) {
+		return fmt.Errorf("graph: %d in-arcs for %d out-arcs", len(g.inFrom), len(g.outTo))
+	}
+	cursor := append([]int64(nil), g.inIndex[:g.n]...)
+	for u := 0; u < g.n; u++ {
+		for j := g.outIndex[u]; j < g.outIndex[u+1]; j++ {
+			v := g.outTo[j]
+			i := cursor[v]
+			if i >= g.inIndex[v+1] || g.inFrom[i] != NodeID(u) || g.inW[i] != g.outW[j] ||
+				math.Float64bits(g.inP[i]) != math.Float64bits(g.outP[j]) {
+				return fmt.Errorf("graph: in-list of %d does not mirror arc (%d,%d)", v, u, v)
+			}
+			cursor[v] = i + 1
 		}
 	}
 	return nil

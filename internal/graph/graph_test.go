@@ -115,6 +115,58 @@ func TestInEdgesMirrorOutEdges(t *testing.T) {
 	}
 }
 
+// TestValidateInAdjacencyMirror: every construction path yields a graph
+// whose in-lists mirror its out-lists exactly (ascending sources, inP
+// bit-equal to outP) — the invariant the backward gather step rests on —
+// and Validate notices when one does not.
+func TestValidateInAdjacencyMirror(t *testing.T) {
+	built, err := GeneratePreferential(300, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outIndex, outTo, outW := built.CSR()
+	reloaded, err := NewFromCSR(built.NumNodes(), outIndex, outTo, outW, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited, err := ApplyEdits(built, []Edge{{U: 5, V: 5, W: 2}, {U: 7, V: 301, W: 0.5}, {U: 0, V: 1, W: 3}}, [][2]NodeID{{1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byDegree, _ := built.Relabeled(ByDegree)
+	byBFS, _ := edited.Relabeled(ByBFS)
+	for name, g := range map[string]*Graph{
+		"Builder.Build": built, "NewFromCSR": reloaded, "ApplyEdits": edited,
+		"Relabeled(degree)": byDegree, "Relabeled(bfs)": byBFS,
+	} {
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	lo := reloaded.inIndex[3] // node 3 is in the seed clique: several in-arcs
+	if reloaded.inIndex[4]-lo < 2 {
+		t.Fatal("want a node with two in-arcs to corrupt")
+	}
+	corrupt := map[string]func(){
+		"inP off by one ulp": func() { reloaded.inP[lo] = math.Nextafter(reloaded.inP[lo], 2) },
+		"in-list out of order": func() {
+			reloaded.inFrom[lo], reloaded.inFrom[lo+1] = reloaded.inFrom[lo+1], reloaded.inFrom[lo]
+		},
+	}
+	for name, breakIt := range corrupt {
+		keepP, keepFrom := reloaded.inP[lo], [2]NodeID{reloaded.inFrom[lo], reloaded.inFrom[lo+1]}
+		breakIt()
+		if err := reloaded.Validate(); err == nil {
+			t.Fatalf("%s: Validate accepted the graph", name)
+		}
+		reloaded.inP[lo], reloaded.inFrom[lo], reloaded.inFrom[lo+1] = keepP, keepFrom[0], keepFrom[1]
+	}
+	if err := reloaded.Validate(); err != nil {
+		t.Fatalf("restored graph: %v", err)
+	}
+}
+
 func TestHasEdgeAndWeight(t *testing.T) {
 	g := mustGrid(t, 2, 2)
 	if !g.HasEdge(0, 1) {

@@ -11,8 +11,10 @@ import (
 // a factor |P| better than F-BJ. The walks go through the walker behind a
 // small (q, l)-keyed memo that serves repeated TopK calls on the same
 // joiner — the PJ re-join stream — without re-walking recently seen targets,
-// at any Config.Workers. Engines and their O(|V|) scratch are reused across
-// TopK calls, so a joiner is single-goroutine like the engines it owns.
+// at any Config.Workers. Columns are read at the nodes of P only, so a target
+// set too large for the memo (nothing is published) walks the kernel's rows
+// form. Engines and their O(|V|) scratch are reused across TopK calls, so a
+// joiner is single-goroutine like the engines it owns.
 type BBJ struct {
 	cfg  Config
 	w    *walker

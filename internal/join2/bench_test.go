@@ -3,6 +3,7 @@ package join2
 import (
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/dht"
 	"repro/internal/graph"
 )
@@ -116,4 +117,48 @@ func BenchmarkRejoinNext(b *testing.B) {
 		}
 		_ = res[len(res)-1]
 	}
+}
+
+// BenchmarkBIDJYCold is the repository benchmark's join2_cold request
+// without the server around it: a fresh B-IDJ-Y top-50 join per iteration
+// over a different 60×60 pair of interest groups of the 25 000-node YouTube
+// stand-in, on pooled engines as the serving layer runs it. Nothing repeats,
+// so the time is walks; the reported counters are per join and — unlike
+// ns/op — identical on every machine.
+func BenchmarkBIDJYCold(b *testing.B) {
+	ds, err := dataset.YouTube(dataset.YouTubeConfig{Scale: 0.5, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var groups []*graph.NodeSet
+	for _, s := range ds.Sets {
+		if s.Len() >= 60 {
+			groups = append(groups, s.Take(60))
+		}
+	}
+	base := Config{Graph: ds.Graph, Params: dht.DHTLambda(0.2), D: 8, MemoSize: -1}
+	pool, err := dht.NewEnginePool(base.Graph, base.Params, base.D)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var work dht.Counters
+	base.Pool, base.Counters = pool, &work
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := base
+		cfg.P = groups[i%len(groups)].Nodes()
+		cfg.Q = groups[(7*i+3)%len(groups)].Nodes()
+		j, err := NewBIDJY(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := j.TopK(50); err != nil {
+			b.Fatal(err)
+		}
+		j.Release()
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(work.Walks)/n, "walks/op")
+	b.ReportMetric(float64(work.EdgeSweeps)/n, "sweeps/op")
+	b.ReportMetric(float64(work.FrontierEdges)/n, "frontier-edges/op")
 }

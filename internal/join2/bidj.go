@@ -44,7 +44,9 @@ type IterStat struct {
 // max_p h_l(p,q) + U⁺ₗ < T_k. A final d-step walk scores the survivors
 // exactly. Complexity O(|Q|·d·|E|) worst case, far less when pruning bites —
 // and with the sparse walk kernel the early short-walk rounds cost only the
-// frontier edges they actually touch.
+// frontier edges they actually touch. Every round reads its columns at the
+// nodes of P only and publishes to no memo, so the batched rounds walk the
+// kernel's rows form (see walker.columns).
 //
 // The joiner caches its engines and the Y⁺ₗ table across TopK calls (the PJ
 // re-join stream calls TopK repeatedly), so a BIDJ is single-goroutine. With

@@ -168,7 +168,8 @@ func (j *CertifiedJoin) TopK(k int) ([]Result, error) {
 	}
 
 	// Phase 3: exact re-verification of the band through the bit-identical
-	// kernel, one backward column per distinct band target.
+	// kernel, one backward column per distinct band target, read at band
+	// members — nodes of P — only.
 	tops := newPartials[Pair](k, j.cfg.workerCount(len(j.pending)))
 	if err := j.w.columns(j.pending, j.cfg.D, j.memo, func(wi, bi int, scores []float64) {
 		q := j.pending[bi]

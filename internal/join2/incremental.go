@@ -144,8 +144,9 @@ func (inc *Incremental) Next() (Result, bool, error) {
 	}
 }
 
-// refine re-walks q at depth l and tightens every still-pending pair of q.
-// Full-depth walks go through the (q, l)-keyed memo.
+// refine re-walks q at depth l and tightens every still-pending pair of q,
+// reading the column at the nodes of P only. Full-depth walks go through the
+// (q, l)-keyed memo.
 func (inc *Incremental) refine(q graph.NodeID, l int) error {
 	inc.one[0] = q
 	return inc.b.w.columns(inc.one[:], l, inc.memo, func(_, _ int, scores []float64) {

@@ -37,6 +37,13 @@ type walker struct {
 	e    *dht.Engine
 	be   *dht.BatchEngine
 
+	// rows is Config.P as the kernel's read set — every joiner reads a
+	// walked column at the nodes of P and nowhere else — built by the first
+	// batched round that publishes to no memo (nil also when P is no
+	// minority of the graph; see dht.NewReadSet).
+	rows      *dht.ReadSet
+	rowsBuilt bool
+
 	r    round          // the columns call in flight
 	miss []graph.NodeID // memo-miss scratch, reused across calls
 	at   []int
@@ -121,6 +128,7 @@ type round struct {
 	targets []graph.NodeID // the targets still to walk
 	at      []int          // targets[i] is qs[at[i]]; nil when targets is qs
 	memo    *dht.ScoreMemo // where walked columns are published; may be nil
+	rows    *dht.ReadSet   // the rows fn reads; nil (every node) when memo is not
 	fn      func(wi, qi int, scores []float64)
 	batched bool
 
@@ -136,7 +144,11 @@ type round struct {
 // the worker: calls with the same wi are sequential, calls with distinct wi
 // may run concurrently, and wi < Config.workerCount(len(qs)) — so a caller
 // keeps one partial result per wi and merges afterwards. With one worker,
-// walked columns arrive in qs order. scores is valid only within the call.
+// walked columns arrive in qs order. scores is valid only within the call,
+// and only at the nodes of Config.P: a batched round that publishes to no
+// memo walks the kernel's rows form over P (dht.BackWalkRowsBatch), which
+// leaves every other entry unspecified. A round that publishes walks full
+// columns, so a memoised column is never a restricted one.
 //
 // Walks of at least batchMinSteps steps over two or more targets run on the
 // batched kernel, in chunks of the width of the engine each worker actually
@@ -178,6 +190,12 @@ func (w *walker) columns(qs []graph.NodeID, l int, memo *dht.ScoreMemo, fn func(
 	width := 1
 	if r.batched = l >= batchMinSteps && n >= 2; r.batched {
 		width = w.batch().W
+		if memo == nil {
+			if !w.rowsBuilt {
+				w.rows, w.rowsBuilt = dht.NewReadSet(c.Graph, c.P), true
+			}
+			r.rows = w.rows
+		}
 	} else {
 		w.solo()
 	}
@@ -238,7 +256,7 @@ func (r *round) walk(w *walker, wi int) error {
 			continue
 		}
 		chunk := r.targets[base:min(base+width, n)]
-		for ci, col := range be.BackWalkScoresBatch(kind, chunk, r.l) {
+		for ci, col := range be.BackWalkRowsBatch(kind, chunk, r.l, r.rows) {
 			r.deliver(kind, wi, base+ci, col)
 		}
 	}

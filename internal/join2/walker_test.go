@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dht"
+	"repro/internal/graph"
 )
 
 // TestWalkerContract pins walker.columns — the one primitive under every
@@ -17,15 +18,30 @@ import (
 // shared full-depth memo serves the repeat round without walking, a
 // cancellation and a callback panic both surface as the round's error with
 // no engine left checked out, and at one worker the kernel work equals what
-// the pre-walker serial loop did for the same targets.
+// the pre-walker serial loop did for the same targets. "==" is at every node
+// for a round that publishes to a memo (and the published column is checked
+// too) and at the nodes of P for any other round: those walk the rows form.
 func TestWalkerContract(t *testing.T) {
 	// Counters of the pre-walker serial per-target loop (B-IDJ's, at commit
 	// 2f56227) over this config's 18 targets, by walk length; identical for
-	// both kinds. l = 1, 2 walk solo, l = d walks 8 + 8 + 2 batched.
+	// both kinds. l = 1, 2 walk solo, l = d walks 8 + 8 + 2 batched: every
+	// step of every chunk a dense sweep when the round publishes full columns.
 	serial := map[int]dht.Counters{
 		1: {Walks: 18, EdgeSweeps: 0, FrontierEdges: 92},
 		2: {Walks: 18, EdgeSweeps: 17, FrontierEdges: 102},
 		8: {Walks: 18, EdgeSweeps: 24, FrontierEdges: 0},
+	}
+	// The rows form of the l = d round, derived from the line above: each of
+	// the 3 chunks gathers its last step over P (Σ out-degree(P) edges, counted
+	// as frontier edges) instead of sweeping, 24 − 3 = 21 sweeps. P's one-hop
+	// neighbourhood holds more than half of this 50-node graph's edges, so the
+	// step before stays a sweep.
+	rowsForm := dht.Counters{Walks: 18, EdgeSweeps: 21}
+	{
+		cfg := testConfig(t, 7, 0.3)
+		for _, p := range cfg.P {
+			rowsForm.FrontierEdges += 3 * int64(cfg.Graph.OutDegree(p))
+		}
 	}
 	for _, kind := range []dht.Kind{dht.FirstHit, dht.Reach} {
 		base := testConfig(t, 7, 0.3)
@@ -64,13 +80,37 @@ func TestWalkerContract(t *testing.T) {
 							if shared {
 								memo = dht.NewScoreMemo(64)
 							}
-							walkerCase(t, cfg, l, memo, want, serial[l])
+							work := serial[l]
+							if l == cfg.D && memo == nil {
+								work = rowsForm
+							}
+							walkerCase(t, cfg, l, memo, want, work)
 						})
 					}
 				}
 			}
 		}
 	}
+}
+
+// firstDiff returns the first node at which a delivered column differs from
+// its reference, or -1: checked at every node for a round that publishes to
+// a memo, at the nodes of P — all a joiner may read — otherwise.
+func firstDiff(got, want []float64, ps []graph.NodeID, everywhere bool) int {
+	if everywhere {
+		for u := range want {
+			if got[u] != want[u] {
+				return u
+			}
+		}
+		return -1
+	}
+	for _, p := range ps {
+		if got[p] != want[p] {
+			return int(p)
+		}
+	}
+	return -1
 }
 
 func walkerCase(t *testing.T, cfg Config, l int, memo *dht.ScoreMemo, want [][]float64, serial dht.Counters) {
@@ -95,11 +135,8 @@ func walkerCase(t *testing.T, cfg Config, l int, memo *dht.ScoreMemo, want [][]f
 				t.Errorf("worker index %d outside [0, %d)", wi, maxWorkers)
 			}
 			atomic.AddInt32(&seen[qi], 1)
-			for u, s := range scores {
-				if s != want[qi][u] {
-					t.Errorf("column of target %d differs from the dense reference at node %d: %v != %v", qi, u, s, want[qi][u])
-					break
-				}
+			if d := firstDiff(scores, want[qi], cfg.P, memo != nil && l == cfg.D); d >= 0 {
+				t.Errorf("column of target %d differs from the dense reference at node %d: %v != %v", qi, d, scores[d], want[qi][d])
 			}
 			if fn != nil {
 				fn(qi)
@@ -122,6 +159,14 @@ func walkerCase(t *testing.T, cfg Config, l int, memo *dht.ScoreMemo, want [][]f
 	for qi, n := range seen {
 		if n != 1 {
 			t.Fatalf("target %d delivered %d times, want once", qi, n)
+		}
+	}
+	if memo != nil && l == cfg.D {
+		for qi, q := range cfg.Q {
+			col, ok := memo.Get(cfg.Measure, q, l)
+			if !ok || firstDiff(col, want[qi], nil, true) >= 0 {
+				t.Fatalf("target %d: published column present=%v, want the full dense reference", qi, ok)
+			}
 		}
 	}
 	first := ctrs.Snapshot()
