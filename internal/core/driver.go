@@ -28,8 +28,11 @@ type TupleStream interface {
 // its aggregate score reaches the corner-bound threshold τ, at which point
 // no not-yet-generated combination can beat it. Emission order is therefore
 // descending by score; equal scores emit in a deterministic but otherwise
-// unspecified order (the candidate heap's layout is a pure function of the
-// serial insertion sequence). Determinism is what the prefix invariant and
+// unspecified order: the candidate heap has no tie key, a candidate's slot is
+// its insertion count, and the only operations are that insert and removal
+// of the maximum, so the heap's layout — hence the order among equal scores
+// — is a pure function of the serial insertion sequence, which the sources'
+// canonical rankings fix. Determinism is what the prefix invariant and
 // the serving layer's prefix cache need — the batch Run methods drain this
 // same stream, so stream and batch can never disagree. The m-th pull never
 // does more source work than a one-shot top-m run.
@@ -39,13 +42,14 @@ type pbrjStream struct {
 	stats *RunStats
 	ctrs  *dht.Counters
 
-	bufs  []*buffer
-	exp   *expander
-	bound *rankjoin.Bound
-	rr    *rankjoin.RoundRobin
-	cand  *pqueue.Indexed[string, Answer] // confirmed-pending candidates by answer key
-	seen  map[string]struct{}
-	live  int // sources still in rotation
+	bufs   []*buffer
+	exp    *expander
+	bound  *rankjoin.Bound
+	rr     *rankjoin.RoundRobin
+	cand   *pqueue.SlotHeap // confirmed-pending candidates: slot i is tuples[i], by aggregate score
+	tuples [][]graph.NodeID // every candidate generated so far, in insertion order; nil once emitted
+	seen   map[string]struct{}
+	live   int // sources still in rotation
 
 	// noBound disables the corner-bound early emit (sources are drained
 	// completely before anything is emitted). Only the ablation benches set
@@ -70,7 +74,7 @@ func newPBRJStream(spec *Spec, srcs []edgeSource, stats *RunStats, ctrs *dht.Cou
 		exp:     newExpander(spec.Query, bufs),
 		bound:   rankjoin.NewBound(spec.Agg, len(edges)),
 		rr:      rankjoin.NewRoundRobin(len(edges)),
-		cand:    pqueue.NewIndexed[string, Answer](),
+		cand:    pqueue.NewSlotHeap(nil),
 		seen:    make(map[string]struct{}),
 		live:    len(edges),
 		noBound: noBound,
@@ -94,10 +98,11 @@ func (d *pbrjStream) Next() (Answer, bool, error) {
 		// globally next — a gap inside the ε-band proves nothing, so the
 		// stream keeps pulling (tightening τ) until the gap is decisive or
 		// the sources exhaust.
-		if key, prio, a, ok := d.cand.Max(); ok {
+		if slot, prio, ok := d.cand.Max(); ok {
 			if d.live == 0 || (!d.noBound && prio >= d.bound.Tau()+d.spec.ScoreEps) {
-				d.cand.Remove(key)
-				a.Score = prio
+				d.cand.Remove(slot)
+				a := Answer{Nodes: d.tuples[slot], Score: prio}
+				d.tuples[slot] = nil
 				return a, true, nil
 			}
 		} else if d.live == 0 {
@@ -137,7 +142,8 @@ func (d *pbrjStream) Next() (Answer, bool, error) {
 			d.seen[key] = struct{}{}
 			tuple := make([]graph.NodeID, len(nodes))
 			copy(tuple, nodes)
-			d.cand.Set(key, d.spec.Agg.Combine(edgeScores), Answer{Nodes: tuple})
+			d.cand.Set(int32(len(d.tuples)), d.spec.Agg.Combine(edgeScores))
+			d.tuples = append(d.tuples, tuple)
 		})
 	}
 }

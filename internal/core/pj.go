@@ -73,7 +73,7 @@ func (a *PJ) Run() ([]Answer, error) {
 }
 
 // PJI is the Incremental Partial Join (PJ-i, §VI-D): identical to PJ except
-// that each edge keeps the B-IDJ bound state in a mutable priority queue F,
+// that each edge keeps the B-IDJ bound state in the F table (join2.Incremental),
 // so the (m+1)-th, (m+2)-th, … pairs are derived from already-computed
 // bounds instead of re-running the 2-way join. The paper reports up to 50×
 // speedups over PJ from exactly this change.

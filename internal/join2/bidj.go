@@ -67,11 +67,14 @@ type BIDJ struct {
 	// Stats describes the most recent TopK run.
 	Stats []IterStat
 
-	// record, when non-nil, receives every (pair, lower, upper, l) bound
-	// observation; the incremental join uses it to populate its F structure.
-	// It is called from the walker's callback, so a recording joiner's
-	// config has one worker.
-	record func(pr Pair, lower, upper float64, l int)
+	// record, when non-nil, receives every walked column of every round —
+	// target q, walk length l, the column (valid at the nodes of P, within
+	// the call) and ub = U⁺ₗ(q), 0 in the exact final round — so one call
+	// carries the bounds h_l(p, q) ≤ h_d(p, q) ≤ h_l(p, q) + ub of every p;
+	// the incremental join populates its F structure from it. It is called
+	// from the walker's callback, so a recording joiner's config has one
+	// worker.
+	record func(q graph.NodeID, l int, scores []float64, ub float64)
 }
 
 // NewBIDJ validates the config and returns the joiner with the given bound
@@ -170,11 +173,10 @@ func (b *BIDJ) TopK(k int) ([]Result, error) {
 					pMax = s
 				}
 			}
-			qUpper[qi] = pMax + ubound(q, l)
+			ub := ubound(q, l)
+			qUpper[qi] = pMax + ub
 			if b.record != nil {
-				for _, p := range b.cfg.P {
-					b.record(Pair{p, q}, scores[p], scores[p]+ubound(q, l), l)
-				}
+				b.record(q, l, scores, ub)
 			}
 		}); err != nil {
 			return nil, err
@@ -191,9 +193,7 @@ func (b *BIDJ) TopK(k int) ([]Result, error) {
 		q := alive[qi]
 		addColumn(tops[wi], b.cfg.P, q, scores)
 		if b.record != nil {
-			for _, p := range b.cfg.P {
-				b.record(Pair{p, q}, scores[p], scores[p], d)
-			}
+			b.record(q, d, scores, 0)
 		}
 	}); err != nil {
 		return nil, err

@@ -1,32 +1,45 @@
 package join2
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/pqueue"
 )
 
-// fentry is one F-structure record (§VI-D): the tightest known bounds on
-// h_d(p, q) and the walk length l they were computed with. The upper bound is
-// stored as the heap priority, the rest here.
-type fentry struct {
-	lower float64
-	l     int
-}
+// gone is the walk length recorded for an emitted pair: no walk is longer, so
+// every later observation skips the cell as already tighter.
+const gone = math.MaxInt32
 
 // Incremental is the PJ-i join state for one (P, Q) pair: it runs an initial
-// top-m B-IDJ while recording every bound observation into the mutable
-// priority queue F (keyed by pair, ordered by upper bound), then serves
-// getNextNodePair requests by refining only the pairs that contend for the
-// next rank — instead of re-running a top-(m+1) join from scratch.
+// top-m B-IDJ while recording every bound observation into the F structure of
+// §VI-D, then serves getNextNodePair requests by refining only the pairs that
+// contend for the next rank — instead of re-running a top-(m+1) join from
+// scratch.
+//
+// F is a dense table over the candidate space: cell pi·|Q| + qi holds the
+// tightest known bounds on h_d(P[pi], Q[qi]) and the walk length l they were
+// computed with. While Run executes an observation is three array writes and
+// nothing is ordered — only a pair's longest observation survives, and no
+// order is read before Next. The first Next heapifies the upper bounds of the
+// cells not yet emitted, once, into order (which adopts the upper slice);
+// from then on refine re-prioritises by cell. A stream never pulled past its
+// initial batch builds no heap at all.
 type Incremental struct {
-	b       *BIDJ // the initial join; Next refines on its config, walker and bounds
-	f       *pqueue.Indexed[Pair, fentry]
+	b       *BIDJ     // the initial join; its config holds P and Q free of repeats
+	rows    nodeIndex // P[pi] → pi
+	cols    nodeIndex // Q[qi] → qi
+	lower   []float64
+	upper   []float64 // until order adopts it
+	l       []int32   // 0: not observed yet; gone: emitted
+	order   *pqueue.SlotHeap
 	ubound  func(q graph.NodeID, l int) float64
 	started bool
+	err     error           // a failed Run left F half-filled: every later Next returns it
 	one     [1]graph.NodeID // refine's target set
 
 	// memo caches full-depth score columns by (kind, q, d): the winner path
@@ -38,38 +51,68 @@ type Incremental struct {
 	memo *dht.ScoreMemo
 }
 
+// nodeIndex finds a node's position in a repeat-free id list by binary search
+// over a sorted copy: F's node → row/column lookup, made once per walked
+// column and once per emitted pair, without a hash map.
+type nodeIndex struct {
+	sorted []graph.NodeID
+	at     []int32 // sorted[i] is ids[at[i]]
+}
+
+// indexNodes returns ids reduced to first occurrences (ids itself when
+// nothing repeats, as in every list the serving layer resolves) with its index.
+func indexNodes(ids []graph.NodeID) ([]graph.NodeID, nodeIndex) {
+	x := nodeIndex{sorted: make([]graph.NodeID, len(ids)), at: make([]int32, len(ids))}
+	for i := range x.at {
+		x.at[i] = int32(i)
+	}
+	slices.SortFunc(x.at, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+	for i, a := range x.at {
+		x.sorted[i] = ids[a]
+		if i > 0 && x.sorted[i] == x.sorted[i-1] {
+			return indexNodes(graph.NewNodeSet("", ids).Nodes())
+		}
+	}
+	return ids, x
+}
+
+func (x nodeIndex) find(id graph.NodeID) int {
+	i, _ := slices.BinarySearch(x.sorted, id)
+	return int(x.at[i])
+}
+
 // NewIncremental validates the config and returns an idle join state; call
-// Run to execute the initial top-m join. The state records bound
-// observations from the walker's callback and refines one target at a time,
-// so it always runs one worker, whatever Config.Workers says.
+// Run to execute the initial top-m join. P and Q are sets: a node listed
+// twice is one row or column of F, so no pair can be emitted twice. The state
+// records bound observations from the walker's callback and refines one
+// target at a time, so it always runs one worker, whatever Config.Workers
+// says.
 func NewIncremental(cfg Config, variant BoundVariant) (*Incremental, error) {
 	cfg.Workers = 1
+	inc := &Incremental{memo: cfg.newMemo()}
+	cfg.P, inc.rows = indexNodes(cfg.P)
+	cfg.Q, inc.cols = indexNodes(cfg.Q)
 	b, err := NewBIDJ(cfg, variant)
 	if err != nil {
 		return nil, err
 	}
-	inc := &Incremental{
-		b:    b,
-		f:    pqueue.NewIndexed[Pair, fentry](),
-		memo: cfg.newMemo(),
-	}
-	b.record = func(pr Pair, lower, upper float64, l int) {
-		if old, _, ok := inc.f.Get(pr); ok && old.l >= l {
-			return // keep the tighter (longer-walk) bounds
-		}
-		inc.f.Set(pr, upper, fentry{lower: lower, l: l})
+	inc.b = b
+	b.record = func(q graph.NodeID, l int, scores []float64, ub float64) {
+		inc.observe(inc.cols.find(q), l, scores, ub)
 	}
 	return inc, nil
 }
 
 // Run executes the initial top-m 2-way join (B-IDJ with the configured bound
 // variant), populating F, and returns the top-m results. It must be called
-// exactly once, before any Next.
+// exactly once, before any Next; when it fails, so does every later Next.
 func (inc *Incremental) Run(m int) ([]Result, error) {
 	if inc.started {
 		return nil, fmt.Errorf("join2: Incremental.Run called twice")
 	}
 	inc.started = true
+	n := inc.b.cfg.MaxPairs()
+	inc.lower, inc.upper, inc.l = make([]float64, n), make([]float64, n), make([]int32, n)
 	// The bound provider is shared with Next; for Y it is built once, here,
 	// over the full P and Q.
 	inc.ubound = inc.b.ubound()
@@ -79,26 +122,64 @@ func (inc *Incremental) Run(m int) ([]Result, error) {
 	// stream's lifetime. The solo engine stays, held until Release.
 	inc.b.w.releaseBatch()
 	if err != nil {
+		inc.err = err
 		return nil, err
 	}
 	// Entries already emitted must not be served again by Next.
 	for _, r := range res {
-		inc.f.Remove(r.Pair)
+		inc.l[inc.rows.find(r.Pair.P)*len(inc.b.cfg.Q)+inc.cols.find(r.Pair.Q)] = gone
 	}
 	return res, nil
+}
+
+// observe folds the column h_l(·, Q[qi]) into F: every cell of the column
+// whose bounds come from a shorter walk takes lower = h_l(p, q) and upper =
+// lower + ub, where ub = U⁺ₗ(q) (0 at l = d: the score is exact).
+func (inc *Incremental) observe(qi, l int, scores []float64, ub float64) {
+	s, nq := qi, len(inc.b.cfg.Q)
+	for _, p := range inc.b.cfg.P {
+		if int(inc.l[s]) < l {
+			inc.lower[s], inc.l[s] = scores[p], int32(l)
+			if inc.order == nil {
+				inc.upper[s] = scores[p] + ub
+			} else {
+				inc.order.Set(int32(s), scores[p]+ub)
+			}
+		}
+		s += nq
+	}
+}
+
+// pair is the candidate pair of cell s.
+func (inc *Incremental) pair(s int32) Pair {
+	nq := int32(len(inc.b.cfg.Q))
+	return Pair{P: inc.b.cfg.P[s/nq], Q: inc.b.cfg.Q[s%nq]}
 }
 
 // Next returns the next-best pair after everything already emitted, with its
 // exact truncated score. ok is false when the candidate space is exhausted.
 //
-// It repeatedly inspects the entry e1 with the highest upper bound: if e1's
-// lower bound already dominates the second-highest upper bound, e1 must be
-// the answer and only its exact value is still needed (one d-step walk);
-// otherwise e1's target q is refined with a min(2l, d)-step walk, tightening
-// every pair of that q at once.
+// It repeatedly inspects the cell e1 that leads F's order — upper bound
+// descending, canonical pair key ascending among equal bounds. An exact e1
+// (l = d, upper == lower == h_d) dominates every other cell's true score and
+// precedes every cell that could still tie with it, so it is the answer: the
+// emitted sequence is ordered by (score descending, TieKey ascending) like
+// every one-shot ranking. Otherwise, if e1's lower bound already dominates
+// the second-highest upper bound only its exact value is missing (one d-step
+// walk of its target q, after which the loop looks again — a tied cell with a
+// smaller key may lead now); if not, q is refined with a min(2l, d)-step
+// walk. Either walk tightens every pair of that q at once.
 func (inc *Incremental) Next() (Result, bool, error) {
 	if !inc.started {
 		return Result{}, false, fmt.Errorf("join2: Incremental.Next before Run")
+	}
+	if inc.err != nil {
+		return Result{}, false, inc.err
+	}
+	if inc.order == nil {
+		inc.order = pqueue.NewSlotHeap(func(s int32) int64 { return pairTie(inc.pair(s)) })
+		inc.order.Build(inc.upper, func(s int32) bool { return inc.l[s] != gone })
+		inc.upper = nil
 	}
 	d := inc.b.cfg.D
 	for {
@@ -107,66 +188,38 @@ func (inc *Incremental) Next() (Result, bool, error) {
 		if err := inc.b.cfg.canceled(); err != nil {
 			return Result{}, false, err
 		}
-		pr, _, ent, ok := inc.f.Max()
+		s, _, ok := inc.order.Max()
 		if !ok {
 			return Result{}, false, nil
 		}
-		second, hasSecond := inc.f.SecondMax()
-		if !hasSecond {
-			second = math.Inf(-1)
+		if int(inc.l[s]) >= d {
+			inc.order.Remove(s)
+			inc.l[s] = gone
+			return Result{Pair: inc.pair(s), Score: inc.lower[s]}, true, nil
 		}
-		if ent.l >= d {
-			// Exact and holding the highest upper bound: upper == lower ==
-			// h_d, so it dominates every other entry's true score.
-			inc.f.Remove(pr)
-			return Result{Pair: pr, Score: ent.lower}, true, nil
+		next := d
+		if second, ok := inc.order.SecondMax(); ok && inc.lower[s] < second {
+			next = min(2*int(inc.l[s]), d) // not separated yet
 		}
-		if ent.lower >= second {
-			// Winner decided by bounds; fetch its exact score.
-			if err := inc.refine(pr.Q, d); err != nil {
-				return Result{}, false, err
-			}
-			v, _, stillThere := inc.f.Get(pr)
-			if !stillThere {
-				return Result{}, false, fmt.Errorf("join2: F entry for %v vanished during refinement", pr)
-			}
-			inc.f.Remove(pr)
-			return Result{Pair: pr, Score: v.lower}, true, nil
-		}
-		// Not separated yet: tighten e1's target.
-		next := ent.l * 2
-		if next > d {
-			next = d
-		}
-		if err := inc.refine(pr.Q, next); err != nil {
+		if err := inc.refine(int(s)%len(inc.b.cfg.Q), next); err != nil {
 			return Result{}, false, err
 		}
 	}
 }
 
-// refine re-walks q at depth l and tightens every still-pending pair of q,
-// reading the column at the nodes of P only. Full-depth walks go through the
-// (q, l)-keyed memo.
-func (inc *Incremental) refine(q graph.NodeID, l int) error {
+// refine re-walks Q[qi] at depth l and tightens every still-pending pair of
+// it, reading the column at the nodes of P only. Full-depth walks go through
+// the (q, l)-keyed memo.
+func (inc *Incremental) refine(qi, l int) error {
+	q, ub := inc.b.cfg.Q[qi], 0.0
+	if l < inc.b.cfg.D {
+		ub = inc.ubound(q, l)
+	}
 	inc.one[0] = q
 	return inc.b.w.columns(inc.one[:], l, inc.memo, func(_, _ int, scores []float64) {
-		for _, p := range inc.b.cfg.P {
-			pr := Pair{P: p, Q: q}
-			old, _, ok := inc.f.Get(pr)
-			if !ok || old.l >= l {
-				continue
-			}
-			up := scores[p]
-			if l < inc.b.cfg.D {
-				up += inc.ubound(q, l)
-			}
-			inc.f.Set(pr, up, fentry{lower: scores[p], l: l})
-		}
+		inc.observe(qi, l, scores, ub)
 	})
 }
-
-// Pending returns the number of pairs still held in F.
-func (inc *Incremental) Pending() int { return inc.f.Len() }
 
 // Release returns the join state's engines to the pool (Config.Pool when
 // set). Call it once no further Next pulls are needed.

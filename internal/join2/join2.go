@@ -161,8 +161,9 @@ func pairTie(pr Pair) int64 {
 	return int64(pr.P)<<32 | int64(uint32(pr.Q))
 }
 
-// TieKey exposes the canonical tie key: every emitted ranking is ordered by
-// (score descending, TieKey ascending), which is what lets a distributed
+// TieKey exposes the canonical tie key: every emitted ranking — one-shot,
+// re-joined, or pulled from the incremental F table at any depth — is ordered
+// by (score descending, TieKey ascending), which is what lets a distributed
 // merge of disjoint sub-rankings reproduce the single-stream order
 // bit-identically.
 func TieKey(pr Pair) int64 { return pairTie(pr) }

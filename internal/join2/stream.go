@@ -6,9 +6,11 @@ package join2
 // PJ-i split of §VI-D:
 //
 //   - NewIncrementalStream wraps the B-IDJ bound state (Incremental): the
-//     initial top-m join populates the F structure, after which each pull
-//     refines only the pairs contending for the next rank — the paper's
-//     incremental deepening, now exposed as a resumable step function.
+//     initial top-m join fills the F table, after which each pull refines
+//     only the pairs contending for the next rank — the paper's incremental
+//     deepening, now exposed as a resumable step function. F orders equal
+//     upper bounds by the canonical pair key, so pulls past the initial
+//     batch continue the one-shot ranking tie for tie.
 //
 //   - NewRejoinStream wraps any Joiner by re-running it with a growing
 //     budget whenever the drained prefix is exhausted. The canonical pair
@@ -16,8 +18,9 @@ package join2
 //     top-(m+1) selection, which is what makes the re-join transparent.
 //
 // Both satisfy the prefix invariant the facade's streaming API is built on:
-// the first m results of a stream are bit-identical (same pairs, same
-// float64 scores, same order) to the one-shot top-m of the same config.
+// for every m up to |P|·|Q|, the first m results of a stream are
+// bit-identical (same pairs, same float64 scores, same order — score
+// descending, TieKey ascending) to the one-shot top-m of the same config.
 
 // Stream pulls the rank-ordered pairs of a 2-way join one at a time.
 // Streams are single-goroutine, like the joiners and engines they wrap.
@@ -73,7 +76,7 @@ func (s *StreamSpec) initial() int {
 
 // NewIncrementalStream opens a stream over cfg backed by the B-IDJ bound
 // state: the paper's PJ-i production path. The initial batch runs B-IDJ with
-// the given bound variant while recording every bound observation; pulls
+// the given bound variant while recording every walked column's bounds; pulls
 // past it refine only contending pairs (§VI-D). The initial batch checks the
 // engines out and returns the batch engine; the solo engine the refinements
 // walk on is held until Release.
@@ -91,21 +94,16 @@ type incStream struct {
 	initial   int
 	list      []Result
 	pos       int
-	started   bool
 	refetches *int64
 }
 
+// Prime runs the initial join once; a failed one stays failed (the join
+// state keeps the error), so every later Prime and Next repeats it.
 func (s *incStream) Prime() error {
-	if s.started {
-		return nil
+	if !s.inc.started {
+		s.list, _ = s.inc.Run(s.initial)
 	}
-	s.started = true
-	list, err := s.inc.Run(s.initial)
-	if err != nil {
-		return err
-	}
-	s.list = list
-	return nil
+	return s.inc.err
 }
 
 func (s *incStream) Next() (Result, bool, error) {

@@ -18,23 +18,23 @@ func BenchmarkTopKAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkIndexedSetUpdate(b *testing.B) {
+func BenchmarkSlotHeapSetUpdate(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	h := NewIndexed[int, struct{}]()
-	for i := 0; i < 10000; i++ {
-		h.Set(i, rng.Float64(), struct{}{})
+	h := NewSlotHeap(nil)
+	for i := int32(0); i < 10000; i++ {
+		h.Set(i, rng.Float64())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Set(i%10000, rng.Float64(), struct{}{})
+		h.Set(int32(i%10000), rng.Float64())
 	}
 }
 
-func BenchmarkIndexedMaxSecondMax(b *testing.B) {
+func BenchmarkSlotHeapMaxSecondMax(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	h := NewIndexed[int, struct{}]()
-	for i := 0; i < 10000; i++ {
-		h.Set(i, rng.Float64(), struct{}{})
+	h := NewSlotHeap(nil)
+	for i := int32(0); i < 10000; i++ {
+		h.Set(i, rng.Float64())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

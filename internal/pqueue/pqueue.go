@@ -1,7 +1,8 @@
 // Package pqueue provides the priority-queue substrate used across the join
-// algorithms: a bounded top-k collector (the paper's B and O buffers) and an
-// indexed mutable max-heap (the incremental-join F structure of §VI-D, which
-// needs key lookup, priority updates, and peeking at the two best entries).
+// algorithms: a bounded top-k collector (the paper's B and O buffers), a
+// slot-addressed mutable max-heap (the order of the incremental join's F
+// structure of §VI-D, which needs priority updates by slot and a peek at the
+// two best entries), and a small LRU.
 package pqueue
 
 import (
@@ -165,108 +166,115 @@ func (t *TopK[T]) down(i int) {
 	}
 }
 
-// Indexed is a max-heap of entries addressed by comparable keys. It supports
-// priority updates and removal by key, plus peeking at the best and
-// second-best entries — exactly what the incremental join's F structure
-// requires to decide whether the top pair is already separated from the rest.
-type Indexed[K comparable, V any] struct {
-	keys  []K
-	prio  []float64
-	vals  []V
-	index map[K]int
+// SlotHeap is a max-heap over dense integer slots: an entry is a slot number
+// and its priority, and every per-slot fact — priority, heap position — lives
+// in a flat slice indexed by slot, so an update or removal by slot costs array
+// reads and an array-indexed sift, never a hash. It is the order half of the
+// incremental join's F structure (§VI-D; slot = cell of the P×Q table) and
+// the n-way driver's pending-candidate heap (slot = insertion count), both of
+// which need priority updates or removal by slot plus a peek at the two best
+// entries. Callers keep whatever else they know about a slot in their own
+// slices beside it.
+//
+// Entries order by priority descending; among equal priorities the entry with
+// the smaller tie key ranks first when the heap has a tie function, and
+// otherwise the order is whatever the operation history left — a pure
+// function of the operation sequence either way.
+type SlotHeap struct {
+	prio []float64 // by slot
+	pos  []int32   // by slot: position in heap, -1 when the slot is not held
+	heap []int32   // heap order → slot
+	tie  func(slot int32) int64
 }
 
-// NewIndexed returns an empty indexed heap.
-func NewIndexed[K comparable, V any]() *Indexed[K, V] {
-	return &Indexed[K, V]{index: make(map[K]int)}
+// NewSlotHeap returns an empty heap. tie, when non-nil, is the total order
+// among equal priorities (smaller key first); it is consulted only then.
+func NewSlotHeap(tie func(slot int32) int64) *SlotHeap {
+	return &SlotHeap{tie: tie}
 }
 
-// Len returns the number of entries.
-func (h *Indexed[K, V]) Len() int { return len(h.keys) }
-
-// Get returns the value and priority stored under key.
-func (h *Indexed[K, V]) Get(key K) (V, float64, bool) {
-	if i, ok := h.index[key]; ok {
-		return h.vals[i], h.prio[i], true
-	}
-	var zero V
-	return zero, 0, false
-}
-
-// Set inserts or replaces the entry under key with the given priority.
-// Priorities must be finite; NaN and ±Inf panic (see checkFinite) — the
-// update path compares prio against the stored priority to pick a sift
-// direction, and both comparisons are false for NaN, which would leave the
-// entry mis-positioned and the heap silently corrupted.
-func (h *Indexed[K, V]) Set(key K, prio float64, val V) {
-	checkFinite("Indexed.Set", prio)
-	if i, ok := h.index[key]; ok {
-		old := h.prio[i]
-		h.prio[i] = prio
-		h.vals[i] = val
-		if prio > old {
-			h.up(i)
-		} else if prio < old {
-			h.down(i)
+// Build replaces the heap's contents with the slots 0..len(prio)-1 for which
+// live reports true (all of them when live is nil), at the given priorities,
+// in O(len(prio)): one heapify instead of one sift per entry. The heap adopts prio — the caller must not
+// write it afterwards. Priorities of live slots must be finite.
+func (h *SlotHeap) Build(prio []float64, live func(slot int32) bool) {
+	h.prio = prio
+	h.pos = make([]int32, len(prio))
+	h.heap = make([]int32, 0, len(prio))
+	for s := range prio {
+		if live != nil && !live(int32(s)) {
+			h.pos[s] = -1
+			continue
 		}
-		return
+		checkFinite("SlotHeap.Build", prio[s])
+		h.pos[s] = int32(len(h.heap))
+		h.heap = append(h.heap, int32(s))
 	}
-	h.keys = append(h.keys, key)
-	h.prio = append(h.prio, prio)
-	h.vals = append(h.vals, val)
-	h.index[key] = len(h.keys) - 1
-	h.up(len(h.keys) - 1)
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
-// Max returns the key, priority, and value of the best entry without
-// removing it.
-func (h *Indexed[K, V]) Max() (K, float64, V, bool) {
-	if len(h.keys) == 0 {
-		var zk K
-		var zv V
-		return zk, 0, zv, false
+// Len returns the number of held slots.
+func (h *SlotHeap) Len() int { return len(h.heap) }
+
+// Set inserts slot with the given priority, or re-prioritises it when held.
+// Slots past the current table extend it. Priorities must be finite; NaN and
+// ±Inf panic (see checkFinite) — the update path compares prio against the
+// stored priority to pick a sift direction, and both comparisons are false
+// for NaN, which would leave the entry mis-positioned and the heap silently
+// corrupted.
+func (h *SlotHeap) Set(slot int32, prio float64) {
+	checkFinite("SlotHeap.Set", prio)
+	for int(slot) >= len(h.pos) {
+		h.prio = append(h.prio, 0)
+		h.pos = append(h.pos, -1)
 	}
-	return h.keys[0], h.prio[0], h.vals[0], true
+	i := int(h.pos[slot])
+	old := h.prio[slot]
+	h.prio[slot] = prio
+	switch {
+	case i < 0:
+		h.pos[slot] = int32(len(h.heap))
+		h.heap = append(h.heap, slot)
+		h.up(len(h.heap) - 1)
+	case prio > old:
+		h.up(i)
+	case prio < old:
+		h.down(i)
+	}
+}
+
+// Max returns the best slot and its priority without removing it.
+func (h *SlotHeap) Max() (int32, float64, bool) {
+	if len(h.heap) == 0 {
+		return 0, 0, false
+	}
+	return h.heap[0], h.prio[h.heap[0]], true
 }
 
 // SecondMax returns the priority of the second-best entry. ok is false when
 // fewer than two entries exist.
-func (h *Indexed[K, V]) SecondMax() (float64, bool) {
-	switch len(h.keys) {
+func (h *SlotHeap) SecondMax() (float64, bool) {
+	switch len(h.heap) {
 	case 0, 1:
 		return 0, false
 	case 2:
-		return h.prio[1], true
+		return h.prio[h.heap[1]], true
 	default:
-		if h.prio[1] >= h.prio[2] {
-			return h.prio[1], true
-		}
-		return h.prio[2], true
+		return max(h.prio[h.heap[1]], h.prio[h.heap[2]]), true
 	}
 }
 
-// PopMax removes and returns the best entry.
-func (h *Indexed[K, V]) PopMax() (K, float64, V, bool) {
-	k, p, v, ok := h.Max()
-	if !ok {
-		return k, p, v, false
-	}
-	h.Remove(k)
-	return k, p, v, true
-}
-
-// Remove deletes the entry under key, reporting whether it existed.
-func (h *Indexed[K, V]) Remove(key K) bool {
-	i, ok := h.index[key]
-	if !ok {
+// Remove deletes slot from the heap, reporting whether it was held.
+func (h *SlotHeap) Remove(slot int32) bool {
+	if int(slot) >= len(h.pos) || h.pos[slot] < 0 {
 		return false
 	}
-	last := len(h.keys) - 1
+	i, last := int(h.pos[slot]), len(h.heap)-1
 	h.swap(i, last)
-	h.keys = h.keys[:last]
-	h.prio = h.prio[:last]
-	h.vals = h.vals[:last]
-	delete(h.index, key)
+	h.heap = h.heap[:last]
+	h.pos[slot] = -1
 	if i < last {
 		h.down(i)
 		h.up(i)
@@ -274,21 +282,24 @@ func (h *Indexed[K, V]) Remove(key K) bool {
 	return true
 }
 
-func (h *Indexed[K, V]) swap(i, j int) {
-	if i == j {
-		return
+// beats reports whether slot a ranks strictly ahead of slot b.
+func (h *SlotHeap) beats(a, b int32) bool {
+	if pa, pb := h.prio[a], h.prio[b]; pa != pb {
+		return pa > pb
 	}
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
-	h.vals[i], h.vals[j] = h.vals[j], h.vals[i]
-	h.index[h.keys[i]] = i
-	h.index[h.keys[j]] = j
+	return h.tie != nil && h.tie(a) < h.tie(b)
 }
 
-func (h *Indexed[K, V]) up(i int) {
+func (h *SlotHeap) swap(i, j int) {
+	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
+	h.pos[h.heap[i]] = int32(i)
+	h.pos[h.heap[j]] = int32(j)
+}
+
+func (h *SlotHeap) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if h.prio[p] >= h.prio[i] {
+		if !h.beats(h.heap[i], h.heap[p]) {
 			return
 		}
 		h.swap(p, i)
@@ -296,15 +307,15 @@ func (h *Indexed[K, V]) up(i int) {
 	}
 }
 
-func (h *Indexed[K, V]) down(i int) {
-	n := len(h.keys)
+func (h *SlotHeap) down(i int) {
+	n := len(h.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
 		big := i
-		if l < n && h.prio[l] > h.prio[big] {
+		if l < n && h.beats(h.heap[l], h.heap[big]) {
 			big = l
 		}
-		if r < n && h.prio[r] > h.prio[big] {
+		if r < n && h.beats(h.heap[r], h.heap[big]) {
 			big = r
 		}
 		if big == i {

@@ -39,23 +39,27 @@ func TestNonFinitePrioritiesPanic(t *testing.T) {
 			tk := NewTopK[int](2)
 			tk.AddTie(1, b.v, 0)
 		})
-		mustPanic("Indexed.Set insert "+b.name, func() {
-			h := NewIndexed[string, int]()
-			h.Set("a", b.v, 0)
+		mustPanic("SlotHeap.Set insert "+b.name, func() {
+			NewSlotHeap(nil).Set(0, b.v)
 		})
-		mustPanic("Indexed.Set update "+b.name, func() {
-			h := NewIndexed[string, int]()
-			h.Set("a", 1, 0)
-			h.Set("a", b.v, 0)
+		mustPanic("SlotHeap.Set update "+b.name, func() {
+			h := NewSlotHeap(nil)
+			h.Set(0, 1)
+			h.Set(0, b.v)
+		})
+		mustPanic("SlotHeap.Build "+b.name, func() {
+			NewSlotHeap(nil).Build([]float64{1, b.v}, nil)
 		})
 	}
 	// Finite values, including zero and negatives, stay accepted.
 	tk := NewTopK[int](2)
 	tk.Add(1, -1e300)
 	tk.Add(2, 0)
-	h := NewIndexed[string, int]()
-	h.Set("a", -1e300, 0)
-	h.Set("a", 0, 0)
+	h := NewSlotHeap(nil)
+	h.Set(0, -1e300)
+	h.Set(0, 0)
+	// A non-finite priority in a slot Build leaves out is never ordered.
+	NewSlotHeap(nil).Build([]float64{1, math.NaN()}, func(s int32) bool { return s == 0 })
 	if h.Len() != 1 || tk.Len() != 2 {
 		t.Fatal("finite priorities were rejected")
 	}
@@ -200,37 +204,43 @@ func TestAddTieDisplacesHigherTie(t *testing.T) {
 	}
 }
 
+// The TestIndexed* suites pin SlotHeap, the indexed priority queue in the
+// textbook sense: entries are addressed by dense integer slot.
 func TestIndexedBasic(t *testing.T) {
-	h := NewIndexed[string, int]()
-	h.Set("a", 3, 30)
-	h.Set("b", 5, 50)
-	h.Set("c", 1, 10)
+	h := NewSlotHeap(nil)
+	h.Set(0, 3)
+	h.Set(1, 5)
+	h.Set(2, 1)
 	if h.Len() != 3 {
 		t.Fatalf("Len = %d", h.Len())
 	}
-	k, p, v, ok := h.Max()
-	if !ok || k != "b" || p != 5 || v != 50 {
-		t.Fatalf("Max = %v %v %v %v", k, p, v, ok)
+	if s, p, ok := h.Max(); !ok || s != 1 || p != 5 {
+		t.Fatalf("Max = %v %v %v", s, p, ok)
 	}
 	if s, ok := h.SecondMax(); !ok || s != 3 {
 		t.Fatalf("SecondMax = %v %v", s, ok)
 	}
-	if v, p, ok := h.Get("c"); !ok || v != 10 || p != 1 {
-		t.Fatalf("Get(c) = %v %v %v", v, p, ok)
+	// A slot past the table extends it; the slots skipped over stay absent.
+	h.Set(7, 4)
+	if h.Len() != 4 || h.Remove(5) {
+		t.Fatalf("Len = %d after a sparse Set, or an unset slot was held", h.Len())
+	}
+	if s, ok := h.SecondMax(); !ok || s != 4 {
+		t.Fatalf("SecondMax = %v %v", s, ok)
 	}
 }
 
 func TestIndexedUpdate(t *testing.T) {
-	h := NewIndexed[string, int]()
-	h.Set("a", 1, 0)
-	h.Set("b", 2, 0)
-	h.Set("a", 10, 1) // raise a above b
-	if k, _, v, _ := h.Max(); k != "a" || v != 1 {
-		t.Fatalf("Max after raise = %v %v", k, v)
+	h := NewSlotHeap(nil)
+	h.Set(0, 1)
+	h.Set(1, 2)
+	h.Set(0, 10) // raise 0 above 1
+	if s, p, _ := h.Max(); s != 0 || p != 10 {
+		t.Fatalf("Max after raise = %v %v", s, p)
 	}
-	h.Set("a", 0, 2) // lower below b
-	if k, _, _, _ := h.Max(); k != "b" {
-		t.Fatalf("Max after lower = %v", k)
+	h.Set(0, 0) // lower below 1
+	if s, _, _ := h.Max(); s != 1 {
+		t.Fatalf("Max after lower = %v", s)
 	}
 	if h.Len() != 2 {
 		t.Fatalf("Len changed on update: %d", h.Len())
@@ -238,61 +248,116 @@ func TestIndexedUpdate(t *testing.T) {
 }
 
 func TestIndexedRemove(t *testing.T) {
-	h := NewIndexed[int, struct{}]()
-	for i := 0; i < 10; i++ {
-		h.Set(i, float64(i), struct{}{})
+	h := NewSlotHeap(nil)
+	for i := int32(0); i < 10; i++ {
+		h.Set(i, float64(i))
 	}
-	if !h.Remove(9) || h.Remove(9) {
+	if !h.Remove(9) || h.Remove(9) || h.Remove(99) {
 		t.Fatal("Remove semantics wrong")
 	}
-	if k, _, _, _ := h.Max(); k != 8 {
-		t.Fatalf("Max after remove = %v", k)
+	if s, _, _ := h.Max(); s != 8 {
+		t.Fatalf("Max after remove = %v", s)
 	}
 	if h.Len() != 9 {
 		t.Fatalf("Len = %d", h.Len())
 	}
+	h.Set(9, 20) // a removed slot can come back
+	if s, _, _ := h.Max(); s != 9 || h.Len() != 10 {
+		t.Fatalf("Max after re-insert = %v, Len %d", s, h.Len())
+	}
 }
 
+// drain pops h empty, returning the slots in pop order.
+func drain(h *SlotHeap) []int32 {
+	var out []int32
+	for {
+		s, _, ok := h.Max()
+		if !ok {
+			return out
+		}
+		h.Remove(s)
+		out = append(out, s)
+	}
+}
+
+// TestIndexedPopMaxDrains: draining pops priorities in descending order,
+// whether the heap was filled by Set or built by one heapify — and with a tie
+// function, equal priorities leave in ascending key order on both paths, which
+// is the canonical tie order the incremental join's F relies on.
 func TestIndexedPopMaxDrains(t *testing.T) {
-	h := NewIndexed[int, struct{}]()
 	rng := rand.New(rand.NewSource(4))
 	vals := make([]float64, 50)
 	for i := range vals {
-		vals[i] = rng.Float64()
-		h.Set(i, vals[i], struct{}{})
+		vals[i] = float64(rng.Intn(6)) // plenty of equal priorities
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
-	for i := 0; i < len(vals); i++ {
-		_, p, _, ok := h.PopMax()
-		if !ok || p != vals[i] {
-			t.Fatalf("pop %d = %v, want %v", i, p, vals[i])
+	tie := func(s int32) int64 { return int64(49 - s) } // later slots first
+	live := func(s int32) bool { return s%7 != 3 }
+	var want []int32
+	for s := range vals {
+		if live(int32(s)) {
+			want = append(want, int32(s))
 		}
 	}
-	if _, _, _, ok := h.PopMax(); ok {
-		t.Fatal("pop from empty succeeded")
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if vals[a] != vals[b] {
+			return vals[a] > vals[b]
+		}
+		return tie(a) < tie(b)
+	})
+	set := NewSlotHeap(tie)
+	for s, v := range vals {
+		if live(int32(s)) {
+			set.Set(int32(s), v)
+		}
 	}
-	if _, ok := h.SecondMax(); ok {
-		t.Fatal("SecondMax on empty succeeded")
+	built := NewSlotHeap(tie)
+	built.Build(append([]float64(nil), vals...), live)
+	for name, h := range map[string]*SlotHeap{"Set": set, "Build": built} {
+		if h.Len() != len(want) {
+			t.Fatalf("%s: Len = %d, want %d", name, h.Len(), len(want))
+		}
+		got := drain(h)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: pop %d = slot %d (prio %v), want slot %d (prio %v)", name, i, got[i], vals[got[i]], want[i], vals[want[i]])
+			}
+		}
+		if _, _, ok := h.Max(); ok {
+			t.Fatalf("%s: Max on empty succeeded", name)
+		}
+		if _, ok := h.SecondMax(); ok {
+			t.Fatalf("%s: SecondMax on empty succeeded", name)
+		}
 	}
 }
 
-// Property: SecondMax equals the second-largest priority under random
-// inserts, updates, and removes.
+// Property: Max and SecondMax equal the two largest priorities under random
+// inserts, updates, and removes — on a heap that started from a Build.
 func TestIndexedSecondMaxProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := NewIndexed[int, struct{}]()
-		ref := make(map[int]float64)
+		h := NewSlotHeap(nil)
+		ref := make(map[int32]float64)
+		init := make([]float64, 10)
+		for s := range init {
+			init[s] = rng.Float64()
+			ref[int32(s)] = init[s]
+		}
+		h.Build(init, nil)
 		for op := 0; op < 200; op++ {
-			key := rng.Intn(20)
+			slot := int32(rng.Intn(20))
 			switch rng.Intn(3) {
 			case 0, 1:
 				p := rng.Float64()
-				h.Set(key, p, struct{}{})
-				ref[key] = p
+				h.Set(slot, p)
+				ref[slot] = p
 			case 2:
-				h.Remove(key)
-				delete(ref, key)
+				_, held := ref[slot]
+				if h.Remove(slot) != held {
+					return false
+				}
+				delete(ref, slot)
 			}
 			// Check invariants.
 			if h.Len() != len(ref) {
@@ -306,7 +371,7 @@ func TestIndexedSecondMaxProperty(t *testing.T) {
 				ps = append(ps, p)
 			}
 			sort.Sort(sort.Reverse(sort.Float64Slice(ps)))
-			if _, p, _, _ := h.Max(); p != ps[0] {
+			if s, p, _ := h.Max(); p != ps[0] || ref[s] != p {
 				return false
 			}
 			if len(ps) >= 2 {

@@ -187,6 +187,101 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExplicitIDListsAreSets: "ids":[a,a,b] names the set {a, b}. Through the
+// service call and through /join2 (batch and streamed) and /joinN, a repeated
+// id must neither repeat a pair in the ranking nor miss the result cache the
+// repeat-free spelling filled.
+func TestExplicitIDListsAreSets(t *testing.T) {
+	srv, g, sets := startServer(t)
+	p, q := sets[0].Nodes()[:6], sets[1].Nodes()[:5]
+	dupP := append(append([]graph.NodeID{}, p...), p[0], p[3], p[0])
+	dupQ := append([]graph.NodeID{q[2], q[2]}, q...)
+	firstQ := []graph.NodeID{q[2], q[0], q[1], q[3], q[4]} // dupQ's first occurrences
+	want := refJoin2(t, g, p, q, 10)
+
+	svc := New(Config{})
+	if err := svc.LoadGraph("g", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	got, err := svc.Join2(context.Background(), "g", SetRef{IDs: dupP}, SetRef{IDs: dupQ}, 10, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("svc.Join2: %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("svc.Join2 rank %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	before := svc.Stats().ResultHits
+	if _, err := svc.Join2(context.Background(), "g", SetRef{IDs: p}, SetRef{IDs: firstQ}, 10, Query{}); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Stats().ResultHits != before+1 {
+		t.Fatal("the repeat-free spelling of the same sets missed the result cache")
+	}
+
+	for _, stream := range []bool{false, true} {
+		body, err := json.Marshal(map[string]any{
+			"graph": "test", "p": map[string]any{"ids": dupP}, "q": map[string]any{"ids": dupQ}, "k": 10, "stream": stream,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/join2", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pairs []pairJSON
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var line struct {
+				pairJSON
+				Results []pairJSON `json:"results"`
+				Done    bool       `json:"done"`
+			}
+			if err := dec.Decode(&line); err != nil {
+				break
+			}
+			switch {
+			case line.Results != nil:
+				pairs = line.Results
+			case !line.Done:
+				pairs = append(pairs, line.pairJSON)
+			}
+		}
+		resp.Body.Close()
+		if len(pairs) != len(want) {
+			t.Fatalf("POST /join2 stream=%v: %d results, want %d", stream, len(pairs), len(want))
+		}
+		for i, w := range want {
+			if pairs[i].P != w.Pair.P || pairs[i].Q != w.Pair.Q || pairs[i].Score != w.Score {
+				t.Fatalf("POST /join2 stream=%v rank %d = %+v, want %+v", stream, i, pairs[i], w)
+			}
+		}
+	}
+
+	var out struct {
+		Answers []answerJSON `json:"answers"`
+	}
+	if code := postJSON(t, srv.URL+"/joinN", map[string]any{
+		"graph": "test", "shape": "chain", "k": 40,
+		"sets": []map[string]any{{"ids": dupP}, {"ids": dupQ}, {"ids": sets[2].Nodes()[:4]}},
+	}, &out); code != http.StatusOK {
+		t.Fatalf("POST /joinN = %d", code)
+	}
+	seen := map[string]bool{}
+	for _, a := range out.Answers {
+		if key := fmt.Sprint(a.Nodes); seen[key] {
+			t.Fatalf("POST /joinN returned %v twice", a.Nodes)
+		} else {
+			seen[key] = true
+		}
+	}
+}
+
 // TestHTTPScoreAndGraphLifecycle covers /score, /graphs listing, and DELETE.
 func TestHTTPScoreAndGraphLifecycle(t *testing.T) {
 	srv, g, sets := startServer(t)

@@ -321,7 +321,9 @@ func newSessionMemo(size int) *dht.ScoreMemo {
 	return dht.NewScoreMemo(size)
 }
 
-// resolveSet maps a SetRef to node ids in the entry's graph.
+// resolveSet maps a SetRef to node ids in the entry's graph. An explicit id
+// list is a set like a named one: repeats are dropped, first occurrences kept
+// (a joiner handed [a, a, b] would rank every pair of a twice).
 func (ge *graphEntry) resolveSet(ref SetRef) ([]graph.NodeID, error) {
 	switch {
 	case ref.Name != "" && ref.IDs != nil:
@@ -339,7 +341,7 @@ func (ge *graphEntry) resolveSet(ref SetRef) ([]graph.NodeID, error) {
 				return nil, fmt.Errorf("service: node %d out of range [0,%d)", id, n)
 			}
 		}
-		return ref.IDs, nil
+		return graph.NewNodeSet("", ref.IDs).Nodes(), nil
 	}
 	return nil, fmt.Errorf("service: empty set ref")
 }

@@ -184,7 +184,8 @@ func runsCertified(class plan.Class, w plan.Workload, forced string) bool {
 	return false
 }
 
-// refKey serializes a SetRef for the result-cache key. Explicit id lists are
+// refKey serializes a resolved SetRef (a name, or the repeat-free id list
+// resolveSet returned) for the result-cache key. Explicit id lists are
 // written in full — a hashed key could collide and silently serve another
 // request's results — and names are length-prefixed for the same reason:
 // set names are caller-chosen strings, so a name containing the key
@@ -315,9 +316,9 @@ func (sp pairSpec) bind(rq *request[join2.Result], ge *graphEntry) (string, erro
 	// length.
 	var sb strings.Builder
 	sb.WriteString("join2|")
-	refKey(&sb, sp.p)
+	refKey(&sb, SetRef{Name: sp.p.Name, IDs: pn})
 	sb.WriteByte('|')
-	refKey(&sb, sp.q)
+	refKey(&sb, SetRef{Name: sp.q.Name, IDs: qn})
 	return sb.String(), nil
 }
 
@@ -385,8 +386,8 @@ func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, erro
 	}
 	var sb strings.Builder
 	sb.WriteString("joinN|")
-	for _, ref := range sp.sets {
-		refKey(&sb, ref)
+	for i, ref := range sp.sets {
+		refKey(&sb, SetRef{Name: ref.Name, IDs: nodeSets[i].Nodes()})
 		sb.WriteByte('|')
 	}
 	for _, e := range sp.edges {
