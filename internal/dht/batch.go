@@ -28,12 +28,13 @@ const DefaultBatchWidth = 8
 // column carries mass) and chooses, like the solo engine, between a sparse
 // push over only the frontier's CSR rows and a dense whole-graph sweep once
 // the union frontier's incident edges exceed DenseThreshold·|V|. Within a
-// row, zero-mass lanes are skipped, so every column performs exactly the
-// floating-point additions of its solo walk, in the same ascending
-// source-node order — each column is bit-identical (== on every float64) to
-// the corresponding solo Engine walk regardless of what the other columns in
-// the batch do and regardless of where the sparse→dense switch lands. See
-// DESIGN.md ("The batched multi-walk kernel") for the full argument.
+// row every lane is relaxed, the zero-mass ones as exact x + (+0) no-ops, so
+// every column ends up with exactly the sums of its solo walk, added in the
+// same ascending source-node order — each column is bit-identical (== on
+// every float64) to the corresponding solo Engine walk regardless of what the
+// other columns in the batch do and regardless of where the sparse→dense
+// switch lands. See DESIGN.md ("The batched multi-walk kernel" for the
+// argument, "The lane kernel" for the arithmetic).
 //
 // A BatchEngine owns its scratch and is single-goroutine, like Engine;
 // create one per worker or check them out of an EnginePool (GetBatch).
@@ -188,10 +189,7 @@ func (be *BatchEngine) beginBatch(cols int) (sweeps0, frontier0 int64) {
 	} else {
 		w := be.W
 		for _, u := range be.curF {
-			b := int(u) * w
-			for c := b; c < b+w; c++ {
-				be.cur[c] = 0
-			}
+			clear(be.cur[int(u)*w:][:w])
 		}
 	}
 	be.curF = be.curF[:0]
@@ -251,15 +249,18 @@ func (be *BatchEngine) seedColumns(seeds []graph.NodeID) {
 
 // push advances every column one step: next += P·cur along out-edges
 // (forward) or in-edges (backward) for aw active lanes, then consumes cur.
-// The union frontier plays the role of the solo engine's frontier; zero-mass
-// lanes are skipped inside each row, so per column the additions are exactly
-// the solo walk's, in the same ascending source order.
-//
+// It decides the step's form and keeps the frontier — which plays the solo
+// engine's role, so per column the additions are the solo walk's in the same
+// ascending source order; the arithmetic is the lane kernel's (lanes.go).
 // tail, when it names a gather set, replaces the dense sweep this backward
-// step would otherwise be (see gather); a step that stays sparse ignores it.
+// step would otherwise be; a step that stays sparse ignores it.
 func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 	g := be.G
 	w := be.W
+	side := g.Out()
+	if backward {
+		side = g.In()
+	}
 	be.nextF = be.nextF[:0]
 	sparse := !be.ForceDense && !be.full
 	if sparse {
@@ -270,11 +271,7 @@ func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 		budget := int64(df * float64(g.NumNodes()))
 		var work int64
 		for _, u := range be.curF {
-			if backward {
-				work += int64(g.InDegree(u))
-			} else {
-				work += int64(g.OutDegree(u))
-			}
+			work += side.Index[u+1] - side.Index[u]
 			if work > budget {
 				sparse = false
 				break
@@ -288,149 +285,37 @@ func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 	pull := !sparse && tail.nodes != nil
 	be.lastDense = !sparse && !pull
 	cur, next := be.cur, be.next
-	// The lane loops add every lane unconditionally, zero-mass lanes
-	// included: lane accumulators only ever hold sums of non-negative
-	// products, and x + (+0.0) is bitwise x for every non-negative x, so the
-	// additions a solo walk would not perform are exact no-ops — see
-	// DESIGN.md for why this keeps each column bit-identical while letting
-	// the inner loop run branch-free (and unrolled at the cache-line width).
-	wide := w == laneWidth && aw == laneWidth
 	switch {
 	case sparse:
 		st := be.nextStamp()
 		mark, touched := be.mark, be.nextF
 		for _, u := range be.curF {
-			var nbr []graph.NodeID
-			var tp []float64
-			if backward {
-				nbr, _, tp = g.InEdges(u)
-			} else {
-				nbr, _, tp = g.OutEdges(u)
-			}
-			if wide {
-				mb := (*[laneWidth]float64)(cur[int(u)*laneWidth:])
-				for j, v := range nbr {
-					if mark[v] != st {
-						mark[v] = st
-						touched = append(touched, v)
-					}
-					p := tp[j]
-					nb := (*[laneWidth]float64)(next[int(v)*laneWidth:])
-					nb[0] += mb[0] * p
-					nb[1] += mb[1] * p
-					nb[2] += mb[2] * p
-					nb[3] += mb[3] * p
-					nb[4] += mb[4] * p
-					nb[5] += mb[5] * p
-					nb[6] += mb[6] * p
-					nb[7] += mb[7] * p
-				}
-			} else {
-				mb := cur[int(u)*w : int(u)*w+aw]
-				for j, v := range nbr {
-					if mark[v] != st {
-						mark[v] = st
-						touched = append(touched, v)
-					}
-					p := tp[j]
-					nb := next[int(v)*w : int(v)*w+aw]
-					nb = nb[:len(mb)]
-					for c, m := range mb {
-						nb[c] += m * p
-					}
+			for _, v := range side.Nbr[side.Index[u]:side.Index[u+1]] {
+				if mark[v] != st {
+					mark[v] = st
+					touched = append(touched, v)
 				}
 			}
 		}
 		be.nextF = touched
+		scatter(cur, next, w, aw, side, be.curF)
 	case pull:
+		// Pull form: next is == the sweep's on the set and untouched elsewhere,
+		// all that a caller reading within the set's remaining reach observes.
 		be.GatherSteps++
 		be.FrontierEdges += tail.edges
-		be.gather(tail.nodes, aw)
+		gather(cur, next, w, aw, g.Out(), tail.nodes)
 		// The set is the step's touched list; commit filters a copy of it.
 		be.nextF = append(be.nextF, tail.nodes...)
-	case backward:
-		be.EdgeSweeps++
-		for v := 0; v < g.NumNodes(); v++ {
-			if wide {
-				mb := (*[laneWidth]float64)(cur[v*laneWidth:])
-				if !anyNonZeroLanes(mb) {
-					continue
-				}
-				from, _, fp := g.InEdges(graph.NodeID(v))
-				for j := range from {
-					p := fp[j]
-					nb := (*[laneWidth]float64)(next[int(from[j])*laneWidth:])
-					nb[0] += mb[0] * p
-					nb[1] += mb[1] * p
-					nb[2] += mb[2] * p
-					nb[3] += mb[3] * p
-					nb[4] += mb[4] * p
-					nb[5] += mb[5] * p
-					nb[6] += mb[6] * p
-					nb[7] += mb[7] * p
-				}
-			} else {
-				mb := cur[v*w : v*w+aw]
-				if !anyNonZero(mb) {
-					continue
-				}
-				from, _, fp := g.InEdges(graph.NodeID(v))
-				for j := range from {
-					p := fp[j]
-					nb := next[int(from[j])*w : int(from[j])*w+aw]
-					nb = nb[:len(mb)]
-					for c, m := range mb {
-						nb[c] += m * p
-					}
-				}
-			}
-		}
 	default:
 		be.EdgeSweeps++
-		for u := 0; u < g.NumNodes(); u++ {
-			if wide {
-				mb := (*[laneWidth]float64)(cur[u*laneWidth:])
-				if !anyNonZeroLanes(mb) {
-					continue
-				}
-				to, _, tp := g.OutEdges(graph.NodeID(u))
-				for j := range to {
-					p := tp[j]
-					nb := (*[laneWidth]float64)(next[int(to[j])*laneWidth:])
-					nb[0] += mb[0] * p
-					nb[1] += mb[1] * p
-					nb[2] += mb[2] * p
-					nb[3] += mb[3] * p
-					nb[4] += mb[4] * p
-					nb[5] += mb[5] * p
-					nb[6] += mb[6] * p
-					nb[7] += mb[7] * p
-				}
-			} else {
-				mb := cur[u*w : u*w+aw]
-				if !anyNonZero(mb) {
-					continue
-				}
-				to, _, tp := g.OutEdges(graph.NodeID(u))
-				for j := range to {
-					p := tp[j]
-					nb := next[int(to[j])*w : int(to[j])*w+aw]
-					nb = nb[:len(mb)]
-					for c, m := range mb {
-						nb[c] += m * p
-					}
-				}
-			}
-		}
+		scatter(cur, next, w, aw, side, nil)
 	}
 	// cur is consumed; clear it incrementally while the frontier is tracked,
 	// wholesale once the batch has gone dense.
 	if !be.full {
 		for _, u := range be.curF {
-			b := int(u) * w
-			for i := b; i < b+w; i++ {
-				cur[i] = 0
-			}
+			clear(cur[int(u)*w:][:w])
 		}
 		be.curF = be.curF[:0]
 	} else {
@@ -439,74 +324,6 @@ func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 	// Dense is sticky for the rest of the batch, except that a gather leaves
 	// mass on its set only, so the frontier is tracked again after it.
 	be.full = be.lastDense
-}
-
-// gather is the backward step in pull form over an ascending node set:
-// next[u] = Σ_j outP[j]·cur[outTo[j]] for u in nodes, and nothing anywhere
-// else. Out-lists are strictly ascending and inP mirrors outP bit for bit
-// (Graph.Validate checks both), so next[u] receives exactly the additions
-// the push makes into it, in the same ascending-source order; the zero rows
-// a push skips are x + (+0) no-ops here. next is therefore == the push's at
-// every node of the set, which is all a caller that reads nothing beyond
-// the set's remaining reach can observe.
-func (be *BatchEngine) gather(nodes []graph.NodeID, aw int) {
-	g, w := be.G, be.W
-	cur, next := be.cur, be.next
-	wide := w == laneWidth && aw == laneWidth
-	for _, u := range nodes {
-		to, _, tp := g.OutEdges(u)
-		if wide {
-			var s [laneWidth]float64
-			for j, v := range to {
-				p := tp[j]
-				mb := (*[laneWidth]float64)(cur[int(v)*laneWidth:])
-				s[0] += mb[0] * p
-				s[1] += mb[1] * p
-				s[2] += mb[2] * p
-				s[3] += mb[3] * p
-				s[4] += mb[4] * p
-				s[5] += mb[5] * p
-				s[6] += mb[6] * p
-				s[7] += mb[7] * p
-			}
-			*(*[laneWidth]float64)(next[int(u)*laneWidth:]) = s
-		} else {
-			nb := next[int(u)*w : int(u)*w+aw]
-			for j, v := range to {
-				p := tp[j]
-				mb := cur[int(v)*w : int(v)*w+aw]
-				mb = mb[:len(nb)]
-				for c, m := range mb {
-					nb[c] += m * p
-				}
-			}
-		}
-	}
-}
-
-// laneWidth is the specialized lane count of the hot inner loops: the
-// DefaultBatchWidth cache-line block, handled with fixed-size array pointers
-// so the compiler drops the per-lane bounds checks and the laneWidth
-// independent multiply-adds pipeline. Only calls whose active and capacity
-// widths both equal laneWidth take this path (the `wide` flag in step);
-// every other width runs the variable-width loops, so the specialization is
-// an optimization, never an assumption about W.
-const laneWidth = DefaultBatchWidth
-
-// anyNonZeroLanes is anyNonZero over a fixed-width block.
-func anyNonZeroLanes(b *[laneWidth]float64) bool {
-	return b[0] != 0 || b[1] != 0 || b[2] != 0 || b[3] != 0 ||
-		b[4] != 0 || b[5] != 0 || b[6] != 0 || b[7] != 0
-}
-
-// anyNonZero reports whether the mass block carries mass in any lane.
-func anyNonZero(b []float64) bool {
-	for _, m := range b {
-		if m != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // commit finishes a step after the caller has read (and possibly absorbed

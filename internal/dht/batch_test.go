@@ -8,8 +8,10 @@ import (
 )
 
 // batchWidths is the spread the ISSUE calls for: solo-degenerate, tiny,
-// odd (partial cache line), and far wider than any test graph's frontier.
-var batchWidths = []int{1, 2, 7, 64}
+// odd (partial cache line), the cache-line width the lane kernel specialises
+// (the only one its assembly bodies serve), and far wider than any test
+// graph's frontier.
+var batchWidths = []int{1, 2, 7, laneWidth, 64}
 
 func mustBatchEngine(t testing.TB, g *graph.Graph, p Params, d, w int) *BatchEngine {
 	t.Helper()
@@ -38,6 +40,10 @@ func batchTargets(g *graph.Graph, count, salt int) []graph.NodeID {
 // repeated calls on the same engine (exercising the β-restore), and on
 // batches that fall back to dense sweeps.
 func TestBatchBackWalkScoresBitIdentical(t *testing.T) {
+	eachLaneBody(t, testBatchBackWalkScoresBitIdentical)
+}
+
+func testBatchBackWalkScoresBitIdentical(t *testing.T) {
 	for gi, g := range sparseTestGraphs(t) {
 		for _, params := range []Params{DHTLambda(0.2), DHTLambda(0.7), PPR(0.5)} {
 			for _, w := range batchWidths {
@@ -70,6 +76,10 @@ func TestBatchBackWalkScoresBitIdentical(t *testing.T) {
 // threshold (every step sparse), and ForceDense, all of which must agree
 // bit-for-bit with the solo adaptive engine.
 func TestBatchDenseFallbackBitIdentical(t *testing.T) {
+	eachLaneBody(t, testBatchDenseFallbackBitIdentical)
+}
+
+func testBatchDenseFallbackBitIdentical(t *testing.T) {
 	g := sparseTestGraphs(t)[2] // the denser ER graph: frontiers saturate fast
 	params := DHTLambda(0.5)
 	solo := mustEngine(t, g, params, 8)
@@ -106,6 +116,10 @@ func TestBatchDenseFallbackBitIdentical(t *testing.T) {
 // columns, which are zero by definition) and reach rows against the
 // ForwardScoreKind fold.
 func TestBatchForwardProbsBitIdentical(t *testing.T) {
+	eachLaneBody(t, testBatchForwardProbsBitIdentical)
+}
+
+func testBatchForwardProbsBitIdentical(t *testing.T) {
 	for gi, g := range sparseTestGraphs(t) {
 		n := g.NumNodes()
 		params := DHTLambda(0.3)
@@ -147,7 +161,9 @@ func TestBatchForwardProbsBitIdentical(t *testing.T) {
 
 // TestBatchProperty drives the batched/solo equivalence through
 // testing/quick over random ER graphs, widths, depths, and λ.
-func TestBatchProperty(t *testing.T) {
+func TestBatchProperty(t *testing.T) { eachLaneBody(t, testBatchProperty) }
+
+func testBatchProperty(t *testing.T) {
 	f := func(seed int64, rawL, rawD, rawW uint8) bool {
 		n := 20 + int(seed%17+17)%17
 		g, err := graph.GenerateER(n, 0.12, seed)

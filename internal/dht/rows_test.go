@@ -39,7 +39,9 @@ func rowsTestGraph(t testing.TB, n int, seed int64) *graph.Graph {
 // == at every row of the read set for the rows form. The step counters prove
 // the sequence took each tail branch: a gather straight from a tracked
 // frontier, a gather after a dense sweep, and a tail that stayed sparse.
-func TestRowsFormEngineHygiene(t *testing.T) {
+func TestRowsFormEngineHygiene(t *testing.T) { eachLaneBody(t, testRowsFormEngineHygiene) }
+
+func testRowsFormEngineHygiene(t *testing.T) {
 	const d = 6
 	graphs := append(sparseTestGraphs(t), rowsTestGraph(t, 240, 1), rowsTestGraph(t, 90, 2))
 	for gi, g := range graphs {

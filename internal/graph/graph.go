@@ -87,6 +87,26 @@ func (g *Graph) InEdges(u NodeID) (from []NodeID, w, p []float64) {
 	return g.inFrom[lo:hi], g.inW[lo:hi], g.inP[lo:hi]
 }
 
+// CSR is one adjacency side of a Graph as raw arrays: node v's neighbours are
+// Nbr[Index[v]:Index[v+1]], and P[j] is the transition probability of the arc
+// entry j stands for. Kernels that index it without bounds checks (the lane
+// kernel of internal/dht) rely on what every constructor of a Graph —
+// Builder.Build, NewFromCSR, ApplyEdits, Relabeled — establishes and nothing
+// changes afterwards: len(Index) == NumNodes+1, Index ascending from 0 to
+// len(Nbr) == len(P), every neighbour id in [0, NumNodes), each list strictly
+// ascending. The slices alias internal storage and must not be modified.
+type CSR struct {
+	Index []int64
+	Nbr   []NodeID
+	P     []float64
+}
+
+// Out returns the out-adjacency side: the arcs a forward walk follows.
+func (g *Graph) Out() CSR { return CSR{g.outIndex, g.outTo, g.outP} }
+
+// In returns the in-adjacency side: the arcs a backward walk follows.
+func (g *Graph) In() CSR { return CSR{g.inIndex, g.inFrom, g.inP} }
+
 // HasEdge reports whether the arc (u, v) exists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	to, _, _ := g.OutEdges(u)

@@ -107,6 +107,10 @@ func TestRestrictedColumnNeverReachesMemo(t *testing.T) {
 // the full ranking of the memo-publishing, full-column B-BJ from each, at
 // every worker count and for both walk kinds.
 func TestRowsFormJoinersMatchFullForm(t *testing.T) {
+	eachLaneBody(t, testRowsFormJoinersMatchFullForm)
+}
+
+func testRowsFormJoinersMatchFullForm(t *testing.T) {
 	// Two BFS-grown interest groups of a 3 000-node YouTube stand-in
 	// (preferential attachment plus triadic closure): both hop sets of P
 	// stay below half the edges and walks of three or more steps go dense.

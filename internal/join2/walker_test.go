@@ -22,6 +22,13 @@ import (
 // for a round that publishes to a memo (and the published column is checked
 // too) and at the nodes of P for any other round: those walk the rows form.
 func TestWalkerContract(t *testing.T) {
+	// Under the lane-kernel body this machine selected, with the subtest
+	// names the table has always had; then under each body by name.
+	testWalkerContract(t)
+	eachLaneBody(t, testWalkerContract)
+}
+
+func testWalkerContract(t *testing.T) {
 	// Counters of the pre-walker serial per-target loop (B-IDJ's, at commit
 	// 2f56227) over this config's 18 targets, by walk length; identical for
 	// both kinds. l = 1, 2 walk solo, l = d walks 8 + 8 + 2 batched: every
