@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		k         = fs.Int("k", 50, "number of answers")
 		m         = fs.Int("m", 0, "per-edge 2-way join budget (PJ/PJ-i; default 50)")
 		algo      = fs.String("algo", "auto", "auto (cost-based planner) | nl | ap | pj | pji")
-		accuracy  = fs.String("accuracy", "exact", "planner kernel contract: exact | fast (certified fast kernel; identical answers)")
 		explain   = fs.Bool("explain", false, "print the chosen plan and cost table without running the join")
 		aggName   = fs.String("agg", "MIN", "aggregate: SUM | MIN | MAX | AVG")
 		measureID = fs.String("measure", "", "scoring measure from the registry: dht | reach | ppr | simrank (default \"dht\")")
@@ -144,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown algorithm %q (want auto, nl, ap, pj, or pji)", *algo)
 	}
 	query := dhtjoin.NewJoinQuery(g, q).
-		WithOptions(&dhtjoin.Options{MeasureName: *measureID, Params: params, Epsilon: *eps, Agg: agg, M: *m, Accuracy: *accuracy}).
+		WithOptions(&dhtjoin.Options{MeasureName: *measureID, Params: params, Epsilon: *eps, Agg: agg, M: *m}).
 		WithHints(dhtjoin.Hints{Algorithm: forced})
 	ctx := context.Background()
 	pl, err := query.ExplainTopK(ctx, *k)

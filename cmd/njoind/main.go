@@ -50,12 +50,7 @@
 // (internal/plan) over the graph's structural stats and the session's
 // observed walk costs; add "algo":"B-BJ" (etc.) to options to force one,
 // and "explain":true to either join body for a dry-run {"plan":...}
-// response instead of results. Add "accuracy":"fast" to options to let the
-// planner also pick the certified fast-kernel executors ("B-BJ-fast",
-// "F-BJ-fast"): the float32 walk kernel scores the candidate space and
-// every answer near the cut is re-verified through the exact kernel, so the
-// ranking is bit-identical to the default exact plan — GET /stats reports
-// the re-verification work (kernel_picks, reverified, fallback_pairs).
+// response instead of results.
 //
 // Both join endpoints stream: add "stream":true to receive NDJSON — one
 // rank-ordered result per line, flushed as the joiners confirm it, ended by

@@ -38,36 +38,3 @@ func BenchmarkPlanOverhead(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFastBBJTop50 is a top-50 through the forced certified backward
-// joiner: the float32 fast kernel scores all |P|·|Q| pairs and the exact
-// rescore touches only the ε-band around the cut.
-func BenchmarkFastBBJTop50(b *testing.B) {
-	g, sets := benchWorld(b)
-	benchCertified(b, g, sets[0].Take(100), sets[1].Take(100), 50)
-}
-
-// BenchmarkCertifiedFullRanking demands k = |P|·|Q| from the same joiner on
-// a walk-dominated shape (few sources, many targets) — the degenerate case
-// where every pair is re-verified, the certification protocol's floor.
-func BenchmarkCertifiedFullRanking(b *testing.B) {
-	g, sets := benchWorld(b)
-	benchCertified(b, g, sets[0].Take(5), sets[1].Take(400), 5*400)
-}
-
-func benchCertified(b *testing.B, g *Graph, p, q *NodeSet, k int) {
-	qy := NewPairQuery(g, p, q).
-		WithOptions(&Options{Accuracy: "fast"}).
-		WithHints(Hints{Algorithm: "B-BJ-fast"})
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := qy.TopKPairs(ctx, k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != k {
-			b.Fatalf("got %d of %d pairs", len(res), k)
-		}
-	}
-}

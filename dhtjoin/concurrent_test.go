@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/plan"
 )
 
 // TestConcurrentOptionsJoins drives Options-level joins — with Relabel on,
@@ -201,10 +200,10 @@ func TestServiceFacadeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServiceFacadeAccuracy: the served facade honours Options.Accuracy
-// exactly as the one-shot path does — "fast" reaches the planner, and an
-// unknown spelling is rejected with ErrInvalidOptions at every entry point.
-func TestServiceFacadeAccuracy(t *testing.T) {
+// TestServiceFacadeInvalidOptions: options that do not resolve are rejected
+// with ErrInvalidOptions at every entry point of the served facade, exactly
+// as the one-shot path rejects them.
+func TestServiceFacadeInvalidOptions(t *testing.T) {
 	ctx := context.Background()
 	g, sets, err := graph.GenerateCommunity(graph.CommunityConfig{
 		Sizes: []int{30, 30}, PIn: 0.2, POut: 0.08, Seed: 5, MinOutLink: 1,
@@ -218,30 +217,9 @@ func TestServiceFacadeAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fast := &Options{Accuracy: "fast"}
-	oneShot, err := NewPairQuery(g, p, q).WithOptions(fast).ExplainTopK(ctx, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := svc.ExplainPairs(ctx, "g", p, q, 8, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.Workload.Accuracy != plan.Fast || served.Workload.Accuracy != oneShot.Workload.Accuracy {
-		t.Fatalf("served plan accuracy=%s, one-shot accuracy=%s, want fast", served.Workload.Accuracy, oneShot.Workload.Accuracy)
-	}
-	want, err := TopKPairs(g, p, q, 8, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := svc.TopKPairs(ctx, "g", p, q, 8, fast)
-	if err != nil || !pairsEqual(got, want) {
-		t.Fatalf("served fast join diverged from one-shot (err=%v)", err)
-	}
-
-	bogus := &Options{Accuracy: "bogus"}
+	bogus := &Options{M: -1}
 	if _, err := TopKPairs(g, p, q, 8, bogus); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("one-shot bogus accuracy: %v, want ErrInvalidOptions", err)
+		t.Fatalf("one-shot negative m: %v, want ErrInvalidOptions", err)
 	}
 	calls := map[string]func() error{
 		"TopKPairs":    func() error { _, err := svc.TopKPairs(ctx, "g", p, q, 8, bogus); return err },
@@ -254,7 +232,7 @@ func TestServiceFacadeAccuracy(t *testing.T) {
 	}
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("served %s with bogus accuracy: %v, want ErrInvalidOptions", name, err)
+			t.Errorf("served %s with negative m: %v, want ErrInvalidOptions", name, err)
 		}
 	}
 }

@@ -190,15 +190,6 @@ type Options struct {
 	// requests ~3x more often, without ever starving batch. One-shot calls
 	// ignore it.
 	LowPriority bool
-
-	// Accuracy selects the planner's kernel contract: "" or "exact" (the
-	// default) restricts the plan to bit-identical executors; "fast" lets
-	// the cost model also pick the certified fast-kernel executors
-	// ("B-BJ-fast", "F-BJ-fast"), which score with float32 lanes and
-	// re-verify every answer near the cut through the exact kernel — the
-	// emitted ranking is still bit-identical to the exact plan's, only the
-	// cost changes. Any other value is rejected at Validate/open time.
-	Accuracy string
 }
 
 // PPR returns the Personalized-PageRank parameters for damping factor c,

@@ -112,7 +112,7 @@ func ExampleQuery_Explain() {
 	fmt.Printf("cheapest: %s, most expensive: %s\n",
 		pl.Estimates[0].Algorithm, pl.Estimates[len(pl.Estimates)-1].Algorithm)
 	// Output:
-	// chosen: B-BJ (forced=false, 7 candidates priced)
+	// chosen: B-BJ (forced=false, 5 candidates priced)
 	// cheapest: B-BJ, most expensive: F-IDJ
 }
 

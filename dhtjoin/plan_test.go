@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -201,13 +202,24 @@ func TestHintRejection(t *testing.T) {
 	}{
 		{"unknown algorithm", pair, Hints{Algorithm: "B-IDJ-Z"}, ErrUnknownAlgorithm},
 		{"unknown n-way algorithm", nway, Hints{Algorithm: "PJ-ii"}, ErrUnknownAlgorithm},
+		{"retired certified backward joiner", pair, Hints{Algorithm: "B-BJ-fast"}, ErrUnknownAlgorithm},
+		{"retired certified forward joiner", pair, Hints{Algorithm: "F-BJ-fast"}, ErrUnknownAlgorithm},
 		{"n-way executor on pair query", pair, Hints{Algorithm: "PJ-i"}, ErrHintConflict},
 		{"2-way executor on n-way query", nway, Hints{Algorithm: "B-BJ"}, ErrHintConflict},
 	}
 	for _, tc := range cases {
 		qy := tc.query.WithHints(tc.hints)
-		if err := qy.Validate(); !errors.Is(err, tc.want) {
+		err := qy.Validate()
+		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: Validate = %v, want %v", tc.name, err, tc.want)
+		}
+		// An unknown name is answered with the names that would have worked.
+		registered := "B-IDJ-Y"
+		if tc.query == nway {
+			registered = "PJ-i"
+		}
+		if tc.want == ErrUnknownAlgorithm && !strings.Contains(err.Error(), registered) {
+			t.Errorf("%s: %v does not list the registered executors", tc.name, err)
 		}
 		if _, err := qy.Explain(ctx); !errors.Is(err, tc.want) {
 			t.Errorf("%s: Explain = %v, want %v", tc.name, err, tc.want)
@@ -352,55 +364,4 @@ func TestHintsForceAlgorithmOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	comparePairs(t, "forced-with-options", 21, 20, got, want)
-}
-
-// TestAccuracyOption covers the Options.Accuracy knob end to end: an
-// unknown spelling is rejected with ErrInvalidOptions, the default and
-// "exact" plans never choose a certified executor, "fast" accuracy makes
-// the certified executors eligible (every estimate row carries its
-// eligibility), and whatever the fast plan picks, the ranking stays
-// bit-identical to the exact plan's.
-func TestAccuracyOption(t *testing.T) {
-	ctx := context.Background()
-	g, sets := plannerWorld(t, 7)
-	p, q := sets[0], sets[1]
-
-	if _, err := NewPairQuery(g, p, q).WithOptions(&Options{Accuracy: "wrong"}).Explain(ctx); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("bad accuracy error = %v, want ErrInvalidOptions", err)
-	}
-
-	for _, spelling := range []string{"", "exact"} {
-		pl, err := NewPairQuery(g, p, q).WithOptions(&Options{Accuracy: spelling}).Explain(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range pl.Estimates {
-			if e.Certified && !e.Excluded {
-				t.Fatalf("accuracy %q: certified %s eligible", spelling, e.Algorithm)
-			}
-			if e.Algorithm == pl.Algorithm && e.Certified {
-				t.Fatalf("accuracy %q picked certified %s", spelling, pl.Algorithm)
-			}
-		}
-	}
-
-	fast, err := NewPairQuery(g, p, q).WithOptions(&Options{Accuracy: "fast"}).Explain(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range fast.Estimates {
-		if e.Excluded {
-			t.Fatalf("fast accuracy still excludes %s", e.Algorithm)
-		}
-	}
-
-	want, err := NewPairQuery(g, p, q).TopKPairs(ctx, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewPairQuery(g, p, q).WithOptions(&Options{Accuracy: "fast"}).TopKPairs(ctx, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePairs(t, "fast-accuracy", 7, 25, got, want)
 }

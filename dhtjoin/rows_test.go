@@ -41,7 +41,7 @@ func TestRowsFormRankingsBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				forced, tupleRef := []string{"B-IDJ-X", "B-IDJ-Y", "B-BJ-fast"}, "PJ"
+				forced, tupleRef := []string{"B-IDJ-X", "B-IDJ-Y"}, "PJ"
 				if measure == "dht" {
 					forced, tupleRef = append(forced, "F-BJ"), "AP"
 				}

@@ -82,7 +82,6 @@ func toQuery(o *Options) service.Query {
 		Distinct:    o.Distinct,
 		Workers:     o.Workers,
 		Relabel:     o.Relabel,
-		Accuracy:    o.Accuracy,
 		Tenant:      o.Tenant,
 		Budget:      o.Budget,
 	}

@@ -92,14 +92,9 @@ func (d *pbrjStream) Next() (Answer, bool, error) {
 		// Emit the best pending candidate once it clears the threshold —
 		// τ bounds every answer that still involves an unseen pair, so a
 		// candidate at or above it is globally next. With all sources
-		// exhausted there is nothing left to wait for. Under a non-zero
-		// Spec.ScoreEps the comparison is ε-aware: the candidate must clear
-		// τ by the combined score uncertainty before it is *certified* as
-		// globally next — a gap inside the ε-band proves nothing, so the
-		// stream keeps pulling (tightening τ) until the gap is decisive or
-		// the sources exhaust.
+		// exhausted there is nothing left to wait for.
 		if slot, prio, ok := d.cand.Max(); ok {
-			if d.live == 0 || (!d.noBound && prio >= d.bound.Tau()+d.spec.ScoreEps) {
+			if d.live == 0 || (!d.noBound && prio >= d.bound.Tau()) {
 				d.cand.Remove(slot)
 				a := Answer{Nodes: d.tuples[slot], Score: prio}
 				d.tuples[slot] = nil

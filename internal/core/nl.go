@@ -61,6 +61,9 @@ func (a *NL) rank(k int) ([]Answer, error) {
 	tuple := make([]graph.NodeID, n)
 	edgeScores := make([]float64, len(q.Edges()))
 	for {
+		if err := a.spec.canceled(); err != nil {
+			return nil, err
+		}
 		for i := 0; i < n; i++ {
 			tuple[i] = q.Set(i).Nodes()[idx[i]]
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -64,17 +63,6 @@ type Spec struct {
 	// goroutines — and cheap. Cancellation never corrupts state: answers
 	// already emitted remain a correct ranking prefix.
 	Cancel func() error
-
-	// ScoreEps is the per-score uncertainty of the edge-score sources, and
-	// makes the corner-bound (τ) machinery ε-aware: a candidate is emitted
-	// only once its aggregate clears τ by the combined uncertainty — the
-	// certification rule "a score gap smaller than the bounds proves
-	// nothing". The built-in certified 2-way streams re-verify through the
-	// bit-identical kernel and therefore emit *exact* scores, so the
-	// resolved default stays 0; the knob exists for sources that feed raw
-	// FastCertified scores into the rank join (set it to the kernel's
-	// ScoreBound, aggregate-scaled by the caller).
-	ScoreEps float64
 }
 
 // canceled polls the cancellation hook; nil hooks never cancel.
@@ -125,9 +113,6 @@ func (s *Spec) Validate() error {
 	}
 	if p := s.Pool; p != nil && (p.G != s.Graph || p.Params != s.Params || p.D != s.D) {
 		return fmt.Errorf("core: caller pool built for a different (graph, params, d) configuration")
-	}
-	if s.ScoreEps < 0 || math.IsNaN(s.ScoreEps) || math.IsInf(s.ScoreEps, 0) {
-		return fmt.Errorf("core: score eps must be finite and >= 0, got %v", s.ScoreEps)
 	}
 	return nil
 }

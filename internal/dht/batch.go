@@ -13,9 +13,7 @@ import (
 // single line: relaxing an edge touches one line of cur and one of next no
 // matter how many of the lanes carry mass through it. The default is a
 // cache-line consequence of the float64 element type, not a property of the
-// kernel — callers may pick any width, and the float32 fast kernel's
-// DefaultFastWidth (16) is the same one-line-per-node layout at half the
-// element size.
+// kernel — callers may pick any width.
 const DefaultBatchWidth = 8
 
 // BatchEngine evaluates up to W independent truncated walks over one graph

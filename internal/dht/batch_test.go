@@ -261,49 +261,6 @@ func TestBatchPoolCheckout(t *testing.T) {
 		defer pl.Put(got)
 	}
 
-	// Cross-contract firewall: a FastCertified engine shoved into the batch
-	// pool (sync.Pool is untyped, so nothing stops a confused caller) must
-	// never satisfy a bit-identical checkout — and vice versa.
-	fast, err := NewFastBatchEngine(gs[0], DHTLambda(0.2), 4, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.bpool.Put(fast) // bypass PutBatch: simulate cross-contract pollution
-	if got := pl.GetBatch(); got.Contract() != BitIdentical || got.G != gs[0] {
-		t.Fatalf("GetBatch returned a %v engine after fast-engine pollution", got.Contract())
-	} else {
-		pl.PutBatch(got)
-	}
-	exact, err := NewBatchEngine(gs[0], DHTLambda(0.2), 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.fpool.Put(exact) // and the mirror image on the fast pool
-	if got := pl.GetFast(); got.Contract() != FastCertified || got.G != gs[0] {
-		t.Fatalf("GetFast returned a %v engine after exact-engine pollution", got.Contract())
-	} else {
-		pl.PutFast(got)
-	}
-
-	// Regular fast checkout round-trips: reuse on match, drop on mismatch.
-	pl.FastWidth = 16
-	fe := pl.GetFast()
-	if fe.G != gs[0] || fe.W < 16 {
-		t.Fatalf("GetFast handed out engine for wrong config: G ok=%v W=%d", fe.G == gs[0], fe.W)
-	}
-	pl.PutFast(fe)
-	foreignFast, err := NewFastBatchEngine(gs[1], DHTLambda(0.2), 4, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.PutFast(foreignFast)
-	for i := 0; i < 4; i++ {
-		got := pl.GetFast()
-		if got.G != gs[0] {
-			t.Fatal("pool handed out a fast engine built for a different graph")
-		}
-		defer pl.PutFast(got)
-	}
 }
 
 // TestBatchCountersFlushToSink checks the Sink aggregation: Walks counts

@@ -93,39 +93,6 @@ func costBIDJY(w plan.Workload) float64 {
 	return walk + q*walk*shallowRounds + residual(floorY, w)*q*walk + pq*plan.PairCost
 }
 
-// fastKernelSpeedup models the FastCertified kernel's per-walk advantage in
-// the planner's edge-relaxation unit: double lane width, float32 memory
-// bandwidth, and multi-core partitioned sweeps. Deliberately conservative —
-// measured wall-clock wins are larger, but the cost model only needs the
-// *ordering* right.
-const fastKernelSpeedup = 6.0
-
-// rescoreTargets models the exact re-verification of a certified run: the
-// ε-band is the demanded k plus a near-tie fringe, and each distinct target
-// in the band pays one full-depth bit-identical walk. In the worst case the
-// k band pairs spread over k distinct targets (capped at |Q|) — at full
-// ranking every target re-walks, which is exactly when the planner should
-// (and does) prefer plain B-BJ.
-func rescoreTargets(w plan.Workload) float64 {
-	k := float64(w.K)
-	if q := float64(w.Q); k > q {
-		return q
-	}
-	return k
-}
-
-func costCertBBJ(w plan.Workload) float64 {
-	pq := float64(w.P) * float64(w.Q)
-	walk := w.WalkCost()
-	return float64(w.Q)*walk/fastKernelSpeedup + rescoreTargets(w)*walk + pq*plan.PairCost
-}
-
-func costCertFBJ(w plan.Workload) float64 {
-	pq := float64(w.P) * float64(w.Q)
-	walk := w.WalkCost()
-	return pq*walk/fastKernelSpeedup + rescoreTargets(w)*walk + pq*plan.PairCost
-}
-
 // bidjVariant maps the registered B-IDJ names to their bound variant, for
 // NewNamedStream's incremental upgrade.
 var bidjVariant = map[string]BoundVariant{
@@ -150,19 +117,6 @@ func init() {
 	reg("B-BJ", false, false, costBBJ, func(cfg Config) (Joiner, error) { return NewBBJ(cfg) })
 	reg("F-BJ", false, false, costFBJ, func(cfg Config) (Joiner, error) { return NewFBJ(cfg) })
 	reg("F-IDJ", false, false, costFIDJ, func(cfg Config) (Joiner, error) { return NewFIDJ(cfg) })
-	// The certified fast-path variants (Descriptor.Certified): walk work on
-	// the FastCertified kernel, ε-band re-verified through the bit-identical
-	// one, so their rankings are ==-identical to the five above. An unforced
-	// Decide only considers them at plan.Fast accuracy.
-	regFast := func(name string, cost plan.CostFunc, mk Factory) {
-		plan.Register(plan.Descriptor{
-			Name: name, Class: plan.TwoWay,
-			Certified: true,
-			Cost:      cost, New: mk,
-		})
-	}
-	regFast("B-BJ-fast", costCertBBJ, func(cfg Config) (Joiner, error) { return NewCertifiedBBJ(cfg) })
-	regFast("F-BJ-fast", costCertFBJ, func(cfg Config) (Joiner, error) { return NewCertifiedFBJ(cfg) })
 }
 
 // NewNamedStream opens the serving stream of the named registered 2-way

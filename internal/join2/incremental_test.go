@@ -31,7 +31,7 @@ func assertFullDrainMatchesBBJ(t *testing.T, name string, cfg Config, initial in
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdenticalRanking(t, name, got, want)
+	sameRanking(t, name, got, want)
 }
 
 // asReach switches a config to Personalized PageRank over the reach kernel.
@@ -40,6 +40,25 @@ func asReach(cfg Config) Config {
 	cfg.D = cfg.Params.StepsForEpsilon(1e-7)
 	cfg.Measure = dht.Reach
 	return cfg
+}
+
+// nearTieConfig builds the all-tied workload: complete bipartite P→Q with
+// unit weights, so every p has the identical out-distribution, every q the
+// identical in-structure, and h(p, q) is one constant over all 144 pairs.
+func nearTieConfig(t *testing.T) Config {
+	t.Helper()
+	const nP, nQ = 12, 12
+	b := graph.NewBuilder(nP+nQ, true)
+	ps := make([]graph.NodeID, nP)
+	qs := make([]graph.NodeID, nQ)
+	for i := range ps {
+		ps[i] = graph.NodeID(i)
+		for j := range qs {
+			qs[j] = graph.NodeID(nP + j)
+			b.AddEdge(ps[i], qs[j], 1)
+		}
+	}
+	return Config{Graph: b.Build(), Params: dht.DHTLambda(0.2), D: 8, P: ps, Q: qs}
 }
 
 // TestIncrementalTieOrderAllTied: on the graph where all 144 pairs score the
@@ -102,7 +121,7 @@ func TestIncrementalDuplicateIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIdenticalRanking(t, fmt.Sprintf("duplicate ids, initial %d", initial), got, want)
+		sameRanking(t, fmt.Sprintf("duplicate ids, initial %d", initial), got, want)
 	}
 }
 

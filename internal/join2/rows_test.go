@@ -156,10 +156,9 @@ func testRowsFormJoinersMatchFullForm(t *testing.T) {
 			c := cfg
 			c.Workers, c.MemoSize = workers, -1
 			joiners := map[string]func(Config) (Joiner, error){
-				"B-BJ":      func(c Config) (Joiner, error) { return NewBBJ(c) },
-				"B-IDJ-X":   func(c Config) (Joiner, error) { return NewBIDJX(c) },
-				"B-IDJ-Y":   func(c Config) (Joiner, error) { return NewBIDJY(c) },
-				"B-BJ-fast": func(c Config) (Joiner, error) { return NewCertifiedBBJ(c) },
+				"B-BJ":    func(c Config) (Joiner, error) { return NewBBJ(c) },
+				"B-IDJ-X": func(c Config) (Joiner, error) { return NewBIDJX(c) },
+				"B-IDJ-Y": func(c Config) (Joiner, error) { return NewBIDJY(c) },
 			}
 			for name, mk := range joiners {
 				j, err := mk(c)

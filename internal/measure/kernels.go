@@ -3,10 +3,8 @@ package measure
 // This file registers the built-in measures. The walk kernels (dht, reach,
 // ppr) evaluate through the internal/dht engines — the same code path the
 // join executors run, so the registry's evaluator IS the serving semantics,
-// not a parallel implementation. The ppr kernel additionally exposes the
-// internal/ppr forward-push evaluator as its certified approximation, and
-// the simrank kernel wraps the fixed-point matrix with its iteration-gap
-// bound.
+// not a parallel implementation. The simrank kernel wraps the fixed-point
+// matrix with its iteration-gap bound.
 
 import (
 	"fmt"
@@ -84,30 +82,6 @@ func (e *pprEvaluator) ScoresInto(src graph.NodeID, targets []graph.NodeID, l in
 	return nil
 }
 
-// pushEvaluator is the certified approximate ppr evaluator: one forward
-// push per source, scores gathered at the targets, error bounded by the
-// push residual. The depth argument is ignored — push approximates the
-// untruncated series and its certificate absorbs the tail.
-type pushEvaluator struct {
-	g   *graph.Graph
-	c   float64
-	eps float64
-}
-
-func (e *pushEvaluator) ScoresInto(src graph.NodeID, targets []graph.NodeID, _ int, dst []float64) error {
-	if len(dst) != len(targets) {
-		return fmt.Errorf("measure: dst has length %d, want %d", len(dst), len(targets))
-	}
-	res, err := ppr.ForwardPush(e.g, e.c, src, e.eps)
-	if err != nil {
-		return err
-	}
-	for i, t := range targets {
-		dst[i] = res.Scores[t]
-	}
-	return nil
-}
-
 // simrankEvaluator scores through the shared fixed-point matrix; depth is
 // resolved at matrix construction (the default iteration count), so the
 // per-call depth is ignored.
@@ -163,21 +137,6 @@ func init() {
 				return nil, err
 			}
 			return &pprEvaluator{g: g, c: p.Lambda, d: d}, nil
-		},
-		NewApprox: func(g *graph.Graph, p dht.Params, eps float64) (Evaluator, float64, error) {
-			if err := p.Validate(); err != nil {
-				return nil, 0, err
-			}
-			// The per-query residual varies by source; the registered bound
-			// is the worst case Σr ≤ 1 scaled by nothing — callers read the
-			// actual certificate from ppr.ForwardPush when they need it
-			// tight. Conservatively report eps·|V| (the threshold times the
-			// maximum number of positive residuals), capped at 1.
-			bound := eps * float64(g.NumNodes())
-			if bound > 1 {
-				bound = 1
-			}
-			return &pushEvaluator{g: g, c: p.Lambda, eps: eps}, bound, nil
 		},
 		Bound: dht.Params.XBound, // with PPR params, α·λ^(l+1)/(1−λ) = c^(l+1)
 		Doc:   "personalized PageRank (no self term): reach fold of dht.PPR(c), default c=0.5",

@@ -23,8 +23,7 @@
 // The rank-join machinery requires exactly one analytic property of a
 // measure: Bound(p, l) must be a monotone non-increasing upper bound on the
 // score mass any pair can still gain past depth l. Every corner-bound early
-// stop and certified-ε band in the join stack is sound for any kernel
-// satisfying it.
+// stop in the join stack is sound for any kernel satisfying it.
 //
 // Import shape: measure sits above the measure implementations (dht, ppr,
 // simrank) and below the execution facades (dhtjoin, internal/service).
@@ -124,11 +123,6 @@ type Kernel struct {
 	// NewEvaluator builds the kernel's score-column evaluator for a graph
 	// at parameters p and depth d.
 	NewEvaluator func(g *graph.Graph, p dht.Params, d int) (Evaluator, error)
-
-	// NewApprox, when non-nil, builds the kernel's certified approximate
-	// evaluator (e.g. ppr forward push at residual threshold eps),
-	// returning the evaluator and its certified uniform error bound.
-	NewApprox func(g *graph.Graph, p dht.Params, eps float64) (Evaluator, float64, error)
 
 	// Bound returns an upper bound on the score mass any pair can still
 	// gain past depth l. It MUST be monotone non-increasing in l — the

@@ -147,48 +147,6 @@ func TestPPREvaluator(t *testing.T) {
 	}
 }
 
-// TestPPRApproxCertificate checks the certified push evaluator: every score
-// underestimates the untruncated value by at most the reported bound.
-func TestPPRApproxCertificate(t *testing.T) {
-	g := testGraph(t, 13)
-	kern, err := measure.Lookup("ppr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kern.NewApprox == nil {
-		t.Fatal("ppr kernel has no certified approximation")
-	}
-	p := kern.ResolveParams(dht.Params{})
-	const eps = 1e-4
-	ev, bound, err := kern.NewApprox(g, p, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound <= 0 || bound > 1 {
-		t.Fatalf("certified bound %v outside (0,1]", bound)
-	}
-	targets := make([]graph.NodeID, g.NumNodes())
-	for i := range targets {
-		targets[i] = graph.NodeID(i)
-	}
-	approx := make([]float64, len(targets))
-	if err := ev.ScoresInto(5, targets, 0, approx); err != nil {
-		t.Fatal(err)
-	}
-	// Depth 60 truncates far below the push certificate's resolution, so it
-	// stands in for the untruncated series.
-	exact, err := ppr.PowerIteration(g, 0.5, 5, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range approx {
-		diff := exact[v] - approx[v]
-		if diff < -1e-12 || diff > bound+1e-12 {
-			t.Fatalf("push score %d off by %v, certified bound %v", v, diff, bound)
-		}
-	}
-}
-
 func TestSimRankEvaluatorMatchesMatrix(t *testing.T) {
 	g := testGraph(t, 17)
 	kern, err := measure.Lookup("simrank")

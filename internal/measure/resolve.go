@@ -4,20 +4,18 @@ import (
 	"fmt"
 
 	"repro/internal/dht"
-	"repro/internal/plan"
 	"repro/internal/rankjoin"
 )
 
 // Request is the ranking-determining part of a join or score request as the
 // caller spelled it. The zero value asks for the paper's defaults.
 type Request struct {
-	Measure  string             // registered measure name; "" selects "dht"
-	Params   dht.Params         // zero selects the kernel's own default
-	Epsilon  float64            // truncation error bound; zero selects 1e-6; ignored when D is set
-	D        int                // forces the truncation depth
-	Agg      rankjoin.Aggregate // n-way aggregate; nil selects Min
-	M        int                // n-way per-edge budget; zero selects 50
-	Accuracy string             // planner kernel contract: "" | "exact" | "fast"
+	Measure string             // registered measure name; "" selects "dht"
+	Params  dht.Params         // zero selects the kernel's own default
+	Epsilon float64            // truncation error bound; zero selects 1e-6; ignored when D is set
+	D       int                // forces the truncation depth
+	Agg     rankjoin.Aggregate // n-way aggregate; nil selects Min
+	M       int                // n-way per-edge budget; zero selects 50
 }
 
 // Resolved is a Request with every default applied and every field
@@ -25,17 +23,23 @@ type Request struct {
 // served and scattered evaluations of one Request cannot disagree. The walk
 // kind the engines fold is Kernel.Walk.
 type Resolved struct {
-	Kernel   Kernel
-	Params   dht.Params
-	D        int
-	Agg      rankjoin.Aggregate
-	M        int
-	Accuracy plan.Accuracy
+	Kernel Kernel
+	Params dht.Params
+	D      int
+	Agg    rankjoin.Aggregate
+	M      int
 }
+
+// maxDepth bounds the truncation depth a request may ask for, directly or
+// through a tiny epsilon: the number arrives from outside the program, and
+// planning, walking and the per-walk probability rows are all linear in it.
+// DHTλ(0.99) at ε = 1e-6 needs about 1.8k steps, so the bound refuses
+// nothing a served measure converges on.
+const maxDepth = 1 << 12
 
 // Resolve is the single place the system's defaults live: the kernel's
 // customary parameterization first (ppr → PPR(0.5)), then DHTλ(0.2),
-// ε = 1e-6, MIN, m = 50 and the exact kernel contract.
+// ε = 1e-6, MIN and m = 50.
 func Resolve(r Request) (Resolved, error) {
 	kern, err := Lookup(r.Measure)
 	if err != nil {
@@ -59,8 +63,8 @@ func Resolve(r Request) (Resolved, error) {
 		}
 		d = p.StepsForEpsilon(eps)
 	}
-	if d < 1 {
-		return Resolved{}, fmt.Errorf("measure: depth d must be >= 1, got %d", d)
+	if d < 1 || d > maxDepth {
+		return Resolved{}, fmt.Errorf("measure: depth d must be in [1, %d], got %d", maxDepth, d)
 	}
 	agg := r.Agg
 	if agg == nil {
@@ -73,11 +77,7 @@ func Resolve(r Request) (Resolved, error) {
 	if m < 0 {
 		return Resolved{}, fmt.Errorf("measure: m must be >= 0, got %d", m)
 	}
-	acc, err := plan.ParseAccuracy(r.Accuracy)
-	if err != nil {
-		return Resolved{}, err
-	}
-	return Resolved{Kernel: kern, Params: p, D: d, Agg: agg, M: m, Accuracy: acc}, nil
+	return Resolved{Kernel: kern, Params: p, D: d, Agg: agg, M: m}, nil
 }
 
 // ParamsFor maps the one-number parameterization the front ends expose (the

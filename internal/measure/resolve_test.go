@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dht"
 	"repro/internal/measure"
-	"repro/internal/plan"
 	"repro/internal/rankjoin"
 )
 
@@ -19,7 +18,7 @@ func TestResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if def.Kernel.Name != "dht" || def.Params != dht.DHTLambda(0.2) || def.D != 8 ||
-		def.Agg != rankjoin.Min || def.M != 50 || def.Accuracy != plan.Exact || def.Kernel.Walk != dht.FirstHit {
+		def.Agg != rankjoin.Min || def.M != 50 || def.Kernel.Walk != dht.FirstHit {
 		t.Fatalf("defaults resolved to %+v", def)
 	}
 
@@ -32,31 +31,32 @@ func TestResolve(t *testing.T) {
 	}
 
 	set, err := measure.Resolve(measure.Request{
-		Measure: "reach", Params: dht.PPR(0.3), D: 4, Epsilon: 1e-2, Agg: rankjoin.Sum, M: 7, Accuracy: "fast",
+		Measure: "reach", Params: dht.PPR(0.3), D: 4, Epsilon: 1e-2, Agg: rankjoin.Sum, M: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Params != dht.PPR(0.3) || set.D != 4 || set.Agg != rankjoin.Sum || set.M != 7 || set.Accuracy != plan.Fast {
+	if set.Params != dht.PPR(0.3) || set.D != 4 || set.Agg != rankjoin.Sum || set.M != 7 {
 		t.Fatalf("caller values did not win: %+v", set)
 	}
 
 	// Resolving a resolved request is the identity — the property the
 	// cluster wire relies on.
 	again, err := measure.Resolve(measure.Request{
-		Measure: ppr.Kernel.Name, Params: ppr.Params, D: ppr.D, Agg: ppr.Agg, M: ppr.M, Accuracy: ppr.Accuracy.String(),
+		Measure: ppr.Kernel.Name, Params: ppr.Params, D: ppr.D, Agg: ppr.Agg, M: ppr.M,
 	})
 	if err != nil || again.Params != ppr.Params || again.D != ppr.D || again.M != ppr.M || again.Kernel.Name != ppr.Kernel.Name {
 		t.Fatalf("re-resolution moved: %+v (err=%v), want %+v", again, err, ppr)
 	}
 
 	for name, bad := range map[string]measure.Request{
-		"unknown measure":     {Measure: "katz"},
-		"lambda out of range": {Params: dht.Params{Alpha: 1, Lambda: 7}},
-		"negative depth":      {D: -2},
-		"negative epsilon":    {Epsilon: -1},
-		"negative m":          {M: -1},
-		"unknown accuracy":    {Accuracy: "sloppy"},
+		"unknown measure":        {Measure: "katz"},
+		"lambda out of range":    {Params: dht.Params{Alpha: 1, Lambda: 7}},
+		"negative depth":         {D: -2},
+		"depth past the bound":   {D: 1 << 20},
+		"epsilon past the bound": {Params: dht.DHTLambda(0.999999), Epsilon: 1e-9},
+		"negative epsilon":       {Epsilon: -1},
+		"negative m":             {M: -1},
 	} {
 		if _, err := measure.Resolve(bad); err == nil {
 			t.Errorf("%s accepted", name)

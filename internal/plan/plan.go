@@ -57,50 +57,6 @@ func (c Class) MarshalJSON() ([]byte, error) {
 	return []byte(fmt.Sprintf("%q", c.String())), nil
 }
 
-// Accuracy is the planner's kernel-contract knob: which walk kernels an
-// unforced Decide may pick. Every registered executor emits exactly correct
-// rankings either way — certified executors re-verify through the
-// bit-identical kernel — so the knob gates *how* scores are computed, never
-// what is returned.
-type Accuracy int
-
-const (
-	// Exact (the default) restricts the cost choice to bit-identical
-	// executors: every floating-point operation matches the reference
-	// arithmetic. The conservative default — plans, calibration, and bench
-	// baselines behave exactly as before the fast kernel existed.
-	Exact Accuracy = iota
-	// Fast additionally admits certified fast-path executors (float32
-	// parallel kernels with ε-band re-verification) to the cost choice.
-	Fast
-)
-
-// String names the accuracy mode.
-func (a Accuracy) String() string {
-	if a == Fast {
-		return "fast"
-	}
-	return "exact"
-}
-
-// MarshalJSON renders the accuracy as its string form.
-func (a Accuracy) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", a.String())), nil
-}
-
-// ParseAccuracy resolves the wire/flag spellings of the accuracy knob; the
-// empty string selects the Exact default.
-func ParseAccuracy(s string) (Accuracy, error) {
-	switch s {
-	case "", "exact":
-		return Exact, nil
-	case "fast":
-		return Fast, nil
-	default:
-		return Exact, fmt.Errorf("plan: unknown accuracy %q (want \"exact\" or \"fast\")", s)
-	}
-}
-
 // Typed planner errors; callers branch with errors.Is. The dhtjoin facade
 // wraps them into its own sentinels (ErrUnknownAlgorithm, ErrHintConflict).
 var (
@@ -137,13 +93,6 @@ type Descriptor struct {
 	// from the m-th (the incremental F structure of §VI-D); non-resumable
 	// executors re-join with a grown budget when pulled past their batch.
 	Resumable bool
-
-	// Certified marks fast-path executors: they run the bulk of their walk
-	// work on a FastCertified kernel and re-verify the ε-band through the
-	// bit-identical kernel. Results are still exactly correct, but an
-	// unforced Decide only considers them when the workload's Accuracy is
-	// Fast.
-	Certified bool
 
 	// Measure names the proximity measure the executor evaluates. Empty
 	// means the walk family: the executor scores pairs through the dht walk
@@ -249,13 +198,6 @@ type Workload struct {
 	// measure kernel.
 	Measure string `json:"measure,omitempty"`
 
-	// Accuracy gates which kernel contracts the cost choice may use: Exact
-	// (default) considers only bit-identical executors, Fast additionally
-	// admits the certified fast path. Forced algorithm names bypass the
-	// gate — forcing a certified executor is always safe, its results are
-	// exact.
-	Accuracy Accuracy `json:"accuracy"`
-
 	// Calib, when non-nil, recalibrates the walk-cost unit from observed
 	// engine counters (serving sessions feed it on every stream Stop).
 	Calib *Calibration `json:"-"`
@@ -337,8 +279,6 @@ type Estimate struct {
 	Cost      float64 `json:"cost"` // estimated edge relaxations
 	Streaming bool    `json:"streaming"`
 	Resumable bool    `json:"resumable"`
-	Certified bool    `json:"certified,omitempty"` // fast-path executor (ε-band re-verify)
-	Excluded  bool    `json:"excluded,omitempty"`  // shown but ineligible at this accuracy
 }
 
 // Plan is the planner's decision for one query: the chosen executor, every
@@ -366,9 +306,8 @@ func Decide(class Class, w Workload, forced string) (*Plan, error) {
 	ests := make([]Estimate, 0, len(cands))
 	for _, d := range cands {
 		if d.Measure != w.Measure {
-			// Wrong measure is not a preference like accuracy — the executor
-			// cannot evaluate this query at all, so it stays out of the
-			// candidate table entirely (mirroring the class partition).
+			// The executor cannot evaluate this query at all, so it stays out
+			// of the candidate table entirely (mirroring the class partition).
 			continue
 		}
 		ests = append(ests, Estimate{
@@ -376,11 +315,6 @@ func Decide(class Class, w Workload, forced string) (*Plan, error) {
 			Cost:      d.Cost(w),
 			Streaming: d.Streaming,
 			Resumable: d.Resumable,
-			Certified: d.Certified,
-			// Certified executors stay in the Explain table either way, but
-			// the cost choice skips them unless the workload opts into the
-			// fast path.
-			Excluded: d.Certified && w.Accuracy != Fast,
 		})
 	}
 	sort.SliceStable(ests, func(i, j int) bool {
@@ -389,21 +323,14 @@ func Decide(class Class, w Workload, forced string) (*Plan, error) {
 		}
 		return ests[i].Algorithm < ests[j].Algorithm
 	})
-	chosen := ""
-	for _, e := range ests {
-		if !e.Excluded {
-			chosen = e.Algorithm
-			break
-		}
-	}
-	if chosen == "" {
+	if len(ests) == 0 {
 		// Reachable when no executor is registered for the workload's
 		// measure in this class (e.g. a measure with a 2-way joiner but no
-		// n-way aggregate), or when a probe registry excludes everything.
-		return nil, fmt.Errorf("%w: no %s executor eligible for measure %q at accuracy %s",
-			ErrUnknownExecutor, class, measureLabel(w.Measure), w.Accuracy)
+		// n-way aggregate).
+		return nil, fmt.Errorf("%w: no %s executor registered for measure %q",
+			ErrUnknownExecutor, class, measureLabel(w.Measure))
 	}
-	pl := &Plan{Class: class, Algorithm: chosen, Estimates: ests, Workload: w}
+	pl := &Plan{Class: class, Algorithm: ests[0].Algorithm, Estimates: ests, Workload: w}
 	if forced != "" {
 		if err := ValidateForced(class, forced, w.Measure); err != nil {
 			return nil, err
@@ -429,7 +356,14 @@ func measureLabel(m string) string {
 func ValidateForced(class Class, name, measure string) error {
 	d, ok := Lookup(name)
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownExecutor, name)
+		var names []string
+		for _, d := range Executors(class) {
+			if d.Measure == measure {
+				names = append(names, d.Name)
+			}
+		}
+		return fmt.Errorf("%w: %q (registered %s executors for measure %s: %s)",
+			ErrUnknownExecutor, name, class, measureLabel(measure), strings.Join(names, ", "))
 	}
 	if d.Class != class {
 		return fmt.Errorf("%w: %q is a %s executor, query is %s", ErrWrongClass, name, d.Class, class)
@@ -474,10 +408,9 @@ func (p *Plan) Format() string {
 	if w.Measure != "" {
 		fmt.Fprintf(&sb, "; measure=%s", w.Measure)
 	}
-	fmt.Fprintf(&sb, "; accuracy=%s", w.Accuracy)
 	fmt.Fprintf(&sb, "; graph |V|=%d |E|=%d meanDeg=%.2f walkCost=%.0f\n",
 		w.Stats.Nodes, w.Stats.Arcs, w.Stats.MeanOutDeg, w.WalkCost())
-	fmt.Fprintf(&sb, "%-10s %14s %10s %10s %10s\n", "candidate", "est.relaxations", "streaming", "resumable", "kernel")
+	fmt.Fprintf(&sb, "%-10s %14s %10s %10s\n", "candidate", "est.relaxations", "streaming", "resumable")
 	for _, e := range p.Estimates {
 		mark := func(b bool) string {
 			if b {
@@ -485,15 +418,8 @@ func (p *Plan) Format() string {
 			}
 			return "no"
 		}
-		kernel := "exact"
-		if e.Certified {
-			kernel = "fast"
-			if e.Excluded {
-				kernel = "fast (off)"
-			}
-		}
-		fmt.Fprintf(&sb, "%-10s %14.3g %10s %10s %10s\n",
-			e.Algorithm, e.Cost, mark(e.Streaming), mark(e.Resumable), kernel)
+		fmt.Fprintf(&sb, "%-10s %14.3g %10s %10s\n",
+			e.Algorithm, e.Cost, mark(e.Streaming), mark(e.Resumable))
 	}
 	return sb.String()
 }

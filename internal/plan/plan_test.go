@@ -13,7 +13,7 @@ import (
 	"repro/internal/plan"
 
 	_ "repro/internal/core"  // registers NL / AP / PJ / PJ-i
-	_ "repro/internal/join2" // registers the seven 2-way joiners
+	_ "repro/internal/join2" // registers the five 2-way joiners
 )
 
 // testWorkload is a mid-sized 2-way workload over a dense-ish graph.
@@ -25,7 +25,7 @@ func testWorkload(k int) plan.Workload {
 }
 
 func TestRegistryExecutors(t *testing.T) {
-	want2 := []string{"B-BJ", "B-BJ-fast", "B-IDJ-X", "B-IDJ-Y", "F-BJ", "F-BJ-fast", "F-IDJ", "SR-SCAN"}
+	want2 := []string{"B-BJ", "B-IDJ-X", "B-IDJ-Y", "F-BJ", "F-IDJ", "SR-SCAN"}
 	got2 := plan.Executors(plan.TwoWay)
 	if len(got2) != len(want2) {
 		t.Fatalf("2-way executors: %d, want %d", len(got2), len(want2))

@@ -1,22 +1,15 @@
 // Package ppr computes Personalized PageRank columns — the proximity
 // measure the source paper's conclusion names as the intended extension of
-// the join framework. It is the promotion of examples/pprjoin into a
-// first-class evaluator pair:
+// the join framework. PowerIteration is the truncated series
+// π_d(s,v) = Σ_{i=1..d} (1−c)·c^i·S_i(s,v), exactly the value the dht walk
+// engine computes under Kind Reach with dht.PPR(c) parameters (α = 1−c,
+// β = 0, λ = c). The i = 0 self term is excluded, matching the DHT
+// convention that a node's proximity to itself is not part of the measure.
 //
-//   - PowerIteration: the truncated series π_d(s,v) = Σ_{i=1..d} (1−c)·c^i·S_i(s,v),
-//     exactly the value the dht walk engine computes under Kind Reach with
-//     dht.PPR(c) parameters (α = 1−c, β = 0, λ = c). The i = 0 self term is
-//     excluded, matching the DHT convention that a node's proximity to
-//     itself is not part of the measure.
-//   - ForwardPush: the classic local-push approximation of the untruncated
-//     π(s,·) with a certified residual bound — every returned score is an
-//     underestimate by at most the total unpushed residual.
-//
-// Both evaluators share the engine's dangling-node semantics: a walk that
-// reaches a node with no out-edges dies there (its mass is lost), it is not
-// teleported back to the source. This keeps ppr bit-compatible with the
-// reach walks the join executors run, which is what the golden tests in
-// this package pin.
+// It shares the engine's dangling-node semantics: a walk that reaches a node
+// with no out-edges dies there (its mass is lost), it is not teleported back
+// to the source. This keeps ppr bit-compatible with the reach walks the join
+// executors run, which is what the golden tests in this package pin.
 package ppr
 
 import (
@@ -25,7 +18,7 @@ import (
 	"repro/internal/graph"
 )
 
-// validate checks the shared preconditions of both evaluators.
+// validate checks PowerIteration's preconditions.
 func validate(g *graph.Graph, c float64, src graph.NodeID) error {
 	if g == nil {
 		return fmt.Errorf("ppr: nil graph")
@@ -88,81 +81,6 @@ func PowerIteration(g *graph.Graph, c float64, src graph.NodeID, d int) ([]float
 		cur, next = next, cur
 	}
 	return out, nil
-}
-
-// PushResult is a ForwardPush approximation with its certificate.
-type PushResult struct {
-	// Scores[v] underestimates the untruncated π(src, v): for every v,
-	//
-	//	0 ≤ π(src, v) − Scores[v] ≤ Residual.
-	Scores []float64
-	// Residual is the total unpushed residual mass Σ_u r(u) at
-	// termination — the certified uniform error bound above.
-	Residual float64
-	// Pushes counts local push operations performed.
-	Pushes int
-}
-
-// ForwardPush approximates the untruncated π(src, ·) by local pushes: it
-// maintains the invariant
-//
-//	pr(src, ·) = p̂(·) + Σ_u r(u)·pr(u, ·)
-//
-// over pr(s, v) = (1−c)·Σ_{i≥0} c^i·S_i(s, v) (the series including the
-// i = 0 self term), pushing any node whose residual exceeds eps:
-// p̂(u) += (1−c)·r(u), then r(w) += c·r(u)·p(u→w) for each out-neighbour.
-// At a dangling node the c·r(u) fraction vanishes, matching the walk
-// engine. Since Σ_v pr(u, v) ≤ 1 and pr ≥ 0, the invariant yields
-// 0 ≤ pr(src, v) − p̂(v) ≤ Σ_u r(u) pointwise. The returned Scores subtract
-// the (1−c) self term at src, so they estimate the same no-self-term π the
-// join measures use, with the identical certificate.
-//
-// Each push moves at least (1−c)·eps into p̂ and Σ p̂ ≤ 1, so the loop
-// terminates after at most 1/((1−c)·eps) pushes.
-func ForwardPush(g *graph.Graph, c float64, src graph.NodeID, eps float64) (PushResult, error) {
-	if err := validate(g, c, src); err != nil {
-		return PushResult{}, err
-	}
-	if eps <= 0 {
-		return PushResult{}, fmt.Errorf("ppr: push threshold must be positive, got %g", eps)
-	}
-	n := g.NumNodes()
-	res := PushResult{Scores: make([]float64, n)}
-	r := make([]float64, n)
-	r[src] = 1
-	queue := []graph.NodeID{src}
-	queued := make([]bool, n)
-	queued[src] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		queued[u] = false
-		m := r[u]
-		if m <= eps {
-			continue // fell below threshold since it was queued
-		}
-		r[u] = 0
-		res.Scores[u] += (1 - c) * m
-		res.Pushes++
-		to, _, p := g.OutEdges(u)
-		// At a dangling node the c·m remainder dies with the walk.
-		for j := range to {
-			w := to[j]
-			r[w] += c * m * p[j]
-			if r[w] > eps && !queued[w] {
-				queue = append(queue, w)
-				queued[w] = true
-			}
-		}
-	}
-	for _, ru := range r {
-		res.Residual += ru
-	}
-	res.Scores[src] -= 1 - c // remove the i = 0 self term
-	if res.Scores[src] < 0 {
-		res.Scores[src] = 0 // guard FP cancellation; π ≥ 0 by construction
-	}
-	return res, nil
 }
 
 // Bound returns the maximum mass the truncated π_l can still gain beyond

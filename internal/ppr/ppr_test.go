@@ -88,63 +88,6 @@ func TestPowerIterationMatchesExactSolve(t *testing.T) {
 	}
 }
 
-// TestForwardPushCertificate checks the residual certificate pointwise:
-// the push scores underestimate the (effectively untruncated) reference by
-// at least zero and at most the reported residual.
-func TestForwardPushCertificate(t *testing.T) {
-	for _, seed := range []int64{2, 11} {
-		g := testGraph(t, seed)
-		for _, c := range []float64{0.3, 0.5, 0.8} {
-			// Deep enough that truncation error << the push tolerance.
-			d := 1
-			for Bound(c, d) > 1e-15 {
-				d++
-			}
-			for _, src := range []graph.NodeID{0, 9, 40} {
-				ref, err := PowerIteration(g, c, src, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, eps := range []float64{1e-2, 1e-4, 1e-6} {
-					res, err := ForwardPush(g, c, src, eps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					const slack = 1e-12
-					for v := range ref {
-						diff := ref[v] - res.Scores[v]
-						if diff < -slack || diff > res.Residual+slack {
-							t.Fatalf("seed=%d c=%g src=%d eps=%g v=%d: ref=%.17g push=%.17g residual=%.17g",
-								seed, c, src, eps, v, ref[v], res.Scores[v], res.Residual)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestForwardPushConverges checks that tightening eps actually tightens the
-// certificate (the residual shrinks) and the scores approach the reference.
-func TestForwardPushConverges(t *testing.T) {
-	g := testGraph(t, 5)
-	const c, src = 0.5, graph.NodeID(4)
-	prev := math.Inf(1)
-	for _, eps := range []float64{1e-2, 1e-4, 1e-6} {
-		res, err := ForwardPush(g, c, src, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Residual > prev {
-			t.Fatalf("eps=%g: residual %g grew past %g", eps, res.Residual, prev)
-		}
-		prev = res.Residual
-	}
-	if prev > 1e-3 {
-		t.Fatalf("residual %g did not converge below 1e-3 at eps=1e-6", prev)
-	}
-}
-
 // TestBoundMatchesXBound pins Bound to the generic dht tail bound with PPR
 // parameters and checks the monotonicity the rank-join corner bounds need.
 func TestBoundMatchesXBound(t *testing.T) {
@@ -177,8 +120,5 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := PowerIteration(g, 0.5, 0, 0); err == nil {
 		t.Fatal("zero depth accepted")
-	}
-	if _, err := ForwardPush(g, 0.5, 0, 0); err == nil {
-		t.Fatal("zero eps accepted")
 	}
 }

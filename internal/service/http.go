@@ -193,7 +193,7 @@ func NewHandler(svc *Service) http.Handler {
 	// GET /explain is the dry-run convenience route over named sets:
 	// ?graph=g&p=U&q=D plans a 2-way join, ?graph=g&sets=U,F,D&shape=chain
 	// an n-way one. Knobs: k, m, algo, lambda, dhte, d, epsilon, relabel,
-	// measure, accuracy. Explicit node-id lists need POST with
+	// measure. Explicit node-id lists need POST with
 	// "explain":true.
 	mux.HandleFunc("GET /explain", func(w http.ResponseWriter, r *http.Request) {
 		qp := r.URL.Query()

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dht"
 	"repro/internal/graph"
 )
 
@@ -557,35 +558,52 @@ func TestHTTPCursorPaging(t *testing.T) {
 // {"error": {"status", "message"}} envelope.
 func TestHTTPErrorEnvelope(t *testing.T) {
 	srv, _, sets := startServer(t)
+	withOptions := func(opts map[string]any) map[string]any {
+		return map[string]any{
+			"graph":   "test",
+			"p":       map[string]any{"set": sets[0].Name},
+			"q":       map[string]any{"set": sets[1].Name},
+			"k":       3,
+			"options": opts,
+		}
+	}
 	cases := []struct {
-		name string
-		body map[string]any
+		name    string
+		body    map[string]any
+		message string // substring the envelope's message must carry
 	}{
 		{"bad k", map[string]any{
 			"graph": "test",
 			"p":     map[string]any{"set": sets[0].Name},
 			"q":     map[string]any{"set": sets[1].Name},
 			"k":     0,
-		}},
+		}, ""},
 		{"missing graph", map[string]any{
 			"graph": "nope",
 			"p":     map[string]any{"set": sets[0].Name},
 			"q":     map[string]any{"set": sets[1].Name},
 			"k":     3,
-		}},
+		}, ""},
 		{"negative cursor", map[string]any{
 			"graph":  "test",
 			"p":      map[string]any{"set": sets[0].Name},
 			"q":      map[string]any{"set": sets[1].Name},
 			"k":      3,
 			"cursor": -1,
-		}},
+		}, ""},
 		{"unknown set", map[string]any{
 			"graph": "test",
 			"p":     map[string]any{"set": "ghosts"},
 			"q":     map[string]any{"set": sets[1].Name},
 			"k":     3,
-		}},
+		}, ""},
+		// Retired options are rejected by name, with what to do instead.
+		{"retired accuracy option", withOptions(map[string]any{"accuracy": "fast"}), `"accuracy": removed`},
+		{"retired ppr option", withOptions(map[string]any{"ppr": true}), `"measure":"ppr"`},
+		// The retired certified executors fail as any unknown name does,
+		// with the registered ones listed.
+		{"retired B-BJ-fast executor", withOptions(map[string]any{"algo": "B-BJ-fast"}), "B-IDJ-Y"},
+		{"retired F-BJ-fast executor", withOptions(map[string]any{"algo": "F-BJ-fast"}), "B-IDJ-Y"},
 	}
 	for _, tc := range cases {
 		var out struct {
@@ -598,8 +616,54 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", tc.name, code)
 		}
-		if out.Error.Status != http.StatusBadRequest || out.Error.Message == "" {
-			t.Fatalf("%s: envelope %+v", tc.name, out.Error)
+		if out.Error.Status != http.StatusBadRequest || out.Error.Message == "" || !strings.Contains(out.Error.Message, tc.message) {
+			t.Fatalf("%s: envelope %+v, want a message carrying %q", tc.name, out.Error, tc.message)
+		}
+	}
+}
+
+// TestHTTPScoreQueryOptions: the GET routes' option parser rejects what it
+// cannot read instead of silently scoring another measure — every spelling
+// of dhte that strconv.ParseBool accepts selects (or deselects) DHTe, any
+// other is a 400, and so is a retired parameter.
+func TestHTTPScoreQueryOptions(t *testing.T) {
+	srv, g, sets := startServer(t)
+	u, v := sets[0].Nodes()[0], sets[1].Nodes()[0]
+	svc := New(Config{})
+	if err := svc.LoadGraph("ref", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	lambda, err := svc.Score(context.Background(), "ref", u, v, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := svc.Score(context.Background(), "ref", u, v, Query{Params: dht.DHTE()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lambda == e {
+		t.Fatal("DHTλ and DHTe agree on the probe pair; the table below would prove nothing")
+	}
+	for _, tc := range []struct {
+		param string
+		code  int
+		want  float64
+	}{
+		{"dhte=1", http.StatusOK, e},
+		{"dhte=true", http.StatusOK, e},
+		{"dhte=TRUE", http.StatusOK, e},
+		{"dhte=0", http.StatusOK, lambda},
+		{"dhte=false", http.StatusOK, lambda},
+		{"dhte=yes", http.StatusBadRequest, 0},
+		{"accuracy=fast", http.StatusBadRequest, 0},
+		{"ppr=true", http.StatusBadRequest, 0},
+	} {
+		var out struct {
+			Score float64 `json:"score"`
+		}
+		url := fmt.Sprintf("%s/score?graph=test&u=%d&v=%d&%s", srv.URL, u, v, tc.param)
+		if code := getJSON(t, url, &out); code != tc.code || out.Score != tc.want {
+			t.Errorf("GET /score?%s = %d, score %v; want %d, score %v", tc.param, code, out.Score, tc.code, tc.want)
 		}
 	}
 }

@@ -66,9 +66,6 @@ func WriteMetrics(w io.Writer, st Stats) {
 	metric(w, "njoind_walks_total", "counter", "Random walks executed.", st.Walks)
 	metric(w, "njoind_edge_sweeps_total", "counter", "Walk-kernel edge sweeps.", st.EdgeSweeps)
 	metric(w, "njoind_frontier_edges_total", "counter", "Edges crossed by walk frontiers.", st.FrontierEdges)
-	metric(w, "njoind_kernel_picks_total", "counter", "Runs executed on the certified fast kernel.", st.KernelPicks)
-	metric(w, "njoind_reverified_total", "counter", "Pairs re-verified through the exact kernel.", st.Reverified)
-	metric(w, "njoind_fallback_pairs_total", "counter", "Band pairs rescored beyond the demanded k.", st.FallbackPairs)
 
 	metric(w, "njoind_quota_rejections_total", "counter", "Requests rejected by tenant quotas.", st.QuotaRejections)
 	metric(w, "njoind_budget_truncations_total", "counter", "Rankings truncated by deadline budgets.", st.BudgetTruncations)

@@ -24,19 +24,10 @@ func TestServiceExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.Estimates) != 7 {
-		t.Fatalf("2-way plan has %d estimates, want 7", len(pl.Estimates))
+	if len(pl.Estimates) != 5 {
+		t.Fatalf("2-way plan has %d estimates, want 5", len(pl.Estimates))
 	}
-	// The pick is the cheapest *eligible* row: certified estimates are
-	// priced but excluded at the default exact accuracy.
-	cheapest := ""
-	for _, e := range pl.Estimates {
-		if !e.Excluded {
-			cheapest = e.Algorithm
-			break
-		}
-	}
-	if pl.Algorithm != cheapest || pl.Forced {
+	if pl.Algorithm != pl.Estimates[0].Algorithm || pl.Forced {
 		t.Fatalf("plan = %+v", pl)
 	}
 
@@ -208,7 +199,7 @@ func TestHTTPExplain(t *testing.T) {
 		t.Fatalf("join2 explain: %d %v", code, out)
 	}
 	pl := planOf(out)
-	if pl["algorithm"] == "" || len(pl["estimates"].([]any)) != 7 {
+	if pl["algorithm"] == "" || len(pl["estimates"].([]any)) != 5 {
 		t.Fatalf("join2 plan = %v", pl)
 	}
 
@@ -287,131 +278,4 @@ func jsonString(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// TestServiceAccuracyFast covers the served accuracy knob end to end: a
-// fast-accuracy request plans onto a certified executor, returns the
-// bit-identical ranking, feeds the fast-kernel calibration bucket (not the
-// exact one), and surfaces its re-verification work in Stats; an unknown
-// spelling fails the request.
-func TestServiceAccuracyFast(t *testing.T) {
-	g, sets := testGraph(t)
-	svc := New(Config{ResultCacheSize: -1})
-	if err := svc.LoadGraph("g", g, sets); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	p, q := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
-
-	if _, err := svc.Join2(ctx, "g", p, q, 10, Query{Accuracy: "sloppy"}); err == nil {
-		t.Fatal("unknown accuracy accepted")
-	}
-
-	pl, err := svc.ExplainJoin2(ctx, "g", p, q, 10, Query{Accuracy: "fast"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !planCertified(pl) {
-		t.Fatalf("fast-accuracy plan picked %s (not certified); estimates %+v", pl.Algorithm, pl.Estimates)
-	}
-
-	got, err := svc.Join2(ctx, "g", p, q, 10, Query{Accuracy: "fast"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refJoin2(t, g, sets[0].Nodes(), sets[1].Nodes(), 10)
-	if len(got) != len(want) {
-		t.Fatalf("fast join: %d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rank %d: %+v, want %+v", i, got[i], want[i])
-		}
-	}
-
-	st := svc.Stats()
-	if st.KernelPicks < 1 {
-		t.Fatalf("kernel picks = %d, want >= 1", st.KernelPicks)
-	}
-	if st.Reverified < 10 {
-		t.Fatalf("reverified = %d, want >= k", st.Reverified)
-	}
-	if st.FallbackPairs != st.Reverified-10 {
-		t.Fatalf("fallback pairs = %d, want reverified - k = %d", st.FallbackPairs, st.Reverified-10)
-	}
-
-	// Calibration is keyed by kernel: the certified run observed into the
-	// fast bucket and left the exact bucket untouched.
-	svc.mu.Lock()
-	var sess *session
-	for _, s := range svc.sessions {
-		sess = s
-	}
-	svc.mu.Unlock()
-	if sess.calibFast.Samples() == 0 {
-		t.Fatal("fast-kernel calibration saw no feedback")
-	}
-	if sess.calib.Samples() != 0 {
-		t.Fatalf("exact calibration polluted by a certified run: %d samples", sess.calib.Samples())
-	}
-
-	// An exact request afterwards must not reuse the fast plan-cache slot.
-	exact, err := svc.ExplainJoin2(ctx, "g", p, q, 10, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planCertified(exact) {
-		t.Fatalf("exact-accuracy plan picked certified %s", exact.Algorithm)
-	}
-}
-
-// TestServiceCalibrationBucketOneRule: the bucket a plan is priced with is
-// the bucket its run feeds. No n-way executor is certified, so an n-way
-// request under accuracy=fast must be priced — and its plan-cache entry
-// stamped — with the exact bucket its counters go to, not the fast one that
-// n-way runs never feed.
-func TestServiceCalibrationBucketOneRule(t *testing.T) {
-	g, sets := testGraph(t)
-	svc := New(Config{ResultCacheSize: -1})
-	if err := svc.LoadGraph("g", g, sets); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	refs := []SetRef{{Name: sets[0].Name}, {Name: sets[1].Name}, {Name: sets[2].Name}}
-	edges := [][2]int{{0, 1}, {1, 2}}
-	fast := Query{Accuracy: "fast"}
-
-	if _, err := svc.JoinN(ctx, "g", refs, edges, 5, fast); err != nil {
-		t.Fatal(err)
-	}
-	svc.mu.Lock()
-	var sess *session
-	for _, s := range svc.sessions {
-		sess = s
-	}
-	svc.mu.Unlock()
-	if sess.calib.Samples() == 0 || sess.calibFast.Samples() != 0 {
-		t.Fatalf("n-way run fed exact=%d fast=%d samples, want all in the exact bucket",
-			sess.calib.Samples(), sess.calibFast.Samples())
-	}
-	pl, err := svc.ExplainJoinN(ctx, "g", refs, edges, 5, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Workload.Calib != sess.calib {
-		t.Fatal("n-way fast plan priced with a bucket its runs never feed")
-	}
-
-	// A 2-way fast request can run certified, so it prices with the fast
-	// bucket; forcing a certified executor under exact accuracy does too.
-	p, q := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
-	for _, query := range []Query{fast, {Algorithm: "B-BJ-fast"}} {
-		pl, err := svc.ExplainJoin2(ctx, "g", p, q, 10, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pl.Workload.Calib != sess.calibFast {
-			t.Fatalf("2-way %+v priced with the exact bucket", query)
-		}
-	}
 }

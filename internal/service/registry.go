@@ -55,20 +55,7 @@ type session struct {
 	memo    *dht.ScoreMemo    // concurrency-safe score columns
 	results *resultLRU        // recent top-k results, original id space
 	plans   *planCache        // planner decisions, keyed like the result LRU (+k)
-	calib   *plan.Calibration // observed-cost feedback from bit-identical runs
-	// calibFast is the fast-kernel bucket: calibration is keyed by kernel
-	// contract because the certified executors mix cheap float32-lane
-	// sweeps with exact rescores — folding their counters into the exact
-	// bucket would skew the cost unit every exact plan is priced with.
-	calibFast *plan.Calibration
-}
-
-// calibFor selects the session's calibration bucket for a kernel contract.
-func (sess *session) calibFor(certified bool) *plan.Calibration {
-	if certified {
-		return sess.calibFast
-	}
-	return sess.calib
+	calib   *plan.Calibration // observed-cost feedback from finished runs
 }
 
 // LoadGraph registers g under name with its node sets. Loading an existing
@@ -257,14 +244,13 @@ func (s *Service) sessionFor(ge *graphEntry, params dht.Params, d int, mode grap
 	}
 	pool.Sink = &s.counters
 	sess := &session{
-		g:         rg,
-		rl:        rl,
-		pool:      pool,
-		memo:      newSessionMemo(s.cfg.MemoSize),
-		results:   newResultLRU(s.cfg.ResultCacheSize),
-		plans:     newPlanCache(planCacheCap),
-		calib:     &plan.Calibration{},
-		calibFast: &plan.Calibration{},
+		g:       rg,
+		rl:      rl,
+		pool:    pool,
+		memo:    newSessionMemo(s.cfg.MemoSize),
+		results: newResultLRU(s.cfg.ResultCacheSize),
+		plans:   newPlanCache(planCacheCap),
+		calib:   &plan.Calibration{},
 	}
 
 	s.mu.Lock()

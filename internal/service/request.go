@@ -53,12 +53,6 @@ type Query struct {
 	// are bit-identical under any choice; an unknown name or one of the
 	// wrong query class fails the request.
 	Algorithm string
-	// Accuracy selects the planner's kernel contract: "" or "exact" (the
-	// default) restricts plans to bit-identical executors, "fast" also
-	// admits the certified fast-kernel executors — same emitted ranking
-	// (every answer near the cut is re-verified through the exact kernel),
-	// different cost. Any other spelling fails the request.
-	Accuracy string
 	// Tenant attributes the request to an admission-quota bucket; empty is
 	// the anonymous shared bucket. Quotas never change results — only
 	// whether and when a request is admitted.
@@ -85,17 +79,16 @@ const (
 func (q *Query) Resolve() (measure.Resolved, error) {
 	return measure.Resolve(measure.Request{
 		Measure: q.MeasureName, Params: q.Params, Epsilon: q.Epsilon, D: q.D,
-		Agg: q.Agg, M: q.M, Accuracy: q.Accuracy,
+		Agg: q.Agg, M: q.M,
 	})
 }
 
 // pinned returns q with its resolution written back: canonical measure
-// name, explicit params, depth, m and accuracy (Agg, n-way only, stays). Resolving a pinned query is
-// the identity, so a peer that receives one has no defaults left to apply —
-// the form the cluster wire ships.
+// name, explicit params, depth and m (Agg, n-way only, stays). Resolving a
+// pinned query is the identity, so a peer that receives one has no defaults
+// left to apply — the form the cluster wire ships.
 func (q Query) pinned(res measure.Resolved) Query {
-	q.MeasureName, q.Params, q.D, q.Epsilon = res.Kernel.Name, res.Params, res.D, 0
-	q.M, q.Accuracy = res.M, res.Accuracy.String()
+	q.MeasureName, q.Params, q.D, q.Epsilon, q.M = res.Kernel.Name, res.Params, res.D, 0, res.M
 	return q
 }
 
@@ -135,20 +128,15 @@ func (s *Service) budgetContext(ctx context.Context, q *Query) (context.Context,
 // cache (validation is the whole cost).
 func (s *Service) planFor(sess *session, class plan.Class, baseKey string, w plan.Workload, forced string) (*plan.Plan, error) {
 	s.planReqs.Add(1)
-	// Plans are priced (and their cache entries validated) with the bucket
-	// their execution will feed — one rule, calibFor, at both ends.
-	cal := sess.calibFor(runsCertified(class, w, forced))
-	w.Calib = cal
+	w.Calib = sess.calib
 	if forced != "" {
 		return plan.Decide(class, w, forced)
 	}
 	var key string
 	var gen uint64
 	if baseKey != "" {
-		// baseKey embeds the accuracy mode (queryKey), so exact and fast
-		// decisions never alias one cache slot.
 		key = fmt.Sprintf("%s|plan-k=%d", baseKey, w.K)
-		gen = cal.Gen()
+		gen = sess.calib.Gen()
 		if pl, ok := sess.plans.get(key, gen); ok {
 			s.planCacheHits.Add(1)
 			return pl, nil
@@ -162,26 +150,6 @@ func (s *Service) planFor(sess *session, class plan.Class, baseKey string, w pla
 		sess.plans.put(key, gen, pl)
 	}
 	return pl, nil
-}
-
-// runsCertified reports whether a request can execute on the certified fast
-// kernel: a forced certified executor, or fast accuracy on a class and
-// measure that has one (no n-way executor is certified, so n-way plans are
-// always priced with the exact bucket their runs feed).
-func runsCertified(class plan.Class, w plan.Workload, forced string) bool {
-	if forced != "" {
-		d, _ := plan.Lookup(forced)
-		return d.Certified
-	}
-	if w.Accuracy != plan.Fast {
-		return false
-	}
-	for _, d := range plan.Executors(class) {
-		if d.Certified && d.Measure == w.Measure {
-			return true
-		}
-	}
-	return false
 }
 
 // refKey serializes a resolved SetRef (a name, or the repeat-free id list
@@ -425,12 +393,8 @@ func resolveJoin[T any](s *Service, graphName string, spec joinSpec[T], query Qu
 		return nil, err
 	}
 	if key != "" {
-		// Accuracy is part of the key even though certified plans emit the
-		// same ranking: the plan cache is keyed off this string, and an
-		// exact-accuracy request must never be served a plan whose
-		// eligibility set included the certified executors (or vice versa).
 		p := res.Params
-		rq.key = fmt.Sprintf("%s|p=%v,%v,%v|d=%d|mn=%s|acc=%s", key, p.Alpha, p.Beta, p.Lambda, res.D, res.Kernel.Name, res.Accuracy)
+		rq.key = fmt.Sprintf("%s|p=%v,%v,%v|d=%d|mn=%s", key, p.Alpha, p.Beta, p.Lambda, res.D, res.Kernel.Name)
 	}
 	return rq, nil
 }
@@ -450,7 +414,7 @@ func (rq *request[T]) plan(k int) (*plan.Plan, error) {
 	w, res := rq.work, rq.res
 	w.Stats = rq.sess.g.Stats()
 	w.K, w.M, w.D = rq.demand(k), res.M, res.D
-	w.Measure, w.Accuracy = res.Kernel.PlanMeasure, res.Accuracy
+	w.Measure = res.Kernel.PlanMeasure
 	w.Workers = rq.query.Workers
 	return rq.svc.planFor(rq.sess, rq.class, rq.key, w, rq.query.Algorithm)
 }
@@ -488,8 +452,7 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 	if sess.results == nil {
 		key = "" // nowhere to publish, so the stream records nothing
 	}
-	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: key, kind: rq.kind, st: st, grant: g,
-		ctrs: ctrs, calib: sess.calibFor(planCertified(pl))}, nil
+	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: key, kind: rq.kind, st: st, grant: g, ctrs: ctrs}, nil
 }
 
 // unopened ends an open that failed before its stream existed. A budget
@@ -517,18 +480,6 @@ func (rq *request[T]) served(pre prefix, k int) []T {
 		out[i] = rq.kind.clone(res[i])
 	}
 	return out
-}
-
-// planCertified reports whether the plan's chosen executor runs the
-// certified fast kernel, looked up in the plan's own estimate table (which
-// forced plans carry too).
-func planCertified(pl *plan.Plan) bool {
-	for _, e := range pl.Estimates {
-		if e.Algorithm == pl.Algorithm {
-			return e.Certified
-		}
-	}
-	return false
 }
 
 // cancelPoll builds the joiners' walk-round cancellation hook for a query

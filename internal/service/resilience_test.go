@@ -502,7 +502,21 @@ func TestHTTPBudgetSpentAtOpen(t *testing.T) {
 	if !batch.Truncated || batch.Exhausted || len(batch.Results) != 0 {
 		t.Fatalf("batch past its budget: %d results truncated=%v exhausted=%v", len(batch.Results), batch.Truncated, batch.Exhausted)
 	}
-	if got := svc.Stats().BudgetTruncations; got != 2 {
+	// Brute-force NL polls the budget per tuple like every other executor,
+	// instead of enumerating its 100k candidates first.
+	var nl struct {
+		Answers   []answerJSON `json:"answers"`
+		Truncated bool         `json:"truncated"`
+	}
+	if code := postJSON(t, srv.URL+"/joinN", map[string]any{
+		"graph":   "test",
+		"sets":    []map[string]any{{"set": sets[0].Name}, {"set": sets[1].Name}, {"set": sets[2].Name}},
+		"k":       5,
+		"options": map[string]any{"algo": "NL"},
+	}, &nl); code != http.StatusOK || !nl.Truncated || len(nl.Answers) != 0 {
+		t.Fatalf("forced NL past its budget = %d, %d answers, truncated=%v", code, len(nl.Answers), nl.Truncated)
+	}
+	if got := svc.Stats().BudgetTruncations; got != 3 {
 		t.Fatalf("BudgetTruncations = %d, want one per request", got)
 	}
 	if engines, tokens := svc.Outstanding(); engines != 0 || tokens != 0 {

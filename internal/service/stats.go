@@ -32,14 +32,6 @@ type Stats struct {
 	EdgeSweeps    int64 `json:"edge_sweeps"`
 	FrontierEdges int64 `json:"frontier_edges"`
 
-	// Certified fast-kernel surface: runs that executed on the fast kernel,
-	// pairs re-verified through the bit-identical kernel, and the re-verify
-	// excess over the demanded k (band pairs rescored beyond what was
-	// emitted — the price of certification near ties).
-	KernelPicks   int64 `json:"kernel_picks"`
-	Reverified    int64 `json:"reverified"`
-	FallbackPairs int64 `json:"fallback_pairs"`
-
 	// Hardening surface: quota rejections, budget truncations, shed clamps,
 	// and recovered panics are monotone counters; the admission gauges and
 	// the drain flag describe the instantaneous load state.
@@ -169,8 +161,5 @@ func (s *Service) Stats() Stats {
 		Walks:          snap.Walks,
 		EdgeSweeps:     snap.EdgeSweeps,
 		FrontierEdges:  snap.FrontierEdges,
-		KernelPicks:    snap.KernelPicks,
-		Reverified:     snap.Reverified,
-		FallbackPairs:  snap.FallbackPairs,
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/join2"
-	"repro/internal/plan"
 )
 
 // maxCachedPrefix bounds how much of a drained ranking a stream records
@@ -34,11 +33,10 @@ type Stream[T any] struct {
 	kind      *resultKind[T]
 	st        source[T]
 	grant     *grant
-	ctrs      *dht.Counters     // run-scoped; feeds calib on Stop
-	calib     *plan.Calibration // the kernel bucket of the executed plan
-	drained   []T               // private deep copies of what was served
-	truncated bool              // results past maxCachedPrefix were not recorded
-	budgetHit bool              // the deadline budget cut the ranking short
+	ctrs      *dht.Counters // run-scoped; feeds the session calibration on Stop
+	drained   []T           // private deep copies of what was served
+	truncated bool          // results past maxCachedPrefix were not recorded
+	budgetHit bool          // the deadline budget cut the ranking short
 	exhausted bool
 	stopped   bool
 
@@ -152,8 +150,8 @@ func (s *Stream[T]) Stop() {
 	}
 	if s.ctrs != nil {
 		// Observed-cost feedback: the run's walk counters recalibrate the
-		// cost-unit estimate of the kernel bucket the stream executed under.
-		s.calib.Observe(s.ctrs.Snapshot(), s.sess.g.NumEdges())
+		// session's cost-unit estimate.
+		s.sess.calib.Observe(s.ctrs.Snapshot(), s.sess.g.NumEdges())
 	}
 	if s.key != "" && (len(s.drained) > 0 || s.exhausted) {
 		// A truncated recording is still a valid prefix, but it is not the

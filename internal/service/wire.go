@@ -28,7 +28,6 @@ type OptionsJSON struct {
 	Workers  int     `json:"workers,omitempty"`
 	Relabel  string  `json:"relabel,omitempty"`   // off | degree | bfs
 	Algo     string  `json:"algo,omitempty"`      // force an executor (B-IDJ-Y, B-BJ, PJ-i, AP, …); empty = cost-based planner
-	Accuracy string  `json:"accuracy,omitempty"`  // planner kernel contract: "exact" (default) | "fast" (certified fast kernel; same ranking)
 	Tenant   string  `json:"tenant,omitempty"`    // admission-quota bucket (X-Tenant header is the fallback)
 	Priority string  `json:"priority,omitempty"`  // "interactive" (default) | "batch" (X-Priority header is the fallback)
 	BudgetMS int     `json:"budget_ms,omitempty"` // wall-clock deadline budget in milliseconds; 0 = server default
@@ -67,7 +66,6 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	q.Distinct = o.Distinct
 	q.Workers = o.Workers
 	q.Algorithm = o.Algo
-	q.Accuracy = o.Accuracy
 	q.Tenant = o.Tenant
 	if q.Priority, err = parsePriority(o.Priority); err != nil {
 		return q, fmt.Errorf("options: %w", err)
@@ -260,17 +258,22 @@ func addMeta(body map[string]any, meta BatchMeta) {
 func queryFromURL(r *http.Request) (Query, error) {
 	qp := r.URL.Query()
 	opts := OptionsJSON{
-		Agg:      qp.Get("agg"),
-		Measure:  qp.Get("measure"),
-		Relabel:  qp.Get("relabel"),
-		Algo:     qp.Get("algo"),
-		Accuracy: qp.Get("accuracy"),
-		DHTE:     qp.Get("dhte") == "true",
+		Agg:     qp.Get("agg"),
+		Measure: qp.Get("measure"),
+		Relabel: qp.Get("relabel"),
+		Algo:    qp.Get("algo"),
 	}
-	if qp.Has("ppr") {
-		return Query{}, errors.New("options: unknown parameter ppr: " + retiredPPR)
+	for _, ro := range retiredOptions {
+		if qp.Has(ro.name) {
+			return Query{}, fmt.Errorf("options: unknown parameter %s: %s", ro.name, ro.hint)
+		}
 	}
 	var err error
+	if s := qp.Get("dhte"); s != "" {
+		if opts.DHTE, err = strconv.ParseBool(s); err != nil {
+			return Query{}, fmt.Errorf("options: bad dhte %q", s)
+		}
+	}
 	for name, dst := range map[string]*float64{"lambda": &opts.Lambda, "epsilon": &opts.Epsilon} {
 		if s := qp.Get(name); s != "" {
 			if *dst, err = strconv.ParseFloat(s, 64); err != nil {
@@ -288,18 +291,27 @@ func queryFromURL(r *http.Request) (Query, error) {
 	return queryOf(r, &opts)
 }
 
-// retiredPPR points users of the removed ppr flag at its replacement. The
-// GET routes ignore unknown parameters, so without the explicit rejection a
-// stale ?ppr=true would silently score plain DHT.
-const retiredPPR = `select the measure by name instead ("measure":"ppr", with lambda as its damping factor)`
+// retiredOptions are the option names this server no longer accepts, each
+// with the hint its rejection carries. The GET routes ignore unknown
+// parameters, so without the explicit rejection a stale ?ppr=true would
+// silently score plain DHT.
+var retiredOptions = []struct{ name, hint string }{
+	{"ppr", `select the measure by name instead ("measure":"ppr", with lambda as its damping factor)`},
+	{"accuracy", "removed: it never changed an answer and no longer changes the plan"},
+}
 
 // decodeJSON strictly decodes a request body.
 func decodeJSON(r *http.Request, into any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(into)
-	if err != nil && strings.Contains(err.Error(), `unknown field "ppr"`) {
-		err = fmt.Errorf("%w: %s", err, retiredPPR)
+	if err == nil {
+		return nil
+	}
+	for _, ro := range retiredOptions {
+		if strings.Contains(err.Error(), `unknown field "`+ro.name+`"`) {
+			return fmt.Errorf("%w: %s", err, ro.hint)
+		}
 	}
 	return err
 }
