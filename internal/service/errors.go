@@ -23,4 +23,10 @@ var (
 	// longer admits new queries; in-flight streams are allowed to finish
 	// within the drain budget. HTTP maps it to 503 with Retry-After.
 	ErrDraining = errors.New("service: draining, not admitting new queries")
+
+	// ErrNodeLimit reports an edge update naming a node id further past the
+	// graph's node count than its adds can introduce: an edit may grow the
+	// graph by at most one node per add endpoint, to n + 2·len(adds) nodes.
+	// HTTP maps it to 400.
+	ErrNodeLimit = errors.New("service: edge update names a node past the growth limit")
 )

@@ -65,43 +65,88 @@ func FuzzJoinBodies(f *testing.F) {
 		if joinN {
 			route = "/joinN"
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > fuzzAllocCap {
-			t.Fatalf("POST %s %q allocated %d MiB", route, body, grew>>20)
-		}
-
-		type envelope struct {
-			Error *struct {
-				Status  int    `json:"status"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		switch code := rec.Code; {
-		case code >= 200 && code < 300:
-			// One JSON document, or NDJSON lines none of which is the
-			// in-band error a stream writes when it fails after its 200.
-			dec := json.NewDecoder(rec.Body)
-			for dec.More() {
-				var line envelope
-				if err := dec.Decode(&line); err != nil {
-					t.Fatalf("POST %s %q: %d with a body that is not JSON: %v", route, body, code, err)
-				}
-				if line.Error != nil {
-					t.Fatalf("POST %s %q: stream failed mid-flight: %+v", route, body, *line.Error)
-				}
-			}
-		case code >= 400 && code < 500:
-			var env envelope
-			if err := json.NewDecoder(rec.Body).Decode(&env); err != nil || env.Error == nil ||
-				env.Error.Status != code || env.Error.Message == "" {
-				t.Fatalf("POST %s %q: %d without the typed error envelope (%v, %+v)", route, body, code, err, env.Error)
-			}
-		default:
-			t.Fatalf("POST %s %q: status %d: %s", route, body, code, rec.Body)
-		}
+		fuzzPost(t, h, route, body)
 	})
+}
+
+// FuzzEdgeBodies: the same contract for POST /graphs/{name}/edges, whose
+// numbers are node ids an edit may grow the graph to and weights it sums.
+// The graph is reloaded before every input, so each edit applies to the
+// 140-node original and generations do not pile up.
+func FuzzEdgeBodies(f *testing.F) {
+	g, sets := testGraph(f)
+	svc := New(Config{})
+	h := NewHandler(svc)
+	for _, seed := range []string{
+		`{"add":[{"u":0,"v":1,"w":2.5},{"u":3,"v":3,"w":1}],"del":[{"u":1,"v":0}]}`,
+		`{"add":[{"u":139,"v":140,"w":1},{"u":141,"v":0,"w":1}]}`,
+		`{"add":[{"u":0,"v":1,"w":1},{"u":0,"v":1,"w":1}],"del":[{"u":0,"v":1}]}`,
+		`{"del":[{"u":5,"v":6},{"u":-1,"v":0},{"u":0,"v":2147483647}]}`,
+		`{"add":[{"u":0,"v":1,"w":0}]}`,
+		`{"add":[{"u":0,"v":1,"w":-1}]}`,
+		`{"add":[{"u":0,"v":1,"w":"NaN"}]}`,
+		`{"add":[{"u":0,"v":1,"w":1e309}]}`,
+		`{"add":[{"u":0,"v":1,"w":1e308},{"u":0,"v":1,"w":1e308}]}`,
+		`{"add":[{"u":-1,"v":1,"w":1}]}`,
+		`{"add":[{"u":5000000,"v":1,"w":1}]}`,
+		`{"add":[{"u":2147483647,"v":1,"w":1}]}`,
+		`{"add":[{"u":2147483648,"v":1,"w":1}]}`,
+		`{"add":[{"u":0,"v":1,"w":1,"x":0}]}`,
+		`{"add":[],"bogus":1}`,
+		`{}`,
+		`{`,
+	} {
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := svc.LoadGraph("test", g, sets); err != nil {
+			t.Fatal(err)
+		}
+		fuzzPost(t, h, "/graphs/test/edges", body)
+	})
+}
+
+// fuzzPost posts body to route and fails t unless the answer is a 2xx whose
+// body is JSON (NDJSON lines without an in-band error) or a 4xx with the
+// typed error envelope, and the request allocated at most fuzzAllocCap.
+func fuzzPost(t *testing.T, h http.Handler, route string, body []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > fuzzAllocCap {
+		t.Fatalf("POST %s %q allocated %d MiB", route, body, grew>>20)
+	}
+
+	type envelope struct {
+		Error *struct {
+			Status  int    `json:"status"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	switch code := rec.Code; {
+	case code >= 200 && code < 300:
+		// One JSON document, or NDJSON lines none of which is the in-band
+		// error a stream writes when it fails after its 200.
+		dec := json.NewDecoder(rec.Body)
+		for dec.More() {
+			var line envelope
+			if err := dec.Decode(&line); err != nil {
+				t.Fatalf("POST %s %q: %d with a body that is not JSON: %v", route, body, code, err)
+			}
+			if line.Error != nil {
+				t.Fatalf("POST %s %q: stream failed mid-flight: %+v", route, body, *line.Error)
+			}
+		}
+	case code >= 400 && code < 500:
+		var env envelope
+		if err := json.NewDecoder(rec.Body).Decode(&env); err != nil || env.Error == nil ||
+			env.Error.Status != code || env.Error.Message == "" {
+			t.Fatalf("POST %s %q: %d without the typed error envelope (%v, %+v)", route, body, code, err, env.Error)
+		}
+	default:
+		t.Fatalf("POST %s %q: status %d: %s", route, body, code, rec.Body)
+	}
 }

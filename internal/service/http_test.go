@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -567,43 +568,55 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 			"options": opts,
 		}
 	}
+	edit := func(adds ...map[string]any) map[string]any { return map[string]any{"add": adds} }
 	cases := []struct {
 		name    string
 		body    map[string]any
 		message string // substring the envelope's message must carry
+		path    string // default /join2
 	}{
 		{"bad k", map[string]any{
 			"graph": "test",
 			"p":     map[string]any{"set": sets[0].Name},
 			"q":     map[string]any{"set": sets[1].Name},
 			"k":     0,
-		}, ""},
+		}, "", ""},
 		{"missing graph", map[string]any{
 			"graph": "nope",
 			"p":     map[string]any{"set": sets[0].Name},
 			"q":     map[string]any{"set": sets[1].Name},
 			"k":     3,
-		}, ""},
+		}, "", ""},
 		{"negative cursor", map[string]any{
 			"graph":  "test",
 			"p":      map[string]any{"set": sets[0].Name},
 			"q":      map[string]any{"set": sets[1].Name},
 			"k":      3,
 			"cursor": -1,
-		}, ""},
+		}, "", ""},
 		{"unknown set", map[string]any{
 			"graph": "test",
 			"p":     map[string]any{"set": "ghosts"},
 			"q":     map[string]any{"set": sets[1].Name},
 			"k":     3,
-		}, ""},
+		}, "", ""},
 		// Retired options are rejected by name, with what to do instead.
-		{"retired accuracy option", withOptions(map[string]any{"accuracy": "fast"}), `"accuracy": removed`},
-		{"retired ppr option", withOptions(map[string]any{"ppr": true}), `"measure":"ppr"`},
+		{"retired accuracy option", withOptions(map[string]any{"accuracy": "fast"}), `"accuracy": removed`, ""},
+		{"retired ppr option", withOptions(map[string]any{"ppr": true}), `"measure":"ppr"`, ""},
 		// The retired certified executors fail as any unknown name does,
 		// with the registered ones listed.
-		{"retired B-BJ-fast executor", withOptions(map[string]any{"algo": "B-BJ-fast"}), "B-IDJ-Y"},
-		{"retired F-BJ-fast executor", withOptions(map[string]any{"algo": "F-BJ-fast"}), "B-IDJ-Y"},
+		{"retired B-BJ-fast executor", withOptions(map[string]any{"algo": "B-BJ-fast"}), "B-IDJ-Y", ""},
+		{"retired F-BJ-fast executor", withOptions(map[string]any{"algo": "F-BJ-fast"}), "B-IDJ-Y", ""},
+		// An edit grows the 140-node graph by at most one node per add
+		// endpoint; one add may name ids up to 141.
+		{"edge add past the node limit", edit(map[string]any{"u": 5000000, "v": 1, "w": 1}), "at most 142", "/graphs/test/edges"},
+		{"edge add at the largest id", edit(map[string]any{"u": 0, "v": math.MaxInt32, "w": 1}), "at most 142", "/graphs/test/edges"},
+		{"edge add with zero weight", edit(map[string]any{"u": 0, "v": 1, "w": 0}), "invalid weight", "/graphs/test/edges"},
+		{"edge adds summing past MaxFloat64", edit(map[string]any{"u": 0, "v": 1, "w": 1e308}, map[string]any{"u": 0, "v": 1, "w": 1e308}),
+			"sums arc (0,1) to invalid weight +Inf", "/graphs/test/edges"},
+		{"edge add with negative id", edit(map[string]any{"u": -1, "v": 1, "w": 1}), "negative endpoint", "/graphs/test/edges"},
+		{"edge update with unknown field", map[string]any{"add": []any{}, "bogus": 1}, `unknown field "bogus"`, "/graphs/test/edges"},
+		{"edge update of a missing graph", edit(map[string]any{"u": 0, "v": 1, "w": 1}), `no graph "nope"`, "/graphs/nope/edges"},
 	}
 	for _, tc := range cases {
 		var out struct {
@@ -612,7 +625,11 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 				Message string `json:"message"`
 			} `json:"error"`
 		}
-		code := postJSON(t, srv.URL+"/join2", tc.body, &out)
+		path := tc.path
+		if path == "" {
+			path = "/join2"
+		}
+		code := postJSON(t, srv.URL+path, tc.body, &out)
 		if code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", tc.name, code)
 		}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/graph"
@@ -49,7 +50,8 @@ func (s *Service) AdoptRecovered(recs []store.Recovered) error {
 // batch is appended to the graph's WAL and fsynced before the served graph
 // changes — a batch that cannot be made durable fails without changing what
 // is served. The new graph replaces the registry entry, invalidating every
-// session derived from the old one (see the file comment).
+// session derived from the old one (see the file comment). An add naming a
+// node id at or past n + 2·len(adds) fails with ErrNodeLimit.
 func (s *Service) UpdateEdges(name string, adds []graph.Edge, dels [][2]graph.NodeID) (GraphInfo, error) {
 	if err := s.admitGate(); err != nil {
 		return GraphInfo{}, err
@@ -65,6 +67,17 @@ func (s *Service) UpdateEdges(name string, adds []graph.Edge, dels [][2]graph.No
 	ge, err := s.graphFor(name)
 	if err != nil {
 		return GraphInfo{}, err
+	}
+	// An add may grow the graph, by at most the new nodes it names: without
+	// the bound one id near 2³¹ would size every later join's engines. The
+	// check lives here, not in ApplyEdits, so WAL replay still applies every
+	// committed record.
+	limit := ge.g.NumNodes() + 2*len(adds)
+	for _, e := range adds {
+		if id := max(e.U, e.V); int(id) >= limit {
+			return GraphInfo{}, fmt.Errorf("%w: add (%d,%d) names node %d; graph %q has %d nodes, which %d adds may grow to at most %d",
+				ErrNodeLimit, e.U, e.V, id, name, ge.g.NumNodes(), len(adds), limit)
+		}
 	}
 	next, err := graph.ApplyEdits(ge.g, adds, dels)
 	if err != nil {
@@ -87,6 +100,11 @@ func (s *Service) UpdateEdges(name string, adds []graph.Edge, dels [][2]graph.No
 	defer s.mu.Unlock()
 	if old, ok := s.graphs[name]; ok {
 		s.purgeSessionsLocked(old.g)
+		// Reclaim the purged generation (its graph, engine pools, memo
+		// columns) now rather than at the pacer's next cycle: an edit makes
+		// little garbage of its own, so nothing else would trigger one soon.
+		// The write does not wait for it, and it runs outside s.mu.
+		go runtime.GC()
 	}
 	s.graphs[name] = &graphEntry{g: next, sets: ge.sets, gen: gen}
 	s.touchGraphLocked(name)

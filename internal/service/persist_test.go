@@ -2,6 +2,10 @@ package service
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -173,6 +177,49 @@ func TestUpdateEdgesWithoutStore(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Persistence != nil || st.Generations != nil {
 		t.Fatal("storeless service reported persistence stats")
+	}
+}
+
+// TestUpdateEdgesNodeLimit: an edit grows the graph by at most one node per
+// add endpoint, so the largest id an add may name is n + 2·len(adds) − 1.
+// Past it the update is ErrNodeLimit, naming the limit, and neither the
+// served graph, its generation nor the WAL moves.
+func TestUpdateEdgesNodeLimit(t *testing.T) {
+	g, sets := testGraph(t)
+	n := graph.NodeID(g.NumNodes()) // 140
+	for _, tc := range []struct {
+		name  string
+		adds  []graph.Edge
+		nodes int // 0: rejected with ErrNodeLimit
+	}{
+		{"existing ids", []graph.Edge{{U: 0, V: n - 1, W: 1}}, 140},
+		{"one add, both ends new", []graph.Edge{{U: n, V: n + 1, W: 1}}, 142},
+		{"one add, one end at the limit", []graph.Edge{{U: 0, V: n + 2, W: 1}}, 0},
+		{"two adds reach further", []graph.Edge{{U: 0, V: 1, W: 1}, {U: n + 3, V: 0, W: 1}}, 144},
+		{"two adds past the limit", []graph.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: n + 4, W: 1}}, 0},
+		{"the handler-test id", []graph.Edge{{U: 5000000, V: 1, W: 1}}, 0},
+		{"the largest id", []graph.Edge{{U: 0, V: 0, W: 1}, {U: math.MaxInt32, V: 0, W: 1}}, 0},
+	} {
+		svc := New(Config{Store: openStore(t, t.TempDir())})
+		if err := svc.LoadGraph("comm", g, sets); err != nil {
+			t.Fatal(err)
+		}
+		info, err := svc.UpdateEdges("comm", tc.adds, nil)
+		if tc.nodes > 0 {
+			if err != nil || info.Nodes != tc.nodes {
+				t.Fatalf("%s: (%+v, %v), want %d nodes", tc.name, info, err, tc.nodes)
+			}
+			continue
+		}
+		limit := fmt.Sprintf("at most %d", g.NumNodes()+2*len(tc.adds))
+		if !errors.Is(err, ErrNodeLimit) || !strings.Contains(err.Error(), limit) {
+			t.Fatalf("%s: error %v, want ErrNodeLimit naming %q", tc.name, err, limit)
+		}
+		st := svc.Stats()
+		if infos := svc.Graphs(); infos[0].Nodes != g.NumNodes() || infos[0].Generation != 1 ||
+			st.EdgeUpdates != 0 || st.Persistence.WALAppends != 0 {
+			t.Fatalf("%s: rejected edit moved the graph: %+v, %+v", tc.name, infos[0], st.Persistence)
+		}
 	}
 }
 

@@ -143,7 +143,9 @@ type join2Request struct {
 // of weighted-arc insertions and deletions. An add of an existing arc sums
 // into its weight (the graph builder's duplicate convention); a del removes
 // the directed arc entirely and is a no-op if absent. Deletions apply after
-// additions. The whole batch is durable (or rejected) as a unit.
+// additions. Adds may name node ids below n + 2·len(add), growing the graph
+// (ErrNodeLimit past that). The whole batch is durable (or rejected) as a
+// unit.
 type edgeUpdateRequest struct {
 	Add []edgeAddJSON `json:"add,omitempty"`
 	Del []edgeDelJSON `json:"del,omitempty"`
