@@ -12,20 +12,17 @@ import (
 	"repro/internal/rankjoin"
 )
 
-// BenchmarkPJIStreamCold is the repository benchmark's joinN_stream request
-// without the server around it: a fresh PJ-i stream per iteration over
-// 60-node subsets of distinct Yeast classes, the workload's four query shapes
-// (chain-3, triangle-3, star-4, chain-4, with the edge directions njoind's
-// "shape" expands to) round-robin, m = 50, pulled to k = 20, on a pooled
-// engine set and a shared 256-column memo as a serving session holds them.
-// Subsets do not repeat within the 64 prepared queries, so the time is the
-// per-edge initial joins, their F maintenance and the rank join; the
-// reported walk counters are per request and — unlike ns/op — identical on
-// every machine (at a fixed -benchtime Nx).
-func BenchmarkPJIStreamCold(b *testing.B) {
+// pjiStreamCold prepares BenchmarkPJIStreamCold's workload: 64 queries over
+// 60-node subsets of distinct Yeast classes, the joinN_stream workload's four
+// query shapes (chain-3, triangle-3, star-4, chain-4, with the edge directions
+// njoind's "shape" expands to) round-robin, and the spec they share — k = 20
+// on a pooled engine set, as a serving session holds it. Subsets do not
+// repeat within the 64 queries.
+func pjiStreamCold(tb testing.TB) (Spec, []*QueryGraph) {
+	tb.Helper()
 	ds, err := dataset.Yeast(1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	shapes := []struct {
 		n     int
@@ -57,12 +54,22 @@ func BenchmarkPJIStreamCold(b *testing.B) {
 	}
 	params := dht.DHTLambda(0.2)
 	base := Spec{Graph: ds.Graph, Params: params, D: params.StepsForEpsilon(1e-6), Agg: rankjoin.Min, K: 20}
-	pool, err := dht.NewEnginePool(base.Graph, base.Params, base.D)
-	if err != nil {
-		b.Fatal(err)
+	if base.Pool, err = dht.NewEnginePool(base.Graph, base.Params, base.D); err != nil {
+		tb.Fatal(err)
 	}
+	return base, queries
+}
+
+// BenchmarkPJIStreamCold is the repository benchmark's joinN_stream request
+// without the server around it: a fresh PJ-i stream per iteration over one of
+// pjiStreamCold's queries, m = 50, pulled to k = 20. The time is the
+// per-edge initial joins, their F maintenance and refinements, and the rank
+// join; the reported walk counters are per request and — unlike ns/op —
+// identical on every machine (at a fixed -benchtime Nx).
+func BenchmarkPJIStreamCold(b *testing.B) {
+	base, queries := pjiStreamCold(b)
 	var work dht.Counters
-	base.Pool, base.Memo, base.Counters = pool, dht.NewScoreMemo(256), &work
+	base.Counters = &work
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,4 +91,51 @@ func BenchmarkPJIStreamCold(b *testing.B) {
 	b.ReportMetric(float64(work.Walks)/n, "walks/op")
 	b.ReportMetric(float64(work.EdgeSweeps)/n, "sweeps/op")
 	b.ReportMetric(float64(work.FrontierEdges)/n, "frontier-edges/op")
+}
+
+// TestPJIWorkGate runs BenchmarkPJIStreamCold's 64 queries once each and
+// bounds the PJ-i walk work per request: the counters are exact on every
+// machine, so a change that makes the refinements walk more fails here
+// rather than as noise in a timing. Every answer list must equal — pairs,
+// float64 scores and order — the one the same query gets from forced PJ,
+// whose edges re-run a from-scratch join instead of refining F.
+func TestPJIWorkGate(t *testing.T) {
+	const maxWalks, maxSweeps = 587, 100 // per request
+	base, queries := pjiStreamCold(t)
+	var work dht.Counters
+	for _, q := range queries {
+		spec := base
+		spec.Query = q
+		spec.Counters = &work
+		alg, err := NewPJI(spec, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := alg.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No edge of PJ-i was pulled past 50 + Refetches, so PJ with that
+		// budget answers from one re-join per edge.
+		spec.Counters = nil
+		ref, err := NewPJ(spec, 50+int(alg.Stats.Refetches))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, want, func(a, b Answer) bool {
+			return a.Score == b.Score && slices.Equal(a.Nodes, b.Nodes)
+		}) {
+			t.Fatalf("query %v: PJ-i answered %v, PJ %v", q, got, want)
+		}
+	}
+	n := float64(len(queries))
+	walks, sweeps := float64(work.Walks)/n, float64(work.EdgeSweeps)/n
+	t.Logf("per request: %.2f walks, %.2f sweeps, %.0f frontier edges", walks, sweeps, float64(work.FrontierEdges)/n)
+	if walks > maxWalks || sweeps > maxSweeps {
+		t.Fatalf("PJ-i did %.2f walks and %.2f sweeps per request, bound %d and %d", walks, sweeps, maxWalks, maxSweeps)
+	}
 }

@@ -65,7 +65,7 @@ func TestTupleStreamPrefixEquivalence(t *testing.T) {
 				continue
 			}
 			// A fresh algorithm value per prefix: Run and Stream share
-			// per-run state (Stats, the PJ-i memo), so the reference run
+			// per-run state (Stats), so the reference run
 			// must not inherit the drained stream's.
 			ms := spec
 			ms.K = m

@@ -10,10 +10,9 @@ import (
 
 // DefaultMemoSize is the number of score columns a ScoreMemo retains when
 // the owner does not choose a capacity. Deliberately small: the default memo
-// exists to catch the tight repeat patterns of the incremental join
-// (consecutive winner pops that re-walk the same hot target at full depth)
-// and of re-join streams, not to cache whole result sets — each entry costs
-// O(|V|) floats. Long-lived owners (the serving layer) pick a larger
+// exists to catch the tight repeat pattern of a re-join stream over B-BJ
+// (TopK(m+1), TopK(m+2), … re-walk the same targets at full depth), not to
+// cache whole result sets — each entry costs O(|V|) floats. Long-lived owners (the serving layer) pick a larger
 // capacity explicitly.
 const DefaultMemoSize = 8
 

@@ -40,51 +40,6 @@ func TestWorkersBitIdenticalTopK(t *testing.T) {
 	}
 }
 
-// TestIncrementalMemoSizes: the PJ-i stream must emit the same sequence with
-// the memo on, tiny, or off (memo hits replay cached columns of the same
-// kernel, so even the bits agree).
-func TestIncrementalMemoSizes(t *testing.T) {
-	cfg := testConfig(t, 42, 0.25)
-	stream := func(c Config) []Result {
-		t.Helper()
-		inc, err := NewIncremental(c, BoundY)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := inc.Run(10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 30; i++ {
-			r, ok, err := inc.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			res = append(res, r)
-		}
-		return res
-	}
-	off := cfg
-	off.MemoSize = -1
-	want := stream(off)
-	for _, memoSize := range []int{0, 2} { // default, tiny
-		c := cfg
-		c.MemoSize = memoSize
-		got := stream(c)
-		if len(got) != len(want) {
-			t.Fatalf("memo %d: %d results, want %d", memoSize, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("memo %d rank %d: %+v != %+v", memoSize, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // relabelings returns both locality orderings of the config's graph.
 func relabelings(cfg Config) map[string]*graph.Relabeling {
 	return map[string]*graph.Relabeling{

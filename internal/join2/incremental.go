@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/pqueue"
 )
@@ -39,16 +38,9 @@ type Incremental struct {
 	order   *pqueue.SlotHeap
 	ubound  func(q graph.NodeID, l int) float64
 	started bool
-	err     error           // a failed Run left F half-filled: every later Next returns it
-	one     [1]graph.NodeID // refine's target set
-
-	// memo caches full-depth score columns by (kind, q, d): the winner path
-	// of Next re-walks the same hot target once per emitted pair of that
-	// target, and consecutive winners cluster on few targets, so a small
-	// LRU absorbs most of those d-step walks. Shorter refinement walks are
-	// not cached — they are near-free under the sparse kernel, while a memo
-	// hit would still cost an O(|V|) column copy on insert.
-	memo *dht.ScoreMemo
+	err     error          // a failed Run left F half-filled: every later Next returns it
+	targets []graph.NodeID // refine's target set, reused across calls
+	at      []int          // targets[i] is Q[at[i]]
 }
 
 // nodeIndex finds a node's position in a repeat-free id list by binary search
@@ -84,12 +76,12 @@ func (x nodeIndex) find(id graph.NodeID) int {
 // NewIncremental validates the config and returns an idle join state; call
 // Run to execute the initial top-m join. P and Q are sets: a node listed
 // twice is one row or column of F, so no pair can be emitted twice. The state
-// records bound observations from the walker's callback and refines one
-// target at a time, so it always runs one worker, whatever Config.Workers
-// says.
+// records bound observations from the walker's callback, so it always runs
+// one worker, whatever Config.Workers says. It reads and writes no score memo
+// (Config.Memo and MemoSize are ignored).
 func NewIncremental(cfg Config, variant BoundVariant) (*Incremental, error) {
 	cfg.Workers = 1
-	inc := &Incremental{memo: cfg.newMemo()}
+	inc := &Incremental{}
 	cfg.P, inc.rows = indexNodes(cfg.P)
 	cfg.Q, inc.cols = indexNodes(cfg.Q)
 	b, err := NewBIDJ(cfg, variant)
@@ -117,9 +109,10 @@ func (inc *Incremental) Run(m int) ([]Result, error) {
 	// over the full P and Q.
 	inc.ubound = inc.b.ubound()
 	res, err := inc.b.TopK(m)
-	// The initial join is this state's only batched walk (refinements walk
-	// one target): hand the batch engine back rather than sit on it for the
-	// stream's lifetime. The solo engine stays, held until Release.
+	// Most streams are never pulled past their initial batch, so hand the
+	// batch engine back rather than sit on it. The solo engine stays; the
+	// first full-depth refinement checks a batch engine out again, and from
+	// then on both are held until Release.
 	inc.b.w.releaseBatch()
 	if err != nil {
 		inc.err = err
@@ -168,7 +161,8 @@ func (inc *Incremental) pair(s int32) Pair {
 // the second-highest upper bound only its exact value is missing (one d-step
 // walk of its target q, after which the loop looks again — a tied cell with a
 // smaller key may lead now); if not, q is refined with a min(2l, d)-step
-// walk. Either walk tightens every pair of that q at once.
+// walk. Either walk tightens every pair of that q at once, and a d-step walk
+// takes the targets of the next contending cells along (see refine).
 func (inc *Incremental) Next() (Result, bool, error) {
 	if !inc.started {
 		return Result{}, false, fmt.Errorf("join2: Incremental.Next before Run")
@@ -201,23 +195,40 @@ func (inc *Incremental) Next() (Result, bool, error) {
 		if second, ok := inc.order.SecondMax(); ok && inc.lower[s] < second {
 			next = min(2*int(inc.l[s]), d) // not separated yet
 		}
-		if err := inc.refine(int(s)%len(inc.b.cfg.Q), next); err != nil {
+		if err := inc.refine(s, next); err != nil {
 			return Result{}, false, err
 		}
 	}
 }
 
-// refine re-walks Q[qi] at depth l and tightens every still-pending pair of
-// it, reading the column at the nodes of P only. Full-depth walks go through
-// the (q, l)-keyed memo.
-func (inc *Incremental) refine(qi, l int) error {
-	q, ub := inc.b.cfg.Q[qi], 0.0
-	if l < inc.b.cfg.D {
-		ub = inc.ubound(q, l)
+// refine walks the target of the leading cell s at depth l and tightens every
+// still-pending pair of each walked target, reading the columns at the nodes
+// of P only. A walk shorter than d is that one target. A d-step walk also
+// takes the distinct targets of the cells that follow s in F's order and are
+// not exact yet, up to the batch engine's width W (found among the first 4W
+// cells), and walks them as one rows-form batch: the loop in Next would walk
+// most of them to d within the next few pulls anyway. Each column is == its
+// solo walk and observe keeps a cell's longest observation, so which targets
+// ride along changes the work done, never the emitted sequence.
+func (inc *Incremental) refine(s int32, l int) error {
+	c := &inc.b.cfg
+	nq := len(c.Q)
+	qi := int(s) % nq
+	inc.targets, inc.at = append(inc.targets[:0], c.Q[qi]), append(inc.at[:0], qi)
+	ub := 0.0
+	if l < c.D {
+		ub = inc.ubound(c.Q[qi], l)
+	} else {
+		width := inc.b.w.batch().W
+		inc.order.Leading(4*width, func(cell int32) bool {
+			if ci := int(cell) % nq; int(inc.l[cell]) < l && !slices.Contains(inc.at, ci) {
+				inc.targets, inc.at = append(inc.targets, c.Q[ci]), append(inc.at, ci)
+			}
+			return len(inc.targets) < width
+		})
 	}
-	inc.one[0] = q
-	return inc.b.w.columns(inc.one[:], l, inc.memo, func(_, _ int, scores []float64) {
-		inc.observe(qi, l, scores, ub)
+	return inc.b.w.columns(inc.targets, l, nil, func(_, i int, scores []float64) {
+		inc.observe(inc.at[i], l, scores, ub)
 	})
 }
 

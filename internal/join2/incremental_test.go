@@ -76,7 +76,8 @@ func TestIncrementalTieOrderAllTied(t *testing.T) {
 // TestIncrementalTieOrderBetaTail: sparse community graphs where most of the
 // 30×30 pairs are out of reach within d, so the ranking ends in a long tail
 // of pairs tied at the measure's floor score, interleaved column by column
-// in F — the shape a served stream drained deep actually meets.
+// in F — the shape a served stream drained deep actually meets. A small
+// initial batch leaves the most cells for batched full-depth refinements.
 func TestIncrementalTieOrderBetaTail(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g, sets, err := graph.GenerateCommunity(graph.CommunityConfig{
@@ -89,8 +90,10 @@ func TestIncrementalTieOrderBetaTail(t *testing.T) {
 			Graph: g, Params: dht.DHTLambda(0.2), D: 8,
 			P: sets[0].Nodes()[:30], Q: sets[1].Nodes()[:30],
 		}
-		assertFullDrainMatchesBBJ(t, fmt.Sprintf("first-hit, seed %d", seed), cfg, 10)
-		assertFullDrainMatchesBBJ(t, fmt.Sprintf("reach, seed %d", seed), asReach(cfg), 10)
+		for _, initial := range []int{1, 5, 50} {
+			assertFullDrainMatchesBBJ(t, fmt.Sprintf("first-hit, seed %d, initial %d", seed, initial), cfg, initial)
+			assertFullDrainMatchesBBJ(t, fmt.Sprintf("reach, seed %d, initial %d", seed, initial), asReach(cfg), initial)
+		}
 	}
 }
 
@@ -125,40 +128,53 @@ func TestIncrementalDuplicateIDs(t *testing.T) {
 	}
 }
 
-// TestIncrementalFailedRunStaysFailed: a Cancel that fires in the second
-// deepening round aborts the initial join with F half-filled. The stream must
-// keep returning that error — not rank the half-filled table — and hold no
-// engine after Release.
-func TestIncrementalFailedRunStaysFailed(t *testing.T) {
-	cfg := testConfig(t, 3, 0.2)
+// errBudgetSpent is the error cancelInRoundTwo's Cancel returns.
+var errBudgetSpent = errors.New("budget spent")
+
+// cancelInRoundTwo returns a config on its own engine pool whose Cancel, once
+// armed, fails the second deepening round of a B-IDJ join with
+// errBudgetSpent. arm(true) restarts the poll count; arm(false) disarms.
+func cancelInRoundTwo(t *testing.T) (cfg Config, pool *dht.EnginePool, arm func(bool)) {
+	t.Helper()
+	cfg = testConfig(t, 3, 0.2)
 	pool, err := dht.NewEnginePool(cfg.Graph, cfg.Params, cfg.D)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Pool = pool
-	stop := errors.New("budget spent")
-	polls, armed := 0, true
+	polls, armed := 0, false
 	cfg.Cancel = func() error {
 		// B-IDJ polls once per round and the walker once per solo target:
 		// round one is 1 + |Q| polls, so this fires inside round two.
 		if polls++; armed && polls > 1+len(cfg.Q)+2 {
-			return stop
+			return errBudgetSpent
 		}
 		return nil
 	}
-	st, err := NewIncrementalStream(cfg, BoundY, StreamSpec{Initial: 5})
+	return cfg, pool, func(on bool) { polls, armed = 0, on }
+}
+
+// assertFailedPrimeStaysFailed opens a stream over a config whose initial
+// join fails in its second round. The stream must keep returning that error
+// from Prime and Next — not rank a half-finished join, nor re-join as if
+// nothing failed — and hold no engine after Release.
+func assertFailedPrimeStaysFailed(t *testing.T, open func(Config) (Stream, error)) {
+	t.Helper()
+	cfg, pool, arm := cancelInRoundTwo(t)
+	arm(true)
+	st, err := open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.(Primer).Prime(); !errors.Is(err, stop) {
+	if err := st.(Primer).Prime(); !errors.Is(err, errBudgetSpent) {
 		t.Fatalf("Prime = %v, want the cancel error", err)
 	}
-	armed = false // from here on only the kept error can fail a call
+	arm(false) // from here on only the kept error can fail a call
 	for i := 0; i < 3; i++ {
-		if r, ok, err := st.Next(); !errors.Is(err, stop) || ok {
+		if r, ok, err := st.Next(); !errors.Is(err, errBudgetSpent) || ok {
 			t.Fatalf("Next %d after a failed initial join = %v, %v, %v", i, r, ok, err)
 		}
-		if err := st.(Primer).Prime(); !errors.Is(err, stop) {
+		if err := st.(Primer).Prime(); !errors.Is(err, errBudgetSpent) {
 			t.Fatalf("Prime %d after a failed initial join = %v", i, err)
 		}
 	}
@@ -166,18 +182,28 @@ func TestIncrementalFailedRunStaysFailed(t *testing.T) {
 	if n := pool.Outstanding(); n != 0 {
 		t.Fatalf("%d engines outstanding after Release", n)
 	}
+}
+
+// TestIncrementalFailedRunStaysFailed: a Cancel that fires in the second
+// deepening round aborts the initial join with F half-filled. The stream and
+// the join state under it must keep returning that error.
+func TestIncrementalFailedRunStaysFailed(t *testing.T) {
+	assertFailedPrimeStaysFailed(t, func(cfg Config) (Stream, error) {
+		return NewIncrementalStream(cfg, BoundY, StreamSpec{Initial: 5})
+	})
 
 	// The join state itself is as sticky as the stream over it.
-	polls, armed = 0, true
+	cfg, pool, arm := cancelInRoundTwo(t)
+	arm(true)
 	inc, err := NewIncremental(cfg, BoundY)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Run(5); !errors.Is(err, stop) {
+	if _, err := inc.Run(5); !errors.Is(err, errBudgetSpent) {
 		t.Fatalf("Run = %v, want the cancel error", err)
 	}
-	armed = false
-	if _, _, err := inc.Next(); !errors.Is(err, stop) {
+	arm(false)
+	if _, _, err := inc.Next(); !errors.Is(err, errBudgetSpent) {
 		t.Fatalf("Next after a failed Run = %v", err)
 	}
 	inc.Release()

@@ -49,10 +49,10 @@ type Config struct {
 	Workers int
 
 	// MemoSize bounds the (kind, q, l)-keyed memo of backward score columns
-	// that B-BJ and the incremental join consult before re-walking a target
-	// at full depth: 0 selects dht.DefaultMemoSize, a negative value
-	// disables the memo. Each retained column costs O(|V|) floats, which is
-	// why the default stays small.
+	// that B-BJ consults before re-walking a target at full depth (no other
+	// joiner reads or writes a memo): 0 selects dht.DefaultMemoSize, a
+	// negative value disables the memo. Each retained column costs O(|V|)
+	// floats, which is why the default stays small.
 	MemoSize int
 
 	// Counters, when non-nil, accumulates the walk work of every engine the

@@ -1,6 +1,7 @@
 package join2
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -42,36 +43,40 @@ func TestReachAllAlgorithmsAgree(t *testing.T) {
 }
 
 // TestReachIncrementalMatchesBatch extends the incremental-stream test to
-// the reach measure.
+// the reach measure, from initial batches of several sizes.
 func TestReachIncrementalMatchesBatch(t *testing.T) {
+	const k = 60
 	cfg := reachConfig(t, 47, 0.5)
 	ref, err := NewBBJ(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.TopK(30)
+	want, err := ref.TopK(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(cfg, BoundY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := inc.Run(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for len(got) < 30 {
-		r, ok, err := inc.Next()
+	for _, initial := range []int{1, 5, 50} {
+		inc, err := NewIncremental(cfg, BoundY)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		got, err := inc.Run(initial)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got = append(got, r)
+		for len(got) < k {
+			r, ok, err := inc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got = append(got, r)
+		}
+		inc.Release()
+		assertSameTopK(t, fmt.Sprintf("Incremental/reach, initial %d", initial), got, want)
 	}
-	assertSameTopK(t, "Incremental/reach", got, want)
 }
 
 // TestReachScoresNonNegative: PPR scores are probabilities scaled by 1−c,

@@ -78,8 +78,9 @@ func (s *StreamSpec) initial() int {
 // state: the paper's PJ-i production path. The initial batch runs B-IDJ with
 // the given bound variant while recording every walked column's bounds; pulls
 // past it refine only contending pairs (§VI-D). The initial batch checks the
-// engines out and returns the batch engine; the solo engine the refinements
-// walk on is held until Release.
+// engines out and returns the batch engine; the first pull that walks a
+// target to full depth checks one out again, and from then on the stream
+// holds both engines until Release.
 func NewIncrementalStream(cfg Config, variant BoundVariant, spec StreamSpec) (Stream, error) {
 	inc, err := NewIncremental(cfg, variant)
 	if err != nil {
@@ -159,24 +160,23 @@ type rejoinStream struct {
 	list      []Result
 	pos       int
 	started   bool
+	err       error // a failed initial join: every later Prime and Next returns it
 	refetches *int64
 }
 
+// Prime runs the initial join once; a failed one stays failed, as for the
+// incremental stream.
 func (s *rejoinStream) Prime() error {
 	if s.started {
-		return nil
+		return s.err
 	}
 	s.started = true
 	k := s.budget
 	if s.maxPairs > 0 && k > s.maxPairs {
 		k = s.maxPairs
 	}
-	list, err := s.j.TopK(k)
-	if err != nil {
-		return err
-	}
-	s.list = list
-	return nil
+	s.list, s.err = s.j.TopK(k)
+	return s.err
 }
 
 func (s *rejoinStream) Next() (Result, bool, error) {

@@ -140,6 +140,26 @@ func TestStreamReleaseReturnsPoolEngines(t *testing.T) {
 	}
 }
 
+// TestRejoinFailedRunStaysFailed: the re-join stream keeps a failed initial
+// join's error like the incremental one, whether it is named directly or
+// chosen by NewNamedStream for a batch request.
+func TestRejoinFailedRunStaysFailed(t *testing.T) {
+	t.Run("rejoin", func(t *testing.T) {
+		assertFailedPrimeStaysFailed(t, func(cfg Config) (Stream, error) {
+			j, err := NewBIDJY(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return NewRejoinStream(j, StreamSpec{Initial: 5})
+		})
+	})
+	t.Run("named-batch", func(t *testing.T) {
+		assertFailedPrimeStaysFailed(t, func(cfg Config) (Stream, error) {
+			return NewNamedStream("B-IDJ-Y", cfg, StreamSpec{Initial: 5}, true)
+		})
+	})
+}
+
 // TestStreamRefetchCounting: pulls beyond the initial batch must be counted
 // exactly once each for the incremental strategy (one Next per refetch) and
 // once per re-join for the rejoin strategy.

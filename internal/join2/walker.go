@@ -101,8 +101,8 @@ func (w *walker) release() {
 	w.releaseBatch()
 }
 
-// releaseBatch returns only the batch engine, for a caller that knows its
-// remaining rounds are single-target.
+// releaseBatch returns only the batch engine, for a caller whose further
+// rounds may never come; the next batched round checks one out again.
 func (w *walker) releaseBatch() {
 	w.pool.PutBatch(w.be)
 	w.be = nil

@@ -181,10 +181,11 @@ func (t *TopK[T]) down(i int) {
 // otherwise the order is whatever the operation history left — a pure
 // function of the operation sequence either way.
 type SlotHeap struct {
-	prio []float64 // by slot
-	pos  []int32   // by slot: position in heap, -1 when the slot is not held
-	heap []int32   // heap order → slot
-	tie  func(slot int32) int64
+	prio  []float64 // by slot
+	pos   []int32   // by slot: position in heap, -1 when the slot is not held
+	heap  []int32   // heap order → slot
+	tie   func(slot int32) int64
+	front []int32 // Leading's frontier of heap positions, reused across calls
 }
 
 // NewSlotHeap returns an empty heap. tie, when non-nil, is the total order
@@ -264,6 +265,36 @@ func (h *SlotHeap) SecondMax() (float64, bool) {
 	default:
 		return max(h.prio[h.heap[1]], h.prio[h.heap[2]]), true
 	}
+}
+
+// Leading hands fn the held slots in rank order, best first, until fn returns
+// false or n slots have been handed out. It is a best-first descent from the
+// root — every child ranks behind its parent — over a frontier of at most
+// n+1 heap positions, so it examines O(n) entries however large the heap is.
+// fn must not modify the heap.
+func (h *SlotHeap) Leading(n int, fn func(slot int32) bool) {
+	if len(h.heap) == 0 {
+		return
+	}
+	front := append(h.front[:0], 0)
+	for ; n > 0 && len(front) > 0; n-- {
+		best := 0
+		for i := 1; i < len(front); i++ {
+			if h.beats(h.heap[front[i]], h.heap[front[best]]) {
+				best = i
+			}
+		}
+		at := front[best]
+		front[best] = front[len(front)-1]
+		front = front[:len(front)-1]
+		if !fn(h.heap[at]) {
+			break
+		}
+		for c := 2*at + 1; c <= 2*at+2 && int(c) < len(h.heap); c++ {
+			front = append(front, c)
+		}
+	}
+	h.front = front
 }
 
 // Remove deletes slot from the heap, reporting whether it was held.

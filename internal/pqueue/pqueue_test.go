@@ -3,6 +3,7 @@ package pqueue
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -283,7 +284,8 @@ func drain(h *SlotHeap) []int32 {
 // TestIndexedPopMaxDrains: draining pops priorities in descending order,
 // whether the heap was filled by Set or built by one heapify — and with a tie
 // function, equal priorities leave in ascending key order on both paths, which
-// is the canonical tie order the incremental join's F relies on.
+// is the canonical tie order the incremental join's F relies on. Leading
+// visits that order without popping.
 func TestIndexedPopMaxDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	vals := make([]float64, 50)
@@ -316,6 +318,20 @@ func TestIndexedPopMaxDrains(t *testing.T) {
 	for name, h := range map[string]*SlotHeap{"Set": set, "Build": built} {
 		if h.Len() != len(want) {
 			t.Fatalf("%s: Len = %d, want %d", name, h.Len(), len(want))
+		}
+		// Leading visits the same order without popping: any bound, and an
+		// early stop from fn.
+		for _, n := range []int{0, 1, 7, 32, len(want) + 5} {
+			var lead []int32
+			h.Leading(n, func(s int32) bool { lead = append(lead, s); return true })
+			if !slices.Equal(lead, want[:min(n, len(want))]) {
+				t.Fatalf("%s: Leading(%d) = %v, want %v", name, n, lead, want[:min(n, len(want))])
+			}
+		}
+		stopped := 0
+		h.Leading(len(want), func(int32) bool { stopped++; return stopped < 3 })
+		if stopped != 3 {
+			t.Fatalf("%s: Leading visited %d slots after fn returned false at the 3rd", name, stopped)
 		}
 		got := drain(h)
 		for i := range want {
