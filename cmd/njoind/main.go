@@ -1,8 +1,8 @@
 // Command njoind is the long-lived join server: it keeps a bounded registry
 // of named graphs in memory and serves top-k 2-way and n-way DHT joins over
-// HTTP/JSON, reusing engines, score-column memos, relabelings, and recent
-// result prefixes across requests (see internal/service). Results are
-// bit-identical to the corresponding one-shot dhtjoin calls.
+// HTTP/JSON, reusing engines, relabelings, and recent result prefixes across
+// requests (see internal/service). Results are bit-identical to the
+// corresponding one-shot dhtjoin calls.
 //
 // Usage:
 //
@@ -96,7 +96,6 @@ func main() {
 		maxGraphs     = flag.Int("max-graphs", 0, "graph registry capacity (0 = default 16)")
 		maxSessions   = flag.Int("max-sessions", 0, "session cache capacity (0 = default 32)")
 		resultCache   = flag.Int("result-cache", 0, "per-session result LRU capacity (0 = default 128, negative disables)")
-		memoSize      = flag.Int("memo", 0, "per-session score-column memo capacity (0 = default 256, negative disables)")
 		maxConc       = flag.Int("max-concurrency", 0, "total join workers in flight (0 = GOMAXPROCS)")
 		tenantConc    = flag.Int("tenant-inflight", 0, "max concurrently admitted requests per tenant (0 = no per-tenant cap)")
 		tenantQueue   = flag.Int("tenant-queue", 0, "max queued requests per tenant before 429 (0 = default 32)")
@@ -128,7 +127,6 @@ func main() {
 		MaxGraphs:       *maxGraphs,
 		MaxSessions:     *maxSessions,
 		ResultCacheSize: *resultCache,
-		MemoSize:        *memoSize,
 		MaxConcurrency:  *maxConc,
 		TenantInFlight:  *tenantConc,
 		TenantQueue:     *tenantQueue,

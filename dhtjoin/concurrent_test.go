@@ -14,7 +14,7 @@ import (
 // TestConcurrentOptionsJoins drives Options-level joins — with Relabel on,
 // so the package relabel cache is hammered — from many goroutines against
 // one shared graph, and the Service facade alongside them, so the shared
-// engine pool and the concurrency-safe score memo see the same traffic.
+// engine pool and the result cache see the same traffic.
 // Run under -race in CI; every response is checked against the serial
 // reference, so scheduling can corrupt neither the caches nor the results.
 func TestConcurrentOptionsJoins(t *testing.T) {
@@ -76,7 +76,7 @@ func TestConcurrentOptionsJoins(t *testing.T) {
 						errs <- fmt.Errorf("w%d i%d: relabeled TopK diverged", w, i)
 						return
 					}
-				case 2: // service facade: shared pool + memo + result LRU
+				case 2: // service facade: shared pool + result LRU
 					got, err := svc.TopKPairs(context.Background(), "g", p, q, 10, nil)
 					if err != nil {
 						errs <- err

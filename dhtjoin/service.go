@@ -10,11 +10,11 @@ import (
 
 // Service is the library facade over the long-lived serving layer
 // (internal/service): it owns a bounded registry of named graphs and, per
-// (graph, params, d, relabel) configuration, shared engine pools, a
-// concurrency-safe score-column memo, and a cache of recent top-k results.
-// All methods are safe for concurrent use. The one-shot calls (TopKPairs /
-// TopK / Score) are this same request path with the caches off, so a served
-// result equals the one-shot result with the same Options.
+// (graph, params, d, relabel) configuration, shared engine pools and a cache
+// of recent top-k results. All methods are safe for concurrent use. The
+// one-shot calls (TopKPairs / TopK / Score) are this same request path with
+// the caches off, so a served result equals the one-shot result with the
+// same Options.
 //
 // Use it when the same graphs are queried repeatedly — a server, a notebook
 // session, a batch evaluator. One-shot calls remain the right tool for

@@ -7,7 +7,7 @@
 // into an embedded serving stack (the same internal/service njoind runs) and
 // the rankings come back through measure-named queries — first under the
 // paper's DHT, then under personalized PageRank for comparison — so repeated
-// queries share the service's engines, memos, and result cache.
+// queries share the service's engines and result cache.
 package main
 
 import (

@@ -72,8 +72,8 @@ func (t TwoWayKind) newJoiner(cfg join2.Config) (join2.Joiner, error) {
 
 // edgeConfig derives the 2-way join config for one query edge. counters,
 // when non-nil, aggregates the edge's engine work (shared across edges).
-// The spec's caller-owned pool and memo are threaded through so every edge
-// join draws on the same shared resources.
+// The spec's caller-owned pool is threaded through so every edge join draws
+// on the same shared engines.
 func edgeConfig(spec *Spec, e QEdge, counters *dht.Counters) join2.Config {
 	return join2.Config{
 		Graph:    spec.Graph,
@@ -85,7 +85,6 @@ func edgeConfig(spec *Spec, e QEdge, counters *dht.Counters) join2.Config {
 		Workers:  spec.Workers,
 		Counters: counters,
 		Pool:     spec.Pool,
-		Memo:     spec.Memo,
 		Cancel:   spec.Cancel,
 	}
 }

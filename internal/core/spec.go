@@ -45,12 +45,6 @@ type Spec struct {
 	// the same (Graph, Params, D); Validate rejects a mismatch.
 	Pool *dht.EnginePool
 
-	// Memo, when non-nil, is the shared score-column memo handed to every
-	// per-edge 2-way join (join2.Config.Memo). ScoreMemo is concurrency-safe,
-	// so the per-edge joins — which may run on worker goroutines — share it
-	// directly; the caller binds it to this spec's (graph, params, d).
-	Memo *dht.ScoreMemo
-
 	// Counters, when non-nil, additionally receives every engine counter
 	// increment of the run (chained behind the run-scoped counters that feed
 	// RunStats), so a long-lived owner can keep process-lifetime walk totals.

@@ -40,9 +40,7 @@ func benchJoiner(b *testing.B, mk func(Config) (Joiner, error), k int) {
 	}
 }
 
-func BenchmarkBBJTop50(b *testing.B) {
-	benchJoiner(b, func(c Config) (Joiner, error) { return NewBBJ(c) }, 50)
-}
+func BenchmarkBBJTop50(b *testing.B) { benchBBJ(b, 0) }
 
 func BenchmarkBIDJXTop50(b *testing.B) {
 	benchJoiner(b, func(c Config) (Joiner, error) { return NewBIDJX(c) }, 50)
@@ -85,19 +83,28 @@ func BenchmarkIncrementalNext(b *testing.B) {
 
 // BenchmarkBBJWorkers measures B-BJ fanned out over GOMAXPROCS workers
 // against BenchmarkBBJTop50.
-func BenchmarkBBJWorkers(b *testing.B) {
+func BenchmarkBBJWorkers(b *testing.B) { benchBBJ(b, -1) }
+
+// benchBBJ times a top-50 B-BJ on a fresh joiner per iteration, drawing its
+// engines from one pool: a repeated TopK on one joiner would select from the
+// scores it kept and walk nothing.
+func benchBBJ(b *testing.B, workers int) {
 	cfg := benchConfig(b)
-	cfg.Workers = -1
-	cfg.MemoSize = -1 // measure the walks, not the memo the repeated TopK would hit
-	j, err := NewBBJ(cfg)
+	pool, err := dht.NewEnginePool(cfg.Graph, cfg.Params, cfg.D)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg.Workers, cfg.Pool = workers, pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		j, err := NewBBJ(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := j.TopK(50); err != nil {
 			b.Fatal(err)
 		}
+		j.Release()
 	}
 }
 
@@ -136,7 +143,7 @@ func BenchmarkBIDJYCold(b *testing.B) {
 			groups = append(groups, s.Take(60))
 		}
 	}
-	base := Config{Graph: ds.Graph, Params: dht.DHTLambda(0.2), D: 8, MemoSize: -1}
+	base := Config{Graph: ds.Graph, Params: dht.DHTLambda(0.2), D: 8}
 	pool, err := dht.NewEnginePool(base.Graph, base.Params, base.D)
 	if err != nil {
 		b.Fatal(err)

@@ -45,8 +45,8 @@ type IterStat struct {
 // exactly. Complexity O(|Q|·d·|E|) worst case, far less when pruning bites —
 // and with the sparse walk kernel the early short-walk rounds cost only the
 // frontier edges they actually touch. Every round reads its columns at the
-// nodes of P only and publishes to no memo, so the batched rounds walk the
-// kernel's rows form (see walker.columns).
+// nodes of P only, so the batched rounds walk the kernel's rows form (see
+// walker.columns).
 //
 // The joiner caches its engines and the Y⁺ₗ table across TopK calls (the PJ
 // re-join stream calls TopK repeatedly), so a BIDJ is single-goroutine. With
@@ -160,7 +160,7 @@ func (b *BIDJ) TopK(k int) ([]Result, error) {
 			lo.Reset()
 		}
 		qUpper := make([]float64, len(alive))
-		if err := b.w.columns(alive, l, nil, func(wi, qi int, scores []float64) {
+		if err := b.w.columns(alive, l, func(wi, qi int, scores []float64) {
 			lower := lowers[wi]
 			q := alive[qi]
 			pMax := math.Inf(-1)
@@ -189,7 +189,7 @@ func (b *BIDJ) TopK(k int) ([]Result, error) {
 		return nil, err
 	}
 	tops := newPartials[Pair](k, workers)
-	if err := b.w.columns(alive, d, nil, func(wi, qi int, scores []float64) {
+	if err := b.w.columns(alive, d, func(wi, qi int, scores []float64) {
 		q := alive[qi]
 		addColumn(tops[wi], b.cfg.P, q, scores)
 		if b.record != nil {

@@ -77,8 +77,7 @@ func (x nodeIndex) find(id graph.NodeID) int {
 // Run to execute the initial top-m join. P and Q are sets: a node listed
 // twice is one row or column of F, so no pair can be emitted twice. The state
 // records bound observations from the walker's callback, so it always runs
-// one worker, whatever Config.Workers says. It reads and writes no score memo
-// (Config.Memo and MemoSize are ignored).
+// one worker, whatever Config.Workers says.
 func NewIncremental(cfg Config, variant BoundVariant) (*Incremental, error) {
 	cfg.Workers = 1
 	inc := &Incremental{}
@@ -227,7 +226,7 @@ func (inc *Incremental) refine(s int32, l int) error {
 			return len(inc.targets) < width
 		})
 	}
-	return inc.b.w.columns(inc.targets, l, nil, func(_, i int, scores []float64) {
+	return inc.b.w.columns(inc.targets, l, func(_, i int, scores []float64) {
 		inc.observe(inc.at[i], l, scores, ub)
 	})
 }

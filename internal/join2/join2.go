@@ -48,13 +48,6 @@ type Config struct {
 	// GOMAXPROCS. Results are bit-identical at any worker count.
 	Workers int
 
-	// MemoSize bounds the (kind, q, l)-keyed memo of backward score columns
-	// that B-BJ consults before re-walking a target at full depth (no other
-	// joiner reads or writes a memo): 0 selects dht.DefaultMemoSize, a
-	// negative value disables the memo. Each retained column costs O(|V|)
-	// floats, which is why the default stays small.
-	MemoSize int
-
 	// Counters, when non-nil, accumulates the walk work of every engine the
 	// join creates (including pooled worker engines) via atomic adds.
 	Counters *dht.Counters
@@ -67,13 +60,6 @@ type Config struct {
 	// The pool must be built for the same (Graph, Params, D); Validate
 	// rejects a mismatch.
 	Pool *dht.EnginePool
-
-	// Memo, when non-nil, replaces the joiner-constructed score-column memo
-	// (MemoSize is then ignored). ScoreMemo is safe for concurrent use, so a
-	// long-lived owner can share one memo across the concurrent requests of
-	// a (graph, params, d, measure) configuration; the caller is responsible
-	// for binding the memo to exactly one such configuration.
-	Memo *dht.ScoreMemo
 
 	// Cancel, when non-nil, is polled at walk-round granularity: once per
 	// deepening round, per walked chunk of targets or pairs, and per
@@ -124,18 +110,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("join2: caller pool built for a different (graph, params, d) configuration")
 	}
 	return nil
-}
-
-// newMemo returns the caller-owned memo when one is set, otherwise builds
-// the config's score-column memo (nil when disabled).
-func (c *Config) newMemo() *dht.ScoreMemo {
-	if c.Memo != nil {
-		return c.Memo
-	}
-	if c.MemoSize < 0 {
-		return nil
-	}
-	return dht.NewScoreMemo(c.MemoSize)
 }
 
 // workerCount resolves Config.Workers against the number of independent

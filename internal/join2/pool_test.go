@@ -35,7 +35,6 @@ func TestCallerOwnedPoolBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := dht.NewScoreMemo(256)
 
 	mk := map[string]func(Config) (Joiner, error){
 		"B-BJ":    func(c Config) (Joiner, error) { return NewBBJ(c) },
@@ -58,7 +57,6 @@ func TestCallerOwnedPoolBitIdentical(t *testing.T) {
 		for _, workers := range []int{0, 3} {
 			cfg := base
 			cfg.Pool = pool
-			cfg.Memo = memo
 			cfg.Workers = workers
 			j, err := newJoiner(cfg)
 			if err != nil {
@@ -122,7 +120,6 @@ func TestIncrementalCallerPool(t *testing.T) {
 	ref := run(base)
 	cfg := base
 	cfg.Pool = pool
-	cfg.Memo = dht.NewScoreMemo(64)
 	got := run(cfg)
 	if len(got) != len(ref) {
 		t.Fatalf("%d results, want %d", len(got), len(ref))

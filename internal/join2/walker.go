@@ -21,8 +21,8 @@ const batchMinSteps = 3
 // exact kernels produce for a joiner is requested through columns (backward,
 // one column h_l(·, q) per target) or pairScores (forward, one walk per
 // pair). It owns the engines, the solo-vs-batched choice, chunking, the
-// fan-out over Config.Workers, the full-depth memo, the cancellation polls
-// and the panic guard, so the joiners are left with their heap logic.
+// fan-out over Config.Workers, the cancellation polls and the panic guard,
+// so the joiners are left with their heap logic.
 //
 // Engines come from the caller's Config.Pool, or from a pool the walker
 // owns. Worker 0 is the calling goroutine: its solo and batch engine are
@@ -39,14 +39,12 @@ type walker struct {
 
 	// rows is Config.P as the kernel's read set — every joiner reads a
 	// walked column at the nodes of P and nowhere else — built by the first
-	// batched round that publishes to no memo (nil also when P is no
-	// minority of the graph; see dht.NewReadSet).
+	// batched round (nil when P is no minority of the graph; see
+	// dht.NewReadSet).
 	rows      *dht.ReadSet
 	rowsBuilt bool
 
-	r    round          // the columns call in flight
-	miss []graph.NodeID // memo-miss scratch, reused across calls
-	at   []int
+	r round // the columns call in flight
 }
 
 // newWalker returns the walker of a joiner whose config passed Validate.
@@ -125,10 +123,8 @@ func guard(fn func() error) (err error) {
 // round is the shared state of one columns call.
 type round struct {
 	l       int
-	targets []graph.NodeID // the targets still to walk
-	at      []int          // targets[i] is qs[at[i]]; nil when targets is qs
-	memo    *dht.ScoreMemo // where walked columns are published; may be nil
-	rows    *dht.ReadSet   // the rows fn reads; nil (every node) when memo is not
+	targets []graph.NodeID
+	rows    *dht.ReadSet // the rows fn reads; nil is every node
 	fn      func(wi, qi int, scores []float64)
 	batched bool
 
@@ -145,57 +141,31 @@ type round struct {
 // may run concurrently, and wi < Config.workerCount(len(qs)) — so a caller
 // keeps one partial result per wi and merges afterwards. With one worker,
 // walked columns arrive in qs order. scores is valid only within the call,
-// and only at the nodes of Config.P: a batched round that publishes to no
-// memo walks the kernel's rows form over P (dht.BackWalkRowsBatch), which
-// leaves every other entry unspecified. A round that publishes walks full
-// columns, so a memoised column is never a restricted one.
+// and only at the nodes of Config.P: a batched round walks the kernel's rows
+// form over P (dht.BackWalkRowsBatch), which leaves every other entry
+// unspecified.
 //
 // Walks of at least batchMinSteps steps over two or more targets run on the
 // batched kernel, in chunks of the width of the engine each worker actually
 // holds; everything else runs solo. Workers claim chunks from a shared
-// cursor, and Config.Cancel is polled before every chunk. A full-depth round
-// whose target set fits memo is served from it first (on worker 0, before
-// any walk) and publishes what it walks; a sequential pass over more targets
-// than the LRU holds would evict every entry before its re-use, so larger
-// sets bypass it. The first cancellation, or panic in a kernel or in fn,
-// stops the round and is returned.
-func (w *walker) columns(qs []graph.NodeID, l int, memo *dht.ScoreMemo, fn func(wi, qi int, scores []float64)) error {
+// cursor, and Config.Cancel is polled before every chunk. The first
+// cancellation, or panic in a kernel or in fn, stops the round and is
+// returned.
+func (w *walker) columns(qs []graph.NodeID, l int, fn func(wi, qi int, scores []float64)) error {
 	c := w.cfg
-	if l != c.D || len(qs) > memo.Cap() {
-		memo = nil
-	}
-	r := &w.r
-	*r = round{l: l, targets: qs, memo: memo, fn: fn}
-	if memo != nil {
-		w.miss, w.at = w.miss[:0], w.at[:0]
-		if err := guard(func() error {
-			for qi, q := range qs {
-				if col, ok := memo.Get(c.Measure, q, l); ok {
-					fn(0, qi, col)
-					continue
-				}
-				w.miss = append(w.miss, q)
-				w.at = append(w.at, qi)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		r.targets, r.at = w.miss, w.at
-	}
-	n := len(r.targets)
+	n := len(qs)
 	if n == 0 {
 		return nil
 	}
+	r := &w.r
+	*r = round{l: l, targets: qs, fn: fn}
 	width := 1
 	if r.batched = l >= batchMinSteps && n >= 2; r.batched {
 		width = w.batch().W
-		if memo == nil {
-			if !w.rowsBuilt {
-				w.rows, w.rowsBuilt = dht.NewReadSet(c.Graph, c.P), true
-			}
-			r.rows = w.rows
+		if !w.rowsBuilt {
+			w.rows, w.rowsBuilt = dht.NewReadSet(c.Graph, c.P), true
 		}
+		r.rows = w.rows
 	} else {
 		w.solo()
 	}
@@ -252,25 +222,15 @@ func (r *round) walk(w *walker, wi int) error {
 			return err
 		}
 		if !r.batched {
-			r.deliver(kind, wi, base, e.BackWalkScores(kind, r.targets[base], r.l))
+			r.fn(wi, base, e.BackWalkScores(kind, r.targets[base], r.l))
 			continue
 		}
 		chunk := r.targets[base:min(base+width, n)]
 		for ci, col := range be.BackWalkRowsBatch(kind, chunk, r.l, r.rows) {
-			r.deliver(kind, wi, base+ci, col)
+			r.fn(wi, base+ci, col)
 		}
 	}
 	return nil
-}
-
-// deliver publishes the walked column of targets[i] and hands it to fn.
-func (r *round) deliver(kind dht.Kind, wi, i int, col []float64) {
-	r.memo.Put(kind, r.targets[i], r.l, col)
-	qi := i
-	if r.at != nil {
-		qi = r.at[i]
-	}
-	r.fn(wi, qi, col)
 }
 
 // newPartials returns one empty top-k collector per worker of a columns

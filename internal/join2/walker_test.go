@@ -12,15 +12,13 @@ import (
 )
 
 // TestWalkerContract pins walker.columns — the one primitive under every
-// backward joiner — over {workers} × {walk length} × {memo} × {pool owner} ×
-// {measure kind}: every column is float64-== the dense reference kernel's,
+// backward joiner — over {workers} × {walk length} × {pool owner} ×
+// {measure kind}: every column is float64-== the dense reference kernel's at
+// the nodes of P (all a joiner may read; batched rounds walk the rows form),
 // every target is delivered exactly once under a worker index in range, a
-// shared full-depth memo serves the repeat round without walking, a
-// cancellation and a callback panic both surface as the round's error with
-// no engine left checked out, and at one worker the kernel work equals what
-// the pre-walker serial loop did for the same targets. "==" is at every node
-// for a round that publishes to a memo (and the published column is checked
-// too) and at the nodes of P for any other round: those walk the rows form.
+// repeat round walks every target again, a cancellation and a callback panic
+// both surface as the round's error with no engine left checked out, and at
+// one worker the kernel work is the rows form's for the same targets.
 func TestWalkerContract(t *testing.T) {
 	// Under the lane-kernel body this machine selected, with the subtest
 	// names the table has always had; then under each body by name.
@@ -31,24 +29,24 @@ func TestWalkerContract(t *testing.T) {
 func testWalkerContract(t *testing.T) {
 	// Counters of the pre-walker serial per-target loop (B-IDJ's, at commit
 	// 2f56227) over this config's 18 targets, by walk length; identical for
-	// both kinds. l = 1, 2 walk solo, l = d walks 8 + 8 + 2 batched: every
-	// step of every chunk a dense sweep when the round publishes full columns.
-	serial := map[int]dht.Counters{
+	// both kinds. l = 1, 2 walk solo. l = d walks 8 + 8 + 2 batched, where
+	// the full-column form swept densely at every step of every chunk (24
+	// sweeps); the rows form gathers the last step of each of the 3 chunks
+	// over P (Σ out-degree(P) edges, counted as frontier edges) instead, so
+	// 24 − 3 = 21 sweeps. P's one-hop neighbourhood holds more than half of
+	// this 50-node graph's edges, so the step before stays a sweep.
+	work := map[int]dht.Counters{
 		1: {Walks: 18, EdgeSweeps: 0, FrontierEdges: 92},
 		2: {Walks: 18, EdgeSweeps: 17, FrontierEdges: 102},
-		8: {Walks: 18, EdgeSweeps: 24, FrontierEdges: 0},
+		8: {Walks: 18, EdgeSweeps: 21},
 	}
-	// The rows form of the l = d round, derived from the line above: each of
-	// the 3 chunks gathers its last step over P (Σ out-degree(P) edges, counted
-	// as frontier edges) instead of sweeping, 24 − 3 = 21 sweeps. P's one-hop
-	// neighbourhood holds more than half of this 50-node graph's edges, so the
-	// step before stays a sweep.
-	rowsForm := dht.Counters{Walks: 18, EdgeSweeps: 21}
 	{
 		cfg := testConfig(t, 7, 0.3)
+		rows := work[cfg.D]
 		for _, p := range cfg.P {
-			rowsForm.FrontierEdges += 3 * int64(cfg.Graph.OutDegree(p))
+			rows.FrontierEdges += 3 * int64(cfg.Graph.OutDegree(p))
 		}
+		work[cfg.D] = rows
 	}
 	for _, kind := range []dht.Kind{dht.FirstHit, dht.Reach} {
 		base := testConfig(t, 7, 0.3)
@@ -70,9 +68,11 @@ func testWalkerContract(t *testing.T) {
 				dense.BackWalkKind(kind, q, l, want[qi])
 			}
 			for _, workers := range []int{1, 3, -1} {
-				for _, shared := range []bool{false, true} {
+				// The memo=… name segment outlived the score memo so the
+				// subtest names stay stable; both values run the same case.
+				for _, memo := range []bool{false, true} {
 					for _, callerPool := range []bool{false, true} {
-						name := fmt.Sprintf("%v/l=%d/workers=%d/memo=%v/pool=%v", kind, l, workers, shared, callerPool)
+						name := fmt.Sprintf("%v/l=%d/workers=%d/memo=%v/pool=%v", kind, l, workers, memo, callerPool)
 						t.Run(name, func(t *testing.T) {
 							cfg := base
 							cfg.Workers = workers
@@ -83,15 +83,7 @@ func testWalkerContract(t *testing.T) {
 								}
 								cfg.Pool = pool
 							}
-							var memo *dht.ScoreMemo
-							if shared {
-								memo = dht.NewScoreMemo(64)
-							}
-							work := serial[l]
-							if l == cfg.D && memo == nil {
-								work = rowsForm
-							}
-							walkerCase(t, cfg, l, memo, want, work)
+							walkerCase(t, cfg, l, want, work[l])
 						})
 					}
 				}
@@ -100,18 +92,9 @@ func testWalkerContract(t *testing.T) {
 	}
 }
 
-// firstDiff returns the first node at which a delivered column differs from
-// its reference, or -1: checked at every node for a round that publishes to
-// a memo, at the nodes of P — all a joiner may read — otherwise.
-func firstDiff(got, want []float64, ps []graph.NodeID, everywhere bool) int {
-	if everywhere {
-		for u := range want {
-			if got[u] != want[u] {
-				return u
-			}
-		}
-		return -1
-	}
+// firstDiff returns the first node of ps at which a delivered column differs
+// from its reference, or -1.
+func firstDiff(got, want []float64, ps []graph.NodeID) int {
 	for _, p := range ps {
 		if got[p] != want[p] {
 			return int(p)
@@ -120,7 +103,7 @@ func firstDiff(got, want []float64, ps []graph.NodeID, everywhere bool) int {
 	return -1
 }
 
-func walkerCase(t *testing.T, cfg Config, l int, memo *dht.ScoreMemo, want [][]float64, serial dht.Counters) {
+func walkerCase(t *testing.T, cfg Config, l int, want [][]float64, work dht.Counters) {
 	var ctrs dht.Counters
 	cfg.Counters = &ctrs
 	var polls, failAt atomic.Int64
@@ -137,12 +120,12 @@ func walkerCase(t *testing.T, cfg Config, l int, memo *dht.ScoreMemo, want [][]f
 	// round runs one columns call and returns how often each target arrived.
 	round := func(fn func(qi int)) ([]int32, error) {
 		seen := make([]int32, len(cfg.Q))
-		err := w.columns(cfg.Q, l, memo, func(wi, qi int, scores []float64) {
+		err := w.columns(cfg.Q, l, func(wi, qi int, scores []float64) {
 			if wi < 0 || wi >= maxWorkers {
 				t.Errorf("worker index %d outside [0, %d)", wi, maxWorkers)
 			}
 			atomic.AddInt32(&seen[qi], 1)
-			if d := firstDiff(scores, want[qi], cfg.P, memo != nil && l == cfg.D); d >= 0 {
+			if d := firstDiff(scores, want[qi], cfg.P); d >= 0 {
 				t.Errorf("column of target %d differs from the dense reference at node %d: %v != %v", qi, d, scores[d], want[qi][d])
 			}
 			if fn != nil {
@@ -168,24 +151,15 @@ func walkerCase(t *testing.T, cfg Config, l int, memo *dht.ScoreMemo, want [][]f
 			t.Fatalf("target %d delivered %d times, want once", qi, n)
 		}
 	}
-	if memo != nil && l == cfg.D {
-		for qi, q := range cfg.Q {
-			col, ok := memo.Get(cfg.Measure, q, l)
-			if !ok || firstDiff(col, want[qi], nil, true) >= 0 {
-				t.Fatalf("target %d: published column present=%v, want the full dense reference", qi, ok)
-			}
-		}
-	}
 	first := ctrs.Snapshot()
-	if cfg.Workers == 1 && first != serial {
-		t.Fatalf("one-worker kernel work %+v, want the serial loop's %+v", first, serial)
+	if cfg.Workers == 1 && first != work {
+		t.Fatalf("one-worker kernel work %+v, want %+v", first, work)
 	}
 	if first.Walks != int64(len(cfg.Q)) {
 		t.Fatalf("%d walks for %d targets", first.Walks, len(cfg.Q))
 	}
 
-	// The repeat round: a full-depth round over a set that fits the memo is
-	// served from it; anything else walks again.
+	// The repeat round walks every target again: the walker caches nothing.
 	if seen, err = round(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -194,17 +168,13 @@ func walkerCase(t *testing.T, cfg Config, l int, memo *dht.ScoreMemo, want [][]f
 			t.Fatalf("repeat: target %d delivered %d times, want once", qi, n)
 		}
 	}
-	wantWalks := 2 * first.Walks
-	if memo != nil && l == cfg.D {
-		wantWalks = first.Walks
-	}
-	if got := ctrs.Snapshot().Walks; got != wantWalks {
+	if got, wantWalks := ctrs.Snapshot().Walks, 2*first.Walks; got != wantWalks {
 		t.Fatalf("repeat round: %d walks in total, want %d", got, wantWalks)
 	}
 	released("after clean rounds")
 
-	// A panic in the callback (here: on the last target, wherever it is
-	// served from) is the round's error, not a crash.
+	// A panic in the callback (here: on the last target) is the round's
+	// error, not a crash.
 	if _, err = round(func(qi int) {
 		if qi == len(cfg.Q)-1 {
 			panic("boom")
@@ -215,7 +185,6 @@ func walkerCase(t *testing.T, cfg Config, l int, memo *dht.ScoreMemo, want [][]f
 	released("after a callback panic")
 
 	// A cancellation that fires at the second chunk stops the round there.
-	memo = nil // every target must be walked for the poll to be reached
 	failAt.Store(2)
 	seen, err = round(nil)
 	if !errors.Is(err, stop) {
@@ -229,32 +198,4 @@ func walkerCase(t *testing.T, cfg Config, l int, memo *dht.ScoreMemo, want [][]f
 		t.Fatalf("canceled round still delivered all %d targets", delivered)
 	}
 	released("after a mid-round cancel")
-}
-
-// TestBBJMemoAtEveryWorkerCount: the re-join stream calls TopK with a growing
-// k on one joiner; the full-depth memo must serve the repeat at any worker
-// count, not just the serial one.
-func TestBBJMemoAtEveryWorkerCount(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		cfg := testConfig(t, 7, 0.3)
-		var ctrs dht.Counters
-		cfg.Counters, cfg.MemoSize, cfg.Workers = &ctrs, 64, workers
-		j, err := NewBBJ(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := j.TopK(5); err != nil {
-			t.Fatal(err)
-		}
-		walked := ctrs.Snapshot().Walks
-		if walked != int64(len(cfg.Q)) {
-			t.Fatalf("workers=%d: first TopK walked %d of %d targets", workers, walked, len(cfg.Q))
-		}
-		if _, err := j.TopK(6); err != nil {
-			t.Fatal(err)
-		}
-		if again := ctrs.Snapshot().Walks - walked; again != 0 {
-			t.Fatalf("workers=%d: TopK(6) after TopK(5) re-walked %d targets, want 0", workers, again)
-		}
-	}
 }

@@ -32,8 +32,6 @@ func WriteMetrics(w io.Writer, st Stats) {
 	metric(w, "njoind_score_requests_total", "counter", "Single-pair score requests.", st.ScoreRequests)
 	metric(w, "njoind_result_hits_total", "counter", "Result-cache hits.", st.ResultHits)
 	metric(w, "njoind_result_misses_total", "counter", "Result-cache misses.", st.ResultMisses)
-	metric(w, "njoind_memo_hits_total", "counter", "Score-column memo hits.", st.MemoHits)
-	metric(w, "njoind_memo_misses_total", "counter", "Score-column memo misses.", st.MemoMisses)
 
 	metric(w, "njoind_plan_requests_total", "counter", "Planner decisions requested.", st.PlanRequests)
 	metric(w, "njoind_plan_cache_hits_total", "counter", "Planner cache hits.", st.PlanCacheHits)

@@ -15,7 +15,7 @@ import (
 //
 // Everything hangs off one invariant: sessions are keyed by graph pointer
 // (sessionKey.g), so replacing a registry entry's *graph.Graph purges every
-// derived structure — score memos, result-cache prefixes, plan caches, and
+// derived structure — engine pools, result-cache prefixes, plan caches, and
 // planner calibrations — exactly when the graph's durable generation moves.
 // There is no separate invalidation protocol to get wrong.
 
@@ -100,9 +100,9 @@ func (s *Service) UpdateEdges(name string, adds []graph.Edge, dels [][2]graph.No
 	defer s.mu.Unlock()
 	if old, ok := s.graphs[name]; ok {
 		s.purgeSessionsLocked(old.g)
-		// Reclaim the purged generation (its graph, engine pools, memo
-		// columns) now rather than at the pacer's next cycle: an edit makes
-		// little garbage of its own, so nothing else would trigger one soon.
+		// Reclaim the purged generation (its graph and engine pools) now
+		// rather than at the pacer's next cycle: an edit makes little
+		// garbage of its own, so nothing else would trigger one soon.
 		// The write does not wait for it, and it runs outside s.mu.
 		go runtime.GC()
 	}

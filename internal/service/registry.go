@@ -52,7 +52,6 @@ type session struct {
 	g       *graph.Graph      // possibly relabeled
 	rl      *graph.Relabeling // nil when not relabeled
 	pool    *dht.EnginePool   // engines + batch engines, recycled across requests
-	memo    *dht.ScoreMemo    // concurrency-safe score columns
 	results *resultLRU        // recent top-k results, original id space
 	plans   *planCache        // planner decisions, keyed like the result LRU (+k)
 	calib   *plan.Calibration // observed-cost feedback from finished runs
@@ -149,8 +148,7 @@ func (s *Service) DropGraph(name string) (bool, error) {
 	return existed, derr
 }
 
-// purgeSessionsLocked drops every session keyed on g, retiring their memo
-// stats so Stats counters stay monotone.
+// purgeSessionsLocked drops every session keyed on g.
 func (s *Service) purgeSessionsLocked(g *graph.Graph) {
 	kept := s.sessionOrder[:0]
 	for _, key := range s.sessionOrder {
@@ -158,19 +156,9 @@ func (s *Service) purgeSessionsLocked(g *graph.Graph) {
 			kept = append(kept, key)
 			continue
 		}
-		s.retireSessionLocked(key)
-	}
-	s.sessionOrder = kept
-}
-
-// retireSessionLocked removes one session, folding its memo counters into
-// the retired accumulators.
-func (s *Service) retireSessionLocked(key sessionKey) {
-	if sess, ok := s.sessions[key]; ok {
-		s.retiredMemoHits.Add(sess.memo.Hits())
-		s.retiredMemoMisses.Add(sess.memo.Misses())
 		delete(s.sessions, key)
 	}
+	s.sessionOrder = kept
 }
 
 // Graphs lists the registry sorted by name — resident graphs plus any
@@ -247,7 +235,6 @@ func (s *Service) sessionFor(ge *graphEntry, params dht.Params, d int, mode grap
 		g:       rg,
 		rl:      rl,
 		pool:    pool,
-		memo:    newSessionMemo(s.cfg.MemoSize),
 		results: newResultLRU(s.cfg.ResultCacheSize),
 		plans:   newPlanCache(planCacheCap),
 		calib:   &plan.Calibration{},
@@ -267,9 +254,8 @@ func (s *Service) sessionFor(ge *graphEntry, params dht.Params, d int, mode grap
 		return sess, nil
 	}
 	if len(s.sessionOrder) >= s.cfg.MaxSessions {
-		oldest := s.sessionOrder[0]
+		delete(s.sessions, s.sessionOrder[0])
 		s.sessionOrder = s.sessionOrder[1:]
-		s.retireSessionLocked(oldest)
 	}
 	s.sessions[key] = sess
 	s.sessionOrder = append(s.sessionOrder, key)
@@ -297,14 +283,6 @@ func (s *Service) touchSessionLocked(key sessionKey) {
 			return
 		}
 	}
-}
-
-// newSessionMemo builds a session memo honoring the disable convention.
-func newSessionMemo(size int) *dht.ScoreMemo {
-	if size < 0 {
-		return nil
-	}
-	return dht.NewScoreMemo(size)
 }
 
 // resolveSet maps a SetRef to node ids in the entry's graph. An explicit id

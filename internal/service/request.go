@@ -220,7 +220,7 @@ type joinSpec[T any] interface {
 }
 
 // runEnv is the per-run execution environment a start hook threads into its
-// join2.Config or core.Spec, next to the session's pool and memo.
+// join2.Config or core.Spec, next to the session's pool.
 type runEnv struct {
 	workers int           // admission-granted worker count
 	ctrs    *dht.Counters // run-scoped; feeds the session calibration on Stop
@@ -272,7 +272,7 @@ func (sp pairSpec) bind(rq *request[join2.Result], ge *graphEntry) (string, erro
 		sess := rq.sess
 		cfg := join2.Config{
 			Graph: sess.g, Params: rq.res.Params, D: rq.res.D, P: pn, Q: qn, Measure: rq.res.Kernel.Walk,
-			Workers: env.workers, Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
+			Workers: env.workers, Pool: sess.pool, Counters: env.ctrs, Cancel: env.cancel,
 		}
 		if sess.rl != nil {
 			cfg.P, cfg.Q = sess.rl.MapToNew(pn), sess.rl.MapToNew(qn)
@@ -337,7 +337,7 @@ func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, erro
 			Graph: sess.g, Query: qg, Params: rq.res.Params, D: rq.res.D, Agg: rq.res.Agg,
 			K:        1, // required by Validate; the stream itself is k-free
 			Distinct: rq.query.Distinct, Measure: rq.res.Kernel.Walk,
-			Workers: env.workers, Pool: sess.pool, Memo: sess.memo, Counters: env.ctrs, Cancel: env.cancel,
+			Workers: env.workers, Pool: sess.pool, Counters: env.ctrs, Cancel: env.cancel,
 		}, rq.res.M)
 		if err != nil {
 			return nil, err

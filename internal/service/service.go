@@ -2,17 +2,16 @@
 // library: a Service owns a bounded registry of named graphs and, per
 // (graph, params, d, relabel-mode) configuration, a session holding the
 // shared resources that make cross-request reuse safe and worthwhile — a
-// dht.EnginePool (engines and batch engines recycled across requests), a
-// concurrency-safe score-column memo, and an LRU of recent top-k results. A
-// per-request admission controller caps the total worker goroutines in
-// flight, so concurrent requests cannot oversubscribe GOMAXPROCS.
+// dht.EnginePool (engines and batch engines recycled across requests) and an
+// LRU of recent top-k results. A per-request admission controller caps the
+// total worker goroutines in flight, so concurrent requests cannot
+// oversubscribe GOMAXPROCS.
 //
 // The one-shot dhtjoin calls are this same request path with the caches off
 // (Ephemeral), so there is no second implementation to agree with; what the
 // caches add never changes a result: the worker count does not (ties break
-// on the canonical pair key), memo-served columns are byte-for-byte the
-// columns a fresh walk would produce, and the result LRU stores exactly what
-// the join returned.
+// on the canonical pair key), and the result LRU stores exactly what the
+// join returned.
 package service
 
 import (
@@ -35,17 +34,13 @@ type Config struct {
 	MaxGraphs int
 
 	// MaxSessions bounds the per-configuration session cache; least
-	// recently used sessions (their pool, memo, and result cache) are
-	// evicted. Default 32.
+	// recently used sessions (their pool and result cache) are evicted.
+	// Default 32.
 	MaxSessions int
 
 	// ResultCacheSize is each session's LRU capacity of recent top-k
 	// results. 0 selects 128; negative disables result caching.
 	ResultCacheSize int
-
-	// MemoSize is each session's score-column memo capacity. 0 selects 256
-	// (sharded; see dht.NewScoreMemo); negative disables the memo.
-	MemoSize int
 
 	// MaxConcurrency caps the total join workers in flight across all
 	// concurrent requests (the admission controller grants each request
@@ -116,8 +111,8 @@ func (c Config) withDefaults() Config {
 	// MaxGraphs, MaxSessions, and MaxConcurrency have no meaningful
 	// "disabled" state (the service needs at least one of each), so any
 	// value below 1 selects the default rather than, say, wedging the
-	// session LRU eviction on an empty order slice. ResultCacheSize and
-	// MemoSize keep their documented negative-disables convention.
+	// session LRU eviction on an empty order slice. ResultCacheSize keeps its
+	// documented negative-disables convention.
 	if c.MaxGraphs < 1 {
 		c.MaxGraphs = 16
 	}
@@ -126,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 128
-	}
-	if c.MemoSize == 0 {
-		c.MemoSize = 256
 	}
 	if c.MaxConcurrency < 1 {
 		c.MaxConcurrency = runtime.GOMAXPROCS(0)
@@ -169,12 +161,11 @@ type Service struct {
 	counters dht.Counters // lifetime engine work, fed by every session pool
 	draining atomic.Bool  // set once by StartDrain; never cleared
 
-	join2Reqs, joinNReqs, scoreReqs    atomic.Int64
-	resultHits, resultMisses           atomic.Int64
-	retiredMemoHits, retiredMemoMisses atomic.Int64 // from evicted sessions
-	planReqs, planCacheHits            atomic.Int64
-	budgetTruncs, shedClamps, panics   atomic.Int64
-	edgeUpdates                        atomic.Int64
+	join2Reqs, joinNReqs, scoreReqs  atomic.Int64
+	resultHits, resultMisses         atomic.Int64
+	planReqs, planCacheHits          atomic.Int64
+	budgetTruncs, shedClamps, panics atomic.Int64
+	edgeUpdates                      atomic.Int64
 
 	picksMu sync.Mutex
 	picks   map[string]int64 // executions per chosen executor name
@@ -199,13 +190,11 @@ func New(cfg Config) *Service {
 }
 
 // Ephemeral returns the throw-away Service a one-shot dhtjoin call runs on:
-// g alone, registered under the empty name, with the cross-request parts
-// absent — no result LRU, no session memo (each joiner builds its private
-// one, as a direct executor call does) — and admission sized to the call's
-// own workers, so its one request is granted in full without waiting.
-// Everything else is the served request path.
+// g alone, registered under the empty name, with no result LRU, and
+// admission sized to the call's own workers, so its one request is granted
+// in full without waiting. Everything else is the served request path.
 func Ephemeral(g *graph.Graph, workers int) *Service {
-	s := New(Config{ResultCacheSize: -1, MemoSize: -1, MaxConcurrency: resolveWorkers(workers)})
+	s := New(Config{ResultCacheSize: -1, MaxConcurrency: resolveWorkers(workers)})
 	s.graphs[""] = &graphEntry{g: g}
 	return s
 }

@@ -267,7 +267,7 @@ func TestServiceScore(t *testing.T) {
 }
 
 // TestServiceConcurrent drives one service from many goroutines (run under
-// -race in CI): mixed join2/joinN/score traffic over shared sessions, memo,
+// -race in CI): mixed join2/joinN/score traffic over shared sessions,
 // relabel cache, and result LRU, with every response checked against the
 // serial reference.
 func TestServiceConcurrent(t *testing.T) {
@@ -334,7 +334,8 @@ func TestServiceConcurrent(t *testing.T) {
 }
 
 // TestServiceSessionEviction: overflowing MaxSessions retires the oldest
-// session; its memo counters survive in Stats (monotone).
+// session, and a request for its configuration rebuilds it and serves the
+// ranking at that configuration's depth.
 func TestServiceSessionEviction(t *testing.T) {
 	g, sets := testGraph(t)
 	svc := New(Config{MaxSessions: 2})
@@ -351,14 +352,20 @@ func TestServiceSessionEviction(t *testing.T) {
 		t.Fatalf("Sessions = %d, want 2", got)
 	}
 	// The evicted d=3 session rebuilds on demand and still serves correctly.
-	want := refJoin2(t, g, sets[0].Nodes(), sets[1].Nodes(), 5)
-	_ = want
+	j, err := join2.NewBIDJY(join2.Config{Graph: g, Params: dht.DHTLambda(0.2), D: 3, P: sets[0].Nodes(), Q: sets[1].Nodes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := j.TopK(5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := svc.Join2(context.Background(), "g", p, q, 5, Query{D: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 5 {
-		t.Fatalf("rebuilt session returned %d results", len(res))
+	if !sameResults(res, want) {
+		t.Fatalf("rebuilt d=3 session served %+v, want %+v", res, want)
 	}
 }
 
@@ -545,8 +552,6 @@ func TestServiceStatsMonotone(t *testing.T) {
 			{"score", prev.ScoreRequests, cur.ScoreRequests},
 			{"rhits", prev.ResultHits, cur.ResultHits},
 			{"rmiss", prev.ResultMisses, cur.ResultMisses},
-			{"mhits", prev.MemoHits, cur.MemoHits},
-			{"mmiss", prev.MemoMisses, cur.MemoMisses},
 			{"walks", prev.Walks, cur.Walks},
 			{"sweeps", prev.EdgeSweeps, cur.EdgeSweeps},
 			{"frontier", prev.FrontierEdges, cur.FrontierEdges},
@@ -605,7 +610,7 @@ func BenchmarkOneShotRepeatedJoin2(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceColdResultJoin2 measures the shared-pool/memo path with
+// BenchmarkServiceColdResultJoin2 measures the shared-pool path with
 // the result LRU defeated (distinct k per iteration pattern), isolating the
 // engine-reuse win from the result-cache win.
 func BenchmarkServiceColdResultJoin2(b *testing.B) {

@@ -14,8 +14,12 @@ type Stats struct {
 
 	ResultHits   int64 `json:"result_hits"`
 	ResultMisses int64 `json:"result_misses"`
-	MemoHits     int64 `json:"memo_hits"`
-	MemoMisses   int64 `json:"memo_misses"`
+
+	// MemoHits and MemoMisses always read 0: the score-column memo they
+	// counted is gone. They stay for the clients that still read them (the
+	// benchmark module's traced memo ratios).
+	MemoHits   int64 `json:"memo_hits"`
+	MemoMisses int64 `json:"memo_misses"`
 
 	// Planner surface: decisions made, plan-cache hits, and how often each
 	// executor was picked for execution (forced picks included).
@@ -94,11 +98,6 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	graphs := len(s.graphs)
 	sessions := len(s.sessions)
-	memoHits, memoMisses := s.retiredMemoHits.Load(), s.retiredMemoMisses.Load()
-	for _, sess := range s.sessions {
-		memoHits += sess.memo.Hits()
-		memoMisses += sess.memo.Misses()
-	}
 	s.mu.Unlock()
 	s.picksMu.Lock()
 	picks := make(map[string]int64, len(s.picks))
@@ -152,8 +151,6 @@ func (s *Service) Stats() Stats {
 		ScoreRequests:  s.scoreReqs.Load(),
 		ResultHits:     s.resultHits.Load(),
 		ResultMisses:   s.resultMisses.Load(),
-		MemoHits:       memoHits,
-		MemoMisses:     memoMisses,
 		PlanRequests:   s.planReqs.Load(),
 		PlanCacheHits:  s.planCacheHits.Load(),
 		PlanPicks:      picks,

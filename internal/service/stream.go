@@ -18,10 +18,9 @@ import (
 // claim the ranking is exhausted.
 const maxCachedPrefix = 4096
 
-// Stream streams one join request through the session's shared pool and
-// memo. It holds admission tokens and pooled engines until Stop — callers
-// MUST Stop (idempotent; draining to exhaustion or a ctx error stops
-// automatically). On Stop the drained prefix (up to maxCachedPrefix
+// Stream streams one join request through the session's shared pool. It
+// holds admission tokens and pooled engines until Stop — callers MUST Stop
+// (idempotent; draining to exhaustion or a ctx error stops automatically). On Stop the drained prefix (up to maxCachedPrefix
 // results) is published to the session's result cache, so a later request
 // for any k up to that length is served without a join.
 type Stream[T any] struct {

@@ -186,7 +186,10 @@ type answerJSON struct {
 }
 
 // shapeEdges expands a named query shape (empty means chain) over n sets
-// into explicit edges, mirroring core.Chain/Triangle/Star/Clique.
+// into explicit edges, one arc per side: chain i → i+1, triangle 0 → 1 →
+// 2 → 0, star centre 0 → every leaf, clique i → j for every i < j. Only
+// chain matches its core builder; core.Triangle and core.Clique add the
+// reverse arcs and core.Star points leaf → centre.
 func shapeEdges(shape string, n int) ([][2]int, error) {
 	switch shape {
 	case "chain", "":
