@@ -129,7 +129,7 @@ func (a *AP) Name() string {
 func (a *AP) Stream() (TupleStream, error) {
 	a.Stats = RunStats{}
 	ctrs := a.spec.runCounters()
-	srcs, err := buildSources(&a.spec, ctrs, func(cfg join2.Config) (edgeSource, error) {
+	srcs, err := buildSources(&a.spec, ctrs, a.twoWay == TwoWayBIDJY, func(cfg join2.Config) (edgeSource, error) {
 		j, err := a.twoWay.newJoiner(cfg)
 		if err != nil {
 			return nil, err

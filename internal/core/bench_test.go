@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/dht"
 	"repro/internal/graph"
+	"repro/internal/join2"
 	"repro/internal/rankjoin"
 )
 
@@ -64,12 +66,15 @@ func pjiStreamCold(tb testing.TB) (Spec, []*QueryGraph) {
 // without the server around it: a fresh PJ-i stream per iteration over one of
 // pjiStreamCold's queries, m = 50, pulled to k = 20. The time is the
 // per-edge initial joins, their F maintenance and refinements, and the rank
-// join; the reported walk counters are per request and — unlike ns/op —
-// identical on every machine (at a fixed -benchtime Nx).
+// join; first-ns/op is the part of it before the first answer (the module's
+// ttfr_p50_ms without the server). The reported walk counters are per request
+// and — unlike the times — identical on every machine (at a fixed -benchtime
+// Nx).
 func BenchmarkPJIStreamCold(b *testing.B) {
 	base, queries := pjiStreamCold(b)
 	var work dht.Counters
 	base.Counters = &work
+	var first time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,7 +84,19 @@ func BenchmarkPJIStreamCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		answers, err := alg.Run()
+		start := time.Now()
+		st, err := alg.Stream()
+		if err != nil {
+			b.Fatal(err)
+		}
+		answers, err := drainTuples(st, 1)
+		first += time.Since(start)
+		if err == nil {
+			var rest []Answer
+			rest, err = drainTuples(st, spec.K-1)
+			answers = append(answers, rest...)
+		}
+		st.Release()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,6 +105,7 @@ func BenchmarkPJIStreamCold(b *testing.B) {
 		}
 	}
 	n := float64(b.N)
+	b.ReportMetric(float64(first.Nanoseconds())/n, "first-ns/op")
 	b.ReportMetric(float64(work.Walks)/n, "walks/op")
 	b.ReportMetric(float64(work.EdgeSweeps)/n, "sweeps/op")
 	b.ReportMetric(float64(work.FrontierEdges)/n, "frontier-edges/op")
@@ -100,7 +118,7 @@ func BenchmarkPJIStreamCold(b *testing.B) {
 // float64 scores and order — the one the same query gets from forced PJ,
 // whose edges re-run a from-scratch join instead of refining F.
 func TestPJIWorkGate(t *testing.T) {
-	const maxWalks, maxSweeps = 587, 100 // per request
+	const maxWalks, maxSweeps = 587, 72 // per request
 	base, queries := pjiStreamCold(t)
 	var work dht.Counters
 	for _, q := range queries {
@@ -137,5 +155,59 @@ func TestPJIWorkGate(t *testing.T) {
 	t.Logf("per request: %.2f walks, %.2f sweeps, %.0f frontier edges", walks, sweeps, float64(work.FrontierEdges)/n)
 	if walks > maxWalks || sweeps > maxSweeps {
 		t.Fatalf("PJ-i did %.2f walks and %.2f sweeps per request, bound %d and %d", walks, sweeps, maxWalks, maxSweeps)
+	}
+}
+
+// TestPJIManyEdgesMatchesPJ runs PJ-i over a 5-clique of Yeast classes: 20
+// query edges, so the Y⁺ₗ tables take three lane walks of at most W = 8. The
+// answers must equal — pairs, float64 scores and order — forced PJ's, and the
+// tables must count one walk per edge.
+func TestPJIManyEdgesMatchesPJ(t *testing.T) {
+	base, _ := pjiStreamCold(t)
+	ds, err := dataset.Yeast(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := make([]*graph.NodeSet, 5)
+	for i := range sets {
+		sets[i] = ds.Sets[i].Take(30)
+	}
+	spec := base
+	spec.Query, spec.K = Clique(sets...), 10
+	if n := len(spec.Query.Edges()); n <= 2*dht.DefaultBatchWidth {
+		t.Fatalf("%d query edges, want more than two lane walks' worth", n)
+	}
+	alg, err := NewPJI(spec, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := alg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewPJ(spec, 5+int(alg.Stats.Refetches))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != spec.K || !slices.EqualFunc(got, want, func(a, b Answer) bool {
+		return a.Score == b.Score && slices.Equal(a.Nodes, b.Nodes)
+	}) {
+		t.Fatalf("PJ-i answered %v, PJ %v", got, want)
+	}
+
+	cfgs := make([]join2.Config, len(spec.Query.Edges()))
+	var work dht.Counters
+	for ei, e := range spec.Query.Edges() {
+		cfgs[ei] = edgeConfig(&spec, e, &work)
+	}
+	if err := join2.YBoundTables(cfgs); err != nil {
+		t.Fatal(err)
+	}
+	if work.Walks != int64(len(cfgs)) {
+		t.Fatalf("%d tables counted %d walks", len(cfgs), work.Walks)
 	}
 }

@@ -45,7 +45,7 @@ func (a *PJ) Name() string { return "PJ" }
 func (a *PJ) Stream() (TupleStream, error) {
 	a.Stats = RunStats{}
 	ctrs := a.spec.runCounters()
-	srcs, err := buildSources(&a.spec, ctrs, func(cfg join2.Config) (edgeSource, error) {
+	srcs, err := buildSources(&a.spec, ctrs, a.twoWay == TwoWayBIDJY, func(cfg join2.Config) (edgeSource, error) {
 		j, err := a.twoWay.newJoiner(cfg)
 		if err != nil {
 			return nil, err
@@ -117,7 +117,7 @@ func (a *PJI) Name() string { return "PJ-i" }
 func (a *PJI) Stream() (TupleStream, error) {
 	a.Stats = RunStats{}
 	ctrs := a.spec.runCounters()
-	srcs, err := buildSources(&a.spec, ctrs, func(cfg join2.Config) (edgeSource, error) {
+	srcs, err := buildSources(&a.spec, ctrs, a.variant == join2.BoundY, func(cfg join2.Config) (edgeSource, error) {
 		return join2.NewIncrementalStream(cfg, a.variant, join2.StreamSpec{
 			Initial:   a.m, // 0 selects 1: Incremental.Run needs a positive budget
 			Refetches: &a.Stats.Refetches,

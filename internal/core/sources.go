@@ -24,11 +24,24 @@ type edgeSource = join2.Stream
 // resolved worker count (a semaphore), so Spec.Workers caps this level's
 // goroutines too. counters is threaded into every edge's join config.
 //
+// yBound says every edge joins with B-IDJ-Y. Its Y⁺ₗ tables are then built
+// here, all of them before any edge primes (join2.YBoundTables): two or more
+// are the lanes of one forward batched walk instead of one solo walk each.
+//
 // On any error the already-built sources are released, so a caller-owned
 // engine pool (Spec.Pool) gets every checked-out engine back even when a
 // later edge fails.
-func buildSources(spec *Spec, counters *dht.Counters, build func(cfg join2.Config) (edgeSource, error)) ([]edgeSource, error) {
+func buildSources(spec *Spec, counters *dht.Counters, yBound bool, build func(cfg join2.Config) (edgeSource, error)) ([]edgeSource, error) {
 	edges := spec.Query.Edges()
+	cfgs := make([]join2.Config, len(edges))
+	for ei, e := range edges {
+		cfgs[ei] = edgeConfig(spec, e, counters)
+	}
+	if yBound {
+		if err := join2.YBoundTables(cfgs); err != nil {
+			return nil, err
+		}
+	}
 	srcs := make([]edgeSource, len(edges))
 	errs := make([]error, len(edges))
 	mk := func(ei int) {
@@ -40,7 +53,7 @@ func buildSources(spec *Spec, counters *dht.Counters, build func(cfg join2.Confi
 				errs[ei] = fmt.Errorf("core: panic priming edge source %d: %v", ei, p)
 			}
 		}()
-		srcs[ei], errs[ei] = build(edgeConfig(spec, edges[ei], counters))
+		srcs[ei], errs[ei] = build(cfgs[ei])
 		if errs[ei] != nil {
 			return
 		}

@@ -100,53 +100,60 @@ type BatchEngine struct {
 	Walks         int64
 }
 
-// ReadSet names the rows a caller reads from backward score columns: the
-// rows form of the batched walk (BackWalkRowsBatch) accumulates scores at
-// those rows only and computes its last two steps, when they would be dense
-// sweeps, in pull form over the rows' out-neighbourhood. It belongs to one
+// ReadSet names the rows a caller reads from the walk's mass: the rows form
+// of a walk accumulates or reads at those rows only and computes its last two
+// steps, when they would be dense sweeps, in pull form over the rows'
+// neighbourhood on the side opposite to the walk's push. A backward set (the
+// batched score columns, read at P) gathers over out-edges; a forward set
+// (the Y⁺ₗ table's reach walk, read at Q) over in-edges. It belongs to one
 // graph, is immutable, and may be shared by concurrent engines.
 type ReadSet struct {
-	g    *graph.Graph
-	rows []graph.NodeID // R0: ascending, duplicate-free
+	g        *graph.Graph
+	backward bool
+	rows     []graph.NodeID // R0: ascending, duplicate-free
 	// tail[h] is the gather set of a step with h more steps to follow: mass
-	// can still reach a row only from within h out-hops of the rows, so the
-	// last step needs R0 and the one before it R1 = R0 ∪ out-neighbours(R0).
+	// can still reach a row only from within h hops of the rows, so the last
+	// step needs R0 and the one before it R1 = R0 ∪ its neighbours on the
+	// gathered side.
 	tail [2]hopSet
 }
 
 // hopSet is one gather set. nodes is nil when the set is not worth a gather:
-// a set whose out-edges are not below half the graph's saves too little over
-// the sweep it would replace (and one hop further is most of the graph on
-// any small-world input, which is why there is no tail[2]).
+// a set whose gathered edges are not below half the graph's saves too little
+// over the sweep it would replace (and one hop further is most of the graph
+// on any small-world input, which is why there is no tail[2]).
 type hopSet struct {
 	nodes []graph.NodeID // ascending, duplicate-free
-	edges int64          // Σ out-degree over nodes: what one gather scans
+	edges int64          // Σ degree on the gathered side: what one gather scans
 }
 
 // NewReadSet returns the read set of rows (any order, duplicates allowed,
-// not retained). Rows that are not a minority of the graph's nodes are no
-// restriction worth tracking, and the result is nil — which every consumer
-// reads as "all rows".
-func NewReadSet(g *graph.Graph, rows []graph.NodeID) *ReadSet {
+// not retained) for backward walks. Rows that are not a minority of the
+// graph's nodes are no restriction worth tracking, and the result is nil —
+// which every consumer reads as "all rows".
+func NewReadSet(g *graph.Graph, rows []graph.NodeID) *ReadSet { return newReadSet(g, rows, true) }
+
+// newReadSet is NewReadSet for walks in either direction.
+func newReadSet(g *graph.Graph, rows []graph.NodeID, backward bool) *ReadSet {
 	if 2*len(rows) >= g.NumNodes() {
 		return nil
 	}
-	rs := &ReadSet{g: g, rows: slices.Compact(slices.Sorted(slices.Values(rows)))}
+	rs := &ReadSet{g: g, backward: backward, rows: slices.Compact(slices.Sorted(slices.Values(rows)))}
+	side := pullSide(g, backward)
 	hop := rs.rows
 	for h := range rs.tail {
 		if h > 0 {
 			prev := rs.tail[h-1]
 			hop = append(make([]graph.NodeID, 0, len(prev.nodes)+int(prev.edges)), prev.nodes...)
 			for _, u := range prev.nodes {
-				to, _, _ := g.OutEdges(u)
-				hop = append(hop, to...)
+				hop = append(hop, side.Nbr[side.Index[u]:side.Index[u+1]]...)
 			}
 			slices.Sort(hop)
 			hop = slices.Compact(hop)
 		}
 		var edges int64
 		for _, u := range hop {
-			edges += int64(g.OutDegree(u))
+			edges += side.Index[u+1] - side.Index[u]
 		}
 		if 2*edges >= int64(g.NumEdges()) {
 			break
@@ -155,6 +162,27 @@ func NewReadSet(g *graph.Graph, rows []graph.NodeID) *ReadSet {
 	}
 	return rs
 }
+
+// tailAt returns the gather set of a step with h more steps to follow (none
+// for a nil read set or an h beyond the tail).
+func (rs *ReadSet) tailAt(h int) hopSet {
+	if rs == nil || h >= len(rs.tail) {
+		return hopSet{}
+	}
+	return rs.tail[h]
+}
+
+// pushSide is the CSR a walk pushes mass along: in-edges backward, out-edges
+// forward. pullSide is the mirror a gather sums over, which makes the same
+// additions in the same order (Graph.Validate pins the mirror).
+func pushSide(g *graph.Graph, backward bool) graph.CSR {
+	if backward {
+		return g.In()
+	}
+	return g.Out()
+}
+
+func pullSide(g *graph.Graph, backward bool) graph.CSR { return pushSide(g, !backward) }
 
 // NewBatchEngine builds a batch engine for g with column capacity w
 // (w <= 0 selects DefaultBatchWidth). d is the truncation depth.
@@ -222,27 +250,23 @@ func (be *BatchEngine) nextStamp() uint32 {
 // p == q forward columns, whose first-hit probabilities are zero by
 // definition).
 func (be *BatchEngine) seedColumns(seeds []graph.NodeID) {
-	w := be.W
 	for c, s := range seeds {
-		if s < 0 {
-			continue
+		if s >= 0 {
+			be.seed(c, s)
 		}
-		b := int(s) * w
-		blockEmpty := true
-		for i := b; i < b+w; i++ {
-			if be.cur[i] != 0 {
-				blockEmpty = false
-				break
-			}
-		}
-		if blockEmpty {
-			be.curF = append(be.curF, s)
-		}
-		be.cur[b+c] = 1
 	}
 	slices.Sort(be.curF)
-	// Duplicate seeds across columns land on the same node; dedup the list.
-	be.curF = slices.Compact(be.curF)
+}
+
+// seed places unit mass on node s in column c, adding s to the union
+// frontier when no column had mass there yet (so the list stays
+// duplicate-free; the caller sorts it once seeding is done).
+func (be *BatchEngine) seed(c int, s graph.NodeID) {
+	b := int(s) * be.W
+	if !anyNonZero(be.cur[b : b+be.W]) {
+		be.curF = append(be.curF, s)
+	}
+	be.cur[b+c] = 1
 }
 
 // push advances every column one step: next += P·cur along out-edges
@@ -250,15 +274,12 @@ func (be *BatchEngine) seedColumns(seeds []graph.NodeID) {
 // It decides the step's form and keeps the frontier — which plays the solo
 // engine's role, so per column the additions are the solo walk's in the same
 // ascending source order; the arithmetic is the lane kernel's (lanes.go).
-// tail, when it names a gather set, replaces the dense sweep this backward
-// step would otherwise be; a step that stays sparse ignores it.
+// tail, when it names a gather set, replaces the dense sweep this step would
+// otherwise be; a step that stays sparse ignores it.
 func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 	g := be.G
 	w := be.W
-	side := g.Out()
-	if backward {
-		side = g.In()
-	}
+	side := pushSide(g, backward)
 	be.nextF = be.nextF[:0]
 	sparse := !be.ForceDense && !be.full
 	if sparse {
@@ -302,7 +323,7 @@ func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 		// all that a caller reading within the set's remaining reach observes.
 		be.GatherSteps++
 		be.FrontierEdges += tail.edges
-		gather(cur, next, w, aw, g.Out(), tail.nodes)
+		gather(cur, next, w, aw, pullSide(g, backward), tail.nodes)
 		// The set is the step's touched list; commit filters a copy of it.
 		be.nextF = append(be.nextF, tail.nodes...)
 	default:
@@ -430,8 +451,8 @@ func (be *BatchEngine) BackWalkRowsBatch(kind Kind, qs []graph.NodeID, steps int
 	if aw == 0 || aw > be.W {
 		panic(fmt.Sprintf("dht: backward batch walk with %d targets, want 1..%d", aw, be.W))
 	}
-	if rs != nil && rs.g != be.G {
-		panic("dht: read set built for another graph")
+	if rs != nil && (rs.g != be.G || !rs.backward) {
+		panic("dht: read set built for another graph or walk direction")
 	}
 	w := be.W
 	sweeps0, frontier0 := be.beginBatch(aw)
@@ -445,11 +466,7 @@ func (be *BatchEngine) BackWalkRowsBatch(kind Kind, qs []graph.NodeID, steps int
 			break // no column can reach its target anymore
 		}
 		pow *= be.Params.Lambda
-		var tail hopSet
-		if rs != nil && steps-i < len(rs.tail) {
-			tail = rs.tail[steps-i]
-		}
-		be.push(true, aw, tail)
+		be.push(true, aw, rs.tailAt(steps-i))
 		next := be.next
 		if be.lastDense && rs == nil {
 			// First dense step: move the raw sparse-step sums from the out
@@ -593,6 +610,46 @@ func (be *BatchEngine) ForwardProbsBatch(kind Kind, ps, qs []graph.NodeID, steps
 	}
 	be.endBatch(aw, sweeps0, frontier0)
 	return probs
+}
+
+// ReachProbsBatch is Engine.ReachProbs for a batch of seed sets: lane c
+// starts with unit mass on every node of seeds[c], and res[c][i-1][ti] =
+// Σ_{p∈seeds[c]} S_i(p, targets[c][ti]) for i = 1..steps — == the solo walk's
+// entry. Allocates the result. len(seeds) must equal len(targets) and lie in
+// [1, W].
+func (be *BatchEngine) ReachProbsBatch(seeds, targets [][]graph.NodeID, steps int) [][][]float64 {
+	aw := len(seeds)
+	if aw != len(targets) || aw == 0 || aw > be.W {
+		panic(fmt.Sprintf("dht: ReachProbsBatch with %d seed sets and %d target sets, want 1..%d of each", aw, len(targets), be.W))
+	}
+	w := be.W
+	res := make([][][]float64, aw)
+	for c, ts := range targets {
+		res[c] = reachRows(steps, len(ts))
+	}
+	sweeps0, frontier0 := be.beginBatch(aw)
+	for c, ps := range seeds {
+		for _, s := range ps {
+			be.seed(c, s)
+		}
+	}
+	slices.Sort(be.curF)
+	for i := 0; i < steps; i++ {
+		if be.frontierEmpty() {
+			break // mass all lost in sinks; S_j = 0 from here
+		}
+		be.push(false, aw, hopSet{})
+		next := be.next
+		for c, ts := range targets {
+			row := res[c][i]
+			for ti, t := range ts {
+				row[ti] = next[int(t)*w+c]
+			}
+		}
+		be.commit(i == steps-1)
+	}
+	be.endBatch(aw, sweeps0, frontier0)
+	return res
 }
 
 // probsRows returns zeroed engine-owned rows, aw × steps.

@@ -47,25 +47,6 @@ func BenchmarkForwardScore(b *testing.B) {
 	}
 }
 
-// BenchmarkYBoundTable measures the Theorem-1 precomputation.
-func BenchmarkYBoundTable(b *testing.B) {
-	g := benchGraph(b)
-	e, err := NewEngine(g, DHTLambda(0.2), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := make([]graph.NodeID, 100)
-	q := make([]graph.NodeID, 100)
-	for i := range p {
-		p[i] = graph.NodeID(i)
-		q[i] = graph.NodeID(1000 + i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewYBoundTable(e, p, q)
-	}
-}
-
 // BenchmarkExactColumn measures the dense ground-truth solver on a small
 // graph (it is O(n³) and exists only for verification).
 func BenchmarkExactColumn(b *testing.B) {

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -15,30 +16,63 @@ import (
 // for the first time) at step i. Building the table is one unabsorbed d-step
 // walk from all of P simultaneously — O(d·|E|) — after which Bound is O(1).
 type YBoundTable struct {
-	d     int
-	y     [][]float64 // y[qi][l], l in [0,d]
-	index map[graph.NodeID]int
+	g      *graph.Graph
+	params Params
+	d      int
+	p, q   []graph.NodeID // the lists the table was built for, not copied
+	y      [][]float64    // y[qi][l], l in [0,d]
+	index  map[graph.NodeID]int
 }
 
-// NewYBoundTable computes the table for source set P and target set Q.
+// NewYBoundTable computes the table for source set P and target set Q on the
+// solo engine. The table is read at Q only, so the walk's last two steps,
+// when they would be dense sweeps, gather at Q and at Q ∪ in-neighbours(Q)
+// instead (the forward mirror of BackWalkRowsBatch's tail); every entry is ==
+// the one an unrestricted walk gives.
 func NewYBoundTable(e *Engine, p, q []graph.NodeID) *YBoundTable {
-	d := e.D
-	reach := e.ReachProbs(p, q, d) // reach[i-1][qi] = Σ_p S_i(p, q_qi)
+	reach := e.reachProbsInto(p, q, reachRows(e.D, len(q)), newReadSet(e.G, q, false))
+	return newYBoundTable(e.G, e.Params, p, q, reach)
+}
+
+// NewYBoundTables computes the table of every (ps[c], qs[c]) pair as the
+// lanes of forward batched walks on be, W pairs per walk: lane c starts with
+// unit mass on every node of ps[c] and is read at qs[c]. Each lane counts one
+// walk and makes its solo walk's additions in the same order, so every entry
+// is == NewYBoundTable's. len(ps) must equal len(qs).
+func NewYBoundTables(be *BatchEngine, ps, qs [][]graph.NodeID) []*YBoundTable {
+	ts := make([]*YBoundTable, len(ps))
+	for base := 0; base < len(ps); base += be.W {
+		end := min(base+be.W, len(ps))
+		for c, reach := range be.ReachProbsBatch(ps[base:end], qs[base:end], be.D) {
+			ts[base+c] = newYBoundTable(be.G, be.Params, ps[base+c], qs[base+c], reach)
+		}
+	}
+	return ts
+}
+
+// newYBoundTable folds reach[i-1][qi] = Σ_p S_i(p, q[qi]), i = 1..d, into the
+// table.
+func newYBoundTable(g *graph.Graph, params Params, p, q []graph.NodeID, reach [][]float64) *YBoundTable {
+	d := len(reach)
 	t := &YBoundTable{
-		d:     d,
-		y:     make([][]float64, len(q)),
-		index: make(map[graph.NodeID]int, len(q)),
+		g:      g,
+		params: params,
+		d:      d,
+		p:      p,
+		q:      q,
+		y:      make([][]float64, len(q)),
+		index:  make(map[graph.NodeID]int, len(q)),
 	}
 	for qi, node := range q {
 		t.index[node] = qi
 		row := make([]float64, d+1)
 		// Suffix accumulation: row[l] = α Σ_{i>l} λ^i min(mass_i, 1).
 		var suffix float64
-		pow := math.Pow(e.Params.Lambda, float64(d))
+		pow := math.Pow(params.Lambda, float64(d))
 		for i := d; i >= 1; i-- {
 			suffix += pow * math.Min(reach[i-1][qi], 1)
-			pow /= e.Params.Lambda
-			row[i-1] = e.Params.Alpha * suffix
+			pow /= params.Lambda
+			row[i-1] = params.Alpha * suffix
 		}
 		// row[d] = 0: after d steps nothing can be added to h_d.
 		t.y[qi] = row
@@ -59,5 +93,9 @@ func (t *YBoundTable) Bound(q graph.NodeID, l int) float64 {
 	return t.y[qi][l]
 }
 
-// Depth returns the truncation depth the table was built for.
-func (t *YBoundTable) Depth() int { return t.d }
+// BuiltFor reports whether the table was built on g under params to depth d
+// for exactly the lists p and q — same length, same ids, same order. A table
+// built for anything else would prune with another join's bounds.
+func (t *YBoundTable) BuiltFor(g *graph.Graph, params Params, d int, p, q []graph.NodeID) bool {
+	return t.g == g && t.params == params && t.d == d && slices.Equal(t.p, p) && slices.Equal(t.q, q)
+}

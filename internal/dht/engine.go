@@ -84,8 +84,9 @@ type Engine struct {
 
 	// Counters since the last ResetCounters call.
 	EdgeSweeps    int64 // number of full O(|E|) dense relaxation sweeps
-	FrontierEdges int64 // edges relaxed by sparse frontier pushes
+	FrontierEdges int64 // edges relaxed by sparse pushes and scanned by gathers
 	SparseSteps   int64 // walk steps served by the sparse path
+	GatherSteps   int64 // walk steps served in pull form over a read set's tail
 	Walks         int64 // number of walk invocations (forward or backward)
 }
 
@@ -120,7 +121,7 @@ func NewEngine(g *graph.Graph, p Params, d int) (*Engine, error) {
 
 // ResetCounters zeroes the work counters.
 func (e *Engine) ResetCounters() {
-	e.EdgeSweeps, e.FrontierEdges, e.SparseSteps, e.Walks = 0, 0, 0, 0
+	e.EdgeSweeps, e.FrontierEdges, e.SparseSteps, e.GatherSteps, e.Walks = 0, 0, 0, 0, 0
 }
 
 // beginWalk starts a walk: it counts the invocation, clears the previous
@@ -179,9 +180,13 @@ func (e *Engine) nextStamp() uint32 {
 // entries. It chooses the sparse frontier push while the frontier's incident
 // edges stay under the dense threshold, the full sweep otherwise. Both paths
 // perform the same additions in ascending source-node order, so the choice
-// is invisible in the results. After push, nextF holds the touched-node list
-// (sparse) or is empty with lastDense set (dense); commit finishes the step.
-func (e *Engine) push(backward bool) {
+// is invisible in the results. tail, when it names a gather set, replaces the
+// dense sweep this step would otherwise be — the batch engine's pull form, run
+// through the lane kernel's gather at width 1; a step that stays sparse
+// ignores it. After push, nextF holds the touched-node list (sparse, or the
+// gathered set) or is empty with lastDense set (dense); commit finishes the
+// step.
+func (e *Engine) push(backward bool, tail hopSet) {
 	g := e.G
 	e.nextF = e.nextF[:0]
 	sparse := !e.ForceDense && !e.full
@@ -208,9 +213,17 @@ func (e *Engine) push(backward bool) {
 			e.FrontierEdges += work
 		}
 	}
-	e.lastDense = !sparse
+	pull := !sparse && tail.nodes != nil
+	e.lastDense = !sparse && !pull
 	cur, next := e.cur, e.next
 	switch {
+	case pull:
+		// next is == the sweep's on the set and untouched elsewhere; the set
+		// is the step's touched list, which commit filters a copy of.
+		e.GatherSteps++
+		e.FrontierEdges += tail.edges
+		gather(cur, next, 1, 1, pullSide(g, backward), tail.nodes)
+		e.nextF = append(e.nextF, tail.nodes...)
 	case sparse:
 		st := e.nextStamp()
 		mark, touched := e.mark, e.nextF
@@ -259,7 +272,7 @@ func (e *Engine) push(backward bool) {
 	}
 	// cur is consumed; clear it — incrementally while the frontier is
 	// tracked, wholesale once the walk has gone dense.
-	if sparse || !e.full {
+	if !e.full {
 		for _, u := range e.curF {
 			cur[u] = 0
 		}
@@ -267,9 +280,9 @@ func (e *Engine) push(backward bool) {
 	} else {
 		clearVec(cur)
 	}
-	if !sparse {
-		e.full = true // sticky: the rest of the walk stays dense
-	}
+	// Dense is sticky for the rest of the walk, except that a gather leaves
+	// mass on its set only, so the frontier is tracked again after it.
+	e.full = e.lastDense
 }
 
 // commit finishes a step after the caller has read (and possibly absorbed
@@ -349,7 +362,7 @@ func (e *Engine) ForwardHitProbsInto(p, q graph.NodeID, probs []float64) []float
 		if e.frontierEmpty() {
 			break // all mass absorbed or lost in a sink; P_j = 0 from here
 		}
-		e.push(false)
+		e.push(false, hopSet{})
 		probs[i] = e.next[q]
 		e.next[q] = 0 // absorb: mass that hit q stops walking
 		e.commit(i == len(probs)-1)
@@ -420,7 +433,7 @@ func (e *Engine) backWalkProbs(q graph.NodeID, steps int, out []float64, record 
 			break // no mass can first-hit q anymore; P_j(·,q) = 0 from here
 		}
 		pow *= e.Params.Lambda
-		e.push(true)
+		e.push(true, hopSet{})
 		// next[u] now equals P_i(u, q).
 		if record != nil {
 			record(i, e.next)
@@ -494,7 +507,7 @@ func (e *Engine) BackWalkScores(kind Kind, q graph.NodeID, steps int) []float64 
 			break // no mass can reach q anymore
 		}
 		pow *= e.Params.Lambda
-		e.push(true)
+		e.push(true, hopSet{})
 		next := e.next
 		if e.lastDense {
 			// First dense step: overwrite the β prefill with the raw sum at
@@ -558,18 +571,33 @@ func (e *Engine) BackWalkScores(kind Kind, q graph.NodeID, steps int) []float64 
 // ingredient of the Y⁺ₗ bound (Theorem 1). Allocates the result;
 // ReachProbsInto reuses caller rows.
 func (e *Engine) ReachProbs(seeds, targets []graph.NodeID, steps int) [][]float64 {
+	return e.ReachProbsInto(seeds, targets, reachRows(steps, len(targets)))
+}
+
+// reachRows allocates ReachProbs' result: steps rows of n entries.
+func reachRows(steps, n int) [][]float64 {
 	res := make([][]float64, steps)
-	flat := make([]float64, steps*len(targets))
+	flat := make([]float64, steps*n)
 	for i := range res {
-		res[i] = flat[i*len(targets) : (i+1)*len(targets)]
+		res[i] = flat[i*n : (i+1)*n]
 	}
-	return e.ReachProbsInto(seeds, targets, res)
+	return res
 }
 
 // ReachProbsInto is ReachProbs with caller-provided rows: len(res) selects
 // the number of steps and each row must have length len(targets). Returns
 // res.
 func (e *Engine) ReachProbsInto(seeds, targets []graph.NodeID, res [][]float64) [][]float64 {
+	return e.reachProbsInto(seeds, targets, res, nil)
+}
+
+// reachProbsInto is ReachProbsInto reading the walk at rs's rows only (nil:
+// anywhere): rs must be a forward read set over targets, whose last two steps
+// then gather at the targets and their in-neighbours instead of sweeping.
+func (e *Engine) reachProbsInto(seeds, targets []graph.NodeID, res [][]float64, rs *ReadSet) [][]float64 {
+	if rs != nil && (rs.g != e.G || rs.backward) {
+		panic("dht: read set built for another graph or walk direction")
+	}
 	sweeps0, frontier0 := e.beginWalk()
 	e.seed(seeds...)
 	for i := range res {
@@ -577,7 +605,7 @@ func (e *Engine) ReachProbsInto(seeds, targets []graph.NodeID, res [][]float64) 
 		if e.frontierEmpty() {
 			continue // mass all lost in sinks; S_j = 0 from here
 		}
-		e.push(false)
+		e.push(false, rs.tailAt(len(res)-1-i))
 		for ti, t := range targets {
 			res[i][ti] = e.next[t]
 		}

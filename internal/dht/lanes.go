@@ -46,10 +46,10 @@ func scatter(cur, next []float64, w, aw int, side graph.CSR, rows []graph.NodeID
 
 // gather is the same step in pull form: next[u] = Σ_j p[j]·cur[nbr[j]] over
 // u's entries j in ascending order, for every u of rows (nil: every node),
-// and no write anywhere else. The sum starts from +0, so over the out side it
-// makes exactly the additions a scatter over the in side makes into next[u]
-// (Graph.Validate pins the mirror), with x + (+0) no-ops for the zero blocks
-// a scatter skips.
+// and no write anywhere else. The sum starts from +0, so over one side it
+// makes exactly the additions a scatter over the other side makes into
+// next[u] (Graph.Validate pins the mirror), with x + (+0) no-ops for the zero
+// blocks a scatter skips.
 func gather(cur, next []float64, w, aw int, side graph.CSR, rows []graph.NodeID) {
 	relax(gatherGo, gatherAsm, cur, next, w, aw, side, rows)
 }

@@ -54,7 +54,7 @@ func (e *Engine) forwardReachProbs(p, q graph.NodeID, probs []float64) []float64
 		if e.frontierEmpty() {
 			break // mass all lost in sinks; S_j = 0 from here
 		}
-		e.push(false)
+		e.push(false, hopSet{})
 		probs[i] = e.next[q]
 		e.commit(i == len(probs)-1)
 	}
@@ -82,7 +82,7 @@ func (e *Engine) BackWalkKind(kind Kind, q graph.NodeID, steps int, out []float6
 			break // mass all lost in sinks; S_j = 0 from here
 		}
 		pow *= e.Params.Lambda
-		e.push(true)
+		e.push(true, hopSet{})
 		// next[u] = S_i(u, q); no re-absorption: the walk may pass q.
 		next := e.next
 		if e.lastDense {

@@ -14,9 +14,9 @@ type Counters struct {
 	Walks      int64 // walk invocations
 	EdgeSweeps int64 // full O(|E|) dense relaxation sweeps
 	// FrontierEdges counts every CSR edge scanned outside a dense sweep: by
-	// sparse frontier pushes and by the gathered tail steps of the batched
-	// kernel's rows form. EdgeSweeps·|E| + FrontierEdges is therefore all the
-	// edge work the engines did.
+	// sparse frontier pushes and by gathered tail steps (the batched kernel's
+	// rows form, a lone Y⁺ₗ table's walk). EdgeSweeps·|E| + FrontierEdges is
+	// therefore all the edge work the engines did.
 	FrontierEdges int64
 
 	// Chain, when non-nil, additionally receives every increment. It lets a

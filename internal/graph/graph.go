@@ -157,8 +157,9 @@ func (g *Graph) Labeled() bool { return g.labels != nil }
 // to 1 within tolerance, and that the in-adjacency is the exact mirror of
 // the out-adjacency — every in-list strictly ascending by source, inP
 // bit-equal to the forward arc's outP. The walk kernels rest on that mirror:
-// a backward step pushed along in-edges and the same step gathered along
-// out-edges (dht.BatchEngine) must make the same additions in the same
+// a step pushed along one side and the same step gathered along the other
+// (dht's gathered tails: backward walks gather along out-edges, the Y⁺ table's
+// forward walk along in-edges) must make the same additions in the same
 // order. It is used by tests and by graph loading.
 func (g *Graph) Validate() error {
 	if len(g.outIndex) != g.n+1 || len(g.inIndex) != g.n+1 {

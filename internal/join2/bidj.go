@@ -3,7 +3,6 @@ package join2
 import (
 	"math"
 
-	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/pqueue"
 )
@@ -48,7 +47,8 @@ type IterStat struct {
 // nodes of P only, so the batched rounds walk the kernel's rows form (see
 // walker.columns).
 //
-// The joiner caches its engines and the Y⁺ₗ table across TopK calls (the PJ
+// The joiner caches its engines and the Y⁺ₗ table (in its Config.YBound, which
+// an n-way caller may have filled beforehand) across TopK calls (the PJ
 // re-join stream calls TopK repeatedly), so a BIDJ is single-goroutine. With
 // Config.Workers set, the walker spreads each round's walks over workers;
 // the merged bounds, pruning decisions, and final ranking are bit-identical
@@ -57,7 +57,6 @@ type BIDJ struct {
 	cfg     Config
 	variant BoundVariant
 	w       *walker
-	yt      *dht.YBoundTable
 
 	// LinearSchedule advances the deepening walk length by +1 per round
 	// instead of doubling it. Exists for the schedule ablation bench; the
@@ -105,19 +104,23 @@ func (b *BIDJ) Name() string { return "B-IDJ-" + b.variant.String() }
 // keep.
 func (b *BIDJ) Release() { b.w.release() }
 
-// ubound returns the U⁺ₗ provider, building (and caching) the Y table on
-// first use — one serial O(d·|E|) walk from all of P simultaneously. The
-// table only depends on P, Q, and d — not on which q's remain alive — so one
-// build serves every TopK call of the joiner's lifetime, and every worker of
-// every round reads the same table.
-func (b *BIDJ) ubound() func(q graph.NodeID, l int) float64 {
-	if b.variant == BoundY {
-		if b.yt == nil {
-			b.yt = dht.NewYBoundTable(b.w.solo(), b.cfg.P, b.cfg.Q)
-		}
-		return b.yt.Bound
+// ubound returns the U⁺ₗ provider. For Y it is Config.YBound, built on first
+// use when the config did not bring one — one serial O(d·|E|) walk from all
+// of P simultaneously. The table only depends on P, Q, and d — not on which
+// q's remain alive — so one build serves every TopK call of the joiner's
+// lifetime, and every worker of every round reads the same table.
+func (b *BIDJ) ubound() (func(q graph.NodeID, l int) float64, error) {
+	if b.variant == BoundX {
+		return func(_ graph.NodeID, l int) float64 { return b.cfg.Params.XBound(l) }, nil
 	}
-	return func(_ graph.NodeID, l int) float64 { return b.cfg.Params.XBound(l) }
+	if b.cfg.YBound == nil {
+		ts, err := b.w.tables([][]graph.NodeID{b.cfg.P}, [][]graph.NodeID{b.cfg.Q})
+		if err != nil {
+			return nil, err
+		}
+		b.cfg.YBound = ts[0]
+	}
+	return b.cfg.YBound.Bound, nil
 }
 
 // advance is the deepening schedule: doubling by default, +1 for the
@@ -144,7 +147,10 @@ func (b *BIDJ) TopK(k int) ([]Result, error) {
 	}
 	d := b.cfg.D
 	b.Stats = b.Stats[:0]
-	ubound := b.ubound()
+	ubound, err := b.ubound()
+	if err != nil {
+		return nil, err
+	}
 
 	alive := make([]graph.NodeID, len(b.cfg.Q))
 	copy(alive, b.cfg.Q)

@@ -105,9 +105,13 @@ func (inc *Incremental) Run(m int) ([]Result, error) {
 	n := inc.b.cfg.MaxPairs()
 	inc.lower, inc.upper, inc.l = make([]float64, n), make([]float64, n), make([]int32, n)
 	// The bound provider is shared with Next; for Y it is built once, here,
-	// over the full P and Q.
-	inc.ubound = inc.b.ubound()
-	res, err := inc.b.TopK(m)
+	// over the full P and Q (or was handed in with the config).
+	ubound, err := inc.b.ubound()
+	var res []Result
+	if err == nil {
+		inc.ubound = ubound
+		res, err = inc.b.TopK(m)
+	}
 	// Most streams are never pulled past their initial batch, so hand the
 	// batch engine back rather than sit on it. The solo engine stays; the
 	// first full-depth refinement checks a batch engine out again, and from

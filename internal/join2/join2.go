@@ -71,6 +71,12 @@ type Config struct {
 	// path. Cancellation never corrupts state: results already emitted by a
 	// stream remain a correct ranking prefix.
 	Cancel func() error
+
+	// YBound, when non-nil, is B-IDJ-Y's Y⁺ₗ table, built beforehand for
+	// exactly this config (YBoundTables; Validate rejects a table built for
+	// another graph, parameters, depth, P or Q). nil means the joiner builds
+	// its own on first use. Other joiners ignore it.
+	YBound *dht.YBoundTable
 }
 
 // canceled polls the cancellation hook; nil hooks never cancel.
@@ -108,6 +114,38 @@ func (c *Config) Validate() error {
 	}
 	if p := c.Pool; p != nil && (p.G != c.Graph || p.Params != c.Params || p.D != c.D) {
 		return fmt.Errorf("join2: caller pool built for a different (graph, params, d) configuration")
+	}
+	if t := c.YBound; t != nil && !t.BuiltFor(c.Graph, c.Params, c.D, c.P, c.Q) {
+		return fmt.Errorf("join2: Y⁺ table built for a different (graph, params, d, P, Q) configuration")
+	}
+	return nil
+}
+
+// YBoundTables gives every config its B-IDJ-Y Y⁺ₗ table (Config.YBound),
+// built together under the walker's rule: a lone table walks solo, two or
+// more are the lanes of forward batched walks. The configs must share graph,
+// parameters, depth, pool and counters — they are the edges of one n-way
+// query — and differ in P and Q only; the engines come from the first one's
+// pool and the walks count in its counters.
+func YBoundTables(cfgs []Config) error {
+	if len(cfgs) == 0 {
+		return nil
+	}
+	ps, qs := make([][]graph.NodeID, len(cfgs)), make([][]graph.NodeID, len(cfgs))
+	for i := range cfgs {
+		if err := cfgs[i].Validate(); err != nil {
+			return err
+		}
+		ps[i], qs[i] = cfgs[i].P, cfgs[i].Q
+	}
+	w := newWalker(&cfgs[0])
+	defer w.release()
+	ts, err := w.tables(ps, qs)
+	if err != nil {
+		return err
+	}
+	for i := range cfgs {
+		cfgs[i].YBound = ts[i]
 	}
 	return nil
 }

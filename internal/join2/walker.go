@@ -266,6 +266,27 @@ func mergePartials[T any](parts []*pqueue.TopK[T], k int, tie func(T) int64) *pq
 	return merged
 }
 
+// tables builds the Y⁺ₗ table of every (ps[i], qs[i]) pair on worker 0's
+// engines, under the rule columns and pairScores follow: a single walk never
+// batches. A lone table walks solo, gathering its last two steps at Q; two or
+// more are the lanes of forward batched walks (dht.NewYBoundTables), after one
+// Config.Cancel poll. Panics are returned as errors.
+func (w *walker) tables(ps, qs [][]graph.NodeID) ([]*dht.YBoundTable, error) {
+	var ts []*dht.YBoundTable
+	err := guard(func() error {
+		if len(ps) == 1 {
+			ts = []*dht.YBoundTable{dht.NewYBoundTable(w.solo(), ps[0], qs[0])}
+			return nil
+		}
+		if err := w.cfg.canceled(); err != nil {
+			return err
+		}
+		ts = dht.NewYBoundTables(w.batch(), ps, qs)
+		return nil
+	})
+	return ts, err
+}
+
 // pairScores hands fn the forward score h_l(ps[i], qs[i]) of every pair, in
 // order, on worker 0's engines: batched under the same rule as columns, one
 // Config.Cancel poll per chunk, panics returned as errors.
