@@ -227,7 +227,8 @@ func TopKPairs(g *Graph, p, q *NodeSet, k int, opts *Options) ([]PairResult, err
 
 // Score computes the truncated proximity score of (u, v) directly —
 // h_d(u, v) under the default DHT measure, or whatever Options.MeasureName
-// selects.
+// selects. A nil graph and a u or v outside the graph return ErrNilGraph and
+// ErrNodeRange.
 func Score(g *Graph, u, v NodeID, opts *Options) (float64, error) {
 	if g == nil {
 		return 0, ErrNilGraph
@@ -236,20 +237,44 @@ func Score(g *Graph, u, v NodeID, opts *Options) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	for _, x := range [2]NodeID{u, v} {
+		if err := checkNode(g, x); err != nil {
+			return 0, err
+		}
+	}
 	return service.Ephemeral(g, 1).Score(context.Background(), "", u, v, q)
+}
+
+// checkNode wraps ErrNodeRange for a node outside g.
+func checkNode(g *Graph, v NodeID) error {
+	if n := g.NumNodes(); v < 0 || int(v) >= n {
+		return fmt.Errorf("%w: node %d, graph has %d nodes", ErrNodeRange, v, n)
+	}
+	return nil
 }
 
 // ScoresFrom computes the score of (u, v) for every node u at once — one
 // backward walk to v for the walk measures, one evaluated column for the
 // matrix ones (SimRank is symmetric, so its column equals its row). out
-// must have length g.NumNodes() (or be nil to allocate).
+// must have length g.NumNodes() (or be nil to allocate). A nil graph, a v
+// outside the graph and an out of another length return ErrNilGraph,
+// ErrNodeRange and ErrBufferLength.
 func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, error) {
+	if g == nil {
+		return nil, ErrNilGraph
+	}
 	res, err := opts.resolve()
 	if err != nil {
 		return nil, err
 	}
+	if err := checkNode(g, v); err != nil {
+		return nil, err
+	}
+	n := g.NumNodes()
 	if out == nil {
-		out = make([]float64, g.NumNodes())
+		out = make([]float64, n)
+	} else if len(out) != n {
+		return nil, fmt.Errorf("%w: out has length %d, want %d", ErrBufferLength, len(out), n)
 	}
 	if !res.Kernel.WalkBased {
 		ev, err := res.Kernel.NewEvaluator(g, res.Params, res.D)
@@ -265,11 +290,11 @@ func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, er
 		}
 		return out, nil
 	}
-	e, err := dht.NewEngine(g, res.Params, res.D)
+	be, err := dht.NewBatchEngine(g, res.Params, res.D, 1)
 	if err != nil {
 		return nil, err
 	}
-	e.BackWalkKind(res.Kernel.Walk, v, res.D, out)
+	copy(out, be.BackWalkScoresBatch(res.Kernel.Walk, []NodeID{v}, res.D)[0])
 	return out, nil
 }
 

@@ -46,6 +46,13 @@ var (
 	// algorithm forced onto an n-way query (or vice versa), an algorithm
 	// dedicated to a different measure, or an invalid relabel mode.
 	ErrHintConflict = errors.New("dhtjoin: hint conflicts with the query")
+
+	// ErrNodeRange reports a node id outside [0, NumNodes) of the graph.
+	ErrNodeRange = errors.New("dhtjoin: node id out of range")
+
+	// ErrBufferLength reports a caller-provided output buffer whose length
+	// is not the one the call fills.
+	ErrBufferLength = errors.New("dhtjoin: output buffer has the wrong length")
 )
 
 // ErrUnknownMeasure reports an Options.MeasureName (or Query.WithMeasure

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -76,15 +77,13 @@ func TestMeasurePPRGolden(t *testing.T) {
 	// independent power iteration; the two compute the same series in a
 	// different summation order, so that link holds to float tolerance
 	// while the ranking itself must match the served join bit for bit.
-	e, err := dht.NewEngine(g, dht.PPR(0.5), d)
+	e, err := dht.NewBatchEngine(g, dht.PPR(0.5), d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cols := make(map[NodeID][]float64, q.Len())
 	for _, b := range q.Nodes() {
-		out := make([]float64, g.NumNodes())
-		e.BackWalkKind(dht.Reach, b, d, out)
-		cols[b] = out
+		cols[b] = slices.Clone(e.BackWalkScoresBatch(dht.Reach, []NodeID{b}, d)[0])
 	}
 	type ref struct {
 		pr    PairResult

@@ -213,6 +213,41 @@ func TestQueryTypedErrors(t *testing.T) {
 	if _, err := NewJoinQuery(g, Chain(p, q)).OpenPairs(context.Background()); !errors.Is(err, ErrQueryForm) {
 		t.Fatalf("join query OpenPairs: %v", err)
 	}
+
+	// ScoresFrom checks its inputs instead of panicking in the walk.
+	two := NewBuilder(2, false).Build()
+	for name, c := range map[string]struct {
+		g    *Graph
+		v    NodeID
+		opts *Options
+		out  []float64
+		want error
+	}{
+		"nil graph":        {nil, 0, nil, nil, ErrNilGraph},
+		"v = -1":           {two, -1, nil, nil, ErrNodeRange},
+		"v = 99":           {two, 99, nil, nil, ErrNodeRange},
+		"v = 99 (simrank)": {two, 99, &Options{MeasureName: "simrank"}, nil, ErrNodeRange},
+		"short out":        {two, 1, nil, make([]float64, 1), ErrBufferLength},
+		"long out (ppr)":   {two, 1, &Options{MeasureName: "ppr"}, make([]float64, 3), ErrBufferLength},
+	} {
+		if _, err := ScoresFrom(c.g, c.v, c.opts, c.out); !errors.Is(err, c.want) {
+			t.Errorf("ScoresFrom, %s: %v, want %v", name, err, c.want)
+		}
+	}
+	// Score reports a node outside the graph with the same sentinel.
+	for name, c := range map[string]struct {
+		g    *Graph
+		u, v NodeID
+		want error
+	}{
+		"nil graph": {nil, 0, 1, ErrNilGraph},
+		"u = -1":    {two, -1, 1, ErrNodeRange},
+		"v = 99":    {two, 0, 99, ErrNodeRange},
+	} {
+		if _, err := Score(c.g, c.u, c.v, nil); !errors.Is(err, c.want) {
+			t.Errorf("Score, %s: %v, want %v", name, err, c.want)
+		}
+	}
 }
 
 // TestStreamContract pins the handle contract once for both instantiations

@@ -49,7 +49,7 @@ func (a *NL) Stream() (TupleStream, error) {
 // the top-k ranking is always a prefix of the top-(k+1) ranking — the
 // prefix invariant Stream relies on.
 func (a *NL) rank(k int) ([]Answer, error) {
-	e, err := dht.NewEngine(a.spec.Graph, a.spec.Params, a.spec.D)
+	e, err := dht.NewBatchEngine(a.spec.Graph, a.spec.Params, a.spec.D, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func (a *NL) rank(k int) ([]Answer, error) {
 		}
 		if a.spec.keepTuple(tuple) {
 			for ei, qe := range q.Edges() {
-				edgeScores[ei] = e.ForwardScoreKind(a.spec.Measure, tuple[qe.From], tuple[qe.To], a.spec.D)
+				edgeScores[ei] = e.ForwardScore(a.spec.Measure, tuple[qe.From], tuple[qe.To], a.spec.D)
 			}
 			a.Stats.Candidates++
 			cp := make([]graph.NodeID, n)

@@ -26,7 +26,7 @@ type edgeSource = join2.Stream
 //
 // yBound says every edge joins with B-IDJ-Y. Its Y⁺ₗ tables are then built
 // here, all of them before any edge primes (join2.YBoundTables): two or more
-// are the lanes of one forward batched walk instead of one solo walk each.
+// are the lanes of one forward batched walk instead of one lone walk each.
 //
 // On any error the already-built sources are released, so a caller-owned
 // engine pool (Spec.Pool) gets every checked-out engine back even when a

@@ -13,41 +13,56 @@ import (
 // single line: relaxing an edge touches one line of cur and one of next no
 // matter how many of the lanes carry mass through it. The default is a
 // cache-line consequence of the float64 element type, not a property of the
-// kernel — callers may pick any width.
+// kernel — callers may pick any width, and a lone walk runs at width 1.
 const DefaultBatchWidth = 8
 
+// DefaultDenseThreshold is the sparse→dense switch point of the adaptive
+// walk kernel: a step runs as a sparse frontier push while the frontier's
+// incident edge count stays below DefaultDenseThreshold·|V|, and falls back
+// to the dense whole-vector sweep beyond it (the Beamer/Ligra
+// direction-optimizing idea, applied to probability-mass walks). The budget
+// scales with |V| rather than |E| because that is the actual trade: a dense
+// sweep relaxes the same nonzero rows the push would, paying only a couple
+// of extra O(|V|) passes, while the push pays per-edge dedup, frontier
+// maintenance, and a sort-or-scan rebuild — so sparse wins only while the
+// frontier's incident edges are a small fraction of |V|. Both step forms make
+// the identical floating-point additions in the identical order, so the
+// switch never changes a score bit.
+const DefaultDenseThreshold = 0.25
+
 // BatchEngine evaluates up to W independent truncated walks over one graph
-// with one CSR traversal per step — the SpMV→SpMM upgrade of the solo
-// Engine. The scratch vectors are laid out node-major: node v's W column
-// masses are the contiguous block [v*W, v*W+W), so one edge relaxation
-// updates all columns from a single pair of cache lines.
+// with one CSR traversal per step; a lone walk is an engine of width 1. The
+// scratch vectors are laid out node-major: node v's W column masses are the
+// contiguous block [v*W, v*W+W), so one edge relaxation updates all columns
+// from a single pair of cache lines.
 //
 // Each step advances the union frontier (the sorted set of nodes where *any*
-// column carries mass) and chooses, like the solo engine, between a sparse
-// push over only the frontier's CSR rows and a dense whole-graph sweep once
-// the union frontier's incident edges exceed DenseThreshold·|V|. Within a
+// column carries mass) and chooses between a sparse push over only the
+// frontier's CSR rows and a dense whole-graph sweep once the union frontier's
+// incident edges exceed DenseThreshold·|V|. Scratch is cleared through the
+// frontier lists, so a short walk touches only the nodes it reaches. Within a
 // row every lane is relaxed, the zero-mass ones as exact x + (+0) no-ops, so
-// every column ends up with exactly the sums of its solo walk, added in the
-// same ascending source-node order — each column is bit-identical (== on
-// every float64) to the corresponding solo Engine walk regardless of what the
-// other columns in the batch do and regardless of where the sparse→dense
-// switch lands. See DESIGN.md ("The batched multi-walk kernel" for the
-// argument, "The lane kernel" for the arithmetic).
+// every column ends up with exactly the sums of the width-1 ForceDense walk
+// (the textbook ascending dense loop), added in the same ascending
+// source-node order — each column is bit-identical (== on every float64) to
+// that reference regardless of the width, of what the other columns do and of
+// where the sparse→dense switch lands. See DESIGN.md ("The walk engine" for
+// the argument, "The lane kernel" for the arithmetic).
 //
-// A BatchEngine owns its scratch and is single-goroutine, like Engine;
-// create one per worker or check them out of an EnginePool (GetBatch).
+// A BatchEngine owns its scratch and is single-goroutine; create one per
+// worker or check them out of an EnginePool (Get, GetBatch).
 type BatchEngine struct {
 	G      *graph.Graph
 	Params Params
 	D      int
 	W      int // column capacity; calls may use any active width ≤ W
 
-	// DenseThreshold overrides DefaultDenseThreshold when positive, exactly
-	// as on Engine, but applied to the *union* frontier of the batch.
+	// DenseThreshold overrides DefaultDenseThreshold when positive; it applies
+	// to the union frontier. Set very high to force sparse pushes always.
 	DenseThreshold float64
 
-	// ForceDense disables the sparse path entirely; used by tests as the
-	// reference kernel.
+	// ForceDense disables the sparse path entirely; at width 1 it is the
+	// reference kernel of the tests.
 	ForceDense bool
 
 	// Sink, when non-nil, receives per-batch counter deltas via atomic adds.
@@ -61,7 +76,11 @@ type BatchEngine struct {
 	mark        []uint32 // per-node stamp deduplicating nextF
 	stamp       uint32
 	lastDense   bool
-	full        bool // batch switched to dense mode (sticky, as on Engine)
+	// full marks the batch as switched to dense mode: frontier lists are no
+	// longer kept and every remaining step is a plain sweep. The switch is
+	// sticky per batch (a saturated frontier essentially never re-sparsifies),
+	// except after a gather, which leaves mass on its set only.
+	full bool
 
 	// acc is the dense-mode score accumulator, node-major like the mass
 	// vectors: once a batch goes dense, per-step accumulation is one
@@ -69,12 +88,13 @@ type BatchEngine struct {
 	// writes; the affine fold transposes it into the out columns at the
 	// end. Raw sums move between the out columns and acc exactly once (at
 	// the sparse→dense switch), preserving the step-order addition sequence
-	// that makes each column bit-identical to its solo walk.
+	// that makes each column bit-identical to the reference.
 	acc []float64
 
 	// Engine-owned score columns for BackWalkScoresBatch, kept β-prefilled
-	// between calls like Engine's single β column. colMark is node-major
-	// like the mass vectors: colMark[v*W+c] stamps (node v, column c).
+	// between calls, so a short walk writes (and later restores) only the
+	// entries it reaches. colMark is node-major like the mass vectors:
+	// colMark[v*W+c] stamps (node v, column c).
 	out        [][]float64
 	colTouched [][]graph.NodeID
 	colMark    []uint32
@@ -86,18 +106,30 @@ type BatchEngine struct {
 	probs     [][]float64
 	probsFlat []float64
 
-	// Counters since construction; same semantics as Engine's, except that
-	// one batched step counts its CSR traversal once, not once per column:
-	// EdgeSweeps is the number of dense batch sweeps and FrontierEdges the
-	// number of CSR edges scanned by sparse batch pushes. Walks counts
-	// individual columns, so walks-per-sweep shows the amortization. A gather
-	// step (rows form only) is neither: GatherSteps counts it and its scanned
-	// out-edges go to FrontierEdges, as Counters documents.
+	// Counters since construction. One batched step counts its CSR traversal
+	// once, not once per column: EdgeSweeps is the number of dense sweeps,
+	// SparseSteps the number of sparse pushes, and FrontierEdges the CSR
+	// edges those pushes scanned. Walks counts individual columns, so
+	// walks-per-sweep shows the amortization. A gather step (a read set's
+	// tail) is neither: GatherSteps counts it and its scanned edges go to
+	// FrontierEdges, as Counters documents.
 	EdgeSweeps    int64
 	FrontierEdges int64
 	SparseSteps   int64
 	GatherSteps   int64
 	Walks         int64
+}
+
+// validateConfig checks the (params, depth) half of an engine configuration,
+// for the engine constructor and for the pool that builds engines later.
+func validateConfig(p Params, d int) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if d < 1 {
+		return fmt.Errorf("dht: depth d must be >= 1, got %d", d)
+	}
+	return nil
 }
 
 // ReadSet names the rows a caller reads from the walk's mass: the rows form
@@ -245,19 +277,6 @@ func (be *BatchEngine) nextStamp() uint32 {
 	return be.stamp
 }
 
-// seedColumns places unit mass on seed[c] in column c and establishes the
-// union frontier. A negative seed leaves its column empty (used for the
-// p == q forward columns, whose first-hit probabilities are zero by
-// definition).
-func (be *BatchEngine) seedColumns(seeds []graph.NodeID) {
-	for c, s := range seeds {
-		if s >= 0 {
-			be.seed(c, s)
-		}
-	}
-	slices.Sort(be.curF)
-}
-
 // seed places unit mass on node s in column c, adding s to the union
 // frontier when no column had mass there yet (so the list stays
 // duplicate-free; the caller sorts it once seeding is done).
@@ -271,11 +290,11 @@ func (be *BatchEngine) seed(c int, s graph.NodeID) {
 
 // push advances every column one step: next += P·cur along out-edges
 // (forward) or in-edges (backward) for aw active lanes, then consumes cur.
-// It decides the step's form and keeps the frontier — which plays the solo
-// engine's role, so per column the additions are the solo walk's in the same
-// ascending source order; the arithmetic is the lane kernel's (lanes.go).
-// tail, when it names a gather set, replaces the dense sweep this step would
-// otherwise be; a step that stays sparse ignores it.
+// It decides the step's form and keeps the frontier, whose ascending order
+// makes every form add in the dense sweep's source order; the arithmetic is
+// the lane kernel's (lanes.go). tail, when it names a gather set, replaces
+// the dense sweep this step would otherwise be; a step that stays sparse
+// ignores it.
 func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 	g := be.G
 	w := be.W
@@ -348,9 +367,12 @@ func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 // commit finishes a step after the caller has read (and possibly absorbed
 // mass from) next: it rebuilds the sorted union frontier and swaps buffers.
 // last marks the batch's final step, whose frontier is only used to clear
-// the vectors, so sorting and filtering are skipped (as on Engine.commit).
+// the vectors, so sorting and filtering are skipped.
 func (be *BatchEngine) commit(last bool) {
 	if be.lastDense {
+		// Dense mode keeps no frontier: push left the consumed vector
+		// all-zero, so the buffers just swap, and full asks beginBatch for a
+		// wholesale clear.
 		be.cur, be.next = be.next, be.cur
 		return
 	}
@@ -371,7 +393,7 @@ func (be *BatchEngine) commit(last bool) {
 		be.nextF = front
 	default:
 		// Sorted union frontier keeps the next push's additions in the
-		// ascending order a solo walk would use — the bit-identity property.
+		// ascending order a dense sweep uses — the bit-identity property.
 		slices.Sort(be.nextF)
 		kept := be.nextF[:0]
 		for _, v := range be.nextF {
@@ -430,12 +452,17 @@ func (be *BatchEngine) betaColumnsStart(aw int) [][]float64 {
 	return be.out[:aw]
 }
 
-// BackWalkScoresBatch is Engine.BackWalkScores for a batch of targets: one
-// CSR traversal per step serves all columns, and column c of the result is
-// bit-identical to a solo BackWalkScores(kind, qs[c], steps) run. Returned
-// columns are engine-owned β-prefilled score vectors of length NumNodes,
-// valid until the next BackWalkScoresBatch call on this engine; they must
-// not be modified. len(qs) must be in [1, W].
+// BackWalkScoresBatch performs a backward walk of the given number of steps
+// from every target of qs (Equation 5, generalized to kind) and returns the
+// score columns: cols[c][u] = h_steps(u, qs[c]) for every node u, and
+// cols[c][qs[c]] = 0 under FirstHit. One walk scores every source at once —
+// the backward-processing primitive (§VI-A) — and one CSR traversal per step
+// serves all columns. The columns are engine-owned and never cleared
+// wholesale: untouched entries already hold β, exactly the score of a source
+// that cannot reach its target within the walk, so a short walk from a
+// sparse target costs only its frontier. They are valid until the next
+// BackWalkScoresBatch call on this engine and must not be modified. len(qs)
+// must be in [1, W].
 func (be *BatchEngine) BackWalkScoresBatch(kind Kind, qs []graph.NodeID, steps int) [][]float64 {
 	return be.BackWalkRowsBatch(kind, qs, steps, nil)
 }
@@ -458,7 +485,10 @@ func (be *BatchEngine) BackWalkRowsBatch(kind Kind, qs []graph.NodeID, steps int
 	sweeps0, frontier0 := be.beginBatch(aw)
 	out := be.betaColumnsStart(aw)
 	ost, colMark := be.ostamp, be.colMark
-	be.seedColumns(qs)
+	for c, q := range qs {
+		be.seed(c, q)
+	}
+	slices.Sort(be.curF)
 	pow := 1.0
 	absorb := kind == FirstHit
 	for i := 1; i <= steps; i++ {
@@ -471,8 +501,8 @@ func (be *BatchEngine) BackWalkRowsBatch(kind Kind, qs []graph.NodeID, steps int
 		if be.lastDense && rs == nil {
 			// First dense step: move the raw sparse-step sums from the out
 			// columns into the node-major accumulator (β-prefill entries
-			// start from zero, mirroring the solo engine's first-touch
-			// overwrite); afterwards each step is one sequential pass.
+			// start from zero, as a first touch overwrites them); afterwards
+			// each step is one sequential pass.
 			if !be.outFull {
 				be.outFull = true
 				if be.acc == nil {
@@ -510,10 +540,10 @@ func (be *BatchEngine) BackWalkRowsBatch(kind Kind, qs []graph.NodeID, steps int
 				for c := 0; c < aw; c++ {
 					m := next[b+c]
 					if m == 0 {
-						// A lane the step did not reach: the solo walk either
-						// never touches it (same β) or touches it with an
-						// underflowed +0 whose α·0+β fold equals the β
-						// prefill bit for bit — skipping is value-identical.
+						// A lane the step did not reach: the dense reference
+						// adds +0 (or an underflowed +0) there, whose α·0+β
+						// fold equals the β prefill bit for bit — skipping
+						// is value-identical.
 						continue
 					}
 					if colMark[b+c] == ost {
@@ -569,10 +599,10 @@ func (be *BatchEngine) BackWalkRowsBatch(kind Kind, qs []graph.NodeID, steps int
 // ForwardProbsBatch advances a batch of forward walks, one per (ps[c],
 // qs[c]) pair: row c of the result holds the per-step probabilities of
 // column c's walk — first-hit P_i(p, q) under FirstHit (absorbing at q, and
-// all-zero for p == q, matching h(v,v) = 0), reach S_i(p, q) under Reach.
-// Row c is bit-identical to the solo ForwardHitProbs / forward reach walk.
-// Returned rows are engine-owned, valid until the next ForwardProbsBatch
-// call. len(ps) must equal len(qs) and lie in [1, W].
+// all-zero for p == q, matching h(v,v) = 0), reach S_i(p, q) under Reach
+// (the F-BJ primitive, §V-B). Cost O(steps·frontier edges), at most
+// O(steps·|E|). Returned rows are engine-owned, valid until the next
+// ForwardProbsBatch call. len(ps) must equal len(qs) and lie in [1, W].
 func (be *BatchEngine) ForwardProbsBatch(kind Kind, ps, qs []graph.NodeID, steps int) [][]float64 {
 	aw := len(ps)
 	if aw != len(qs) {
@@ -585,14 +615,12 @@ func (be *BatchEngine) ForwardProbsBatch(kind Kind, ps, qs []graph.NodeID, steps
 	probs := be.probsRows(aw, steps)
 	sweeps0, frontier0 := be.beginBatch(aw)
 	absorb := kind == FirstHit
-	seeds := make([]graph.NodeID, aw)
-	for c := range ps {
-		seeds[c] = ps[c]
-		if absorb && ps[c] == qs[c] {
-			seeds[c] = -1 // no first-hit mass: h(v,v) = 0 by definition
+	for c, p := range ps {
+		if !absorb || p != qs[c] { // else no first-hit mass: h(v,v) = 0 by definition
+			be.seed(c, p)
 		}
 	}
-	be.seedColumns(seeds)
+	slices.Sort(be.curF)
 	for i := 0; i < steps; i++ {
 		if be.frontierEmpty() {
 			break // all mass absorbed or lost in sinks; P_j = 0 from here
@@ -612,15 +640,31 @@ func (be *BatchEngine) ForwardProbsBatch(kind Kind, ps, qs []graph.NodeID, steps
 	return probs
 }
 
-// ReachProbsBatch is Engine.ReachProbs for a batch of seed sets: lane c
-// starts with unit mass on every node of seeds[c], and res[c][i-1][ti] =
-// Σ_{p∈seeds[c]} S_i(p, targets[c][ti]) for i = 1..steps — == the solo walk's
-// entry. Allocates the result. len(seeds) must equal len(targets) and lie in
-// [1, W].
-func (be *BatchEngine) ReachProbsBatch(seeds, targets [][]graph.NodeID, steps int) [][][]float64 {
+// ForwardScore is h_steps(p, q) under kind by one forward walk: lane 0 of
+// ForwardProbsBatch, folded by Params.Score. Under FirstHit h(v,v) = 0 by
+// definition and nothing is walked.
+func (be *BatchEngine) ForwardScore(kind Kind, p, q graph.NodeID, steps int) float64 {
+	if kind == FirstHit && p == q {
+		return 0
+	}
+	return be.Params.Score(be.ForwardProbsBatch(kind, []graph.NodeID{p}, []graph.NodeID{q}, steps)[0])
+}
+
+// reachProbsBatch advances unabsorbed forward walks from a batch of seed
+// sets (the ingredient of the Y⁺ₗ bound, Theorem 1): lane c starts with unit
+// mass on every node of seeds[c], and res[c][i-1][ti] = Σ_{p∈seeds[c]}
+// S_i(p, targets[c][ti]) for i = 1..steps. rs, when non-nil, is a forward
+// read set containing every lane's targets: the walk is read at its rows
+// only, so its last two steps, when they would be dense sweeps, gather there
+// instead. Allocates the result. len(seeds) must equal len(targets) and lie
+// in [1, W].
+func (be *BatchEngine) reachProbsBatch(seeds, targets [][]graph.NodeID, steps int, rs *ReadSet) [][][]float64 {
 	aw := len(seeds)
 	if aw != len(targets) || aw == 0 || aw > be.W {
-		panic(fmt.Sprintf("dht: ReachProbsBatch with %d seed sets and %d target sets, want 1..%d of each", aw, len(targets), be.W))
+		panic(fmt.Sprintf("dht: reach walk with %d seed sets and %d target sets, want 1..%d of each", aw, len(targets), be.W))
+	}
+	if rs != nil && (rs.g != be.G || rs.backward) {
+		panic("dht: read set built for another graph or walk direction")
 	}
 	w := be.W
 	res := make([][][]float64, aw)
@@ -638,7 +682,7 @@ func (be *BatchEngine) ReachProbsBatch(seeds, targets [][]graph.NodeID, steps in
 		if be.frontierEmpty() {
 			break // mass all lost in sinks; S_j = 0 from here
 		}
-		be.push(false, aw, hopSet{})
+		be.push(false, aw, rs.tailAt(steps-1-i))
 		next := be.next
 		for c, ts := range targets {
 			row := res[c][i]
@@ -665,4 +709,20 @@ func (be *BatchEngine) probsRows(aw, steps int) [][]float64 {
 		rows[c] = flat[c*steps : (c+1)*steps]
 	}
 	return rows
+}
+
+// reachRows allocates steps rows of n entries.
+func reachRows(steps, n int) [][]float64 {
+	res := make([][]float64, steps)
+	flat := make([]float64, steps*n)
+	for i := range res {
+		res[i] = flat[i*n : (i+1)*n]
+	}
+	return res
+}
+
+func clearVec(v []float64) {
+	for i := range v {
+		v[i] = 0
+	}
 }

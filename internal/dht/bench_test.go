@@ -17,33 +17,16 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// BenchmarkBackWalk measures the §VI-A primitive: one d-step backward walk
-// scoring every source node against one target.
-func BenchmarkBackWalk(b *testing.B) {
-	g := benchGraph(b)
-	e, err := NewEngine(g, DHTLambda(0.2), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]float64, g.NumNodes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.BackWalk(graph.NodeID(i%g.NumNodes()), 8, out)
-	}
-}
-
 // BenchmarkForwardScore measures the per-pair forward absorbing walk (the
-// F-BJ primitive) for comparison against BackWalk: one forward walk scores a
-// single pair, one backward walk scores |V| pairs.
+// F-BJ primitive) on a lone engine, for comparison against the backward
+// kernels: one forward walk scores a single pair, one backward walk scores
+// |V| pairs.
 func BenchmarkForwardScore(b *testing.B) {
 	g := benchGraph(b)
-	e, err := NewEngine(g, DHTLambda(0.2), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := mustEngine(b, g, DHTLambda(0.2), 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.ForwardScore(graph.NodeID(i%100), graph.NodeID(1000+i%100))
+		e.ForwardScore(FirstHit, graph.NodeID(i%100), graph.NodeID(1000+i%100), 8)
 	}
 }
 

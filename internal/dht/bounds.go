@@ -24,26 +24,24 @@ type YBoundTable struct {
 	index  map[graph.NodeID]int
 }
 
-// NewYBoundTable computes the table for source set P and target set Q on the
-// solo engine. The table is read at Q only, so the walk's last two steps,
-// when they would be dense sweeps, gather at Q and at Q ∪ in-neighbours(Q)
-// instead (the forward mirror of BackWalkRowsBatch's tail); every entry is ==
-// the one an unrestricted walk gives.
-func NewYBoundTable(e *Engine, p, q []graph.NodeID) *YBoundTable {
-	reach := e.reachProbsInto(p, q, reachRows(e.D, len(q)), newReadSet(e.G, q, false))
-	return newYBoundTable(e.G, e.Params, p, q, reach)
-}
-
 // NewYBoundTables computes the table of every (ps[c], qs[c]) pair as the
-// lanes of forward batched walks on be, W pairs per walk: lane c starts with
-// unit mass on every node of ps[c] and is read at qs[c]. Each lane counts one
-// walk and makes its solo walk's additions in the same order, so every entry
-// is == NewYBoundTable's. len(ps) must equal len(qs).
+// lanes of forward walks on be, W pairs per walk: lane c starts with unit
+// mass on every node of ps[c] and is read at qs[c], and counts one walk. On
+// a width-1 engine (a lone table) each walk is read at its Q only, so its
+// last two steps, when they would be dense sweeps, gather at Q and at
+// Q ∪ in-neighbours(Q) instead (the forward mirror of BackWalkRowsBatch's
+// tail); a wider engine's walks stay unrestricted, the trailing one-lane
+// walk of a table set included. Every entry is == the one an unrestricted
+// width-1 walk gives. len(ps) must equal len(qs).
 func NewYBoundTables(be *BatchEngine, ps, qs [][]graph.NodeID) []*YBoundTable {
 	ts := make([]*YBoundTable, len(ps))
 	for base := 0; base < len(ps); base += be.W {
 		end := min(base+be.W, len(ps))
-		for c, reach := range be.ReachProbsBatch(ps[base:end], qs[base:end], be.D) {
+		var rs *ReadSet
+		if be.W == 1 {
+			rs = newReadSet(be.G, qs[base], false)
+		}
+		for c, reach := range be.reachProbsBatch(ps[base:end], qs[base:end], be.D, rs) {
 			ts[base+c] = newYBoundTable(be.G, be.Params, ps[base+c], qs[base+c], reach)
 		}
 	}

@@ -57,15 +57,15 @@ func ySet(rng *rand.Rand, n, size int, from []graph.NodeID) []graph.NodeID {
 }
 
 // TestYBoundTablesMatchSolo pins both ways a Y⁺ₗ table is built to the
-// untailed solo walk and to a ForceDense walk, == at every (q, l) entry and
-// every raw reach mass: a lone table on the solo engine, whose last two steps
-// gather at Q and Q ∪ in(Q) when they would be sweeps, and 1..W+1 tables as
-// the lanes of batched forward walks (more than W split into two walks), some
-// sharing one P (a star query). Sets repeat ids, overlap, include targets no
-// arc enters, and are sometimes a majority of the nodes (no restriction); the
-// hop sets are sometimes cut by the |E|/2 rule. The counters prove each case
-// occurred: a gather from a tracked frontier, one after a sweep, a tail cut
-// to R0, an unrestricted table and a chunked lane walk.
+// reference walk, == at every (q, l) entry and every raw reach mass: a lone
+// table on a width-1 engine, whose last two steps gather at Q and Q ∪ in(Q)
+// when they would be sweeps, and 1..W+1 tables as the lanes of batched
+// forward walks (more than W split into two walks), some sharing one P (a
+// star query). Sets repeat ids, overlap, include targets no arc enters, and
+// are sometimes a majority of the nodes (no restriction); the hop sets are
+// sometimes cut by the |E|/2 rule. The counters prove each case occurred: a
+// gather from a tracked frontier, one after a sweep, a tail cut to R0, an
+// unrestricted table and a chunked lane walk.
 func TestYBoundTablesMatchSolo(t *testing.T) { eachLaneBody(t, testYBoundTablesMatchSolo) }
 
 func testYBoundTablesMatchSolo(t *testing.T) {
@@ -76,13 +76,12 @@ func testYBoundTablesMatchSolo(t *testing.T) {
 		n := g.NumNodes()
 		for pi, params := range []Params{DHTLambda(0.4), PPR(0.5)} {
 			rng := rand.New(rand.NewSource(int64(gi*10 + pi)))
-			solo := mustEngine(t, g, params, d)
-			dense := mustEngine(t, g, params, d)
-			dense.ForceDense = true
+			ref := refEngine(t, g, params, d)
+			lone := mustEngine(t, g, params, d)
 			be := mustBatchEngine(t, g, params, d, DefaultBatchWidth)
 			for it := 0; it < 16; it++ {
 				threshold := []float64{1e-9, 0.05, 0, 1e9}[rng.Intn(4)]
-				solo.DenseThreshold, be.DenseThreshold = threshold, threshold
+				lone.DenseThreshold, be.DenseThreshold = threshold, threshold
 				pairs := 1 + rng.Intn(DefaultBatchWidth+1)
 				if pairs > DefaultBatchWidth {
 					chunked++
@@ -100,7 +99,7 @@ func testYBoundTablesMatchSolo(t *testing.T) {
 				lanes := NewYBoundTables(be, ps, qs)
 				for c := range ps {
 					p, q := ps[c], qs[c]
-					want := dense.ReachProbs(p, q, d)
+					want := ref.reachProbsBatch([][]graph.NodeID{p}, [][]graph.NodeID{q}, d, nil)[0]
 					rs := newReadSet(g, q, false)
 					switch {
 					case rs == nil:
@@ -108,36 +107,32 @@ func testYBoundTablesMatchSolo(t *testing.T) {
 					case rs.tail[0].nodes != nil && rs.tail[1].nodes == nil:
 						cut++
 					}
-					sweeps, gathers := solo.EdgeSweeps, solo.GatherSteps
-					tailed := solo.reachProbsInto(p, q, reachRows(d, len(q)), rs)
-					sweeps, gathers = solo.EdgeSweeps-sweeps, solo.GatherSteps-gathers
+					sweeps, gathers := lone.EdgeSweeps, lone.GatherSteps
+					tailed := lone.reachProbsBatch([][]graph.NodeID{p}, [][]graph.NodeID{q}, d, rs)[0]
+					sweeps, gathers = lone.EdgeSweeps-sweeps, lone.GatherSteps-gathers
 					if gathers > 0 && sweeps == 0 {
 						trackedGather++
 					} else if gathers > 0 {
 						denseGather++
 					}
-					untailed := solo.ReachProbs(p, q, d)
 					for i := range want {
-						for qi := range q {
-							if tailed[i][qi] != want[i][qi] || untailed[i][qi] != want[i][qi] {
-								t.Fatalf("graph %d %v call %d pair %d: reach at step %d target %d: tailed %v, untailed %v, dense %v",
-									gi, params, it, c, i+1, q[qi], tailed[i][qi], untailed[i][qi], want[i][qi])
-							}
+						if !slices.Equal(tailed[i], want[i]) {
+							t.Fatalf("graph %d %v call %d pair %d: reach at step %d: tailed %v, reference %v",
+								gi, params, it, c, i+1, tailed[i], want[i])
 						}
 					}
-					ref := newYBoundTable(g, params, p, q, want)
+					refTable := newYBoundTable(g, params, p, q, want)
 					for name, got := range map[string]*YBoundTable{
-						"tailed solo":   NewYBoundTable(solo, p, q),
-						"untailed solo": newYBoundTable(g, params, p, q, untailed),
-						"lane":          lanes[c],
+						"lone": NewYBoundTables(lone, [][]graph.NodeID{p}, [][]graph.NodeID{q})[0],
+						"lane": lanes[c],
 					} {
 						if !got.BuiltFor(g, params, d, p, q) {
 							t.Fatalf("%s table of pair %d not built for its own (P, Q, d)", name, c)
 						}
 						for qi := range q {
-							if !slices.Equal(got.y[qi], ref.y[qi]) {
-								t.Fatalf("graph %d %v call %d pair %d target %d: %s table %v != dense %v",
-									gi, params, it, c, q[qi], name, got.y[qi], ref.y[qi])
+							if !slices.Equal(got.y[qi], refTable.y[qi]) {
+								t.Fatalf("graph %d %v call %d pair %d target %d: %s table %v != reference %v",
+									gi, params, it, c, q[qi], name, got.y[qi], refTable.y[qi])
 							}
 						}
 					}
@@ -152,10 +147,10 @@ func testYBoundTablesMatchSolo(t *testing.T) {
 }
 
 // TestYBoundTableWorkGate pins the exact kernel work of both table paths on
-// a fixed 2 400-node community graph with 60-node sets: a lone table on the
-// solo engine gathers its last two steps at Q instead of sweeping, and three
-// tables are the lanes of one forward walk that counts three walks and sweeps
-// the graph once per dense step.
+// a fixed 2 400-node community graph with 60-node sets: a lone table on a
+// width-1 engine gathers its last two steps at Q instead of sweeping, and
+// three tables are the lanes of one forward walk that counts three walks and
+// sweeps the graph once per dense step.
 func TestYBoundTableWorkGate(t *testing.T) {
 	g, sets, err := graph.GenerateCommunity(graph.CommunityConfig{
 		Sizes: []int{800, 800, 800}, PIn: 0.01, POut: 0.01, Seed: 1, MinOutLink: 1,
@@ -167,21 +162,21 @@ func TestYBoundTableWorkGate(t *testing.T) {
 	params := DHTLambda(0.2)
 	p, q := sets[0].Nodes()[:60], sets[1].Nodes()[:60]
 
-	solo := mustEngine(t, g, params, d)
-	solo.ReachProbs(p, q, d)
-	untailed := [3]int64{solo.EdgeSweeps, solo.SparseSteps, solo.GatherSteps}
-	solo.ResetCounters()
-	NewYBoundTable(solo, p, q)
-	tailed := [3]int64{solo.EdgeSweeps, solo.SparseSteps, solo.GatherSteps}
+	lone := mustEngine(t, g, params, d)
+	lone.reachProbsBatch([][]graph.NodeID{p}, [][]graph.NodeID{q}, d, nil)
+	untailed := [3]int64{lone.EdgeSweeps, lone.SparseSteps, lone.GatherSteps}
+	lone = mustEngine(t, g, params, d)
+	NewYBoundTables(lone, [][]graph.NodeID{p}, [][]graph.NodeID{q})
+	tailed := [3]int64{lone.EdgeSweeps, lone.SparseSteps, lone.GatherSteps}
 	rs := newReadSet(g, q, false)
 	t.Logf("lone table: untailed sweeps/sparse/gathers %v, tailed %v, %d frontier edges (Σ in-degree of R0 %d, R1 %d)",
-		untailed, tailed, solo.FrontierEdges, rs.tail[0].edges, rs.tail[1].edges)
+		untailed, tailed, lone.FrontierEdges, rs.tail[0].edges, rs.tail[1].edges)
 	if want := [3]int64{8, 0, 0}; untailed != want {
 		t.Fatalf("untailed lone table: sweeps/sparse/gathers %v, want %v", untailed, want)
 	}
 	// The gathers scan R0's and R1's in-edges and nothing else.
-	if want := [3]int64{6, 0, 2}; tailed != want || solo.FrontierEdges != 14063 || rs.tail[0].edges+rs.tail[1].edges != 14063 {
-		t.Fatalf("tailed lone table: sweeps/sparse/gathers %v and %d frontier edges, want %v and 14063", tailed, solo.FrontierEdges, want)
+	if want := [3]int64{6, 0, 2}; tailed != want || lone.FrontierEdges != 14063 || rs.tail[0].edges+rs.tail[1].edges != 14063 {
+		t.Fatalf("tailed lone table: sweeps/sparse/gathers %v and %d frontier edges, want %v and 14063", tailed, lone.FrontierEdges, want)
 	}
 
 	be := mustBatchEngine(t, g, params, d, DefaultBatchWidth)
@@ -191,11 +186,17 @@ func TestYBoundTableWorkGate(t *testing.T) {
 	if want := [4]int64{3, 8, 0, 0}; lanes != want || be.FrontierEdges != 0 {
 		t.Fatalf("3-pair lane walk: walks/sweeps/sparse/gathers %v and %d frontier edges, want %v and none", lanes, be.FrontierEdges, want)
 	}
+	// A one-lane walk on a wider engine (the ninth of nine tables) takes no tail.
+	be = mustBatchEngine(t, g, params, d, DefaultBatchWidth)
+	NewYBoundTables(be, [][]graph.NodeID{p}, [][]graph.NodeID{q})
+	if got := [3]int64{be.EdgeSweeps, be.SparseSteps, be.GatherSteps}; got != untailed {
+		t.Fatalf("one-lane walk at width %d: sweeps/sparse/gathers %v, want %v", be.W, got, untailed)
+	}
 }
 
 // BenchmarkYBoundTable times the Theorem-1 precomputation on 60-node interest
 // groups of the 25 000-node YouTube stand-in (a join2_cold request's sets):
-// solo is one table on the solo engine (the 2-way join's lone table, with its
+// lone is one table on a width-1 engine (the 2-way join's lone table, with its
 // gathered tail), lanes=3 three tables as the lanes of one forward batched walk
 // (a 3-edge n-way query). The kernel work per op is reported next to the time.
 func BenchmarkYBoundTable(b *testing.B) {
@@ -215,11 +216,11 @@ func BenchmarkYBoundTable(b *testing.B) {
 		b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/op")
 		b.ReportMetric(float64(frontier)/float64(b.N), "frontier-edges/op")
 	}
-	b.Run("solo", func(b *testing.B) {
+	b.Run("lone", func(b *testing.B) {
 		e := mustEngine(b, ds.Graph, params, d)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			NewYBoundTable(e, group(i), group(7*i+3))
+			NewYBoundTables(e, [][]graph.NodeID{group(i)}, [][]graph.NodeID{group(7*i + 3)})
 		}
 		report(b, e.EdgeSweeps, e.FrontierEdges)
 	})

@@ -2,19 +2,29 @@ package dht
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 )
 
-func mustEngine(t testing.TB, g *graph.Graph, p Params, d int) *Engine {
+// mustEngine is a width-1 engine: the one a lone walk runs on.
+func mustEngine(t testing.TB, g *graph.Graph, p Params, d int) *BatchEngine {
 	t.Helper()
-	e, err := NewEngine(g, p, d)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	return e
+	return mustBatchEngine(t, g, p, d, 1)
+}
+
+// column is the backward score column h_steps(·, q) of a lone walk on e,
+// copied out of the engine-owned buffer.
+func column(e *BatchEngine, kind Kind, q graph.NodeID, steps int) []float64 {
+	return slices.Clone(e.BackWalkScoresBatch(kind, []graph.NodeID{q}, steps)[0])
+}
+
+// hitProbs is the per-step first-hit probabilities P_1..P_steps(p, q) of a
+// lone forward walk on e.
+func hitProbs(e *BatchEngine, p, q graph.NodeID, steps int) []float64 {
+	return slices.Clone(e.ForwardProbsBatch(FirstHit, []graph.NodeID{p}, []graph.NodeID{q}, steps)[0])
 }
 
 // twoNodeGraph: 0 ↔ 1, so P_i(0,1) = 1 at i=1 and 0 later.
@@ -125,7 +135,7 @@ func TestXBoundClosedForm(t *testing.T) {
 func TestForwardHitProbsTwoNode(t *testing.T) {
 	g := twoNodeGraph(t)
 	e := mustEngine(t, g, DHTLambda(0.2), 4)
-	probs := e.ForwardHitProbs(0, 1, 4)
+	probs := hitProbs(e, 0, 1, 4)
 	want := []float64{1, 0, 0, 0}
 	for i := range want {
 		if math.Abs(probs[i]-want[i]) > 1e-12 {
@@ -133,7 +143,7 @@ func TestForwardHitProbsTwoNode(t *testing.T) {
 		}
 	}
 	// h_d(0,1) = α λ + β; for DHTλ(0.2): 1.25*0.2 - 1.25 = -1.0.
-	if s := e.ForwardScore(0, 1); math.Abs(s+1.0) > 1e-12 {
+	if s := e.ForwardScore(FirstHit, 0, 1, 4); math.Abs(s+1.0) > 1e-12 {
 		t.Fatalf("score = %v, want -1", s)
 	}
 }
@@ -141,8 +151,11 @@ func TestForwardHitProbsTwoNode(t *testing.T) {
 func TestForwardSelfPairIsZero(t *testing.T) {
 	g := twoNodeGraph(t)
 	e := mustEngine(t, g, DHTLambda(0.2), 4)
-	if s := e.ForwardScore(0, 0); s != 0 {
-		t.Fatalf("h(v,v) = %v, want 0", s)
+	if s := e.ForwardScore(FirstHit, 0, 0, 4); s != 0 || e.Walks != 0 {
+		t.Fatalf("h(v,v) = %v after %d walks, want 0 without walking", s, e.Walks)
+	}
+	if probs := hitProbs(e, 0, 0, 4); !slices.Equal(probs, make([]float64, 4)) {
+		t.Fatalf("first-hit probabilities of a self pair: %v, want zeros", probs)
 	}
 }
 
@@ -152,7 +165,7 @@ func TestForwardSelfPairIsZero(t *testing.T) {
 func TestPathFirstHitProbs(t *testing.T) {
 	g := pathGraph(t, 3)
 	e := mustEngine(t, g, DHTLambda(0.5), 6)
-	probs := e.ForwardHitProbs(0, 2, 6)
+	probs := hitProbs(e, 0, 2, 6)
 	want := []float64{0, 0.5, 0, 0.25, 0, 0.125}
 	for i := range want {
 		if math.Abs(probs[i]-want[i]) > 1e-12 {
@@ -170,14 +183,13 @@ func TestBackWalkMatchesForward(t *testing.T) {
 	}
 	for _, p := range []Params{DHTLambda(0.2), DHTLambda(0.7), DHTE()} {
 		e := mustEngine(t, g, p, 8)
-		scores := make([]float64, g.NumNodes())
 		for _, q := range []graph.NodeID{0, 7, 20} {
-			e.BackWalk(q, 8, scores)
+			scores := column(e, FirstHit, q, 8)
 			for _, u := range []graph.NodeID{1, 5, 16, 29} {
 				if u == q {
 					continue
 				}
-				fwd := e.ForwardScore(u, q)
+				fwd := e.ForwardScore(FirstHit, u, q, 8)
 				if math.Abs(fwd-scores[u]) > 1e-10 {
 					t.Fatalf("params %v: h_8(%d,%d): forward %v vs backward %v", p, u, q, fwd, scores[u])
 				}
@@ -199,13 +211,12 @@ func TestBackWalkAgainstExactSolver(t *testing.T) {
 	p := DHTLambda(0.2)
 	d := p.StepsForEpsilon(1e-10) // deep truncation ≈ exact
 	e := mustEngine(t, g, p, d)
-	scores := make([]float64, g.NumNodes())
 	for _, q := range []graph.NodeID{0, 13} {
 		exact, err := ExactColumn(g, p, q)
 		if err != nil {
 			t.Fatalf("ExactColumn: %v", err)
 		}
-		e.BackWalk(q, d, scores)
+		scores := column(e, FirstHit, q, d)
 		for u := range scores {
 			if math.Abs(scores[u]-exact[u]) > 1e-8 {
 				t.Fatalf("node %d → %d: truncated %v vs exact %v", u, q, scores[u], exact[u])
@@ -238,20 +249,6 @@ func TestExactSolverErrors(t *testing.T) {
 	}
 }
 
-func TestBackWalkProbsRecordsFirstHits(t *testing.T) {
-	g := pathGraph(t, 3)
-	e := mustEngine(t, g, DHTLambda(0.5), 6)
-	out := make([]float64, g.NumNodes())
-	hit := [][]float64{make([]float64, 6)}
-	e.BackWalkProbs(2, 6, out, []graph.NodeID{0}, hit)
-	want := []float64{0, 0.5, 0, 0.25, 0, 0.125}
-	for i := range want {
-		if math.Abs(hit[0][i]-want[i]) > 1e-12 {
-			t.Fatalf("recorded P_%d = %v, want %v", i+1, hit[0][i], want[i])
-		}
-	}
-}
-
 func TestReachProbsBoundFirstHits(t *testing.T) {
 	g, _, err := graph.GenerateCommunity(graph.CommunityConfig{
 		Sizes: []int{12, 12}, PIn: 0.35, POut: 0.1, Seed: 21, MinOutLink: 1,
@@ -264,11 +261,11 @@ func TestReachProbsBoundFirstHits(t *testing.T) {
 	e := mustEngine(t, g, p, d)
 	seeds := []graph.NodeID{0, 1, 2}
 	targets := []graph.NodeID{15, 20}
-	reach := e.ReachProbs(seeds, targets, d)
+	reach := e.reachProbsBatch([][]graph.NodeID{seeds}, [][]graph.NodeID{targets}, d, nil)[0]
 	// Lemmas 3–4: P_i(p,q) ≤ S_i(p,q) ≤ Σ_p S_i(p,q).
 	for ti, q := range targets {
 		for _, s := range seeds {
-			probs := e.ForwardHitProbs(s, q, d)
+			probs := hitProbs(e, s, q, d)
 			for i := 0; i < d; i++ {
 				if probs[i] > reach[i][ti]+1e-12 {
 					t.Fatalf("P_%d(%d,%d)=%v exceeds summed reach %v", i+1, s, q, probs[i], reach[i][ti])
@@ -292,11 +289,9 @@ func TestYBoundTheorem1(t *testing.T) {
 	e := mustEngine(t, g, p, d)
 	seeds := []graph.NodeID{0, 1, 2, 3}
 	targets := []graph.NodeID{14, 20, 27}
-	yt := NewYBoundTable(e, seeds, targets)
-	full := make([]float64, g.NumNodes())
-	part := make([]float64, g.NumNodes())
+	yt := NewYBoundTables(e, [][]graph.NodeID{seeds}, [][]graph.NodeID{targets})[0]
 	for _, q := range targets {
-		e.BackWalk(q, d, full)
+		full := column(e, FirstHit, q, d)
 		for l := 0; l <= d; l++ {
 			y := yt.Bound(q, l)
 			x := p.XBound(l)
@@ -315,7 +310,7 @@ func TestYBoundTheorem1(t *testing.T) {
 				}
 				continue
 			}
-			e.BackWalk(q, l, part)
+			part := column(e, FirstHit, q, l)
 			for _, s := range seeds {
 				if s == q {
 					continue
@@ -339,7 +334,7 @@ func TestTruncationMonotoneProperty(t *testing.T) {
 		lambda := 0.1 + float64(rawL%8)/10
 		p := DHTLambda(lambda)
 		d := 8
-		e, err := NewEngine(g, p, d)
+		e, err := NewBatchEngine(g, p, d, 1)
 		if err != nil {
 			return false
 		}
@@ -349,7 +344,7 @@ func TestTruncationMonotoneProperty(t *testing.T) {
 		}
 		prev := math.Inf(-1)
 		for l := 1; l <= d; l++ {
-			hl := e.ForwardScoreAt(u, q, l)
+			hl := e.ForwardScore(FirstHit, u, q, l)
 			if hl < prev-1e-12 {
 				return false // not monotone
 			}
@@ -357,7 +352,7 @@ func TestTruncationMonotoneProperty(t *testing.T) {
 		}
 		hd := prev
 		for l := 1; l < d; l++ {
-			if hd > e.ForwardScoreAt(u, q, l)+p.XBound(l)+1e-10 {
+			if hd > e.ForwardScore(FirstHit, u, q, l)+p.XBound(l)+1e-10 {
 				return false // X bound violated
 			}
 		}
@@ -370,11 +365,14 @@ func TestTruncationMonotoneProperty(t *testing.T) {
 
 func TestEngineValidation(t *testing.T) {
 	g := twoNodeGraph(t)
-	if _, err := NewEngine(g, DHTLambda(0.2), 0); err == nil {
+	if _, err := NewBatchEngine(g, DHTLambda(0.2), 0, 1); err == nil {
 		t.Fatal("d=0 accepted")
 	}
-	if _, err := NewEngine(g, Params{Alpha: 0, Beta: 0, Lambda: 0.5}, 4); err == nil {
+	if _, err := NewBatchEngine(g, Params{Alpha: 0, Beta: 0, Lambda: 0.5}, 4, 1); err == nil {
 		t.Fatal("alpha=0 accepted")
+	}
+	if be := mustBatchEngine(t, g, DHTLambda(0.2), 4, 0); be.W != DefaultBatchWidth {
+		t.Fatalf("width 0 built an engine of width %d, want the default %d", be.W, DefaultBatchWidth)
 	}
 }
 
@@ -385,37 +383,30 @@ func TestEngineCounters(t *testing.T) {
 	// budget on a 4-node graph is only a couple of edges): no dense sweeps,
 	// only frontier edges.
 	e.DenseThreshold = 10
-	e.ForwardScore(0, 3)
+	e.ForwardScore(FirstHit, 0, 3, 4)
 	if e.Walks != 1 || e.EdgeSweeps != 0 || e.SparseSteps != 4 || e.FrontierEdges == 0 {
 		t.Fatalf("counters after forward: walks=%d sweeps=%d sparse=%d frontier=%d",
 			e.Walks, e.EdgeSweeps, e.SparseSteps, e.FrontierEdges)
 	}
-	e.ResetCounters()
-	out := make([]float64, 4)
-	e.BackWalk(3, 2, out)
-	if e.Walks != 1 || e.EdgeSweeps != 0 || e.SparseSteps != 2 {
+	e.BackWalkScoresBatch(FirstHit, []graph.NodeID{3}, 2)
+	if e.Walks != 2 || e.EdgeSweeps != 0 || e.SparseSteps != 6 {
 		t.Fatalf("counters after backward: walks=%d sweeps=%d sparse=%d", e.Walks, e.EdgeSweeps, e.SparseSteps)
-	}
-	if e.Walks != 1 {
-		t.Fatalf("walks=%d, want 1", e.Walks)
 	}
 }
 
-// TestEngineCountersForceDense pins the original dense cost model: one full
-// sweep per step.
+// TestEngineCountersForceDense pins the dense cost model: one full sweep per
+// step, and nothing counted as frontier work.
 func TestEngineCountersForceDense(t *testing.T) {
 	g := pathGraph(t, 4)
 	e := mustEngine(t, g, DHTLambda(0.2), 4)
 	e.ForceDense = true
-	e.ForwardScore(0, 3)
+	e.ForwardScore(FirstHit, 0, 3, 4)
 	if e.Walks != 1 || e.EdgeSweeps != 4 || e.SparseSteps != 0 {
 		t.Fatalf("counters after forward: walks=%d sweeps=%d sparse=%d", e.Walks, e.EdgeSweeps, e.SparseSteps)
 	}
-	e.ResetCounters()
-	out := make([]float64, 4)
-	e.BackWalk(3, 2, out)
-	if e.Walks != 1 || e.EdgeSweeps != 2 {
-		t.Fatalf("counters after backward: walks=%d sweeps=%d", e.Walks, e.EdgeSweeps)
+	e.BackWalkScoresBatch(FirstHit, []graph.NodeID{3}, 2)
+	if e.Walks != 2 || e.EdgeSweeps != 6 || e.FrontierEdges != 0 {
+		t.Fatalf("counters after backward: walks=%d sweeps=%d frontier=%d", e.Walks, e.EdgeSweeps, e.FrontierEdges)
 	}
 }
 
@@ -426,9 +417,8 @@ func TestEngineSinkAggregates(t *testing.T) {
 	e := mustEngine(t, g, DHTLambda(0.2), 4)
 	var c Counters
 	e.Sink = &c
-	e.ForwardScore(0, 3)
-	out := make([]float64, 4)
-	e.BackWalk(3, 2, out)
+	e.ForwardScore(FirstHit, 0, 3, 4)
+	e.BackWalkScoresBatch(FirstHit, []graph.NodeID{3}, 2)
 	snap := c.Snapshot()
 	if snap.Walks != 2 {
 		t.Fatalf("sink walks = %d, want 2", snap.Walks)
@@ -449,7 +439,7 @@ func TestUnreachableScoreIsBeta(t *testing.T) {
 	g := b.Build()
 	p := DHTLambda(0.2)
 	e := mustEngine(t, g, p, 6)
-	if s := e.ForwardScore(1, 0); s != p.Beta {
+	if s := e.ForwardScore(FirstHit, 1, 0, 6); s != p.Beta {
 		t.Fatalf("unreachable score = %v, want β=%v", s, p.Beta)
 	}
 }
@@ -462,7 +452,7 @@ func TestSinkAbsorbsWalk(t *testing.T) {
 	g := b.Build()
 	p := DHTLambda(0.5)
 	e := mustEngine(t, g, p, 5)
-	probs := e.ForwardHitProbs(0, 2, 5)
+	probs := hitProbs(e, 0, 2, 5)
 	want := []float64{0, 1, 0, 0, 0}
 	for i := range want {
 		if math.Abs(probs[i]-want[i]) > 1e-12 {

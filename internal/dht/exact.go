@@ -35,7 +35,7 @@ func ExactColumn(g *graph.Graph, p Params, v graph.NodeID) ([]float64, error) {
 		return nil, fmt.Errorf("dht: exact solve on empty graph")
 	}
 	if n > 4096 {
-		return nil, fmt.Errorf("dht: exact solve limited to 4096 nodes, got %d (use BackWalk)", n)
+		return nil, fmt.Errorf("dht: exact solve limited to 4096 nodes, got %d (use BackWalkScoresBatch)", n)
 	}
 	// Build A = I − λ·P with the v column dropped, rhs = λ·p_{·v}.
 	a := make([][]float64, n)

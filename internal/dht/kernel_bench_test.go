@@ -1,26 +1,22 @@
 package dht
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// benchKernel compares the adaptive sparse/dense kernel against the forced
-// dense reference on full-depth walks; the reported custom metrics show how
-// the work split between the two paths.
+// benchKernel is the §VI-A primitive on a lone engine — one full-depth
+// backward walk scoring every source against one target — under the
+// adaptive sparse/dense switch or the dense reference; the custom metrics
+// show how the work split between the two step forms.
 func benchKernel(b *testing.B, force bool) {
 	g := benchGraph(b)
-	e, err := NewEngine(g, DHTLambda(0.2), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := mustEngine(b, g, DHTLambda(0.2), 8)
 	e.ForceDense = force
-	out := make([]float64, g.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.BackWalk(graph.NodeID(i%g.NumNodes()), 8, out)
+		e.BackWalkScoresBatch(FirstHit, []graph.NodeID{graph.NodeID(i % g.NumNodes())}, 8)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(e.EdgeSweeps)/float64(b.N), "sweeps/op")
@@ -34,40 +30,22 @@ func BenchmarkBackWalkAdaptiveKernel(b *testing.B) { benchKernel(b, false) }
 func BenchmarkBackWalkForceDenseKernel(b *testing.B) { benchKernel(b, true) }
 
 // BenchmarkBackWalkShort measures the l=1 walk that dominates B-IDJ's first
-// deepening round — the regime the sparse frontier exists for: only the
-// target's in-neighbors are touched instead of O(|V|) scans per step.
+// deepening round on a lone engine — the regime the sparse frontier and the
+// β-prefilled column exist for: only the target's in-neighbours are touched
+// and restored, no O(|V|) pass.
 func BenchmarkBackWalkShort(b *testing.B) {
 	g := benchGraph(b)
-	e, err := NewEngine(g, DHTLambda(0.2), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]float64, g.NumNodes())
+	e := mustEngine(b, g, DHTLambda(0.2), 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.BackWalk(graph.NodeID(i%g.NumNodes()), 1, out)
-	}
-}
-
-// BenchmarkBackWalkScoresShort is BenchmarkBackWalkShort through the
-// β-prefilled engine-owned column: no O(|V|) clear of the caller buffer and
-// no O(|V|) affine pass, only the touched entries.
-func BenchmarkBackWalkScoresShort(b *testing.B) {
-	g := benchGraph(b)
-	e, err := NewEngine(g, DHTLambda(0.2), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.BackWalkScores(FirstHit, graph.NodeID(i%g.NumNodes()), 1)
+		e.BackWalkScoresBatch(FirstHit, []graph.NodeID{graph.NodeID(i % g.NumNodes())}, 1)
 	}
 }
 
 // benchBatchBackWalk measures the batched kernel at the given width against
 // BenchmarkBackWalkForceDenseKernel / BenchmarkBackWalkAdaptiveKernel: one
 // op is ONE walk (b.N walks are issued in width-sized batches), so ns/op is
-// directly comparable to the solo kernels.
+// directly comparable to a lone engine's.
 func benchBatchBackWalk(b *testing.B, w, steps int) {
 	g := benchGraph(b)
 	be, err := NewBatchEngine(g, DHTLambda(0.2), 8, w)
@@ -99,43 +77,3 @@ func BenchmarkBatchBackWalkW16(b *testing.B) { benchBatchBackWalk(b, 16, 8) }
 
 // BenchmarkBatchBackWalkShortW8: the l=1 deepening-round regime, batched.
 func BenchmarkBatchBackWalkShortW8(b *testing.B) { benchBatchBackWalk(b, 8, 1) }
-
-// BenchmarkSoloVsBatchW1 is the measurement behind keeping the solo push
-// kernel next to the batch engine (DESIGN.md, kernel section): one target
-// per op on a 25k-node preferential-attachment graph, walked l steps by
-// the solo engine, by a width-1 batch engine, and by a width-8 batch engine
-// with a single active column. If width 1 matched solo, Engine could be a
-// W=1 view of BatchEngine; it does not.
-func BenchmarkSoloVsBatchW1(b *testing.B) {
-	g, err := graph.GeneratePreferential(25000, 3, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.NumNodes()
-	for _, l := range []int{1, 2, 3, 5, 8} {
-		b.Run(fmt.Sprintf("l=%d/solo", l), func(b *testing.B) {
-			e, err := NewEngine(g, DHTLambda(0.2), 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.BackWalkScores(FirstHit, graph.NodeID(i%n), l)
-			}
-		})
-		for _, w := range []int{1, 8} {
-			b.Run(fmt.Sprintf("l=%d/batchW%d", l, w), func(b *testing.B) {
-				be, err := NewBatchEngine(g, DHTLambda(0.2), 8, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				q := make([]graph.NodeID, 1)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					q[0] = graph.NodeID(i % n)
-					be.BackWalkScoresBatch(FirstHit, q, l)
-				}
-			})
-		}
-	}
-}

@@ -11,7 +11,9 @@ import (
 // it with fixed-size array pointers (no per-lane bounds checks), the assembly
 // bodies as two YMM registers; both run all laneWidth lanes whatever the
 // active width, because lanes at and beyond it hold +0 and x + (+0) is x.
-// Every other W runs the variable-width loops of the Go bodies.
+// Width 1, a lone walk, has a scalar branch of its own in the Go bodies (no
+// block slicing, no lane loop); every other W runs their variable-width
+// loops.
 const laneWidth = DefaultBatchWidth
 
 // goBody is a primitive in Go, the reference on every GOARCH; asmBody is one
@@ -39,7 +41,7 @@ var (
 // next[nbr[j]] += cur[v]·p[j] over v's entries j in ascending order, lane by
 // lane for the aw active lanes. Per lane that is one rounded multiply and one
 // rounded add per edge — never a fused multiply-add — so every lane performs
-// the solo walk's additions in the solo walk's order under either body.
+// the width-1 dense walk's additions in its order under either body.
 func scatter(cur, next []float64, w, aw int, side graph.CSR, rows []graph.NodeID) {
 	relax(scatterGo, scatterAsm, cur, next, w, aw, side, rows)
 }
@@ -88,6 +90,16 @@ func scatterGo(cur, next []float64, w, aw int, side graph.CSR, rows []graph.Node
 		v := rowAt(rows, i)
 		lo, hi := side.Index[v], side.Index[v+1]
 		nbr, p := side.Nbr[lo:hi], side.P[lo:hi]
+		if w == 1 {
+			m := cur[v]
+			if m == 0 {
+				continue
+			}
+			for j, u := range nbr {
+				next[u] += m * p[j]
+			}
+			continue
+		}
 		if w == laneWidth {
 			mb := (*[laneWidth]float64)(cur[v*laneWidth:])
 			if !anyNonZero(mb[:]) {
@@ -127,6 +139,14 @@ func gatherGo(cur, next []float64, w, aw int, side graph.CSR, rows []graph.NodeI
 		u := rowAt(rows, i)
 		lo, hi := side.Index[u], side.Index[u+1]
 		nbr, p := side.Nbr[lo:hi], side.P[lo:hi]
+		if w == 1 {
+			var s float64
+			for j, v := range nbr {
+				s += cur[v] * p[j]
+			}
+			next[u] = s
+			continue
+		}
 		if w == laneWidth {
 			var s [laneWidth]float64
 			for j, v := range nbr {

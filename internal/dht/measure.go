@@ -35,74 +35,6 @@ func PPR(c float64) Params {
 	return Params{Alpha: 1 - c, Beta: 0, Lambda: c}
 }
 
-// ForwardScoreKind computes the truncated score under the given kind with a
-// forward walk: FirstHit uses the absorbing walk, Reach the plain one.
-func (e *Engine) ForwardScoreKind(kind Kind, p, q graph.NodeID, steps int) float64 {
-	if kind == FirstHit {
-		return e.ForwardScoreAt(p, q, steps)
-	}
-	return e.Params.Score(e.forwardReachProbs(p, q, e.probsScratch(steps)))
-}
-
-// forwardReachProbs advances an unabsorbed walk from p through the adaptive
-// kernel, recording the mass at q after each step: probs[i-1] = S_i(p, q).
-func (e *Engine) forwardReachProbs(p, q graph.NodeID, probs []float64) []float64 {
-	sweeps0, frontier0 := e.beginWalk()
-	clearVec(probs)
-	e.seed(p)
-	for i := range probs {
-		if e.frontierEmpty() {
-			break // mass all lost in sinks; S_j = 0 from here
-		}
-		e.push(false, hopSet{})
-		probs[i] = e.next[q]
-		e.commit(i == len(probs)-1)
-	}
-	e.endWalk(sweeps0, frontier0)
-	return probs
-}
-
-// BackWalkKind computes out[u] = truncated score from u to q for every node
-// u, under the given kind: one backward step per walk length, shared by all
-// sources — the backward-processing primitive generalized beyond first-hit.
-func (e *Engine) BackWalkKind(kind Kind, q graph.NodeID, steps int, out []float64) {
-	if kind == FirstHit {
-		e.BackWalk(q, steps, out)
-		return
-	}
-	if len(out) != e.G.NumNodes() {
-		panic(fmt.Sprintf("dht: BackWalkKind out has length %d, want %d", len(out), e.G.NumNodes()))
-	}
-	sweeps0, frontier0 := e.beginWalk()
-	clearVec(out)
-	e.seed(q)
-	pow := 1.0
-	for i := 1; i <= steps; i++ {
-		if e.frontierEmpty() {
-			break // mass all lost in sinks; S_j = 0 from here
-		}
-		pow *= e.Params.Lambda
-		e.push(true, hopSet{})
-		// next[u] = S_i(u, q); no re-absorption: the walk may pass q.
-		next := e.next
-		if e.lastDense {
-			for u := range next {
-				out[u] += pow * next[u]
-			}
-		} else {
-			for _, u := range e.nextF {
-				out[u] += pow * next[u]
-			}
-		}
-		e.commit(i == steps)
-	}
-	a, b := e.Params.Alpha, e.Params.Beta
-	for u := range out {
-		out[u] = a*out[u] + b
-	}
-	e.endWalk(sweeps0, frontier0)
-}
-
 // ExactReachColumn solves the reach-measure analogue of ExactColumn:
 // φ(u) = Σ_{i≥1} λ^i·S_i(u, v) satisfies (I − λP)·φ = λ·p_{·v} with no
 // column dropped (the walk continues through v). out[u] = α·φ(u) + β.
@@ -115,7 +47,7 @@ func ExactReachColumn(g *graph.Graph, p Params, v graph.NodeID) ([]float64, erro
 		return nil, fmt.Errorf("dht: exact solve on empty graph")
 	}
 	if n > 4096 {
-		return nil, fmt.Errorf("dht: exact solve limited to 4096 nodes, got %d (use BackWalkKind)", n)
+		return nil, fmt.Errorf("dht: exact solve limited to 4096 nodes, got %d (use BackWalkScoresBatch)", n)
 	}
 	a := make([][]float64, n)
 	rhs := make([]float64, n)

@@ -34,11 +34,10 @@ func TestReachForwardBackwardAgree(t *testing.T) {
 	}
 	p := PPR(0.5)
 	e := mustEngine(t, g, p, 10)
-	out := make([]float64, g.NumNodes())
 	for _, q := range []graph.NodeID{0, 8, 22} {
-		e.BackWalkKind(Reach, q, 10, out)
+		out := column(e, Reach, q, 10)
 		for _, u := range []graph.NodeID{1, 5, 16, 29} {
-			fwd := e.ForwardScoreKind(Reach, u, q, 10)
+			fwd := e.ForwardScore(Reach, u, q, 10)
 			if math.Abs(fwd-out[u]) > 1e-10 {
 				t.Fatalf("reach(%d,%d): forward %v vs backward %v", u, q, fwd, out[u])
 			}
@@ -58,13 +57,12 @@ func TestReachAgainstExactSolver(t *testing.T) {
 	p := PPR(0.3)
 	d := p.StepsForEpsilon(1e-10)
 	e := mustEngine(t, g, p, d)
-	out := make([]float64, g.NumNodes())
 	for _, q := range []graph.NodeID{0, 13} {
 		exact, err := ExactReachColumn(g, p, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.BackWalkKind(Reach, q, d, out)
+		out := column(e, Reach, q, d)
 		for u := range out {
 			if math.Abs(out[u]-exact[u]) > 1e-8 {
 				t.Fatalf("node %d → %d: truncated %v vs exact %v", u, q, out[u], exact[u])
@@ -89,8 +87,8 @@ func TestReachDominatesFirstHit(t *testing.T) {
 			if u == q {
 				continue
 			}
-			fh := e.ForwardScoreKind(FirstHit, u, q, 8)
-			rc := e.ForwardScoreKind(Reach, u, q, 8)
+			fh := e.ForwardScore(FirstHit, u, q, 8)
+			rc := e.ForwardScore(Reach, u, q, 8)
 			if rc < fh-1e-12 {
 				t.Fatalf("reach(%d,%d)=%v < first-hit %v", u, q, rc, fh)
 			}
@@ -104,7 +102,7 @@ func TestReachTwoNode(t *testing.T) {
 	g := twoNodeGraph(t)
 	p := Params{Alpha: 1, Beta: 0, Lambda: 0.5}
 	e := mustEngine(t, g, p, 6)
-	got := e.ForwardScoreKind(Reach, 0, 1, 6)
+	got := e.ForwardScore(Reach, 0, 1, 6)
 	want := 0.5 + 0.125 + 0.03125
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("reach score = %v, want %v", got, want)

@@ -8,13 +8,14 @@ import (
 )
 
 // Counters aggregates engine work across walks — and, through atomic adds,
-// across the concurrent engines of a worker pool. Attach one as Engine.Sink
-// (or EnginePool.Sink) and read it with Snapshot once the workers are done.
+// across the concurrent engines of a worker pool. Attach one as
+// BatchEngine.Sink (or EnginePool.Sink) and read it with Snapshot once the
+// workers are done.
 type Counters struct {
 	Walks      int64 // walk invocations
 	EdgeSweeps int64 // full O(|E|) dense relaxation sweeps
 	// FrontierEdges counts every CSR edge scanned outside a dense sweep: by
-	// sparse frontier pushes and by gathered tail steps (the batched kernel's
+	// sparse frontier pushes and by gathered tail steps (a backward walk's
 	// rows form, a lone Y⁺ₗ table's walk). EdgeSweeps·|E| + FrontierEdges is
 	// therefore all the edge work the engines did.
 	FrontierEdges int64
@@ -55,14 +56,13 @@ func (c *Counters) Reset() {
 }
 
 // EnginePool hands out engines for one (graph, params, d) configuration
-// backed by a sync.Pool, so worker goroutines and repeated joins reuse the
-// O(|V|) scratch vectors instead of allocating fresh ones. Engines returned
-// by Get carry the pool's Sink; each engine is still single-goroutine — the
-// pool only makes checkout/checkin concurrency-safe.
-//
-// Batch engines are pooled too (GetBatch/PutBatch), every one at least
-// DefaultBatchWidth columns wide; callers chunk at the width of the engine
-// they were handed (BatchEngine.W).
+// backed by sync.Pools, so worker goroutines and repeated joins reuse the
+// O(|V|) scratch vectors instead of allocating fresh ones. It pools two
+// widths: Get hands out a width-1 engine, for a lone walk, and GetBatch one
+// at least DefaultBatchWidth columns wide, for batched walks (callers chunk
+// at the width of the engine they were handed, BatchEngine.W). Put takes
+// either back. Engines carry the pool's Sink; each is still
+// single-goroutine — the pool only makes checkout/checkin concurrency-safe.
 type EnginePool struct {
 	G      *graph.Graph
 	Params Params
@@ -71,13 +71,13 @@ type EnginePool struct {
 	// Sink, when non-nil, is attached to every engine the pool hands out.
 	Sink *Counters
 
-	pool  sync.Pool
-	bpool sync.Pool
+	pool  sync.Pool // width 1
+	bpool sync.Pool // width ≥ DefaultBatchWidth
 
 	// outstanding counts engines currently checked out (Get/GetBatch minus
-	// Put/PutBatch). It is a leak detector for the streaming paths: a stream
-	// stopped early must return every engine it checked out, and the
-	// cancellation tests assert Outstanding() == 0 after an abort.
+	// Put). It is a leak detector for the streaming paths: a stream stopped
+	// early must return every engine it checked out, and the cancellation
+	// tests assert Outstanding() == 0 after an abort.
 	outstanding atomic.Int64
 }
 
@@ -91,64 +91,53 @@ func NewEnginePool(g *graph.Graph, p Params, d int) (*EnginePool, error) {
 	return &EnginePool{G: g, Params: p, D: d}, nil
 }
 
-// Get checks out an engine. The configuration was validated by
-// NewEnginePool, so construction cannot fail here. Pool entries are
-// validated against the pool's (graph, params, d): a mismatched engine —
-// possible when a caller recycled a pool value built for another graph, or
-// mutated the pool's fields — is dropped and replaced by a fresh engine
-// rather than resized in place, so a stale engine can never leak scratch
-// sized to a different |V| into a walk.
-func (pl *EnginePool) Get() *Engine {
-	e, _ := pl.pool.Get().(*Engine)
-	if e == nil || e.G != pl.G || e.Params != pl.Params || e.D != pl.D {
-		e, _ = NewEngine(pl.G, pl.Params, pl.D)
-	}
-	e.Sink = pl.Sink
-	pl.outstanding.Add(1)
-	return e
-}
+// Get checks out a width-1 engine. The configuration was validated by
+// NewEnginePool, so construction cannot fail here.
+func (pl *EnginePool) Get() *BatchEngine { return pl.get(&pl.pool, 1) }
 
-// Put returns an engine obtained from Get for reuse. Engines that do not
-// match the pool's configuration are discarded instead of retained.
-func (pl *EnginePool) Put(e *Engine) {
-	if e == nil {
-		return
-	}
-	pl.outstanding.Add(-1)
-	if e.G != pl.G || e.Params != pl.Params || e.D != pl.D {
-		return
-	}
-	pl.pool.Put(e)
-}
+// GetBatch checks out an engine with column capacity ≥ DefaultBatchWidth.
+func (pl *EnginePool) GetBatch() *BatchEngine { return pl.get(&pl.bpool, DefaultBatchWidth) }
 
-// Outstanding reports the number of engines (solo and batch) currently
-// checked out and not yet returned. A stream or joiner that released all its
-// resources leaves this at zero; the -race cancellation tests assert exactly
-// that after a mid-stream abort.
-func (pl *EnginePool) Outstanding() int64 { return pl.outstanding.Load() }
-
-// GetBatch checks out a batch engine with column capacity ≥
-// DefaultBatchWidth. Entries are validated like Get's: a mismatched or
-// too-narrow engine is dropped and replaced.
-func (pl *EnginePool) GetBatch() *BatchEngine {
-	be, _ := pl.bpool.Get().(*BatchEngine)
-	if be == nil || be.G != pl.G || be.Params != pl.Params || be.D != pl.D || be.W < DefaultBatchWidth {
-		be, _ = NewBatchEngine(pl.G, pl.Params, pl.D, DefaultBatchWidth)
+// get checks an engine of width w out of p. Pool entries are validated
+// against the pool's (graph, params, d): a mismatched engine — possible when
+// a caller recycled a pool value built for another graph, or mutated the
+// pool's fields — is dropped and replaced by a fresh engine rather than
+// resized in place, so a stale engine can never leak scratch sized to a
+// different |V| into a walk.
+func (pl *EnginePool) get(p *sync.Pool, w int) *BatchEngine {
+	be, _ := p.Get().(*BatchEngine)
+	if be == nil || !pl.fits(be) {
+		be, _ = NewBatchEngine(pl.G, pl.Params, pl.D, w)
 	}
 	be.Sink = pl.Sink
 	pl.outstanding.Add(1)
 	return be
 }
 
-// PutBatch returns a batch engine obtained from GetBatch for reuse,
-// discarding mismatched ones.
-func (pl *EnginePool) PutBatch(be *BatchEngine) {
+// Put returns an engine obtained from Get or GetBatch for reuse. Engines that
+// do not match the pool's configuration, or are of neither pooled width, are
+// discarded instead of retained.
+func (pl *EnginePool) Put(be *BatchEngine) {
 	if be == nil {
 		return
 	}
 	pl.outstanding.Add(-1)
-	if be.G != pl.G || be.Params != pl.Params || be.D != pl.D || be.W < DefaultBatchWidth {
-		return
+	switch {
+	case !pl.fits(be):
+	case be.W == 1:
+		pl.pool.Put(be)
+	case be.W >= DefaultBatchWidth:
+		pl.bpool.Put(be)
 	}
-	pl.bpool.Put(be)
 }
+
+// fits reports whether be was built for the pool's configuration.
+func (pl *EnginePool) fits(be *BatchEngine) bool {
+	return be.G == pl.G && be.Params == pl.Params && be.D == pl.D
+}
+
+// Outstanding reports the number of engines currently checked out and not
+// yet returned. A stream or joiner that released all its resources leaves
+// this at zero; the -race cancellation tests assert exactly that after a
+// mid-stream abort.
+func (pl *EnginePool) Outstanding() int64 { return pl.outstanding.Load() }

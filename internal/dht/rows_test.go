@@ -35,7 +35,7 @@ func rowsTestGraph(t testing.TB, n int, seed int64) *graph.Graph {
 // TestRowsFormEngineHygiene is the property pooled engines rest on: one
 // engine serves rows-form and full-form calls of both kinds, any depth, any
 // active width and any sparse/dense regime in any order, and every call
-// equals a fresh ForceDense solo walk — == at every node for the full form,
+// equals a fresh reference walk — == at every node for the full form,
 // == at every row of the read set for the rows form. The step counters prove
 // the sequence took each tail branch: a gather straight from a tracked
 // frontier, a gather after a dense sweep, and a tail that stayed sparse.
@@ -111,10 +111,7 @@ func testRowsFormEngineHygiene(t *testing.T) {
 						}
 					}
 					for c, q := range qs {
-						ref := mustEngine(t, g, params, d)
-						ref.ForceDense = true
-						want := make([]float64, n)
-						ref.BackWalkKind(kind, q, l, want)
+						want := refEngine(t, g, params, d).BackWalkScoresBatch(kind, []graph.NodeID{q}, l)[0]
 						for _, u := range check {
 							if cols[c][u] != want[u] {
 								t.Fatalf("graph %d %v w=%d call %d (%v l=%d rows=%v threshold=%g) col %d (q=%d) node %d: %v != dense %v",

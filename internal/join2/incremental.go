@@ -113,7 +113,7 @@ func (inc *Incremental) Run(m int) ([]Result, error) {
 		res, err = inc.b.TopK(m)
 	}
 	// Most streams are never pulled past their initial batch, so hand the
-	// batch engine back rather than sit on it. The solo engine stays; the
+	// batch engine back rather than sit on it. The width-1 engine stays; the
 	// first full-depth refinement checks a batch engine out again, and from
 	// then on both are held until Release.
 	inc.b.w.releaseBatch()
@@ -211,7 +211,7 @@ func (inc *Incremental) Next() (Result, bool, error) {
 // not exact yet, up to the batch engine's width W (found among the first 4W
 // cells), and walks them as one rows-form batch: the loop in Next would walk
 // most of them to d within the next few pulls anyway. Each column is == its
-// solo walk and observe keeps a cell's longest observation, so which targets
+// lone walk and observe keeps a cell's longest observation, so which targets
 // ride along changes the work done, never the emitted sequence.
 func (inc *Incremental) refine(s int32, l int) error {
 	c := &inc.b.cfg

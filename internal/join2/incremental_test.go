@@ -144,7 +144,7 @@ func cancelInRoundTwo(t *testing.T) (cfg Config, pool *dht.EnginePool, arm func(
 	cfg.Pool = pool
 	polls, armed := 0, false
 	cfg.Cancel = func() error {
-		// B-IDJ polls once per round and the walker once per solo target:
+		// B-IDJ polls once per round and the walker once per lone target:
 		// round one is 1 + |Q| polls, so this fires inside round two.
 		if polls++; armed && polls > 1+len(cfg.Q)+2 {
 			return errBudgetSpent

@@ -52,7 +52,7 @@ type Config struct {
 	// join creates (including pooled worker engines) via atomic adds.
 	Counters *dht.Counters
 
-	// Pool, when non-nil, supplies the join's engines (solo and batched)
+	// Pool, when non-nil, supplies the join's engines (width 1 and batched)
 	// instead of a joiner-owned pool: the calling goroutine checks its
 	// engines out on first use and keeps them until Release, extra workers
 	// check theirs in and out per round (see walker), so a long-lived owner
@@ -122,8 +122,8 @@ func (c *Config) Validate() error {
 }
 
 // YBoundTables gives every config its B-IDJ-Y Y⁺ₗ table (Config.YBound),
-// built together under the walker's rule: a lone table walks solo, two or
-// more are the lanes of forward batched walks. The configs must share graph,
+// built together under the walker's rule: a lone table walks at width 1, two
+// or more are the lanes of forward batched walks. The configs must share graph,
 // parameters, depth, pool and counters — they are the edges of one n-way
 // query — and differ in P and Q only; the engines come from the first one's
 // pool and the walks count in its counters.

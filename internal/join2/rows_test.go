@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dht"
+	"repro/internal/graph"
 	"repro/internal/pqueue"
 )
 
@@ -24,7 +25,7 @@ func sameRanking(t *testing.T, label string, got, want []Result) {
 // large enough that the rows form gathers both tail steps (the counters
 // prove it: B-BJ's walks equal, and its sweeps fall below, those of the
 // kernel's full-column form over the same targets) and demands from each the
-// full ranking of the dense solo engine's columns, at every worker count and
+// full ranking of the width-1 dense engine's columns, at every worker count and
 // for both walk kinds.
 func TestRowsFormJoinersMatchFullForm(t *testing.T) {
 	eachLaneBody(t, testRowsFormJoinersMatchFullForm)
@@ -111,20 +112,18 @@ func testRowsFormJoinersMatchFullForm(t *testing.T) {
 	}
 }
 
-// denseRanking is the full ranking of cfg's pairs from the dense solo
-// engine's columns (ForceDense), the reference every walk form must equal.
+// denseRanking is the full ranking of cfg's pairs from the columns of the
+// width-1 ForceDense engine, the reference every walk form must equal.
 func denseRanking(t *testing.T, cfg Config) []Result {
 	t.Helper()
-	dense, err := dht.NewEngine(cfg.Graph, cfg.Params, cfg.D)
+	dense, err := dht.NewBatchEngine(cfg.Graph, cfg.Params, cfg.D, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dense.ForceDense = true
 	top := pqueue.NewTopK[Pair](cfg.MaxPairs())
-	col := make([]float64, cfg.Graph.NumNodes())
 	for _, q := range cfg.Q {
-		dense.BackWalkKind(cfg.Measure, q, cfg.D, col)
-		addColumn(top, cfg.P, q, col)
+		addColumn(top, cfg.P, q, dense.BackWalkScoresBatch(cfg.Measure, []graph.NodeID{q}, cfg.D)[0])
 	}
 	return collect(top)
 }

@@ -10,22 +10,22 @@ import (
 	"repro/internal/pqueue"
 )
 
-// batchMinSteps is the shortest walk handed to the batched kernel. Shorter
+// batchMinSteps is the shortest walk handed to a width-8 engine. Shorter
 // walks (the l = 1, 2 deepening rounds) touch so few nodes that the batch's
-// zero lanes cost more than the amortized CSR traversal saves; they stay on
-// the solo engine's β-prefilled column, which serves them in O(walk
-// frontier) time. A single walk never batches either.
+// zero lanes cost more than the amortized CSR traversal saves; they run one
+// target at a time on a width-1 engine, whose β-prefilled column serves them
+// in O(walk frontier) time. A single walk never batches either.
 const batchMinSteps = 3
 
 // walker is the one way a 2-way joiner walks a target set: every score the
 // exact kernels produce for a joiner is requested through columns (backward,
 // one column h_l(·, q) per target) or pairScores (forward, one walk per
-// pair). It owns the engines, the solo-vs-batched choice, chunking, the
+// pair). It owns the engines, the width-1-vs-batched choice, chunking, the
 // fan-out over Config.Workers, the cancellation polls and the panic guard,
 // so the joiners are left with their heap logic.
 //
 // Engines come from the caller's Config.Pool, or from a pool the walker
-// owns. Worker 0 is the calling goroutine: its solo and batch engine are
+// owns. Worker 0 is the calling goroutine: its width-1 and batch engine are
 // checked out on first use and held until release, so a serial joiner walks
 // on the same two engines for its whole lifetime. Workers 1..n-1 exist only
 // inside one columns call and check their engine in and out around it.
@@ -34,7 +34,7 @@ const batchMinSteps = 3
 type walker struct {
 	cfg  *Config
 	pool *dht.EnginePool
-	e    *dht.Engine
+	e    *dht.BatchEngine // width 1
 	be   *dht.BatchEngine
 
 	// rows is Config.P as the kernel's read set — every joiner reads a
@@ -56,35 +56,27 @@ func newWalker(cfg *Config) *walker {
 	return &walker{cfg: cfg, pool: pool}
 }
 
-// solo returns worker 0's solo engine, checking it out on first use. The
+// lone returns worker 0's width-1 engine, checking it out on first use. The
 // config's Counters win over the pool's own sink for the checkout, so
 // run-scoped stats see the walks; owners that also want lifetime totals
 // chain them (dht.Counters.Chain).
-func (w *walker) solo() *dht.Engine {
+func (w *walker) lone() *dht.BatchEngine {
 	if w.e == nil {
-		w.e = w.checkout()
+		w.e = w.checkout(w.pool.Get)
 	}
 	return w.e
 }
 
-// batch is solo for worker 0's batch engine.
+// batch is lone for worker 0's batch engine.
 func (w *walker) batch() *dht.BatchEngine {
 	if w.be == nil {
-		w.be = w.checkoutBatch()
+		w.be = w.checkout(w.pool.GetBatch)
 	}
 	return w.be
 }
 
-func (w *walker) checkout() *dht.Engine {
-	e := w.pool.Get()
-	if w.cfg.Counters != nil {
-		e.Sink = w.cfg.Counters
-	}
-	return e
-}
-
-func (w *walker) checkoutBatch() *dht.BatchEngine {
-	be := w.pool.GetBatch()
+func (w *walker) checkout(get func() *dht.BatchEngine) *dht.BatchEngine {
+	be := get()
 	if w.cfg.Counters != nil {
 		be.Sink = w.cfg.Counters
 	}
@@ -102,7 +94,7 @@ func (w *walker) release() {
 // releaseBatch returns only the batch engine, for a caller whose further
 // rounds may never come; the next batched round checks one out again.
 func (w *walker) releaseBatch() {
-	w.pool.PutBatch(w.be)
+	w.pool.Put(w.be)
 	w.be = nil
 }
 
@@ -145,10 +137,11 @@ type round struct {
 // form over P (dht.BackWalkRowsBatch), which leaves every other entry
 // unspecified.
 //
-// Walks of at least batchMinSteps steps over two or more targets run on the
-// batched kernel, in chunks of the width of the engine each worker actually
-// holds; everything else runs solo. Workers claim chunks from a shared
-// cursor, and Config.Cancel is polled before every chunk. The first
+// Walks of at least batchMinSteps steps over two or more targets run on
+// width-8 engines, in chunks of the width of the engine each worker actually
+// holds; everything else runs one target at a time on width-1 engines.
+// Workers claim chunks from a shared cursor, and Config.Cancel is polled
+// before every chunk. The first
 // cancellation, or panic in a kernel or in fn, stops the round and is
 // returned.
 func (w *walker) columns(qs []graph.NodeID, l int, fn func(wi, qi int, scores []float64)) error {
@@ -159,7 +152,7 @@ func (w *walker) columns(qs []graph.NodeID, l int, fn func(wi, qi int, scores []
 	}
 	r := &w.r
 	*r = round{l: l, targets: qs, fn: fn}
-	width := 1
+	var width int
 	if r.batched = l >= batchMinSteps && n >= 2; r.batched {
 		width = w.batch().W
 		if !w.rowsBuilt {
@@ -167,7 +160,7 @@ func (w *walker) columns(qs []graph.NodeID, l int, fn func(wi, qi int, scores []
 		}
 		r.rows = w.rows
 	} else {
-		w.solo()
+		width = w.lone().W
 	}
 	workers := c.workerCount((n + width - 1) / width)
 	for wi := 1; wi < workers; wi++ {
@@ -197,21 +190,15 @@ func (r *round) work(w *walker, wi int) {
 }
 
 func (r *round) walk(w *walker, wi int) error {
-	kind := w.cfg.Measure
-	e, be := w.e, w.be
-	switch {
-	case wi == 0:
-	case r.batched:
-		be = w.checkoutBatch()
-		defer w.pool.PutBatch(be)
-	default:
-		e = w.checkout()
-		defer w.pool.Put(e)
-	}
-	width := 1
+	be, get := w.e, w.pool.Get
 	if r.batched {
-		width = be.W
+		be, get = w.be, w.pool.GetBatch
 	}
+	if wi > 0 {
+		be = w.checkout(get)
+		defer w.pool.Put(be)
+	}
+	width := be.W
 	n := len(r.targets)
 	for !r.stop.Load() {
 		base := int(r.next.Add(int64(width))) - width
@@ -221,12 +208,8 @@ func (r *round) walk(w *walker, wi int) error {
 		if err := w.cfg.canceled(); err != nil {
 			return err
 		}
-		if !r.batched {
-			r.fn(wi, base, e.BackWalkScores(kind, r.targets[base], r.l))
-			continue
-		}
 		chunk := r.targets[base:min(base+width, n)]
-		for ci, col := range be.BackWalkRowsBatch(kind, chunk, r.l, r.rows) {
+		for ci, col := range be.BackWalkRowsBatch(w.cfg.Measure, chunk, r.l, r.rows) {
 			r.fn(wi, base+ci, col)
 		}
 	}
@@ -267,15 +250,15 @@ func mergePartials[T any](parts []*pqueue.TopK[T], k int, tie func(T) int64) *pq
 }
 
 // tables builds the Y⁺ₗ table of every (ps[i], qs[i]) pair on worker 0's
-// engines, under the rule columns and pairScores follow: a single walk never
-// batches. A lone table walks solo, gathering its last two steps at Q; two or
-// more are the lanes of forward batched walks (dht.NewYBoundTables), after one
-// Config.Cancel poll. Panics are returned as errors.
+// engines (dht.NewYBoundTables), under the rule columns and pairScores
+// follow: a single walk never batches. A lone table walks at width 1,
+// gathering its last two steps at Q; two or more are the lanes of forward
+// batched walks, after one Config.Cancel poll. Panics are returned as errors.
 func (w *walker) tables(ps, qs [][]graph.NodeID) ([]*dht.YBoundTable, error) {
 	var ts []*dht.YBoundTable
 	err := guard(func() error {
 		if len(ps) == 1 {
-			ts = []*dht.YBoundTable{dht.NewYBoundTable(w.solo(), ps[0], qs[0])}
+			ts = dht.NewYBoundTables(w.lone(), ps, qs)
 			return nil
 		}
 		if err := w.cfg.canceled(); err != nil {
@@ -295,12 +278,12 @@ func (w *walker) pairScores(ps, qs []graph.NodeID, l int, fn func(i int, score f
 	n := len(ps)
 	return guard(func() error {
 		if l < batchMinSteps || n < 2 {
-			e := w.solo()
+			e := w.lone()
 			for i := range ps {
 				if err := c.canceled(); err != nil {
 					return err
 				}
-				fn(i, e.ForwardScoreKind(c.Measure, ps[i], qs[i], l))
+				fn(i, e.ForwardScore(c.Measure, ps[i], qs[i], l))
 			}
 			return nil
 		}
@@ -313,7 +296,7 @@ func (w *walker) pairScores(ps, qs []graph.NodeID, l int, fn func(i int, score f
 			rows := be.ForwardProbsBatch(c.Measure, ps[base:end], qs[base:end], l)
 			for ci, row := range rows {
 				i := base + ci
-				s := 0.0 // h(v,v) = 0 by definition, as in ForwardScoreAt
+				s := 0.0 // h(v,v) = 0 by definition, as in ForwardScore
 				if c.Measure != dht.FirstHit || ps[i] != qs[i] {
 					s = c.Params.Score(row)
 				}

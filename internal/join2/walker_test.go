@@ -3,6 +3,7 @@ package join2
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,7 +30,7 @@ func TestWalkerContract(t *testing.T) {
 func testWalkerContract(t *testing.T) {
 	// Counters of the pre-walker serial per-target loop (B-IDJ's, at commit
 	// 2f56227) over this config's 18 targets, by walk length; identical for
-	// both kinds. l = 1, 2 walk solo. l = d walks 8 + 8 + 2 batched, where
+	// both kinds. l = 1, 2 walk one target at a time. l = d walks 8 + 8 + 2 batched, where
 	// the full-column form swept densely at every step of every chunk (24
 	// sweeps); the rows form gathers the last step of each of the 3 chunks
 	// over P (Σ out-degree(P) edges, counted as frontier edges) instead, so
@@ -56,7 +57,7 @@ func testWalkerContract(t *testing.T) {
 		if len(base.Q) <= dht.DefaultBatchWidth {
 			t.Fatalf("want a target set wider than one batch, got %d", len(base.Q))
 		}
-		dense, err := dht.NewEngine(base.Graph, base.Params, base.D)
+		dense, err := dht.NewBatchEngine(base.Graph, base.Params, base.D, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,8 +65,7 @@ func testWalkerContract(t *testing.T) {
 		for _, l := range []int{1, 2, base.D} {
 			want := make([][]float64, len(base.Q))
 			for qi, q := range base.Q {
-				want[qi] = make([]float64, base.Graph.NumNodes())
-				dense.BackWalkKind(kind, q, l, want[qi])
+				want[qi] = slices.Clone(dense.BackWalkScoresBatch(kind, []graph.NodeID{q}, l)[0])
 			}
 			for _, workers := range []int{1, 3, -1} {
 				// The memo=… name segment outlived the score memo so the

@@ -10,7 +10,7 @@ import (
 )
 
 // TestYBoundTablesInjected pins the prebuilt-table path an n-way query takes:
-// YBoundTables gives one config (a solo walk) or three (one lane walk) tables
+// YBoundTables gives one config (a lone walk) or three (one lane walk) tables
 // that count one walk each, and a B-IDJ-Y joiner or incremental stream handed
 // such a table ranks, prunes and emits exactly as one that builds its own,
 // walking one walk less.

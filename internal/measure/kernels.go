@@ -16,10 +16,10 @@ import (
 	"repro/internal/simrank"
 )
 
-// walkEvaluator scores through a dht engine — one absorbing/plain forward
-// walk per (src, target) pair at the requested depth.
+// walkEvaluator scores through a width-1 dht engine — one absorbing/plain
+// forward walk per (src, target) pair at the requested depth.
 type walkEvaluator struct {
-	e    *dht.Engine
+	e    *dht.BatchEngine
 	kind dht.Kind
 	d    int
 }
@@ -32,7 +32,7 @@ func (w *walkEvaluator) ScoresInto(src graph.NodeID, targets []graph.NodeID, l i
 		return fmt.Errorf("measure: depth %d outside [1,%d]", l, w.d)
 	}
 	for i, t := range targets {
-		dst[i] = w.e.ForwardScoreKind(w.kind, src, t, l)
+		dst[i] = w.e.ForwardScore(w.kind, src, t, l)
 	}
 	return nil
 }
@@ -41,7 +41,7 @@ func (w *walkEvaluator) ScoresInto(src graph.NodeID, targets []graph.NodeID, l i
 // kernels.
 func newWalkEvaluator(kind dht.Kind) func(g *graph.Graph, p dht.Params, d int) (Evaluator, error) {
 	return func(g *graph.Graph, p dht.Params, d int) (Evaluator, error) {
-		e, err := dht.NewEngine(g, p, d)
+		e, err := dht.NewBatchEngine(g, p, d, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -66,7 +66,7 @@ func TestWalkEvaluatorsMatchEngine(t *testing.T) {
 	g := testGraph(t, 7)
 	p := dht.DHTLambda(0.2)
 	const d = 6
-	e, err := dht.NewEngine(g, p, d)
+	e, err := dht.NewBatchEngine(g, p, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestWalkEvaluatorsMatchEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, tgt := range targets {
-					want := e.ForwardScoreKind(tc.kind, src, tgt, l)
+					want := e.ForwardScore(tc.kind, src, tgt, l)
 					if dst[i] != want {
 						t.Fatalf("%s (%d,%d)@%d = %v, engine says %v", tc.name, src, tgt, l, dst[i], want)
 					}
@@ -118,7 +118,7 @@ func TestPPREvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := dht.NewEngine(g, p, d)
+	e, err := dht.NewBatchEngine(g, p, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestPPREvaluator(t *testing.T) {
 			if dst[v] != col[v] {
 				t.Fatalf("evaluator(%d,%d) = %v, power iteration says %v", src, v, dst[v], col[v])
 			}
-			walk := e.ForwardScoreKind(dht.Reach, src, graph.NodeID(v), d)
+			walk := e.ForwardScore(dht.Reach, src, graph.NodeID(v), d)
 			if math.Abs(dst[v]-walk) > 1e-12 {
 				t.Fatalf("evaluator(%d,%d) = %v, reach walk says %v", src, v, dst[v], walk)
 			}

@@ -43,7 +43,7 @@ func TestPowerIterationMatchesReachEngine(t *testing.T) {
 		g := testGraph(t, seed)
 		for _, c := range []float64{0.2, 0.5, 0.85} {
 			const d = 9
-			e, err := dht.NewEngine(g, dht.PPR(c), d)
+			e, err := dht.NewBatchEngine(g, dht.PPR(c), d, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func TestPowerIterationMatchesReachEngine(t *testing.T) {
 					t.Fatal(err)
 				}
 				for v := 0; v < g.NumNodes(); v += 7 {
-					want := e.ForwardScoreKind(dht.Reach, src, graph.NodeID(v), d)
+					want := e.ForwardScore(dht.Reach, src, graph.NodeID(v), d)
 					if math.Abs(col[v]-want) > 1e-12 {
 						t.Fatalf("seed=%d c=%g src=%d v=%d: PowerIteration=%.17g engine=%.17g",
 							seed, c, src, v, col[v], want)

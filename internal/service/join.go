@@ -243,5 +243,5 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID
 	}
 	e := sess.pool.Get()
 	defer sess.pool.Put(e)
-	return e.ForwardScoreKind(res.Kernel.Walk, u, v, res.D), nil
+	return e.ForwardScore(res.Kernel.Walk, u, v, res.D), nil
 }

@@ -248,12 +248,12 @@ func TestServiceScore(t *testing.T) {
 	}
 	params := dht.DHTLambda(0.2)
 	d := params.StepsForEpsilon(1e-6)
-	e, err := dht.NewEngine(g, params, d)
+	e, err := dht.NewBatchEngine(g, params, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u, v := sets[0].Nodes()[0], sets[1].Nodes()[0]
-	want := e.ForwardScoreKind(dht.FirstHit, u, v, d)
+	want := e.ForwardScore(dht.FirstHit, u, v, d)
 	got, err := svc.Score(context.Background(), "g", u, v, Query{})
 	if err != nil {
 		t.Fatal(err)

@@ -187,7 +187,13 @@ func decodeSegment(b []byte) (*segmentData, error) {
 	sd.gen = d.u64()
 	n := d.u64()
 	m := d.u64()
-	if d.err == nil && (n > 1<<31 || m > 1<<33 || int64(m) > int64(len(body))/4) {
+	// Every count read from the file is checked against the bytes left to
+	// hold its items before anything is sized by it: outIndex needs 8·(n+1)
+	// bytes and the arcs 12·m.
+	if d.err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptSegment, d.err)
+	}
+	if n > 1<<31 || !d.holds(m, 12) || 8*(n+1)+12*m > uint64(d.left()) {
 		return nil, fmt.Errorf("%w: implausible sizes n=%d m=%d", ErrCorruptSegment, n, m)
 	}
 	outIndex := make([]int64, 0, n+1)
@@ -204,18 +210,24 @@ func decodeSegment(b []byte) (*segmentData, error) {
 	}
 	var labels []string
 	if d.u8() == 1 {
+		if d.err == nil && !d.holds(n, 4) {
+			return nil, fmt.Errorf("%w: implausible label count %d", ErrCorruptSegment, n)
+		}
 		labels = make([]string, 0, n)
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			labels = append(labels, d.str())
 		}
 	}
 	nsets := d.u32()
-	if d.err == nil && uint64(nsets) > n+1 {
+	if d.err == nil && (uint64(nsets) > n+1 || !d.holds(uint64(nsets), 8)) {
 		return nil, fmt.Errorf("%w: implausible set count %d", ErrCorruptSegment, nsets)
 	}
 	for i := uint32(0); i < nsets && d.err == nil; i++ {
 		setName := d.str()
 		count := d.u32()
+		if d.err == nil && !d.holds(uint64(count), 4) {
+			return nil, fmt.Errorf("%w: implausible id count %d in set %q", ErrCorruptSegment, count, setName)
+		}
 		ids := make([]graph.NodeID, 0, count)
 		for j := uint32(0); j < count && d.err == nil; j++ {
 			ids = append(ids, graph.NodeID(d.u32()))
@@ -293,6 +305,13 @@ func (d *decoder) take(n int) []byte {
 	return out
 }
 
+// left is the number of unread bytes.
+func (d *decoder) left() int { return len(d.b) - d.off }
+
+// holds reports whether the unread bytes can hold count items of size bytes
+// each; a count read from the input must pass it before it sizes anything.
+func (d *decoder) holds(count, size uint64) bool { return count <= uint64(d.left())/size }
+
 func (d *decoder) u8() uint8 {
 	b := d.take(1)
 	if b == nil {
@@ -319,7 +338,7 @@ func (d *decoder) u64() uint64 {
 
 func (d *decoder) str() string {
 	n := d.u32()
-	if d.err == nil && int(n) > len(d.b)-d.off {
+	if d.err == nil && !d.holds(uint64(n), 1) {
 		d.err = io.ErrUnexpectedEOF
 		return ""
 	}

@@ -186,6 +186,8 @@ func TestSegmentVersionGate(t *testing.T) {
 	badMagic[0] = 'X'
 	reseal(badMagic)
 
+	hugeN := sealedSegment(hugeNPayload())
+
 	for _, tc := range []struct {
 		name string
 		b    []byte
@@ -199,6 +201,9 @@ func TestSegmentVersionGate(t *testing.T) {
 		{"payload crc mismatch", flipByte(valid, segHeaderLen+10), ErrCorruptSegment},
 		{"truncated payload", valid[:len(valid)-3], ErrCorruptSegment},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0), ErrCorruptSegment},
+		// 72 checksummed bytes claiming 2³¹ nodes: the decoder once sized
+		// outIndex by that count and died allocating it.
+		{"n = 2³¹ in 72 bytes", hugeN, ErrCorruptSegment},
 	} {
 		_, err := decodeSegment(tc.b)
 		if !errors.Is(err, tc.want) {
@@ -214,6 +219,21 @@ func TestSegmentVersionGate(t *testing.T) {
 			t.Errorf("%s: err %v matches both sentinels", tc.name, err)
 		}
 	}
+}
+
+// sealedSegment wraps a payload in a valid v1 header, checksums included.
+func sealedSegment(payload []byte) []byte {
+	return append(appendSegmentHeader(nil, payload), payload...)
+}
+
+// hugeNPayload is a 48-byte payload: an empty name, generation 1, n = 2³¹,
+// m = 0, and 20 zero bytes where 8·(2³¹+1) bytes of outIndex should be.
+func hugeNPayload() []byte {
+	p := appendString(nil, "")
+	p = binary.LittleEndian.AppendUint64(p, 1)
+	p = binary.LittleEndian.AppendUint64(p, 1<<31)
+	p = binary.LittleEndian.AppendUint64(p, 0)
+	return append(p, make([]byte, 20)...)
 }
 
 func flipByte(b []byte, i int) []byte {
