@@ -309,7 +309,8 @@ func TopK(g *Graph, query *QueryGraph, k int, opts *Options) ([]Answer, error) {
 }
 
 // Steps exposes the Lemma-1 bound: the walk depth needed so that the
-// truncation error is at most eps under params.
+// truncation error is at most eps under params. It panics unless eps > 0
+// (NaN included); Options.Epsilon is checked instead, as ErrEpsilon.
 func Steps(params Params, eps float64) int { return params.StepsForEpsilon(eps) }
 
 // SimRank support (the second measure named in the paper's conclusion).

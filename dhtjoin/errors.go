@@ -62,6 +62,10 @@ var (
 // maps it to HTTP 400.
 var ErrUnknownMeasure = measure.ErrUnknownMeasure
 
+// ErrEpsilon reports an Options.Epsilon that is negative or not a finite
+// number; njoind maps it to HTTP 400.
+var ErrEpsilon = measure.ErrEpsilon
+
 // Serving-layer sentinels, re-exported so callers of the Service facade can
 // branch with errors.Is without importing internal packages. They are the
 // same error values the serving layer returns, so matching works across

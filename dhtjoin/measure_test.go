@@ -205,6 +205,30 @@ func TestMeasureSimRankGolden(t *testing.T) {
 	}
 }
 
+// TestEpsilonNotFinite: an epsilon that is NaN or infinite fails every entry
+// point with ErrEpsilon (inside ErrInvalidOptions) instead of being served at
+// some depth, and Steps panics on NaN as it does on a non-positive bound.
+func TestEpsilonNotFinite(t *testing.T) {
+	ctx := context.Background()
+	g, sets := plannerWorld(t, 3)
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		opts := &Options{Epsilon: eps}
+		_, err := NewPairQuery(g, sets[0], sets[1]).WithOptions(opts).TopKPairs(ctx, 5)
+		if !errors.Is(err, ErrEpsilon) || !errors.Is(err, ErrInvalidOptions) {
+			t.Fatalf("epsilon %g: join error %v is not ErrEpsilon inside ErrInvalidOptions", eps, err)
+		}
+		if _, err := Score(g, 0, 1, opts); !errors.Is(err, ErrEpsilon) {
+			t.Fatalf("epsilon %g: Score error %v is not ErrEpsilon", eps, err)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Steps(NaN) returned instead of panicking")
+		}
+	}()
+	Steps(DHTLambda(0.2), math.NaN())
+}
+
 // TestMeasureUnknown: unknown spellings fail every entry point with the
 // errors.Is-able sentinel.
 func TestMeasureUnknown(t *testing.T) {

@@ -118,7 +118,7 @@ func BenchmarkPJIStreamCold(b *testing.B) {
 // float64 scores and order — the one the same query gets from forced PJ,
 // whose edges re-run a from-scratch join instead of refining F.
 func TestPJIWorkGate(t *testing.T) {
-	const maxWalks, maxSweeps = 587, 72 // per request
+	const maxWalks, maxSweeps = 587, 69 // per request
 	base, queries := pjiStreamCold(t)
 	var work dht.Counters
 	for _, q := range queries {

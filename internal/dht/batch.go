@@ -75,11 +75,10 @@ type BatchEngine struct {
 	curF, nextF []graph.NodeID
 	mark        []uint32 // per-node stamp deduplicating nextF
 	stamp       uint32
-	lastDense   bool
 	// full marks the batch as switched to dense mode: frontier lists are no
-	// longer kept and every remaining step is a plain sweep. The switch is
-	// sticky per batch (a saturated frontier essentially never re-sparsifies),
-	// except after a gather, which leaves mass on its set only.
+	// longer kept, every remaining step is a sweep or a gather, and both
+	// vectors hold stale mass until beginBatch clears them. The switch is
+	// sticky per batch (a saturated frontier essentially never re-sparsifies).
 	full bool
 
 	// acc is the dense-mode score accumulator, node-major like the mass
@@ -112,11 +111,14 @@ type BatchEngine struct {
 	// edges those pushes scanned. Walks counts individual columns, so
 	// walks-per-sweep shows the amortization. A gather step (a read set's
 	// tail) is neither: GatherSteps counts it and its scanned edges go to
-	// FrontierEdges, as Counters documents.
+	// FrontierEdges, as Counters documents. PullSweeps counts the EdgeSweeps
+	// that ran in pull form (every dense step after a batch's first); like
+	// SparseSteps and GatherSteps it stays on the engine.
 	EdgeSweeps    int64
 	FrontierEdges int64
 	SparseSteps   int64
 	GatherSteps   int64
+	PullSweeps    int64
 	Walks         int64
 }
 
@@ -238,11 +240,13 @@ func NewBatchEngine(g *graph.Graph, p Params, d, w int) (*BatchEngine, error) {
 }
 
 // beginBatch starts a batched run of cols columns: counts the walks, clears
-// the previous batch's mass, and snapshots counters for the Sink flush.
+// the previous batch's mass (through its frontier, or both vectors wholesale
+// after a dense batch), and snapshots counters for the Sink flush.
 func (be *BatchEngine) beginBatch(cols int) (sweeps0, frontier0 int64) {
 	be.Walks += int64(cols)
 	if be.full {
 		clearVec(be.cur)
+		clearVec(be.next)
 		be.full = false
 	} else {
 		w := be.W
@@ -295,6 +299,16 @@ func (be *BatchEngine) seed(c int, s graph.NodeID) {
 // the lane kernel's (lanes.go). tail, when it names a gather set, replaces
 // the dense sweep this step would otherwise be; a step that stays sparse
 // ignores it.
+//
+// A dense step is a scatter when it is the batch's first (next is all-zero,
+// and most rows of cur still are, which a scatter skips) and a pull over
+// every row afterwards: a gather along the mirror CSR that overwrites every
+// row of next, so the consumed vector is never cleared until beginBatch.
+// From the first dense step to the end of the batch every step is a sweep or
+// a gather — neither reads next — and the vectors hold stale mass off the
+// rows a gather wrote, which no later step or caller reads (a gather set's
+// neighbourhood lies within the previous step's set). ForceDense scatters
+// every dense step into a cleared vector, the reference loop.
 func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 	g := be.G
 	w := be.W
@@ -320,8 +334,6 @@ func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 			be.FrontierEdges += work
 		}
 	}
-	pull := !sparse && tail.nodes != nil
-	be.lastDense = !sparse && !pull
 	cur, next := be.cur, be.next
 	switch {
 	case sparse:
@@ -337,7 +349,7 @@ func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 		}
 		be.nextF = touched
 		scatter(cur, next, w, aw, side, be.curF)
-	case pull:
+	case tail.nodes != nil:
 		// Pull form: next is == the sweep's on the set and untouched elsewhere,
 		// all that a caller reading within the set's remaining reach observes.
 		be.GatherSteps++
@@ -345,23 +357,28 @@ func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 		gather(cur, next, w, aw, pullSide(g, backward), tail.nodes)
 		// The set is the step's touched list; commit filters a copy of it.
 		be.nextF = append(be.nextF, tail.nodes...)
+	case be.full && !be.ForceDense:
+		be.EdgeSweeps++
+		be.PullSweeps++
+		gather(cur, next, w, aw, pullSide(g, backward), nil)
 	default:
 		be.EdgeSweeps++
 		scatter(cur, next, w, aw, side, nil)
 	}
-	// cur is consumed; clear it incrementally while the frontier is tracked,
-	// wholesale once the batch has gone dense.
-	if !be.full {
+	// cur is consumed; clear it incrementally while the frontier is tracked.
+	// Once the batch is dense only the reference clears it, wholesale, for
+	// its next scatter.
+	switch {
+	case !be.full:
 		for _, u := range be.curF {
 			clear(cur[int(u)*w:][:w])
 		}
 		be.curF = be.curF[:0]
-	} else {
+	case be.ForceDense:
 		clearVec(cur)
 	}
-	// Dense is sticky for the rest of the batch, except that a gather leaves
-	// mass on its set only, so the frontier is tracked again after it.
-	be.full = be.lastDense
+	// Dense is sticky for the rest of the batch.
+	be.full = be.full || !sparse && tail.nodes == nil
 }
 
 // commit finishes a step after the caller has read (and possibly absorbed
@@ -369,10 +386,9 @@ func (be *BatchEngine) push(backward bool, aw int, tail hopSet) {
 // last marks the batch's final step, whose frontier is only used to clear
 // the vectors, so sorting and filtering are skipped.
 func (be *BatchEngine) commit(last bool) {
-	if be.lastDense {
-		// Dense mode keeps no frontier: push left the consumed vector
-		// all-zero, so the buffers just swap, and full asks beginBatch for a
-		// wholesale clear.
+	if be.full {
+		// Dense mode keeps no frontier: the buffers just swap, and full asks
+		// beginBatch for a wholesale clear.
 		be.cur, be.next = be.next, be.cur
 		return
 	}
@@ -498,7 +514,7 @@ func (be *BatchEngine) BackWalkRowsBatch(kind Kind, qs []graph.NodeID, steps int
 		pow *= be.Params.Lambda
 		be.push(true, aw, rs.tailAt(steps-i))
 		next := be.next
-		if be.lastDense && rs == nil {
+		if be.full && rs == nil {
 			// First dense step: move the raw sparse-step sums from the out
 			// columns into the node-major accumulator (β-prefill entries
 			// start from zero, as a first touch overwrites them); afterwards
@@ -532,7 +548,7 @@ func (be *BatchEngine) BackWalkRowsBatch(kind Kind, qs []graph.NodeID, steps int
 			// and the rows are all there is); either list covers every row
 			// a caller reads that the step reached.
 			rows := be.nextF
-			if rs != nil && (be.lastDense || len(rs.rows) < len(rows)) {
+			if rs != nil && (be.full || len(rs.rows) < len(rows)) {
 				rows = rs.rows
 			}
 			for _, v := range rows {

@@ -95,6 +95,10 @@ func TestBatchDenseFallbackBitIdentical(t *testing.T) {
 }
 
 func testColumnTable(t *testing.T, regs []regime) {
+	// pulls[r][w] counts the dense steps that ran in pull form: every regime
+	// that goes dense before a walk's last step pulls at every width, the
+	// scatter reference and the sparse-only switch never do.
+	pulls := make(map[string]map[int]int64)
 	for gi, g := range sparseTestGraphs(t) {
 		for _, params := range []Params{DHTLambda(0.2), DHTLambda(0.7), PPR(0.5)} {
 			ref := refEngine(t, g, params, 8)
@@ -110,7 +114,18 @@ func testColumnTable(t *testing.T, regs []regime) {
 							}
 						}
 					}
+					if pulls[r.name] == nil {
+						pulls[r.name] = make(map[int]int64)
+					}
+					pulls[r.name][w] += be.PullSweeps
 				}
+			}
+		}
+	}
+	for _, r := range regs {
+		for _, w := range batchWidths {
+			if got, want := pulls[r.name][w] > 0, !r.force && r.threshold < 1; got != want {
+				t.Errorf("%s w=%d: %d pulled sweeps, want some: %v", r.name, w, pulls[r.name][w], want)
 			}
 		}
 	}

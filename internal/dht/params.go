@@ -59,9 +59,10 @@ func (p Params) Validate() error {
 //
 //	d ≥ log_λ( ε(1−λ) / (αλ) ).
 //
-// With the paper's defaults (DHTλ, λ=0.2, ε=1e-6) this returns 8.
+// With the paper's defaults (DHTλ, λ=0.2, ε=1e-6) this returns 8. It panics
+// unless eps > 0, so on NaN as well.
 func (p Params) StepsForEpsilon(eps float64) int {
-	if eps <= 0 {
+	if !(eps > 0) {
 		panic(fmt.Sprintf("dht: epsilon must be positive, got %g", eps))
 	}
 	arg := eps * (1 - p.Lambda) / (math.Abs(p.Alpha) * p.Lambda)

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -37,8 +38,9 @@ func rowsTestGraph(t testing.TB, n int, seed int64) *graph.Graph {
 // active width and any sparse/dense regime in any order, and every call
 // equals a fresh reference walk — == at every node for the full form,
 // == at every row of the read set for the rows form. The step counters prove
-// the sequence took each tail branch: a gather straight from a tracked
-// frontier, a gather after a dense sweep, and a tail that stayed sparse.
+// the sequence took each tail branch — a gather straight from a tracked
+// frontier, a gather after a dense sweep, and a tail that stayed sparse —
+// and pulled a dense step.
 func TestRowsFormEngineHygiene(t *testing.T) { eachLaneBody(t, testRowsFormEngineHygiene) }
 
 func testRowsFormEngineHygiene(t *testing.T) {
@@ -127,6 +129,107 @@ func testRowsFormEngineHygiene(t *testing.T) {
 				if rs.tail[1].nodes != nil && r1Gather == 0 {
 					t.Fatalf("graph %d w=%d: the R1 hop set is usable but no call gathered two steps", gi, w)
 				}
+				if be.PullSweeps == 0 {
+					t.Fatalf("graph %d w=%d: no dense step ran in pull form", gi, w)
+				}
+			}
+		}
+	}
+}
+
+// TestPulledWalksInterleave pins the wholesale clear a dense batch leaves to
+// beginBatch: a pulled step overwrites every row and nothing clears the
+// consumed vector, so both vectors hold stale mass until the next batch on
+// the engine begins. On one engine of every width, backward walks (full and
+// rows form) and forward walks (ForwardProbsBatch and the Y⁺ reach walk)
+// follow each other in random order under the every-step-dense, adaptive and
+// every-step-sparse switch, and each equals a fresh reference walk. The
+// counters prove a walk of each direction followed a pulled walk of the
+// other.
+func TestPulledWalksInterleave(t *testing.T) { eachLaneBody(t, testPulledWalksInterleave) }
+
+func testPulledWalksInterleave(t *testing.T) {
+	const d = 6
+	graphs := append(sparseTestGraphs(t), rowsTestGraph(t, 240, 1))
+	for gi, g := range graphs {
+		n := g.NumNodes()
+		params := DHTLambda(0.4)
+		rows := batchTargets(g, 2+n/20, gi)
+		rs := NewReadSet(g, rows)
+		all := make([]graph.NodeID, n)
+		for u := range all {
+			all[u] = graph.NodeID(u)
+		}
+		for _, w := range batchWidths {
+			rng := rand.New(rand.NewSource(int64(gi*100 + w)))
+			be := mustBatchEngine(t, g, params, d, w)
+			var forwardAfter, backwardAfter int // walks right after a pulled walk of the other direction
+			prevPulled, prevBackward := false, false
+			for it := 0; it < 48; it++ {
+				be.DenseThreshold = []float64{1e-9, 0, 1e9}[rng.Intn(3)]
+				steps := []int{2, 3, d}[rng.Intn(3)]
+				kind := []Kind{FirstHit, Reach}[rng.Intn(2)]
+				ps, qs := make([]graph.NodeID, 1+rng.Intn(w)), make([]graph.NodeID, 0, w)
+				for c := range ps {
+					ps[c] = graph.NodeID(rng.Intn(n))
+					qs = append(qs, graph.NodeID(rng.Intn(n)))
+				}
+				ref := refEngine(t, g, params, d)
+				pulls := be.PullSweeps
+				op := rng.Intn(4)
+				backward := op < 2
+				switch op {
+				case 0, 1: // backward, full form then rows form
+					form, check := rs, rows
+					if op == 0 {
+						form, check = nil, all
+					}
+					cols := be.BackWalkRowsBatch(kind, qs, steps, form)
+					for c, q := range qs {
+						want := ref.BackWalkScoresBatch(kind, []graph.NodeID{q}, steps)[0]
+						for _, u := range check {
+							if cols[c][u] != want[u] {
+								t.Fatalf("graph %d w=%d call %d: backward col %d (q=%d) node %d: %v != reference %v",
+									gi, w, it, c, q, u, cols[c][u], want[u])
+							}
+						}
+					}
+				case 2:
+					got := be.ForwardProbsBatch(kind, ps, qs, steps)
+					for c := range ps {
+						if want := ref.ForwardProbsBatch(kind, ps[c:c+1], qs[c:c+1], steps)[0]; !slices.Equal(got[c], want) {
+							t.Fatalf("graph %d w=%d call %d: forward lane %d (%d→%d): %v != reference %v",
+								gi, w, it, c, ps[c], qs[c], got[c], want)
+						}
+					}
+				case 3:
+					seeds, targets := make([][]graph.NodeID, len(ps)), make([][]graph.NodeID, len(ps))
+					for c := range seeds {
+						seeds[c], targets[c] = []graph.NodeID{ps[c], qs[c]}, rows
+					}
+					got := be.reachProbsBatch(seeds, targets, steps, nil)
+					for c := range seeds {
+						want := ref.reachProbsBatch(seeds[c:c+1], targets[c:c+1], steps, nil)[0]
+						for i := range want {
+							if !slices.Equal(got[c][i], want[i]) {
+								t.Fatalf("graph %d w=%d call %d: reach lane %d step %d: %v != reference %v",
+									gi, w, it, c, i+1, got[c][i], want[i])
+							}
+						}
+					}
+				}
+				switch {
+				case !prevPulled || prevBackward == backward:
+				case backward:
+					backwardAfter++
+				default:
+					forwardAfter++
+				}
+				prevPulled, prevBackward = be.PullSweeps > pulls, backward
+			}
+			if forwardAfter == 0 || backwardAfter == 0 {
+				t.Fatalf("graph %d w=%d: forward after a pulled backward walk %d times, backward after a pulled forward walk %d; want each at least once",
+					gi, w, forwardAfter, backwardAfter)
 			}
 		}
 	}

@@ -13,7 +13,7 @@ const maxTableTargets = 256
 // BBJ is the Backward Basic Join (§VI-A): one d-step backward walk per q ∈ Q
 // yields h_d(p, q) for every p at once, so the complexity is O(|Q|·d·|E|) —
 // a factor |P| better than F-BJ. Columns are read at the nodes of P only, so
-// the batched walks take the kernel's rows form. The PJ re-join stream calls
+// the walks take the kernel's rows form. The PJ re-join stream calls
 // TopK again with a larger k on the same joiner; the first TopK therefore
 // keeps every h_d(p, q) in a dense |P|·|Q| table (when |Q| ≤
 // maxTableTargets), and later calls select from it without walking. Engines

@@ -44,7 +44,7 @@ type IterStat struct {
 // exactly. Complexity O(|Q|·d·|E|) worst case, far less when pruning bites —
 // and with the sparse walk kernel the early short-walk rounds cost only the
 // frontier edges they actually touch. Every round reads its columns at the
-// nodes of P only, so the batched rounds walk the kernel's rows form (see
+// nodes of P only, so every round walks the kernel's rows form (see
 // walker.columns).
 //
 // The joiner caches its engines and the Y⁺ₗ table (in its Config.YBound, which

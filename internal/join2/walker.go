@@ -11,10 +11,12 @@ import (
 )
 
 // batchMinSteps is the shortest walk handed to a width-8 engine. Shorter
-// walks (the l = 1, 2 deepening rounds) touch so few nodes that the batch's
-// zero lanes cost more than the amortized CSR traversal saves; they run one
-// target at a time on a width-1 engine, whose β-prefilled column serves them
-// in O(walk frontier) time. A single walk never batches either.
+// walks (the l = 1, 2 deepening rounds) run one target at a time on a
+// width-1 engine, whose β-prefilled column serves a sparse walk in O(walk
+// frontier) time; like every round they walk the rows form over P, so a
+// step that would sweep the whole graph — most l = 2 second steps on a
+// small-world graph — gathers over P's out-edges instead. A single walk
+// never batches either.
 const batchMinSteps = 3
 
 // walker is the one way a 2-way joiner walks a target set: every score the
@@ -39,8 +41,7 @@ type walker struct {
 
 	// rows is Config.P as the kernel's read set — every joiner reads a
 	// walked column at the nodes of P and nowhere else — built by the first
-	// batched round (nil when P is no minority of the graph; see
-	// dht.NewReadSet).
+	// round (nil when P is no minority of the graph; see dht.NewReadSet).
 	rows      *dht.ReadSet
 	rowsBuilt bool
 
@@ -133,7 +134,7 @@ type round struct {
 // may run concurrently, and wi < Config.workerCount(len(qs)) — so a caller
 // keeps one partial result per wi and merges afterwards. With one worker,
 // walked columns arrive in qs order. scores is valid only within the call,
-// and only at the nodes of Config.P: a batched round walks the kernel's rows
+// and only at the nodes of Config.P: every round walks the kernel's rows
 // form over P (dht.BackWalkRowsBatch), which leaves every other entry
 // unspecified.
 //
@@ -152,13 +153,13 @@ func (w *walker) columns(qs []graph.NodeID, l int, fn func(wi, qi int, scores []
 	}
 	r := &w.r
 	*r = round{l: l, targets: qs, fn: fn}
+	if !w.rowsBuilt {
+		w.rows, w.rowsBuilt = dht.NewReadSet(c.Graph, c.P), true
+	}
+	r.rows = w.rows
 	var width int
 	if r.batched = l >= batchMinSteps && n >= 2; r.batched {
 		width = w.batch().W
-		if !w.rowsBuilt {
-			w.rows, w.rowsBuilt = dht.NewReadSet(c.Graph, c.P), true
-		}
-		r.rows = w.rows
 	} else {
 		width = w.lone().W
 	}

@@ -28,26 +28,35 @@ func TestWalkerContract(t *testing.T) {
 }
 
 func testWalkerContract(t *testing.T) {
-	// Counters of the pre-walker serial per-target loop (B-IDJ's, at commit
-	// 2f56227) over this config's 18 targets, by walk length; identical for
-	// both kinds. l = 1, 2 walk one target at a time. l = d walks 8 + 8 + 2 batched, where
-	// the full-column form swept densely at every step of every chunk (24
-	// sweeps); the rows form gathers the last step of each of the 3 chunks
-	// over P (Σ out-degree(P) edges, counted as frontier edges) instead, so
-	// 24 − 3 = 21 sweeps. P's one-hop neighbourhood holds more than half of
-	// this 50-node graph's edges, so the step before stays a sweep.
+	// Kernel work over this config's 18 targets, by walk length; identical
+	// for both kinds. Every round walks the rows form over P, and P's one-hop
+	// neighbourhood holds more than half of this 50-node graph's edges, so
+	// only a walk's last step can gather — over P's out-edges, Σ out-degree(P)
+	// = 116 frontier edges — and only where it would have been a sweep. l = 1
+	// walks one target at a time, each step a sparse push (92 frontier
+	// edges). So does l = 2: the pre-walker serial loop (B-IDJ's, at commit
+	// 2f56227) swept the second step of 17 of the 18 walks and pushed the rest
+	// (17 sweeps, 102 frontier edges); those 17 sweeps are gathers now, so 0
+	// sweeps and 102 + 17·116 = 2 074 frontier edges. l = d walks 8 + 8 + 2
+	// batched, where the full-column form swept densely at every step of
+	// every chunk (24 sweeps); the rows form gathers the last step of each of
+	// the 3 chunks instead, so 24 − 3 = 21 sweeps and 3·116 frontier edges.
 	work := map[int]dht.Counters{
 		1: {Walks: 18, EdgeSweeps: 0, FrontierEdges: 92},
-		2: {Walks: 18, EdgeSweeps: 17, FrontierEdges: 102},
+		2: {Walks: 18, EdgeSweeps: 0, FrontierEdges: 102},
 		8: {Walks: 18, EdgeSweeps: 21},
 	}
 	{
 		cfg := testConfig(t, 7, 0.3)
-		rows := work[cfg.D]
+		var outP int64
 		for _, p := range cfg.P {
-			rows.FrontierEdges += 3 * int64(cfg.Graph.OutDegree(p))
+			outP += int64(cfg.Graph.OutDegree(p))
 		}
-		work[cfg.D] = rows
+		for l, gathers := range map[int]int64{2: 17, cfg.D: 3} {
+			rows := work[l]
+			rows.FrontierEdges += gathers * outP
+			work[l] = rows
+		}
 	}
 	for _, kind := range []dht.Kind{dht.FirstHit, dht.Reach} {
 		base := testConfig(t, 7, 0.3)

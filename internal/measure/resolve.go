@@ -1,7 +1,9 @@
 package measure
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/dht"
 	"repro/internal/rankjoin"
@@ -29,6 +31,10 @@ type Resolved struct {
 	Agg    rankjoin.Aggregate
 	M      int
 }
+
+// ErrEpsilon reports a truncation error bound that is negative or not a
+// finite number (NaN, ±Inf): no walk depth honours it. HTTP maps it to 400.
+var ErrEpsilon = errors.New("measure: epsilon must be a positive finite number")
 
 // maxDepth bounds the truncation depth a request may ask for, directly or
 // through a tiny epsilon: the number arrives from outside the program, and
@@ -58,8 +64,8 @@ func Resolve(r Request) (Resolved, error) {
 		if eps == 0 {
 			eps = 1e-6
 		}
-		if eps < 0 {
-			return Resolved{}, fmt.Errorf("measure: epsilon must be positive, got %g", eps)
+		if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+			return Resolved{}, fmt.Errorf("%w, got %g", ErrEpsilon, eps)
 		}
 		d = p.StepsForEpsilon(eps)
 	}

@@ -2,6 +2,7 @@ package measure_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/dht"
@@ -56,10 +57,18 @@ func TestResolve(t *testing.T) {
 		"depth past the bound":   {D: 1 << 20},
 		"epsilon past the bound": {Params: dht.DHTLambda(0.999999), Epsilon: 1e-9},
 		"negative epsilon":       {Epsilon: -1},
+		"NaN epsilon":            {Epsilon: math.NaN()},
+		"+Inf epsilon":           {Epsilon: math.Inf(1)},
+		"-Inf epsilon":           {Epsilon: math.Inf(-1)},
 		"negative m":             {M: -1},
 	} {
 		if _, err := measure.Resolve(bad); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+	for _, eps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := measure.Resolve(measure.Request{Epsilon: eps}); !errors.Is(err, measure.ErrEpsilon) {
+			t.Errorf("epsilon %g: error %v is not ErrEpsilon", eps, err)
 		}
 	}
 	if _, err := measure.Resolve(measure.Request{Measure: "katz"}); !errors.Is(err, measure.ErrUnknownMeasure) {

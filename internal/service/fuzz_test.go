@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -104,6 +105,68 @@ func FuzzEdgeBodies(f *testing.F) {
 			t.Fatal(err)
 		}
 		fuzzPost(t, h, "/graphs/test/edges", body)
+	})
+}
+
+// FuzzScoreQuery: the same contract for the GET routes' option parser
+// (queryFromURL), whose numbers arrive as query-string text: whatever the
+// query string of GET /score or GET /explain, the answer is a 200, a 400 or
+// a 404 — never a 500 or a panic — and a 200 from /score reports a finite
+// score. strconv.ParseFloat reads "NaN" and "Inf", so those are seeds.
+func FuzzScoreQuery(f *testing.F) {
+	g, sets := testGraph(f)
+	svc := New(Config{MaxBudget: 50 * time.Millisecond})
+	if err := svc.LoadGraph("test", g, sets); err != nil {
+		f.Fatal(err)
+	}
+	h := NewHandler(svc)
+
+	p, q, r := sets[0].Name, sets[1].Name, sets[2].Name
+	for _, seed := range []struct {
+		explain bool
+		query   string
+	}{
+		{false, "graph=test&u=0&v=1"},
+		{false, "graph=test&u=0&v=1&epsilon=NaN"},
+		{false, "graph=test&u=0&v=1&epsilon=-Inf&lambda=0.3"},
+		{false, "graph=test&u=3&v=3&measure=ppr&lambda=NaN"},
+		{false, "graph=test&u=0&v=139&d=4096&dhte=1"},
+		{false, "graph=test&u=0&v=140&d=-1&m=0"},
+		{false, "graph=nope&u=0&v=1&ppr=true"},
+		{false, "graph=test&u=x&v=%zz"},
+		{true, "graph=test&p=" + p + "&q=" + q + "&k=5&epsilon=NaN"},
+		{true, "graph=test&sets=" + p + "," + q + "," + r + "&shape=triangle&k=3&agg=SUM&m=7"},
+		{true, "graph=test&sets=" + p + "&shape=star&k=-1&algo=B-BJ&relabel=degree"},
+		{true, "graph=test&p=" + p + "&q=missing&k=9223372036854775807&accuracy=fast"},
+	} {
+		f.Add(seed.explain, seed.query)
+	}
+
+	f.Fuzz(func(t *testing.T, explain bool, query string) {
+		route := "/score"
+		if explain {
+			route = "/explain"
+		}
+		req := httptest.NewRequest(http.MethodGet, route, nil)
+		req.URL.RawQuery = query
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+			var out struct {
+				Score *float64       `json:"score"`
+				Plan  map[string]any `json:"plan"`
+			}
+			if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
+				t.Fatalf("GET %s?%s: 200 with a body that is not JSON: %v", route, query, err)
+			}
+			if !explain && (out.Score == nil || math.IsNaN(*out.Score) || math.IsInf(*out.Score, 0)) {
+				t.Fatalf("GET %s?%s: 200 without a finite score (%v)", route, query, out.Score)
+			}
+		case http.StatusBadRequest, http.StatusNotFound:
+		default:
+			t.Fatalf("GET %s?%s: status %d: %s", route, query, rec.Code, rec.Body)
+		}
 	})
 }
 

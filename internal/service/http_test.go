@@ -642,7 +642,8 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 // TestHTTPScoreQueryOptions: the GET routes' option parser rejects what it
 // cannot read instead of silently scoring another measure — every spelling
 // of dhte that strconv.ParseBool accepts selects (or deselects) DHTe, any
-// other is a 400, and so is a retired parameter.
+// other is a 400, and so is a retired parameter or an epsilon that is
+// negative or not finite (strconv.ParseFloat reads "NaN" and "Inf").
 func TestHTTPScoreQueryOptions(t *testing.T) {
 	srv, g, sets := startServer(t)
 	u, v := sets[0].Nodes()[0], sets[1].Nodes()[0]
@@ -674,6 +675,11 @@ func TestHTTPScoreQueryOptions(t *testing.T) {
 		{"dhte=yes", http.StatusBadRequest, 0},
 		{"accuracy=fast", http.StatusBadRequest, 0},
 		{"ppr=true", http.StatusBadRequest, 0},
+		{"epsilon=NaN", http.StatusBadRequest, 0},
+		{"epsilon=nan", http.StatusBadRequest, 0},
+		{"epsilon=Inf", http.StatusBadRequest, 0},
+		{"epsilon=-1e-6", http.StatusBadRequest, 0},
+		{"epsilon=1e-6", http.StatusOK, lambda},
 	} {
 		var out struct {
 			Score float64 `json:"score"`
