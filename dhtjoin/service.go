@@ -201,8 +201,8 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v NodeID, opts
 }
 
 // ExplainPairs returns the plan a TopKPairs/OpenPairs call on the named
-// graph would execute — the cost-based planner's decision priced with the
-// serving session's calibrated cost unit — without executing anything.
+// graph would execute — the cost-based planner's decision, priced as a
+// one-shot Explain prices it — without executing anything.
 // k <= 0 prices the plan for the default streaming batch.
 func (s *Service) ExplainPairs(ctx context.Context, graphName string, p, q *NodeSet, k int, opts *Options) (*QueryPlan, error) {
 	pr, qr, query, err := pairArgs(p, q, opts)

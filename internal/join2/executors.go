@@ -2,7 +2,7 @@ package join2
 
 // This file registers the five 2-way joiners with the planner registry
 // (internal/plan): each gets a descriptor carrying its name, streaming and
-// resumability capabilities, a calibrated cost function, and a Factory. The
+// resumability capabilities, an analytic cost function, and a Factory. The
 // execution layers (dhtjoin, internal/service) no longer hard-code B-IDJ-Y —
 // they ask plan.Decide and open whatever wins through NewNamedStream.
 //

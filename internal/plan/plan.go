@@ -13,10 +13,8 @@
 //
 // The cost unit is *edge relaxations*: the number of CSR edge traversals the
 // walk kernels would perform, the quantity the dht.Counters instrument.
-// Estimates start from an analytic frontier-growth model of one truncated
-// walk and are recalibrated per serving session from observed counters
-// (Calibration), closing the loop between what the planner predicted and
-// what the engines actually did.
+// Estimates come from an analytic frontier-growth model of one truncated
+// walk, so a plan is a pure function of the request and the graph's stats.
 //
 // Import shape: plan sits below the operator packages. internal/join2 and
 // internal/core import plan to register their executors (via init), so plan
@@ -197,10 +195,6 @@ type Workload struct {
 	// for that measure. The execution layers set it from the resolved
 	// measure kernel.
 	Measure string `json:"measure,omitempty"`
-
-	// Calib, when non-nil, recalibrates the walk-cost unit from observed
-	// engine counters (serving sessions feed it on every stream Stop).
-	Calib *Calibration `json:"-"`
 }
 
 // PairCost is the modeled cost (in edge relaxations) of one candidate-pair
@@ -211,16 +205,11 @@ type Workload struct {
 const PairCost = 4.0
 
 // WalkCost estimates the edge relaxations of one full-depth (D-step)
-// truncated walk. With calibration data the observed per-walk average wins;
-// otherwise an analytic frontier-growth model: the frontier multiplies by
-// the mean out-degree each step until it saturates at |E| relaxations per
-// step (the dense-sweep ceiling the adaptive kernel switches to).
+// truncated walk by an analytic frontier-growth model: the frontier
+// multiplies by the mean out-degree each step until it saturates at |E|
+// relaxations per step (the dense-sweep ceiling the adaptive kernel switches
+// to).
 func (w Workload) WalkCost() float64 {
-	if w.Calib != nil {
-		if epw, ok := w.Calib.EdgesPerWalk(); ok {
-			return max(epw, 1)
-		}
-	}
 	delta := w.Stats.MeanOutDeg
 	if delta < 1.05 {
 		delta = 1.05 // sublinear growth still touches ≥ 1 edge per step

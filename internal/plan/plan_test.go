@@ -5,10 +5,9 @@ package plan_test
 
 import (
 	"errors"
-	"sync"
+	"slices"
 	"testing"
 
-	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/plan"
 
@@ -165,75 +164,55 @@ func TestWalkCostAnalytic(t *testing.T) {
 	}
 }
 
-func TestCalibration(t *testing.T) {
-	var c plan.Calibration
-	if _, ok := c.EdgesPerWalk(); ok {
-		t.Fatal("fresh calibration claims observations")
+// TestDecideIgnoresWalkUnit pins the invariance that lets a plan be a pure
+// function of the request: every 2-way cost has the form c·W + |P|·|Q|·
+// PairCost with the same constant for all five joiners, so the walk unit W
+// cannot change a pick, and the n-way picks keep their winner across units
+// too. The sweep varies the graph (mean degree 1–300, 10–1e8 arcs) and the
+// depth while the query stays fixed, and expects one pick per gated shape.
+//
+// Left out on purpose: configurations whose coefficients tie exactly (1×60
+// at k = 20 splits B-BJ/B-IDJ-Y by float rounding), and degenerate n-way
+// queries (a 1×60 n-way pair flips between AP and NL with the unit). No
+// workload sends either, and their time cost at a fixed unit is unmeasured.
+func TestDecideIgnoresWalkUnit(t *testing.T) {
+	nway := func(n int, edges ...[2]int) plan.Workload {
+		return plan.Workload{SetSizes: slices.Repeat([]int{60}, n), QueryEdges: edges, K: 50, M: 50}
 	}
-	gen0 := c.Gen()
-	c.Observe(dht.Counters{Walks: 10, FrontierEdges: 5000}, 38000)
-	epw, ok := c.EdgesPerWalk()
-	if !ok || epw != 500 {
-		t.Fatalf("after first observe: epw=%v ok=%v, want 500", epw, ok)
+	pair := func(k int) plan.Workload { return plan.Workload{P: 60, Q: 60, K: k, M: 50} }
+	cases := []struct {
+		name  string
+		class plan.Class
+		w     plan.Workload
+		want  string
+	}{
+		{"pair k=1", plan.TwoWay, pair(1), "B-IDJ-Y"},
+		{"pair k=20", plan.TwoWay, pair(20), "B-IDJ-Y"},
+		{"pair k=50", plan.TwoWay, pair(50), "B-IDJ-Y"},
+		{"pair k=3600", plan.TwoWay, pair(3600), "B-BJ"},
+		{"chain-3", plan.NWay, nway(3, [2]int{0, 1}, [2]int{1, 2}), "PJ-i"},
+		{"chain-4", plan.NWay, nway(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}), "PJ-i"},
+		{"triangle", plan.NWay, nway(3, [2]int{0, 1}, [2]int{1, 0}, [2]int{1, 2}, [2]int{2, 1}, [2]int{0, 2}, [2]int{2, 0}), "PJ-i"},
+		{"star-4", plan.NWay, nway(4, [2]int{1, 0}, [2]int{2, 0}, [2]int{3, 0}), "PJ-i"},
 	}
-	if c.Gen() == gen0 {
-		t.Fatal("first observation did not bump the generation")
-	}
-	// Dense sweeps convert via the graph's arc count.
-	c.Observe(dht.Counters{Walks: 1, EdgeSweeps: 2}, 38000)
-	if epw, _ = c.EdgesPerWalk(); epw <= 500 {
-		t.Fatalf("sweep observation did not raise the average: %v", epw)
-	}
-	// A walk-free run is ignored.
-	before, _ := c.EdgesPerWalk()
-	c.Observe(dht.Counters{EdgeSweeps: 50}, 38000)
-	if after, _ := c.EdgesPerWalk(); after != before {
-		t.Fatal("walk-free observation changed the estimate")
-	}
-	// Steady-state identical observations stop bumping the generation.
-	stable, _ := c.EdgesPerWalk()
-	for i := 0; i < 5; i++ {
-		c.Observe(dht.Counters{Walks: 100, FrontierEdges: int64(100 * stable)}, 38000)
-	}
-	gen := c.Gen()
-	c.Observe(dht.Counters{Walks: 100, FrontierEdges: int64(100 * stable)}, 38000)
-	if c.Gen() != gen {
-		t.Fatal("steady-state observation bumped the generation")
-	}
-	// Calibrated workloads use the observed unit.
-	w := testWorkload(50)
-	w.Calib = &c
-	if got, want := w.WalkCost(), mustEPW(t, &c); got != want {
-		t.Fatalf("calibrated walk cost %v, want %v", got, want)
-	}
-}
-
-func mustEPW(t *testing.T, c *plan.Calibration) float64 {
-	t.Helper()
-	epw, ok := c.EdgesPerWalk()
-	if !ok {
-		t.Fatal("no calibration data")
-	}
-	return epw
-}
-
-func TestCalibrationConcurrent(t *testing.T) {
-	var c plan.Calibration
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				c.Observe(dht.Counters{Walks: 10, FrontierEdges: 4000}, 38000)
-				c.EdgesPerWalk()
-				c.Gen()
+	for _, c := range cases {
+		for _, deg := range []float64{1, 1.5, 3, 10, 30, 100, 300} {
+			for _, arcs := range []int{10, 1_000, 100_000, 10_000_000, 100_000_000} {
+				for _, d := range []int{1, 8, 30} {
+					w := c.w
+					w.Stats = graph.Stats{Nodes: max(int(float64(arcs)/deg), 1), Arcs: arcs, MeanOutDeg: deg}
+					w.D = d
+					pl, err := plan.Decide(c.class, w, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pl.Algorithm != c.want {
+						t.Fatalf("%s (deg %v, arcs %d, d %d, W %.4g): pick %s, want %s",
+							c.name, deg, arcs, d, w.WalkCost(), pl.Algorithm, c.want)
+					}
+				}
 			}
-		}()
-	}
-	wg.Wait()
-	if n := c.Samples(); n != 8*200 {
-		t.Fatalf("samples = %d, want %d", n, 8*200)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // TestLRUEvictionOrder pins the one policy every bounded cache in the repo
-// (result and plan caches, SimRank matrices) relies on: Get and
+// (the result cache, SimRank matrices) relies on: Get and
 // Put refresh recency, Peek does not, and a new key evicts exactly the least
 // recently used entry. The second half checks the linked implementation
 // against the most-recently-used-last key list the caches used to carry.

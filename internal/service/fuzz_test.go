@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -112,7 +113,9 @@ func FuzzEdgeBodies(f *testing.F) {
 // (queryFromURL), whose numbers arrive as query-string text: whatever the
 // query string of GET /score or GET /explain, the answer is a 200, a 400 or
 // a 404 — never a 500 or a panic — and a 200 from /score reports a finite
-// score. strconv.ParseFloat reads "NaN" and "Inf", so those are seeds.
+// score for a u and v that parse as int32 ids inside the graph.
+// strconv.ParseFloat reads "NaN" and "Inf", so those are seeds, and so are
+// ids that a 64-bit parse would wrap onto node 0.
 func FuzzScoreQuery(f *testing.F) {
 	g, sets := testGraph(f)
 	svc := New(Config{MaxBudget: 50 * time.Millisecond})
@@ -138,6 +141,8 @@ func FuzzScoreQuery(f *testing.F) {
 		{true, "graph=test&sets=" + p + "," + q + "," + r + "&shape=triangle&k=3&agg=SUM&m=7"},
 		{true, "graph=test&sets=" + p + "&shape=star&k=-1&algo=B-BJ&relabel=degree"},
 		{true, "graph=test&p=" + p + "&q=missing&k=9223372036854775807&accuracy=fast"},
+		{false, "graph=test&u=4294967296&v=1"},
+		{false, "graph=test&u=1&v=-4294967296"},
 	} {
 		f.Add(seed.explain, seed.query)
 	}
@@ -160,8 +165,17 @@ func FuzzScoreQuery(f *testing.F) {
 			if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
 				t.Fatalf("GET %s?%s: 200 with a body that is not JSON: %v", route, query, err)
 			}
-			if !explain && (out.Score == nil || math.IsNaN(*out.Score) || math.IsInf(*out.Score, 0)) {
+			if explain {
+				break
+			}
+			if out.Score == nil || math.IsNaN(*out.Score) || math.IsInf(*out.Score, 0) {
 				t.Fatalf("GET %s?%s: 200 without a finite score (%v)", route, query, out.Score)
+			}
+			qp := req.URL.Query()
+			for _, id := range []string{qp.Get("u"), qp.Get("v")} {
+				if n, err := strconv.ParseInt(id, 10, 32); err != nil || n < 0 || n >= int64(g.NumNodes()) {
+					t.Fatalf("GET %s?%s: 200 for node id %q outside the graph", route, query, id)
+				}
 			}
 		case http.StatusBadRequest, http.StatusNotFound:
 		default:

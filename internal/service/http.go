@@ -171,10 +171,12 @@ func NewHandler(svc *Service) http.Handler {
 
 	mux.HandleFunc("GET /score", func(w http.ResponseWriter, r *http.Request) {
 		qp := r.URL.Query()
-		u, errU := strconv.Atoi(qp.Get("u"))
-		v, errV := strconv.Atoi(qp.Get("v"))
+		// Node ids are int32; parsing at that width rejects an id that a
+		// wider parse would wrap onto a valid node.
+		u, errU := strconv.ParseInt(qp.Get("u"), 10, 32)
+		v, errV := strconv.ParseInt(qp.Get("v"), 10, 32)
 		if errU != nil || errV != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("score: u and v must be integer node ids"))
+			writeError(w, http.StatusBadRequest, fmt.Errorf("score: u and v must be int32 node ids"))
 			return
 		}
 		query, err := queryFromURL(r)

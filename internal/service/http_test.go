@@ -600,6 +600,11 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 			"q":     map[string]any{"set": sets[1].Name},
 			"k":     3,
 		}, "", ""},
+		{"negative budget", withOptions(map[string]any{"budget_ms": -1}), "budget_ms must be >= 0", ""},
+		// budget_ms past what a time.Duration holds would wrap to a tiny
+		// (18446744073710 ms → 448 µs) or negative budget.
+		{"budget past MaxInt64 ns", withOptions(map[string]any{"budget_ms": 9223372036855}), "budget_ms must be at most 9223372036854", ""},
+		{"budget wrapping to 448µs", withOptions(map[string]any{"budget_ms": 18446744073710}), "budget_ms must be at most", ""},
 		// Retired options are rejected by name, with what to do instead.
 		{"retired accuracy option", withOptions(map[string]any{"accuracy": "fast"}), `"accuracy": removed`, ""},
 		{"retired ppr option", withOptions(map[string]any{"ppr": true}), `"measure":"ppr"`, ""},
@@ -680,11 +685,16 @@ func TestHTTPScoreQueryOptions(t *testing.T) {
 		{"epsilon=Inf", http.StatusBadRequest, 0},
 		{"epsilon=-1e-6", http.StatusBadRequest, 0},
 		{"epsilon=1e-6", http.StatusOK, lambda},
+		// Node ids are int32: these would wrap onto node 0 in a wider
+		// parse. The later u and v of the query string are ignored.
+		{"u=4294967296", http.StatusBadRequest, 0},
+		{"u=-4294967296", http.StatusBadRequest, 0},
+		{"v=4294967296", http.StatusBadRequest, 0},
 	} {
 		var out struct {
 			Score float64 `json:"score"`
 		}
-		url := fmt.Sprintf("%s/score?graph=test&u=%d&v=%d&%s", srv.URL, u, v, tc.param)
+		url := fmt.Sprintf("%s/score?%s&graph=test&u=%d&v=%d", srv.URL, tc.param, u, v)
 		if code := getJSON(t, url, &out); code != tc.code || out.Score != tc.want {
 			t.Errorf("GET /score?%s = %d, score %v; want %d, score %v", tc.param, code, out.Score, tc.code, tc.want)
 		}

@@ -34,7 +34,6 @@ func WriteMetrics(w io.Writer, st Stats) {
 	metric(w, "njoind_result_misses_total", "counter", "Result-cache misses.", st.ResultMisses)
 
 	metric(w, "njoind_plan_requests_total", "counter", "Planner decisions requested.", st.PlanRequests)
-	metric(w, "njoind_plan_cache_hits_total", "counter", "Planner cache hits.", st.PlanCacheHits)
 	if len(st.PlanPicks) > 0 {
 		const name = "njoind_plan_picks_total"
 		fmt.Fprintf(w, "# HELP %s Executions per picked algorithm.\n# TYPE %s counter\n", name, name)

@@ -15,8 +15,8 @@ import (
 //
 // Everything hangs off one invariant: sessions are keyed by graph pointer
 // (sessionKey.g), so replacing a registry entry's *graph.Graph purges every
-// derived structure — engine pools, result-cache prefixes, plan caches, and
-// planner calibrations — exactly when the graph's durable generation moves.
+// derived structure — engine pools and result-cache prefixes — exactly when
+// the graph's durable generation moves.
 // There is no separate invalidation protocol to get wrong.
 
 // AdoptRecovered registers the graphs the store recovered at startup without

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,10 +59,11 @@ func TestServiceExplain(t *testing.T) {
 	}
 }
 
-// TestServicePlanCacheAndPicks: repeated identical requests hit the plan
-// cache (the result cache is disabled to force re-planning on each), picks
-// are counted, and the calibration feedback loop records the observed run.
-func TestServicePlanCacheAndPicks(t *testing.T) {
+// TestServicePlanPicks: repeated identical requests (the result cache is
+// disabled to force re-planning on each) are each planned and counted as a
+// pick, the retired plan-cache counter reads 0, and the warm session prices
+// a plan exactly as a cold one does.
+func TestServicePlanPicks(t *testing.T) {
 	g, sets := testGraph(t)
 	svc := New(Config{ResultCacheSize: -1})
 	if err := svc.LoadGraph("g", g, sets); err != nil {
@@ -70,42 +72,19 @@ func TestServicePlanCacheAndPicks(t *testing.T) {
 	ctx := context.Background()
 	p, q := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
 
-	first, err := svc.Join2(ctx, "g", p, q, 10, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := refJoin2(t, g, sets[0].Nodes(), sets[1].Nodes(), 10)
-	if len(first) != len(want) {
-		t.Fatalf("first join: %d results, want %d", len(first), len(want))
-	}
-	for i := range want {
-		if first[i] != want[i] {
-			t.Fatalf("rank %d: %+v, want %+v", i, first[i], want[i])
-		}
-	}
-
-	// The session observed the first run; its calibration must have data.
-	svc.mu.Lock()
-	if len(svc.sessions) != 1 {
-		svc.mu.Unlock()
-		t.Fatalf("sessions = %d, want 1", len(svc.sessions))
-	}
-	var sess *session
-	for _, s := range svc.sessions {
-		sess = s
-	}
-	svc.mu.Unlock()
-	if sess.calib.Samples() == 0 {
-		t.Fatal("calibration saw no feedback after a completed join")
-	}
-
-	// Request 2 re-plans: the first run's calibration feedback moved the
-	// generation (the cost unit went from analytic to observed). Request 3
-	// sees a stable generation — identical runs cannot drift the EWMA —
-	// and must hit the plan cache.
-	for i := 0; i < 2; i++ {
-		if _, err := svc.Join2(ctx, "g", p, q, 10, Query{}); err != nil {
+	for i := 0; i < 3; i++ {
+		got, err := svc.Join2(ctx, "g", p, q, 10, Query{})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("join %d: %d results, want %d", i, len(got), len(want))
+		}
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("join %d rank %d: %+v, want %+v", i, r, got[r], want[r])
+			}
 		}
 	}
 	st := svc.Stats()
@@ -115,8 +94,24 @@ func TestServicePlanCacheAndPicks(t *testing.T) {
 	if total := sumPicks(st.PlanPicks); total < 3 {
 		t.Fatalf("plan picks = %v, want three executions", st.PlanPicks)
 	}
-	if st.PlanCacheHits == 0 {
-		t.Fatalf("no plan cache hits: %+v", st)
+	if st.PlanCacheHits != 0 {
+		t.Fatalf("plan cache hits = %d, want 0", st.PlanCacheHits)
+	}
+
+	cold := New(Config{})
+	if err := cold.LoadGraph("g", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	warmPlan, err := svc.ExplainJoin2(ctx, "g", p, q, 10, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldPlan, err := cold.ExplainJoin2(ctx, "g", p, q, 10, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warmPlan, coldPlan) {
+		t.Fatalf("warm plan %+v, cold plan %+v", warmPlan, coldPlan)
 	}
 }
 

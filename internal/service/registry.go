@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dht"
 	"repro/internal/graph"
-	"repro/internal/plan"
 )
 
 // GraphInfo describes one registry entry.
@@ -37,8 +36,8 @@ type graphEntry struct {
 // sessionKey identifies one shared-resource session. The graph pointer (not
 // the registry name) keys it, so reloading a name invalidates naturally and
 // two names sharing a graph share a session. The canonical measure name is a
-// key dimension: a measure's memoized state (result prefixes, plan
-// decisions, calibration) must never serve another measure's queries.
+// key dimension: a measure's memoized result prefixes must never serve
+// another measure's queries.
 type sessionKey struct {
 	g       *graph.Graph
 	params  dht.Params
@@ -53,8 +52,6 @@ type session struct {
 	rl      *graph.Relabeling // nil when not relabeled
 	pool    *dht.EnginePool   // engines + batch engines, recycled across requests
 	results *resultLRU        // recent top-k results, original id space
-	plans   *planCache        // planner decisions, keyed like the result LRU (+k)
-	calib   *plan.Calibration // observed-cost feedback from finished runs
 }
 
 // LoadGraph registers g under name with its node sets. Loading an existing
@@ -236,8 +233,6 @@ func (s *Service) sessionFor(ge *graphEntry, params dht.Params, d int, mode grap
 		rl:      rl,
 		pool:    pool,
 		results: newResultLRU(s.cfg.ResultCacheSize),
-		plans:   newPlanCache(planCacheCap),
-		calib:   &plan.Calibration{},
 	}
 
 	s.mu.Lock()

@@ -121,37 +121,6 @@ func (s *Service) budgetContext(ctx context.Context, q *Query) (context.Context,
 	return context.WithTimeoutCause(ctx, b, ErrBudgetExceeded)
 }
 
-// planFor runs the planner for one request through the session's plan
-// cache: cached decisions are reused while the calibration generation they
-// were stamped with still holds, so a session recalibrated by observed
-// counters re-plans with the fresh cost unit. Forced algorithms skip the
-// cache (validation is the whole cost).
-func (s *Service) planFor(sess *session, class plan.Class, baseKey string, w plan.Workload, forced string) (*plan.Plan, error) {
-	s.planReqs.Add(1)
-	w.Calib = sess.calib
-	if forced != "" {
-		return plan.Decide(class, w, forced)
-	}
-	var key string
-	var gen uint64
-	if baseKey != "" {
-		key = fmt.Sprintf("%s|plan-k=%d", baseKey, w.K)
-		gen = sess.calib.Gen()
-		if pl, ok := sess.plans.get(key, gen); ok {
-			s.planCacheHits.Add(1)
-			return pl, nil
-		}
-	}
-	pl, err := plan.Decide(class, w, "")
-	if err != nil {
-		return nil, err
-	}
-	if key != "" {
-		sess.plans.put(key, gen, pl)
-	}
-	return pl, nil
-}
-
 // refKey serializes a resolved SetRef (a name, or the repeat-free id list
 // resolveSet returned) for the result-cache key. Explicit id lists are
 // written in full — a hashed key could collide and silently serve another
@@ -222,9 +191,8 @@ type joinSpec[T any] interface {
 // runEnv is the per-run execution environment a start hook threads into its
 // join2.Config or core.Spec, next to the session's pool.
 type runEnv struct {
-	workers int           // admission-granted worker count
-	ctrs    *dht.Counters // run-scoped; feeds the session calibration on Stop
-	cancel  func() error  // walk-round cancellation poll
+	workers int          // admission-granted worker count
+	cancel  func() error // walk-round cancellation poll
 }
 
 // request is one resolved join request: session, resolved parameters, the
@@ -272,7 +240,7 @@ func (sp pairSpec) bind(rq *request[join2.Result], ge *graphEntry) (string, erro
 		sess := rq.sess
 		cfg := join2.Config{
 			Graph: sess.g, Params: rq.res.Params, D: rq.res.D, P: pn, Q: qn, Measure: rq.res.Kernel.Walk,
-			Workers: env.workers, Pool: sess.pool, Counters: env.ctrs, Cancel: env.cancel,
+			Workers: env.workers, Pool: sess.pool, Counters: &rq.svc.counters, Cancel: env.cancel,
 		}
 		if sess.rl != nil {
 			cfg.P, cfg.Q = sess.rl.MapToNew(pn), sess.rl.MapToNew(qn)
@@ -337,7 +305,7 @@ func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, erro
 			Graph: sess.g, Query: qg, Params: rq.res.Params, D: rq.res.D, Agg: rq.res.Agg,
 			K:        1, // required by Validate; the stream itself is k-free
 			Distinct: rq.query.Distinct, Measure: rq.res.Kernel.Walk,
-			Workers: env.workers, Pool: sess.pool, Counters: env.ctrs, Cancel: env.cancel,
+			Workers: env.workers, Pool: sess.pool, Counters: &rq.svc.counters, Cancel: env.cancel,
 		}, rq.res.M)
 		if err != nil {
 			return nil, err
@@ -409,14 +377,15 @@ func (rq *request[T]) demand(k int) int {
 	return k
 }
 
-// plan runs the planner for demand k through the session's plan cache.
+// plan runs the planner for demand k.
 func (rq *request[T]) plan(k int) (*plan.Plan, error) {
 	w, res := rq.work, rq.res
 	w.Stats = rq.sess.g.Stats()
 	w.K, w.M, w.D = rq.demand(k), res.M, res.D
 	w.Measure = res.Kernel.PlanMeasure
 	w.Workers = rq.query.Workers
-	return rq.svc.planFor(rq.sess, rq.class, rq.key, w, rq.query.Algorithm)
+	rq.svc.planReqs.Add(1)
+	return plan.Decide(rq.class, w, rq.query.Algorithm)
 }
 
 // open acquires admission (honoring ctx) and starts the planned stream.
@@ -436,12 +405,9 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 	if err != nil {
 		return rq.unopened(qctx, cancel, admitErr(qctx, err))
 	}
-	// The run-scoped counters feed the session calibration on Stop and
-	// forward every increment to the service's lifetime totals.
-	ctrs := &dht.Counters{Chain: &svc.counters}
 	var st source[T]
 	if err = svc.cfg.Fault.Inject(fault.Checkout); err == nil {
-		st, err = rq.start(pl.Algorithm, runEnv{workers: g.n, ctrs: ctrs, cancel: svc.cancelPoll(qctx)}, rq.demand(k), batch)
+		st, err = rq.start(pl.Algorithm, runEnv{workers: g.n, cancel: svc.cancelPoll(qctx)}, rq.demand(k), batch)
 	}
 	if err != nil {
 		svc.adm.release(g)
@@ -452,7 +418,7 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 	if sess.results == nil {
 		key = "" // nowhere to publish, so the stream records nothing
 	}
-	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: key, kind: rq.kind, st: st, grant: g, ctrs: ctrs}, nil
+	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: key, kind: rq.kind, st: st, grant: g}, nil
 }
 
 // unopened ends an open that failed before its stream existed. A budget

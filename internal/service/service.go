@@ -163,7 +163,7 @@ type Service struct {
 
 	join2Reqs, joinNReqs, scoreReqs  atomic.Int64
 	resultHits, resultMisses         atomic.Int64
-	planReqs, planCacheHits          atomic.Int64
+	planReqs                         atomic.Int64
 	budgetTruncs, shedClamps, panics atomic.Int64
 	edgeUpdates                      atomic.Int64
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dht"
 	"repro/internal/join2"
 )
 
@@ -32,10 +31,9 @@ type Stream[T any] struct {
 	kind      *resultKind[T]
 	st        source[T]
 	grant     *grant
-	ctrs      *dht.Counters // run-scoped; feeds the session calibration on Stop
-	drained   []T           // private deep copies of what was served
-	truncated bool          // results past maxCachedPrefix were not recorded
-	budgetHit bool          // the deadline budget cut the ranking short
+	drained   []T  // private deep copies of what was served
+	truncated bool // results past maxCachedPrefix were not recorded
+	budgetHit bool // the deadline budget cut the ranking short
 	exhausted bool
 	stopped   bool
 
@@ -146,11 +144,6 @@ func (s *Stream[T]) Stop() {
 	s.grant = nil
 	if s.cancel != nil {
 		s.cancel()
-	}
-	if s.ctrs != nil {
-		// Observed-cost feedback: the run's walk counters recalibrate the
-		// session's cost-unit estimate.
-		s.sess.calib.Observe(s.ctrs.Snapshot(), s.sess.g.NumEdges())
 	}
 	if s.key != "" && (len(s.drained) > 0 || s.exhausted) {
 		// A truncated recording is still a valid prefix, but it is not the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -73,9 +74,16 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	if o.BudgetMS < 0 {
 		return q, fmt.Errorf("options: budget_ms must be >= 0, got %d", o.BudgetMS)
 	}
+	if int64(o.BudgetMS) > maxBudgetMS {
+		return q, fmt.Errorf("options: budget_ms must be at most %d, got %d", maxBudgetMS, o.BudgetMS)
+	}
 	q.Budget = time.Duration(o.BudgetMS) * time.Millisecond
 	return q, nil
 }
+
+// maxBudgetMS is the largest budget_ms a time.Duration holds; a larger one
+// would wrap to a tiny or negative budget.
+const maxBudgetMS = math.MaxInt64 / int64(time.Millisecond)
 
 // queryOf resolves a request's wire options (nil means defaults) into a
 // Query, filling tenant and priority from the request headers when the
