@@ -6,7 +6,6 @@
 //	experiments                 # run everything, quick sizing
 //	experiments -full           # paper-scale sizing (slow)
 //	experiments -exp fig9a      # one experiment
-//	experiments -relabel degree # run on the locality-relabeled CSR
 //	experiments -list           # list experiment ids
 //
 // -cpuprofile and -memprofile write pprof profiles of the experiment runs,
@@ -40,7 +39,6 @@ func run() error {
 		full       = flag.Bool("full", false, "paper-scale configuration (slow; quick sizing otherwise)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		seed       = flag.Int64("seed", 1, "dataset RNG seed")
-		relabel    = flag.String("relabel", "", "locality-aware node reordering: degree or bfs (default off)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the runs to this file")
 	)
@@ -58,7 +56,6 @@ func run() error {
 		cfg = experiments.Full()
 	}
 	cfg.Seed = *seed
-	cfg.Relabel = *relabel
 	env := experiments.NewEnv(cfg)
 
 	runners := experiments.All()
@@ -86,11 +83,7 @@ func run() error {
 	if *full {
 		mode = "full"
 	}
-	fmt.Printf("# multi-way join over DHT — experiment suite (%s mode, seed %d", mode, *seed)
-	if *relabel != "" {
-		fmt.Printf(", relabel=%s", *relabel)
-	}
-	fmt.Printf(")\n\n")
+	fmt.Printf("# multi-way join over DHT — experiment suite (%s mode, seed %d)\n\n", mode, *seed)
 	for _, r := range runners {
 		start := time.Now()
 		tab, err := r.Run(env)

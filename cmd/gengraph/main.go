@@ -1,10 +1,10 @@
 // Command gengraph generates the synthetic datasets (or generic random
-// graphs) in the library's text or binary format, with summary statistics.
+// graphs) in the library's text format, with summary statistics.
 //
 // Usage:
 //
 //	gengraph -kind dblp  -scale 0.1 -seed 1 -o dblp.graph
-//	gengraph -kind yeast -seed 1 -format binary -o yeast.bin
+//	gengraph -kind yeast -seed 1 -o yeast.graph
 //	gengraph -kind er -nodes 1000 -p 0.01 -o er.graph
 //	gengraph -kind community -sizes 100,100,50 -pin 0.2 -pout 0.02
 package main
@@ -22,17 +22,16 @@ import (
 
 func main() {
 	var (
-		kind   = flag.String("kind", "dblp", "dblp | yeast | youtube | er | ba | community | grid")
-		scale  = flag.Float64("scale", 0.1, "scale for dblp/youtube")
-		seed   = flag.Int64("seed", 1, "RNG seed")
-		out    = flag.String("o", "-", "output file (- for stdout)")
-		format = flag.String("format", "text", "text | binary")
-		nodes  = flag.Int("nodes", 1000, "nodes for er/ba/grid width")
-		p      = flag.Float64("p", 0.01, "edge probability for er/community pin")
-		pout   = flag.Float64("pout", 0.02, "cross-community probability")
-		m      = flag.Int("m", 3, "links per node for ba / grid height")
-		sizes  = flag.String("sizes", "200,200,200", "community sizes for -kind community")
-		stats  = flag.Bool("stats", true, "print graph statistics to stderr")
+		kind  = flag.String("kind", "dblp", "dblp | yeast | youtube | er | ba | community | grid")
+		scale = flag.Float64("scale", 0.1, "scale for dblp/youtube")
+		seed  = flag.Int64("seed", 1, "RNG seed")
+		out   = flag.String("o", "-", "output file (- for stdout)")
+		nodes = flag.Int("nodes", 1000, "nodes for er/ba/grid width")
+		p     = flag.Float64("p", 0.01, "edge probability for er/community pin")
+		pout  = flag.Float64("pout", 0.02, "cross-community probability")
+		m     = flag.Int("m", 3, "links per node for ba / grid height")
+		sizes = flag.String("sizes", "200,200,200", "community sizes for -kind community")
+		stats = flag.Bool("stats", true, "print graph statistics to stderr")
 	)
 	flag.Parse()
 
@@ -54,12 +53,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if *format == "binary" {
-		err = graph.WriteBinary(w, g, sets...)
-	} else {
-		err = graph.WriteText(w, g, sets...)
-	}
-	if err != nil {
+	if err := graph.WriteText(w, g, sets...); err != nil {
 		fmt.Fprintln(os.Stderr, "gengraph:", err)
 		os.Exit(1)
 	}

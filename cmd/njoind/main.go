@@ -1,8 +1,8 @@
 // Command njoind is the long-lived join server: it keeps a bounded registry
 // of named graphs in memory and serves top-k 2-way and n-way DHT joins over
-// HTTP/JSON, reusing engines, relabelings, and recent result prefixes across
-// requests (see internal/service). Results are bit-identical to the
-// corresponding one-shot dhtjoin calls.
+// HTTP/JSON, reusing engines and recent result prefixes across requests (see
+// internal/service). Results are bit-identical to the corresponding one-shot
+// dhtjoin calls.
 //
 // Usage:
 //

@@ -11,10 +11,9 @@ import (
 	"repro/internal/graph"
 )
 
-// TestConcurrentOptionsJoins drives Options-level joins — with Relabel on,
-// so the package relabel cache is hammered — from many goroutines against
-// one shared graph, and the Service facade alongside them, so the shared
-// engine pool and the result cache see the same traffic.
+// TestConcurrentOptionsJoins drives one-shot Options-level joins from many
+// goroutines against one shared graph, and the Service facade alongside
+// them, so the shared engine pool and the result cache see the same traffic.
 // Run under -race in CI; every response is checked against the serial
 // reference, so scheduling can corrupt neither the caches nor the results.
 func TestConcurrentOptionsJoins(t *testing.T) {
@@ -27,18 +26,12 @@ func TestConcurrentOptionsJoins(t *testing.T) {
 	p, q, r := sets[0], sets[1], sets[2]
 	query := Chain(p, q, r)
 
-	// Serial references: plain and relabeled (relabeling reorders the
-	// per-row fp summation, so the relabeled runs get their own reference,
-	// computed serially with the same Options).
+	// Serial references.
 	wantPairs, err := TopKPairs(g, p, q, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPairsRel, err := TopKPairs(g, p, q, 10, &Options{Relabel: RelabelDegree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAnswers, err := TopK(g, query, 6, &Options{Relabel: RelabelBFS})
+	wantAnswers, err := TopK(g, query, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,24 +49,24 @@ func TestConcurrentOptionsJoins(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				switch (w + i) % 4 {
-				case 0: // one-shot, relabel cache hit path
-					got, err := TopKPairs(g, p, q, 10, &Options{Relabel: RelabelDegree, Workers: 2})
+				case 0: // one-shot 2-way
+					got, err := TopKPairs(g, p, q, 10, &Options{Workers: 2})
 					if err != nil {
 						errs <- err
 						return
 					}
-					if !pairsEqual(got, wantPairsRel) {
-						errs <- fmt.Errorf("w%d i%d: relabeled TopKPairs diverged", w, i)
+					if !pairsEqual(got, wantPairs) {
+						errs <- fmt.Errorf("w%d i%d: one-shot TopKPairs diverged", w, i)
 						return
 					}
-				case 1: // one-shot n-way, second relabel mode in the cache
-					got, err := TopK(g, query, 6, &Options{Relabel: RelabelBFS})
+				case 1: // one-shot n-way
+					got, err := TopK(g, query, 6, nil)
 					if err != nil {
 						errs <- err
 						return
 					}
 					if !answersEqual(got, wantAnswers) {
-						errs <- fmt.Errorf("w%d i%d: relabeled TopK diverged", w, i)
+						errs <- fmt.Errorf("w%d i%d: one-shot TopK diverged", w, i)
 						return
 					}
 				case 2: // service facade: shared pool + result LRU
@@ -86,8 +79,8 @@ func TestConcurrentOptionsJoins(t *testing.T) {
 						errs <- fmt.Errorf("w%d i%d: service TopKPairs diverged", w, i)
 						return
 					}
-				default: // service n-way with relabel
-					got, err := svc.TopK(context.Background(), "g", query, 6, &Options{Relabel: RelabelBFS, Workers: 2})
+				default: // service n-way with workers
+					got, err := svc.TopK(context.Background(), "g", query, 6, &Options{Workers: 2})
 					if err != nil {
 						errs <- err
 						return

@@ -106,9 +106,6 @@ var (
 	// ReadText / WriteText serialize graphs in the line-oriented text format.
 	ReadText  = graph.ReadText
 	WriteText = graph.WriteText
-	// ReadBinary / WriteBinary serialize graphs with encoding/gob.
-	ReadBinary  = graph.ReadBinary
-	WriteBinary = graph.WriteBinary
 	// DHTE / DHTLambda are the two published DHT parameterizations.
 	DHTE      = dht.DHTE
 	DHTLambda = dht.DHTLambda
@@ -160,15 +157,6 @@ type Options struct {
 	// the paper; a negative value selects GOMAXPROCS. Results are identical
 	// at any setting — ties are broken by the canonical pair key.
 	Workers int
-
-	// Relabel applies a locality-aware node reordering to the graph before
-	// joining (cached per graph, so repeated joins pay the rebuild once):
-	// the join runs on the cache-friendlier CSR and all returned node ids
-	// are mapped back to the caller's id space. Honored by TopKPairs and
-	// TopK; Score/ScoresFrom run on the graph as given. Off by default.
-	// Scores are unchanged up to floating-point summation order within a
-	// CSR row, so rankings can differ only between exactly-tied pairs.
-	Relabel RelabelMode
 
 	// Budget bounds the wall-clock time a join may spend. A join that runs
 	// out of budget stops early but correctly: one-shot calls return

@@ -43,8 +43,8 @@ var (
 	ErrUnknownAlgorithm = errors.New("dhtjoin: unknown algorithm hint")
 
 	// ErrHintConflict reports hints that contradict the query: a 2-way
-	// algorithm forced onto an n-way query (or vice versa), an algorithm
-	// dedicated to a different measure, or an invalid relabel mode.
+	// algorithm forced onto an n-way query (or vice versa), or an algorithm
+	// dedicated to a different measure.
 	ErrHintConflict = errors.New("dhtjoin: hint conflicts with the query")
 
 	// ErrNodeRange reports a node id outside [0, NumNodes) of the graph.

@@ -343,7 +343,7 @@ func TestPlannerPicksBBJForFullRanking(t *testing.T) {
 }
 
 // TestHintsForceAlgorithmOnly: Hints carries the forced executor and nothing
-// else — how a query executes (Workers, Relabel) is spelled once, in Options,
+// else — how a query executes (Workers) is spelled once, in Options,
 // and still produces the identical ranking under a forced algorithm.
 func TestHintsForceAlgorithmOnly(t *testing.T) {
 	if ht := reflect.TypeOf(Hints{}); ht.NumField() != 1 || ht.Field(0).Name != "Algorithm" {
@@ -357,7 +357,7 @@ func TestHintsForceAlgorithmOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := NewPairQuery(g, p, q).
-		WithOptions(&Options{Workers: 3, Relabel: RelabelDegree}).
+		WithOptions(&Options{Workers: 3}).
 		WithHints(Hints{Algorithm: "B-BJ"}).
 		TopKPairs(ctx, 20)
 	if err != nil {

@@ -44,7 +44,7 @@ type Query struct {
 // registered executor fails with ErrUnknownAlgorithm, an algorithm of the
 // wrong query class (a 2-way joiner on an n-way query, or vice versa) or of
 // another measure fails with ErrHintConflict — both errors.Is-able. How a
-// query executes (Workers, Relabel) is set in Options only.
+// query executes (Workers) is set in Options only.
 type Hints struct {
 	// Algorithm forces the named executor instead of the planner's pick:
 	// one of Algorithms2Way for pair queries ("B-IDJ-Y", "B-IDJ-X", "B-BJ",
@@ -201,9 +201,9 @@ func (qy *Query) Validate() error {
 // (service.Ephemeral — caches off, admission sized to the query's own
 // workers) and the options in the serving layer's form, the forced
 // algorithm included. The one-shot call is thus the served request path by
-// construction: the same resolver, planner, executor openers, relabel
-// map-back, budget and cancellation — there is no second copy to keep
-// equal. wantJoin names the form the entry point needs.
+// construction: the same resolver, planner, executor openers, budget and
+// cancellation — there is no second copy to keep equal. wantJoin names the
+// form the entry point needs.
 func (qy *Query) session(wantJoin bool) (*service.Service, service.Query, error) {
 	if err := qy.Validate(); err != nil {
 		return nil, service.Query{}, err

@@ -27,7 +27,7 @@ func queryWorld(t testing.TB) (*Graph, []*NodeSet) {
 func TestResultsPrefixMatchesTopKPairs(t *testing.T) {
 	g, sets := queryWorld(t)
 	p, q := sets[0], sets[1]
-	for _, opts := range []*Options{nil, {Workers: 3}, {Relabel: RelabelDegree}} {
+	for _, opts := range []*Options{nil, {Workers: 3}} {
 		query := NewPairQuery(g, p, q).WithOptions(opts)
 		var streamed []PairResult
 		for r, err := range query.Results(context.Background()) {
@@ -365,7 +365,7 @@ func TestBudgetSpentAtOpen(t *testing.T) {
 }
 
 // TestEphemeralSessionRestored: whatever the options make the throw-away
-// session do — fan out, relabel, run a forced executor — a Stop mid-stream
+// session do — fan out, run a forced executor — a Stop mid-stream
 // must leave it holding nothing: no engine checked out of its pool, every
 // admission token back.
 func TestEphemeralSessionRestored(t *testing.T) {
@@ -387,35 +387,33 @@ func TestEphemeralSessionRestored(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{0, 3, -1} {
-		for _, relabel := range []RelabelMode{RelabelOff, RelabelDegree} {
-			for _, forced := range [][2]string{{"B-BJ", "AP"}, {"", ""}} {
-				opts := &Options{Workers: workers, Relabel: relabel}
-				t.Run(fmt.Sprintf("workers=%d/relabel=%v/forced=%q", workers, relabel, forced), func(t *testing.T) {
-					pairs := NewPairQuery(g, sets[0], sets[1]).WithOptions(opts).WithHints(Hints{Algorithm: forced[0]})
-					svc, q, err := pairs.session(false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pst, err := svc.OpenJoin2(ctx, "", idsRef(sets[0]), idsRef(sets[1]), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ps := &PairStream{pst}
-					midStop(t, svc, func(k int) (int, error) { r, err := ps.NextK(k); return len(r), err }, ps.Stop)
+		for _, forced := range [][2]string{{"B-BJ", "AP"}, {"", ""}} {
+			opts := &Options{Workers: workers}
+			t.Run(fmt.Sprintf("workers=%d/forced=%q", workers, forced), func(t *testing.T) {
+				pairs := NewPairQuery(g, sets[0], sets[1]).WithOptions(opts).WithHints(Hints{Algorithm: forced[0]})
+				svc, q, err := pairs.session(false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pst, err := svc.OpenJoin2(ctx, "", idsRef(sets[0]), idsRef(sets[1]), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ps := &PairStream{pst}
+				midStop(t, svc, func(k int) (int, error) { r, err := ps.NextK(k); return len(r), err }, ps.Stop)
 
-					join := NewJoinQuery(g, Chain(sets[0], sets[1], sets[2])).WithOptions(opts).WithHints(Hints{Algorithm: forced[1]})
-					if svc, q, err = join.session(true); err != nil {
-						t.Fatal(err)
-					}
-					refs, edges := setRefs(join.join)
-					ast, err := svc.OpenJoinN(ctx, "", refs, edges, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					as := &AnswerStream{ast}
-					midStop(t, svc, func(k int) (int, error) { r, err := as.NextK(k); return len(r), err }, as.Stop)
-				})
-			}
+				join := NewJoinQuery(g, Chain(sets[0], sets[1], sets[2])).WithOptions(opts).WithHints(Hints{Algorithm: forced[1]})
+				if svc, q, err = join.session(true); err != nil {
+					t.Fatal(err)
+				}
+				refs, edges := setRefs(join.join)
+				ast, err := svc.OpenJoinN(ctx, "", refs, edges, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				as := &AnswerStream{ast}
+				midStop(t, svc, func(k int) (int, error) { r, err := as.NextK(k); return len(r), err }, as.Stop)
+			})
 		}
 	}
 }

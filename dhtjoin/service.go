@@ -10,7 +10,7 @@ import (
 
 // Service is the library facade over the long-lived serving layer
 // (internal/service): it owns a bounded registry of named graphs and, per
-// (graph, params, d, relabel) configuration, shared engine pools and a cache
+// (graph, params, d, measure) configuration, shared engine pools and a cache
 // of recent top-k results. All methods are safe for concurrent use. The
 // one-shot calls (TopKPairs / TopK / Score) are this same request path with
 // the caches off, so a served result equals the one-shot result with the
@@ -81,7 +81,6 @@ func toQuery(o *Options) service.Query {
 		M:           o.M,
 		Distinct:    o.Distinct,
 		Workers:     o.Workers,
-		Relabel:     o.Relabel,
 		Tenant:      o.Tenant,
 		Budget:      o.Budget,
 	}

@@ -378,10 +378,11 @@ type scatterLineBody struct {
 type scatterDoneBody struct {
 	Count int    `json:"count"`         // lines emitted after the cursor skip
 	Err   string `json:"err,omitempty"` // non-empty marks a failed stream
-	// Retry marks Err as replica-local (the shard is draining or over its
-	// admission quota): another replica may well serve the same part, so the
-	// coordinator fails over instead of failing the query. Evaluation errors
-	// leave it false — every replica would fail those identically.
+	// Retry marks Err as replica-local (the shard is draining, over its
+	// admission quota or shutting down): another replica may well serve the
+	// same part, so the coordinator fails over instead of failing the query.
+	// Evaluation errors leave it false — every replica would fail those
+	// identically.
 	Retry bool `json:"retry,omitempty"`
 }
 
@@ -568,11 +569,14 @@ func (n *Node) handleScatter(rep *Replier, env *Envelope, st *scatterState) {
 	// Failover resume: the replacement shard recomputes the identical
 	// ranking (bit-identical streams are the system invariant), so skipping
 	// Cursor lines resumes exactly where the dead replica stopped.
+	// A stream error while this node shuts down (n.ctx cancelled under the
+	// stream) is, like draining, a fact about this replica: the coordinator
+	// retries the part on the next one instead of failing the query.
 	for i := 0; i < body.Cursor; i++ {
 		if _, ok, err := stream.Next(); err != nil || !ok {
 			var done scatterDoneBody
 			if err != nil {
-				done.Err = err.Error()
+				done.Err, done.Retry = err.Error(), n.ctx.Err() != nil
 			}
 			_ = rep.Reply(env.MsgID, msgScatterDone, done)
 			return
@@ -596,7 +600,7 @@ func (n *Node) handleScatter(rep *Replier, env *Envelope, st *scatterState) {
 		}
 		r, ok, err := stream.Next()
 		if err != nil {
-			_ = rep.Reply(env.MsgID, msgScatterDone, scatterDoneBody{Count: count, Err: err.Error()})
+			_ = rep.Reply(env.MsgID, msgScatterDone, scatterDoneBody{Count: count, Err: err.Error(), Retry: n.ctx.Err() != nil})
 			return
 		}
 		if !ok {

@@ -91,28 +91,3 @@ func (d *Dataset) TopByDegree(name string, n int) (*graph.NodeSet, error) {
 	}
 	return graph.NewNodeSet(s.Name, ids), nil
 }
-
-// Relabeled returns the dataset with its graph reordered by the given
-// locality ordering ("degree" or "bfs") and every node set mapped into the
-// new id space — the load-time hook for the relabeling knob: experiments
-// built on a relabeled dataset exercise the cache-friendly CSR end to end,
-// and labels travel with their nodes so rendered tables are unchanged.
-func Relabeled(d *Dataset, order string) (*Dataset, error) {
-	var (
-		rg *graph.Graph
-		r  *graph.Relabeling
-	)
-	switch order {
-	case "degree":
-		rg, r = graph.RelabelDegree(d.Graph)
-	case "bfs":
-		rg, r = graph.RelabelBFS(d.Graph)
-	default:
-		return nil, fmt.Errorf("dataset: unknown relabel order %q (want degree or bfs)", order)
-	}
-	sets := make([]*graph.NodeSet, len(d.Sets))
-	for i, s := range d.Sets {
-		sets[i] = r.MapSetToNew(s)
-	}
-	return newDataset(d.Name, rg, sets), nil
-}

@@ -92,12 +92,6 @@ type Config struct {
 	// infeasible sizes (they are always skipped where the paper also gave
 	// up; these flags gate the borderline cases).
 	RunNL, RunAP bool
-
-	// Relabel applies the locality-aware node reordering to every dataset
-	// at load time: "" (off), "degree", or "bfs". All experiments then run
-	// on the reordered CSR; tables are unchanged because labels travel with
-	// their nodes.
-	Relabel string
 }
 
 // Quick returns the reduced configuration used by benchmarks.
@@ -152,22 +146,11 @@ func (e *Env) Params() dht.Params { return dht.DHTLambda(e.Cfg.Lambda) }
 // D returns the Lemma-1 depth for the default parameters.
 func (e *Env) D() int { return e.Params().StepsForEpsilon(e.Cfg.Epsilon) }
 
-// relabeled applies the config's locality reordering, if any.
-func (e *Env) relabeled(d *dataset.Dataset) (*dataset.Dataset, error) {
-	if e.Cfg.Relabel == "" {
-		return d, nil
-	}
-	return dataset.Relabeled(d, e.Cfg.Relabel)
-}
-
 // DBLP returns the (cached) synthetic DBLP dataset.
 func (e *Env) DBLP() (*dataset.Dataset, error) {
 	if e.dblp == nil {
 		d, err := dataset.DBLP(dataset.DBLPConfig{Scale: e.Cfg.DBLPScale, Seed: e.Cfg.Seed})
 		if err != nil {
-			return nil, err
-		}
-		if d, err = e.relabeled(d); err != nil {
 			return nil, err
 		}
 		e.dblp = d
@@ -182,9 +165,6 @@ func (e *Env) Yeast() (*dataset.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		if d, err = e.relabeled(d); err != nil {
-			return nil, err
-		}
 		e.yeast = d
 	}
 	return e.yeast, nil
@@ -195,9 +175,6 @@ func (e *Env) YouTube() (*dataset.Dataset, error) {
 	if e.youtube == nil {
 		d, err := dataset.YouTube(dataset.YouTubeConfig{Scale: e.Cfg.YouTubeScale, Seed: e.Cfg.Seed})
 		if err != nil {
-			return nil, err
-		}
-		if d, err = e.relabeled(d); err != nil {
 			return nil, err
 		}
 		e.youtube = d

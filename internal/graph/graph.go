@@ -1,7 +1,7 @@
 // Package graph provides the directed, weighted graph substrate used by the
 // discounted-hitting-time join algorithms: a compact CSR (compressed sparse
 // row) representation with both out- and in-adjacency, per-edge random-walk
-// transition probabilities, node labels, named node sets, text and binary
+// transition probabilities, node labels, named node sets, text
 // serialization, and synthetic generators that stand in for the paper's real
 // datasets (DBLP, Yeast, YouTube).
 package graph
@@ -45,14 +45,6 @@ type Graph struct {
 	// planner consults it per query.
 	statsOnce sync.Once
 	stats     Stats
-
-	// Cached locality reorderings (Relabeled method), one slot per mode
-	// after NoRelabel; same idiom and lifetime as the stats above.
-	relabeled [2]struct {
-		once sync.Once
-		g    *Graph
-		r    *Relabeling
-	}
 }
 
 // NumNodes returns the number of nodes.
@@ -91,7 +83,7 @@ func (g *Graph) InEdges(u NodeID) (from []NodeID, w, p []float64) {
 // Nbr[Index[v]:Index[v+1]], and P[j] is the transition probability of the arc
 // entry j stands for. Kernels that index it without bounds checks (the lane
 // kernel of internal/dht) rely on what every constructor of a Graph —
-// Builder.Build, NewFromCSR, ApplyEdits, Relabeled — establishes and nothing
+// Builder.Build, NewFromCSR, ApplyEdits — establishes and nothing
 // changes afterwards: len(Index) == NumNodes+1, Index ascending from 0 to
 // len(Nbr) == len(P), every neighbour id in [0, NumNodes), each list strictly
 // ascending. The slices alias internal storage and must not be modified.

@@ -133,11 +133,8 @@ func TestValidateInAdjacencyMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byDegree, _ := built.Relabeled(ByDegree)
-	byBFS, _ := edited.Relabeled(ByBFS)
 	for name, g := range map[string]*Graph{
 		"Builder.Build": built, "NewFromCSR": reloaded, "ApplyEdits": edited,
-		"Relabeled(degree)": byDegree, "Relabeled(bfs)": byBFS,
 	} {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)

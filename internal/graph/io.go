@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"strconv"
@@ -17,7 +16,7 @@ import (
 //	edge <u> <v> <weight>
 //	nodeset <name> <id> <id> ...    (optional, may repeat a name to extend it)
 //
-// It is intended for small fixtures and interchange; use WriteBinary for bulk.
+// It is intended for small fixtures and interchange.
 
 // WriteText serializes g (and optional node sets) in the text format.
 func WriteText(w io.Writer, g *Graph, sets ...*NodeSet) error {
@@ -153,65 +152,6 @@ func ReadText(r io.Reader) (*Graph, []*NodeSet, error) {
 	sets := make([]*NodeSet, 0, len(setOrder))
 	for _, name := range setOrder {
 		sets = append(sets, NewNodeSet(name, setIDs[name]))
-	}
-	return g, sets, nil
-}
-
-// binaryFile is the gob payload for WriteBinary/ReadBinary.
-type binaryFile struct {
-	N        int
-	OutIndex []int64
-	OutTo    []NodeID
-	OutW     []float64
-	Labels   []string
-	SetName  []string
-	SetIDs   [][]NodeID
-}
-
-// WriteBinary serializes g and node sets with encoding/gob. Only the out-CSR
-// and weights are stored; probabilities and in-adjacency are rebuilt on load.
-func WriteBinary(w io.Writer, g *Graph, sets ...*NodeSet) error {
-	f := binaryFile{
-		N:        g.n,
-		OutIndex: g.outIndex,
-		OutTo:    g.outTo,
-		OutW:     g.outW,
-		Labels:   g.labels,
-	}
-	for _, s := range sets {
-		f.SetName = append(f.SetName, s.Name)
-		f.SetIDs = append(f.SetIDs, s.Nodes())
-	}
-	return gob.NewEncoder(w).Encode(&f)
-}
-
-// ReadBinary loads a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, []*NodeSet, error) {
-	var f binaryFile
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return nil, nil, err
-	}
-	b := NewBuilder(f.N, true)
-	for u := 0; u < f.N; u++ {
-		if int(f.OutIndex[u+1]) > len(f.OutTo) || f.OutIndex[u] > f.OutIndex[u+1] {
-			return nil, nil, fmt.Errorf("graph binary: corrupt CSR index at node %d", u)
-		}
-		for j := f.OutIndex[u]; j < f.OutIndex[u+1]; j++ {
-			b.AddEdge(NodeID(u), f.OutTo[j], f.OutW[j])
-		}
-	}
-	for u, l := range f.Labels {
-		if l != "" {
-			b.SetLabel(NodeID(u), l)
-		}
-	}
-	g := b.Build()
-	if err := g.Validate(); err != nil {
-		return nil, nil, err
-	}
-	var sets []*NodeSet
-	for i, name := range f.SetName {
-		sets = append(sets, NewNodeSet(name, f.SetIDs[i]))
 	}
 	return g, sets, nil
 }

@@ -33,27 +33,6 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g, sets, err := GenerateCommunity(CommunityConfig{
-		Sizes: []int{20, 30}, PIn: 0.3, POut: 0.05, Seed: 7, MaxWeight: 4,
-	})
-	if err != nil {
-		t.Fatalf("GenerateCommunity: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g, sets...); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	g2, sets2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	assertGraphEqual(t, g, g2)
-	if len(sets2) != 2 || sets2[0].Len() != 20 || sets2[1].Len() != 30 {
-		t.Fatalf("sets wrong after binary round trip")
-	}
-}
-
 func assertGraphEqual(t *testing.T, a, b *Graph) {
 	t.Helper()
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
@@ -106,12 +85,6 @@ func TestReadTextSkipsCommentsAndBlank(t *testing.T) {
 	}
 	if g.NumEdges() != 2 {
 		t.Fatalf("edges = %d, want 2 (undirected)", g.NumEdges())
-	}
-}
-
-func TestReadBinaryGarbage(t *testing.T) {
-	if _, _, err := ReadBinary(strings.NewReader("not a gob stream")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

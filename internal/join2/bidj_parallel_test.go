@@ -178,3 +178,37 @@ func TestRepeatedTopKStable(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkersBitIdenticalTopK: every joiner must return *exactly* the same
+// results (score bits included) at any worker count — the walker's fan-out,
+// chunk claiming and partial-heap merge are invisible in the ranking.
+func TestWorkersBitIdenticalTopK(t *testing.T) {
+	cfg := testConfig(t, 41, 0.3)
+	want := map[string][]Result{}
+	for _, j := range allJoiners(t, cfg) {
+		res, err := j.TopK(20)
+		if err != nil {
+			t.Fatalf("%s serial: %v", j.Name(), err)
+		}
+		want[j.Name()] = res
+	}
+	for _, workers := range []int{2, 3, -1} {
+		wcfg := cfg
+		wcfg.Workers = workers
+		for _, j := range allJoiners(t, wcfg) {
+			got, err := j.TopK(20)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", j.Name(), workers, err)
+			}
+			ref := want[j.Name()]
+			if len(got) != len(ref) {
+				t.Fatalf("%s workers %d: %d results, want %d", j.Name(), workers, len(got), len(ref))
+			}
+			for i := range got {
+				if got[i] != ref[i] {
+					t.Fatalf("%s workers %d rank %d: %+v != serial %+v", j.Name(), workers, i, got[i], ref[i])
+				}
+			}
+		}
+	}
+}

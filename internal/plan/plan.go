@@ -317,7 +317,7 @@ func Decide(class Class, w Workload, forced string) (*Plan, error) {
 		// measure in this class (e.g. a measure with a 2-way joiner but no
 		// n-way aggregate).
 		return nil, fmt.Errorf("%w: no %s executor registered for measure %q",
-			ErrUnknownExecutor, class, measureLabel(w.Measure))
+			ErrUnknownExecutor, class, measureName(w.Measure))
 	}
 	pl := &Plan{Class: class, Algorithm: ests[0].Algorithm, Estimates: ests, Workload: w}
 	if forced != "" {
@@ -330,8 +330,8 @@ func Decide(class Class, w Workload, forced string) (*Plan, error) {
 	return pl, nil
 }
 
-// measureLabel names a workload/descriptor measure for error messages.
-func measureLabel(m string) string {
+// measureName names a workload/descriptor measure for error messages.
+func measureName(m string) string {
 	if m == "" {
 		return "walk"
 	}
@@ -352,14 +352,14 @@ func ValidateForced(class Class, name, measure string) error {
 			}
 		}
 		return fmt.Errorf("%w: %q (registered %s executors for measure %s: %s)",
-			ErrUnknownExecutor, name, class, measureLabel(measure), strings.Join(names, ", "))
+			ErrUnknownExecutor, name, class, measureName(measure), strings.Join(names, ", "))
 	}
 	if d.Class != class {
 		return fmt.Errorf("%w: %q is a %s executor, query is %s", ErrWrongClass, name, d.Class, class)
 	}
 	if d.Measure != measure {
 		return fmt.Errorf("%w: %q evaluates measure %s, query uses %s",
-			ErrWrongMeasure, name, measureLabel(d.Measure), measureLabel(measure))
+			ErrWrongMeasure, name, measureName(d.Measure), measureName(measure))
 	}
 	return nil
 }

@@ -1,8 +1,7 @@
 // Package rankjoin provides the rank-join substrate of the Partial Join
 // framework (§IV): monotonic aggregate functions over query-graph edge
-// scores, the HRJN corner-bound threshold τ, the round-robin pull strategy,
-// and a standalone two-list PBRJ operator used for testing the machinery in
-// isolation.
+// scores, the HRJN corner-bound threshold τ and the round-robin pull
+// strategy.
 package rankjoin
 
 import (

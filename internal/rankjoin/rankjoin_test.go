@@ -1,10 +1,8 @@
 package rankjoin
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -164,86 +162,5 @@ func TestRoundRobin(t *testing.T) {
 	rr.Exhaust(2)
 	if _, ok := rr.Pick(); ok {
 		t.Fatal("all-exhausted scheduler still picks")
-	}
-}
-
-func bruteTwoList(left, right []Tuple, f Aggregate, k int) []JoinedPair {
-	var all []JoinedPair
-	for _, l := range left {
-		for _, r := range right {
-			if l.Key == r.Key {
-				all = append(all, JoinedPair{l, r, f.Combine([]float64{l.Score, r.Score})})
-			}
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Score > all[j].Score })
-	if k < len(all) {
-		all = all[:k]
-	}
-	return all
-}
-
-func randomLists(rng *rand.Rand, n int) ([]Tuple, []Tuple) {
-	mk := func() []Tuple {
-		list := make([]Tuple, n)
-		for i := range list {
-			list[i] = Tuple{
-				Key:   fmt.Sprintf("k%d", rng.Intn(5)),
-				ID:    i,
-				Score: rng.NormFloat64(),
-			}
-		}
-		sort.SliceStable(list, func(i, j int) bool { return list[i].Score > list[j].Score })
-		return list
-	}
-	return mk(), mk()
-}
-
-func TestTwoListJoinMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
-		left, right := randomLists(rng, 12)
-		for _, f := range []Aggregate{Sum, Min} {
-			k := 1 + rng.Intn(8)
-			got, err := TwoListJoin(left, right, f, k)
-			if err != nil {
-				t.Fatalf("TwoListJoin: %v", err)
-			}
-			want := bruteTwoList(left, right, f, k)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d (%s, k=%d): got %d pairs, want %d", trial, f.Name(), k, len(got), len(want))
-			}
-			for i := range got {
-				if math.Abs(got[i].Score-want[i].Score) > 1e-12 {
-					t.Fatalf("trial %d rank %d: score %v, want %v", trial, i, got[i].Score, want[i].Score)
-				}
-			}
-		}
-	}
-}
-
-func TestTwoListJoinValidatesInput(t *testing.T) {
-	unsorted := []Tuple{{Key: "a", Score: 1}, {Key: "a", Score: 2}}
-	sorted := []Tuple{{Key: "a", Score: 2}, {Key: "a", Score: 1}}
-	if _, err := TwoListJoin(unsorted, sorted, Sum, 1); err == nil {
-		t.Fatal("unsorted left accepted")
-	}
-	if _, err := TwoListJoin(sorted, unsorted, Sum, 1); err == nil {
-		t.Fatal("unsorted right accepted")
-	}
-	if _, err := TwoListJoin(sorted, sorted, Sum, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-}
-
-func TestTwoListJoinEmptyInputs(t *testing.T) {
-	out, err := TwoListJoin(nil, nil, Sum, 3)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty join = %v, %v", out, err)
-	}
-	one := []Tuple{{Key: "a", Score: 1}}
-	out, err = TwoListJoin(one, nil, Min, 3)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("half-empty join = %v, %v", out, err)
 	}
 }

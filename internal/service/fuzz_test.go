@@ -42,7 +42,7 @@ func FuzzJoinBodies(f *testing.F) {
 	}{
 		{false, `{` + pair + `,"k":5}`},
 		{false, `{` + pair + `,"k":0,"stream":true}`},
-		{false, `{` + pair + `,"k":3,"cursor":4,"options":{"workers":2,"algo":"B-BJ","relabel":"degree"}}`},
+		{false, `{` + pair + `,"k":3,"cursor":4,"options":{"workers":2,"algo":"B-BJ"}}`},
 		{false, `{` + pair + `,"k":5,"explain":true,"options":{"measure":"ppr","lambda":0.3}}`},
 		{false, `{` + pair + `,"k":5,"options":{"accuracy":"fast"}}`},
 		{false, `{` + pair + `,"k":5,"options":{"ppr":true}}`},
@@ -59,6 +59,18 @@ func FuzzJoinBodies(f *testing.F) {
 		{true, `{` + tuple + `,"k":3,"options":{"accuracy":"exact","m":-1}}`},
 		{true, `{"graph":"test","sets":[{"ids":[` + longIDs + `]},{"set":"` + sets[1].Name + `"}],"k":3}`},
 	} {
+		f.Add(seed.joinN, []byte(seed.body))
+	}
+	// A retired option is a 400 that names its removal.
+	for _, seed := range []struct {
+		joinN bool
+		body  string
+	}{
+		{false, `{` + pair + `,"k":3,"cursor":4,"options":{"workers":2,"algo":"B-BJ","relabel":"degree"}}`},
+		{true, `{` + tuple + `,"k":4,"options":{"relabel":"bfs"}}`},
+	} {
+		route := map[bool]string{false: "/join2", true: "/joinN"}[seed.joinN]
+		expect400(f, h, httptest.NewRequest(http.MethodPost, route, strings.NewReader(seed.body)), `"relabel": removed`)
 		f.Add(seed.joinN, []byte(seed.body))
 	}
 
@@ -139,11 +151,23 @@ func FuzzScoreQuery(f *testing.F) {
 		{false, "graph=test&u=x&v=%zz"},
 		{true, "graph=test&p=" + p + "&q=" + q + "&k=5&epsilon=NaN"},
 		{true, "graph=test&sets=" + p + "," + q + "," + r + "&shape=triangle&k=3&agg=SUM&m=7"},
-		{true, "graph=test&sets=" + p + "&shape=star&k=-1&algo=B-BJ&relabel=degree"},
+		{true, "graph=test&sets=" + p + "&shape=star&k=-1&algo=B-BJ"},
 		{true, "graph=test&p=" + p + "&q=missing&k=9223372036854775807&accuracy=fast"},
 		{false, "graph=test&u=4294967296&v=1"},
 		{false, "graph=test&u=1&v=-4294967296"},
 	} {
+		f.Add(seed.explain, seed.query)
+	}
+	// A retired option is a 400 that names its removal.
+	for _, seed := range []struct {
+		explain bool
+		query   string
+	}{
+		{true, "graph=test&sets=" + p + "&shape=star&k=-1&algo=B-BJ&relabel=degree"},
+		{false, "graph=test&u=0&v=1&relabel=off"},
+	} {
+		route := map[bool]string{false: "/score", true: "/explain"}[seed.explain]
+		expect400(f, h, httptest.NewRequest(http.MethodGet, route+"?"+seed.query, nil), "relabel: removed")
 		f.Add(seed.explain, seed.query)
 	}
 
@@ -182,6 +206,20 @@ func FuzzScoreQuery(f *testing.F) {
 			t.Fatalf("GET %s?%s: status %d: %s", route, query, rec.Code, rec.Body)
 		}
 	})
+}
+
+// expect400 serves req and fails tb unless the answer is a 400 whose error
+// message carries want.
+func expect400(tb testing.TB, h http.Handler, req *http.Request, want string) {
+	tb.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var out struct {
+		Error struct{ Message string } `json:"error"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&out); err != nil || rec.Code != http.StatusBadRequest || !strings.Contains(out.Error.Message, want) {
+		tb.Fatalf("%s %s: status %d, message %q; want 400 carrying %q", req.Method, req.URL, rec.Code, out.Error.Message, want)
+	}
 }
 
 // fuzzPost posts body to route and fails t unless the answer is a 2xx whose

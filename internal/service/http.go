@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -194,9 +195,8 @@ func NewHandler(svc *Service) http.Handler {
 
 	// GET /explain is the dry-run convenience route over named sets:
 	// ?graph=g&p=U&q=D plans a 2-way join, ?graph=g&sets=U,F,D&shape=chain
-	// an n-way one. Knobs: k, m, algo, lambda, dhte, d, epsilon, relabel,
-	// measure. Explicit node-id lists need POST with
-	// "explain":true.
+	// an n-way one. Knobs: k, m, algo, lambda, dhte, d, epsilon, measure.
+	// Explicit node-id lists need POST with "explain":true.
 	mux.HandleFunc("GET /explain", func(w http.ResponseWriter, r *http.Request) {
 		qp := r.URL.Query()
 		query, err := queryFromURL(r)
@@ -263,6 +263,8 @@ func serveJoin[T, W any](svc *Service, w http.ResponseWriter, r *http.Request, r
 		err = fmt.Errorf("%s: k must be >= 0 when streaming, got %d", route, req.K)
 	case !req.Stream && req.K <= 0:
 		err = fmt.Errorf("%s: k must be positive, got %d", route, req.K)
+	case !req.Stream && req.Cursor > math.MaxInt-req.K:
+		err = fmt.Errorf("%s: cursor %d plus k %d overflows an int", route, req.Cursor, req.K)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -347,16 +347,30 @@ func TestHTTPBadRequests(t *testing.T) {
 	}, &out); code != http.StatusBadRequest {
 		t.Fatalf("unknown field = %d, want 400", code)
 	}
+	// relabel is retired: any value, on either GET route or in a POST
+	// body, is a 400 that says so.
+	var envelope struct {
+		Error struct{ Message string } `json:"error"`
+	}
+	p, q := sets[0].Name, sets[1].Name
+	for _, url := range []string{
+		srv.URL + "/score?graph=test&u=0&v=1&relabel=degree",
+		srv.URL + "/explain?graph=test&p=" + p + "&q=" + q + "&relabel=sideways",
+	} {
+		if code := getJSON(t, url, &envelope); code != http.StatusBadRequest || !strings.Contains(envelope.Error.Message, "relabel: removed") {
+			t.Fatalf("GET %s = %d %q, want 400 naming the removal", url, code, envelope.Error.Message)
+		}
+	}
 	if code := postJSON(t, srv.URL+"/join2", map[string]any{
 		"graph": "test",
-		"p":     map[string]any{"set": sets[0].Name},
-		"q":     map[string]any{"set": sets[1].Name},
+		"p":     map[string]any{"set": p},
+		"q":     map[string]any{"set": q},
 		"k":     5,
 		"options": map[string]any{
 			"relabel": "sideways",
 		},
-	}, &out); code != http.StatusBadRequest {
-		t.Fatalf("bad relabel mode = %d, want 400", code)
+	}, &envelope); code != http.StatusBadRequest || !strings.Contains(envelope.Error.Message, `"relabel": removed`) {
+		t.Fatalf("retired relabel option = %d %q, want 400 naming the removal", code, envelope.Error.Message)
 	}
 	if code := postJSON(t, srv.URL+"/joinN", map[string]any{
 		"graph": "test",
@@ -608,6 +622,21 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 		// Retired options are rejected by name, with what to do instead.
 		{"retired accuracy option", withOptions(map[string]any{"accuracy": "fast"}), `"accuracy": removed`, ""},
 		{"retired ppr option", withOptions(map[string]any{"ppr": true}), `"measure":"ppr"`, ""},
+		{"retired relabel option", withOptions(map[string]any{"relabel": "degree"}), `"relabel": removed`, ""},
+		{"retired relabel option on joinN", map[string]any{
+			"graph":   "test",
+			"sets":    []map[string]any{{"set": sets[0].Name}, {"set": sets[1].Name}},
+			"k":       3,
+			"options": map[string]any{"relabel": "degree"},
+		}, `"relabel": removed`, "/joinN"},
+		// The batch form drains cursor+k results; the sum must not wrap.
+		{"cursor plus k past MaxInt", map[string]any{
+			"graph":  "test",
+			"p":      map[string]any{"set": sets[0].Name},
+			"q":      map[string]any{"set": sets[1].Name},
+			"k":      5,
+			"cursor": math.MaxInt - 1,
+		}, "cursor 9223372036854775806 plus k 5 overflows", ""},
 		// The retired certified executors fail as any unknown name does,
 		// with the registered ones listed.
 		{"retired B-BJ-fast executor", withOptions(map[string]any{"algo": "B-BJ-fast"}), "B-IDJ-Y", ""},
@@ -680,6 +709,7 @@ func TestHTTPScoreQueryOptions(t *testing.T) {
 		{"dhte=yes", http.StatusBadRequest, 0},
 		{"accuracy=fast", http.StatusBadRequest, 0},
 		{"ppr=true", http.StatusBadRequest, 0},
+		{"relabel=degree", http.StatusBadRequest, 0},
 		{"epsilon=NaN", http.StatusBadRequest, 0},
 		{"epsilon=nan", http.StatusBadRequest, 0},
 		{"epsilon=Inf", http.StatusBadRequest, 0},

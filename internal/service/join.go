@@ -45,7 +45,7 @@ func openJoin[T any](s *Service, ctx context.Context, graphName string, spec joi
 			if ctx == nil {
 				ctx = context.Background()
 			}
-			return &Stream[T]{svc: s, ctx: ctx, kind: rq.kind, replaying: true, replay: pre.results.([]T)}, nil
+			return &Stream[T]{svc: s, ctx: ctx, clone: rq.clone, replaying: true, replay: pre.results.([]T)}, nil
 		}
 		s.resultMisses.Add(1)
 	}
@@ -197,8 +197,7 @@ func (s *Service) ExplainJoinN(ctx context.Context, graphName string, sets []Set
 	return explainJoin(s, graphName, tupleSpec{sets, edges}, k, query)
 }
 
-// Score computes the truncated score h_d(u, v) on the graph as loaded
-// (relabeling is a join-side optimization and is ignored here);
+// Score computes the truncated score h_d(u, v) on the graph as loaded;
 // dhtjoin.Score is this call on an Ephemeral service. ctx bounds the wait
 // for admission.
 func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID, query Query) (float64, error) {
@@ -219,7 +218,7 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID
 	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
 		return 0, fmt.Errorf("service: node pair (%d,%d) out of range [0,%d)", u, v, n)
 	}
-	sess, err := s.sessionFor(ge, res.Params, res.D, graph.NoRelabel, res.Kernel.Name)
+	sess, err := s.sessionFor(ge, res.Params, res.D, res.Kernel.Name)
 	if err != nil {
 		return 0, err
 	}

@@ -25,8 +25,7 @@ type GraphInfo struct {
 	Evicted bool `json:"evicted,omitempty"`
 }
 
-// graphEntry is one registry slot. The locality reorderings a session may
-// run on are cached on the immutable graph itself (graph.Graph.Relabeled).
+// graphEntry is one registry slot.
 type graphEntry struct {
 	g    *graph.Graph
 	sets map[string]*graph.NodeSet
@@ -42,16 +41,14 @@ type sessionKey struct {
 	g       *graph.Graph
 	params  dht.Params
 	d       int
-	relabel graph.RelabelMode
 	measure string
 }
 
 // session owns the shared per-configuration resources.
 type session struct {
-	g       *graph.Graph      // possibly relabeled
-	rl      *graph.Relabeling // nil when not relabeled
-	pool    *dht.EnginePool   // engines + batch engines, recycled across requests
-	results *resultLRU        // recent top-k results, original id space
+	g       *graph.Graph
+	pool    *dht.EnginePool // engines + batch engines, recycled across requests
+	results *resultLRU      // recent top-k results
 }
 
 // LoadGraph registers g under name with its node sets. Loading an existing
@@ -211,8 +208,8 @@ func (s *Service) graphFor(name string) (*graphEntry, error) {
 
 // sessionFor returns (creating if needed) the shared session for the
 // resolved configuration, refreshing its LRU recency.
-func (s *Service) sessionFor(ge *graphEntry, params dht.Params, d int, mode graph.RelabelMode, measureName string) (*session, error) {
-	key := sessionKey{g: ge.g, params: params, d: d, relabel: mode, measure: measureName}
+func (s *Service) sessionFor(ge *graphEntry, params dht.Params, d int, measureName string) (*session, error) {
+	key := sessionKey{g: ge.g, params: params, d: d, measure: measureName}
 	s.mu.Lock()
 	if sess, ok := s.sessions[key]; ok {
 		s.touchSessionLocked(key)
@@ -221,16 +218,13 @@ func (s *Service) sessionFor(ge *graphEntry, params dht.Params, d int, mode grap
 	}
 	s.mu.Unlock()
 
-	// Build outside the lock: a first relabel rebuild is O(|E| log |E|).
-	rg, rl := ge.g.Relabeled(mode)
-	pool, err := dht.NewEnginePool(rg, params, d)
+	pool, err := dht.NewEnginePool(ge.g, params, d)
 	if err != nil {
 		return nil, err
 	}
 	pool.Sink = &s.counters
 	sess := &session{
-		g:       rg,
-		rl:      rl,
+		g:       ge.g,
 		pool:    pool,
 		results: newResultLRU(s.cfg.ResultCacheSize),
 	}

@@ -46,8 +46,6 @@ type Query struct {
 	// fewer (results are identical at any count). 0/1 serial, negative
 	// GOMAXPROCS.
 	Workers int
-	// Relabel applies the locality-aware reordering (cached per graph).
-	Relabel graph.RelabelMode
 	// Algorithm forces the named registered executor ("B-IDJ-Y", "B-BJ",
 	// "PJ-i", "AP", …) instead of the cost-based planner's pick. Results
 	// are bit-identical under any choice; an unknown name or one of the
@@ -146,32 +144,12 @@ type source[T any] interface {
 	Release()
 }
 
-// resultKind is what the generic request path must know about a result
-// type: how to map its node ids back through a relabeling, and how to deep
-// copy it (cached rankings are immutable snapshots).
-type resultKind[T any] struct {
-	toOld func(rl *graph.Relabeling, v T) T
-	clone func(v T) T
-}
+// clonePair and cloneAnswer deep-copy one result of each kind: cached
+// rankings are immutable snapshots.
+func clonePair(r join2.Result) join2.Result { return r }
 
-var pairKind = &resultKind[join2.Result]{
-	toOld: func(rl *graph.Relabeling, r join2.Result) join2.Result {
-		r.Pair.P, r.Pair.Q = rl.ToOld(r.Pair.P), rl.ToOld(r.Pair.Q)
-		return r
-	},
-	clone: func(r join2.Result) join2.Result { return r },
-}
-
-var answerKind = &resultKind[core.Answer]{
-	toOld: func(rl *graph.Relabeling, a core.Answer) core.Answer {
-		for i := range a.Nodes {
-			a.Nodes[i] = rl.ToOld(a.Nodes[i])
-		}
-		return a
-	},
-	clone: func(a core.Answer) core.Answer {
-		return core.Answer{Nodes: append([]graph.NodeID(nil), a.Nodes...), Score: a.Score}
-	},
+func cloneAnswer(a core.Answer) core.Answer {
+	return core.Answer{Nodes: append([]graph.NodeID(nil), a.Nodes...), Score: a.Score}
 }
 
 // joinSpec is what a join request ranks — a (P, Q) pair of sets or an n-way
@@ -203,7 +181,7 @@ type request[T any] struct {
 	res   measure.Resolved
 	query Query
 	class plan.Class
-	kind  *resultKind[T]
+	clone func(T) T     // clonePair or cloneAnswer
 	work  plan.Workload // the spec's sizes; plan fills in the rest
 	key   string        // empty when the request must bypass the caches
 
@@ -234,16 +212,13 @@ func (sp pairSpec) bind(rq *request[join2.Result], ge *graphEntry) (string, erro
 	if err != nil {
 		return "", err
 	}
-	rq.kind = pairKind
+	rq.clone = clonePair
 	rq.work.P, rq.work.Q = len(pn), len(qn)
 	rq.start = func(algorithm string, env runEnv, initial int, batch bool) (source[join2.Result], error) {
 		sess := rq.sess
 		cfg := join2.Config{
 			Graph: sess.g, Params: rq.res.Params, D: rq.res.D, P: pn, Q: qn, Measure: rq.res.Kernel.Walk,
 			Workers: env.workers, Pool: sess.pool, Counters: &rq.svc.counters, Cancel: env.cancel,
-		}
-		if sess.rl != nil {
-			cfg.P, cfg.Q = sess.rl.MapToNew(pn), sess.rl.MapToNew(qn)
 		}
 		return join2.NewNamedStream(algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
 	}
@@ -272,7 +247,7 @@ func (tupleSpec) route(context.Context, *Service, string, Query) (*JoinNStream, 
 }
 
 func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, error) {
-	nodeSets := make([]*graph.NodeSet, len(sp.sets)) // original id space
+	nodeSets := make([]*graph.NodeSet, len(sp.sets))
 	rq.work.SetSizes = make([]int, len(sp.sets))
 	for i, ref := range sp.sets {
 		ids, err := ge.resolveSet(ref)
@@ -286,18 +261,11 @@ func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, erro
 		nodeSets[i] = graph.NewNodeSet(name, ids)
 		rq.work.SetSizes[i] = len(ids)
 	}
-	rq.kind = answerKind
+	rq.clone = cloneAnswer
 	rq.work.QueryEdges = sp.edges
 	rq.start = func(algorithm string, env runEnv, _ int, _ bool) (source[core.Answer], error) {
 		sess := rq.sess
-		querySets := nodeSets
-		if sess.rl != nil {
-			querySets = make([]*graph.NodeSet, len(nodeSets))
-			for i, set := range nodeSets {
-				querySets[i] = sess.rl.MapSetToNew(set)
-			}
-		}
-		qg := core.NewQueryGraph(querySets...)
+		qg := core.NewQueryGraph(nodeSets...)
 		for _, e := range sp.edges {
 			qg.AddEdge(e[0], e[1])
 		}
@@ -357,7 +325,7 @@ func resolveJoin[T any](s *Service, graphName string, spec joinSpec[T], query Qu
 	if err != nil {
 		return nil, err
 	}
-	if rq.sess, err = s.sessionFor(ge, res.Params, res.D, query.Relabel, res.Kernel.Name); err != nil {
+	if rq.sess, err = s.sessionFor(ge, res.Params, res.D, res.Kernel.Name); err != nil {
 		return nil, err
 	}
 	if key != "" {
@@ -418,7 +386,7 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 	if sess.results == nil {
 		key = "" // nowhere to publish, so the stream records nothing
 	}
-	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: key, kind: rq.kind, st: st, grant: g}, nil
+	return &Stream[T]{svc: svc, ctx: qctx, cancel: cancel, sess: sess, key: key, clone: rq.clone, st: st, grant: g}, nil
 }
 
 // unopened ends an open that failed before its stream existed. A budget
@@ -434,7 +402,7 @@ func (rq *request[T]) unopened(qctx context.Context, cancel context.CancelFunc, 
 		return nil, err
 	}
 	rq.svc.budgetTruncs.Add(1)
-	return &Stream[T]{svc: rq.svc, ctx: qctx, cancel: cancel, kind: rq.kind, budgetHit: true}, nil
+	return &Stream[T]{svc: rq.svc, ctx: qctx, cancel: cancel, clone: rq.clone, budgetHit: true}, nil
 }
 
 // served copies the first k results of a cached prefix, so cached rankings
@@ -443,7 +411,7 @@ func (rq *request[T]) served(pre prefix, k int) []T {
 	res := pre.results.([]T)
 	out := make([]T, min(k, len(res)))
 	for i := range out {
-		out[i] = rq.kind.clone(res[i])
+		out[i] = rq.clone(res[i])
 	}
 	return out
 }

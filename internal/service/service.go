@@ -1,6 +1,6 @@
 // Package service is the long-lived query-serving layer over the join
 // library: a Service owns a bounded registry of named graphs and, per
-// (graph, params, d, relabel-mode) configuration, a session holding the
+// (graph, params, d, measure) configuration, a session holding the
 // shared resources that make cross-request reuse safe and worthwhile — a
 // dht.EnginePool (engines and batch engines recycled across requests) and an
 // LRU of recent top-k results. A per-request admission controller caps the

@@ -151,7 +151,7 @@ func TestServiceLoadGraphText(t *testing.T) {
 	}
 }
 
-// TestServiceJoin2BitIdentical: served results — cold, cached, relabeled,
+// TestServiceJoin2BitIdentical: served results — cold, cached,
 // explicit-id sets, admitted workers — must be bit-identical to the one-shot
 // join.
 func TestServiceJoin2BitIdentical(t *testing.T) {
@@ -182,24 +182,6 @@ func TestServiceJoin2BitIdentical(t *testing.T) {
 	}
 	if !sameResults(got, want) {
 		t.Fatal("explicit-id / worker join differs from one-shot")
-	}
-	// Relabeled joins return original-space ids with equal scores (to fp
-	// summation reordering; ranks of non-tied pairs are unchanged).
-	rel, err := svc.Join2(context.Background(), "g", SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}, 15,
-		Query{Relabel: graph.ByDegree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rel) != len(want) {
-		t.Fatalf("relabeled join: %d results, want %d", len(rel), len(want))
-	}
-	for i := range rel {
-		if diff := rel[i].Score - want[i].Score; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("relabeled rank %d: score %v, want %v", i, rel[i].Score, want[i].Score)
-		}
-		if !sets[0].Contains(rel[i].Pair.P) || !sets[1].Contains(rel[i].Pair.Q) {
-			t.Fatalf("relabeled rank %d: pair %v not in original id space", i, rel[i].Pair)
-		}
 	}
 }
 
@@ -267,8 +249,8 @@ func TestServiceScore(t *testing.T) {
 }
 
 // TestServiceConcurrent drives one service from many goroutines (run under
-// -race in CI): mixed join2/joinN/score traffic over shared sessions,
-// relabel cache, and result LRU, with every response checked against the
+// -race in CI): mixed join2/joinN/score traffic over shared sessions and
+// the result LRU, with every response checked against the
 // serial reference.
 func TestServiceConcurrent(t *testing.T) {
 	g, sets := testGraph(t)
@@ -291,12 +273,12 @@ func TestServiceConcurrent(t *testing.T) {
 				switch (w + i) % 3 {
 				case 0:
 					got, err := svc.Join2(context.Background(), "g", SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}, 12,
-						Query{Workers: 2, Relabel: graph.RelabelMode((w + i) % 2)})
+						Query{Workers: 2})
 					if err != nil {
 						errs <- err
 						return
 					}
-					if (w+i)%2 == 0 && !sameResults(got, want2) {
+					if !sameResults(got, want2) {
 						errs <- fmt.Errorf("worker %d iter %d: join2 mismatch", w, i)
 						return
 					}
@@ -425,7 +407,7 @@ func TestServiceDropDuringSessionBuild(t *testing.T) {
 	svc.DropGraph("g")
 	// Simulate the in-flight request that resolved ge before the drop.
 	params := dht.DHTLambda(0.2)
-	if _, err := svc.sessionFor(ge, params, 4, graph.NoRelabel, "dht"); err != nil {
+	if _, err := svc.sessionFor(ge, params, 4, "dht"); err != nil {
 		t.Fatal(err)
 	}
 	if got := svc.Stats().Sessions; got != 0 {

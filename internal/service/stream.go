@@ -27,8 +27,8 @@ type Stream[T any] struct {
 	ctx       context.Context
 	cancel    context.CancelFunc // releases the budget timer; nil for replayed and routed streams
 	sess      *session
-	key       string // where Stop publishes; empty for replayed, routed and uncacheable streams
-	kind      *resultKind[T]
+	key       string    // where Stop publishes; empty for replayed, routed and uncacheable streams
+	clone     func(T) T // deep copy of one result
 	st        source[T]
 	grant     *grant
 	drained   []T  // private deep copies of what was served
@@ -76,7 +76,7 @@ func (s *Stream[T]) Next() (T, bool, error) {
 	case s.replaying:
 		if ok = s.pos < len(s.replay); ok {
 			// The replay slice is the cache's immutable snapshot.
-			v = s.kind.clone(s.replay[s.pos])
+			v = s.clone(s.replay[s.pos])
 			s.pos++
 			return v, true, nil
 		}
@@ -93,9 +93,6 @@ func (s *Stream[T]) Next() (T, bool, error) {
 		s.Stop()
 		return zero, false, err
 	}
-	if s.sess != nil && s.sess.rl != nil {
-		v = s.kind.toOld(s.sess.rl, v)
-	}
 	if s.key == "" {
 		return v, true, nil // nowhere to publish: nothing to record
 	}
@@ -103,7 +100,7 @@ func (s *Stream[T]) Next() (T, bool, error) {
 	// deep copy — a caller mutating a served tuple before Stop must not
 	// poison what Stop publishes to the result cache.
 	if len(s.drained) < maxCachedPrefix {
-		s.drained = append(s.drained, s.kind.clone(v))
+		s.drained = append(s.drained, s.clone(v))
 	} else {
 		s.truncated = true
 	}

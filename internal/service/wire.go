@@ -27,7 +27,6 @@ type OptionsJSON struct {
 	Distinct bool    `json:"distinct,omitempty"`
 	Measure  string  `json:"measure,omitempty"` // registered measure name: "dht" (default) | "reach" | "ppr" | "simrank" (GET /measures lists them)
 	Workers  int     `json:"workers,omitempty"`
-	Relabel  string  `json:"relabel,omitempty"`   // off | degree | bfs
 	Algo     string  `json:"algo,omitempty"`      // force an executor (B-IDJ-Y, B-BJ, PJ-i, AP, …); empty = cost-based planner
 	Tenant   string  `json:"tenant,omitempty"`    // admission-quota bucket (X-Tenant header is the fallback)
 	Priority string  `json:"priority,omitempty"`  // "interactive" (default) | "batch" (X-Priority header is the fallback)
@@ -56,11 +55,6 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 		}
 		q.Agg = agg
 	}
-	mode, err := graph.ParseRelabelMode(o.Relabel)
-	if err != nil {
-		return q, err
-	}
-	q.Relabel = mode
 	q.Epsilon = o.Epsilon
 	q.D = o.D
 	q.M = o.M
@@ -273,7 +267,6 @@ func queryFromURL(r *http.Request) (Query, error) {
 	opts := OptionsJSON{
 		Agg:     qp.Get("agg"),
 		Measure: qp.Get("measure"),
-		Relabel: qp.Get("relabel"),
 		Algo:    qp.Get("algo"),
 	}
 	for _, ro := range retiredOptions {
@@ -311,6 +304,7 @@ func queryFromURL(r *http.Request) (Query, error) {
 var retiredOptions = []struct{ name, hint string }{
 	{"ppr", `select the measure by name instead ("measure":"ppr", with lambda as its damping factor)`},
 	{"accuracy", "removed: it never changed an answer and no longer changes the plan"},
+	{"relabel", "removed: every join runs on the graph as loaded, in the caller's ids"},
 }
 
 // decodeJSON strictly decodes a request body.
