@@ -96,7 +96,7 @@ func main() {
 		maxGraphs     = flag.Int("max-graphs", 0, "graph registry capacity (0 = default 16)")
 		maxSessions   = flag.Int("max-sessions", 0, "session cache capacity (0 = default 32)")
 		resultCache   = flag.Int("result-cache", 0, "per-session result LRU capacity (0 = default 128, negative disables)")
-		maxConc       = flag.Int("max-concurrency", 0, "total join workers in flight (0 = GOMAXPROCS)")
+		maxConc       = flag.Int("max-concurrency", 0, "joins in flight (0 = GOMAXPROCS)")
 		tenantConc    = flag.Int("tenant-inflight", 0, "max concurrently admitted requests per tenant (0 = no per-tenant cap)")
 		tenantQueue   = flag.Int("tenant-queue", 0, "max queued requests per tenant before 429 (0 = default 32)")
 		defaultBudget = flag.Duration("default-budget", 0, "deadline budget applied to queries that carry none (0 = none)")

@@ -50,7 +50,7 @@ func TestConcurrentOptionsJoins(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				switch (w + i) % 4 {
 				case 0: // one-shot 2-way
-					got, err := TopKPairs(g, p, q, 10, &Options{Workers: 2})
+					got, err := TopKPairs(g, p, q, 10, nil)
 					if err != nil {
 						errs <- err
 						return
@@ -79,8 +79,8 @@ func TestConcurrentOptionsJoins(t *testing.T) {
 						errs <- fmt.Errorf("w%d i%d: service TopKPairs diverged", w, i)
 						return
 					}
-				default: // service n-way with workers
-					got, err := svc.TopK(context.Background(), "g", query, 6, &Options{Workers: 2})
+				default: // service n-way
+					got, err := svc.TopK(context.Background(), "g", query, 6, nil)
 					if err != nil {
 						errs <- err
 						return

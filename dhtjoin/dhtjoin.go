@@ -151,12 +151,6 @@ type Options struct {
 	// dedicated executors, like "simrank" — the planner's executor set.
 	// Empty means "dht". Unknown names fail with ErrUnknownMeasure.
 	MeasureName string
-	// Workers enables the worker-pool extensions: per-edge 2-way joins run
-	// concurrently and each backward join spreads its per-target walks over
-	// that many goroutines. 0 (the default) and 1 evaluate serially, as in
-	// the paper; a negative value selects GOMAXPROCS. Results are identical
-	// at any setting — ties are broken by the canonical pair key.
-	Workers int
 
 	// Budget bounds the wall-clock time a join may spend. A join that runs
 	// out of budget stops early but correctly: one-shot calls return
@@ -230,7 +224,7 @@ func Score(g *Graph, u, v NodeID, opts *Options) (float64, error) {
 			return 0, err
 		}
 	}
-	return service.Ephemeral(g, 1).Score(context.Background(), "", u, v, q)
+	return service.Ephemeral(g).Score(context.Background(), "", u, v, q)
 }
 
 // checkNode wraps ErrNodeRange for a node outside g.

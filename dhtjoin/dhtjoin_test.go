@@ -212,43 +212,3 @@ func TestTextRoundTripThroughFacade(t *testing.T) {
 		}
 	}
 }
-
-// TestWorkersOptionMatchesSerial: the Workers option must be invisible in
-// the results of both query families.
-func TestWorkersOptionMatchesSerial(t *testing.T) {
-	g, p, q, r := world(t)
-	serialPairs, err := dhtjoin.TopKPairs(g, p, q, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parPairs, err := dhtjoin.TopKPairs(g, p, q, 6, &dhtjoin.Options{Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parPairs) != len(serialPairs) {
-		t.Fatalf("got %d pairs, want %d", len(parPairs), len(serialPairs))
-	}
-	for i := range serialPairs {
-		if parPairs[i] != serialPairs[i] {
-			t.Fatalf("rank %d: %v vs %v", i, parPairs[i], serialPairs[i])
-		}
-	}
-
-	query := dhtjoin.Chain(p, q, r)
-	serial, err := dhtjoin.TopK(g, query, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := dhtjoin.TopK(g, query, 4, &dhtjoin.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(serial) {
-		t.Fatalf("got %d answers, want %d", len(par), len(serial))
-	}
-	for i := range serial {
-		if par[i].Score != serial[i].Score {
-			t.Fatalf("rank %d score: %v vs %v", i, par[i].Score, serial[i].Score)
-		}
-	}
-}

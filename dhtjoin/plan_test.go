@@ -343,8 +343,8 @@ func TestPlannerPicksBBJForFullRanking(t *testing.T) {
 }
 
 // TestHintsForceAlgorithmOnly: Hints carries the forced executor and nothing
-// else — how a query executes (Workers) is spelled once, in Options,
-// and still produces the identical ranking under a forced algorithm.
+// else, and a forced algorithm next to explicit Options still produces the
+// identical ranking.
 func TestHintsForceAlgorithmOnly(t *testing.T) {
 	if ht := reflect.TypeOf(Hints{}); ht.NumField() != 1 || ht.Field(0).Name != "Algorithm" {
 		t.Fatalf("Hints has fields beyond Algorithm: %v", ht)
@@ -357,7 +357,7 @@ func TestHintsForceAlgorithmOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := NewPairQuery(g, p, q).
-		WithOptions(&Options{Workers: 3}).
+		WithOptions(&Options{Epsilon: 1e-6}).
 		WithHints(Hints{Algorithm: "B-BJ"}).
 		TopKPairs(ctx, 20)
 	if err != nil {

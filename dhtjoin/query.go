@@ -43,8 +43,7 @@ type Query struct {
 // Validate/open time with the package's typed errors: an Algorithm naming no
 // registered executor fails with ErrUnknownAlgorithm, an algorithm of the
 // wrong query class (a 2-way joiner on an n-way query, or vice versa) or of
-// another measure fails with ErrHintConflict — both errors.Is-able. How a
-// query executes (Workers) is set in Options only.
+// another measure fails with ErrHintConflict — both errors.Is-able.
 type Hints struct {
 	// Algorithm forces the named executor instead of the planner's pick:
 	// one of Algorithms2Way for pair queries ("B-IDJ-Y", "B-IDJ-X", "B-BJ",
@@ -198,8 +197,7 @@ func (qy *Query) Validate() error {
 
 // session validates the query and builds what every entry point executes
 // on: a throw-away serving session over the caller's graph
-// (service.Ephemeral — caches off, admission sized to the query's own
-// workers) and the options in the serving layer's form, the forced
+// (service.Ephemeral — caches off, one admission token) and the options in the serving layer's form, the forced
 // algorithm included. The one-shot call is thus the served request path by
 // construction: the same resolver, planner, executor openers, budget and
 // cancellation — there is no second copy to keep equal. wantJoin names the
@@ -216,7 +214,7 @@ func (qy *Query) session(wantJoin bool) (*service.Service, service.Query, error)
 	}
 	q := toQuery(qy.opts)
 	q.Algorithm = qy.hints.Algorithm
-	return service.Ephemeral(qy.g, q.Workers), q, nil
+	return service.Ephemeral(qy.g), q, nil
 }
 
 // Explain validates the query and returns the plan its streaming entry

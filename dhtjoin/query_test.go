@@ -27,7 +27,7 @@ func queryWorld(t testing.TB) (*Graph, []*NodeSet) {
 func TestResultsPrefixMatchesTopKPairs(t *testing.T) {
 	g, sets := queryWorld(t)
 	p, q := sets[0], sets[1]
-	for _, opts := range []*Options{nil, {Workers: 3}} {
+	for _, opts := range []*Options{nil, {MeasureName: "ppr"}} {
 		query := NewPairQuery(g, p, q).WithOptions(opts)
 		var streamed []PairResult
 		for r, err := range query.Results(context.Background()) {
@@ -364,10 +364,9 @@ func TestBudgetSpentAtOpen(t *testing.T) {
 	}
 }
 
-// TestEphemeralSessionRestored: whatever the options make the throw-away
-// session do — fan out, run a forced executor — a Stop mid-stream
-// must leave it holding nothing: no engine checked out of its pool, every
-// admission token back.
+// TestEphemeralSessionRestored: whichever executor the throw-away session
+// runs — planned or forced — a Stop mid-stream must leave it holding
+// nothing: no engine checked out of its pool, its admission token back.
 func TestEphemeralSessionRestored(t *testing.T) {
 	g, sets := queryWorld(t)
 	ctx := context.Background()
@@ -386,11 +385,12 @@ func TestEphemeralSessionRestored(t *testing.T) {
 			t.Fatalf("Stop left %d engines and %d tokens outstanding", engines, tokens)
 		}
 	}
+	// The workers=… name segment outlived the option it named, so the
+	// subtest names stay stable; every value runs the same case.
 	for _, workers := range []int{0, 3, -1} {
 		for _, forced := range [][2]string{{"B-BJ", "AP"}, {"", ""}} {
-			opts := &Options{Workers: workers}
 			t.Run(fmt.Sprintf("workers=%d/forced=%q", workers, forced), func(t *testing.T) {
-				pairs := NewPairQuery(g, sets[0], sets[1]).WithOptions(opts).WithHints(Hints{Algorithm: forced[0]})
+				pairs := NewPairQuery(g, sets[0], sets[1]).WithHints(Hints{Algorithm: forced[0]})
 				svc, q, err := pairs.session(false)
 				if err != nil {
 					t.Fatal(err)
@@ -402,7 +402,7 @@ func TestEphemeralSessionRestored(t *testing.T) {
 				ps := &PairStream{pst}
 				midStop(t, svc, func(k int) (int, error) { r, err := ps.NextK(k); return len(r), err }, ps.Stop)
 
-				join := NewJoinQuery(g, Chain(sets[0], sets[1], sets[2])).WithOptions(opts).WithHints(Hints{Algorithm: forced[1]})
+				join := NewJoinQuery(g, Chain(sets[0], sets[1], sets[2])).WithHints(Hints{Algorithm: forced[1]})
 				if svc, q, err = join.session(true); err != nil {
 					t.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package dhtjoin
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
@@ -12,7 +11,7 @@ import (
 // of P (the batched kernel's rows form, with its gathered tail), so every
 // executor that sits on them must still return the full ranking of the
 // forced reference — B-BJ for pairs, AP for tuples — float64-== and in the
-// same order, across walk measures and worker counts, on a graph large
+// same order, across walk measures, on a graph large
 // enough that deep walks go dense and the tail steps gather.
 // Under the first-hit measure the forward executors (F-BJ, and AP, which is
 // built on it) share no kernel path with the rows form and are bit-identical
@@ -31,46 +30,44 @@ func TestRowsFormRankingsBitIdentical(t *testing.T) {
 	chain := Chain(a.Take(8), b.Take(8), c.Take(8))
 	ctx := context.Background()
 	for _, measure := range []string{"dht", "reach", "ppr"} {
-		for _, workers := range []int{1, 3, -1} {
-			opts := &Options{MeasureName: measure, Workers: workers}
-			label := fmt.Sprintf("%s/workers=%d", measure, workers)
-			pairs := NewPairQuery(g, a, b).WithOptions(opts)
-			all := a.Len() * b.Len()
-			want, err := pairs.WithHints(Hints{Algorithm: "B-BJ"}).TopKPairs(ctx, all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			forced, tupleRef := []string{"B-IDJ-X", "B-IDJ-Y"}, "PJ"
-			if measure == "dht" {
-				forced, tupleRef = append(forced, "F-BJ"), "AP"
-			}
-			for _, name := range forced {
-				got, err := pairs.WithHints(Hints{Algorithm: name}).TopKPairs(ctx, all)
-				if err != nil {
-					t.Fatalf("%s %s: %v", label, name, err)
-				}
-				comparePairs(t, label+"/"+name, 0, all, got, want)
-			}
-			var drained []PairResult // the incremental stream at one worker
-			for r, err := range pairs.Results(ctx) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				drained = append(drained, r)
-			}
-			comparePairs(t, label+"/stream", 0, all, drained, want)
-
-			tuples := NewJoinQuery(g, chain).WithOptions(opts)
-			k := 8 * 8 * 8
-			wantN, err := tuples.WithHints(Hints{Algorithm: tupleRef}).TopK(ctx, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotN, err := tuples.WithHints(Hints{Algorithm: "PJ-i"}).TopK(ctx, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareAnswers(t, label+"/PJ-i", k, gotN, wantN, false)
+		opts := &Options{MeasureName: measure}
+		label := measure
+		pairs := NewPairQuery(g, a, b).WithOptions(opts)
+		all := a.Len() * b.Len()
+		want, err := pairs.WithHints(Hints{Algorithm: "B-BJ"}).TopKPairs(ctx, all)
+		if err != nil {
+			t.Fatal(err)
 		}
+		forced, tupleRef := []string{"B-IDJ-X", "B-IDJ-Y"}, "PJ"
+		if measure == "dht" {
+			forced, tupleRef = append(forced, "F-BJ"), "AP"
+		}
+		for _, name := range forced {
+			got, err := pairs.WithHints(Hints{Algorithm: name}).TopKPairs(ctx, all)
+			if err != nil {
+				t.Fatalf("%s %s: %v", label, name, err)
+			}
+			comparePairs(t, label+"/"+name, 0, all, got, want)
+		}
+		var drained []PairResult // the incremental stream
+		for r, err := range pairs.Results(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			drained = append(drained, r)
+		}
+		comparePairs(t, label+"/stream", 0, all, drained, want)
+
+		tuples := NewJoinQuery(g, chain).WithOptions(opts)
+		k := 8 * 8 * 8
+		wantN, err := tuples.WithHints(Hints{Algorithm: tupleRef}).TopK(ctx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotN, err := tuples.WithHints(Hints{Algorithm: "PJ-i"}).TopK(ctx, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareAnswers(t, label+"/PJ-i", k, gotN, wantN, false)
 	}
 }

@@ -80,7 +80,6 @@ func toQuery(o *Options) service.Query {
 		Agg:         o.Agg,
 		M:           o.M,
 		Distinct:    o.Distinct,
-		Workers:     o.Workers,
 		Tenant:      o.Tenant,
 		Budget:      o.Budget,
 	}
@@ -135,7 +134,7 @@ func joinArgs(join *QueryGraph, opts *Options) (sets []service.SetRef, edges [][
 
 // TopKPairs serves a top-k 2-way join on the named graph — the request path
 // the package-level TopKPairs runs, with the session's caches on. ctx
-// cancels the work (including the wait for worker admission); nil means
+// cancels the work (including the wait for admission); nil means
 // Background.
 func (s *Service) TopKPairs(ctx context.Context, graphName string, p, q *NodeSet, k int, opts *Options) ([]PairResult, error) {
 	pr, qr, query, err := pairArgs(p, q, opts)

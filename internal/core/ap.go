@@ -82,7 +82,6 @@ func edgeConfig(spec *Spec, e QEdge, counters *dht.Counters) join2.Config {
 		P:        spec.Query.Set(e.From).Nodes(),
 		Q:        spec.Query.Set(e.To).Nodes(),
 		Measure:  spec.Measure,
-		Workers:  spec.Workers,
 		Counters: counters,
 		Pool:     spec.Pool,
 		Cancel:   spec.Cancel,

@@ -593,3 +593,25 @@ func TestAggregateOverDirectedEdges(t *testing.T) {
 		t.Fatalf("direction ignored: both %v", rf[0].Score)
 	}
 }
+
+// TestRunStatsFrontierCounters: short-walk-heavy PJ-i runs should be served
+// mostly by the sparse kernel — frontier edges recorded, and dense sweeps
+// only where the frontier saturates.
+func TestRunStatsFrontierCounters(t *testing.T) {
+	g, sets := testWorld(t, 7, 16, 16)
+	spec := chainSpec(g, sets, rankjoin.Min, 5)
+	pji, err := NewPJI(spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pji.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := pji.Stats
+	if st.DHTWalks == 0 {
+		t.Fatal("no walks recorded")
+	}
+	if st.DHTFrontierEdges == 0 && st.DHTEdgeSweeps == 0 {
+		t.Fatalf("no walk work recorded: %+v", st)
+	}
+}

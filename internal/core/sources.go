@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/dht"
 	"repro/internal/join2"
@@ -17,20 +15,16 @@ import (
 type edgeSource = join2.Stream
 
 // buildSources constructs one edgeSource per query edge via build and primes
-// each (runs its initial top-m batch), priming concurrently when the spec
-// enables workers — the initial joins of PJ/PJ-i and the all-pairs
-// materialization of AP are the dominant per-edge costs, and they are
-// independent across edges. The edge-level fan-out is bounded by the
-// resolved worker count (a semaphore), so Spec.Workers caps this level's
-// goroutines too. counters is threaded into every edge's join config.
+// each (runs its initial top-m batch), edge after edge on the calling
+// goroutine. counters is threaded into every edge's join config.
 //
 // yBound says every edge joins with B-IDJ-Y. Its Y⁺ₗ tables are then built
 // here, all of them before any edge primes (join2.YBoundTables): two or more
 // are the lanes of one forward batched walk instead of one lone walk each.
 //
-// On any error the already-built sources are released, so a caller-owned
-// engine pool (Spec.Pool) gets every checked-out engine back even when a
-// later edge fails.
+// On any error or panic the already-built sources are released, so a
+// caller-owned engine pool (Spec.Pool) gets every checked-out engine back
+// even when a later edge fails.
 func buildSources(spec *Spec, counters *dht.Counters, yBound bool, build func(cfg join2.Config) (edgeSource, error)) ([]edgeSource, error) {
 	edges := spec.Query.Edges()
 	cfgs := make([]join2.Config, len(edges))
@@ -43,48 +37,22 @@ func buildSources(spec *Spec, counters *dht.Counters, yBound bool, build func(cf
 		}
 	}
 	srcs := make([]edgeSource, len(edges))
-	errs := make([]error, len(edges))
-	mk := func(ei int) {
-		// A panic here would cross a goroutine boundary on the concurrent
-		// path and kill the process; recover it into the edge's error slot so
-		// the release sweep below still returns every pooled engine.
+	prime := func(ei int) (err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				errs[ei] = fmt.Errorf("core: panic priming edge source %d: %v", ei, p)
+				err = fmt.Errorf("core: panic priming edge source %d: %v", ei, p)
 			}
 		}()
-		srcs[ei], errs[ei] = build(cfgs[ei])
-		if errs[ei] != nil {
-			return
+		if srcs[ei], err = build(cfgs[ei]); err != nil {
+			return err
 		}
 		if p, ok := srcs[ei].(join2.Primer); ok {
-			errs[ei] = p.Prime()
+			err = p.Prime()
 		}
+		return err
 	}
-	w := spec.Workers
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > 1 && len(edges) > 1 {
-		sem := make(chan struct{}, w)
-		var wg sync.WaitGroup
-		for ei := range edges {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(ei int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				mk(ei)
-			}(ei)
-		}
-		wg.Wait()
-	} else {
-		for ei := range edges {
-			mk(ei)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
+	for ei := range cfgs {
+		if err := prime(ei); err != nil {
 			releaseSources(srcs)
 			return nil, err
 		}

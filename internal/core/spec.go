@@ -31,13 +31,6 @@ type Spec struct {
 	// such as Personalized PageRank (the paper's §VIII extension).
 	Measure dht.Kind
 
-	// Workers caps the goroutines the n-way algorithms may use: the
-	// per-edge 2-way joins (and their initial top-m runs) execute
-	// concurrently, and each backward joiner may spread its per-target
-	// walks further. 0 and 1 run serially as in the paper; a negative
-	// value selects GOMAXPROCS. Results are identical at any setting.
-	Workers int
-
 	// Pool, when non-nil, supplies the engines of every per-edge 2-way join
 	// (join2.Config.Pool): the joins check engines out per call/round and the
 	// algorithms return them after Run, so a long-lived owner (the serving
@@ -53,8 +46,7 @@ type Spec struct {
 	// Cancel, when non-nil, is polled at walk-round granularity by every
 	// per-edge 2-way join (join2.Config.Cancel) and between refinement pulls
 	// of the n-way drivers. A non-nil return aborts the run with that error.
-	// Must be safe for concurrent use — per-edge joins may run on worker
-	// goroutines — and cheap. Cancellation never corrupts state: answers
+	// Must be cheap. Cancellation never corrupts state: answers
 	// already emitted remain a correct ranking prefix.
 	Cancel func() error
 }

@@ -50,7 +50,7 @@ const DefaultDenseThreshold = 0.25
 // the argument, "The lane kernel" for the arithmetic).
 //
 // A BatchEngine owns its scratch and is single-goroutine; create one per
-// worker or check them out of an EnginePool (Get, GetBatch).
+// goroutine or check them out of an EnginePool (Get, GetBatch).
 type BatchEngine struct {
 	G      *graph.Graph
 	Params Params

@@ -410,8 +410,9 @@ func TestEngineCountersForceDense(t *testing.T) {
 	}
 }
 
-// TestEngineSinkAggregates checks the atomic counter sink used by worker
-// pools: engine-local deltas must be mirrored into the shared Counters.
+// TestEngineSinkAggregates checks the atomic counter sink shared by
+// concurrent engines: engine-local deltas must be mirrored into the shared
+// Counters.
 func TestEngineSinkAggregates(t *testing.T) {
 	g := pathGraph(t, 4)
 	e := mustEngine(t, g, DHTLambda(0.2), 4)

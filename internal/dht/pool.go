@@ -8,9 +8,8 @@ import (
 )
 
 // Counters aggregates engine work across walks — and, through atomic adds,
-// across the concurrent engines of a worker pool. Attach one as
-// BatchEngine.Sink (or EnginePool.Sink) and read it with Snapshot once the
-// workers are done.
+// across the engines of concurrent requests. Attach one as BatchEngine.Sink
+// (or EnginePool.Sink) and read it with Snapshot.
 type Counters struct {
 	Walks      int64 // walk invocations
 	EdgeSweeps int64 // full O(|E|) dense relaxation sweeps
@@ -39,7 +38,7 @@ func (c *Counters) add(walks, sweeps, frontierEdges int64) {
 }
 
 // Snapshot returns a consistent copy using atomic loads, safe to call while
-// workers are still writing.
+// engines are still writing.
 func (c *Counters) Snapshot() Counters {
 	return Counters{
 		Walks:         atomic.LoadInt64(&c.Walks),
@@ -56,7 +55,7 @@ func (c *Counters) Reset() {
 }
 
 // EnginePool hands out engines for one (graph, params, d) configuration
-// backed by sync.Pools, so worker goroutines and repeated joins reuse the
+// backed by sync.Pools, so concurrent requests and repeated joins reuse the
 // O(|V|) scratch vectors instead of allocating fresh ones. It pools two
 // widths: Get hands out a width-1 engine, for a lone walk, and GetBatch one
 // at least DefaultBatchWidth columns wide, for batched walks (callers chunk

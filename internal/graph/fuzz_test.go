@@ -15,6 +15,11 @@ func FuzzReadText(f *testing.F) {
 	f.Add("graph 0\n")
 	f.Add("garbage\n")
 	f.Add("graph 2\nedge 0 1 -1\n")
+	// Node counts past what the text carries, or past int32 ids, are
+	// rejected before the graph is built.
+	f.Add("graph 10000000\n")
+	f.Add("graph 2147483648\n")
+	f.Add("graph 65537\nedge 0 65536 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, sets, err := ReadText(strings.NewReader(input))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -52,17 +53,30 @@ func WriteText(w io.Writer, g *Graph, sets ...*NodeSet) error {
 	return bw.Flush()
 }
 
+// A built graph costs about 40 bytes per declared node, whether or not any
+// line names it. So a text may declare up to minTextNodes nodes freely, and
+// beyond that one node per textBytesPerNode bytes of its length — about what
+// its edge lines cost once built — and never more than int32 ids address.
+// The check runs before the build, so a 15-byte "graph 10000000" never
+// allocates its 400 MB of empty rows.
+const (
+	minTextNodes     = 1 << 16
+	textBytesPerNode = 8
+)
+
 // ReadText parses the text format, returning the graph and any node sets in
-// declaration order.
+// declaration order. A node count the text's length does not carry (see
+// minTextNodes) is an error.
 func ReadText(r io.Reader) (*Graph, []*NodeSet, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var b *Builder
 	setIDs := make(map[string][]NodeID)
 	var setOrder []string
-	lineNo := 0
+	lineNo, size := 0, 0
 	for sc.Scan() {
 		lineNo++
+		size += len(sc.Bytes()) + 1
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -77,7 +91,7 @@ func ReadText(r io.Reader) (*Graph, []*NodeSet, error) {
 				return nil, nil, fmt.Errorf("graph text line %d: graph header needs a node count", lineNo)
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > math.MaxInt32 {
 				return nil, nil, fmt.Errorf("graph text line %d: bad node count %q", lineNo, fields[1])
 			}
 			directed := true
@@ -144,6 +158,10 @@ func ReadText(r io.Reader) (*Graph, []*NodeSet, error) {
 	}
 	if b == nil {
 		return nil, nil, fmt.Errorf("graph text: missing graph header")
+	}
+	if n := b.NumNodes(); n > minTextNodes && n > size/textBytesPerNode {
+		return nil, nil, fmt.Errorf("graph text: %d nodes declared by %d bytes of text, at most %d allowed",
+			n, size, max(minTextNodes, size/textBytesPerNode))
 	}
 	g := b.Build()
 	if err := g.Validate(); err != nil {

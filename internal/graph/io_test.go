@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -67,6 +68,7 @@ func TestReadTextErrors(t *testing.T) {
 		"nodeset member":   "graph 2\nnodeset S 9\n",
 		"nodeset name":     "graph 2\nnodeset\n",
 		"empty":            "",
+		"count past int32": "graph 2147483648\n",
 	}
 	for name, input := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -74,6 +76,35 @@ func TestReadTextErrors(t *testing.T) {
 				t.Fatalf("input %q accepted", input)
 			}
 		})
+	}
+}
+
+// TestReadTextNodeBound: a text declares up to minTextNodes nodes freely,
+// and beyond that one per textBytesPerNode bytes of its length; the
+// rejection names both numbers.
+func TestReadTextNodeBound(t *testing.T) {
+	for _, n := range []int{0, minTextNodes} {
+		g, _, err := ReadText(strings.NewReader(fmt.Sprintf("graph %d\n", n)))
+		if err != nil || g.NumNodes() != n {
+			t.Fatalf("graph %d: %v", n, err)
+		}
+	}
+	over := minTextNodes + 1
+	header := fmt.Sprintf("graph %d\n", over)
+	_, _, err := ReadText(strings.NewReader(header))
+	if want := fmt.Sprintf("%d nodes declared by %d bytes of text", over, len(header)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("graph %d alone: %v, want an error carrying %q", over, err, want)
+	}
+	// The same count is carried by a text of textBytesPerNode bytes a node,
+	// and not by one byte less.
+	padded := func(size int) string {
+		return header + "#" + strings.Repeat("-", size-len(header)-2) + "\n"
+	}
+	if g, _, err := ReadText(strings.NewReader(padded(over * textBytesPerNode))); err != nil || g.NumNodes() != over {
+		t.Fatalf("graph %d in %d bytes: %v", over, over*textBytesPerNode, err)
+	}
+	if _, _, err := ReadText(strings.NewReader(padded(over*textBytesPerNode - 1))); err == nil || !strings.Contains(err.Error(), "nodes declared") {
+		t.Fatalf("graph %d in %d bytes: %v, want the node bound", over, over*textBytesPerNode-1, err)
 	}
 }
 

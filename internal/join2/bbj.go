@@ -67,9 +67,9 @@ func (b *BBJ) TopK(k int) ([]Result, error) {
 	if len(qs) <= maxTableTargets {
 		table = make([]float64, len(ps)*len(qs))
 	}
-	tops := newPartials[Pair](k, b.cfg.workerCount(len(qs)))
-	if err := b.w.columns(qs, b.cfg.D, func(wi, qi int, scores []float64) {
-		addColumn(tops[wi], ps, qs[qi], scores)
+	top := pqueue.NewTopK[Pair](k)
+	if err := b.w.columns(qs, b.cfg.D, func(qi int, scores []float64) {
+		addColumn(top, ps, qs[qi], scores)
 		if table != nil {
 			row := table[qi*len(ps):]
 			for pi, p := range ps {
@@ -80,7 +80,7 @@ func (b *BBJ) TopK(k int) ([]Result, error) {
 		return nil, err
 	}
 	b.table = table
-	return collect(mergePartials(tops, k, pairTie)), nil
+	return collect(top), nil
 }
 
 // AllPairs evaluates every pair and returns the full descending ranking.
@@ -92,7 +92,7 @@ func (b *BBJ) AllPairs() ([]Result, error) {
 // backward column. scores[q] is 0 by definition (h(v,v) = 0), so pairs with
 // p == q participate with score 0, matching the forward algorithms. The
 // canonical tie key makes the selection independent of the order targets
-// arrive in, so workers racing each other cannot change the result.
+// arrive in.
 func addColumn(top *pqueue.TopK[Pair], ps []graph.NodeID, q graph.NodeID, scores []float64) {
 	for _, p := range ps {
 		pr := Pair{p, q}

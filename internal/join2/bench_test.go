@@ -41,7 +41,28 @@ func benchJoiner(b *testing.B, mk func(Config) (Joiner, error), k int) {
 	}
 }
 
-func BenchmarkBBJTop50(b *testing.B) { benchBBJ(b, 0) }
+// BenchmarkBBJTop50 times a top-50 B-BJ on a fresh joiner per iteration,
+// drawing its engines from one pool: a repeated TopK on one joiner would
+// select from the scores it kept and walk nothing.
+func BenchmarkBBJTop50(b *testing.B) {
+	cfg := benchConfig(b)
+	pool, err := dht.NewEnginePool(cfg.Graph, cfg.Params, cfg.D)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Pool = pool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := NewBBJ(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := j.TopK(50); err != nil {
+			b.Fatal(err)
+		}
+		j.Release()
+	}
+}
 
 func BenchmarkBIDJXTop50(b *testing.B) {
 	benchJoiner(b, func(c Config) (Joiner, error) { return NewBIDJX(c) }, 50)
@@ -79,33 +100,6 @@ func BenchmarkIncrementalNext(b *testing.B) {
 			inc = fresh()
 			b.StartTimer()
 		}
-	}
-}
-
-// BenchmarkBBJWorkers measures B-BJ fanned out over GOMAXPROCS workers
-// against BenchmarkBBJTop50.
-func BenchmarkBBJWorkers(b *testing.B) { benchBBJ(b, -1) }
-
-// benchBBJ times a top-50 B-BJ on a fresh joiner per iteration, drawing its
-// engines from one pool: a repeated TopK on one joiner would select from the
-// scores it kept and walk nothing.
-func benchBBJ(b *testing.B, workers int) {
-	cfg := benchConfig(b)
-	pool, err := dht.NewEnginePool(cfg.Graph, cfg.Params, cfg.D)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg.Workers, cfg.Pool = workers, pool
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j, err := NewBBJ(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := j.TopK(50); err != nil {
-			b.Fatal(err)
-		}
-		j.Release()
 	}
 }
 

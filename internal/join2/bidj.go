@@ -49,10 +49,7 @@ type IterStat struct {
 //
 // The joiner caches its engines and the Y⁺ₗ table (in its Config.YBound, which
 // an n-way caller may have filled beforehand) across TopK calls (the PJ
-// re-join stream calls TopK repeatedly), so a BIDJ is single-goroutine. With
-// Config.Workers set, the walker spreads each round's walks over workers;
-// the merged bounds, pruning decisions, and final ranking are bit-identical
-// to the serial run.
+// re-join stream calls TopK repeatedly), so a BIDJ is single-goroutine.
 type BIDJ struct {
 	cfg     Config
 	variant BoundVariant
@@ -70,9 +67,7 @@ type BIDJ struct {
 	// target q, walk length l, the column (valid at the nodes of P, within
 	// the call) and ub = U⁺ₗ(q), 0 in the exact final round — so one call
 	// carries the bounds h_l(p, q) ≤ h_d(p, q) ≤ h_l(p, q) + ub of every p;
-	// the incremental join populates its F structure from it. It is called
-	// from the walker's callback, so a recording joiner's config has one
-	// worker.
+	// the incremental join populates its F structure from it.
 	record func(q graph.NodeID, l int, scores []float64, ub float64)
 }
 
@@ -108,7 +103,7 @@ func (b *BIDJ) Release() { b.w.release() }
 // use when the config did not bring one — one serial O(d·|E|) walk from all
 // of P simultaneously. The table only depends on P, Q, and d — not on which
 // q's remain alive — so one build serves every TopK call of the joiner's
-// lifetime, and every worker of every round reads the same table.
+// lifetime.
 func (b *BIDJ) ubound() (func(q graph.NodeID, l int) float64, error) {
 	if b.variant == BoundX {
 		return func(_ graph.NodeID, l int) float64 { return b.cfg.Params.XBound(l) }, nil
@@ -132,14 +127,11 @@ func (b *BIDJ) advance(l int) int {
 	return l * 2
 }
 
-// TopK implements Joiner: Algorithm 2, written against one partial heap per
-// walker worker. The threshold T_k of a round is the k-th largest of the
-// union of the workers' candidate lower bounds — a value independent of
-// insertion order — and ties in the final heap are broken by the canonical
-// pair key, so the output is bit-identical at any worker count; with one
-// worker the partial is the round's heap. The cancellation hook is polled
-// once per deepening round (and by the walker per chunk), so a budgeted or
-// disconnected request stops early instead of walking to d.
+// TopK implements Joiner: Algorithm 2, with one heap of candidate lower
+// bounds per round, whose k-th largest is the round's threshold T_k, and
+// ties in the final heap broken by the canonical pair key. The cancellation
+// hook is polled once per deepening round (and by the walker per chunk), so
+// a budgeted or disconnected request stops early instead of walking to d.
 func (b *BIDJ) TopK(k int) ([]Result, error) {
 	k, err := b.cfg.clampK(k)
 	if err != nil {
@@ -155,19 +147,15 @@ func (b *BIDJ) TopK(k int) ([]Result, error) {
 	alive := make([]graph.NodeID, len(b.cfg.Q))
 	copy(alive, b.cfg.Q)
 	beta := b.cfg.Params.Beta
-	workers := b.cfg.workerCount(len(alive))
 
-	lowers := newPartials[struct{}](k, workers)
+	lower := pqueue.NewTopK[struct{}](k)
 	for l := 1; l < d; l = b.advance(l) {
 		if err := b.cfg.canceled(); err != nil {
 			return nil, err
 		}
-		for _, lo := range lowers {
-			lo.Reset()
-		}
+		lower.Reset()
 		qUpper := make([]float64, len(alive))
-		if err := b.w.columns(alive, l, func(wi, qi int, scores []float64) {
-			lower := lowers[wi]
+		if err := b.w.columns(alive, l, func(qi int, scores []float64) {
 			q := alive[qi]
 			pMax := math.Inf(-1)
 			for _, p := range b.cfg.P {
@@ -187,24 +175,24 @@ func (b *BIDJ) TopK(k int) ([]Result, error) {
 		}); err != nil {
 			return nil, err
 		}
-		alive = b.prune(alive, qUpper, mergePartials(lowers, k, nil), l)
+		alive = b.prune(alive, qUpper, lower, l)
 	}
 
 	// Final exact round over the survivors.
 	if err := b.cfg.canceled(); err != nil {
 		return nil, err
 	}
-	tops := newPartials[Pair](k, workers)
-	if err := b.w.columns(alive, d, func(wi, qi int, scores []float64) {
+	top := pqueue.NewTopK[Pair](k)
+	if err := b.w.columns(alive, d, func(qi int, scores []float64) {
 		q := alive[qi]
-		addColumn(tops[wi], b.cfg.P, q, scores)
+		addColumn(top, b.cfg.P, q, scores)
 		if b.record != nil {
 			b.record(q, d, scores, 0)
 		}
 	}); err != nil {
 		return nil, err
 	}
-	return collect(mergePartials(tops, k, pairTie)), nil
+	return collect(top), nil
 }
 
 // prune applies the round's bound test, appends the IterStat, and returns

@@ -121,11 +121,10 @@ func init() {
 
 // NewNamedStream opens the serving stream of the named registered 2-way
 // executor over cfg — the one strategy choice in the system. The B-IDJ
-// family streams through the incremental F structure when the
-// config is serial and the caller is not a batch drain (batch = true: the
-// caller will pull exactly the initial budget and stop, so populating the F
-// structure would be paid for nothing); everything else — non-B-IDJ
-// executors, parallel configs, batch drains — runs the underlying joiner
+// family streams through the incremental F structure unless the caller is a
+// batch drain (batch = true: the caller will pull exactly the initial budget
+// and stop, so populating the F structure would be paid for nothing);
+// everything else — non-B-IDJ executors, batch drains — runs the underlying joiner
 // behind a doubling re-join, which prices a batch drain identically to a
 // direct TopK call. Every choice yields the identical ranking (canonical
 // tie keys); the strategy split is purely a cost decision.
@@ -134,7 +133,7 @@ func NewNamedStream(name string, cfg Config, spec StreamSpec, batch bool) (Strea
 	if !ok || d.Class != plan.TwoWay {
 		return nil, fmt.Errorf("join2: no registered 2-way executor %q", name)
 	}
-	if v, incr := bidjVariant[name]; incr && !batch && cfg.Workers >= 0 && cfg.Workers <= 1 {
+	if v, incr := bidjVariant[name]; incr && !batch {
 		return NewIncrementalStream(cfg, v, spec)
 	}
 	mk, ok := d.New.(Factory)

@@ -75,11 +75,8 @@ func (x nodeIndex) find(id graph.NodeID) int {
 
 // NewIncremental validates the config and returns an idle join state; call
 // Run to execute the initial top-m join. P and Q are sets: a node listed
-// twice is one row or column of F, so no pair can be emitted twice. The state
-// records bound observations from the walker's callback, so it always runs
-// one worker, whatever Config.Workers says.
+// twice is one row or column of F, so no pair can be emitted twice.
 func NewIncremental(cfg Config, variant BoundVariant) (*Incremental, error) {
-	cfg.Workers = 1
 	inc := &Incremental{}
 	cfg.P, inc.rows = indexNodes(cfg.P)
 	cfg.Q, inc.cols = indexNodes(cfg.Q)
@@ -230,7 +227,7 @@ func (inc *Incremental) refine(s int32, l int) error {
 			return len(inc.targets) < width
 		})
 	}
-	return inc.b.w.columns(inc.targets, l, func(_, i int, scores []float64) {
+	return inc.b.w.columns(inc.targets, l, func(i int, scores []float64) {
 		inc.observe(inc.at[i], l, scores, ub)
 	})
 }

@@ -11,7 +11,6 @@ package join2
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/dht"
 	"repro/internal/graph"
@@ -42,20 +41,13 @@ type Config struct {
 	// measures such as Personalized PageRank (the paper's §VIII extension).
 	Measure dht.Kind
 
-	// Workers caps the goroutines a backward walk round (walker.columns) may
-	// spread its targets across. 0 (the default) and 1 run serially, matching
-	// the paper's single-threaded evaluation; a negative value selects
-	// GOMAXPROCS. Results are bit-identical at any worker count.
-	Workers int
-
 	// Counters, when non-nil, accumulates the walk work of every engine the
-	// join creates (including pooled worker engines) via atomic adds.
+	// join checks out, via atomic adds.
 	Counters *dht.Counters
 
 	// Pool, when non-nil, supplies the join's engines (width 1 and batched)
-	// instead of a joiner-owned pool: the calling goroutine checks its
-	// engines out on first use and keeps them until Release, extra workers
-	// check theirs in and out per round (see walker), so a long-lived owner
+	// instead of a joiner-owned pool: the joiner checks its engines out on
+	// first use and keeps them until Release (see walker), so a long-lived owner
 	// (the serving layer) shares one pool's O(|V|) scratch across requests.
 	// The pool must be built for the same (Graph, Params, D); Validate
 	// rejects a mismatch.
@@ -66,8 +58,7 @@ type Config struct {
 	// refinement step of the incremental join. A non-nil return aborts the
 	// join with that error, which is how the serving layer enforces deadline
 	// budgets (and client disconnects) mid-round instead of only between
-	// pulls. The function must be safe for concurrent use — worker
-	// goroutines poll it too — and cheap, since rounds poll it on their hot
+	// pulls. The function must be cheap, since rounds poll it on their hot
 	// path. Cancellation never corrupts state: results already emitted by a
 	// stream remain a correct ranking prefix.
 	Cancel func() error
@@ -148,22 +139,6 @@ func YBoundTables(cfgs []Config) error {
 		cfgs[i].YBound = ts[i]
 	}
 	return nil
-}
-
-// workerCount resolves Config.Workers against the number of independent
-// work items: 0/1 → serial, negative → GOMAXPROCS, always capped by items.
-func (c *Config) workerCount(targets int) int {
-	w := c.Workers
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > targets {
-		w = targets
-	}
-	return w
 }
 
 // pairTie is the canonical tie key used when two pairs have equal scores:

@@ -470,3 +470,66 @@ func TestBoundVariantString(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinerCountersAggregate: a shared Counters sink must see the walk work
+// of every join that writes to it.
+func TestJoinerCountersAggregate(t *testing.T) {
+	cfg := testConfig(t, 29, 0.4)
+	var ctrs dht.Counters
+	cfg.Counters = &ctrs
+	run := func() {
+		j, err := NewBIDJY(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Release()
+		if _, err := j.TopK(10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	one := ctrs.Snapshot()
+	if one.Walks == 0 || one.EdgeSweeps+one.FrontierEdges == 0 {
+		t.Fatalf("counters empty after one join: %+v", one)
+	}
+	run()
+	if got := ctrs.Snapshot().Walks; got != 2*one.Walks {
+		t.Fatalf("two joins counted %d walks, want 2·%d", got, one.Walks)
+	}
+}
+
+// TestRepeatedTopKStable: cached engines and Y tables across TopK calls must
+// not change results — the PJ re-join stream depends on the top-m being a
+// prefix of the top-(m+1).
+func TestRepeatedTopKStable(t *testing.T) {
+	cfg := testConfig(t, 31, 0.5)
+	j, err := NewBIDJY(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := j.TopK(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigger, err := j.TopK(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bigger) < len(first) {
+		t.Fatalf("topk shrank: %d then %d", len(first), len(bigger))
+	}
+	for i := range first {
+		if bigger[i] != first[i] {
+			t.Fatalf("prefix violated at %d: %v vs %v", i, bigger[i], first[i])
+		}
+	}
+	again, err := j.TopK(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if again[i] != first[i] {
+			t.Fatalf("repeat drifted at %d: %v vs %v", i, again[i], first[i])
+		}
+	}
+}

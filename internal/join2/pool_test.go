@@ -26,9 +26,8 @@ func poolTestConfig(t *testing.T) Config {
 }
 
 // TestCallerOwnedPoolBitIdentical: every joiner must produce bit-identical
-// results when drawing engines from a caller-owned pool (serial and worker
-// paths) and when releasing + re-running, versus the self-constructed
-// engines of a plain config.
+// results when drawing engines from a caller-owned pool and when releasing +
+// re-running, versus the self-constructed engines of a plain config.
 func TestCallerOwnedPoolBitIdentical(t *testing.T) {
 	base := poolTestConfig(t)
 	pool, err := dht.NewEnginePool(base.Graph, base.Params, base.D)
@@ -54,33 +53,29 @@ func TestCallerOwnedPoolBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s ref: %v", name, err)
 		}
-		for _, workers := range []int{0, 3} {
-			cfg := base
-			cfg.Pool = pool
-			cfg.Workers = workers
-			j, err := newJoiner(cfg)
+		cfg := base
+		cfg.Pool = pool
+		j, err := newJoiner(cfg)
+		if err != nil {
+			t.Fatalf("%s pooled: %v", name, err)
+		}
+		for round := 0; round < 2; round++ { // second round re-checks out after Release
+			got, err := j.TopK(25)
 			if err != nil {
-				t.Fatalf("%s pooled: %v", name, err)
+				t.Fatalf("%s pooled round %d: %v", name, round, err)
 			}
-			for round := 0; round < 2; round++ { // second round re-checks out after Release
-				got, err := j.TopK(25)
-				if err != nil {
-					t.Fatalf("%s pooled workers=%d round %d: %v", name, workers, round, err)
+			if len(got) != len(ref) {
+				t.Fatalf("%s: %d results, want %d", name, len(got), len(ref))
+			}
+			for i := range got {
+				if got[i] != ref[i] {
+					t.Fatalf("%s round %d rank %d: %+v != %+v", name, round, i, got[i], ref[i])
 				}
-				if len(got) != len(ref) {
-					t.Fatalf("%s workers=%d: %d results, want %d", name, workers, len(got), len(ref))
-				}
-				for i := range got {
-					if got[i] != ref[i] {
-						t.Fatalf("%s workers=%d round %d rank %d: %+v != %+v",
-							name, workers, round, i, got[i], ref[i])
-					}
-				}
-				if r, ok := j.(interface{ Release() }); ok {
-					r.Release()
-				} else {
-					t.Fatalf("%s: joiner has no Release method", name)
-				}
+			}
+			if r, ok := j.(interface{ Release() }); ok {
+				r.Release()
+			} else {
+				t.Fatalf("%s: joiner has no Release method", name)
 			}
 		}
 	}

@@ -14,8 +14,8 @@ import (
 
 // TestBBJRejoinWorkGate: the PJ re-join stream calls TopK with a growing k on
 // one B-BJ joiner. The first call walks every target once and keeps the P×Q
-// scores; a later call selects from them and walks nothing, at any worker
-// count, and both rankings equal a fresh joiner's. A target set too large
+// scores; a later call selects from them and walks nothing, and both
+// rankings equal a fresh joiner's. A target set too large
 // for the table re-walks. Served through the service as a forced B-BJ
 // stream drained to exhaustion, the whole ranking costs exactly |Q| walks
 // and the sweeps of one rows-form round.
@@ -53,10 +53,12 @@ func TestBBJRejoinWorkGate(t *testing.T) {
 		return cfg.Counters.Snapshot().Walks - before
 	}
 
-	for _, workers := range []int{1, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	// The workers=… subtest names outlived the option they named; both run
+	// the same case.
+	for _, name := range []string{"workers=1", "workers=3"} {
+		t.Run(name, func(t *testing.T) {
 			cfg := base
-			cfg.Workers, cfg.Counters = workers, &dht.Counters{}
+			cfg.Counters = &dht.Counters{}
 			j, err := join2.NewBBJ(cfg)
 			if err != nil {
 				t.Fatal(err)

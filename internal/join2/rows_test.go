@@ -25,8 +25,7 @@ func sameRanking(t *testing.T, label string, got, want []Result) {
 // large enough that the rows form gathers both tail steps (the counters
 // prove it: B-BJ's walks equal, and its sweeps fall below, those of the
 // kernel's full-column form over the same targets) and demands from each the
-// full ranking of the width-1 dense engine's columns, at every worker count and
-// for both walk kinds.
+// full ranking of the width-1 dense engine's columns, for both walk kinds.
 func TestRowsFormJoinersMatchFullForm(t *testing.T) {
 	eachLaneBody(t, testRowsFormJoinersMatchFullForm)
 }
@@ -72,43 +71,40 @@ func testRowsFormJoinersMatchFullForm(t *testing.T) {
 		if rowsWork.Walks != fullWork.Walks || rowsWork.EdgeSweeps+2*3 > fullWork.EdgeSweeps {
 			t.Fatalf("%v: rows-form B-BJ did %+v against the full form's %+v: want equal walks and both tail steps of all 3 chunks gathered", kind, rowsWork, fullWork)
 		}
-		for _, workers := range []int{1, 3, -1} {
-			c := cfg
-			c.Workers = workers
-			joiners := map[string]func(Config) (Joiner, error){
-				"B-BJ":    func(c Config) (Joiner, error) { return NewBBJ(c) },
-				"B-IDJ-X": func(c Config) (Joiner, error) { return NewBIDJX(c) },
-				"B-IDJ-Y": func(c Config) (Joiner, error) { return NewBIDJY(c) },
-			}
-			for name, mk := range joiners {
-				j, err := mk(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := j.TopK(all)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRanking(t, name, got, want)
-			}
-			s, err := NewIncrementalStream(c, BoundY, StreamSpec{Initial: 50})
+		c := cfg
+		joiners := map[string]func(Config) (Joiner, error){
+			"B-BJ":    func(c Config) (Joiner, error) { return NewBBJ(c) },
+			"B-IDJ-X": func(c Config) (Joiner, error) { return NewBIDJX(c) },
+			"B-IDJ-Y": func(c Config) (Joiner, error) { return NewBIDJY(c) },
+		}
+		for name, mk := range joiners {
+			j, err := mk(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var drained []Result
-			for {
-				r, ok, err := s.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				drained = append(drained, r)
+			got, err := j.TopK(all)
+			if err != nil {
+				t.Fatal(err)
 			}
-			s.Release()
-			sameRanking(t, "incremental stream, full drain", drained, want)
+			sameRanking(t, name, got, want)
 		}
+		s, err := NewIncrementalStream(c, BoundY, StreamSpec{Initial: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var drained []Result
+		for {
+			r, ok, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			drained = append(drained, r)
+		}
+		s.Release()
+		sameRanking(t, "incremental stream, full drain", drained, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dht"
@@ -13,13 +12,13 @@ import (
 )
 
 // TestWalkerContract pins walker.columns — the one primitive under every
-// backward joiner — over {workers} × {walk length} × {pool owner} ×
-// {measure kind}: every column is float64-== the dense reference kernel's at
-// the nodes of P (all a joiner may read; batched rounds walk the rows form),
-// every target is delivered exactly once under a worker index in range, a
-// repeat round walks every target again, a cancellation and a callback panic
-// both surface as the round's error with no engine left checked out, and at
-// one worker the kernel work is the rows form's for the same targets.
+// backward joiner — over {walk length} × {pool owner} × {measure kind}:
+// every column is float64-== the dense reference kernel's at the nodes of P
+// (all a joiner may read; batched rounds walk the rows form), every target
+// is delivered exactly once and in order, a repeat round walks every target
+// again, a cancellation and a callback panic both surface as the round's
+// error with no engine left checked out, and the kernel work is the rows
+// form's for the same targets.
 func TestWalkerContract(t *testing.T) {
 	// Under the lane-kernel body this machine selected, with the subtest
 	// names the table has always had; then under each body by name.
@@ -76,15 +75,15 @@ func testWalkerContract(t *testing.T) {
 			for qi, q := range base.Q {
 				want[qi] = slices.Clone(dense.BackWalkScoresBatch(kind, []graph.NodeID{q}, l)[0])
 			}
+			// The workers=… and memo=… name segments outlived the options
+			// they named, so the subtest names stay stable; every value runs
+			// the same case.
 			for _, workers := range []int{1, 3, -1} {
-				// The memo=… name segment outlived the score memo so the
-				// subtest names stay stable; both values run the same case.
 				for _, memo := range []bool{false, true} {
 					for _, callerPool := range []bool{false, true} {
 						name := fmt.Sprintf("%v/l=%d/workers=%d/memo=%v/pool=%v", kind, l, workers, memo, callerPool)
 						t.Run(name, func(t *testing.T) {
 							cfg := base
-							cfg.Workers = workers
 							if callerPool {
 								pool, err := dht.NewEnginePool(cfg.Graph, cfg.Params, cfg.D)
 								if err != nil {
@@ -115,25 +114,26 @@ func firstDiff(got, want []float64, ps []graph.NodeID) int {
 func walkerCase(t *testing.T, cfg Config, l int, want [][]float64, work dht.Counters) {
 	var ctrs dht.Counters
 	cfg.Counters = &ctrs
-	var polls, failAt atomic.Int64
+	var polls, failAt int
 	stop := errors.New("stop")
 	cfg.Cancel = func() error {
-		if n := failAt.Load(); n > 0 && polls.Add(1) >= n {
+		if polls++; failAt > 0 && polls >= failAt {
 			return stop
 		}
 		return nil
 	}
 	w := newWalker(&cfg)
-	maxWorkers := cfg.workerCount(len(cfg.Q))
 
 	// round runs one columns call and returns how often each target arrived.
-	round := func(fn func(qi int)) ([]int32, error) {
-		seen := make([]int32, len(cfg.Q))
-		err := w.columns(cfg.Q, l, func(wi, qi int, scores []float64) {
-			if wi < 0 || wi >= maxWorkers {
-				t.Errorf("worker index %d outside [0, %d)", wi, maxWorkers)
+	round := func(fn func(qi int)) ([]int, error) {
+		seen := make([]int, len(cfg.Q))
+		next := 0
+		err := w.columns(cfg.Q, l, func(qi int, scores []float64) {
+			if qi != next {
+				t.Errorf("target %d delivered where %d was due", qi, next)
 			}
-			atomic.AddInt32(&seen[qi], 1)
+			next = qi + 1
+			seen[qi]++
 			if d := firstDiff(scores, want[qi], cfg.P); d >= 0 {
 				t.Errorf("column of target %d differs from the dense reference at node %d: %v != %v", qi, d, scores[d], want[qi][d])
 			}
@@ -161,8 +161,8 @@ func walkerCase(t *testing.T, cfg Config, l int, want [][]float64, work dht.Coun
 		}
 	}
 	first := ctrs.Snapshot()
-	if cfg.Workers == 1 && first != work {
-		t.Fatalf("one-worker kernel work %+v, want %+v", first, work)
+	if first != work {
+		t.Fatalf("kernel work %+v, want %+v", first, work)
 	}
 	if first.Walks != int64(len(cfg.Q)) {
 		t.Fatalf("%d walks for %d targets", first.Walks, len(cfg.Q))
@@ -194,7 +194,7 @@ func walkerCase(t *testing.T, cfg Config, l int, want [][]float64, work dht.Coun
 	released("after a callback panic")
 
 	// A cancellation that fires at the second chunk stops the round there.
-	failAt.Store(2)
+	polls, failAt = 0, 2
 	seen, err = round(nil)
 	if !errors.Is(err, stop) {
 		t.Fatalf("mid-round cancel surfaced as %v", err)

@@ -184,10 +184,6 @@ type Workload struct {
 	// D is the truncation depth (walk length) every walk runs to.
 	D int `json:"d"`
 
-	// Workers is carried for the Explain report; it speeds the backward
-	// family roughly uniformly, so it does not enter the cost ranking.
-	Workers int `json:"workers,omitempty"`
-
 	// Measure selects the executor family by proximity measure, mirroring
 	// Descriptor.Measure: empty means the walk family (dht, reach, ppr —
 	// same executors, different engine parameters), a non-empty name (e.g.

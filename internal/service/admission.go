@@ -19,13 +19,12 @@ const (
 // both queues are non-empty — but batch is never starved.
 var classWeights = [numClasses]int64{classInteractive: 3, classBatch: 1}
 
-// admission is the per-request worker admission controller: a counting grant
-// of worker tokens with a fixed total, split across tenants and two priority
-// classes. Every running request holds at least one token, so at most `total`
-// join workers are in flight across all concurrent requests — concurrent
-// joins shrink their worker counts instead of oversubscribing GOMAXPROCS
-// (worker count never changes a result, so admission is invisible in the
-// responses).
+// admission is the per-request admission controller: a counting grant of
+// tokens with a fixed total, split across tenants and two priority classes.
+// Every running request holds exactly one token and runs its join on one
+// goroutine, so at most `total` joins are in flight across all concurrent
+// requests instead of oversubscribing GOMAXPROCS (admission never changes a
+// result, so it is invisible in the responses).
 //
 // Per tenant, two caps apply: at most tenantInflight requests of a tenant may
 // hold tokens at once (further requests wait even when tokens are free — one
@@ -33,10 +32,8 @@ var classWeights = [numClasses]int64{classInteractive: 3, classBatch: 1}
 // wait (beyond that, acquire fails fast with ErrQuotaExceeded so doomed work
 // is shed at the door instead of after queueing).
 //
-// Grants are partial but never zero: a request asking for many workers takes
-// min(want, free) ≥ 1, which keeps the "each request holds ≥ 1 token while
-// running, and never waits while holding tokens" invariant deadlock-free.
-// Waiters are FIFO within a class; across classes the scheduler picks by
+// A request never waits while holding its token, so admission cannot
+// deadlock. Waiters are FIFO within a class; across classes the scheduler picks by
 // weighted virtual time (classWeights). A waiter whose tenant is at its
 // in-flight cap is skipped, not dequeued — it keeps its queue position until
 // the tenant releases.
@@ -70,15 +67,14 @@ type tenantState struct {
 type waiter struct {
 	tenant string
 	class  int
-	want   int
-	ch     chan int // receives the granted token count, exactly once
+	ch     chan struct{} // receives the grant, exactly once
 }
 
 // grant is the handle a successful acquire returns; release returns its
-// tokens and wakes eligible waiters.
+// token and wakes eligible waiters.
 type grant struct {
-	n      int
-	tenant string
+	tenant   string
+	released bool
 }
 
 func newAdmission(total, tenantInflight, tenantQueue int) *admission {
@@ -115,13 +111,10 @@ func (a *admission) dropIfIdle(name string, t *tenantState) {
 	}
 }
 
-// acquire blocks until the request is granted tokens or ctx is done. It
+// acquire blocks until the request is granted a token or ctx is done. It
 // returns ErrQuotaExceeded immediately when the tenant's waiting queue is
 // full. class is clamped to the known classes; a nil ctx never cancels.
-func (a *admission) acquire(ctx context.Context, tenant string, class, want int) (*grant, error) {
-	if want < 1 {
-		want = 1
-	}
+func (a *admission) acquire(ctx context.Context, tenant string, class int) (*grant, error) {
 	if class < 0 || class >= numClasses {
 		class = classInteractive
 	}
@@ -137,12 +130,11 @@ func (a *admission) acquire(ctx context.Context, tenant string, class, want int)
 	// Fast path: tokens free, tenant under its cap, and nobody is queued
 	// ahead (granting here would jump the line the scheduler maintains).
 	if a.free > 0 && a.waiting == 0 && t.inflight < a.tenantInflight {
-		n := min(want, a.free)
-		a.free -= n
+		a.free--
 		t.inflight++
 		a.vtime[class] += vtStep(class)
 		a.mu.Unlock()
-		return &grant{n: n, tenant: tenant}, nil
+		return &grant{tenant: tenant}, nil
 	}
 	if t.queued >= a.tenantQueue {
 		a.rejected++
@@ -150,7 +142,7 @@ func (a *admission) acquire(ctx context.Context, tenant string, class, want int)
 		a.mu.Unlock()
 		return nil, ErrQuotaExceeded
 	}
-	w := &waiter{tenant: tenant, class: class, want: want, ch: make(chan int, 1)}
+	w := &waiter{tenant: tenant, class: class, ch: make(chan struct{}, 1)}
 	t.queued++
 	a.waiting++
 	a.queues[class] = append(a.queues[class], w)
@@ -161,8 +153,8 @@ func (a *admission) acquire(ctx context.Context, tenant string, class, want int)
 	a.mu.Unlock()
 
 	select {
-	case n := <-w.ch:
-		return &grant{n: n, tenant: tenant}, nil
+	case <-w.ch:
+		return &grant{tenant: tenant}, nil
 	case <-ctx.Done():
 		a.mu.Lock()
 		if a.unqueue(w) {
@@ -175,26 +167,26 @@ func (a *admission) acquire(ctx context.Context, tenant string, class, want int)
 		}
 		a.mu.Unlock()
 		// A grant raced the cancel: the scheduler already dequeued us and
-		// buffered the token count. Take it and give it straight back.
-		n := <-w.ch
-		a.release(&grant{n: n, tenant: w.tenant})
+		// buffered the grant. Take it and give the token straight back.
+		<-w.ch
+		a.release(&grant{tenant: w.tenant})
 		return nil, ctx.Err()
 	}
 }
 
-// release returns a grant's tokens and lets the scheduler hand them out.
-// Safe to call exactly once per grant; nil is a no-op.
+// release returns a grant's token and lets the scheduler hand it out. A
+// second release of the same grant, and a nil grant, are no-ops.
 func (a *admission) release(g *grant) {
-	if g == nil || g.n == 0 {
+	if g == nil || g.released {
 		return
 	}
 	a.mu.Lock()
-	a.free += g.n
+	a.free++
 	if t := a.tenants[g.tenant]; t != nil {
 		t.inflight--
 		a.dropIfIdle(g.tenant, t)
 	}
-	g.n = 0
+	g.released = true
 	a.schedule()
 	a.mu.Unlock()
 }
@@ -236,10 +228,9 @@ func (a *admission) schedule() {
 		t.queued--
 		t.inflight++
 		a.waiting--
-		n := min(w.want, a.free)
-		a.free -= n
+		a.free--
 		a.vtime[best] += vtStep(best)
-		w.ch <- n // buffered; never blocks
+		w.ch <- struct{}{} // buffered; never blocks
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // tenants keep queueing normally.
 func TestAdmissionTenantQueueCap(t *testing.T) {
 	a := newAdmission(1, 1, 2)
-	held, err := a.acquire(context.Background(), "t1", classInteractive, 1)
+	held, err := a.acquire(context.Background(), "t1", classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestAdmissionTenantQueueCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g, err := a.acquire(ctx, "t1", classInteractive, 1)
+			g, err := a.acquire(ctx, "t1", classInteractive)
 			if err == nil {
 				a.release(g)
 			}
@@ -34,7 +34,7 @@ func TestAdmissionTenantQueueCap(t *testing.T) {
 	}
 	waitFor(t, func() bool { _, waiting, _ := a.snapshot(); return waiting == 2 })
 
-	if _, err := a.acquire(context.Background(), "t1", classInteractive, 1); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := a.acquire(context.Background(), "t1", classInteractive); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("over-queued tenant acquire = %v, want ErrQuotaExceeded", err)
 	}
 	if _, _, rejected := a.snapshot(); rejected != 1 {
@@ -44,7 +44,7 @@ func TestAdmissionTenantQueueCap(t *testing.T) {
 	// A different tenant queues (not rejected) and is granted on release.
 	got := make(chan *grant, 1)
 	go func() {
-		g, err := a.acquire(context.Background(), "t2", classInteractive, 1)
+		g, err := a.acquire(context.Background(), "t2", classInteractive)
 		if err != nil {
 			t.Error(err)
 		}
@@ -69,14 +69,14 @@ func TestAdmissionTenantQueueCap(t *testing.T) {
 // place, not blocked behind it).
 func TestAdmissionTenantInflightCap(t *testing.T) {
 	a := newAdmission(4, 1, 8)
-	g1, err := a.acquire(context.Background(), "greedy", classInteractive, 1)
+	g1, err := a.acquire(context.Background(), "greedy", classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tokens are free (3 left) but "greedy" is at its in-flight cap of 1.
 	blocked := make(chan *grant, 1)
 	go func() {
-		g, err := a.acquire(context.Background(), "greedy", classInteractive, 1)
+		g, err := a.acquire(context.Background(), "greedy", classInteractive)
 		if err != nil {
 			t.Error(err)
 		}
@@ -85,7 +85,7 @@ func TestAdmissionTenantInflightCap(t *testing.T) {
 	waitFor(t, func() bool { _, waiting, _ := a.snapshot(); return waiting == 1 })
 
 	// Another tenant is admitted instantly despite the queued greedy waiter.
-	g2, err := a.acquire(context.Background(), "other", classInteractive, 1)
+	g2, err := a.acquire(context.Background(), "other", classInteractive)
 	if err != nil {
 		t.Fatalf("other tenant blocked behind a capped tenant: %v", err)
 	}
@@ -103,6 +103,7 @@ func TestAdmissionTenantInflightCap(t *testing.T) {
 		t.Fatal("greedy waiter never granted after release")
 	}
 	a.release(g2)
+	a.release(g2) // a second release of one grant returns nothing
 	if free, waiting, _ := a.snapshot(); free != 4 || waiting != 0 {
 		t.Fatalf("final state free=%d waiting=%d", free, waiting)
 	}
@@ -114,7 +115,7 @@ func TestAdmissionTenantInflightCap(t *testing.T) {
 // starved.
 func TestAdmissionWeightedFairness(t *testing.T) {
 	a := newAdmission(1, 0, 1000)
-	held, err := a.acquire(context.Background(), "", classInteractive, 1)
+	held, err := a.acquire(context.Background(), "", classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestAdmissionWeightedFairness(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				g, err := a.acquire(context.Background(), "", class, 1)
+				g, err := a.acquire(context.Background(), "", class)
 				if err != nil {
 					t.Error(err)
 					return
@@ -182,7 +183,7 @@ func TestAdmissionCancelGrantRace(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan struct{})
 			go func() {
-				g, err := a.acquire(ctx, "t", classInteractive, 1+i%2)
+				g, err := a.acquire(ctx, "t", classInteractive)
 				if err == nil {
 					a.release(g)
 				}

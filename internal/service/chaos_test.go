@@ -69,7 +69,7 @@ func TestChaosStreams(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			query := Query{Tenant: fmt.Sprintf("tenant-%d", i%5), Workers: 1 + i%3}
+			query := Query{Tenant: fmt.Sprintf("tenant-%d", i%5)}
 			if i%3 == 0 {
 				query.Priority = PriorityBatch
 			}

@@ -42,7 +42,7 @@ func FuzzJoinBodies(f *testing.F) {
 	}{
 		{false, `{` + pair + `,"k":5}`},
 		{false, `{` + pair + `,"k":0,"stream":true}`},
-		{false, `{` + pair + `,"k":3,"cursor":4,"options":{"workers":2,"algo":"B-BJ"}}`},
+		{false, `{` + pair + `,"k":3,"cursor":4,"options":{"algo":"B-BJ"}}`},
 		{false, `{` + pair + `,"k":5,"explain":true,"options":{"measure":"ppr","lambda":0.3}}`},
 		{false, `{` + pair + `,"k":5,"options":{"accuracy":"fast"}}`},
 		{false, `{` + pair + `,"k":5,"options":{"ppr":true}}`},
@@ -61,16 +61,22 @@ func FuzzJoinBodies(f *testing.F) {
 	} {
 		f.Add(seed.joinN, []byte(seed.body))
 	}
-	// A retired option is a 400 that names its removal.
+	// A retired option is a 400 that names its removal, and so is an n-way
+	// query over more sets than maxQuerySets, before its shape expands.
+	clique := `"graph":"test","shape":"clique","sets":[` + strings.TrimSuffix(strings.Repeat(`{"set":"`+sets[0].Name+`"},`, 4000), ",") + `]`
 	for _, seed := range []struct {
-		joinN bool
-		body  string
+		joinN      bool
+		body, want string
 	}{
-		{false, `{` + pair + `,"k":3,"cursor":4,"options":{"workers":2,"algo":"B-BJ","relabel":"degree"}}`},
-		{true, `{` + tuple + `,"k":4,"options":{"relabel":"bfs"}}`},
+		{false, `{` + pair + `,"k":3,"cursor":4,"options":{"algo":"B-BJ","relabel":"degree"}}`, `"relabel": removed`},
+		{true, `{` + tuple + `,"k":4,"options":{"relabel":"bfs"}}`, `"relabel": removed`},
+		{false, `{` + pair + `,"k":3,"options":{"workers":2,"algo":"B-BJ"}}`, `"workers": removed`},
+		{true, `{` + tuple + `,"k":4,"options":{"workers":-1}}`, `"workers": removed`},
+		{true, `{` + clique + `,"k":4}`, "4000 sets named, at most 64"},
+		{true, `{` + clique + `,"explain":true,"k":4}`, "4000 sets named, at most 64"},
 	} {
 		route := map[bool]string{false: "/join2", true: "/joinN"}[seed.joinN]
-		expect400(f, h, httptest.NewRequest(http.MethodPost, route, strings.NewReader(seed.body)), `"relabel": removed`)
+		expect400(f, h, httptest.NewRequest(http.MethodPost, route, strings.NewReader(seed.body)), seed.want)
 		f.Add(seed.joinN, []byte(seed.body))
 	}
 
@@ -158,16 +164,20 @@ func FuzzScoreQuery(f *testing.F) {
 	} {
 		f.Add(seed.explain, seed.query)
 	}
-	// A retired option is a 400 that names its removal.
+	// A retired option is a 400 that names its removal, and so is an n-way
+	// query over more sets than maxQuerySets, before its shape expands.
 	for _, seed := range []struct {
-		explain bool
-		query   string
+		explain     bool
+		query, want string
 	}{
-		{true, "graph=test&sets=" + p + "&shape=star&k=-1&algo=B-BJ&relabel=degree"},
-		{false, "graph=test&u=0&v=1&relabel=off"},
+		{true, "graph=test&sets=" + p + "&shape=star&k=-1&algo=B-BJ&relabel=degree", "relabel: removed"},
+		{false, "graph=test&u=0&v=1&relabel=off", "relabel: removed"},
+		{true, "graph=test&p=" + p + "&q=" + q + "&workers=2", "workers: removed"},
+		{false, "graph=test&u=0&v=1&workers=-1", "workers: removed"},
+		{true, "graph=test&shape=clique&sets=" + strings.TrimSuffix(strings.Repeat(p+",", 4000), ","), "4000 sets named, at most 64"},
 	} {
 		route := map[bool]string{false: "/score", true: "/explain"}[seed.explain]
-		expect400(f, h, httptest.NewRequest(http.MethodGet, route+"?"+seed.query, nil), "relabel: removed")
+		expect400(f, h, httptest.NewRequest(http.MethodGet, route+"?"+seed.query, nil), seed.want)
 		f.Add(seed.explain, seed.query)
 	}
 

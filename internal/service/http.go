@@ -155,6 +155,10 @@ func NewHandler(svc *Service) http.Handler {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
+		if err := checkQuerySets(len(req.Sets)); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 		spec := tupleSpec{sets: make([]SetRef, len(req.Sets)), edges: req.Edges}
 		for i, s := range req.Sets {
 			spec.sets[i] = s.toRef()
@@ -210,8 +214,12 @@ func NewHandler(svc *Service) http.Handler {
 		switch sets := qp.Get("sets"); {
 		case err != nil:
 		case sets != "":
+			names := strings.Split(sets, ",")
+			if err = checkQuerySets(len(names)); err != nil {
+				break
+			}
 			var spec tupleSpec
-			for _, n := range strings.Split(sets, ",") {
+			for _, n := range names {
 				spec.sets = append(spec.sets, SetRef{Name: strings.TrimSpace(n)})
 			}
 			if spec.edges, err = shapeEdges(qp.Get("shape"), len(spec.sets)); err == nil {
@@ -387,7 +395,7 @@ func (t *headerTracker) Unwrap() http.ResponseWriter { return t.ResponseWriter }
 // the only channel left).
 //
 // Each line write runs under the service's StreamWriteTimeout: a streaming
-// request holds admission tokens and pooled engines for its whole lifetime,
+// request holds an admission token and pooled engines for its whole lifetime,
 // so without the per-line deadline a handful of clients that open a stream
 // and stop reading would wedge the admission controller. A client that keeps
 // reading, however slowly per line, refreshes the deadline on every write.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -347,30 +348,34 @@ func TestHTTPBadRequests(t *testing.T) {
 	}, &out); code != http.StatusBadRequest {
 		t.Fatalf("unknown field = %d, want 400", code)
 	}
-	// relabel is retired: any value, on either GET route or in a POST
-	// body, is a 400 that says so.
+	// A retired option, with any value, on either GET route or in a POST
+	// body, is a 400 that names the removal.
 	var envelope struct {
 		Error struct{ Message string } `json:"error"`
 	}
 	p, q := sets[0].Name, sets[1].Name
-	for _, url := range []string{
-		srv.URL + "/score?graph=test&u=0&v=1&relabel=degree",
-		srv.URL + "/explain?graph=test&p=" + p + "&q=" + q + "&relabel=sideways",
-	} {
-		if code := getJSON(t, url, &envelope); code != http.StatusBadRequest || !strings.Contains(envelope.Error.Message, "relabel: removed") {
-			t.Fatalf("GET %s = %d %q, want 400 naming the removal", url, code, envelope.Error.Message)
+	for _, retired := range []struct {
+		name  string
+		value any
+	}{{"relabel", "sideways"}, {"workers", 2}} {
+		param := fmt.Sprintf("&%s=%v", retired.name, retired.value)
+		for _, url := range []string{
+			srv.URL + "/score?graph=test&u=0&v=1" + param,
+			srv.URL + "/explain?graph=test&p=" + p + "&q=" + q + param,
+		} {
+			if code := getJSON(t, url, &envelope); code != http.StatusBadRequest || !strings.Contains(envelope.Error.Message, retired.name+": removed") {
+				t.Fatalf("GET %s = %d %q, want 400 naming the removal", url, code, envelope.Error.Message)
+			}
 		}
-	}
-	if code := postJSON(t, srv.URL+"/join2", map[string]any{
-		"graph": "test",
-		"p":     map[string]any{"set": p},
-		"q":     map[string]any{"set": q},
-		"k":     5,
-		"options": map[string]any{
-			"relabel": "sideways",
-		},
-	}, &envelope); code != http.StatusBadRequest || !strings.Contains(envelope.Error.Message, `"relabel": removed`) {
-		t.Fatalf("retired relabel option = %d %q, want 400 naming the removal", code, envelope.Error.Message)
+		if code := postJSON(t, srv.URL+"/join2", map[string]any{
+			"graph":   "test",
+			"p":       map[string]any{"set": p},
+			"q":       map[string]any{"set": q},
+			"k":       5,
+			"options": map[string]any{retired.name: retired.value},
+		}, &envelope); code != http.StatusBadRequest || !strings.Contains(envelope.Error.Message, `"`+retired.name+`": removed`) {
+			t.Fatalf("retired %s option = %d %q, want 400 naming the removal", retired.name, code, envelope.Error.Message)
+		}
 	}
 	if code := postJSON(t, srv.URL+"/joinN", map[string]any{
 		"graph": "test",
@@ -379,48 +384,6 @@ func TestHTTPBadRequests(t *testing.T) {
 		"k":     5,
 	}, &out); code != http.StatusBadRequest {
 		t.Fatalf("bad shape = %d, want 400", code)
-	}
-}
-
-// TestHTTPWorkersServeOneRanking: workers is the one execution option on the
-// wire. A forced B-BJ over a target set wider than one batch must answer the
-// ==-identical ranking whether it walks on one worker, two, or GOMAXPROCS
-// (every worker cuts its chunks at the width of the engine it checked out),
-// and the retired batch_width option is rejected by name.
-func TestHTTPWorkersServeOneRanking(t *testing.T) {
-	srv, g, sets := startServer(t)
-	want := refJoin2(t, g, sets[0].Nodes(), sets[1].Nodes(), 25)
-	body := func(opts map[string]any) map[string]any {
-		return map[string]any{
-			"graph": "test",
-			"p":     map[string]any{"set": sets[0].Name},
-			"q":     map[string]any{"set": sets[1].Name},
-			"k":     25, "options": opts,
-		}
-	}
-	for _, workers := range []int{1, 2, -1} {
-		var out struct {
-			Results []pairJSON `json:"results"`
-			Error   struct{ Message string }
-		}
-		if code := postJSON(t, srv.URL+"/join2", body(map[string]any{"workers": workers, "algo": "B-BJ"}), &out); code != http.StatusOK {
-			t.Fatalf("workers=%d: POST /join2 = %d (%s)", workers, code, out.Error.Message)
-		}
-		if len(out.Results) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(out.Results), len(want))
-		}
-		for i, r := range out.Results {
-			if r.P != want[i].Pair.P || r.Q != want[i].Pair.Q || r.Score != want[i].Score {
-				t.Fatalf("workers=%d rank %d: %+v, want %+v", workers, i, r, want[i])
-			}
-		}
-	}
-	var out struct {
-		Error struct{ Message string }
-	}
-	code := postJSON(t, srv.URL+"/join2", body(map[string]any{"workers": 2, "batch_width": 16, "algo": "B-BJ"}), &out)
-	if msg := out.Error.Message; code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") || !strings.Contains(msg, "batch_width") {
-		t.Fatalf("batch_width on the wire = %d %q, want a 400 from the strict decoder naming the field", code, msg)
 	}
 }
 
@@ -583,6 +546,13 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 		}
 	}
 	edit := func(adds ...map[string]any) map[string]any { return map[string]any{"add": adds} }
+	manySets := func(n int) []map[string]any {
+		refs := make([]map[string]any, n)
+		for i := range refs {
+			refs[i] = map[string]any{"set": sets[i%len(sets)].Name}
+		}
+		return refs
+	}
 	cases := []struct {
 		name    string
 		body    map[string]any
@@ -629,6 +599,21 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 			"k":       3,
 			"options": map[string]any{"relabel": "degree"},
 		}, `"relabel": removed`, "/joinN"},
+		// An option that never existed is named by the strict decoder.
+		{"unknown batch_width option", withOptions(map[string]any{"batch_width": 16}), `unknown field "batch_width"`, ""},
+		// The set count is bounded before any shape expands.
+		{"joinN over 65 sets", map[string]any{
+			"graph": "test",
+			"sets":  manySets(65),
+			"shape": "clique",
+			"k":     3,
+		}, "65 sets named, at most 64", "/joinN"},
+		{"joinN over 65 sets with explicit edges", map[string]any{
+			"graph": "test",
+			"sets":  manySets(65),
+			"edges": [][2]int{{0, 1}},
+			"k":     3,
+		}, "at most 64", "/joinN"},
 		// The batch form drains cursor+k results; the sum must not wrap.
 		{"cursor plus k past MaxInt", map[string]any{
 			"graph":  "test",
@@ -728,5 +713,46 @@ func TestHTTPScoreQueryOptions(t *testing.T) {
 		if code := getJSON(t, url, &out); code != tc.code || out.Score != tc.want {
 			t.Errorf("GET /score?%s = %d, score %v; want %d, score %v", tc.param, code, out.Score, tc.code, tc.want)
 		}
+	}
+}
+
+// TestHTTPBoundsBeforeAllocation: a request that names a size the server
+// would have to allocate for is a 400 before anything of that size exists.
+// A clique GET /explain over 4 000 sets would expand to 7 998 000 edges, and
+// the 15-byte body "graph 10000000" would build 10 M empty rows (~400 MB);
+// each answer must cost less than fuzzAllocCap.
+func TestHTTPBoundsBeforeAllocation(t *testing.T) {
+	g, sets := testGraph(t)
+	svc := New(Config{})
+	if err := svc.LoadGraph("test", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(svc)
+	names := make([]string, 4000)
+	for i := range names {
+		names[i] = sets[i%len(sets)].Name
+	}
+	for _, tc := range []struct {
+		req  *http.Request
+		want string
+	}{
+		{httptest.NewRequest(http.MethodGet, "/explain?graph=test&shape=clique&sets="+strings.Join(names, ","), nil), "4000 sets named, at most 64"},
+		{httptest.NewRequest(http.MethodGet, "/explain?graph=test&shape=chain&sets="+strings.Join(names[:65], ","), nil), "65 sets named, at most 64"},
+		{httptest.NewRequest(http.MethodPut, "/graphs/big", strings.NewReader("graph 10000000\n")), "10000000 nodes declared by 15 bytes"},
+		{httptest.NewRequest(http.MethodPut, "/graphs/big", strings.NewReader("graph 2147483648\n")), "bad node count"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		expect400(t, h, tc.req, tc.want)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > fuzzAllocCap {
+			t.Fatalf("%s %s allocated %d MiB before its 400", tc.req.Method, tc.req.URL, grew>>20)
+		}
+	}
+	// The largest query the bound admits still plans.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/explain?graph=test&shape=chain&sets="+strings.Join(names[:64], ","), nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /explain over 64 sets = %d: %s", rec.Code, rec.Body)
 	}
 }

@@ -176,7 +176,7 @@ func (s *Service) JoinN(ctx context.Context, graphName string, sets []SetRef, ed
 // explainJoin resolves a request and returns the plan its execution would
 // run — the chosen algorithm, every candidate's cost estimate, and the
 // stats snapshot — without executing anything (a dry run: no admission
-// tokens, no engines). k sizes the demand a pair plan is priced for; k <= 0
+// token, no engines). k sizes the demand a pair plan is priced for; k <= 0
 // and every tuple plan are priced for the resolved per-edge budget, as the
 // streaming entry points do.
 func explainJoin[T any](s *Service, graphName string, spec joinSpec[T], k int, query Query) (*plan.Plan, error) {
@@ -222,7 +222,7 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID
 	if err != nil {
 		return 0, err
 	}
-	g, err := s.adm.acquire(ctx, query.Tenant, query.Priority, 1)
+	g, err := s.adm.acquire(ctx, query.Tenant, query.Priority)
 	if err != nil {
 		return 0, err
 	}

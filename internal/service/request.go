@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -42,10 +41,6 @@ type Query struct {
 	M int
 	// Distinct drops n-way answers repeating a node across positions.
 	Distinct bool
-	// Workers requests a worker count; the admission controller may grant
-	// fewer (results are identical at any count). 0/1 serial, negative
-	// GOMAXPROCS.
-	Workers int
 	// Algorithm forces the named registered executor ("B-IDJ-Y", "B-BJ",
 	// "PJ-i", "AP", …) instead of the cost-based planner's pick. Results
 	// are bit-identical under any choice; an unknown name or one of the
@@ -166,13 +161,6 @@ type joinSpec[T any] interface {
 	bind(rq *request[T], ge *graphEntry) (string, error)
 }
 
-// runEnv is the per-run execution environment a start hook threads into its
-// join2.Config or core.Spec, next to the session's pool.
-type runEnv struct {
-	workers int          // admission-granted worker count
-	cancel  func() error // walk-round cancellation poll
-}
-
 // request is one resolved join request: session, resolved parameters, the
 // planner's view of it, and the prefix-cache key.
 type request[T any] struct {
@@ -185,13 +173,15 @@ type request[T any] struct {
 	work  plan.Workload // the spec's sizes; plan fills in the rest
 	key   string        // empty when the request must bypass the caches
 
-	// start opens the executor stream of the planned algorithm. initial
-	// sizes a pair stream's first batch, and batch marks a
+	// start opens the executor stream of the planned algorithm, threading
+	// the walk-round cancellation poll into its join2.Config or core.Spec
+	// next to the session's pool. initial sizes a pair stream's first
+	// batch, and batch marks a
 	// drain-exactly-initial caller: the stream then skips the incremental F
 	// structure — whose O(|P|·|Q|) population a caller that never pulls
 	// past the initial batch pays for nothing — and runs one plain top-k
 	// join behind a doubling re-join. Tuple streams are sized by m alone.
-	start func(algorithm string, env runEnv, initial int, batch bool) (source[T], error)
+	start func(algorithm string, cancel func() error, initial int, batch bool) (source[T], error)
 }
 
 // pairSpec is a 2-way join from p to q.
@@ -214,11 +204,11 @@ func (sp pairSpec) bind(rq *request[join2.Result], ge *graphEntry) (string, erro
 	}
 	rq.clone = clonePair
 	rq.work.P, rq.work.Q = len(pn), len(qn)
-	rq.start = func(algorithm string, env runEnv, initial int, batch bool) (source[join2.Result], error) {
+	rq.start = func(algorithm string, cancel func() error, initial int, batch bool) (source[join2.Result], error) {
 		sess := rq.sess
 		cfg := join2.Config{
 			Graph: sess.g, Params: rq.res.Params, D: rq.res.D, P: pn, Q: qn, Measure: rq.res.Kernel.Walk,
-			Workers: env.workers, Pool: sess.pool, Counters: &rq.svc.counters, Cancel: env.cancel,
+			Pool: sess.pool, Counters: &rq.svc.counters, Cancel: cancel,
 		}
 		return join2.NewNamedStream(algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
 	}
@@ -263,7 +253,7 @@ func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, erro
 	}
 	rq.clone = cloneAnswer
 	rq.work.QueryEdges = sp.edges
-	rq.start = func(algorithm string, env runEnv, _ int, _ bool) (source[core.Answer], error) {
+	rq.start = func(algorithm string, cancel func() error, _ int, _ bool) (source[core.Answer], error) {
 		sess := rq.sess
 		qg := core.NewQueryGraph(nodeSets...)
 		for _, e := range sp.edges {
@@ -273,7 +263,7 @@ func (sp tupleSpec) bind(rq *request[core.Answer], ge *graphEntry) (string, erro
 			Graph: sess.g, Query: qg, Params: rq.res.Params, D: rq.res.D, Agg: rq.res.Agg,
 			K:        1, // required by Validate; the stream itself is k-free
 			Distinct: rq.query.Distinct, Measure: rq.res.Kernel.Walk,
-			Workers: env.workers, Pool: sess.pool, Counters: &rq.svc.counters, Cancel: env.cancel,
+			Pool: sess.pool, Counters: &rq.svc.counters, Cancel: cancel,
 		}, rq.res.M)
 		if err != nil {
 			return nil, err
@@ -351,7 +341,6 @@ func (rq *request[T]) plan(k int) (*plan.Plan, error) {
 	w.Stats = rq.sess.g.Stats()
 	w.K, w.M, w.D = rq.demand(k), res.M, res.D
 	w.Measure = res.Kernel.PlanMeasure
-	w.Workers = rq.query.Workers
 	rq.svc.planReqs.Add(1)
 	return plan.Decide(rq.class, w, rq.query.Algorithm)
 }
@@ -361,7 +350,7 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 	svc, sess := rq.svc, rq.sess
 	// Plan (or validate the forced algorithm) before admission: planning is
 	// sub-microsecond against the graph's cached stats, and a rejected hint
-	// must not consume admission tokens.
+	// must not consume an admission token.
 	pl, err := rq.plan(k)
 	if err != nil {
 		return nil, err
@@ -369,13 +358,13 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 	// The budget clock starts here, covering the admission wait too: a
 	// request that spends its whole budget queued is already late.
 	qctx, cancel := svc.budgetContext(ctx, &rq.query)
-	g, err := svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority, resolveWorkers(rq.query.Workers))
+	g, err := svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority)
 	if err != nil {
 		return rq.unopened(qctx, cancel, admitErr(qctx, err))
 	}
 	var st source[T]
 	if err = svc.cfg.Fault.Inject(fault.Checkout); err == nil {
-		st, err = rq.start(pl.Algorithm, runEnv{workers: g.n, cancel: svc.cancelPoll(qctx)}, rq.demand(k), batch)
+		st, err = rq.start(pl.Algorithm, svc.cancelPoll(qctx), rq.demand(k), batch)
 	}
 	if err != nil {
 		svc.adm.release(g)
@@ -392,7 +381,7 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 // unopened ends an open that failed before its stream existed. A budget
 // already spent — queued at admission, or cancelled while the executor was
 // priming — is not a failure but the shortest truncation: the caller gets a
-// handle holding no engines and no tokens, Truncated from the start, whose
+// handle holding no engines and no token, Truncated from the start, whose
 // first pull reports the expired budget exactly as a mid-stream expiry
 // does. So batch, stream, NDJSON and one-shot callers all see the empty
 // exact prefix, marked truncated.
@@ -452,15 +441,4 @@ func builtinAgg(agg rankjoin.Aggregate) bool {
 		return true
 	}
 	return false
-}
-
-// resolveWorkers normalizes a requested worker count to [1, GOMAXPROCS·1].
-func resolveWorkers(w int) int {
-	if w < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		return 1
-	}
-	return w
 }

@@ -359,7 +359,7 @@ func TestShedClamp(t *testing.T) {
 	waiterDone := make(chan struct{})
 	go func() {
 		defer close(waiterDone)
-		if wg, err := svc.adm.acquire(waiterCtx, "w", classInteractive, 1); err == nil {
+		if wg, err := svc.adm.acquire(waiterCtx, "w", classInteractive); err == nil {
 			svc.adm.release(wg)
 		}
 	}()

@@ -3,14 +3,13 @@
 // (graph, params, d, measure) configuration, a session holding the
 // shared resources that make cross-request reuse safe and worthwhile — a
 // dht.EnginePool (engines and batch engines recycled across requests) and an
-// LRU of recent top-k results. A per-request admission controller caps the
-// total worker goroutines in flight, so concurrent requests cannot
-// oversubscribe GOMAXPROCS.
+// LRU of recent top-k results. Every join runs on the goroutine that opened
+// it, and a per-request admission controller caps the joins in flight, so
+// concurrent requests cannot oversubscribe GOMAXPROCS.
 //
 // The one-shot dhtjoin calls are this same request path with the caches off
 // (Ephemeral), so there is no second implementation to agree with; what the
-// caches add never changes a result: the worker count does not (ties break
-// on the canonical pair key), and the result LRU stores exactly what the
+// caches add never changes a result: the result LRU stores exactly what the
 // join returned.
 package service
 
@@ -42,14 +41,14 @@ type Config struct {
 	// results. 0 selects 128; negative disables result caching.
 	ResultCacheSize int
 
-	// MaxConcurrency caps the total join workers in flight across all
-	// concurrent requests (the admission controller grants each request
-	// between 1 and its resolved worker count). 0 selects GOMAXPROCS.
+	// MaxConcurrency caps the joins in flight across all concurrent
+	// requests: the admission controller grants each request one token.
+	// 0 selects GOMAXPROCS.
 	MaxConcurrency int
 
 	// TenantInFlight caps how many requests of one tenant may hold admission
 	// tokens at once; further requests of that tenant wait even while tokens
-	// are free, so one tenant cannot monopolize the worker pool. 0 selects
+	// are free, so one tenant cannot monopolize the join slots. 0 selects
 	// MaxConcurrency (no per-tenant limit beyond the global one).
 	TenantInFlight int
 
@@ -190,11 +189,11 @@ func New(cfg Config) *Service {
 }
 
 // Ephemeral returns the throw-away Service a one-shot dhtjoin call runs on:
-// g alone, registered under the empty name, with no result LRU, and
-// admission sized to the call's own workers, so its one request is granted
-// in full without waiting. Everything else is the served request path.
-func Ephemeral(g *graph.Graph, workers int) *Service {
-	s := New(Config{ResultCacheSize: -1, MaxConcurrency: resolveWorkers(workers)})
+// g alone, registered under the empty name, with no result LRU, and one
+// admission token, so its one request is granted without waiting.
+// Everything else is the served request path.
+func Ephemeral(g *graph.Graph) *Service {
+	s := New(Config{ResultCacheSize: -1, MaxConcurrency: 1})
 	s.graphs[""] = &graphEntry{g: g}
 	return s
 }

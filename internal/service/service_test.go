@@ -152,8 +152,7 @@ func TestServiceLoadGraphText(t *testing.T) {
 }
 
 // TestServiceJoin2BitIdentical: served results — cold, cached,
-// explicit-id sets, admitted workers — must be bit-identical to the one-shot
-// join.
+// explicit-id sets — must be bit-identical to the one-shot join.
 func TestServiceJoin2BitIdentical(t *testing.T) {
 	g, sets := testGraph(t)
 	svc := New(Config{})
@@ -174,14 +173,14 @@ func TestServiceJoin2BitIdentical(t *testing.T) {
 	if st.ResultHits != 2 || st.ResultMisses != 1 {
 		t.Fatalf("result cache hits/misses = %d/%d, want 2/1", st.ResultHits, st.ResultMisses)
 	}
-	// Explicit id lists and worker counts must not change anything.
+	// Explicit id lists must not change anything.
 	got, err := svc.Join2(context.Background(), "g",
-		SetRef{IDs: sets[0].Nodes()}, SetRef{IDs: sets[1].Nodes()}, 15, Query{Workers: 4})
+		SetRef{IDs: sets[0].Nodes()}, SetRef{IDs: sets[1].Nodes()}, 15, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameResults(got, want) {
-		t.Fatal("explicit-id / worker join differs from one-shot")
+		t.Fatal("explicit-id join differs from one-shot")
 	}
 }
 
@@ -272,24 +271,23 @@ func TestServiceConcurrent(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				switch (w + i) % 3 {
 				case 0:
-					got, err := svc.Join2(context.Background(), "g", SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}, 12,
-						Query{Workers: 2})
+					got, err := svc.Join2(context.Background(), "g", SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}, 12, Query{})
 					if err != nil {
 						errs <- err
 						return
 					}
 					if !sameResults(got, want2) {
-						errs <- fmt.Errorf("worker %d iter %d: join2 mismatch", w, i)
+						errs <- fmt.Errorf("caller %d iter %d: join2 mismatch", w, i)
 						return
 					}
 				case 1:
-					got, err := svc.JoinN(context.Background(), "g", refs, edges, 6, Query{Workers: 2})
+					got, err := svc.JoinN(context.Background(), "g", refs, edges, 6, Query{})
 					if err != nil {
 						errs <- err
 						return
 					}
 					if !sameAnswers(got, wantN) {
-						errs <- fmt.Errorf("worker %d iter %d: joinN mismatch", w, i)
+						errs <- fmt.Errorf("caller %d iter %d: joinN mismatch", w, i)
 						return
 					}
 				default:
@@ -456,30 +454,36 @@ func TestRefKeyNoCollisions(t *testing.T) {
 	}
 }
 
-// TestAdmission pins the grant semantics: partial grants, minimum one token,
-// release wakes waiters, and a cancelled context abandons the wait.
+// TestAdmission pins the grant semantics: one token per request, a request
+// past the total waits, and a release wakes it.
 func TestAdmission(t *testing.T) {
 	ctx := context.Background()
-	a := newAdmission(4, 0, 0)
-	g1, err := a.acquire(ctx, "", classInteractive, 3)
-	if err != nil || g1.n != 3 {
-		t.Fatalf("acquire(3) = %+v, %v", g1, err)
+	a := newAdmission(2, 0, 0)
+	g1, err := a.acquire(ctx, "", classInteractive)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g2, err := a.acquire(ctx, "", classInteractive, 5)
-	if err != nil || g2.n != 1 {
-		t.Fatalf("acquire(5) with 1 free = %+v, %v", g2, err)
+	g2, err := a.acquire(ctx, "", classInteractive)
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan int)
+	if free, _, _ := a.snapshot(); free != 0 {
+		t.Fatalf("two grants left %d of 2 tokens free, want 0", free)
+	}
+	done := make(chan *grant)
 	go func() {
-		g, err := a.acquire(ctx, "", classInteractive, 2)
+		g, err := a.acquire(ctx, "", classInteractive)
 		if err != nil {
 			t.Error(err)
 		}
-		done <- g.n
+		done <- g
 	}()
+	waitFor(t, func() bool { _, waiting, _ := a.snapshot(); return waiting == 1 })
 	a.release(g1)
-	if got := <-done; got < 1 || got > 2 {
-		t.Fatalf("blocked acquire granted %d", got)
+	a.release(<-done)
+	a.release(g2)
+	if free, waiting, _ := a.snapshot(); free != 2 || waiting != 0 {
+		t.Fatalf("final state free=%d waiting=%d, want 2/0", free, waiting)
 	}
 }
 
@@ -487,7 +491,7 @@ func TestAdmission(t *testing.T) {
 // occupying the queue and report the context error.
 func TestAdmissionHonorsContext(t *testing.T) {
 	a := newAdmission(1, 0, 0)
-	held, err := a.acquire(context.Background(), "", classInteractive, 1)
+	held, err := a.acquire(context.Background(), "", classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +499,7 @@ func TestAdmissionHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error)
 	go func() {
-		_, err := a.acquire(ctx, "", classInteractive, 1)
+		_, err := a.acquire(ctx, "", classInteractive)
 		errc <- err
 	}()
 	cancel()
@@ -503,11 +507,11 @@ func TestAdmissionHonorsContext(t *testing.T) {
 		t.Fatalf("cancelled acquire returned %v", err)
 	}
 	// Pre-cancelled contexts never touch the tokens.
-	if g, err := a.acquire(ctx, "", classInteractive, 3); err == nil || g != nil {
+	if g, err := a.acquire(ctx, "", classInteractive); err == nil || g != nil {
 		t.Fatalf("pre-cancelled acquire = %+v, %v", g, err)
 	}
 	a.release(held)
-	if g, err := a.acquire(context.Background(), "", classInteractive, 1); err != nil || g.n != 1 {
+	if g, err := a.acquire(context.Background(), "", classInteractive); err != nil || g == nil {
 		t.Fatalf("post-release acquire = %+v, %v", g, err)
 	}
 }

@@ -18,7 +18,7 @@ import (
 const maxCachedPrefix = 4096
 
 // Stream streams one join request through the session's shared pool. It
-// holds admission tokens and pooled engines until Stop — callers MUST Stop
+// holds an admission token and pooled engines until Stop — callers MUST Stop
 // (idempotent; draining to exhaustion or a ctx error stops automatically). On Stop the drained prefix (up to maxCachedPrefix
 // results) is published to the session's result cache, so a later request
 // for any k up to that length is served without a join.
@@ -38,7 +38,7 @@ type Stream[T any] struct {
 	stopped   bool
 
 	// replaying serves replay, a cached complete ranking, in place of a live
-	// join (no engines, no admission tokens, nothing to publish).
+	// join (no engines, no admission token, nothing to publish).
 	replaying bool
 	replay    []T
 	pos       int
@@ -127,7 +127,7 @@ func (s *Stream[T]) NextK(k int) ([]T, error) {
 	return join2.Drain(k, s.Next)
 }
 
-// Stop releases the stream's engines and admission tokens and publishes the
+// Stop releases the stream's engines and admission token and publishes the
 // drained prefix to the result cache. Idempotent.
 func (s *Stream[T]) Stop() {
 	if s.stopped {

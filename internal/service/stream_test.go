@@ -249,21 +249,16 @@ func runStreamContract[T any](t *testing.T, c streamCase[T]) {
 		return svc
 	}
 	// released asserts the stream gave back its engines and tokens.
-	released := func(t *testing.T, svc *Service, width int) {
+	released := func(t *testing.T, svc *Service) {
 		t.Helper()
-		if n := poolOutstanding(svc); n != 0 {
-			t.Fatalf("%d engines outstanding", n)
+		if engines, tokens := svc.Outstanding(); engines != 0 || tokens != 0 {
+			t.Fatalf("%d engines and %d admission tokens outstanding", engines, tokens)
 		}
-		granted, err := svc.adm.acquire(context.Background(), "", classInteractive, width)
-		if err != nil || granted.n != width {
-			t.Fatalf("admission not restored: granted=%+v err=%v", granted, err)
-		}
-		svc.adm.release(granted)
 	}
 
 	t.Run(c.name+"/stop", func(t *testing.T) {
 		svc := newSvc(t, Config{MaxConcurrency: 2})
-		st, err := c.open(svc, context.Background(), named, Query{Workers: 2})
+		st, err := c.open(svc, context.Background(), named, Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,13 +273,13 @@ func runStreamContract[T any](t *testing.T, c streamCase[T]) {
 		if st.Truncated() {
 			t.Fatal("a stopped stream reports Truncated")
 		}
-		released(t, svc, 2)
+		released(t, svc)
 	})
 
 	t.Run(c.name+"/cancel", func(t *testing.T) {
 		svc := newSvc(t, Config{MaxConcurrency: 2})
 		ctx, cancel := context.WithCancel(context.Background())
-		st, err := c.open(svc, ctx, named, Query{Workers: 2})
+		st, err := c.open(svc, ctx, named, Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +293,7 @@ func runStreamContract[T any](t *testing.T, c streamCase[T]) {
 		if st.Truncated() {
 			t.Fatal("a cancelled stream reports Truncated")
 		}
-		released(t, svc, 2)
+		released(t, svc)
 	})
 
 	t.Run(c.name+"/budget", func(t *testing.T) {
@@ -323,7 +318,7 @@ func runStreamContract[T any](t *testing.T, c streamCase[T]) {
 		if svc.Stats().BudgetTruncations != 1 {
 			t.Fatalf("BudgetTruncations = %d, want 1", svc.Stats().BudgetTruncations)
 		}
-		released(t, svc, 2)
+		released(t, svc)
 	})
 
 	t.Run(c.name+"/immutable", func(t *testing.T) {

@@ -25,8 +25,7 @@ type OptionsJSON struct {
 	Agg      string  `json:"agg,omitempty"`     // SUM | MIN | MAX | AVG (n-way; default MIN)
 	M        int     `json:"m,omitempty"`       // per-edge budget (n-way; default 50)
 	Distinct bool    `json:"distinct,omitempty"`
-	Measure  string  `json:"measure,omitempty"` // registered measure name: "dht" (default) | "reach" | "ppr" | "simrank" (GET /measures lists them)
-	Workers  int     `json:"workers,omitempty"`
+	Measure  string  `json:"measure,omitempty"`   // registered measure name: "dht" (default) | "reach" | "ppr" | "simrank" (GET /measures lists them)
 	Algo     string  `json:"algo,omitempty"`      // force an executor (B-IDJ-Y, B-BJ, PJ-i, AP, …); empty = cost-based planner
 	Tenant   string  `json:"tenant,omitempty"`    // admission-quota bucket (X-Tenant header is the fallback)
 	Priority string  `json:"priority,omitempty"`  // "interactive" (default) | "batch" (X-Priority header is the fallback)
@@ -59,7 +58,6 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	q.D = o.D
 	q.M = o.M
 	q.Distinct = o.Distinct
-	q.Workers = o.Workers
 	q.Algorithm = o.Algo
 	q.Tenant = o.Tenant
 	if q.Priority, err = parsePriority(o.Priority); err != nil {
@@ -187,6 +185,21 @@ type answerJSON struct {
 	Score float64        `json:"score"`
 }
 
+// maxQuerySets bounds the sets one n-way request may name. A clique over n
+// sets is n(n−1)/2 edges, so the bound is checked before any shape expands
+// (checkQuerySets); explicit edges are bounded with it, since the query
+// graph rejects a repeated edge.
+const maxQuerySets = 64
+
+// checkQuerySets rejects an n-way request that names more than maxQuerySets
+// sets.
+func checkQuerySets(n int) error {
+	if n > maxQuerySets {
+		return fmt.Errorf("joinN: %d sets named, at most %d allowed", n, maxQuerySets)
+	}
+	return nil
+}
+
 // shapeEdges expands a named query shape (empty means chain) over n sets
 // into explicit edges, one arc per side: chain i → i+1, triangle 0 → 1 →
 // 2 → 0, star centre 0 → every leaf, clique i → j for every i < j. Only
@@ -305,6 +318,7 @@ var retiredOptions = []struct{ name, hint string }{
 	{"ppr", `select the measure by name instead ("measure":"ppr", with lambda as its damping factor)`},
 	{"accuracy", "removed: it never changed an answer and no longer changes the plan"},
 	{"relabel", "removed: every join runs on the graph as loaded, in the caller's ids"},
+	{"workers", "removed: every join runs on one goroutine; -max-concurrency caps the joins in flight"},
 }
 
 // decodeJSON strictly decodes a request body.

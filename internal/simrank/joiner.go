@@ -58,8 +58,7 @@ func SharedMatrix(g *graph.Graph) (*Matrix, error) {
 // Joiner is SR-SCAN: the top-k 2-way join under SimRank. It satisfies
 // join2.Joiner, so the rejoin stream, the serving layer, and the n-way
 // per-edge machinery drive it exactly like the walk joiners. The walk knobs
-// of the config (Params, D, Measure, Workers, Pool) are
-// accepted and ignored — SimRank scores come from the fixed point, not from
+// of the config (Params, D, Measure, Pool) are accepted and ignored — SimRank scores come from the fixed point, not from
 // walks — which is what lets one join2.Config type serve every measure.
 type Joiner struct {
 	cfg join2.Config
