@@ -142,9 +142,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q (want auto, nl, ap, pj, or pji)", *algo)
 	}
-	query := dhtjoin.NewJoinQuery(g, q).
-		WithOptions(&dhtjoin.Options{MeasureName: *measureID, Params: params, Epsilon: *eps, Agg: agg, M: *m}).
-		WithHints(dhtjoin.Hints{Algorithm: forced})
+	opts := &dhtjoin.Options{MeasureName: *measureID, Params: params, Epsilon: *eps, Agg: agg, M: *m, Algorithm: forced}
+	query := dhtjoin.NewJoinQuery(g, q).WithOptions(opts)
 	ctx := context.Background()
 	pl, err := query.ExplainTopK(ctx, *k)
 	if err != nil {
@@ -167,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !*quiet {
 		// For the report only: the coefficients the query resolved to (the
 		// plan above already validated them).
-		res, _ := measure.Resolve(measure.Request{Measure: *measureID, Params: params})
+		res, _ := opts.Resolve()
 		fmt.Fprintf(stderr, "%s: %d answers in %v (d=%d, %s)\n",
 			pl.Algorithm, len(answers), elapsed, pl.Workload.D, res.Params)
 	}

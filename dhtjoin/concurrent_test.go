@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"reflect"
 	"sync"
 	"testing"
@@ -12,8 +13,9 @@ import (
 )
 
 // TestConcurrentOptionsJoins drives one-shot Options-level joins from many
-// goroutines against one shared graph, and the Service facade alongside
-// them, so the shared engine pool and the result cache see the same traffic.
+// goroutines against one shared graph, and queries bound to a Service
+// alongside them, so the shared engine pool and the result cache see the
+// same traffic.
 // Run under -race in CI; every response is checked against the serial
 // reference, so scheduling can corrupt neither the caches nor the results.
 func TestConcurrentOptionsJoins(t *testing.T) {
@@ -69,8 +71,8 @@ func TestConcurrentOptionsJoins(t *testing.T) {
 						errs <- fmt.Errorf("w%d i%d: one-shot TopK diverged", w, i)
 						return
 					}
-				case 2: // service facade: shared pool + result LRU
-					got, err := svc.TopKPairs(context.Background(), "g", p, q, 10, nil)
+				case 2: // bound 2-way: shared pool + result LRU
+					got, err := svc.PairQuery("g", p, q).TopKPairs(context.Background(), 10)
 					if err != nil {
 						errs <- err
 						return
@@ -79,8 +81,8 @@ func TestConcurrentOptionsJoins(t *testing.T) {
 						errs <- fmt.Errorf("w%d i%d: service TopKPairs diverged", w, i)
 						return
 					}
-				default: // service n-way
-					got, err := svc.TopK(context.Background(), "g", query, 6, nil)
+				default: // bound n-way
+					got, err := svc.JoinQuery("g", query).TopK(context.Background(), 6)
 					if err != nil {
 						errs <- err
 						return
@@ -135,9 +137,10 @@ func answersEqual(a, b []Answer) bool {
 }
 
 // TestServiceFacadeBitIdentical pins the facade contract outside of
-// concurrency: served results equal the one-shot calls for the same Options,
-// including non-default parameters.
+// concurrency: every entry point of a bound query, and Service.Score, equals
+// the unbound call for the same Options, including non-default parameters.
 func TestServiceFacadeBitIdentical(t *testing.T) {
+	ctx := context.Background()
 	g, sets, err := graph.GenerateCommunity(graph.CommunityConfig{
 		Sizes: []int{30, 30}, PIn: 0.2, POut: 0.08, Seed: 5, MinOutLink: 1,
 	})
@@ -155,47 +158,73 @@ func TestServiceFacadeBitIdentical(t *testing.T) {
 		{Params: DHTLambda(0.5), Epsilon: 1e-4},
 		{MeasureName: "reach", Params: PPR(0.2)},
 		{Agg: Sum, M: 20},
+		{Tenant: "t", Priority: PriorityBatch},
 	} {
-		want, err := TopKPairs(g, p, q, 8, opts)
-		if err != nil {
-			t.Fatal(err)
+		pairs := [2]*Query{NewPairQuery(g, p, q), svc.PairQuery("g", p, q)}
+		joins := [2]*Query{NewJoinQuery(g, Chain(p, q)), svc.JoinQuery("g", Chain(p, q))}
+		var outs [2][]any
+		for i := range outs {
+			pq, jq := pairs[i].WithOptions(opts), joins[i].WithOptions(opts)
+			u, v := p.Nodes()[0], q.Nodes()[0]
+			score := func() (float64, error) { return Score(g, u, v, opts) }
+			if i == 1 {
+				score = func() (float64, error) { return svc.Score(ctx, "g", u, v, opts) }
+			}
+			for _, call := range []func() (any, error){
+				func() (any, error) { return nil, pq.Validate() },
+				func() (any, error) { return pq.Explain(ctx) },
+				func() (any, error) { return pq.ExplainTopK(ctx, 8) },
+				func() (any, error) { return pq.TopKPairs(ctx, 8) },
+				func() (any, error) { return drain(pq.OpenPairs(ctx)) },
+				func() (any, error) { return first(pq.Results(ctx), 8) },
+				func() (any, error) { return jq.Explain(ctx) },
+				func() (any, error) { return jq.ExplainTopK(ctx, 5) },
+				func() (any, error) { return jq.TopK(ctx, 5) },
+				func() (any, error) { return drain(jq.OpenAnswers(ctx)) },
+				func() (any, error) { return first(jq.Answers(ctx), 5) },
+				func() (any, error) { return score() },
+			} {
+				out, err := call()
+				if err != nil {
+					t.Fatalf("opts %+v, call %d: %v", opts, len(outs[i]), err)
+				}
+				outs[i] = append(outs[i], out)
+			}
 		}
-		got, err := svc.TopKPairs(context.Background(), "g", p, q, 8, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pairsEqual(got, want) {
-			t.Fatalf("opts %+v: facade diverged from one-shot", opts)
-		}
-		wantN, err := TopK(g, Chain(p, q), 5, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotN, err := svc.TopK(context.Background(), "g", Chain(p, q), 5, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !answersEqual(gotN, wantN) {
-			t.Fatalf("opts %+v: facade n-way diverged from one-shot", opts)
-		}
-		u, v := p.Nodes()[0], q.Nodes()[0]
-		wantS, err := Score(g, u, v, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotS, err := svc.Score(context.Background(), "g", u, v, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotS != wantS {
-			t.Fatalf("opts %+v: facade Score %v != %v", opts, gotS, wantS)
+		for j := range outs[0] {
+			if !reflect.DeepEqual(outs[0][j], outs[1][j]) {
+				t.Errorf("opts %+v, call %d: bound %v, unbound %v", opts, j, outs[1][j], outs[0][j])
+			}
 		}
 	}
 }
 
+// drain pulls the first 8 results of an opened stream and stops it.
+func drain[T any](s *Stream[T], err error) ([]T, error) {
+	if err != nil {
+		return nil, err
+	}
+	defer s.Stop()
+	return s.NextK(8)
+}
+
+// first collects the first n results of an iterator.
+func first[T any](seq iter.Seq2[T, error], n int) ([]T, error) {
+	var out []T
+	for v, err := range seq {
+		if err != nil {
+			return nil, err
+		}
+		if out = append(out, v); len(out) == n {
+			break
+		}
+	}
+	return out, nil
+}
+
 // TestServiceFacadeInvalidOptions: options that do not resolve are rejected
-// with ErrInvalidOptions at every entry point of the served facade, exactly
-// as the one-shot path rejects them.
+// with ErrInvalidOptions by every Query method of a bound query and by
+// Service.Score, exactly as the one-shot path rejects them.
 func TestServiceFacadeInvalidOptions(t *testing.T) {
 	ctx := context.Background()
 	g, sets, err := graph.GenerateCommunity(graph.CommunityConfig{
@@ -214,52 +243,23 @@ func TestServiceFacadeInvalidOptions(t *testing.T) {
 	if _, err := TopKPairs(g, p, q, 8, bogus); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("one-shot negative m: %v, want ErrInvalidOptions", err)
 	}
+	pq := svc.PairQuery("g", p, q).WithOptions(bogus)
+	jq := svc.JoinQuery("g", Chain(p, q)).WithOptions(bogus)
 	calls := map[string]func() error{
-		"TopKPairs":    func() error { _, err := svc.TopKPairs(ctx, "g", p, q, 8, bogus); return err },
-		"OpenPairs":    func() error { _, err := svc.OpenPairs(ctx, "g", p, q, bogus); return err },
-		"TopK":         func() error { _, err := svc.TopK(ctx, "g", Chain(p, q), 5, bogus); return err },
-		"OpenAnswers":  func() error { _, err := svc.OpenAnswers(ctx, "g", Chain(p, q), bogus); return err },
-		"Score":        func() error { _, err := svc.Score(ctx, "g", 0, 1, bogus); return err },
-		"ExplainPairs": func() error { _, err := svc.ExplainPairs(ctx, "g", p, q, 8, bogus); return err },
-		"ExplainJoin":  func() error { _, err := svc.ExplainJoin(ctx, "g", Chain(p, q), bogus); return err },
+		"Validate":    pq.Validate,
+		"Explain":     func() error { _, err := jq.Explain(ctx); return err },
+		"ExplainTopK": func() error { _, err := pq.ExplainTopK(ctx, 8); return err },
+		"TopKPairs":   func() error { _, err := pq.TopKPairs(ctx, 8); return err },
+		"TopK":        func() error { _, err := jq.TopK(ctx, 5); return err },
+		"OpenPairs":   func() error { _, err := pq.OpenPairs(ctx); return err },
+		"OpenAnswers": func() error { _, err := jq.OpenAnswers(ctx); return err },
+		"Results":     func() error { _, err := first(pq.Results(ctx), 8); return err },
+		"Answers":     func() error { _, err := first(jq.Answers(ctx), 5); return err },
+		"Score":       func() error { _, err := svc.Score(ctx, "g", 0, 1, bogus); return err },
 	}
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("served %s with negative m: %v, want ErrInvalidOptions", name, err)
-		}
-	}
-}
-
-// TestOptionsReachQuery is the copy-completeness check of the facade: every
-// field of Options, set alone, changes the service.Query it is served with.
-// A field added to Options without a line in toQuery fails here.
-func TestOptionsReachQuery(t *testing.T) {
-	zero := toQuery(&Options{})
-	ot := reflect.TypeOf(Options{})
-	for i := 0; i < ot.NumField(); i++ {
-		var o Options
-		fv := reflect.ValueOf(&o).Elem().Field(i)
-		switch name := ot.Field(i).Name; name {
-		case "Params":
-			o.Params = PPR(0.3)
-		case "Agg":
-			o.Agg = Sum
-		default:
-			switch fv.Kind() {
-			case reflect.String:
-				fv.SetString("x")
-			case reflect.Int, reflect.Int64:
-				fv.SetInt(3)
-			case reflect.Float64:
-				fv.SetFloat(0.5)
-			case reflect.Bool:
-				fv.SetBool(true)
-			default:
-				t.Fatalf("Options.%s: kind %s has no test value; extend this test", name, fv.Kind())
-			}
-		}
-		if reflect.DeepEqual(toQuery(&o), zero) {
-			t.Errorf("Options.%s never reaches service.Query", ot.Field(i).Name)
 		}
 	}
 }

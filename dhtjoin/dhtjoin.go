@@ -50,17 +50,20 @@
 // and the first m streamed results are always bit-identical to the
 // one-shot top-m. See the examples/ directory for complete programs.
 //
-// There is one execution path: every call above runs as a throw-away
-// session of the serving layer (internal/service, the layer behind Service
-// and njoind) with its caches off, so a one-shot call is the served request
-// path, not a second implementation kept equal to it.
+// A Service keeps named graphs loaded, with shared engine pools and a
+// result cache; svc.PairQuery("g", P, Q) and svc.JoinQuery return the same
+// Query bound to it.
+//
+// There is one execution path and one option set: an unbound query runs as
+// a throw-away session of the serving layer (internal/service, the layer
+// behind Service and njoind) with its caches off, and Options is that
+// layer's request type, so a one-shot call is the served request path, not
+// a second implementation kept equal to it.
 package dhtjoin
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -123,65 +126,36 @@ var (
 	Avg Aggregate = rankjoin.Avg
 )
 
-// Options tune a join. The zero value (or a nil pointer) means the paper's
-// defaults: DHTλ with λ = 0.2, accuracy ε = 1e-6 (d = 8), MIN aggregation,
-// per-edge budget m = 50, B-IDJ-Y / PJ-i algorithms.
-type Options struct {
-	// Params are the DHT coefficients; zero means DHTLambda(0.2).
-	Params Params
-	// Epsilon bounds the truncation error |h − h_d| (Lemma 1); zero means
-	// 1e-6. Ignored when D is set.
-	Epsilon float64
-	// D forces the truncation depth directly.
-	D int
-	// Agg is the n-way aggregate; nil means Min.
-	Agg Aggregate
-	// M is the initial per-edge 2-way join budget of PJ/PJ-i; zero means 50.
-	M int
-	// Distinct drops n-way answers that repeat a graph node across tuple
-	// positions. Useful when node sets overlap (e.g. an author active in
-	// two research areas), where the degenerate h(v,v)=0 self-pairs would
-	// otherwise dominate the ranking.
-	Distinct bool
-	// MeasureName selects a registered proximity measure by name ("dht",
-	// "reach", "ppr", "simrank"; Measures lists them). The kernel fixes the
-	// step probability the walks fold (first-hit for "dht", reach for
-	// "reach" and "ppr"), the customary parameterization (e.g. "ppr"
-	// defaults zero-value Params to PPR(0.5)), and — for measures with
-	// dedicated executors, like "simrank" — the planner's executor set.
-	// Empty means "dht". Unknown names fail with ErrUnknownMeasure.
-	MeasureName string
+// Options tune a join. They are the serving layer's request options, so a
+// value means the same on every path — one-shot, Service, njoind — and its
+// fields are documented once, on service.Query. The zero value (or a nil
+// pointer) means the paper's defaults: DHTλ with λ = 0.2, accuracy ε = 1e-6
+// (d = 8), MIN aggregation, per-edge budget m = 50, planner-picked
+// algorithms.
+type Options = service.Query
 
-	// Budget bounds the wall-clock time a join may spend. A join that runs
-	// out of budget stops early but correctly: one-shot calls return
-	// ErrBudgetExceeded, streams end cleanly with Truncated() reporting
-	// true, and the prefix produced before the deadline is bit-identical to
-	// the same-length prefix of the full ranking. Zero means no deadline
-	// (Service defaults may still apply one). Honored by the join entry
-	// points (one-shot and Service); Score/ScoresFrom run to completion.
-	Budget time.Duration
-
-	// Tenant names the quota bucket a Service call is accounted to: the
-	// serving layer caps each tenant's concurrently admitted and queued
-	// requests (ErrQuotaExceeded past the queue cap). Empty string is the
-	// shared anonymous tenant. One-shot calls ignore it.
-	Tenant string
-
-	// LowPriority admits a Service call in the batch class: under
-	// contention the weighted-fair scheduler grants interactive (default)
-	// requests ~3x more often, without ever starving batch. One-shot calls
-	// ignore it.
-	LowPriority bool
-}
+// Admission classes for Options.Priority: under contention a Service grants
+// interactive requests ~3x more often than batch ones, never starving batch.
+const (
+	PriorityInteractive = service.PriorityInteractive
+	PriorityBatch       = service.PriorityBatch
+)
 
 // PPR returns the Personalized-PageRank parameters for damping factor c,
 // for use with MeasureName "ppr" (or "reach").
 func PPR(c float64) Params { return dht.PPR(c) }
 
-// resolve runs the options through the system's one resolver, spelled as
-// the serving layer's Query so Options are mapped field by field once.
-func (o *Options) resolve() (measure.Resolved, error) {
-	q := toQuery(o)
+// orDefault returns *o, or the zero Options for nil.
+func orDefault(o *Options) Options {
+	if o == nil {
+		return Options{}
+	}
+	return *o
+}
+
+// resolve runs the options through the system's one resolver.
+func resolve(o *Options) (measure.Resolved, error) {
+	q := orDefault(o)
 	res, err := q.Resolve()
 	if err != nil {
 		// %w twice keeps the cause inspectable: errors.Is still matches
@@ -195,14 +169,10 @@ func (o *Options) resolve() (measure.Resolved, error) {
 // of Options.MeasureName and Query.WithMeasure.
 func Measures() []string { return measure.Names() }
 
-// TopKPairs runs a top-k 2-way join from P to Q, returning the k pairs with
-// the highest DHT scores in descending order. The evaluation algorithm is
-// chosen per query by the cost-based planner (usually B-IDJ-Y, the paper's
-// best; see Query.Explain) — every choice returns the bit-identical
-// ranking. It is a thin wrapper over the Query API — the result equals the
-// first k elements of NewPairQuery(g, p, q).Results(ctx). Callers that want
-// early termination, "next k" continuation, cancellation, or algorithm
-// forcing should use the Query API directly.
+// TopKPairs returns the k pairs of P×Q with the highest scores in
+// descending order: NewPairQuery(g, p, q).WithOptions(opts).TopKPairs with
+// a background context. Use the Query for early termination, "next k"
+// continuation, cancellation or algorithm forcing.
 func TopKPairs(g *Graph, p, q *NodeSet, k int, opts *Options) ([]PairResult, error) {
 	return NewPairQuery(g, p, q).WithOptions(opts).TopKPairs(context.Background(), k)
 }
@@ -215,7 +185,16 @@ func Score(g *Graph, u, v NodeID, opts *Options) (float64, error) {
 	if g == nil {
 		return 0, ErrNilGraph
 	}
-	q, err := servedQuery(opts)
+	return score(context.Background(), service.Ephemeral(g), "", u, v, opts)
+}
+
+// score validates a Score call against the graph svc serves under name and
+// runs it there: the one check both Score and Service.Score make.
+func score(ctx context.Context, svc *service.Service, name string, u, v NodeID, opts *Options) (float64, error) {
+	if _, err := resolve(opts); err != nil {
+		return 0, err
+	}
+	g, err := svc.Graph(name)
 	if err != nil {
 		return 0, err
 	}
@@ -224,7 +203,7 @@ func Score(g *Graph, u, v NodeID, opts *Options) (float64, error) {
 			return 0, err
 		}
 	}
-	return service.Ephemeral(g).Score(context.Background(), "", u, v, q)
+	return svc.Score(ctx, name, u, v, orDefault(opts))
 }
 
 // checkNode wraps ErrNodeRange for a node outside g.
@@ -245,7 +224,7 @@ func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, er
 	if g == nil {
 		return nil, ErrNilGraph
 	}
-	res, err := opts.resolve()
+	res, err := resolve(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -280,12 +259,9 @@ func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, er
 	return out, nil
 }
 
-// TopK runs a top-k n-way join over the query graph, returning the k
-// answers with the highest aggregate scores in descending order. The
-// operator (NL / AP / PJ / PJ-i) is chosen per query by the cost-based
-// planner — every choice returns the bit-identical ranking. Like TopKPairs
-// it is a thin wrapper that drains the streaming Query API: bit-identical
-// to the first k elements of NewJoinQuery(g, query).Answers(ctx).
+// TopK returns the k answers of the n-way join with the highest aggregate
+// scores in descending order: NewJoinQuery(g, query).WithOptions(opts).TopK
+// with a background context.
 func TopK(g *Graph, query *QueryGraph, k int, opts *Options) ([]Answer, error) {
 	return NewJoinQuery(g, query).WithOptions(opts).TopK(context.Background(), k)
 }
@@ -318,6 +294,3 @@ func ComputeSimRank(g *Graph, opts *SimRankOptions) (*SimRankMatrix, error) {
 func JoinLists(query *QueryGraph, lists [][]PairResult, agg Aggregate, k int, distinct bool) ([]Answer, error) {
 	return core.JoinLists(query, lists, agg, k, distinct)
 }
-
-// LoadText reads a graph (and node sets) from the text format.
-func LoadText(r io.Reader) (*Graph, []*NodeSet, error) { return graph.ReadText(r) }

@@ -190,7 +190,7 @@ func TestTextRoundTripThroughFacade(t *testing.T) {
 	if err := dhtjoin.WriteText(&buf, g, p, q); err != nil {
 		t.Fatal(err)
 	}
-	g2, sets, err := dhtjoin.LoadText(strings.NewReader(buf.String()))
+	g2, sets, err := dhtjoin.ReadText(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,10 +66,8 @@ var ErrUnknownMeasure = measure.ErrUnknownMeasure
 // number; njoind maps it to HTTP 400.
 var ErrEpsilon = measure.ErrEpsilon
 
-// Serving-layer sentinels, re-exported so callers of the Service facade can
-// branch with errors.Is without importing internal packages. They are the
-// same error values the serving layer returns, so matching works across
-// layers.
+// Serving-layer sentinels, re-exported: they are the values the serving
+// layer returns, so errors.Is matches them without an internal import.
 var (
 	// ErrQuotaExceeded reports a Service call rejected at admission because
 	// the tenant's waiting queue is full (HTTP 429 on the wire).

@@ -364,4 +364,28 @@ func TestHintsForceAlgorithmOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	comparePairs(t, "forced-with-options", 21, 20, got, want)
+
+	// Options.Algorithm forces the same executor, a hint wins over it, and
+	// WithHints and WithOptions commute.
+	forced := &Options{Algorithm: "B-BJ"}
+	bogus := &Options{Algorithm: "B-IDJ-Z"}
+	hint := Hints{Algorithm: "B-BJ"}
+	for name, qy := range map[string]*Query{
+		"options algorithm":   NewPairQuery(g, p, q).WithOptions(forced),
+		"hint after options":  NewPairQuery(g, p, q).WithOptions(bogus).WithHints(hint),
+		"hint before options": NewPairQuery(g, p, q).WithHints(hint).WithOptions(bogus),
+	} {
+		pl, err := qy.ExplainTopK(ctx, 20)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if pl.Algorithm != "B-BJ" || !pl.Forced {
+			t.Fatalf("%s: plan runs %s (forced=%v), want forced B-BJ", name, pl.Algorithm, pl.Forced)
+		}
+		got, err := qy.TopKPairs(ctx, 20)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		comparePairs(t, name, 21, 20, got, want)
+	}
 }

@@ -12,11 +12,12 @@ import (
 	"repro/internal/service"
 )
 
-// Query is the query-centric entry point: a value describing one join —
-// graph, either a (P, Q) pair of node sets or an n-way query graph, and
-// options — whose execution yields a context-aware pull stream of
-// rank-ordered results instead of a batch slice. Build one with
-// NewPairQuery or NewJoinQuery, refine it with WithOptions, then either
+// Query is the library's entry point: a value describing one join — graph,
+// either a (P, Q) pair of node sets or an n-way query graph, and options —
+// whose execution yields a context-aware pull stream of rank-ordered results
+// instead of a batch slice. Build one over a graph with NewPairQuery or
+// NewJoinQuery, or over a graph a Service holds with Service.PairQuery or
+// Service.JoinQuery, refine it with WithOptions, then either
 //
 //   - range over Results(ctx) / Answers(ctx) (Go 1.23+ iterators) — the
 //     stream stops, and every pooled engine is released, as soon as the
@@ -30,8 +31,12 @@ import (
 // TopK are in fact thin wrappers that drain a stream. A Query value is
 // immutable after construction and may be executed any number of times;
 // each execution is independent. Streams themselves are single-goroutine.
+// A bound query runs on its Service, an unbound one on a throw-away session
+// over its graph with the caches off; every method serves both.
 type Query struct {
 	g     *Graph
+	svc   *Service // the service a bound query runs on; nil for an unbound one
+	name  string   // the graph name svc serves it under
 	p, q  *NodeSet
 	join  *QueryGraph
 	opts  *Options
@@ -49,7 +54,8 @@ type Hints struct {
 	// one of Algorithms2Way for pair queries ("B-IDJ-Y", "B-IDJ-X", "B-BJ",
 	// "F-BJ", "F-IDJ") or AlgorithmsNWay for n-way queries ("NL", "AP",
 	// "PJ", "PJ-i"). Results are bit-identical under any choice — forcing
-	// is purely a cost decision.
+	// is purely a cost decision. A non-empty hint wins over
+	// Options.Algorithm, so WithHints and WithOptions commute.
 	Algorithm string
 }
 
@@ -139,19 +145,27 @@ func (qy *Query) WithOptions(opts *Options) *Query {
 // ErrUnknownMeasure.
 func (qy *Query) WithMeasure(name string) *Query {
 	cp := *qy
-	o := Options{}
-	if qy.opts != nil {
-		o = *qy.opts
-	}
+	o := orDefault(qy.opts)
 	o.MeasureName = name
 	cp.opts = &o
 	return &cp
 }
 
 // Validate checks the query's inputs without executing it, returning the
-// package's typed errors (wrapped, so use errors.Is).
+// package's typed errors (wrapped, so use errors.Is). A bound query is
+// checked against the graph its Service holds under its name now.
 func (qy *Query) Validate() error {
-	if qy == nil || qy.g == nil {
+	if qy == nil {
+		return ErrNilGraph
+	}
+	g := qy.g
+	if qy.svc != nil {
+		var err error
+		if g, err = qy.svc.s.Graph(qy.name); err != nil {
+			return err
+		}
+	}
+	if g == nil {
 		return ErrNilGraph
 	}
 	pairForm := qy.p != nil || qy.q != nil
@@ -159,33 +173,27 @@ func (qy *Query) Validate() error {
 		return ErrQueryForm
 	}
 	if pairForm {
-		if qy.p == nil || qy.p.Len() == 0 {
-			return fmt.Errorf("%w (P)", ErrEmptyNodeSet)
+		for i, set := range [2]*NodeSet{qy.p, qy.q} {
+			if set == nil || set.Len() == 0 {
+				return fmt.Errorf("%w (%c)", ErrEmptyNodeSet, "PQ"[i])
+			}
+			if err := set.Validate(g); err != nil {
+				return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+			}
 		}
-		if qy.q == nil || qy.q.Len() == 0 {
-			return fmt.Errorf("%w (Q)", ErrEmptyNodeSet)
-		}
-		if err := qy.p.Validate(qy.g); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
-		}
-		if err := qy.q.Validate(qy.g); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
-		}
-	} else if err := qy.join.Validate(qy.g); err != nil {
+	} else if err := qy.join.Validate(g); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 	}
-	res, err := qy.opts.resolve()
-	if err != nil {
+	q := qy.options()
+	res, err := resolve(&q)
+	if err != nil || q.Algorithm == "" {
 		return err
-	}
-	if qy.hints.Algorithm == "" {
-		return nil
 	}
 	class := plan.TwoWay
 	if qy.join != nil {
 		class = plan.NWay
 	}
-	err = plan.ValidateForced(class, qy.hints.Algorithm, res.Kernel.PlanMeasure)
+	err = plan.ValidateForced(class, q.Algorithm, res.Kernel.PlanMeasure)
 	switch {
 	case err == nil:
 		return nil
@@ -195,26 +203,36 @@ func (qy *Query) Validate() error {
 	return fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
 }
 
-// session validates the query and builds what every entry point executes
-// on: a throw-away serving session over the caller's graph
-// (service.Ephemeral — caches off, one admission token) and the options in the serving layer's form, the forced
-// algorithm included. The one-shot call is thus the served request path by
-// construction: the same resolver, planner, executor openers, budget and
-// cancellation — there is no second copy to keep equal. wantJoin names the
-// form the entry point needs.
-func (qy *Query) session(wantJoin bool) (*service.Service, service.Query, error) {
-	if err := qy.Validate(); err != nil {
-		return nil, service.Query{}, err
+// options returns the query's options with the algorithm it runs: the
+// hint's, else the options' own.
+func (qy *Query) options() Options {
+	q := orDefault(qy.opts)
+	if qy.hints.Algorithm != "" {
+		q.Algorithm = qy.hints.Algorithm
+	}
+	return q
+}
+
+// session validates the query and returns what every entry point executes
+// on: the bound Service and graph name, or a throw-away serving session over
+// the caller's graph (service.Ephemeral — caches off, one admission token)
+// under the empty name; and the query's options. The one-shot call is thus
+// the served request path by construction: the same resolver, planner,
+// executor openers, budget and cancellation — there is no second copy to
+// keep equal. wantJoin names the form the entry point needs.
+func (qy *Query) session(wantJoin bool) (svc *service.Service, name string, q Options, err error) {
+	if err = qy.Validate(); err != nil {
+		return nil, "", q, err
 	}
 	switch {
 	case wantJoin && qy.join == nil:
-		return nil, service.Query{}, fmt.Errorf("%w: n-way stream requested for a 2-way query", ErrQueryForm)
+		return nil, "", q, fmt.Errorf("%w: n-way stream requested for a 2-way query", ErrQueryForm)
 	case !wantJoin && qy.join != nil:
-		return nil, service.Query{}, fmt.Errorf("%w: 2-way stream requested for an n-way query", ErrQueryForm)
+		return nil, "", q, fmt.Errorf("%w: 2-way stream requested for an n-way query", ErrQueryForm)
+	case qy.svc != nil:
+		return qy.svc.s, qy.name, qy.options(), nil
 	}
-	q := toQuery(qy.opts)
-	q.Algorithm = qy.hints.Algorithm
-	return service.Ephemeral(qy.g), q, nil
+	return service.Ephemeral(qy.g), "", qy.options(), nil
 }
 
 // Explain validates the query and returns the plan its streaming entry
@@ -226,7 +244,7 @@ func (qy *Query) session(wantJoin bool) (*service.Service, service.Query, error)
 // entry points plan for. The 2-way batch wrapper TopKPairs re-plans for its
 // exact k, which can pick a different algorithm when k differs from M
 // (e.g. B-BJ once k spans the candidate space); ExplainTopK prices that. A
-// forced Hints.Algorithm is validated and reported with Forced set
+// forced algorithm (Hints or Options) is validated and reported with Forced set
 // alongside the full cost table.
 func (qy *Query) Explain(ctx context.Context) (*QueryPlan, error) {
 	return qy.explain(ctx, 0) // 0: the streams' demand
@@ -245,26 +263,26 @@ func (qy *Query) ExplainTopK(ctx context.Context, k int) (*QueryPlan, error) {
 
 func (qy *Query) explain(ctx context.Context, k int) (*QueryPlan, error) {
 	nway := qy != nil && qy.join != nil // a nil Query fails in session
-	svc, q, err := qy.session(nway)
+	svc, name, q, err := qy.session(nway)
 	if err != nil {
 		return nil, err
 	}
 	if nway {
 		sets, edges := setRefs(qy.join)
-		return svc.ExplainJoinN(ctx, "", sets, edges, k, q)
+		return svc.ExplainJoinN(ctx, name, sets, edges, k, q)
 	}
-	return svc.ExplainJoin2(ctx, "", idsRef(qy.p), idsRef(qy.q), k, q)
+	return svc.ExplainJoin2(ctx, name, idsRef(qy.p), idsRef(qy.q), k, q)
 }
 
 // OpenPairs opens the rank-ordered pair stream of a 2-way query. The caller
 // owns the handle: pull with Next or NextK, and Stop when done — Stop (or
 // draining to exhaustion, or a ctx error) releases every pooled engine.
 func (qy *Query) OpenPairs(ctx context.Context) (*PairStream, error) {
-	svc, q, err := qy.session(false)
+	svc, name, q, err := qy.session(false)
 	if err != nil {
 		return nil, err
 	}
-	st, err := svc.OpenJoin2(ctx, "", idsRef(qy.p), idsRef(qy.q), q)
+	st, err := svc.OpenJoin2(ctx, name, idsRef(qy.p), idsRef(qy.q), q)
 	if err != nil {
 		return nil, err
 	}
@@ -283,11 +301,11 @@ func (qy *Query) TopKPairs(ctx context.Context, k int) ([]PairResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
-	svc, q, err := qy.session(false)
+	svc, name, q, err := qy.session(false)
 	if err != nil {
 		return nil, err
 	}
-	return svc.Join2(ctx, "", idsRef(qy.p), idsRef(qy.q), k, q)
+	return svc.Join2(ctx, name, idsRef(qy.p), idsRef(qy.q), k, q)
 }
 
 // TopK executes the n-way query as a one-shot batch: the k best answers in
@@ -298,12 +316,12 @@ func (qy *Query) TopK(ctx context.Context, k int) ([]Answer, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
-	svc, q, err := qy.session(true)
+	svc, name, q, err := qy.session(true)
 	if err != nil {
 		return nil, err
 	}
 	sets, edges := setRefs(qy.join)
-	return svc.JoinN(ctx, "", sets, edges, k, q)
+	return svc.JoinN(ctx, name, sets, edges, k, q)
 }
 
 // Results executes a 2-way query as a pull-based iterator: pairs arrive in
@@ -322,12 +340,12 @@ func (qy *Query) Results(ctx context.Context) iter.Seq2[PairResult, error] {
 // OpenAnswers opens the rank-ordered answer stream of an n-way query; see
 // OpenPairs for the handle contract.
 func (qy *Query) OpenAnswers(ctx context.Context) (*AnswerStream, error) {
-	svc, q, err := qy.session(true)
+	svc, name, q, err := qy.session(true)
 	if err != nil {
 		return nil, err
 	}
 	sets, edges := setRefs(qy.join)
-	st, err := svc.OpenJoinN(ctx, "", sets, edges, q)
+	st, err := svc.OpenJoinN(ctx, name, sets, edges, q)
 	if err != nil {
 		return nil, err
 	}

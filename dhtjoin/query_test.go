@@ -167,51 +167,92 @@ func TestStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestQueryTypedErrors: facade validation must wrap the typed sentinels.
+// querySession is one of the two ways a Query runs: unbound over its graph
+// (a throw-away session), or bound to a Service holding that graph as "g".
+type querySession struct {
+	name  string
+	pair  func(p, q *NodeSet) *Query
+	join  func(*QueryGraph) *Query
+	score func(u, v NodeID, opts *Options) (float64, error)
+}
+
+// querySessions returns both kinds over g; the bound one gets a fresh
+// Service, so no result cached by an earlier caller can serve its requests.
+func querySessions(t testing.TB, g *Graph) []querySession {
+	t.Helper()
+	svc := NewService(ServiceConfig{})
+	if err := svc.LoadGraph("g", g); err != nil {
+		t.Fatal(err)
+	}
+	return []querySession{
+		{"ephemeral",
+			func(p, q *NodeSet) *Query { return NewPairQuery(g, p, q) },
+			func(j *QueryGraph) *Query { return NewJoinQuery(g, j) },
+			func(u, v NodeID, o *Options) (float64, error) { return Score(g, u, v, o) }},
+		{"bound",
+			func(p, q *NodeSet) *Query { return svc.PairQuery("g", p, q) },
+			func(j *QueryGraph) *Query { return svc.JoinQuery("g", j) },
+			func(u, v NodeID, o *Options) (float64, error) {
+				return svc.Score(context.Background(), "g", u, v, o)
+			}},
+	}
+}
+
+// TestQueryTypedErrors: validation must wrap the typed sentinels, and a
+// query bound to a Service must answer every bad input with the sentinel
+// the unbound query does.
 func TestQueryTypedErrors(t *testing.T) {
 	g, sets := queryWorld(t)
 	p, q := sets[0], sets[1]
 	empty := NewNodeSet("empty", nil)
+	outside := NewNodeSet("outside", []NodeID{0, NodeID(g.NumNodes())})
+	ctx := context.Background()
 
 	if _, err := TopKPairs(nil, p, q, 3, nil); !errors.Is(err, ErrNilGraph) {
 		t.Fatalf("nil graph: %v", err)
 	}
-	if _, err := TopKPairs(g, empty, q, 3, nil); !errors.Is(err, ErrEmptyNodeSet) {
-		t.Fatalf("empty P: %v", err)
-	}
-	if _, err := TopKPairs(g, p, nil, 3, nil); !errors.Is(err, ErrEmptyNodeSet) {
-		t.Fatalf("nil Q: %v", err)
-	}
-	if _, err := TopKPairs(g, p, q, 0, nil); !errors.Is(err, ErrInvalidK) {
-		t.Fatalf("k=0: %v", err)
-	}
-	if _, err := TopKPairs(g, p, q, -2, nil); !errors.Is(err, ErrInvalidK) {
-		t.Fatalf("k<0: %v", err)
-	}
-	if _, err := TopKPairs(g, p, q, 3, &Options{M: -1}); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("bad options: %v", err)
-	}
-
 	if _, err := TopK(nil, Chain(p, q), 3, nil); !errors.Is(err, ErrNilGraph) {
 		t.Fatalf("n-way nil graph: %v", err)
 	}
-	if _, err := TopK(g, nil, 3, nil); !errors.Is(err, ErrQueryForm) {
-		t.Fatalf("nil query graph: %v", err)
-	}
-	bad := NewQueryGraph(p, q).AddEdge(0, 5) // arity mismatch: no set 5
-	if _, err := TopK(g, bad, 3, nil); !errors.Is(err, ErrInvalidQueryGraph) {
-		t.Fatalf("arity mismatch: %v", err)
-	}
-	if _, err := TopK(g, Chain(p, empty), 3, nil); !errors.Is(err, ErrInvalidQueryGraph) {
-		t.Fatalf("empty set in query graph: %v", err)
+	if _, err := Score(nil, 0, 1, nil); !errors.Is(err, ErrNilGraph) {
+		t.Fatalf("Score, nil graph: %v", err)
 	}
 
-	// Form confusion: a pair query has no n-way stream and vice versa.
-	if _, err := NewPairQuery(g, p, q).OpenAnswers(context.Background()); !errors.Is(err, ErrQueryForm) {
-		t.Fatalf("pair query OpenAnswers: %v", err)
-	}
-	if _, err := NewJoinQuery(g, Chain(p, q)).OpenPairs(context.Background()); !errors.Is(err, ErrQueryForm) {
-		t.Fatalf("join query OpenPairs: %v", err)
+	for _, s := range querySessions(t, g) {
+		t.Run(s.name, func(t *testing.T) {
+			pairs := func(qy *Query, k int) error { _, err := qy.TopKPairs(ctx, k); return err }
+			answers := func(qy *Query) error { _, err := qy.TopK(ctx, 3); return err }
+			bad := NewQueryGraph(p, q).AddEdge(0, 5) // arity mismatch: no set 5
+			for name, c := range map[string]struct {
+				err, want error
+			}{
+				"empty P":         {pairs(s.pair(empty, q), 3), ErrEmptyNodeSet},
+				"nil Q":           {pairs(s.pair(p, nil), 3), ErrEmptyNodeSet},
+				"P out of range":  {pairs(s.pair(outside, q), 3), ErrInvalidQueryGraph},
+				"k=0":             {pairs(s.pair(p, q), 0), ErrInvalidK},
+				"k<0":             {pairs(s.pair(p, q), -2), ErrInvalidK},
+				"bad options":     {pairs(s.pair(p, q).WithOptions(&Options{M: -1}), 3), ErrInvalidOptions},
+				"unknown measure": {pairs(s.pair(p, q).WithMeasure("nope"), 3), ErrUnknownMeasure},
+				"unknown hint":    {pairs(s.pair(p, q).WithHints(Hints{Algorithm: "B-IDJ-Z"}), 3), ErrUnknownAlgorithm},
+				"unknown option algorithm": {
+					pairs(s.pair(p, q).WithOptions(&Options{Algorithm: "B-IDJ-Z"}), 3), ErrUnknownAlgorithm},
+				"hint conflict":      {answers(s.join(Chain(p, q)).WithHints(Hints{Algorithm: "B-BJ"})), ErrHintConflict},
+				"nil query graph":    {answers(s.join(nil)), ErrQueryForm},
+				"arity mismatch":     {answers(s.join(bad)), ErrInvalidQueryGraph},
+				"empty set in join":  {answers(s.join(Chain(p, empty))), ErrInvalidQueryGraph},
+				"join out of range":  {answers(s.join(Chain(p, outside))), ErrInvalidQueryGraph},
+				"n-way k=0":          {func() error { _, err := s.join(Chain(p, q)).TopK(ctx, 0); return err }(), ErrInvalidK},
+				"pair OpenAnswers":   {func() error { _, err := s.pair(p, q).OpenAnswers(ctx); return err }(), ErrQueryForm},
+				"join OpenPairs":     {func() error { _, err := s.join(Chain(p, q)).OpenPairs(ctx); return err }(), ErrQueryForm},
+				"Score u = -1":       {func() error { _, err := s.score(-1, 1, nil); return err }(), ErrNodeRange},
+				"Score v = NumNodes": {func() error { _, err := s.score(0, NodeID(g.NumNodes()), nil); return err }(), ErrNodeRange},
+				"Score bad options":  {func() error { _, err := s.score(0, 1, &Options{M: -1}); return err }(), ErrInvalidOptions},
+			} {
+				if !errors.Is(c.err, c.want) {
+					t.Errorf("%s: %v, want %v", name, c.err, c.want)
+				}
+			}
+		})
 	}
 
 	// ScoresFrom checks its inputs instead of panicking in the walk.
@@ -234,41 +275,37 @@ func TestQueryTypedErrors(t *testing.T) {
 			t.Errorf("ScoresFrom, %s: %v, want %v", name, err, c.want)
 		}
 	}
-	// Score reports a node outside the graph with the same sentinel.
-	for name, c := range map[string]struct {
-		g    *Graph
-		u, v NodeID
-		want error
-	}{
-		"nil graph": {nil, 0, 1, ErrNilGraph},
-		"u = -1":    {two, -1, 1, ErrNodeRange},
-		"v = 99":    {two, 0, 99, ErrNodeRange},
-	} {
-		if _, err := Score(c.g, c.u, c.v, nil); !errors.Is(err, c.want) {
-			t.Errorf("Score, %s: %v, want %v", name, err, c.want)
-		}
-	}
 }
 
 // TestStreamContract pins the handle contract once for both instantiations
-// of Stream[T]: Stop is idempotent and a pull after it reports
-// ErrStreamStopped; an exhausted stream keeps reporting a quiet ok=false;
-// an expired budget ends the stream cleanly with Truncated set.
+// of Stream[T], unbound and bound alike: Stop is idempotent and a pull after
+// it reports ErrStreamStopped; an exhausted stream keeps reporting a quiet
+// ok=false; an expired budget ends the stream cleanly with Truncated set.
 func TestStreamContract(t *testing.T) {
 	g, sets := queryWorld(t)
 	p, q := sets[0].Take(4), sets[1].Take(4) // 16 results: cheap to exhaust
-	streamContract(t, "PairStream", func(ctx context.Context, o *Options) (*PairStream, error) {
-		return NewPairQuery(g, p, q).WithOptions(o).OpenPairs(ctx)
+	streamContract(t, g, "PairStream", func(ctx context.Context, s querySession, o *Options) (*PairStream, error) {
+		return s.pair(p, q).WithOptions(o).OpenPairs(ctx)
 	})
-	streamContract(t, "AnswerStream", func(ctx context.Context, o *Options) (*AnswerStream, error) {
-		return NewJoinQuery(g, Chain(p, q)).WithOptions(o).OpenAnswers(ctx)
+	streamContract(t, g, "AnswerStream", func(ctx context.Context, s querySession, o *Options) (*AnswerStream, error) {
+		return s.join(Chain(p, q)).WithOptions(o).OpenAnswers(ctx)
 	})
 }
 
-func streamContract[T any](t *testing.T, name string, open func(context.Context, *Options) (*Stream[T], error)) {
+func streamContract[T any](t *testing.T, g *Graph, name string, openIn func(context.Context, querySession, *Options) (*Stream[T], error)) {
 	ctx := context.Background()
-	t.Run(name+"/stop", func(t *testing.T) {
-		s, err := open(ctx, nil)
+	// run runs one case once per session, each on a fresh Service.
+	run := func(c string, body func(t *testing.T, open func(*Options) (*Stream[T], error))) {
+		t.Run(name+"/"+c, func(t *testing.T) {
+			for _, s := range querySessions(t, g) {
+				t.Run(s.name, func(t *testing.T) {
+					body(t, func(o *Options) (*Stream[T], error) { return openIn(ctx, s, o) })
+				})
+			}
+		})
+	}
+	run("stop", func(t *testing.T, open func(*Options) (*Stream[T], error)) {
+		s, err := open(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,8 +321,8 @@ func streamContract[T any](t *testing.T, name string, open func(context.Context,
 			t.Fatalf("NextK(0): %v, want ErrInvalidK", err)
 		}
 	})
-	t.Run(name+"/exhausted", func(t *testing.T) {
-		s, err := open(ctx, nil)
+	run("exhausted", func(t *testing.T, open func(*Options) (*Stream[T], error)) {
+		s, err := open(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,10 +339,10 @@ func streamContract[T any](t *testing.T, name string, open func(context.Context,
 			t.Fatal("an exhausted stream reports Truncated")
 		}
 	})
-	t.Run(name+"/budget", func(t *testing.T) {
+	run("budget", func(t *testing.T, open func(*Options) (*Stream[T], error)) {
 		// The budget outlives the open, then expires while the caller sits
 		// on the handle.
-		s, err := open(ctx, &Options{Budget: 100 * time.Millisecond})
+		s, err := open(&Options{Budget: 100 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,40 +364,45 @@ func streamContract[T any](t *testing.T, name string, open func(context.Context,
 // is the shortest truncation, not a failure — the handle comes back
 // Truncated with zero results, and the batch calls return the empty exact
 // prefix alongside ErrBudgetExceeded, exactly as a mid-join expiry would.
+// Unbound and bound queries alike.
 func TestBudgetSpentAtOpen(t *testing.T) {
 	g, sets := queryWorld(t)
 	ctx := context.Background()
 	spent := &Options{Budget: time.Nanosecond}
-	pairs := NewPairQuery(g, sets[0], sets[1]).WithOptions(spent)
-	join := NewJoinQuery(g, Chain(sets[0], sets[1], sets[2])).WithOptions(spent)
+	for _, s := range querySessions(t, g) {
+		t.Run(s.name, func(t *testing.T) {
+			pairs := s.pair(sets[0], sets[1]).WithOptions(spent)
+			join := s.join(Chain(sets[0], sets[1], sets[2])).WithOptions(spent)
 
-	ps, err := pairs.OpenPairs(ctx)
-	if err != nil {
-		t.Fatalf("OpenPairs past its budget: %v, want a truncated handle", err)
-	}
-	defer ps.Stop()
-	as, err := join.OpenAnswers(ctx)
-	if err != nil {
-		t.Fatalf("OpenAnswers past its budget: %v, want a truncated handle", err)
-	}
-	defer as.Stop()
-	if !ps.Truncated() || !as.Truncated() {
-		t.Fatal("a handle opened past its budget does not report Truncated")
-	}
-	for i := 0; i < 2; i++ {
-		if _, ok, err := ps.Next(); ok || err != nil {
-			t.Fatalf("pair pull %d: ok=%v err=%v, want a clean end", i, ok, err)
-		}
-		if _, ok, err := as.Next(); ok || err != nil {
-			t.Fatalf("answer pull %d: ok=%v err=%v, want a clean end", i, ok, err)
-		}
-	}
+			ps, err := pairs.OpenPairs(ctx)
+			if err != nil {
+				t.Fatalf("OpenPairs past its budget: %v, want a truncated handle", err)
+			}
+			defer ps.Stop()
+			as, err := join.OpenAnswers(ctx)
+			if err != nil {
+				t.Fatalf("OpenAnswers past its budget: %v, want a truncated handle", err)
+			}
+			defer as.Stop()
+			if !ps.Truncated() || !as.Truncated() {
+				t.Fatal("a handle opened past its budget does not report Truncated")
+			}
+			for i := 0; i < 2; i++ {
+				if _, ok, err := ps.Next(); ok || err != nil {
+					t.Fatalf("pair pull %d: ok=%v err=%v, want a clean end", i, ok, err)
+				}
+				if _, ok, err := as.Next(); ok || err != nil {
+					t.Fatalf("answer pull %d: ok=%v err=%v, want a clean end", i, ok, err)
+				}
+			}
 
-	if res, err := pairs.TopKPairs(ctx, 5); !errors.Is(err, ErrBudgetExceeded) || len(res) != 0 {
-		t.Fatalf("TopKPairs: %d results, err=%v; want the empty prefix with ErrBudgetExceeded", len(res), err)
-	}
-	if res, err := join.TopK(ctx, 5); !errors.Is(err, ErrBudgetExceeded) || len(res) != 0 {
-		t.Fatalf("TopK: %d results, err=%v; want the empty prefix with ErrBudgetExceeded", len(res), err)
+			if res, err := pairs.TopKPairs(ctx, 5); !errors.Is(err, ErrBudgetExceeded) || len(res) != 0 {
+				t.Fatalf("TopKPairs: %d results, err=%v; want the empty prefix with ErrBudgetExceeded", len(res), err)
+			}
+			if res, err := join.TopK(ctx, 5); !errors.Is(err, ErrBudgetExceeded) || len(res) != 0 {
+				t.Fatalf("TopK: %d results, err=%v; want the empty prefix with ErrBudgetExceeded", len(res), err)
+			}
+		})
 	}
 }
 
@@ -391,11 +433,11 @@ func TestEphemeralSessionRestored(t *testing.T) {
 		for _, forced := range [][2]string{{"B-BJ", "AP"}, {"", ""}} {
 			t.Run(fmt.Sprintf("workers=%d/forced=%q", workers, forced), func(t *testing.T) {
 				pairs := NewPairQuery(g, sets[0], sets[1]).WithHints(Hints{Algorithm: forced[0]})
-				svc, q, err := pairs.session(false)
+				svc, name, q, err := pairs.session(false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pst, err := svc.OpenJoin2(ctx, "", idsRef(sets[0]), idsRef(sets[1]), q)
+				pst, err := svc.OpenJoin2(ctx, name, idsRef(sets[0]), idsRef(sets[1]), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -403,11 +445,11 @@ func TestEphemeralSessionRestored(t *testing.T) {
 				midStop(t, svc, func(k int) (int, error) { r, err := ps.NextK(k); return len(r), err }, ps.Stop)
 
 				join := NewJoinQuery(g, Chain(sets[0], sets[1], sets[2])).WithHints(Hints{Algorithm: forced[1]})
-				if svc, q, err = join.session(true); err != nil {
+				if svc, name, q, err = join.session(true); err != nil {
 					t.Fatal(err)
 				}
 				refs, edges := setRefs(join.join)
-				ast, err := svc.OpenJoinN(ctx, "", refs, edges, q)
+				ast, err := svc.OpenJoinN(ctx, name, refs, edges, q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,23 +2,18 @@ package dhtjoin
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/service"
 )
 
-// Service is the library facade over the long-lived serving layer
-// (internal/service): it owns a bounded registry of named graphs and, per
-// (graph, params, d, measure) configuration, shared engine pools and a cache
-// of recent top-k results. All methods are safe for concurrent use. The
-// one-shot calls (TopKPairs / TopK / Score) are this same request path with
-// the caches off, so a served result equals the one-shot result with the
-// same Options.
-//
-// Use it when the same graphs are queried repeatedly — a server, a notebook
-// session, a batch evaluator. One-shot calls remain the right tool for
-// single queries.
+// Service is the library's handle on the long-lived serving layer
+// (internal/service): a bounded registry of named graphs and, per (graph,
+// params, d, measure), shared engine pools and a cache of recent top-k
+// results. All methods are safe for concurrent use. Its joins are the
+// Query values PairQuery and JoinQuery return; an unbound Query runs the
+// same request path with the caches off, so results are equal. Use it when
+// the same graphs are queried repeatedly.
 type Service struct {
 	s *service.Service
 }
@@ -66,34 +61,23 @@ func (s *Service) Graphs() []GraphInfo { return s.s.Graphs() }
 // Stats snapshots the service counters.
 func (s *Service) Stats() ServiceStats { return s.s.Stats() }
 
-// toQuery maps Options onto the serving layer's query form field by field
-// (TestOptionsReachQuery pins that none is dropped); nil means all defaults.
-func toQuery(o *Options) service.Query {
-	if o == nil {
-		return service.Query{}
-	}
-	q := service.Query{
-		Params:      o.Params,
-		Epsilon:     o.Epsilon,
-		D:           o.D,
-		MeasureName: o.MeasureName,
-		Agg:         o.Agg,
-		M:           o.M,
-		Distinct:    o.Distinct,
-		Tenant:      o.Tenant,
-		Budget:      o.Budget,
-	}
-	if o.LowPriority {
-		q.Priority = service.PriorityBatch
-	}
-	return q
+// PairQuery describes a 2-way join from p to q on the graph s serves under
+// graphName, run on s by every Query method; see NewPairQuery.
+func (s *Service) PairQuery(graphName string, p, q *NodeSet) *Query {
+	return &Query{svc: s, name: graphName, p: p, q: q}
 }
 
-// servedQuery is toQuery for the entry points that take bare Options:
-// options that do not resolve fail with ErrInvalidOptions.
-func servedQuery(o *Options) (service.Query, error) {
-	_, err := o.resolve()
-	return toQuery(o), err
+// JoinQuery describes an n-way join over the query graph on the graph s
+// serves under graphName; see PairQuery.
+func (s *Service) JoinQuery(graphName string, join *QueryGraph) *Query {
+	return &Query{svc: s, name: graphName, join: join}
+}
+
+// Score serves the truncated score h_d(u, v) on the named graph, with the
+// package-level Score's checks and errors. ctx bounds the wait for
+// admission; nil means Background.
+func (s *Service) Score(ctx context.Context, graphName string, u, v NodeID, opts *Options) (float64, error) {
+	return score(ctx, s.s, graphName, u, v, opts)
 }
 
 // idsRef names a node set to the serving layer by its explicit members.
@@ -110,111 +94,4 @@ func setRefs(join *QueryGraph) (sets []service.SetRef, edges [][2]int) {
 		edges = append(edges, [2]int{e.From, e.To})
 	}
 	return sets, edges
-}
-
-// pairArgs validates the inputs of a served 2-way call and maps them onto
-// the serving layer's form.
-func pairArgs(p, q *NodeSet, opts *Options) (pr, qr service.SetRef, query service.Query, err error) {
-	if p == nil || p.Len() == 0 || q == nil || q.Len() == 0 {
-		return pr, qr, query, ErrEmptyNodeSet
-	}
-	query, err = servedQuery(opts)
-	return idsRef(p), idsRef(q), query, err
-}
-
-// joinArgs is pairArgs for n-way calls.
-func joinArgs(join *QueryGraph, opts *Options) (sets []service.SetRef, edges [][2]int, query service.Query, err error) {
-	if join == nil {
-		return nil, nil, query, ErrInvalidQueryGraph
-	}
-	sets, edges = setRefs(join)
-	query, err = servedQuery(opts)
-	return sets, edges, query, err
-}
-
-// TopKPairs serves a top-k 2-way join on the named graph — the request path
-// the package-level TopKPairs runs, with the session's caches on. ctx
-// cancels the work (including the wait for admission); nil means
-// Background.
-func (s *Service) TopKPairs(ctx context.Context, graphName string, p, q *NodeSet, k int, opts *Options) ([]PairResult, error) {
-	pr, qr, query, err := pairArgs(p, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
-	}
-	return s.s.Join2(ctx, graphName, pr, qr, k, query)
-}
-
-// OpenPairs serves a 2-way join as a rank-ordered pull stream through the
-// service's shared engine pools: Next/NextK for "give me the next k", Stop
-// to end early — the stream returns its engines to the session pool and
-// publishes the drained prefix to the result cache, so a later TopKPairs
-// for any k it covers is served without a join.
-func (s *Service) OpenPairs(ctx context.Context, graphName string, p, q *NodeSet, opts *Options) (*ServicePairStream, error) {
-	pr, qr, query, err := pairArgs(p, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.s.OpenJoin2(ctx, graphName, pr, qr, query)
-}
-
-// ServicePairStream is the streaming handle returned by Service.OpenPairs.
-type ServicePairStream = service.Join2Stream
-
-// ServiceAnswerStream is the streaming handle returned by Service.OpenAnswers.
-type ServiceAnswerStream = service.JoinNStream
-
-// TopK serves a top-k n-way join on the named graph; see TopKPairs.
-func (s *Service) TopK(ctx context.Context, graphName string, query *QueryGraph, k int, opts *Options) ([]Answer, error) {
-	sets, edges, q, err := joinArgs(query, opts)
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
-	}
-	return s.s.JoinN(ctx, graphName, sets, edges, k, q)
-}
-
-// OpenAnswers serves an n-way join as a rank-ordered pull stream; see
-// OpenPairs for the handle contract.
-func (s *Service) OpenAnswers(ctx context.Context, graphName string, query *QueryGraph, opts *Options) (*ServiceAnswerStream, error) {
-	sets, edges, q, err := joinArgs(query, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.s.OpenJoinN(ctx, graphName, sets, edges, q)
-}
-
-// Score serves the truncated score h_d(u, v) on the named graph, as the
-// package-level Score does.
-func (s *Service) Score(ctx context.Context, graphName string, u, v NodeID, opts *Options) (float64, error) {
-	q, err := servedQuery(opts)
-	if err != nil {
-		return 0, err
-	}
-	return s.s.Score(ctx, graphName, u, v, q)
-}
-
-// ExplainPairs returns the plan a TopKPairs/OpenPairs call on the named
-// graph would execute — the cost-based planner's decision, priced as a
-// one-shot Explain prices it — without executing anything.
-// k <= 0 prices the plan for the default streaming batch.
-func (s *Service) ExplainPairs(ctx context.Context, graphName string, p, q *NodeSet, k int, opts *Options) (*QueryPlan, error) {
-	pr, qr, query, err := pairArgs(p, q, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.s.ExplainJoin2(ctx, graphName, pr, qr, k, query)
-}
-
-// ExplainJoin is ExplainPairs for n-way queries.
-func (s *Service) ExplainJoin(ctx context.Context, graphName string, query *QueryGraph, opts *Options) (*QueryPlan, error) {
-	sets, edges, q, err := joinArgs(query, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.s.ExplainJoinN(ctx, graphName, sets, edges, 0, q)
 }

@@ -54,7 +54,8 @@ func main() {
 	ctx := context.Background()
 
 	fmt.Println("\ntop predicted new interactions (served, measure=dht):")
-	top, err := svc.TopKPairs(ctx, "yeast-test", p, q, 200, nil)
+	query := svc.PairQuery("yeast-test", p, q)
+	top, err := query.TopKPairs(ctx, 200)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func main() {
 
 	// The same served query under personalized PageRank: one options field
 	// switches the kernel, the admission/caching path stays identical.
-	pprTop, err := svc.TopKPairs(ctx, "yeast-test", p, q, 200, &dhtjoin.Options{MeasureName: "ppr"})
+	pprTop, err := query.WithMeasure("ppr").TopKPairs(ctx, 200)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,9 +49,9 @@ func main() {
 	// Star query: each sports group points at the photography centre; MIN
 	// makes the weakest tie to the centre the ranking criterion. Groups
 	// overlap (a user can like two sports), so ask for distinct users.
-	query := dhtjoin.Star(sets[0], sets[1:]...)
+	query := svc.JoinQuery("youtube", dhtjoin.Star(sets[0], sets[1:]...))
 	opts := dhtjoin.Options{Agg: dhtjoin.Min, M: 30, Distinct: true}
-	answers, err := svc.TopK(ctx, "youtube", query, 5, &opts)
+	answers, err := query.WithOptions(&opts).TopK(ctx, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 	// own default parameters (damping 0.5).
 	pprOpts := opts
 	pprOpts.MeasureName = "ppr"
-	pprAnswers, err := svc.TopK(ctx, "youtube", query, 5, &pprOpts)
+	pprAnswers, err := query.WithOptions(&pprOpts).TopK(ctx, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -190,6 +190,15 @@ func (s *Service) Graphs() []GraphInfo {
 	return out
 }
 
+// Graph returns the graph served under name, as graphFor resolves it.
+func (s *Service) Graph(name string) (*graph.Graph, error) {
+	ge, err := s.graphFor(name)
+	if err != nil {
+		return nil, err
+	}
+	return ge.g, nil
+}
+
 // graphFor resolves a registry name, lazily reloading a persisted graph that
 // was evicted from memory.
 func (s *Service) graphFor(name string) (*graphEntry, error) {

@@ -18,15 +18,16 @@ import (
 	"repro/internal/rankjoin"
 )
 
-// Query carries one request's join options; the zero value means the
-// paper's defaults (DHTλ with λ = 0.2, ε = 1e-6, MIN aggregation, m = 50),
-// applied by measure.Resolve. The one-shot dhtjoin calls and njoin build
-// this same struct and run it on an Ephemeral service.
+// Query carries one request's join options; the zero value (or a nil
+// pointer at the library) means the paper's defaults — DHTλ with λ = 0.2,
+// ε = 1e-6 (d = 8), MIN aggregation, per-edge budget m = 50 — applied by
+// measure.Resolve. It is also the library's option set: dhtjoin.Options is
+// this type, and njoin builds it too.
 type Query struct {
 	// Params are the DHT coefficients; zero means the measure's default.
 	Params dht.Params
-	// Epsilon bounds the truncation error; zero means 1e-6. Ignored when D
-	// is set.
+	// Epsilon bounds the truncation error |h − h_d| (Lemma 1); zero means
+	// 1e-6. Ignored when D is set.
 	Epsilon float64
 	// D forces the truncation depth directly.
 	D int
@@ -48,16 +49,19 @@ type Query struct {
 	Algorithm string
 	// Tenant attributes the request to an admission-quota bucket; empty is
 	// the anonymous shared bucket. Quotas never change results — only
-	// whether and when a request is admitted.
+	// whether and when a request is admitted. One-shot library calls run
+	// alone on their own session, so they ignore it.
 	Tenant string
 	// Priority selects the admission class: PriorityInteractive (the zero
 	// value) or PriorityBatch. Batch requests still make progress under
-	// load, just at a lower weighted-fair share.
+	// load, just at a lower weighted-fair share. One-shot library calls
+	// ignore it, as they do Tenant.
 	Priority int
 	// Budget is this query's wall-clock deadline budget; 0 defers to the
 	// service's DefaultBudget. An expired budget truncates the query to the
-	// ranking prefix produced so far (marked truncated) rather than failing
-	// it outright.
+	// ranking prefix produced so far rather than failing it: batch calls
+	// return that prefix alongside ErrBudgetExceeded, and a dhtjoin stream
+	// ends cleanly with Truncated() true. Score runs to completion.
 	Budget time.Duration
 }
 
