@@ -97,8 +97,6 @@ func main() {
 		maxSessions   = flag.Int("max-sessions", 0, "session cache capacity (0 = default 32)")
 		resultCache   = flag.Int("result-cache", 0, "per-session result LRU capacity (0 = default 128, negative disables)")
 		maxConc       = flag.Int("max-concurrency", 0, "joins in flight (0 = GOMAXPROCS)")
-		tenantConc    = flag.Int("tenant-inflight", 0, "max concurrently admitted requests per tenant (0 = no per-tenant cap)")
-		tenantQueue   = flag.Int("tenant-queue", 0, "max queued requests per tenant before 429 (0 = default 32)")
 		defaultBudget = flag.Duration("default-budget", 0, "deadline budget applied to queries that carry none (0 = none)")
 		maxBudget     = flag.Duration("max-budget", 0, "cap on any per-query deadline budget (0 = uncapped)")
 		drainBudget   = flag.Duration("drain-budget", 15*time.Second, "how long in-flight requests may finish after SIGTERM before hard cancel")
@@ -128,8 +126,6 @@ func main() {
 		MaxSessions:     *maxSessions,
 		ResultCacheSize: *resultCache,
 		MaxConcurrency:  *maxConc,
-		TenantInFlight:  *tenantConc,
-		TenantQueue:     *tenantQueue,
 		DefaultBudget:   *defaultBudget,
 		MaxBudget:       *maxBudget,
 	}, store.Config{

@@ -158,7 +158,7 @@ func TestServiceFacadeBitIdentical(t *testing.T) {
 		{Params: DHTLambda(0.5), Epsilon: 1e-4},
 		{MeasureName: "reach", Params: PPR(0.2)},
 		{Agg: Sum, M: 20},
-		{Tenant: "t", Priority: PriorityBatch},
+		{Priority: PriorityBatch},
 	} {
 		pairs := [2]*Query{NewPairQuery(g, p, q), svc.PairQuery("g", p, q)}
 		joins := [2]*Query{NewJoinQuery(g, Chain(p, q)), svc.JoinQuery("g", Chain(p, q))}

@@ -134,8 +134,9 @@ var (
 // algorithms.
 type Options = service.Query
 
-// Admission classes for Options.Priority: under contention a Service grants
-// interactive requests ~3x more often than batch ones, never starving batch.
+// Admission classes for Options.Priority (any other value fails the call):
+// under contention a Service grants interactive requests ~3x more often than
+// batch ones, never starving batch.
 const (
 	PriorityInteractive = service.PriorityInteractive
 	PriorityBatch       = service.PriorityBatch

@@ -70,7 +70,7 @@ var ErrEpsilon = measure.ErrEpsilon
 // layer returns, so errors.Is matches them without an internal import.
 var (
 	// ErrQuotaExceeded reports a Service call rejected at admission because
-	// the tenant's waiting queue is full (HTTP 429 on the wire).
+	// the admission queue is full (HTTP 429 on the wire).
 	ErrQuotaExceeded = service.ErrQuotaExceeded
 
 	// ErrBudgetExceeded reports a join stopped by its deadline budget

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"slices"
 	"sync"
 )
 
@@ -19,105 +20,62 @@ const (
 // both queues are non-empty — but batch is never starved.
 var classWeights = [numClasses]int64{classInteractive: 3, classBatch: 1}
 
+// maxQueued bounds the admission queue: once this many requests wait, a
+// further acquire fails fast with ErrQuotaExceeded (HTTP 429) instead of
+// adding latency to every request behind it.
+const maxQueued = 32
+
 // admission is the per-request admission controller: a counting grant of
-// tokens with a fixed total, split across tenants and two priority classes.
-// Every running request holds exactly one token and runs its join on one
-// goroutine, so at most `total` joins are in flight across all concurrent
+// tokens with a fixed total and one bounded queue of waiters in two priority
+// classes. Every running request holds exactly one token and runs its join on
+// one goroutine, so at most `total` joins are in flight across all concurrent
 // requests instead of oversubscribing GOMAXPROCS (admission never changes a
 // result, so it is invisible in the responses).
 //
-// Per tenant, two caps apply: at most tenantInflight requests of a tenant may
-// hold tokens at once (further requests wait even when tokens are free — one
-// tenant cannot monopolize the pool), and at most tenantQueue requests may
-// wait (beyond that, acquire fails fast with ErrQuotaExceeded so doomed work
-// is shed at the door instead of after queueing).
-//
 // A request never waits while holding its token, so admission cannot
-// deadlock. Waiters are FIFO within a class; across classes the scheduler picks by
-// weighted virtual time (classWeights). A waiter whose tenant is at its
-// in-flight cap is skipped, not dequeued — it keeps its queue position until
-// the tenant releases.
+// deadlock. Waiters are FIFO within a class; across classes the scheduler
+// picks by weighted virtual time (classWeights). schedule hands out every
+// free token while anyone waits, so a free token means an empty queue.
 type admission struct {
-	mu    sync.Mutex
-	free  int
-	total int
+	mu         sync.Mutex
+	free       int
+	total      int
+	maxWaiting int
 
-	tenantInflight int // max concurrently admitted requests per tenant
-	tenantQueue    int // max queued waiters per tenant
-
-	tenants map[string]*tenantState
-	queues  [numClasses][]*waiter
-	vtime   [numClasses]int64 // grants × (Π weights / weight[c]), for fair pick
-	waiting int               // queued waiters, all classes (gauge)
+	queues [numClasses][]*waiter
+	vtime  [numClasses]int64 // grants × (Π weights / weight[c]), for fair pick
 
 	rejected int64 // ErrQuotaExceeded count (stats)
-}
-
-// tenantState tracks one tenant's admitted and queued request counts; entries
-// are dropped as soon as both reach zero, so the map stays bounded by live
-// tenants.
-type tenantState struct {
-	inflight int
-	queued   int
 }
 
 // waiter is one blocked acquire. grant sends are buffered so the scheduler
 // (holding the lock) never blocks on a waiter that is concurrently
 // cancelling.
 type waiter struct {
-	tenant string
-	class  int
-	ch     chan struct{} // receives the grant, exactly once
+	class int
+	ch    chan struct{} // receives the grant, exactly once
 }
 
 // grant is the handle a successful acquire returns; release returns its
-// token and wakes eligible waiters.
+// token and wakes the next waiter.
 type grant struct {
-	tenant   string
 	released bool
 }
 
-func newAdmission(total, tenantInflight, tenantQueue int) *admission {
+// newAdmission returns a controller of total tokens whose queue holds at
+// most maxWaiting waiters (the service passes maxQueued).
+func newAdmission(total, maxWaiting int) *admission {
 	if total < 1 {
 		total = 1
 	}
-	if tenantInflight < 1 || tenantInflight > total {
-		tenantInflight = total
-	}
-	if tenantQueue < 1 {
-		tenantQueue = defaultTenantQueue
-	}
-	return &admission{
-		free:           total,
-		total:          total,
-		tenantInflight: tenantInflight,
-		tenantQueue:    tenantQueue,
-		tenants:        make(map[string]*tenantState),
-	}
-}
-
-func (a *admission) tenant(name string) *tenantState {
-	t := a.tenants[name]
-	if t == nil {
-		t = &tenantState{}
-		a.tenants[name] = t
-	}
-	return t
-}
-
-func (a *admission) dropIfIdle(name string, t *tenantState) {
-	if t.inflight == 0 && t.queued == 0 {
-		delete(a.tenants, name)
-	}
+	return &admission{free: total, total: total, maxWaiting: maxWaiting}
 }
 
 // acquire blocks until the request is granted a token or ctx is done. It
-// returns ErrQuotaExceeded immediately when the tenant's waiting queue is
-// full. class is clamped to the known classes; a nil ctx never cancels.
-func (a *admission) acquire(ctx context.Context, tenant string, class int) (*grant, error) {
-	if class < 0 || class >= numClasses {
-		class = classInteractive
-	}
+// returns ErrQuotaExceeded immediately when the queue is full. class must be
+// one of the known classes (Query.Resolve rejects any other); a nil ctx
+// never cancels.
+func (a *admission) acquire(ctx context.Context, class int) (*grant, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -126,42 +84,28 @@ func (a *admission) acquire(ctx context.Context, tenant string, class int) (*gra
 	}
 
 	a.mu.Lock()
-	t := a.tenant(tenant)
-	// Fast path: tokens free, tenant under its cap, and nobody is queued
-	// ahead (granting here would jump the line the scheduler maintains).
-	if a.free > 0 && a.waiting == 0 && t.inflight < a.tenantInflight {
+	if a.free > 0 {
 		a.free--
-		t.inflight++
 		a.vtime[class] += vtStep(class)
 		a.mu.Unlock()
-		return &grant{tenant: tenant}, nil
+		return &grant{}, nil
 	}
-	if t.queued >= a.tenantQueue {
+	if a.queued() >= a.maxWaiting {
 		a.rejected++
-		a.dropIfIdle(tenant, t)
 		a.mu.Unlock()
 		return nil, ErrQuotaExceeded
 	}
-	w := &waiter{tenant: tenant, class: class, ch: make(chan struct{}, 1)}
-	t.queued++
-	a.waiting++
+	w := &waiter{class: class, ch: make(chan struct{}, 1)}
 	a.queues[class] = append(a.queues[class], w)
-	// The new waiter may be immediately eligible (e.g. tokens free but this
-	// tenant was at its cap a moment ago, or tokens were just released while
-	// the queue was empty in this class).
-	a.schedule()
 	a.mu.Unlock()
 
 	select {
 	case <-w.ch:
-		return &grant{tenant: tenant}, nil
+		return &grant{}, nil
 	case <-ctx.Done():
 		a.mu.Lock()
-		if a.unqueue(w) {
-			t := a.tenants[w.tenant]
-			t.queued--
-			a.waiting--
-			a.dropIfIdle(w.tenant, t)
+		if i := slices.Index(a.queues[w.class], w); i >= 0 {
+			a.queues[w.class] = slices.Delete(a.queues[w.class], i, i+1)
 			a.mu.Unlock()
 			return nil, ctx.Err()
 		}
@@ -169,7 +113,7 @@ func (a *admission) acquire(ctx context.Context, tenant string, class int) (*gra
 		// A grant raced the cancel: the scheduler already dequeued us and
 		// buffered the grant. Take it and give the token straight back.
 		<-w.ch
-		a.release(&grant{tenant: w.tenant})
+		a.release(&grant{})
 		return nil, ctx.Err()
 	}
 }
@@ -182,10 +126,6 @@ func (a *admission) release(g *grant) {
 	}
 	a.mu.Lock()
 	a.free++
-	if t := a.tenants[g.tenant]; t != nil {
-		t.inflight--
-		a.dropIfIdle(g.tenant, t)
-	}
 	g.released = true
 	a.schedule()
 	a.mu.Unlock()
@@ -201,66 +141,40 @@ func vtStep(c int) int64 {
 	return prod / classWeights[c]
 }
 
-// schedule hands free tokens to eligible waiters. Called with a.mu held.
-// Within a class waiters are FIFO, but a waiter whose tenant is at its
-// in-flight cap is skipped in place; across classes the smallest weighted
-// virtual time wins (ties to the lower class index, i.e. interactive).
+// schedule hands free tokens to waiters: the head of the non-empty class
+// with the smallest weighted virtual time (ties to the lower class index,
+// i.e. interactive). Called with a.mu held.
 func (a *admission) schedule() {
 	for a.free > 0 {
 		best := -1
-		var bestIdx int
-		for c := 0; c < numClasses; c++ {
-			idx := a.eligible(c)
-			if idx < 0 {
-				continue
-			}
-			if best < 0 || a.vtime[c] < a.vtime[best] {
-				best, bestIdx = c, idx
+		for c := range numClasses {
+			if len(a.queues[c]) > 0 && (best < 0 || a.vtime[c] < a.vtime[best]) {
+				best = c
 			}
 		}
 		if best < 0 {
 			return
 		}
-		q := a.queues[best]
-		w := q[bestIdx]
-		a.queues[best] = append(q[:bestIdx], q[bestIdx+1:]...)
-		t := a.tenants[w.tenant]
-		t.queued--
-		t.inflight++
-		a.waiting--
+		w := a.queues[best][0]
+		a.queues[best] = slices.Delete(a.queues[best], 0, 1)
 		a.free--
 		a.vtime[best] += vtStep(best)
 		w.ch <- struct{}{} // buffered; never blocks
 	}
 }
 
-// eligible returns the index of the first waiter in class c whose tenant is
-// under its in-flight cap, or -1. Called with a.mu held.
-func (a *admission) eligible(c int) int {
-	for i, w := range a.queues[c] {
-		if a.tenants[w.tenant].inflight < a.tenantInflight {
-			return i
-		}
+// queued is the number of waiters, all classes. Called with a.mu held.
+func (a *admission) queued() int {
+	n := 0
+	for _, q := range a.queues {
+		n += len(q)
 	}
-	return -1
+	return n
 }
 
-// unqueue removes w from its class queue; false means the scheduler already
-// granted it. Called with a.mu held.
-func (a *admission) unqueue(w *waiter) bool {
-	q := a.queues[w.class]
-	for i, x := range q {
-		if x == w {
-			a.queues[w.class] = append(q[:i], q[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// snapshot returns the gauges the stats endpoint and the load shedder read.
+// snapshot returns the gauges the stats endpoint reads.
 func (a *admission) snapshot() (free, waiting int, rejected int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.free, a.waiting, a.rejected
+	return a.free, a.queued(), a.rejected
 }

@@ -8,104 +8,63 @@ import (
 	"time"
 )
 
-// TestAdmissionTenantQueueCap: once a tenant has tenantQueue waiters queued,
-// further acquires of that tenant fail fast with ErrQuotaExceeded while other
-// tenants keep queueing normally.
-func TestAdmissionTenantQueueCap(t *testing.T) {
-	a := newAdmission(1, 1, 2)
-	held, err := a.acquire(context.Background(), "t1", classInteractive)
+// TestAdmissionQueueCap: once the queue holds its cap of waiters, a further
+// acquire fails fast with ErrQuotaExceeded in either class, and a released
+// token still reaches the waiters in order.
+func TestAdmissionQueueCap(t *testing.T) {
+	a := newAdmission(1, 2)
+	// A batch holder leaves batch behind on virtual time, so the queued
+	// interactive waiter is granted first.
+	held, err := a.acquire(context.Background(), classBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Fill t1's queue with exactly tenantQueue waiters.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
+	// Fill the two-waiter queue, one waiter per class.
+	granted := make(chan int, 2)
+	for _, class := range []int{classBatch, classInteractive} {
 		go func() {
-			defer wg.Done()
-			g, err := a.acquire(ctx, "t1", classInteractive)
-			if err == nil {
-				a.release(g)
+			g, err := a.acquire(context.Background(), class)
+			if err != nil {
+				t.Error(err)
+				return
 			}
+			granted <- class
+			a.release(g)
 		}()
 	}
 	waitFor(t, func() bool { _, waiting, _ := a.snapshot(); return waiting == 2 })
 
-	if _, err := a.acquire(context.Background(), "t1", classInteractive); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("over-queued tenant acquire = %v, want ErrQuotaExceeded", err)
+	for _, class := range []int{classInteractive, classBatch} {
+		if _, err := a.acquire(context.Background(), class); !errors.Is(err, ErrQuotaExceeded) {
+			t.Fatalf("class %d acquire on a full queue = %v, want ErrQuotaExceeded", class, err)
+		}
 	}
-	if _, _, rejected := a.snapshot(); rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", rejected)
+	if _, waiting, rejected := a.snapshot(); rejected != 2 || waiting != 2 {
+		t.Fatalf("rejected = %d, waiting = %d, want 2 and 2", rejected, waiting)
 	}
 
-	// A different tenant queues (not rejected) and is granted on release.
-	got := make(chan *grant, 1)
-	go func() {
-		g, err := a.acquire(context.Background(), "t2", classInteractive)
-		if err != nil {
-			t.Error(err)
-		}
-		got <- g
-	}()
-	waitFor(t, func() bool { _, waiting, _ := a.snapshot(); return waiting == 3 })
+	// Release: the interactive waiter goes first, then the batch one.
 	a.release(held)
-	// t1's waiters are ahead in FIFO order, so drain through them: cancel the
-	// t1 waiters so the token reaches t2 (each releases on grant).
-	cancel()
-	wg.Wait()
-	select {
-	case g := <-got:
-		a.release(g)
-	case <-time.After(5 * time.Second):
-		t.Fatal("t2 never granted after release")
-	}
-}
-
-// TestAdmissionTenantInflightCap: a tenant at its in-flight cap waits even
-// while tokens are free, and other tenants are served around it (skipped in
-// place, not blocked behind it).
-func TestAdmissionTenantInflightCap(t *testing.T) {
-	a := newAdmission(4, 1, 8)
-	g1, err := a.acquire(context.Background(), "greedy", classInteractive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tokens are free (3 left) but "greedy" is at its in-flight cap of 1.
-	blocked := make(chan *grant, 1)
-	go func() {
-		g, err := a.acquire(context.Background(), "greedy", classInteractive)
-		if err != nil {
-			t.Error(err)
+	for _, want := range []int{classInteractive, classBatch} {
+		select {
+		case got := <-granted:
+			if got != want {
+				t.Fatalf("granted class %d, want %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("queued waiter never granted after release")
 		}
-		blocked <- g
-	}()
-	waitFor(t, func() bool { _, waiting, _ := a.snapshot(); return waiting == 1 })
-
-	// Another tenant is admitted instantly despite the queued greedy waiter.
-	g2, err := a.acquire(context.Background(), "other", classInteractive)
-	if err != nil {
-		t.Fatalf("other tenant blocked behind a capped tenant: %v", err)
 	}
-	select {
-	case <-blocked:
-		t.Fatal("capped tenant admitted past its in-flight limit")
-	default:
-	}
-
-	a.release(g1) // frees greedy's slot; its waiter is granted now
-	select {
-	case g := <-blocked:
+	waitFor(t, func() bool { free, waiting, _ := a.snapshot(); return free == 1 && waiting == 0 })
+	if g, err := a.acquire(context.Background(), classBatch); err != nil {
+		t.Fatalf("acquire after the queue drained = %v", err)
+	} else {
 		a.release(g)
-	case <-time.After(5 * time.Second):
-		t.Fatal("greedy waiter never granted after release")
+		a.release(g) // a second release of one grant returns nothing
 	}
-	a.release(g2)
-	a.release(g2) // a second release of one grant returns nothing
-	if free, waiting, _ := a.snapshot(); free != 4 || waiting != 0 {
-		t.Fatalf("final state free=%d waiting=%d", free, waiting)
+	if free, _, _ := a.snapshot(); free != 1 {
+		t.Fatalf("free = %d after a double release, want 1", free)
 	}
 }
 
@@ -114,8 +73,8 @@ func TestAdmissionTenantInflightCap(t *testing.T) {
 // interactive gets roughly three times the grant rate, and batch is never
 // starved.
 func TestAdmissionWeightedFairness(t *testing.T) {
-	a := newAdmission(1, 0, 1000)
-	held, err := a.acquire(context.Background(), "", classInteractive)
+	a := newAdmission(1, 1000)
+	held, err := a.acquire(context.Background(), classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +87,7 @@ func TestAdmissionWeightedFairness(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				g, err := a.acquire(context.Background(), "", class)
+				g, err := a.acquire(context.Background(), class)
 				if err != nil {
 					t.Error(err)
 					return
@@ -174,7 +133,7 @@ func TestAdmissionWeightedFairness(t *testing.T) {
 // leak tokens — the cancel path that loses the race takes the buffered grant
 // and releases it.
 func TestAdmissionCancelGrantRace(t *testing.T) {
-	a := newAdmission(2, 0, 1000)
+	a := newAdmission(2, 1000)
 	var wg sync.WaitGroup
 	for i := 0; i < 200; i++ {
 		wg.Add(1)
@@ -183,7 +142,7 @@ func TestAdmissionCancelGrantRace(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan struct{})
 			go func() {
-				g, err := a.acquire(ctx, "t", classInteractive)
+				g, err := a.acquire(ctx, classInteractive)
 				if err == nil {
 					a.release(g)
 				}
@@ -200,14 +159,11 @@ func TestAdmissionCancelGrantRace(t *testing.T) {
 	if free, waiting, _ := a.snapshot(); free != 2 || waiting != 0 {
 		t.Fatalf("tokens leaked: free=%d waiting=%d, want 2/0", free, waiting)
 	}
-	if len(a.tenants) != 0 {
-		t.Fatalf("%d tenant entries left after all releases", len(a.tenants))
-	}
 }
 
 // waitFor polls cond (with a deadline) — admission state transitions happen
 // on other goroutines.
-func waitFor(t *testing.T, cond func() bool) {
+func waitFor(t testing.TB, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cond() {

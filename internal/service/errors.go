@@ -6,11 +6,11 @@ import "errors"
 // public dhtjoin package) because dhtjoin imports internal/service; dhtjoin
 // re-exports aliases of these exact values so errors.Is works across layers.
 var (
-	// ErrQuotaExceeded reports that a tenant's admission quota rejected the
-	// request outright: its waiting queue is full, so queueing would only add
-	// latency to work that will be shed anyway. Clients should back off and
-	// retry; HTTP maps it to 429 with Retry-After.
-	ErrQuotaExceeded = errors.New("service: tenant quota exceeded")
+	// ErrQuotaExceeded reports that the admission queue is full: the request
+	// was rejected outright, since queueing it would only add latency to
+	// every request behind it. Clients should back off and retry; HTTP maps
+	// it to 429 with Retry-After.
+	ErrQuotaExceeded = errors.New("service: admission queue full")
 
 	// ErrBudgetExceeded reports that a query's wall-clock deadline budget
 	// expired mid-join. It is the *cause* installed in the query context, so

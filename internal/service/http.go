@@ -296,12 +296,13 @@ func serveJoin[T, W any](svc *Service, w http.ResponseWriter, r *http.Request, r
 	}
 	// Batch (optionally paged): drain cursor+k, return the page past the
 	// cursor. The prefix cache makes page n+1 re-serve page n's work.
-	res, meta, err := joinBatch(svc, ctx, req.Graph, spec, req.Cursor+req.K, query)
-	if err != nil {
+	res, err := joinBatch(svc, ctx, req.Graph, spec, req.Cursor+req.K, query)
+	truncated := errors.Is(err, ErrBudgetExceeded)
+	if err != nil && !truncated {
 		writeSvcError(w, err)
 		return
 	}
-	exhausted := len(res) < req.Cursor+req.K && !meta.Truncated && meta.ClampedK == 0
+	exhausted := len(res) < req.Cursor+req.K && !truncated
 	res = res[min(req.Cursor, len(res)):]
 	page := make([]W, len(res))
 	for i, v := range res {
@@ -315,7 +316,9 @@ func serveJoin[T, W any](svc *Service, w http.ResponseWriter, r *http.Request, r
 		"next_cursor": req.Cursor + len(page),
 		"exhausted":   exhausted,
 	}
-	addMeta(body, meta)
+	if truncated {
+		body["truncated"] = true
+	}
 	writeJSON(w, http.StatusOK, body)
 }
 

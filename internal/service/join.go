@@ -52,91 +52,49 @@ func openJoin[T any](s *Service, ctx context.Context, graphName string, spec joi
 	return rq.open(ctx, 0, false)
 }
 
-// BatchMeta describes how a batch response was degraded under pressure; the
-// zero value means "served exactly as demanded".
-type BatchMeta struct {
-	// ClampedK, when non-zero, is the k the request was degraded to by load
-	// shedding (the served ranking is the exact top-ClampedK).
-	ClampedK int `json:"clamped_k,omitempty"`
-	// Truncated reports that the deadline budget expired mid-join: the
-	// served results are a correct ranking prefix, but shorter than asked.
-	Truncated bool `json:"truncated,omitempty"`
-}
-
 // joinBatch runs (or serves from the prefix cache) a top-k join by draining
-// the stream openJoin exposes, reporting shed clamps and budget truncations
-// as metadata instead of an opaque failure.
-func joinBatch[T any](s *Service, ctx context.Context, graphName string, spec joinSpec[T], k int, query Query) ([]T, BatchMeta, error) {
-	var meta BatchMeta
+// the stream openJoin exposes. A budget that expires mid-join is a
+// truncation, not a failure: the drained prefix (empty when the budget was
+// spent before the join could start) is correct as far as it goes, so it is
+// returned alongside ErrBudgetExceeded instead of discarding paid-for work.
+func joinBatch[T any](s *Service, ctx context.Context, graphName string, spec joinSpec[T], k int, query Query) ([]T, error) {
 	if err := s.enter(spec.class()); err != nil {
-		return nil, meta, err
+		return nil, err
 	}
 	if k <= 0 {
-		return nil, meta, fmt.Errorf("service: k must be positive, got %d", k)
+		return nil, fmt.Errorf("service: k must be positive, got %d", k)
 	}
 	if st, claimed, err := spec.route(ctx, s, graphName, query); claimed {
-		// A routed join bypasses the local result cache and shed clamping:
-		// the shards apply their own admission and budgets, and the corner
-		// bound already stops their streams at the demanded k.
+		// A routed join bypasses the local result cache: the shards apply
+		// their own admission and budgets, and the corner bound already
+		// stops their streams at the demanded k.
 		if err != nil {
-			return nil, meta, err
+			return nil, err
 		}
 		defer st.Stop()
-		res, err := st.NextK(k)
-		return res, meta, err
+		return st.NextK(k)
 	}
 	rq, err := resolveJoin(s, graphName, spec, query)
 	if err != nil {
-		return nil, meta, err
+		return nil, err
 	}
 	if pre, ok := rq.sess.results.get(rq.key, k); ok {
 		s.resultHits.Add(1)
-		return rq.served(pre, k), meta, nil
-	}
-	// Under shed, an over-demanding miss degrades: any cached prefix beats
-	// running a join, and failing that the demand is clamped to ShedK. The
-	// served results are still the exact top of the ranking — shedding only
-	// shortens it.
-	if shedK := s.cfg.ShedK; s.Shedding() && k > shedK {
-		if pre, ok := rq.sess.results.getAny(rq.key); ok && pre.n > 0 {
-			s.resultHits.Add(1)
-			s.shedClamps.Add(1)
-			meta.ClampedK = min(k, pre.n)
-			return rq.served(pre, k), meta, nil
-		}
-		k = shedK
-		meta.ClampedK = shedK
-		s.shedClamps.Add(1)
+		return rq.served(pre, k), nil
 	}
 	if rq.key != "" {
 		s.resultMisses.Add(1)
 	}
 	st, err := rq.open(ctx, k, true)
 	if err != nil {
-		return nil, meta, err
+		return nil, err
 	}
 	defer st.Stop()
 	res, err := st.NextK(k)
-	if errors.Is(err, ErrBudgetExceeded) {
-		// The drained prefix (empty when the budget was spent before the
-		// join could start) is correct as far as it goes; surface it with
-		// the truncation marker instead of discarding paid-for work.
-		meta.Truncated = true
-		return res, meta, nil
+	if err != nil && !errors.Is(err, ErrBudgetExceeded) {
+		return nil, err
 	}
-	if err != nil {
-		return nil, meta, err
-	}
-	return res, meta, nil
-}
-
-// truncErr folds batch truncation metadata back into ErrBudgetExceeded for
-// the callers that want it as an error.
-func truncErr(meta BatchMeta, err error) error {
-	if err == nil && meta.Truncated {
-		return ErrBudgetExceeded
-	}
-	return err
+	return res, err
 }
 
 // OpenJoin2 opens a streaming top-pairs request on the named graph; see
@@ -150,12 +108,6 @@ func (s *Service) OpenJoin2(ctx context.Context, graphName string, p, q SetRef, 
 // deadline budget expires, the prefix drained so far is returned alongside
 // ErrBudgetExceeded.
 func (s *Service) Join2(ctx context.Context, graphName string, p, q SetRef, k int, query Query) ([]join2.Result, error) {
-	res, meta, err := s.Join2Meta(ctx, graphName, p, q, k, query)
-	return res, truncErr(meta, err)
-}
-
-// Join2Meta is Join2 with load-degradation metadata; see joinBatch.
-func (s *Service) Join2Meta(ctx context.Context, graphName string, p, q SetRef, k int, query Query) ([]join2.Result, BatchMeta, error) {
 	return joinBatch(s, ctx, graphName, pairSpec{p, q}, k, query)
 }
 
@@ -169,8 +121,7 @@ func (s *Service) OpenJoinN(ctx context.Context, graphName string, sets []SetRef
 // (dhtjoin.TopK is this call on an Ephemeral service); budget expiry as in
 // Join2.
 func (s *Service) JoinN(ctx context.Context, graphName string, sets []SetRef, edges [][2]int, k int, query Query) ([]core.Answer, error) {
-	res, meta, err := joinBatch(s, ctx, graphName, tupleSpec{sets, edges}, k, query)
-	return res, truncErr(meta, err)
+	return joinBatch(s, ctx, graphName, tupleSpec{sets, edges}, k, query)
 }
 
 // explainJoin resolves a request and returns the plan its execution would
@@ -222,7 +173,7 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID
 	if err != nil {
 		return 0, err
 	}
-	g, err := s.adm.acquire(ctx, query.Tenant, query.Priority)
+	g, err := s.adm.acquire(ctx, query.Priority)
 	if err != nil {
 		return 0, err
 	}

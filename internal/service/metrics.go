@@ -64,9 +64,8 @@ func WriteMetrics(w io.Writer, st Stats) {
 	metric(w, "njoind_edge_sweeps_total", "counter", "Walk-kernel edge sweeps.", st.EdgeSweeps)
 	metric(w, "njoind_frontier_edges_total", "counter", "Edges crossed by walk frontiers.", st.FrontierEdges)
 
-	metric(w, "njoind_quota_rejections_total", "counter", "Requests rejected by tenant quotas.", st.QuotaRejections)
+	metric(w, "njoind_quota_rejections_total", "counter", "Requests rejected because the admission queue was full.", st.QuotaRejections)
 	metric(w, "njoind_budget_truncations_total", "counter", "Rankings truncated by deadline budgets.", st.BudgetTruncations)
-	metric(w, "njoind_shed_clamps_total", "counter", "Batch demands clamped by load shedding.", st.ShedClamps)
 	metric(w, "njoind_panics_recovered_total", "counter", "Panics recovered inside request handling.", st.PanicsRecovered)
 	metric(w, "njoind_admission_free", "gauge", "Free admission tokens.", int64(st.AdmissionFree))
 	metric(w, "njoind_admission_waiting", "gauge", "Requests waiting for admission.", int64(st.AdmissionWaiting))

@@ -47,15 +47,12 @@ type Query struct {
 	// are bit-identical under any choice; an unknown name or one of the
 	// wrong query class fails the request.
 	Algorithm string
-	// Tenant attributes the request to an admission-quota bucket; empty is
-	// the anonymous shared bucket. Quotas never change results — only
-	// whether and when a request is admitted. One-shot library calls run
-	// alone on their own session, so they ignore it.
-	Tenant string
 	// Priority selects the admission class: PriorityInteractive (the zero
-	// value) or PriorityBatch. Batch requests still make progress under
-	// load, just at a lower weighted-fair share. One-shot library calls
-	// ignore it, as they do Tenant.
+	// value) or PriorityBatch; any other value fails the request. Batch
+	// requests still make progress under load, just at a lower
+	// weighted-fair share. Admission never changes results — only when a
+	// request runs — and a one-shot library call runs alone on its own
+	// session, so it never waits.
 	Priority int
 	// Budget is this query's wall-clock deadline budget; 0 defers to the
 	// service's DefaultBudget. An expired budget truncates the query to the
@@ -72,8 +69,12 @@ const (
 )
 
 // Resolve runs the query's ranking-determining options through the system's
-// one resolver, without executing anything.
+// one resolver, without executing anything. Every entry point resolves its
+// query first, so Resolve is also where an unknown Priority is rejected.
 func (q *Query) Resolve() (measure.Resolved, error) {
+	if q.Priority != PriorityInteractive && q.Priority != PriorityBatch {
+		return measure.Resolved{}, fmt.Errorf("service: unknown priority %d (want PriorityInteractive or PriorityBatch)", q.Priority)
+	}
 	return measure.Resolve(measure.Request{
 		Measure: q.MeasureName, Params: q.Params, Epsilon: q.Epsilon, D: q.D,
 		Agg: q.Agg, M: q.M,
@@ -362,7 +363,7 @@ func (rq *request[T]) open(ctx context.Context, k int, batch bool) (*Stream[T], 
 	// The budget clock starts here, covering the admission wait too: a
 	// request that spends its whole budget queued is already late.
 	qctx, cancel := svc.budgetContext(ctx, &rq.query)
-	g, err := svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority)
+	g, err := svc.adm.acquire(qctx, rq.query.Priority)
 	if err != nil {
 		return rq.unopened(qctx, cancel, admitErr(qctx, err))
 	}
@@ -424,8 +425,8 @@ func (s *Service) cancelPoll(ctx context.Context) func() error {
 }
 
 // admitErr maps an admission wait that died with the context to the richer
-// cancellation cause (budget expiry vs. plain cancel); quota rejections pass
-// through.
+// cancellation cause (budget expiry vs. plain cancel); queue-full rejections
+// pass through.
 func admitErr(ctx context.Context, err error) error {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		if cause := context.Cause(ctx); cause != nil {

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/join2"
 )
 
 // serverFor wires a service with a caller-chosen Config into an httptest
@@ -257,8 +256,8 @@ func TestHTTPPutDeleteRace(t *testing.T) {
 }
 
 // TestBudgetTruncation: a deadline budget that expires mid-join yields a
-// correct-but-short ranking prefix with the truncation marker, not an error
-// and not garbage.
+// correct-but-short ranking prefix alongside ErrBudgetExceeded, not a bare
+// error and not garbage.
 func TestBudgetTruncation(t *testing.T) {
 	g, sets := testGraph(t)
 	// A join this size makes only a handful of walk-round polls, so the
@@ -271,12 +270,9 @@ func TestBudgetTruncation(t *testing.T) {
 	}
 	p, q := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
 
-	res, meta, err := svc.Join2Meta(context.Background(), "g", p, q, 500, Query{Budget: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("budgeted join errored instead of truncating: %v", err)
-	}
-	if !meta.Truncated {
-		t.Fatalf("50ms budget against 30ms/round latency was not truncated (%d results)", len(res))
+	res, err := svc.Join2(context.Background(), "g", p, q, 500, Query{Budget: 50 * time.Millisecond})
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("50ms budget against 30ms/round latency = %v, want ErrBudgetExceeded (%d results)", err, len(res))
 	}
 	if len(res) >= 500 {
 		t.Fatalf("truncated join returned all %d results", len(res))
@@ -291,16 +287,6 @@ func TestBudgetTruncation(t *testing.T) {
 	}
 	if svc.Stats().BudgetTruncations == 0 {
 		t.Fatal("BudgetTruncations counter never moved")
-	}
-
-	// The plain Join2 signature reports the same outcome as an errors.Is-able
-	// error alongside the prefix.
-	res2, err := svc.Join2(context.Background(), "g", p, q, 500, Query{Budget: 50 * time.Millisecond})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("Join2 under budget = %v, want ErrBudgetExceeded", err)
-	}
-	if len(res2) >= 500 {
-		t.Fatalf("Join2 under budget returned all %d results", len(res2))
 	}
 
 	// Stream handles surface it through Next's error and Truncated().
@@ -326,91 +312,6 @@ func TestBudgetTruncation(t *testing.T) {
 	}
 	if n := poolOutstanding(svc); n != 0 {
 		t.Fatalf("%d engines outstanding after budget truncations", n)
-	}
-}
-
-// TestShedClamp: when admission is saturated and the queue is past ShedQueue,
-// over-demanding cache misses degrade — a cached prefix of any length is
-// served as-is, and uncached demands are clamped to ShedK. Both report the
-// clamp; both stay exact-top-of-ranking.
-func TestShedClamp(t *testing.T) {
-	g, sets := testGraph(t)
-	svc := New(Config{MaxConcurrency: 1, ShedQueue: 1})
-	if err := svc.LoadGraph("g", g, sets); err != nil {
-		t.Fatal(err)
-	}
-	pA, qA := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
-	pB, qB := SetRef{Name: sets[0].Name}, SetRef{Name: sets[2].Name}
-	ctx := context.Background()
-
-	// Warm the cache for combo A while the service is unloaded.
-	warm, err := svc.Join2(ctx, "g", pA, qA, 5, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Saturate: one holder owns the only token, one waiter queues behind it.
-	holder, err := svc.OpenJoin2(ctx, "g", pA, qA, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waiterCtx, cancelWaiter := context.WithCancel(ctx)
-	defer cancelWaiter()
-	waiterDone := make(chan struct{})
-	go func() {
-		defer close(waiterDone)
-		if wg, err := svc.adm.acquire(waiterCtx, "w", classInteractive); err == nil {
-			svc.adm.release(wg)
-		}
-	}()
-	waitFor(t, func() bool { return svc.Shedding() })
-
-	// Over-demanding hit on the warmed combo: served from the cached prefix
-	// without touching admission, clamp reported.
-	res, meta, err := svc.Join2Meta(ctx, "g", pA, qA, 100, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.ClampedK != len(warm) || len(res) != len(warm) {
-		t.Fatalf("shed hit: clamped_k=%d results=%d, want %d", meta.ClampedK, len(res), len(warm))
-	}
-	for i := range res {
-		if res[i] != warm[i] {
-			t.Fatalf("shed hit rank %d: %+v, want %+v", i, res[i], warm[i])
-		}
-	}
-
-	// Over-demanding miss on an uncached combo: clamped to ShedK. It still
-	// needs a token, so release the holder and let the queue circulate.
-	type outcome struct {
-		res  []join2.Result
-		meta BatchMeta
-		err  error
-	}
-	missCh := make(chan outcome, 1)
-	go func() {
-		res, meta, err := svc.Join2Meta(ctx, "g", pB, qB, 100, Query{})
-		missCh <- outcome{res, meta, err}
-	}()
-	waitFor(t, func() bool { _, waiting, _ := svc.adm.snapshot(); return waiting >= 2 })
-	holder.Stop()
-	out := <-missCh
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if out.meta.ClampedK != svc.ShedK() || len(out.res) != svc.ShedK() {
-		t.Fatalf("shed miss: clamped_k=%d results=%d, want %d", out.meta.ClampedK, len(out.res), svc.ShedK())
-	}
-	want := refJoin2(t, g, sets[0].Nodes(), sets[2].Nodes(), svc.ShedK())
-	for i := range out.res {
-		if out.res[i] != want[i] {
-			t.Fatalf("shed miss rank %d: %+v, want %+v", i, out.res[i], want[i])
-		}
-	}
-	cancelWaiter()
-	<-waiterDone
-	if svc.Stats().ShedClamps < 2 {
-		t.Fatalf("ShedClamps = %d, want >= 2", svc.Stats().ShedClamps)
 	}
 }
 
@@ -524,11 +425,12 @@ func TestHTTPBudgetSpentAtOpen(t *testing.T) {
 	}
 }
 
-// TestHTTPTenantHeadersAndQuota: tenant identity and priority flow from the
-// X-Tenant / X-Priority headers, and a tenant past its quota gets 429 with
-// Retry-After while other tenants keep being served.
-func TestHTTPTenantHeadersAndQuota(t *testing.T) {
-	srv, svc, _, sets := serverFor(t, Config{MaxConcurrency: 1, TenantInFlight: 1, TenantQueue: 1})
+// TestHTTPPriorityAndQueueFull: X-Priority selects the admission class, a
+// request that finds the admission queue full gets 429 with Retry-After, and
+// the retired "tenant" option is a 400 that says so.
+func TestHTTPPriorityAndQueueFull(t *testing.T) {
+	srv, svc, _, sets := serverFor(t, Config{MaxConcurrency: 1})
+	svc.adm = newAdmission(1, 1) // before any request: a one-waiter queue
 
 	streamBody, _ := json.Marshal(map[string]any{
 		"graph":  "test",
@@ -537,13 +439,15 @@ func TestHTTPTenantHeadersAndQuota(t *testing.T) {
 		"k":      0,
 		"stream": true,
 	})
-	open := func(tenant string) *http.Response {
+	open := func(priority string) *http.Response {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/join2", bytes.NewReader(streamBody))
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Tenant", tenant)
+		if priority != "" {
+			req.Header.Set("X-Priority", priority)
+		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -551,11 +455,11 @@ func TestHTTPTenantHeadersAndQuota(t *testing.T) {
 		return resp
 	}
 
-	// noisy holds the only token through a direct stream handle (an HTTP
-	// holder would finish into the socket buffers and release too early);
-	// a second noisy request then fills its queue of 1.
+	// The holder keeps the only token through a direct stream handle (an
+	// HTTP holder would finish into the socket buffers and release too
+	// early); a batch request then fills the one-waiter queue.
 	holder, err := svc.OpenJoin2(context.Background(), "test",
-		SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}, Query{Tenant: "noisy"})
+		SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,55 +468,106 @@ func TestHTTPTenantHeadersAndQuota(t *testing.T) {
 		t.Fatalf("holder first pull: ok=%v err=%v", ok, err)
 	}
 	queuedDone := make(chan *http.Response, 1)
-	go func() { queuedDone <- open("noisy") }()
-	waitFor(t, func() bool { _, waiting, _ := svc.adm.snapshot(); return waiting == 1 })
+	go func() { queuedDone <- open("Batch") }()
+	waitFor(t, func() bool {
+		svc.adm.mu.Lock()
+		defer svc.adm.mu.Unlock()
+		return len(svc.adm.queues[classBatch]) == 1
+	})
 
-	// The third noisy request breaches the queue cap: 429 + Retry-After.
-	rejected := open("noisy")
+	// The next request finds the queue full: 429 + Retry-After.
+	rejected := open("")
 	raw, _ := io.ReadAll(rejected.Body)
 	rejected.Body.Close()
 	if rejected.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota tenant = %d: %s", rejected.StatusCode, raw)
+		t.Fatalf("request past a full queue = %d: %s", rejected.StatusCode, raw)
 	}
 	if rejected.Header.Get("Retry-After") == "" {
 		t.Fatal("429 lacks Retry-After")
 	}
-	if svc.Stats().QuotaRejections == 0 {
-		t.Fatal("QuotaRejections counter never moved")
+	if got := svc.Stats().QuotaRejections; got != 1 {
+		t.Fatalf("QuotaRejections = %d, want 1", got)
 	}
 
-	// A different tenant is not rejected: it queues (concurrency is 1), which
-	// is exactly the isolation the per-tenant caps exist to provide.
-	otherDone := make(chan *http.Response, 1)
-	go func() { otherDone <- open("quiet") }()
-	waitFor(t, func() bool { _, waiting, _ := svc.adm.snapshot(); return waiting == 2 })
-
-	// Release the holder; the queued requests then get the token and finish.
+	// Release the holder; the queued request then gets the token and finishes.
 	holder.Stop()
-	for _, ch := range []chan *http.Response{queuedDone, otherDone} {
-		select {
-		case resp := <-ch:
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("queued request = %d", resp.StatusCode)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		case <-time.After(30 * time.Second):
-			t.Fatal("queued request never completed")
+	select {
+	case resp := <-queuedDone:
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("queued request = %d", resp.StatusCode)
 		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	case <-time.After(30 * time.Second):
+		t.Fatal("queued request never completed")
 	}
 	waitFor(t, func() bool { return poolOutstanding(svc) == 0 })
 
 	// Bad priority header is a client error, not a silent default.
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/join2", bytes.NewReader(streamBody))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Priority", "urgent")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := open("urgent")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus X-Priority = %d, want 400", resp.StatusCode)
+	}
+
+	// The retired tenant option is a 400 naming the removal, in the body and
+	// on the GET routes alike.
+	var body map[string]any
+	json.Unmarshal(streamBody, &body)
+	body["options"] = map[string]any{"tenant": "team-a"}
+	tenantBody, _ := json.Marshal(body)
+	resp, err = http.Post(srv.URL+"/join2", "application/json", bytes.NewReader(tenantBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "tenant") || !strings.Contains(string(raw), "removed") {
+		t.Fatalf("body tenant option = %d: %s", resp.StatusCode, raw)
+	}
+	resp, err = http.Get(srv.URL + "/score?graph=test&u=0&v=1&tenant=team-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "tenant") {
+		t.Fatalf("GET tenant parameter = %d: %s", resp.StatusCode, raw)
+	}
+}
+
+// TestQueryOfPriority: a priority named in the body wins over the
+// X-Priority header, the header applies only when the body left priority
+// empty, and both sides are case-insensitive.
+func TestQueryOfPriority(t *testing.T) {
+	for _, tc := range []struct {
+		body, header string
+		want         int
+		wantErr      bool
+	}{
+		{"", "", PriorityInteractive, false},
+		{"", "batch", PriorityBatch, false},
+		{"", "Batch", PriorityBatch, false},
+		{"interactive", "batch", PriorityInteractive, false},
+		{"Interactive", "BATCH", PriorityInteractive, false},
+		{"Batch", "", PriorityBatch, false},
+		{"batch", "interactive", PriorityBatch, false},
+		{"urgent", "", 0, true},
+		{"", "urgent", 0, true},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/join2", nil)
+		if tc.header != "" {
+			r.Header.Set("X-Priority", tc.header)
+		}
+		q, err := queryOf(r, &OptionsJSON{Priority: tc.body})
+		if (err != nil) != tc.wantErr || (err == nil && q.Priority != tc.want) {
+			t.Errorf("body %q, header %q: priority %d, err %v; want %d, error %v",
+				tc.body, tc.header, q.Priority, err, tc.want, tc.wantErr)
+		}
+	}
+	r := httptest.NewRequest(http.MethodPost, "/join2", nil)
+	r.Header.Set("X-Priority", "batch")
+	if q, err := queryOf(r, nil); err != nil || q.Priority != PriorityBatch {
+		t.Errorf("no options, header batch: priority %d, err %v", q.Priority, err)
 	}
 }

@@ -52,18 +52,6 @@ func (c *resultLRU) get(key string, k int) (prefix, bool) {
 	return c.entries.Get(key)
 }
 
-// getAny returns whatever prefix is cached for key, however short — the load
-// shedder serves a stale-length-but-exact prefix in place of running a join
-// it has no capacity for.
-func (c *resultLRU) getAny(key string) (prefix, bool) {
-	if c == nil {
-		return prefix{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries.Get(key)
-}
-
 // getFull returns the cached prefix only when it is the complete ranking
 // (exhausted), which is the one case a stream of unknown demand can be
 // served entirely from cache.

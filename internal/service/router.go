@@ -58,7 +58,7 @@ func (s *Service) SetRouter(r Router) { s.cfg.Router = r }
 // noRouteKey marks a context whose joins must evaluate locally.
 type noRouteKey struct{}
 
-// WithoutRouting returns a context under which OpenJoin2/Join2Meta bypass
+// WithoutRouting returns a context under which OpenJoin2/Join2 bypass
 // the configured Router. Shard-side scatter execution uses it: the request
 // was already routed once, and a shard re-scattering it would recurse.
 func WithoutRouting(ctx context.Context) context.Context {

@@ -46,17 +46,6 @@ type Config struct {
 	// 0 selects GOMAXPROCS.
 	MaxConcurrency int
 
-	// TenantInFlight caps how many requests of one tenant may hold admission
-	// tokens at once; further requests of that tenant wait even while tokens
-	// are free, so one tenant cannot monopolize the join slots. 0 selects
-	// MaxConcurrency (no per-tenant limit beyond the global one).
-	TenantInFlight int
-
-	// TenantQueue caps how many requests of one tenant may wait for
-	// admission; beyond it, requests fail fast with ErrQuotaExceeded.
-	// 0 selects 32.
-	TenantQueue int
-
 	// DefaultBudget is the wall-clock deadline budget applied to queries that
 	// do not carry their own (Query.Budget). 0 means no default budget.
 	DefaultBudget time.Duration
@@ -64,16 +53,6 @@ type Config struct {
 	// MaxBudget caps every query's budget, including queries with none.
 	// 0 means no cap.
 	MaxBudget time.Duration
-
-	// ShedQueue is the admission-waiter count at which the HTTP layer starts
-	// shedding load by clamping demanded k toward cached or cheap prefixes
-	// (shedding engages only when no tokens are free AND at least ShedQueue
-	// requests are already waiting). 0 selects 8; negative disables shedding.
-	ShedQueue int
-
-	// ShedK is the k that over-demanding batch requests are clamped to while
-	// shedding (when no cached prefix can serve them). 0 selects 16.
-	ShedK int
 
 	// StreamWriteTimeout bounds each NDJSON line write of a streaming HTTP
 	// response, so one stalled reader cannot pin pooled engines and admission
@@ -99,12 +78,7 @@ type Config struct {
 	Router Router
 }
 
-const (
-	defaultTenantQueue  = 32
-	defaultShedQueue    = 8
-	defaultShedK        = 16
-	defaultWriteTimeout = 30 * time.Second
-)
+const defaultWriteTimeout = 30 * time.Second
 
 func (c Config) withDefaults() Config {
 	// MaxGraphs, MaxSessions, and MaxConcurrency have no meaningful
@@ -123,18 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConcurrency < 1 {
 		c.MaxConcurrency = runtime.GOMAXPROCS(0)
-	}
-	if c.TenantInFlight < 1 {
-		c.TenantInFlight = c.MaxConcurrency
-	}
-	if c.TenantQueue < 1 {
-		c.TenantQueue = defaultTenantQueue
-	}
-	if c.ShedQueue == 0 {
-		c.ShedQueue = defaultShedQueue
-	}
-	if c.ShedK < 1 {
-		c.ShedK = defaultShedK
 	}
 	if c.StreamWriteTimeout == 0 {
 		c.StreamWriteTimeout = defaultWriteTimeout
@@ -160,11 +122,11 @@ type Service struct {
 	counters dht.Counters // lifetime engine work, fed by every session pool
 	draining atomic.Bool  // set once by StartDrain; never cleared
 
-	join2Reqs, joinNReqs, scoreReqs  atomic.Int64
-	resultHits, resultMisses         atomic.Int64
-	planReqs                         atomic.Int64
-	budgetTruncs, shedClamps, panics atomic.Int64
-	edgeUpdates                      atomic.Int64
+	join2Reqs, joinNReqs, scoreReqs atomic.Int64
+	resultHits, resultMisses        atomic.Int64
+	planReqs                        atomic.Int64
+	budgetTruncs, panics            atomic.Int64
+	edgeUpdates                     atomic.Int64
 
 	picksMu sync.Mutex
 	picks   map[string]int64 // executions per chosen executor name
@@ -181,7 +143,7 @@ func New(cfg Config) *Service {
 		store:    cfg.Store,
 		graphs:   make(map[string]*graphEntry),
 		sessions: make(map[sessionKey]*session),
-		adm:      newAdmission(cfg.MaxConcurrency, cfg.TenantInFlight, cfg.TenantQueue),
+		adm:      newAdmission(cfg.MaxConcurrency, maxQueued),
 		picks:    make(map[string]int64),
 
 		measureQueries: make(map[string]int64),
@@ -214,21 +176,6 @@ func (s *Service) admitGate() error {
 	}
 	return nil
 }
-
-// Shedding reports whether the service is overloaded enough that the HTTP
-// layer should degrade demanded k: no admission tokens free and at least
-// ShedQueue requests already waiting. Purely advisory — shedding never
-// changes the scores of what is served, only how much of the ranking is.
-func (s *Service) Shedding() bool {
-	if s.cfg.ShedQueue < 0 {
-		return false
-	}
-	free, waiting, _ := s.adm.snapshot()
-	return free == 0 && waiting >= s.cfg.ShedQueue
-}
-
-// ShedK returns the k that over-demanding requests degrade to while shedding.
-func (s *Service) ShedK() int { return s.cfg.ShedK }
 
 // WriteTimeout returns the per-line write deadline for streaming responses
 // (0 means disabled).

@@ -458,12 +458,12 @@ func TestRefKeyNoCollisions(t *testing.T) {
 // past the total waits, and a release wakes it.
 func TestAdmission(t *testing.T) {
 	ctx := context.Background()
-	a := newAdmission(2, 0, 0)
-	g1, err := a.acquire(ctx, "", classInteractive)
+	a := newAdmission(2, maxQueued)
+	g1, err := a.acquire(ctx, classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := a.acquire(ctx, "", classInteractive)
+	g2, err := a.acquire(ctx, classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestAdmission(t *testing.T) {
 	}
 	done := make(chan *grant)
 	go func() {
-		g, err := a.acquire(ctx, "", classInteractive)
+		g, err := a.acquire(ctx, classInteractive)
 		if err != nil {
 			t.Error(err)
 		}
@@ -490,8 +490,8 @@ func TestAdmission(t *testing.T) {
 // TestAdmissionHonorsContext: a waiter whose request context dies must stop
 // occupying the queue and report the context error.
 func TestAdmissionHonorsContext(t *testing.T) {
-	a := newAdmission(1, 0, 0)
-	held, err := a.acquire(context.Background(), "", classInteractive)
+	a := newAdmission(1, maxQueued)
+	held, err := a.acquire(context.Background(), classInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestAdmissionHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error)
 	go func() {
-		_, err := a.acquire(ctx, "", classInteractive)
+		_, err := a.acquire(ctx, classInteractive)
 		errc <- err
 	}()
 	cancel()
@@ -507,12 +507,54 @@ func TestAdmissionHonorsContext(t *testing.T) {
 		t.Fatalf("cancelled acquire returned %v", err)
 	}
 	// Pre-cancelled contexts never touch the tokens.
-	if g, err := a.acquire(ctx, "", classInteractive); err == nil || g != nil {
+	if g, err := a.acquire(ctx, classInteractive); err == nil || g != nil {
 		t.Fatalf("pre-cancelled acquire = %+v, %v", g, err)
 	}
 	a.release(held)
-	if g, err := a.acquire(context.Background(), "", classInteractive); err != nil || g == nil {
+	if g, err := a.acquire(context.Background(), classInteractive); err != nil || g == nil {
 		t.Fatalf("post-release acquire = %+v, %v", g, err)
+	}
+}
+
+// TestUnknownPriorityRejected: a library caller's Priority outside the two
+// classes fails the request at every entry point instead of running it as
+// interactive, and never reaches admission.
+func TestUnknownPriorityRejected(t *testing.T) {
+	g, sets := testGraph(t)
+	svc := New(Config{})
+	if err := svc.LoadGraph("g", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	refs := []SetRef{{Name: sets[0].Name}, {Name: sets[1].Name}}
+	u, v := sets[0].Nodes()[0], sets[1].Nodes()[0]
+	for _, priority := range []int{-1, 2, 7} {
+		q := Query{Priority: priority}
+		calls := map[string]func() error{
+			"Join2": func() error {
+				_, err := svc.Join2(ctx, "g", refs[0], refs[1], 5, q)
+				return err
+			},
+			"OpenJoinN": func() error {
+				st, err := svc.OpenJoinN(ctx, "g", refs, [][2]int{{0, 1}}, q)
+				if err == nil {
+					st.Stop()
+				}
+				return err
+			},
+			"Score": func() error {
+				_, err := svc.Score(ctx, "g", u, v, q)
+				return err
+			},
+		}
+		for name, call := range calls {
+			if err := call(); err == nil || !strings.Contains(err.Error(), "priority") {
+				t.Errorf("%s with priority %d: err = %v, want an unknown-priority error", name, priority, err)
+			}
+		}
+	}
+	if st := svc.Stats(); st.Walks != 0 || st.AdmissionFree != svc.cfg.MaxConcurrency {
+		t.Fatalf("rejected requests did work: walks %d, free tokens %d", st.Walks, st.AdmissionFree)
 	}
 }
 

@@ -40,16 +40,20 @@ type Stats struct {
 	EdgeSweeps    int64 `json:"edge_sweeps"`
 	FrontierEdges int64 `json:"frontier_edges"`
 
-	// Hardening surface: quota rejections, budget truncations, shed clamps,
-	// and recovered panics are monotone counters; the admission gauges and
-	// the drain flag describe the instantaneous load state.
+	// Hardening surface: queue-full rejections, budget truncations and
+	// recovered panics are monotone counters; the admission gauges and the
+	// drain flag describe the instantaneous load state.
 	QuotaRejections   int64 `json:"quota_rejections"`
 	BudgetTruncations int64 `json:"budget_truncations"`
-	ShedClamps        int64 `json:"shed_clamps"`
 	PanicsRecovered   int64 `json:"panics_recovered"`
 	AdmissionFree     int   `json:"admission_free"`
 	AdmissionWaiting  int   `json:"admission_waiting"`
 	Draining          bool  `json:"draining"`
+
+	// ShedClamps always reads 0: the load shedder it counted is gone. It
+	// stays for the clients that still read it (the benchmark module's
+	// traced shed count).
+	ShedClamps int64 `json:"shed_clamps"`
 
 	// Durability surface: edge-update requests served, the store's
 	// persistence counters (WAL appends, snapshots, recovery outcomes —
@@ -139,7 +143,6 @@ func (s *Service) Stats() Stats {
 
 		QuotaRejections:   rejected,
 		BudgetTruncations: s.budgetTruncs.Load(),
-		ShedClamps:        s.shedClamps.Load(),
 		PanicsRecovered:   s.panics.Load(),
 		AdmissionFree:     free,
 		AdmissionWaiting:  waiting,

@@ -27,7 +27,6 @@ type OptionsJSON struct {
 	Distinct bool    `json:"distinct,omitempty"`
 	Measure  string  `json:"measure,omitempty"`   // registered measure name: "dht" (default) | "reach" | "ppr" | "simrank" (GET /measures lists them)
 	Algo     string  `json:"algo,omitempty"`      // force an executor (B-IDJ-Y, B-BJ, PJ-i, AP, …); empty = cost-based planner
-	Tenant   string  `json:"tenant,omitempty"`    // admission-quota bucket (X-Tenant header is the fallback)
 	Priority string  `json:"priority,omitempty"`  // "interactive" (default) | "batch" (X-Priority header is the fallback)
 	BudgetMS int     `json:"budget_ms,omitempty"` // wall-clock deadline budget in milliseconds; 0 = server default
 }
@@ -59,7 +58,6 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	q.M = o.M
 	q.Distinct = o.Distinct
 	q.Algorithm = o.Algo
-	q.Tenant = o.Tenant
 	if q.Priority, err = parsePriority(o.Priority); err != nil {
 		return q, fmt.Errorf("options: %w", err)
 	}
@@ -78,29 +76,25 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 const maxBudgetMS = math.MaxInt64 / int64(time.Millisecond)
 
 // queryOf resolves a request's wire options (nil means defaults) into a
-// Query, filling tenant and priority from the request headers when the
-// options left them unset — X-Tenant names the quota bucket, X-Priority:
-// batch selects the batch admission class. Body options win over headers so
-// a proxy can set coarse defaults that clients refine.
+// Query, taking the priority from the X-Priority header when the options
+// left it empty. A priority named in the body wins over the header, so a
+// proxy can set a coarse default that clients refine.
 func queryOf(r *http.Request, o *OptionsJSON) (Query, error) {
 	q, err := o.toQuery()
 	if err != nil {
 		return q, err
 	}
-	if q.Tenant == "" {
-		q.Tenant = r.Header.Get("X-Tenant")
-	}
-	if q.Priority == PriorityInteractive {
-		if q.Priority, err = parsePriority(strings.ToLower(r.Header.Get("X-Priority"))); err != nil {
+	if o == nil || o.Priority == "" {
+		if q.Priority, err = parsePriority(r.Header.Get("X-Priority")); err != nil {
 			return q, fmt.Errorf("options: X-Priority: %w", err)
 		}
 	}
 	return q, nil
 }
 
-// parsePriority maps the wire spelling of an admission class.
+// parsePriority maps the wire spelling of an admission class, in any case.
 func parsePriority(s string) (int, error) {
-	switch s {
+	switch strings.ToLower(s) {
 	case "", "interactive":
 		return PriorityInteractive, nil
 	case "batch":
@@ -245,7 +239,7 @@ func shapeEdges(shape string, n int) ([][2]int, error) {
 	return nil, fmt.Errorf("unknown shape %q (want chain, triangle, star, or clique)", shape)
 }
 
-// writeSvcError maps a service error to its transport status: quota
+// writeSvcError maps a service error to its transport status: queue-full
 // rejections are 429 and drain rejections 503 (both with Retry-After — the
 // condition is transient by construction), everything else stays a 400.
 func writeSvcError(w http.ResponseWriter, err error) {
@@ -258,16 +252,6 @@ func writeSvcError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, err)
 	default:
 		writeError(w, http.StatusBadRequest, err)
-	}
-}
-
-// addMeta folds batch degradation metadata into a response body.
-func addMeta(body map[string]any, meta BatchMeta) {
-	if meta.ClampedK != 0 {
-		body["clamped_k"] = meta.ClampedK
-	}
-	if meta.Truncated {
-		body["truncated"] = true
 	}
 }
 
@@ -319,6 +303,7 @@ var retiredOptions = []struct{ name, hint string }{
 	{"accuracy", "removed: it never changed an answer and no longer changes the plan"},
 	{"relabel", "removed: every join runs on the graph as loaded, in the caller's ids"},
 	{"workers", "removed: every join runs on one goroutine; -max-concurrency caps the joins in flight"},
+	{"tenant", "removed: admission is one queue with two classes; select the class with priority"},
 }
 
 // decodeJSON strictly decodes a request body.
