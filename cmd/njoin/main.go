@@ -9,7 +9,7 @@
 //	gengraph -kind yeast -o yeast.graph
 //	njoin -graph yeast.graph -sets 3-U,8-D -k 10                  # 2-way
 //	njoin -graph yeast.graph -sets 3-U,5-F,8-D -shape triangle -k 5
-//	njoin -graph yeast.graph -sets 3-U,5-F,8-D -agg SUM -algo pj -m 100
+//	njoin -graph yeast.graph -sets 3-U,5-F,8-D -agg SUM -algo pji -m 100
 //	njoin -graph yeast.graph -sets 3-U,8-D -k 10 -explain         # plan only
 //	njoin -graph yeast.graph -sets 3-U,5-F,8-D -measure simrank -k 5
 //	njoin -graph yeast.graph -sets 3-U,8-D -measure ppr -lambda 0.3
@@ -54,8 +54,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		setNames  = fs.String("sets", "", "comma-separated node set names, in query order (required)")
 		shape     = fs.String("shape", "chain", "chain | triangle | star | clique")
 		k         = fs.Int("k", 50, "number of answers")
-		m         = fs.Int("m", 0, "per-edge 2-way join budget (PJ/PJ-i; default 50)")
-		algo      = fs.String("algo", "auto", "auto (cost-based planner) | nl | ap | pj | pji")
+		m         = fs.Int("m", 0, "per-edge 2-way join budget (PJ-i; default 50)")
+		algo      = fs.String("algo", "auto", "auto (cost-based planner) | ap | pji")
 		explain   = fs.Bool("explain", false, "print the chosen plan and cost table without running the join")
 		aggName   = fs.String("agg", "MIN", "aggregate: SUM | MIN | MAX | AVG")
 		measureID = fs.String("measure", "", "scoring measure from the registry: dht | reach | ppr | simrank (default \"dht\")")
@@ -131,16 +131,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var forced string
 	switch *algo {
 	case "auto":
-	case "nl":
-		forced = "NL"
 	case "ap":
 		forced = "AP"
-	case "pj":
-		forced = "PJ"
 	case "pji":
 		forced = "PJ-i"
 	default:
-		return fmt.Errorf("unknown algorithm %q (want auto, nl, ap, pj, or pji)", *algo)
+		return fmt.Errorf("unknown algorithm %q (want auto, ap, or pji)", *algo)
 	}
 	opts := &dhtjoin.Options{MeasureName: *measureID, Params: params, Epsilon: *eps, Agg: agg, M: *m, Algorithm: forced}
 	query := dhtjoin.NewJoinQuery(g, q).WithOptions(opts)

@@ -47,10 +47,10 @@
 // ring identity independently of addresses.
 //
 // The execution algorithm is chosen per request by the cost-based planner
-// (internal/plan) over the graph's structural stats and the session's
-// observed walk costs; add "algo":"B-BJ" (etc.) to options to force one,
-// and "explain":true to either join body for a dry-run {"plan":...}
-// response instead of results.
+// (internal/plan) over the graph's structural stats and the request's
+// shape; add "algo":"B-BJ" (etc.) to options to force one, and
+// "explain":true to either join body for a dry-run {"plan":...} response
+// instead of results.
 //
 // Both join endpoints stream: add "stream":true to receive NDJSON — one
 // rank-ordered result per line, flushed as the joiners confirm it, ended by

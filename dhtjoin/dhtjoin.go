@@ -5,15 +5,14 @@
 // The library answers two query families over a directed weighted graph:
 //
 //   - Top-k 2-way joins: the k node pairs (p, q) ∈ P×Q with the highest DHT
-//     scores h(p, q), evaluated with whichever of the five reproduced
-//     algorithms (B-IDJ-Y/X, B-BJ, F-BJ, F-IDJ) the cost-based planner
-//     picks for the workload — usually the backward pruning B-IDJ-Y.
+//     scores h(p, q), evaluated with whichever of the served backward
+//     algorithms (B-IDJ-Y, B-IDJ-X, B-BJ) the cost-based planner picks for
+//     the workload — usually the pruning B-IDJ-Y.
 //
 //   - Top-k n-way joins: given a query graph over n node sets and a
 //     monotonic aggregate f (MIN, SUM, …), the k n-tuples with the highest
 //     aggregate of per-edge DHT scores, evaluated with the planner's pick
-//     among NL / AP / PJ / PJ-i (usually the incremental partial join
-//     PJ-i).
+//     between PJ-i (the incremental partial join, usually) and AP.
 //
 // Every operator returns the bit-identical ranking, so the planner's choice
 // moves only cost; Query.Explain reports the decision with per-candidate
@@ -239,16 +238,12 @@ func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, er
 		return nil, fmt.Errorf("%w: out has length %d, want %d", ErrBufferLength, len(out), n)
 	}
 	if !res.Kernel.WalkBased {
-		ev, err := res.Kernel.NewEvaluator(g, res.Params, res.D)
+		m, err := simrank.SharedMatrix(g)
 		if err != nil {
 			return nil, err
 		}
-		targets := make([]NodeID, g.NumNodes())
-		for i := range targets {
-			targets[i] = NodeID(i)
-		}
-		if err := ev.ScoresInto(v, targets, res.D, out); err != nil {
-			return nil, err
+		for u := range out {
+			out[u] = m.Score(v, NodeID(u))
 		}
 		return out, nil
 	}

@@ -112,8 +112,8 @@ func ExampleQuery_Explain() {
 	fmt.Printf("cheapest: %s, most expensive: %s\n",
 		pl.Estimates[0].Algorithm, pl.Estimates[len(pl.Estimates)-1].Algorithm)
 	// Output:
-	// chosen: B-BJ (forced=false, 5 candidates priced)
-	// cheapest: B-BJ, most expensive: F-IDJ
+	// chosen: B-BJ (forced=false, 3 candidates priced)
+	// cheapest: B-BJ, most expensive: B-IDJ-Y
 }
 
 func ExamplePairStream_NextK() {

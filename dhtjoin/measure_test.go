@@ -55,7 +55,7 @@ func TestMeasureDHTBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareAnswers(t, "measure:dht", k, got, want, false)
+			compareAnswers(t, "measure:dht", k, got, want)
 		}
 	}
 }

@@ -70,9 +70,7 @@ func comparePairs(t *testing.T, label string, seed int64, k int, got, want []Pai
 
 // TestPlannerEquivalenceNWay: planner-selected n-way execution against
 // forced PJ-i, across seeds, query shapes, and k; plus every forceable
-// rank-join operator (AP, PJ — which drive the identical PBRJ emission
-// order). NL enumerates with its own tie order, so its comparison tolerates
-// reordering among exactly tied scores.
+// operator (AP drives the identical PBRJ emission order).
 func TestPlannerEquivalenceNWay(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{3, 21} {
@@ -93,20 +91,20 @@ func TestPlannerEquivalenceNWay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareAnswers(t, "planner/"+shape, k, planned, want, false)
+				compareAnswers(t, "planner/"+shape, k, planned, want)
 				for _, name := range AlgorithmsNWay() {
 					forced, err := base.WithHints(Hints{Algorithm: name}).TopK(ctx, k)
 					if err != nil {
 						t.Fatalf("forcing %s: %v", name, err)
 					}
-					compareAnswers(t, name+"/"+shape, k, forced, want, name == "NL")
+					compareAnswers(t, name+"/"+shape, k, forced, want)
 				}
 			}
 		}
 	}
 }
 
-func compareAnswers(t *testing.T, label string, k int, got, want []Answer, tieTolerant bool) {
+func compareAnswers(t *testing.T, label string, k int, got, want []Answer) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s k=%d: %d answers, want %d", label, k, len(got), len(want))
@@ -115,33 +113,6 @@ func compareAnswers(t *testing.T, label string, k int, got, want []Answer, tieTo
 		if got[i].Score != want[i].Score {
 			t.Fatalf("%s k=%d rank %d: score %v, want %v", label, k, i, got[i].Score, want[i].Score)
 		}
-	}
-	if tieTolerant {
-		// Equal-score runs may reorder; compare the multiset per score run.
-		for i := 0; i < len(want); {
-			j := i
-			for j < len(want) && want[j].Score == want[i].Score {
-				j++
-			}
-			if j == len(want) {
-				// The run may be cut by k; its membership can differ. Skip.
-				break
-			}
-			wantSet := map[string]int{}
-			for _, a := range want[i:j] {
-				wantSet[tupleKey(a)]++
-			}
-			for _, a := range got[i:j] {
-				wantSet[tupleKey(a)]--
-			}
-			for key, n := range wantSet {
-				if n != 0 {
-					t.Fatalf("%s k=%d: tie run [%d,%d) tuple multiset mismatch at %s", label, k, i, j, key)
-				}
-			}
-			i = j
-		}
-		return
 	}
 	for i := range want {
 		if len(got[i].Nodes) != len(want[i].Nodes) {
@@ -153,14 +124,6 @@ func compareAnswers(t *testing.T, label string, k int, got, want []Answer, tieTo
 			}
 		}
 	}
-}
-
-func tupleKey(a Answer) string {
-	key := ""
-	for _, n := range a.Nodes {
-		key += string(rune(n)) + ","
-	}
-	return key
 }
 
 // TestPlannerStreamEquivalence: the streaming entry points run the planner
@@ -204,6 +167,10 @@ func TestHintRejection(t *testing.T) {
 		{"unknown n-way algorithm", nway, Hints{Algorithm: "PJ-ii"}, ErrUnknownAlgorithm},
 		{"retired certified backward joiner", pair, Hints{Algorithm: "B-BJ-fast"}, ErrUnknownAlgorithm},
 		{"retired certified forward joiner", pair, Hints{Algorithm: "F-BJ-fast"}, ErrUnknownAlgorithm},
+		{"reproduction-only F-BJ", pair, Hints{Algorithm: "F-BJ"}, ErrUnknownAlgorithm},
+		{"reproduction-only F-IDJ", pair, Hints{Algorithm: "F-IDJ"}, ErrUnknownAlgorithm},
+		{"reproduction-only NL", nway, Hints{Algorithm: "NL"}, ErrUnknownAlgorithm},
+		{"reproduction-only PJ", nway, Hints{Algorithm: "PJ"}, ErrUnknownAlgorithm},
 		{"n-way executor on pair query", pair, Hints{Algorithm: "PJ-i"}, ErrHintConflict},
 		{"2-way executor on n-way query", nway, Hints{Algorithm: "B-BJ"}, ErrHintConflict},
 	}
@@ -285,12 +252,12 @@ func TestExplain(t *testing.T) {
 		}
 	}
 
-	forced, err := NewPairQuery(g, p, q).WithHints(Hints{Algorithm: "F-BJ"}).Explain(ctx)
+	forced, err := NewPairQuery(g, p, q).WithHints(Hints{Algorithm: "B-IDJ-X"}).Explain(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !forced.Forced || forced.Algorithm != "F-BJ" {
-		t.Fatalf("forced plan = %+v, want F-BJ forced", forced)
+	if !forced.Forced || forced.Algorithm != "B-IDJ-X" {
+		t.Fatalf("forced plan = %+v, want B-IDJ-X forced", forced)
 	}
 	if len(forced.Estimates) != len(Algorithms2Way()) {
 		t.Fatal("forced plan lost the cost table")

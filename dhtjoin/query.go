@@ -51,10 +51,10 @@ type Query struct {
 // another measure fails with ErrHintConflict — both errors.Is-able.
 type Hints struct {
 	// Algorithm forces the named executor instead of the planner's pick:
-	// one of Algorithms2Way for pair queries ("B-IDJ-Y", "B-IDJ-X", "B-BJ",
-	// "F-BJ", "F-IDJ") or AlgorithmsNWay for n-way queries ("NL", "AP",
-	// "PJ", "PJ-i"). Results are bit-identical under any choice — forcing
-	// is purely a cost decision. A non-empty hint wins over
+	// one of Algorithms2Way for pair queries ("B-IDJ-Y", "B-IDJ-X", "B-BJ")
+	// or AlgorithmsNWay for n-way queries ("PJ-i", "AP"), plus "SR-SCAN" /
+	// "SR-AP" under the simrank measure. Results are bit-identical under any
+	// choice — forcing is purely a cost decision. A non-empty hint wins over
 	// Options.Algorithm, so WithHints and WithOptions commute.
 	Algorithm string
 }
@@ -123,8 +123,8 @@ func NewPairQuery(g *Graph, p, q *NodeSet) *Query {
 }
 
 // NewJoinQuery describes an n-way join over the query graph, evaluated with
-// the planner's pick among NL / AP / PJ / PJ-i (PJ-i, the paper's best,
-// under almost every workload); see NewPairQuery.
+// the planner's pick between PJ-i (the paper's best, under almost every
+// workload) and AP; see NewPairQuery.
 func NewJoinQuery(g *Graph, join *QueryGraph) *Query {
 	return &Query{g: g, join: join}
 }

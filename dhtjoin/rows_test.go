@@ -9,17 +9,12 @@ import (
 
 // TestRowsFormRankingsBitIdentical: the backward joiners walk only the rows
 // of P (the batched kernel's rows form, with its gathered tail), so every
-// executor that sits on them must still return the full ranking of the
-// forced reference — B-BJ for pairs, AP for tuples — float64-== and in the
-// same order, across walk measures, on a graph large
-// enough that deep walks go dense and the tail steps gather.
-// Under the first-hit measure the forward executors (F-BJ, and AP, which is
-// built on it) share no kernel path with the rows form and are bit-identical
-// to the backward family, so they are the independent reference; the reach
-// fold differs between the two directions in the last ulp (DESIGN.md, "A
-// pinned looseness"), so there the tuples are checked against PJ, and the
-// pairs' B-BJ is pinned to full columns by internal/join2's
-// TestRowsFormJoinersMatchFullForm.
+// served executor must return the full ranking of the forced reference —
+// B-BJ for pairs, AP for tuples — float64-== and in the same order, across
+// walk measures, on a graph large enough that deep walks go dense and the
+// tail steps gather. No served executor folds forward, so no measure is
+// exempt; AP's one-edge join is also pinned to B-BJ's pairs, and B-BJ
+// itself to full columns by internal/join2's TestRowsFormJoinersMatchFullForm.
 func TestRowsFormRankingsBitIdentical(t *testing.T) {
 	ds, err := dataset.YouTube(dataset.YouTubeConfig{Scale: 0.06, Seed: 5})
 	if err != nil {
@@ -38,11 +33,7 @@ func TestRowsFormRankingsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		forced, tupleRef := []string{"B-IDJ-X", "B-IDJ-Y"}, "PJ"
-		if measure == "dht" {
-			forced, tupleRef = append(forced, "F-BJ"), "AP"
-		}
-		for _, name := range forced {
+		for _, name := range Algorithms2Way() {
 			got, err := pairs.WithHints(Hints{Algorithm: name}).TopKPairs(ctx, all)
 			if err != nil {
 				t.Fatalf("%s %s: %v", label, name, err)
@@ -58,9 +49,23 @@ func TestRowsFormRankingsBitIdentical(t *testing.T) {
 		}
 		comparePairs(t, label+"/stream", 0, all, drained, want)
 
+		edge, err := NewJoinQuery(g, Chain(a, b)).WithOptions(opts).
+			WithHints(Hints{Algorithm: "AP"}).TopK(ctx, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(edge) != len(want) {
+			t.Fatalf("%s/AP edge: %d answers, want %d", label, len(edge), len(want))
+		}
+		for i, w := range want {
+			if e := edge[i]; e.Score != w.Score || e.Nodes[0] != w.Pair.P || e.Nodes[1] != w.Pair.Q {
+				t.Fatalf("%s/AP edge rank %d: %v, B-BJ says %+v", label, i, e, w)
+			}
+		}
+
 		tuples := NewJoinQuery(g, chain).WithOptions(opts)
 		k := 8 * 8 * 8
-		wantN, err := tuples.WithHints(Hints{Algorithm: tupleRef}).TopK(ctx, k)
+		wantN, err := tuples.WithHints(Hints{Algorithm: "AP"}).TopK(ctx, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,6 +73,6 @@ func TestRowsFormRankingsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareAnswers(t, label+"/PJ-i", k, gotN, wantN, false)
+		compareAnswers(t, label+"/PJ-i", k, gotN, wantN)
 	}
 }

@@ -55,14 +55,20 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("njoin summary missing:\n%s", out)
 	}
 
-	// 3-way triangle with SUM and the PJ algorithm.
+	// 3-way triangle with SUM and the PJ-i algorithm forced.
 	out, err = exec.Command(njoin, "-graph", graphFile, "-sets", "3-U,5-F,8-D",
-		"-shape", "triangle", "-k", "3", "-agg", "SUM", "-algo", "pj", "-limit", "25").CombinedOutput()
+		"-shape", "triangle", "-k", "3", "-agg", "SUM", "-algo", "pji", "-limit", "25").CombinedOutput()
 	if err != nil {
 		t.Fatalf("njoin triangle: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "PJ: 3 answers") {
+	if !strings.Contains(string(out), "PJ-i: 3 answers") {
 		t.Fatalf("triangle summary missing:\n%s", out)
+	}
+	// PJ is reproduction-only: njoin no longer offers it.
+	out, err = exec.Command(njoin, "-graph", graphFile, "-sets", "3-U,5-F,8-D",
+		"-shape", "triangle", "-algo", "pj").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "unknown algorithm") {
+		t.Fatalf("njoin -algo pj: err %v\n%s", err, out)
 	}
 
 	// Error handling: unknown node set.

@@ -1,25 +1,24 @@
 package core
 
-// This file registers the four n-way operators (NL, AP, PJ, PJ-i) with the
-// planner registry (internal/plan), making each a first-class selectable
-// executor behind the same descriptor shape as the 2-way joiners.
+// This file registers the served n-way operators (AP, PJ-i, SR-AP) with the
+// planner registry (internal/plan), making each a selectable executor behind
+// the same descriptor shape as the 2-way joiners.
+//
+// NL and PJ stay constructible for the paper's reproduction
+// (internal/experiments) but are not registered. NL re-walks every edge of
+// every candidate tuple; it priced below AP and PJ-i only with a singleton
+// set and walks of a few edge relaxations. PJ re-runs a from-scratch join
+// per refetch that PJ-i's F structure replaces (§VI-D); it at best tied
+// PJ-i.
 //
 // The cost model composes the registered 2-way estimates per query edge
 // (looked up through the registry, so the two layers can never drift) in
 // the planner's edge-relaxation unit W = Workload.WalkCost():
 //
-//   - NL walks every edge of every candidate tuple with its own forward
-//     walk — Π|R_i| · |E_Q| · W, no sharing whatsoever (§III-B; the paper
-//     could not complete it for n ≥ 3).
-//   - AP materializes every pair of every edge with F-BJ, then rank-joins:
-//     Σ_e |R_f|·|R_t| · W.
-//   - PJ runs a top-m B-IDJ-Y per edge, but every pull past the initial
-//     batch re-runs that edge's join from scratch with a +1 budget
-//     (Algorithm 1, steps 9–10) — the refetch term multiplies a *full*
-//     per-edge join by the expected number of refetches, which is exactly
-//     the waste PJ-i eliminates (the paper reports up to 50× from this).
-//   - PJ-i pays the same initial per-edge joins plus a near-free bound
-//     refinement per extra pull (§VI-D).
+//   - AP materializes every pair of every edge with B-BJ, then rank-joins:
+//     Σ_e |R_t|·W plus the bookkeeping over the answer space.
+//   - PJ-i runs a top-m B-IDJ-Y per edge, plus a near-free bound refinement
+//     per extra pull (§VI-D).
 
 import (
 	"fmt"
@@ -28,16 +27,15 @@ import (
 )
 
 // StreamAlgorithm is an n-way operator that exposes its incremental pull
-// stream alongside the batch Run — all four registered operators implement
-// it.
+// stream alongside the batch Run — every n-way operator implements it.
 type StreamAlgorithm interface {
 	Algorithm
 	Stream() (TupleStream, error)
 }
 
 // Factory is the n-way executor constructor signature registered as
-// plan.Descriptor.New: spec plus the per-edge budget m (ignored by NL/AP,
-// which have no notion of a partial batch).
+// plan.Descriptor.New: spec plus the per-edge budget m (ignored by AP,
+// which has no notion of a partial batch).
 type Factory func(spec Spec, m int) (StreamAlgorithm, error)
 
 // twoWayEdgeCost prices one query edge's 2-way join with the named
@@ -79,42 +77,13 @@ func edgePulls(w plan.Workload, space int) int {
 	return pulls
 }
 
-// nlOverhead penalizes NL relative to AP at equal walk counts (n = 2, one
-// edge): NL re-walks per candidate with no per-edge ranking to prune
-// through, so it should never win a tie against AP.
-const nlOverhead = 1.1
-
-func costNL(w plan.Workload) float64 {
-	space := float64(w.SpaceSize())
-	edges := float64(len(w.QueryEdges))
-	return space*edges*w.WalkCost()*nlOverhead + space*plan.PairCost
-}
-
 func costAP(w plan.Workload) float64 {
 	var total float64
 	for _, e := range w.QueryEdges {
 		p, q := edgeSizes(w, e)
-		total += twoWayEdgeCost("F-BJ", w, p, q, p*q)
+		total += twoWayEdgeCost("B-BJ", w, p, q, p*q)
 	}
 	return total + float64(w.SpaceSize())*plan.PairCost
-}
-
-func costPJ(w plan.Workload) float64 {
-	var total float64
-	for _, e := range w.QueryEdges {
-		p, q := edgeSizes(w, e)
-		space := p * q
-		initial := w.M
-		if initial > space {
-			initial = space
-		}
-		total += twoWayEdgeCost("B-IDJ-Y", w, p, q, initial)
-		if refetch := edgePulls(w, space) - initial; refetch > 0 {
-			// Every refetch is a from-scratch top-(m+i) join.
-			total += float64(refetch) * twoWayEdgeCost("B-IDJ-Y", w, p, q, edgePulls(w, space))
-		}
-	}
-	return total
 }
 
 // incrementalPull is the modeled cost of one PJ-i pull past the initial
@@ -160,12 +129,9 @@ func init() {
 			Cost: cost, New: mk,
 		})
 	}
-	reg("NL", false, false, costNL,
-		func(spec Spec, _ int) (StreamAlgorithm, error) { return NewNL(spec) })
+	// Served AP joins its edges backward; NewAP keeps the paper's F-BJ.
 	reg("AP", false, false, costAP,
-		func(spec Spec, _ int) (StreamAlgorithm, error) { return NewAP(spec) })
-	reg("PJ", true, false, costPJ,
-		func(spec Spec, m int) (StreamAlgorithm, error) { return NewPJ(spec, m) })
+		func(spec Spec, _ int) (StreamAlgorithm, error) { return NewAPWith(spec, TwoWayBBJ) })
 	reg("PJ-i", true, true, costPJI,
 		func(spec Spec, m int) (StreamAlgorithm, error) { return NewPJI(spec, m) })
 	// SR-AP is the SimRank n-way operator: AP's materialize-and-rank-join

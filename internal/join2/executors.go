@@ -1,22 +1,22 @@
 package join2
 
-// This file registers the five 2-way joiners with the planner registry
+// This file registers the served 2-way joiners with the planner registry
 // (internal/plan): each gets a descriptor carrying its name, streaming and
 // resumability capabilities, an analytic cost function, and a Factory. The
-// execution layers (dhtjoin, internal/service) no longer hard-code B-IDJ-Y —
-// they ask plan.Decide and open whatever wins through NewNamedStream.
+// execution layers (dhtjoin, internal/service) ask plan.Decide and open
+// whatever wins through NewNamedStream.
+//
+// Only the backward joiners are served. The forward ones (F-BJ, F-IDJ) stay
+// constructible for the paper's reproduction (internal/experiments) but are
+// not registered: this model prices their walks per pair where their
+// backward twins' are per target (the factor-|P| win of backward
+// processing, §V), so no request could ever pick one.
 //
 // The cost model follows the paper's complexity analysis (§V–§VI) in the
 // planner's edge-relaxation unit W = Workload.WalkCost() (one full-depth
 // walk):
 //
-//   - F-BJ scores every pair with its own absorbing forward walk:
-//     |P|·|Q|·W.
-//   - F-IDJ deepens over sources: the doubling schedule's shallow rounds
-//     cost about half a full walk per pair, then the un-pruned residual pays
-//     full depth.
-//   - B-BJ needs one full-depth backward walk per target — the factor-|P|
-//     win of backward processing: |Q|·W.
+//   - B-BJ needs one full-depth backward walk per target: |Q|·W.
 //   - B-IDJ-X/Y deepen over targets: shallow rounds ≈ |Q|·W/2, plus the
 //     residual the bound failed to prune. The residual floor reflects bound
 //     tightness (Lemma 5: Y⁺ₗ ≤ X⁺ₗ, so Y prunes earlier), and grows with
@@ -25,7 +25,7 @@ package join2
 //     flips to B-BJ. B-IDJ-Y additionally pays its reach-probability
 //     precomputation (one walk, Theorem 1).
 //
-// Every pair additionally costs plan.PairCost of heap bookkeeping. All five
+// Every pair additionally costs plan.PairCost of heap bookkeeping. All three
 // produce bit-identical rankings (canonical tie keys), so a wrong estimate
 // costs time, never correctness.
 
@@ -64,17 +64,6 @@ const (
 	floorX = 0.35
 )
 
-func costFBJ(w plan.Workload) float64 {
-	pq := float64(w.P) * float64(w.Q)
-	return pq*w.WalkCost() + pq*plan.PairCost
-}
-
-func costFIDJ(w plan.Workload) float64 {
-	pq := float64(w.P) * float64(w.Q)
-	walk := w.WalkCost()
-	return pq*walk*shallowRounds + residual(floorX, w)*pq*walk + pq*plan.PairCost
-}
-
 func costBBJ(w plan.Workload) float64 {
 	pq := float64(w.P) * float64(w.Q)
 	return float64(w.Q)*w.WalkCost() + pq*plan.PairCost
@@ -112,11 +101,9 @@ func init() {
 	// deepens) and resumes through the incremental F structure of §VI-D.
 	reg("B-IDJ-Y", true, true, costBIDJY, func(cfg Config) (Joiner, error) { return NewBIDJY(cfg) })
 	reg("B-IDJ-X", true, true, costBIDJX, func(cfg Config) (Joiner, error) { return NewBIDJX(cfg) })
-	// The basic joins materialize their top-k in one pass; streaming past
-	// it re-joins with a grown budget.
+	// The basic join materializes its top-k in one pass; streaming past it
+	// re-joins with a grown budget.
 	reg("B-BJ", false, false, costBBJ, func(cfg Config) (Joiner, error) { return NewBBJ(cfg) })
-	reg("F-BJ", false, false, costFBJ, func(cfg Config) (Joiner, error) { return NewFBJ(cfg) })
-	reg("F-IDJ", false, false, costFIDJ, func(cfg Config) (Joiner, error) { return NewFIDJ(cfg) })
 }
 
 // NewNamedStream opens the serving stream of the named registered 2-way

@@ -1,7 +1,7 @@
 // Package measure is the proximity-measure registry: the generalization
 // that turns "one paper's operator" into a graph-proximity query engine. A
-// measure is a named kernel — a score-column evaluator, a monotone rank-join
-// bound function, and a declared accuracy contract — mirroring the
+// measure is a named kernel — its score family, walk kind, default
+// parameters and declared accuracy contract — mirroring the
 // plan.Descriptor idiom for executors. Every execution layer (dhtjoin, the
 // service, njoin) resolves its request through Resolve — the one place the
 // measure name, the kernel's walk kind and default parameters, and the
@@ -20,11 +20,6 @@
 //     walk form cannot express. These declare their own planner measure key
 //     and bring their own executors (SR-SCAN, SR-AP).
 //
-// The rank-join machinery requires exactly one analytic property of a
-// measure: Bound(p, l) must be a monotone non-increasing upper bound on the
-// score mass any pair can still gain past depth l. Every corner-bound early
-// stop in the join stack is sound for any kernel satisfying it.
-//
 // Import shape: measure sits above the measure implementations (dht, ppr,
 // simrank) and below the execution facades (dhtjoin, internal/service).
 // The operator packages (join2, core) do NOT import it — they stay keyed on
@@ -39,7 +34,6 @@ import (
 	"sync"
 
 	"repro/internal/dht"
-	"repro/internal/graph"
 )
 
 // Contract declares how a kernel's scores relate to the measure's exact
@@ -52,8 +46,8 @@ const (
 	// suites pin bit-identically.
 	Exact Contract = iota
 	// CertifiedEps kernels compute an approximation with a stated uniform
-	// error bound (Kernel.Eps): every score is within ε of the exact value,
-	// and rankings are certified only up to score gaps larger than 2ε.
+	// error bound ε: every score is within ε of the exact value, and
+	// rankings are certified only up to score gaps larger than 2ε.
 	CertifiedEps
 )
 
@@ -74,28 +68,13 @@ func (c Contract) MarshalJSON() ([]byte, error) {
 // branch with errors.Is (njoind maps it to HTTP 400).
 var ErrUnknownMeasure = errors.New("measure: unknown measure")
 
-// Evaluator computes one measure's score columns. Implementations are not
-// required to be safe for concurrent use; callers own one evaluator per
-// goroutine (the engine-pool discipline the walk joiners already follow).
-type Evaluator interface {
-	// ScoresInto fills dst[i] with the measure score from src to
-	// targets[i], evaluated at depth l (walk measures truncate the series
-	// at l; fixed-point measures resolve depth at construction and ignore
-	// it). dst must have len(targets).
-	ScoresInto(src graph.NodeID, targets []graph.NodeID, l int, dst []float64) error
-}
-
 // Kernel is one registered proximity measure.
 type Kernel struct {
 	// Name is the wire/flag spelling ("dht", "reach", "ppr", "simrank").
 	Name string
 
-	// Contract declares the accuracy contract of the kernel's evaluator.
+	// Contract declares the accuracy contract of the kernel's scores.
 	Contract Contract
-
-	// Eps, for CertifiedEps kernels, returns the certified uniform error
-	// bound of the evaluator at depth d. Nil for Exact kernels.
-	Eps func(p dht.Params, d int) float64
 
 	// WalkBased marks the walk family: scores fold step probabilities of
 	// the truncated walk, so the measure executes on the shared walk
@@ -120,17 +99,6 @@ type Kernel struct {
 	// measure's coefficients (ppr → dht.PPR(c)). Nil means dht.DHTLambda.
 	LambdaParams func(lambda float64) dht.Params
 
-	// NewEvaluator builds the kernel's score-column evaluator for a graph
-	// at parameters p and depth d.
-	NewEvaluator func(g *graph.Graph, p dht.Params, d int) (Evaluator, error)
-
-	// Bound returns an upper bound on the score mass any pair can still
-	// gain past depth l. It MUST be monotone non-increasing in l — the
-	// rank-join corner bounds and the iterative deepeners' pruning are
-	// sound only under that property (it is what lets a prefix of the walk
-	// certify a final ranking).
-	Bound func(p dht.Params, l int) float64
-
 	// Doc is the one-line description GET /measures serves.
 	Doc string
 }
@@ -143,20 +111,11 @@ var registry = struct {
 }{byName: make(map[string]Kernel)}
 
 // Register publishes a measure kernel. It panics on an empty or duplicate
-// name or missing evaluator/bound — registration is init-time wiring, and a
-// broken registry should fail the process, not a query.
+// name — registration is init-time wiring, and a broken registry should
+// fail the process, not a query.
 func Register(k Kernel) {
 	if k.Name == "" {
 		panic("measure: Register with empty measure name")
-	}
-	if k.NewEvaluator == nil {
-		panic(fmt.Sprintf("measure: %q registered without an evaluator", k.Name))
-	}
-	if k.Bound == nil {
-		panic(fmt.Sprintf("measure: %q registered without a bound function", k.Name))
-	}
-	if k.Contract == CertifiedEps && k.Eps == nil {
-		panic(fmt.Sprintf("measure: %q declares certified-eps without an Eps function", k.Name))
 	}
 	registry.Lock()
 	defer registry.Unlock()

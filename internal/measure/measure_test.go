@@ -1,6 +1,7 @@
 package measure_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/measure"
 	"repro/internal/ppr"
+	"repro/internal/service"
 	"repro/internal/simrank"
 )
 
@@ -60,49 +62,9 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
-// TestWalkEvaluatorsMatchEngine pins the walk kernels to the exact engine
-// fold the join executors run: same float64, bit for bit.
-func TestWalkEvaluatorsMatchEngine(t *testing.T) {
-	g := testGraph(t, 7)
-	p := dht.DHTLambda(0.2)
-	const d = 6
-	e, err := dht.NewBatchEngine(g, p, d, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := []graph.NodeID{0, 3, 17, 42, 79}
-	dst := make([]float64, len(targets))
-	for _, tc := range []struct {
-		name string
-		kind dht.Kind
-	}{{"dht", dht.FirstHit}, {"reach", dht.Reach}} {
-		kern, err := measure.Lookup(tc.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev, err := kern.NewEvaluator(g, p, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, src := range []graph.NodeID{1, 25, 60} {
-			for l := 1; l <= d; l++ {
-				if err := ev.ScoresInto(src, targets, l, dst); err != nil {
-					t.Fatal(err)
-				}
-				for i, tgt := range targets {
-					want := e.ForwardScore(tc.kind, src, tgt, l)
-					if dst[i] != want {
-						t.Fatalf("%s (%d,%d)@%d = %v, engine says %v", tc.name, src, tgt, l, dst[i], want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPPREvaluator pins the ppr kernel three ways: against the power
-// iteration it wraps, against the reach walk under PPR params (the identity
-// the join executors rely on), and its default parameterization.
+// TestPPREvaluator pins the ppr kernel to the power iteration through what
+// it serves: its default parameterization and walk kind, run on the engine
+// the join executors use.
 func TestPPREvaluator(t *testing.T) {
 	g := testGraph(t, 11)
 	kern, err := measure.Lookup("ppr")
@@ -114,96 +76,50 @@ func TestPPREvaluator(t *testing.T) {
 		t.Fatalf("ppr default params = %+v, want dht.PPR(0.5)", p)
 	}
 	const d = 8
-	ev, err := kern.NewEvaluator(g, p, d)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e, err := dht.NewBatchEngine(g, p, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := make([]graph.NodeID, g.NumNodes())
-	for i := range targets {
-		targets[i] = graph.NodeID(i)
-	}
-	dst := make([]float64, len(targets))
 	for _, src := range []graph.NodeID{2, 33} {
 		col, err := ppr.PowerIteration(g, 0.5, src, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ev.ScoresInto(src, targets, d, dst); err != nil {
-			t.Fatal(err)
-		}
-		for v := range dst {
-			if dst[v] != col[v] {
-				t.Fatalf("evaluator(%d,%d) = %v, power iteration says %v", src, v, dst[v], col[v])
-			}
-			walk := e.ForwardScore(dht.Reach, src, graph.NodeID(v), d)
-			if math.Abs(dst[v]-walk) > 1e-12 {
-				t.Fatalf("evaluator(%d,%d) = %v, reach walk says %v", src, v, dst[v], walk)
+		for v := range col {
+			walk := e.ForwardScore(kern.Walk, src, graph.NodeID(v), d)
+			if math.Abs(col[v]-walk) > 1e-12 {
+				t.Fatalf("ppr(%d,%d): power iteration says %v, served walk says %v", src, v, col[v], walk)
 			}
 		}
 	}
 }
 
+// TestSimRankEvaluatorMatchesMatrix: the simrank kernel declares its
+// certified-ε contract, and a served Score reads the fixed-point matrix.
 func TestSimRankEvaluatorMatchesMatrix(t *testing.T) {
 	g := testGraph(t, 17)
 	kern, err := measure.Lookup("simrank")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kern.Contract != measure.CertifiedEps {
-		t.Fatalf("simrank contract = %v, want certified-eps", kern.Contract)
-	}
-	if kern.Eps == nil || kern.Eps(dht.Params{}, 0) <= 0 {
-		t.Fatal("simrank kernel must declare a positive ε")
-	}
-	ev, err := kern.NewEvaluator(g, dht.Params{}, 0)
-	if err != nil {
-		t.Fatal(err)
+	if kern.Contract != measure.CertifiedEps || kern.WalkBased {
+		t.Fatalf("simrank kernel = %+v, want a certified-eps matrix kernel", kern)
 	}
 	m, err := simrank.Compute(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := []graph.NodeID{0, 1, 9, 40, 79}
-	dst := make([]float64, len(targets))
-	if err := ev.ScoresInto(9, targets, 0, dst); err != nil {
-		t.Fatal(err)
-	}
-	for i, tgt := range targets {
-		if want := m.Score(9, tgt); dst[i] != want {
-			t.Fatalf("simrank evaluator (9,%d) = %v, matrix says %v", tgt, dst[i], want)
+	svc := service.Ephemeral(g)
+	for _, tgt := range []graph.NodeID{0, 1, 9, 40, 79} {
+		got, err := svc.Score(context.Background(), "", 9, tgt, service.Query{MeasureName: "simrank"})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if dst[2] != 1 {
-		t.Fatalf("s(9,9) = %v, want 1", dst[2])
-	}
-}
-
-// TestBoundsMonotone enforces the one analytic property the rank-join stack
-// requires of every kernel: Bound(p, l) is non-negative and non-increasing
-// in l.
-func TestBoundsMonotone(t *testing.T) {
-	for _, kern := range measure.Kernels() {
-		p := kern.ResolveParams(dht.Params{})
-		if p == (dht.Params{}) {
-			p = dht.DHTLambda(0.2)
+		if want := m.Score(9, tgt); got != want {
+			t.Fatalf("simrank Score (9,%d) = %v, matrix says %v", tgt, got, want)
 		}
-		prev := math.Inf(1)
-		for l := 0; l <= 20; l++ {
-			b := kern.Bound(p, l)
-			if b < 0 {
-				t.Fatalf("%s: Bound(%d) = %v < 0", kern.Name, l, b)
-			}
-			if b > prev {
-				t.Fatalf("%s: Bound(%d) = %v > Bound(%d) = %v (not monotone)", kern.Name, l, b, l-1, prev)
-			}
-			prev = b
-		}
-		if first := kern.Bound(p, 0); prev >= first && first > 0 {
-			t.Fatalf("%s: bound never decays over 20 levels (%v → %v)", kern.Name, first, prev)
+		if tgt == 9 && got != 1 {
+			t.Fatalf("s(9,9) = %v, want 1", got)
 		}
 	}
 }
@@ -252,30 +168,6 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-// TestEvaluatorDepthValidation: walk evaluators reject depths outside the
-// engine's [1, d] window instead of silently clamping.
-func TestEvaluatorDepthValidation(t *testing.T) {
-	g := testGraph(t, 19)
-	kern, err := measure.Lookup("dht")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := kern.NewEvaluator(g, dht.DHTLambda(0.2), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, 1)
-	if err := ev.ScoresInto(0, []graph.NodeID{1}, 5, dst); err == nil {
-		t.Fatal("depth past d accepted")
-	}
-	if err := ev.ScoresInto(0, []graph.NodeID{1}, 0, dst); err == nil {
-		t.Fatal("depth 0 accepted")
-	}
-	if err := ev.ScoresInto(0, []graph.NodeID{1, 2}, 2, dst); err == nil {
-		t.Fatal("mismatched dst length accepted")
-	}
-}
-
 func TestRegisterPanics(t *testing.T) {
 	mustPanic := func(name string, k measure.Kernel) {
 		t.Helper()
@@ -286,13 +178,6 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		measure.Register(k)
 	}
-	ev := func(*graph.Graph, dht.Params, int) (measure.Evaluator, error) { return nil, nil }
-	bound := func(dht.Params, int) float64 { return 0 }
-	mustPanic("empty name", measure.Kernel{NewEvaluator: ev, Bound: bound})
-	mustPanic("duplicate", measure.Kernel{Name: "dht", NewEvaluator: ev, Bound: bound})
-	mustPanic("no evaluator", measure.Kernel{Name: "m-test-1", Bound: bound})
-	mustPanic("no bound", measure.Kernel{Name: "m-test-2", NewEvaluator: ev})
-	mustPanic("certified without eps", measure.Kernel{
-		Name: "m-test-3", Contract: measure.CertifiedEps, NewEvaluator: ev, Bound: bound,
-	})
+	mustPanic("empty name", measure.Kernel{})
+	mustPanic("duplicate", measure.Kernel{Name: "dht"})
 }

@@ -1,15 +1,17 @@
 // Package plan is the cost-based query planner behind the library's
 // execution entry points. The paper's experimental section (Figs 7–10) is a
-// study of *which* operator wins under which workload — B-IDJ-Y vs B-IDJ-X
-// vs B-BJ vs F-BJ/F-IDJ for 2-way joins, NL/AP/PJ/PJ-i for n-way — and this
-// package turns that study into a decision procedure: every operator
-// registers a Descriptor (name, streaming capability, resumability, cost
-// function), Decide ranks the candidates of a query class by estimated cost
-// over a Workload built from the graph's cached structural Stats and the
-// query's shape, and the execution layers (dhtjoin, internal/service) run
-// whatever wins. All operators produce bit-identical rankings (canonical tie
-// keys), so planning is purely a cost decision — a wrong estimate can only
-// cost time, never change an answer.
+// study of *which* operator wins under which workload, and this package
+// turns that study into a decision procedure: every served operator
+// (B-IDJ-Y, B-IDJ-X and B-BJ for 2-way joins, PJ-i and AP for n-way, plus
+// the SimRank pair) registers a Descriptor (name, streaming capability,
+// resumability, cost function), Decide ranks the candidates of a query class
+// by estimated cost over a Workload built from the graph's cached structural
+// Stats and the query's shape, and the execution layers (dhtjoin,
+// internal/service) run whatever wins. Operators the model never picks
+// (F-BJ, F-IDJ, NL, PJ) are not registered; they stay in the operator
+// packages for the paper's reproduction. All registered operators produce
+// bit-identical rankings (canonical tie keys), so planning is purely a cost
+// decision — a wrong estimate can only cost time, never change an answer.
 //
 // The cost unit is *edge relaxations*: the number of CSR edge traversals the
 // walk kernels would perform, the quantity the dht.Counters instrument.

@@ -11,8 +11,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/plan"
 
-	_ "repro/internal/core"  // registers NL / AP / PJ / PJ-i
-	_ "repro/internal/join2" // registers the five 2-way joiners
+	_ "repro/internal/core"  // registers AP / PJ-i / SR-AP
+	_ "repro/internal/join2" // registers the served 2-way joiners
 )
 
 // testWorkload is a mid-sized 2-way workload over a dense-ish graph.
@@ -24,7 +24,7 @@ func testWorkload(k int) plan.Workload {
 }
 
 func TestRegistryExecutors(t *testing.T) {
-	want2 := []string{"B-BJ", "B-IDJ-X", "B-IDJ-Y", "F-BJ", "F-IDJ", "SR-SCAN"}
+	want2 := []string{"B-BJ", "B-IDJ-X", "B-IDJ-Y", "SR-SCAN"}
 	got2 := plan.Executors(plan.TwoWay)
 	if len(got2) != len(want2) {
 		t.Fatalf("2-way executors: %d, want %d", len(got2), len(want2))
@@ -37,7 +37,7 @@ func TestRegistryExecutors(t *testing.T) {
 			t.Fatalf("%s registered without factory", d.Name)
 		}
 	}
-	wantN := []string{"AP", "NL", "PJ", "PJ-i", "SR-AP"}
+	wantN := []string{"AP", "PJ-i", "SR-AP"}
 	gotN := plan.Executors(plan.NWay)
 	if len(gotN) != len(wantN) {
 		t.Fatalf("n-way executors: %d, want %d", len(gotN), len(wantN))
@@ -64,12 +64,6 @@ func TestDecideSelectivityFlip(t *testing.T) {
 	if full.Algorithm != "B-BJ" {
 		t.Fatalf("k=|P||Q| pick = %s, want B-BJ", full.Algorithm)
 	}
-	// Backward processing must always beat forward per the paper's analysis.
-	for _, e := range low.Estimates {
-		if e.Algorithm == "F-BJ" && e.Cost <= estCost(low.Estimates, "B-BJ") {
-			t.Fatal("F-BJ priced at or below B-BJ")
-		}
-	}
 }
 
 func estCost(ests []plan.Estimate, name string) float64 {
@@ -85,7 +79,7 @@ func TestDecideNWay(t *testing.T) {
 	w := plan.Workload{
 		Stats:      graph.Stats{Nodes: 2400, Arcs: 38000, MeanOutDeg: 15.8},
 		SetSizes:   []int{60, 60, 60},
-		QueryEdges: [][2]int{{0, 1}, {1, 2}},
+		QueryEdges: [][2]int{{0, 1}, {1, 2}, {2, 0}},
 		K:          10, M: 50, D: 8,
 	}
 	pl, err := plan.Decide(plan.NWay, w, "")
@@ -95,21 +89,19 @@ func TestDecideNWay(t *testing.T) {
 	if pl.Algorithm != "PJ-i" {
 		t.Fatalf("n-way pick = %s, want PJ-i", pl.Algorithm)
 	}
-	// The modeled ordering of the paper's Figure 7: PJ-i < PJ and AP < NL.
-	if estCost(pl.Estimates, "PJ-i") >= estCost(pl.Estimates, "PJ") {
-		t.Fatal("PJ-i not priced below PJ")
-	}
-	if estCost(pl.Estimates, "AP") >= estCost(pl.Estimates, "NL") {
-		t.Fatal("AP not priced below NL")
+	// The modeled ordering of the paper's Figure 7: PJ-i below AP, even
+	// with AP's edges joined backward.
+	if estCost(pl.Estimates, "PJ-i") >= estCost(pl.Estimates, "AP") {
+		t.Fatal("PJ-i not priced below AP")
 	}
 }
 
 func TestDecideForced(t *testing.T) {
-	pl, err := plan.Decide(plan.TwoWay, testWorkload(50), "F-IDJ")
+	pl, err := plan.Decide(plan.TwoWay, testWorkload(50), "B-IDJ-X")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pl.Forced || pl.Algorithm != "F-IDJ" {
+	if !pl.Forced || pl.Algorithm != "B-IDJ-X" {
 		t.Fatalf("forced plan = %+v", pl)
 	}
 	if _, err := plan.Decide(plan.TwoWay, testWorkload(50), "nope"); !errors.Is(err, plan.ErrUnknownExecutor) {
@@ -121,8 +113,20 @@ func TestDecideForced(t *testing.T) {
 	if err := plan.ValidateForced(plan.NWay, "B-BJ", ""); !errors.Is(err, plan.ErrWrongClass) {
 		t.Fatalf("ValidateForced wrong class: %v", err)
 	}
-	if err := plan.ValidateForced(plan.NWay, "PJ", ""); err != nil {
+	if err := plan.ValidateForced(plan.NWay, "AP", ""); err != nil {
 		t.Fatalf("ValidateForced valid: %v", err)
+	}
+	// The reproduction-only operators are not served: forcing one is an
+	// unknown name.
+	for _, name := range []string{"F-BJ", "F-IDJ"} {
+		if _, err := plan.Decide(plan.TwoWay, testWorkload(50), name); !errors.Is(err, plan.ErrUnknownExecutor) {
+			t.Fatalf("forced %s: %v", name, err)
+		}
+	}
+	for _, name := range []string{"NL", "PJ"} {
+		if err := plan.ValidateForced(plan.NWay, name, ""); !errors.Is(err, plan.ErrUnknownExecutor) {
+			t.Fatalf("ValidateForced %s: %v", name, err)
+		}
 	}
 }
 
@@ -166,14 +170,14 @@ func TestWalkCostAnalytic(t *testing.T) {
 
 // TestDecideIgnoresWalkUnit pins the invariance that lets a plan be a pure
 // function of the request: every 2-way cost has the form c·W + |P|·|Q|·
-// PairCost with the same constant for all five joiners, so the walk unit W
-// cannot change a pick, and the n-way picks keep their winner across units
-// too. The sweep varies the graph (mean degree 1–300, 10–1e8 arcs) and the
+// PairCost with the same constant for all three walk joiners, so the walk
+// unit W cannot change a pick, and the n-way picks keep their winner across
+// units too. The sweep varies the graph (mean degree 1–300, 10–1e8 arcs) and the
 // depth while the query stays fixed, and expects one pick per gated shape.
 //
 // Left out on purpose: configurations whose coefficients tie exactly (1×60
 // at k = 20 splits B-BJ/B-IDJ-Y by float rounding), and degenerate n-way
-// queries (a 1×60 n-way pair flips between AP and NL with the unit). No
+// queries (a 1×60 n-way pair flips between AP and PJ-i with the unit). No
 // workload sends either, and their time cost at a fixed unit is unmeasured.
 func TestDecideIgnoresWalkUnit(t *testing.T) {
 	nway := func(n int, edges ...[2]int) plan.Workload {

@@ -82,15 +82,3 @@ func PowerIteration(g *graph.Graph, c float64, src graph.NodeID, d int) ([]float
 	}
 	return out, nil
 }
-
-// Bound returns the maximum mass the truncated π_l can still gain beyond
-// step l: Σ_{i>l} (1−c)·c^i = c^(l+1). It equals dht.PPR(c).XBound(l) and is
-// monotone decreasing in l — the property the rank-join corner bounds
-// require of a measure's bound function.
-func Bound(c float64, l int) float64 {
-	b := 1.0
-	for i := 0; i <= l; i++ {
-		b *= c
-	}
-	return b
-}

@@ -88,24 +88,6 @@ func TestPowerIterationMatchesExactSolve(t *testing.T) {
 	}
 }
 
-// TestBoundMatchesXBound pins Bound to the generic dht tail bound with PPR
-// parameters and checks the monotonicity the rank-join corner bounds need.
-func TestBoundMatchesXBound(t *testing.T) {
-	for _, c := range []float64{0.2, 0.5, 0.9} {
-		p := dht.PPR(c)
-		for l := 0; l < 12; l++ {
-			want := p.XBound(l)
-			got := Bound(c, l)
-			if math.Abs(got-want) > 1e-15*math.Max(1, want) {
-				t.Fatalf("c=%g l=%d: Bound=%g XBound=%g", c, l, got, want)
-			}
-			if l > 0 && got >= Bound(c, l-1) {
-				t.Fatalf("c=%g l=%d: bound not strictly decreasing", c, l)
-			}
-		}
-	}
-}
-
 // TestValidation covers the error paths.
 func TestValidation(t *testing.T) {
 	g := testGraph(t, 1)

@@ -41,8 +41,10 @@ const maxGraphBody = 256 << 20
 // produced, terminated by a {"done":true,...} line), and "cursor": n skips
 // the first n results — the "next page" continuation, usable with or
 // without streaming. "explain": true turns either join request into a dry
-// run: the response is {"plan": ...} — the cost-based planner's decision,
-// per-candidate estimates, and stats snapshot — and nothing executes.
+// run: the response is {"plan": ...} — the cost-based planner's decision
+// for the demand the same body would run (cursor+k for a page, the initial
+// batch for a stream), per-candidate estimates, and stats snapshot — and
+// nothing executes.
 // Handlers run under the request context, so a disconnected client aborts
 // the join and returns its engines to the session pool.
 //
@@ -252,15 +254,6 @@ func serveJoin[T, W any](svc *Service, w http.ResponseWriter, r *http.Request, r
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Explain {
-		pl, err := explainJoin(svc, req.Graph, spec, req.K, query)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"plan": pl})
-		return
-	}
 	// k = 0 means "until exhausted" when streaming; the batch form needs a
 	// positive page size (a k <= 0 page could never terminate a client's
 	// cursor loop).
@@ -276,6 +269,21 @@ func serveJoin[T, W any](svc *Service, w http.ResponseWriter, r *http.Request, r
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.Explain {
+		// Price the demand this body would run: a batch page drains
+		// cursor+k, a stream opens with demand 0 (its initial batch).
+		demand := req.Cursor + req.K
+		if req.Stream {
+			demand = 0
+		}
+		pl, err := explainJoin(svc, req.Graph, spec, demand, query)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"plan": pl})
 		return
 	}
 	if req.Stream {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/join2"
 	"repro/internal/plan"
+	"repro/internal/simrank"
 )
 
 // enter counts one join request and applies the drain gate.
@@ -179,17 +180,14 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID
 	}
 	defer s.adm.release(g)
 	if !res.Kernel.WalkBased {
-		// Matrix measures (simrank) score through the kernel's evaluator; the
-		// session pool holds walk engines these measures never touch.
-		ev, err := res.Kernel.NewEvaluator(sess.g, res.Params, res.D)
+		// The one matrix measure (simrank) scores through the shared
+		// fixed-point matrix; the session pool holds walk engines it never
+		// touches.
+		m, err := simrank.SharedMatrix(sess.g)
 		if err != nil {
 			return 0, err
 		}
-		var dst [1]float64
-		if err := ev.ScoresInto(u, []graph.NodeID{v}, res.D, dst[:]); err != nil {
-			return 0, err
-		}
-		return dst[0], nil
+		return m.Score(u, v), nil
 	}
 	e := sess.pool.Get()
 	defer sess.pool.Put(e)

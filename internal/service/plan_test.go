@@ -3,11 +3,14 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // TestServiceExplain pins the dry-run planner surface: plans for both query
@@ -25,8 +28,8 @@ func TestServiceExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.Estimates) != 5 {
-		t.Fatalf("2-way plan has %d estimates, want 5", len(pl.Estimates))
+	if len(pl.Estimates) != 3 {
+		t.Fatalf("2-way plan has %d estimates, want 3", len(pl.Estimates))
 	}
 	if pl.Algorithm != pl.Estimates[0].Algorithm || pl.Forced {
 		t.Fatalf("plan = %+v", pl)
@@ -38,15 +41,15 @@ func TestServiceExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(npl.Estimates) != 4 {
-		t.Fatalf("n-way plan has %d estimates, want 4", len(npl.Estimates))
+	if len(npl.Estimates) != 2 {
+		t.Fatalf("n-way plan has %d estimates, want 2", len(npl.Estimates))
 	}
 
-	forced, err := svc.ExplainJoin2(ctx, "g", p, q, 10, Query{Algorithm: "F-BJ"})
+	forced, err := svc.ExplainJoin2(ctx, "g", p, q, 10, Query{Algorithm: "B-IDJ-X"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !forced.Forced || forced.Algorithm != "F-BJ" {
+	if !forced.Forced || forced.Algorithm != "B-IDJ-X" {
 		t.Fatalf("forced plan = %+v", forced)
 	}
 	if _, err := svc.ExplainJoin2(ctx, "g", p, q, 10, Query{Algorithm: "nope"}); err == nil {
@@ -134,7 +137,7 @@ func TestServiceForcedAlgorithm(t *testing.T) {
 	ctx := context.Background()
 	p, q := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
 	want := refJoin2(t, g, sets[0].Nodes(), sets[1].Nodes(), 15)
-	for _, name := range []string{"B-IDJ-Y", "B-IDJ-X", "B-BJ", "F-BJ", "F-IDJ"} {
+	for _, name := range []string{"B-IDJ-Y", "B-IDJ-X", "B-BJ"} {
 		got, err := svc.Join2(ctx, "g", p, q, 15, Query{Algorithm: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -147,6 +150,19 @@ func TestServiceForcedAlgorithm(t *testing.T) {
 	}
 	if _, err := svc.Join2(ctx, "g", p, q, 15, Query{Algorithm: "PJ-i"}); err == nil {
 		t.Fatal("n-way executor accepted on a 2-way request")
+	}
+	// The reproduction-only executors are not registered.
+	for _, name := range []string{"F-BJ", "F-IDJ"} {
+		if _, err := svc.Join2(ctx, "g", p, q, 15, Query{Algorithm: name}); !errors.Is(err, plan.ErrUnknownExecutor) {
+			t.Fatalf("forcing %s: %v", name, err)
+		}
+	}
+	for _, name := range []string{"NL", "PJ"} {
+		if _, err := svc.JoinN(ctx, "g",
+			[]SetRef{{Name: sets[0].Name}, {Name: sets[1].Name}},
+			[][2]int{{0, 1}}, 5, Query{Algorithm: name}); !errors.Is(err, plan.ErrUnknownExecutor) {
+			t.Fatalf("forcing %s: %v", name, err)
+		}
 	}
 	if _, err := svc.JoinN(ctx, "g",
 		[]SetRef{{Name: sets[0].Name}, {Name: sets[1].Name}},
@@ -194,7 +210,7 @@ func TestHTTPExplain(t *testing.T) {
 		t.Fatalf("join2 explain: %d %v", code, out)
 	}
 	pl := planOf(out)
-	if pl["algorithm"] == "" || len(pl["estimates"].([]any)) != 5 {
+	if pl["algorithm"] == "" || len(pl["estimates"].([]any)) != 3 {
 		t.Fatalf("join2 plan = %v", pl)
 	}
 
@@ -202,7 +218,7 @@ func TestHTTPExplain(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("joinN explain: %d %v", code, out)
 	}
-	if pl := planOf(out); len(pl["estimates"].([]any)) != 4 {
+	if pl := planOf(out); len(pl["estimates"].([]any)) != 2 {
 		t.Fatalf("joinN plan = %v", pl)
 	}
 
@@ -218,8 +234,15 @@ func TestHTTPExplain(t *testing.T) {
 	if defJSON, forcedJSON := jsonString(t, def["results"]), jsonString(t, forced["results"]); defJSON != forcedJSON {
 		t.Fatalf("forced B-BJ differs from default:\n%s\n%s", forcedJSON, defJSON)
 	}
-	if code, out = post("/join2", `{"graph":"g","p":{"set":"`+sets[0].Name+`"},"q":{"set":"`+sets[1].Name+`"},"k":5,"options":{"algo":"XXX"}}`); code != http.StatusBadRequest {
-		t.Fatalf("unknown algo: %d %v", code, out)
+	for _, algo := range []string{"XXX", "F-BJ", "F-IDJ"} {
+		if code, out = post("/join2", `{"graph":"g","p":{"set":"`+sets[0].Name+`"},"q":{"set":"`+sets[1].Name+`"},"k":5,"options":{"algo":"`+algo+`"}}`); code != http.StatusBadRequest {
+			t.Fatalf("unknown algo %s: %d %v", algo, code, out)
+		}
+	}
+	for _, algo := range []string{"NL", "PJ"} {
+		if code, out = post("/joinN", `{"graph":"g","sets":[{"set":"`+sets[0].Name+`"},{"set":"`+sets[1].Name+`"}],"shape":"chain","k":5,"options":{"algo":"`+algo+`"}}`); code != http.StatusBadRequest {
+			t.Fatalf("unknown n-way algo %s: %d %v", algo, code, out)
+		}
 	}
 
 	// GET /explain for both forms.
@@ -273,4 +296,48 @@ func jsonString(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestHTTPExplainPricesRunDemand: "explain":true reports the plan the same
+// body runs without it — a page is priced for cursor+k, a stream for its
+// initial batch — checked against the pick /stats records for the run.
+func TestHTTPExplainPricesRunDemand(t *testing.T) {
+	srv, svc, _, sets := serverFor(t, Config{ResultCacheSize: -1})
+	all := sets[0].Len() * sets[1].Len()
+	for _, tc := range []struct {
+		name string
+		body map[string]any
+	}{
+		{"stream of the whole space", map[string]any{"k": all, "stream": true}},
+		{"last page", map[string]any{"k": 5, "cursor": all - 5}},
+		{"first page", map[string]any{"k": 5}},
+	} {
+		body := map[string]any{
+			"graph": "test",
+			"p":     map[string]any{"set": sets[0].Name},
+			"q":     map[string]any{"set": sets[1].Name},
+		}
+		for k, v := range tc.body {
+			body[k] = v
+		}
+		body["explain"] = true
+		var out struct {
+			Plan struct {
+				Algorithm string `json:"algorithm"`
+			} `json:"plan"`
+		}
+		if code := postJSON(t, srv.URL+"/join2", body, &out); code != http.StatusOK {
+			t.Fatalf("%s: explain = %d", tc.name, code)
+		}
+		delete(body, "explain")
+		before := svc.Stats().PlanPicks[out.Plan.Algorithm]
+		if body["stream"] == true {
+			ndjsonLines(t, srv.URL+"/join2", body)
+		} else if code := postJSON(t, srv.URL+"/join2", body, &struct{}{}); code != http.StatusOK {
+			t.Fatalf("%s: run = %d", tc.name, code)
+		}
+		if picks := svc.Stats().PlanPicks; picks[out.Plan.Algorithm] != before+1 {
+			t.Fatalf("%s: explain says %s, run picked %v", tc.name, out.Plan.Algorithm, picks)
+		}
+	}
 }

@@ -42,10 +42,11 @@ type Query struct {
 	M int
 	// Distinct drops n-way answers repeating a node across positions.
 	Distinct bool
-	// Algorithm forces the named registered executor ("B-IDJ-Y", "B-BJ",
-	// "PJ-i", "AP", …) instead of the cost-based planner's pick. Results
-	// are bit-identical under any choice; an unknown name or one of the
-	// wrong query class fails the request.
+	// Algorithm forces the named registered executor instead of the
+	// cost-based planner's pick: "B-IDJ-Y", "B-IDJ-X" or "B-BJ" for a pair
+	// query, "PJ-i" or "AP" for an n-way one ("SR-SCAN" / "SR-AP" under
+	// simrank). Results are bit-identical under any choice; an unknown name
+	// or one of the wrong query class fails the request.
 	Algorithm string
 	// Priority selects the admission class: PriorityInteractive (the zero
 	// value) or PriorityBatch; any other value fails the request. Batch

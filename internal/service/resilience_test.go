@@ -403,9 +403,10 @@ func TestHTTPBudgetSpentAtOpen(t *testing.T) {
 	if !batch.Truncated || batch.Exhausted || len(batch.Results) != 0 {
 		t.Fatalf("batch past its budget: %d results truncated=%v exhausted=%v", len(batch.Results), batch.Truncated, batch.Exhausted)
 	}
-	// Brute-force NL polls the budget per tuple like every other executor,
-	// instead of enumerating its 100k candidates first.
-	var nl struct {
+	// AP, which materializes every pair of every edge before its first
+	// answer, polls the budget like every other executor instead of scoring
+	// its edges first.
+	var ap struct {
 		Answers   []answerJSON `json:"answers"`
 		Truncated bool         `json:"truncated"`
 	}
@@ -413,9 +414,9 @@ func TestHTTPBudgetSpentAtOpen(t *testing.T) {
 		"graph":   "test",
 		"sets":    []map[string]any{{"set": sets[0].Name}, {"set": sets[1].Name}, {"set": sets[2].Name}},
 		"k":       5,
-		"options": map[string]any{"algo": "NL"},
-	}, &nl); code != http.StatusOK || !nl.Truncated || len(nl.Answers) != 0 {
-		t.Fatalf("forced NL past its budget = %d, %d answers, truncated=%v", code, len(nl.Answers), nl.Truncated)
+		"options": map[string]any{"algo": "AP"},
+	}, &ap); code != http.StatusOK || !ap.Truncated || len(ap.Answers) != 0 {
+		t.Fatalf("forced AP past its budget = %d, %d answers, truncated=%v", code, len(ap.Answers), ap.Truncated)
 	}
 	if got := svc.Stats().BudgetTruncations; got != 3 {
 		t.Fatalf("BudgetTruncations = %d, want one per request", got)
