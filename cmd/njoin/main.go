@@ -11,16 +11,14 @@
 //	njoin -graph yeast.graph -sets 3-U,5-F,8-D -shape triangle -k 5
 //	njoin -graph yeast.graph -sets 3-U,5-F,8-D -agg SUM -algo pji -m 100
 //	njoin -graph yeast.graph -sets 3-U,8-D -k 10 -explain         # plan only
-//	njoin -graph yeast.graph -sets 3-U,5-F,8-D -measure simrank -k 5
 //	njoin -graph yeast.graph -sets 3-U,8-D -measure ppr -lambda 0.3
 //
 // By default (-algo auto) the cost-based planner picks the evaluation
 // algorithm from the graph's structural stats and the query shape; -explain
 // prints the chosen plan and the per-candidate cost table without running
 // the join. -measure selects a scoring measure from the registry
-// (internal/measure): walk measures reuse the DHT executors with the
-// kernel's walk kind, while matrix measures such as simrank plan onto
-// their dedicated executors (SR-AP).
+// (internal/measure): every measure runs on the same executors with its
+// kernel's walk kind and parameters.
 package main
 
 import (
@@ -58,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		algo      = fs.String("algo", "auto", "auto (cost-based planner) | ap | pji")
 		explain   = fs.Bool("explain", false, "print the chosen plan and cost table without running the join")
 		aggName   = fs.String("agg", "MIN", "aggregate: SUM | MIN | MAX | AVG")
-		measureID = fs.String("measure", "", "scoring measure from the registry: dht | reach | ppr | simrank (default \"dht\")")
+		measureID = fs.String("measure", "", "scoring measure from the registry: dht | reach | ppr (default \"dht\")")
 		lambda    = fs.Float64("lambda", 0, "the measure's decay: DHTλ's λ, ppr's damping factor (default: the measure's own, 0.2 for dht, 0.5 for ppr)")
 		useDHTE   = fs.Bool("dhte", false, "use the DHTe measure instead of DHTλ")
 		eps       = fs.Float64("eps", 0, "truncation accuracy target (Lemma 1; default 1e-6)")

@@ -32,8 +32,8 @@
 //	GET    /metrics         the same counters in Prometheus text format
 //
 // Every join scores under a registered measure (internal/measure): add
-// "measure":"ppr" (or "simrank", "reach", ...) to options; the default is
-// the paper's "dht". Unknown names are a 400 listing the registry.
+// "measure":"ppr" (or "reach") to options; the default is the paper's
+// "dht". Unknown names are a 400 listing the registry.
 //
 // Cluster mode (see internal/cluster) starts when -cluster-addr is set: the
 // node serves a Kademlia-style RPC port, joins the ring via -peers, and two

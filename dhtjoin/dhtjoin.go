@@ -214,12 +214,10 @@ func checkNode(g *Graph, v NodeID) error {
 	return nil
 }
 
-// ScoresFrom computes the score of (u, v) for every node u at once — one
-// backward walk to v for the walk measures, one evaluated column for the
-// matrix ones (SimRank is symmetric, so its column equals its row). out
-// must have length g.NumNodes() (or be nil to allocate). A nil graph, a v
-// outside the graph and an out of another length return ErrNilGraph,
-// ErrNodeRange and ErrBufferLength.
+// ScoresFrom computes the score of (u, v) for every node u at once with one
+// backward walk to v. out must have length g.NumNodes() (or be nil to
+// allocate). A nil graph, a v outside the graph and an out of another
+// length return ErrNilGraph, ErrNodeRange and ErrBufferLength.
 func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, error) {
 	if g == nil {
 		return nil, ErrNilGraph
@@ -236,16 +234,6 @@ func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, er
 		out = make([]float64, n)
 	} else if len(out) != n {
 		return nil, fmt.Errorf("%w: out has length %d, want %d", ErrBufferLength, len(out), n)
-	}
-	if !res.Kernel.WalkBased {
-		m, err := simrank.SharedMatrix(g)
-		if err != nil {
-			return nil, err
-		}
-		for u := range out {
-			out[u] = m.Score(v, NodeID(u))
-		}
-		return out, nil
 	}
 	be, err := dht.NewBatchEngine(g, res.Params, res.D, 1)
 	if err != nil {
@@ -269,7 +257,8 @@ func Steps(params Params, eps float64) int { return params.StepsForEpsilon(eps) 
 
 // SimRank support (the second measure named in the paper's conclusion).
 // SimRank does not fit the walk form the join algorithms exploit, so it is
-// computed by dense fixed-point iteration and joined via JoinLists.
+// not a served measure: it is computed by dense fixed-point iteration and
+// joined via JoinLists, and the caller holds the matrix.
 type (
 	// SimRankMatrix holds converged all-pairs SimRank scores.
 	SimRankMatrix = simrank.Matrix

@@ -1,9 +1,9 @@
 package dhtjoin
 
 // The measure-registry suites: the "dht" kernel through the registry must be
-// bit-identical to the measure-less path (the PR 9 behavior), the new ppr
-// and simrank kernels must match their reference evaluators, and wrong or
-// unknown measure spellings must fail with the typed sentinels.
+// bit-identical to the measure-less path, the ppr kernel must match its
+// reference evaluator, and unknown or retired measure spellings must fail
+// with the typed sentinels.
 
 import (
 	"context"
@@ -14,9 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/dht"
-	"repro/internal/graph"
 	"repro/internal/ppr"
-	"repro/internal/simrank"
 )
 
 // TestMeasureDHTBitIdentical is the registry's equivalence property: a
@@ -145,66 +143,6 @@ func TestMeasurePPRGolden(t *testing.T) {
 	}
 }
 
-// TestMeasureSimRankGolden pins the served simrank join against the dense
-// matrix, and the n-way form's score sequence against brute force over the
-// tuple space.
-func TestMeasureSimRankGolden(t *testing.T) {
-	ctx := context.Background()
-	g, sets := plannerWorld(t, 77)
-	p, q := sets[0], sets[1]
-	m, err := simrank.SharedMatrix(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, k := range []int{1, 9, 60} {
-		want, err := m.TopKPairs(p.Nodes(), q.Nodes(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := NewPairQuery(g, p, q).WithMeasure("simrank").TopKPairs(ctx, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Pair != want[i].Pair || got[i].Score != want[i].Score {
-				t.Fatalf("k=%d result %d: %+v, matrix says %+v", k, i, got[i], want[i])
-			}
-		}
-	}
-
-	// n-way: brute-force every chain tuple via the matrix under MIN and
-	// compare the descending score sequence (tuple tie order is the
-	// executor's canonical key, which the reference does not reproduce).
-	qg := Chain(sets[0], sets[1], sets[2])
-	const k = 12
-	var scores []float64
-	for _, a := range sets[0].Nodes() {
-		for _, b := range sets[1].Nodes() {
-			sAB := m.Score(a, b)
-			for _, c := range sets[2].Nodes() {
-				scores = append(scores, math.Min(sAB, m.Score(b, c)))
-			}
-		}
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-	got, err := NewJoinQuery(g, qg).WithMeasure("simrank").TopK(ctx, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != k {
-		t.Fatalf("n-way returned %d answers, want %d", len(got), k)
-	}
-	for i, a := range got {
-		if a.Score != scores[i] {
-			t.Fatalf("n-way answer %d score %v, brute force says %v", i, a.Score, scores[i])
-		}
-	}
-}
-
 // TestEpsilonNotFinite: an epsilon that is NaN or infinite fails every entry
 // point with ErrEpsilon (inside ErrInvalidOptions) instead of being served at
 // some depth, and Steps panics on NaN as it does on a non-positive bound.
@@ -229,92 +167,35 @@ func TestEpsilonNotFinite(t *testing.T) {
 	Steps(DHTLambda(0.2), math.NaN())
 }
 
-// TestMeasureUnknown: unknown spellings fail every entry point with the
-// errors.Is-able sentinel.
+// TestMeasureUnknown: unknown spellings, and simrank since it left the
+// server, fail every entry point with the errors.Is-able sentinel.
 func TestMeasureUnknown(t *testing.T) {
 	ctx := context.Background()
 	g, sets := plannerWorld(t, 3)
 	p, q := sets[0], sets[1]
 
-	_, err := NewPairQuery(g, p, q).WithMeasure("katz").TopKPairs(ctx, 5)
-	if !errors.Is(err, ErrUnknownMeasure) {
-		t.Fatalf("join error %v is not ErrUnknownMeasure", err)
-	}
-	if !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("join error %v is not ErrInvalidOptions", err)
-	}
-	if _, err := Score(g, 0, 1, &Options{MeasureName: "katz"}); !errors.Is(err, ErrUnknownMeasure) {
-		t.Fatalf("Score error %v is not ErrUnknownMeasure", err)
-	}
-	if _, err := ScoresFrom(g, 1, &Options{MeasureName: "katz"}, nil); !errors.Is(err, ErrUnknownMeasure) {
-		t.Fatalf("ScoresFrom error %v is not ErrUnknownMeasure", err)
-	}
-	if _, _, err := AlgorithmsForMeasure("katz"); !errors.Is(err, ErrUnknownMeasure) {
-		t.Fatalf("AlgorithmsForMeasure error %v is not ErrUnknownMeasure", err)
-	}
-
-	found := false
-	for _, name := range Measures() {
-		if name == "simrank" {
-			found = true
+	for _, name := range []string{"katz", "simrank"} {
+		_, err := NewPairQuery(g, p, q).WithMeasure(name).TopKPairs(ctx, 5)
+		if !errors.Is(err, ErrUnknownMeasure) || !errors.Is(err, ErrInvalidOptions) {
+			t.Fatalf("%s: pair join error %v is not ErrUnknownMeasure inside ErrInvalidOptions", name, err)
+		}
+		_, err = NewJoinQuery(g, Chain(sets[0], sets[1], sets[2])).WithMeasure(name).TopK(ctx, 5)
+		if !errors.Is(err, ErrUnknownMeasure) {
+			t.Fatalf("%s: n-way join error %v is not ErrUnknownMeasure", name, err)
+		}
+		if _, err := Score(g, 0, 1, &Options{MeasureName: name}); !errors.Is(err, ErrUnknownMeasure) {
+			t.Fatalf("%s: Score error %v is not ErrUnknownMeasure", name, err)
+		}
+		if _, err := ScoresFrom(g, 1, &Options{MeasureName: name}, nil); !errors.Is(err, ErrUnknownMeasure) {
+			t.Fatalf("%s: ScoresFrom error %v is not ErrUnknownMeasure", name, err)
 		}
 	}
-	if !found {
-		t.Fatalf("Measures() = %v, missing simrank", Measures())
+	if got := Measures(); !slices.Equal(got, []string{"dht", "ppr", "reach"}) {
+		t.Fatalf("Measures() = %v, want [dht ppr reach]", got)
 	}
 }
 
-// TestMeasureHintConflict: forcing an executor across the measure boundary
-// is a hint conflict, and the per-measure algorithm lists reflect the split.
-func TestMeasureHintConflict(t *testing.T) {
-	ctx := context.Background()
-	g, sets := plannerWorld(t, 3)
-	p, q := sets[0], sets[1]
-
-	_, err := NewPairQuery(g, p, q).WithMeasure("simrank").
-		WithHints(Hints{Algorithm: "B-IDJ-Y"}).TopKPairs(ctx, 5)
-	if !errors.Is(err, ErrHintConflict) {
-		t.Fatalf("walk executor on simrank query: %v, want ErrHintConflict", err)
-	}
-	_, err = NewPairQuery(g, p, q).WithHints(Hints{Algorithm: "SR-SCAN"}).TopKPairs(ctx, 5)
-	if !errors.Is(err, ErrHintConflict) {
-		t.Fatalf("SR-SCAN on walk query: %v, want ErrHintConflict", err)
-	}
-
-	for _, name := range Algorithms2Way() {
-		if name == "SR-SCAN" {
-			t.Fatal("Algorithms2Way lists the simrank executor")
-		}
-	}
-	two, nway, err := AlgorithmsForMeasure("simrank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(two) != 1 || two[0] != "SR-SCAN" || len(nway) != 1 || nway[0] != "SR-AP" {
-		t.Fatalf("simrank executors = %v / %v", two, nway)
-	}
-
-	// Forcing within the measure works and Explain reports the dedicated
-	// candidate table.
-	pl, err := NewPairQuery(g, p, q).WithMeasure("simrank").Explain(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Algorithm != "SR-SCAN" || len(pl.Estimates) != 1 {
-		t.Fatalf("simrank plan = %+v", pl)
-	}
-	forced, err := NewPairQuery(g, p, q).WithMeasure("simrank").
-		WithHints(Hints{Algorithm: "SR-SCAN"}).TopKPairs(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(forced) != 3 {
-		t.Fatalf("forced SR-SCAN returned %d results", len(forced))
-	}
-}
-
-// TestMeasureScorePaths: the one-pair and one-column entry points honor the
-// measure name, including the matrix family.
+// TestMeasureScorePaths: the one-pair entry point honors the measure name.
 func TestMeasureScorePaths(t *testing.T) {
 	g, sets := plannerWorld(t, 21)
 	u := sets[0].Nodes()[0]
@@ -331,27 +212,5 @@ func TestMeasureScorePaths(t *testing.T) {
 	}
 	if got != col[v] {
 		t.Fatalf("ppr Score = %v, power iteration says %v", got, col[v])
-	}
-
-	m, err := simrank.SharedMatrix(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sGot, err := Score(g, u, v, &Options{MeasureName: "simrank"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := m.Score(u, v); sGot != want {
-		t.Fatalf("simrank Score = %v, matrix says %v", sGot, want)
-	}
-
-	colGot, err := ScoresFrom(g, v, &Options{MeasureName: "simrank"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range colGot {
-		if want := m.Score(graph.NodeID(i), v); colGot[i] != want {
-			t.Fatalf("simrank ScoresFrom[%d] = %v, matrix says %v", i, colGot[i], want)
-		}
 	}
 }

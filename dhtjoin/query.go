@@ -7,7 +7,6 @@ import (
 	"iter"
 
 	"repro/internal/join2"
-	"repro/internal/measure"
 	"repro/internal/plan"
 	"repro/internal/service"
 )
@@ -47,15 +46,15 @@ type Query struct {
 // everything to the cost-based planner. Invalid hints are rejected at
 // Validate/open time with the package's typed errors: an Algorithm naming no
 // registered executor fails with ErrUnknownAlgorithm, an algorithm of the
-// wrong query class (a 2-way joiner on an n-way query, or vice versa) or of
-// another measure fails with ErrHintConflict — both errors.Is-able.
+// wrong query class (a 2-way joiner on an n-way query, or vice versa) fails
+// with ErrHintConflict — both errors.Is-able.
 type Hints struct {
 	// Algorithm forces the named executor instead of the planner's pick:
 	// one of Algorithms2Way for pair queries ("B-IDJ-Y", "B-IDJ-X", "B-BJ")
-	// or AlgorithmsNWay for n-way queries ("PJ-i", "AP"), plus "SR-SCAN" /
-	// "SR-AP" under the simrank measure. Results are bit-identical under any
-	// choice — forcing is purely a cost decision. A non-empty hint wins over
-	// Options.Algorithm, so WithHints and WithOptions commute.
+	// or AlgorithmsNWay for n-way queries ("PJ-i", "AP"), under every
+	// measure. Results are bit-identical under any choice — forcing is
+	// purely a cost decision. A non-empty hint wins over Options.Algorithm,
+	// so WithHints and WithOptions commute.
 	Algorithm string
 }
 
@@ -78,35 +77,18 @@ type PlanEstimate = plan.Estimate
 
 // Algorithms2Way and AlgorithmsNWay list the registered executor names of
 // each query class, in registry (alphabetical) order — the valid values of
-// Hints.Algorithm for a walk-measure query (the default). Executors
-// dedicated to another measure (SimRank's SR-SCAN / SR-AP) are excluded:
-// forcing one onto a query that does not select their measure is an
-// ErrHintConflict, and AlgorithmsForMeasure lists them instead.
-func Algorithms2Way() []string { return algorithmNames(plan.TwoWay, "") }
+// Hints.Algorithm under every measure.
+func Algorithms2Way() []string { return algorithmNames(plan.TwoWay) }
 
 // AlgorithmsNWay lists the registered n-way executor names; see
 // Algorithms2Way.
-func AlgorithmsNWay() []string { return algorithmNames(plan.NWay, "") }
+func AlgorithmsNWay() []string { return algorithmNames(plan.NWay) }
 
-// AlgorithmsForMeasure lists the 2-way and n-way executor names a query
-// with the named measure may force via Hints.Algorithm. The empty name
-// selects "dht"; every walk measure shares the walk executor family, while
-// e.g. "simrank" gets its dedicated SR-SCAN / SR-AP.
-func AlgorithmsForMeasure(name string) (twoWay, nWay []string, err error) {
-	kern, err := measure.Lookup(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return algorithmNames(plan.TwoWay, kern.PlanMeasure), algorithmNames(plan.NWay, kern.PlanMeasure), nil
-}
-
-func algorithmNames(class plan.Class, planMeasure string) []string {
+func algorithmNames(class plan.Class) []string {
 	ds := plan.Executors(class)
-	out := make([]string, 0, len(ds))
-	for _, d := range ds {
-		if d.Measure == planMeasure {
-			out = append(out, d.Name)
-		}
+	out := make([]string, len(ds))
+	for i, d := range ds {
+		out[i] = d.Name
 	}
 	return out
 }
@@ -138,7 +120,7 @@ func (qy *Query) WithOptions(opts *Options) *Query {
 }
 
 // WithMeasure returns a copy of the query evaluating the named registered
-// proximity measure ("dht", "reach", "ppr", "simrank"; Measures lists
+// proximity measure ("dht", "reach", "ppr"; Measures lists
 // them). It is shorthand for setting Options.MeasureName — a later
 // WithOptions replaces it. The empty name selects "dht", the paper's
 // measure; an unknown name fails Validate (and every entry point) with
@@ -185,19 +167,18 @@ func (qy *Query) Validate() error {
 		return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 	}
 	q := qy.options()
-	res, err := resolve(&q)
-	if err != nil || q.Algorithm == "" {
+	if _, err := resolve(&q); err != nil || q.Algorithm == "" {
 		return err
 	}
 	class := plan.TwoWay
 	if qy.join != nil {
 		class = plan.NWay
 	}
-	err = plan.ValidateForced(class, q.Algorithm, res.Kernel.PlanMeasure)
+	err := plan.ValidateForced(class, q.Algorithm)
 	switch {
 	case err == nil:
 		return nil
-	case errors.Is(err, plan.ErrWrongClass) || errors.Is(err, plan.ErrWrongMeasure):
+	case errors.Is(err, plan.ErrWrongClass):
 		return fmt.Errorf("%w: %v", ErrHintConflict, err)
 	}
 	return fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)

@@ -264,12 +264,12 @@ func TestQueryTypedErrors(t *testing.T) {
 		out  []float64
 		want error
 	}{
-		"nil graph":        {nil, 0, nil, nil, ErrNilGraph},
-		"v = -1":           {two, -1, nil, nil, ErrNodeRange},
-		"v = 99":           {two, 99, nil, nil, ErrNodeRange},
-		"v = 99 (simrank)": {two, 99, &Options{MeasureName: "simrank"}, nil, ErrNodeRange},
-		"short out":        {two, 1, nil, make([]float64, 1), ErrBufferLength},
-		"long out (ppr)":   {two, 1, &Options{MeasureName: "ppr"}, make([]float64, 3), ErrBufferLength},
+		"nil graph":      {nil, 0, nil, nil, ErrNilGraph},
+		"v = -1":         {two, -1, nil, nil, ErrNodeRange},
+		"v = 99":         {two, 99, nil, nil, ErrNodeRange},
+		"v = 99 (ppr)":   {two, 99, &Options{MeasureName: "ppr"}, nil, ErrNodeRange},
+		"short out":      {two, 1, nil, make([]float64, 1), ErrBufferLength},
+		"long out (ppr)": {two, 1, &Options{MeasureName: "ppr"}, make([]float64, 3), ErrBufferLength},
 	} {
 		if _, err := ScoresFrom(c.g, c.v, c.opts, c.out); !errors.Is(err, c.want) {
 			t.Errorf("ScoresFrom, %s: %v, want %v", name, err, c.want)

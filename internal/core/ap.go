@@ -7,7 +7,6 @@ import (
 	"repro/internal/dht"
 	"repro/internal/graph"
 	"repro/internal/join2"
-	"repro/internal/simrank"
 )
 
 // TwoWayKind selects which 2-way join algorithm an n-way operator uses for
@@ -26,10 +25,6 @@ const (
 	TwoWayBIDJX
 	// TwoWayBIDJY is B-IDJ with the Y⁺ₗ bound — the paper's choice for PJ.
 	TwoWayBIDJY
-	// TwoWaySimRank is the SR-SCAN joiner: per-edge scores come from the
-	// SimRank fixed-point matrix instead of walks. Selected only by the
-	// measure-aware planner (SR-AP); the walk operators never use it.
-	TwoWaySimRank
 )
 
 // String names the kind as in the paper.
@@ -45,8 +40,6 @@ func (t TwoWayKind) String() string {
 		return "B-IDJ-X"
 	case TwoWayBIDJY:
 		return "B-IDJ-Y"
-	case TwoWaySimRank:
-		return "SR-SCAN"
 	}
 	return fmt.Sprintf("TwoWayKind(%d)", int(t))
 }
@@ -64,8 +57,6 @@ func (t TwoWayKind) newJoiner(cfg join2.Config) (join2.Joiner, error) {
 		return join2.NewBIDJX(cfg)
 	case TwoWayBIDJY:
 		return join2.NewBIDJY(cfg)
-	case TwoWaySimRank:
-		return simrank.NewJoiner(cfg)
 	}
 	return nil, fmt.Errorf("core: unknown two-way kind %d", int(t))
 }
@@ -114,12 +105,7 @@ func NewAPWith(spec Spec, kind TwoWayKind) (*AP, error) {
 }
 
 // Name implements Algorithm.
-func (a *AP) Name() string {
-	if a.twoWay == TwoWaySimRank {
-		return "SR-AP"
-	}
-	return "AP"
-}
+func (a *AP) Name() string { return "AP" }
 
 // Stream opens the rank-ordered answer stream over fully materialized
 // per-edge lists (every pair of every edge is scored up front — AP's

@@ -1,6 +1,6 @@
 package core
 
-// This file registers the served n-way operators (AP, PJ-i, SR-AP) with the
+// This file registers the served n-way operators (AP, PJ-i) with the
 // planner registry (internal/plan), making each a selectable executor behind
 // the same descriptor shape as the 2-way joiners.
 //
@@ -108,19 +108,6 @@ func costPJI(w plan.Workload) float64 {
 	return total
 }
 
-// costSRAP prices the SimRank n-way join: one SR-SCAN materialization per
-// query edge (the matrix compute amortizes across edges through the
-// per-graph cache, but the planner prices the cold case) plus the rank-join
-// bookkeeping over the answer space.
-func costSRAP(w plan.Workload) float64 {
-	var total float64
-	for _, e := range w.QueryEdges {
-		p, q := edgeSizes(w, e)
-		total += twoWayEdgeCost("SR-SCAN", w, p, q, p*q)
-	}
-	return total + float64(w.SpaceSize())*plan.PairCost
-}
-
 func init() {
 	reg := func(name string, streaming, resumable bool, cost plan.CostFunc, mk Factory) {
 		plan.Register(plan.Descriptor{
@@ -134,16 +121,6 @@ func init() {
 		func(spec Spec, _ int) (StreamAlgorithm, error) { return NewAPWith(spec, TwoWayBBJ) })
 	reg("PJ-i", true, true, costPJI,
 		func(spec Spec, m int) (StreamAlgorithm, error) { return NewPJI(spec, m) })
-	// SR-AP is the SimRank n-way operator: AP's materialize-and-rank-join
-	// drive with SR-SCAN per-edge sources. Registered under Measure
-	// "simrank", so only measure-declaring workloads see it.
-	plan.Register(plan.Descriptor{
-		Name: "SR-AP", Class: plan.NWay, Measure: "simrank",
-		Cost: costSRAP,
-		New: Factory(func(spec Spec, _ int) (StreamAlgorithm, error) {
-			return NewAPWith(spec, TwoWaySimRank)
-		}),
-	})
 }
 
 // NewNamed constructs the named registered n-way operator over spec with

@@ -175,13 +175,25 @@ func TestAblations(t *testing.T) {
 		t.Skip("timing sweeps in -short mode")
 	}
 	env := quickEnv()
-	for _, fn := range []func(*Env) (*Table, error){AblationCornerBound, AblationIncremental, AblationSchedule} {
+	for _, fn := range []func(*Env) (*Table, error){AblationCornerBound, AblationIncremental, AblationSchedule, ExtensionSimRank} {
 		tab, err := fn(env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(tab.Rows) < 2 {
 			t.Fatalf("%s: rows = %d", tab.ID, len(tab.Rows))
+		}
+		for _, row := range tab.Rows {
+			for _, cell := range row {
+				if strings.HasPrefix(cell, "error:") {
+					t.Fatalf("%s: row %v holds an error cell", tab.ID, row)
+				}
+			}
+			// SimRank stays a library path (fixed point + JoinLists): both
+			// of its rows must reach the full k answers.
+			if tab.ID == "ext-simrank" && row[2] != strconv.Itoa(env.Cfg.K) {
+				t.Fatalf("%s: row %v reports %s answers, want %d", tab.ID, row, row[2], env.Cfg.K)
+			}
 		}
 	}
 }

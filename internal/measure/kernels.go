@@ -1,9 +1,7 @@
 package measure
 
-// This file registers the built-in measures. The walk kernels (dht, reach,
-// ppr) execute on the internal/dht engines the join executors run; the
-// simrank kernel scores through the shared fixed-point matrix
-// (simrank.SharedMatrix).
+// This file registers the built-in measures. Each kernel (dht, reach, ppr)
+// executes on the internal/dht engines the join executors run.
 
 import "repro/internal/dht"
 
@@ -30,13 +28,5 @@ func init() {
 		DefaultParams: func(dht.Params) dht.Params { return dht.PPR(0.5) },
 		LambdaParams:  dht.PPR,
 		Doc:           "personalized PageRank (no self term): reach fold of dht.PPR(c), default c=0.5",
-	})
-	Register(Kernel{
-		Name:        "simrank",
-		Contract:    CertifiedEps,
-		PlanMeasure: "simrank",
-		// ε is the fixed point's iteration-gap bound: |s_k(a,b) − s(a,b)| ≤
-		// C^(k+1) (Jeh & Widom, Prop. 2) at the default C and k.
-		Doc: "SimRank fixed point (C=0.8, 10 iters, dense ≤4096 nodes); ε = C^(iters+1)",
 	})
 }

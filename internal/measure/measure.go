@@ -8,20 +8,17 @@
 // system defaults are applied — and threads the result through the existing
 // planner and executor machinery.
 //
-// Registered measures come in two families:
+// Every registered measure (dht, reach, ppr) is a fold over step
+// probabilities of the truncated random walk, computed by the internal/dht
+// engines. They share every registered executor — selecting among them
+// changes the Kind and Params threaded into the engines, never the executor
+// set — which is why "dht" through the registry is bit-identical to the
+// pre-registry direct path. SimRank, which the walk form cannot express, is
+// a library feature (simrank.Compute joined through core.JoinLists), not a
+// registered measure.
 //
-//   - Walk-based (dht, reach, ppr): scores are folds over step
-//     probabilities of the truncated random walk, computed by the
-//     internal/dht engines. They share every registered walk executor —
-//     selecting among them changes the Kind and Params threaded into the
-//     engines, never the executor set — which is why "dht" through the
-//     registry is bit-identical to the pre-registry direct path.
-//   - Matrix-based (simrank): scores come from a fixed-point iteration the
-//     walk form cannot express. These declare their own planner measure key
-//     and bring their own executors (SR-SCAN, SR-AP).
-//
-// Import shape: measure sits above the measure implementations (dht, ppr,
-// simrank) and below the execution facades (dhtjoin, internal/service).
+// Import shape: measure sits above the measure implementations (dht, ppr)
+// and below the execution facades (dhtjoin, internal/service).
 // The operator packages (join2, core) do NOT import it — they stay keyed on
 // the small dht.Kind + Params config they always had, which is what keeps
 // the walk hot paths untouched.
@@ -45,19 +42,10 @@ const (
 	// float64 reference arithmetic — the same numbers the equivalence
 	// suites pin bit-identically.
 	Exact Contract = iota
-	// CertifiedEps kernels compute an approximation with a stated uniform
-	// error bound ε: every score is within ε of the exact value, and
-	// rankings are certified only up to score gaps larger than 2ε.
-	CertifiedEps
 )
 
 // String names the contract.
-func (c Contract) String() string {
-	if c == CertifiedEps {
-		return "certified-eps"
-	}
-	return "exact"
-}
+func (c Contract) String() string { return "exact" }
 
 // MarshalJSON renders the contract as its string form.
 func (c Contract) MarshalJSON() ([]byte, error) {
@@ -68,26 +56,31 @@ func (c Contract) MarshalJSON() ([]byte, error) {
 // branch with errors.Is (njoind maps it to HTTP 400).
 var ErrUnknownMeasure = errors.New("measure: unknown measure")
 
+// retired maps measure names the registry no longer serves to the hint
+// their ErrUnknownMeasure carries, so a stale request learns where the
+// measure went instead of reading a bare "unknown".
+var retired = map[string]string{
+	"simrank": "removed from the server: compute it with dhtjoin.ComputeSimRank and join its edge lists with dhtjoin.JoinLists",
+}
+
 // Kernel is one registered proximity measure.
 type Kernel struct {
-	// Name is the wire/flag spelling ("dht", "reach", "ppr", "simrank").
+	// Name is the wire/flag spelling ("dht", "reach", "ppr").
 	Name string
 
 	// Contract declares the accuracy contract of the kernel's scores.
 	Contract Contract
 
-	// WalkBased marks the walk family: scores fold step probabilities of
-	// the truncated walk, so the measure executes on the shared walk
-	// executors with Walk and (defaulted) Params threaded into the engines.
+	// WalkBased is true for every registered kernel; only the benchmark
+	// module still reads it.
 	WalkBased bool
 
-	// Walk is the step-probability kind walk-based kernels fold
-	// (dht.FirstHit or dht.Reach). Meaningless when !WalkBased.
+	// Walk is the step-probability kind the kernel folds (dht.FirstHit or
+	// dht.Reach).
 	Walk dht.Kind
 
-	// PlanMeasure is the planner's Workload/Descriptor measure key for this
-	// kernel: empty for the walk family (they share the walk executors),
-	// the measure name for kernels with dedicated executors.
+	// PlanMeasure is "" for every registered kernel; only the benchmark
+	// module still reads it.
 	PlanMeasure string
 
 	// DefaultParams resolves zero-value caller params to the measure's
@@ -127,7 +120,8 @@ func Register(k Kernel) {
 
 // Lookup resolves a measure by name; the empty name selects "dht", the
 // paper's measure and the system-wide default. Unknown names return an
-// ErrUnknownMeasure-wrapped error listing the registered spellings.
+// ErrUnknownMeasure-wrapped error listing the registered spellings, and a
+// retired name's error says where it went.
 func Lookup(name string) (Kernel, error) {
 	if name == "" {
 		name = "dht"
@@ -136,6 +130,9 @@ func Lookup(name string) (Kernel, error) {
 	k, ok := registry.byName[name]
 	registry.RUnlock()
 	if !ok {
+		if hint, gone := retired[name]; gone {
+			return Kernel{}, fmt.Errorf("%w: %q %s (registered: %v)", ErrUnknownMeasure, name, hint, Names())
+		}
 		return Kernel{}, fmt.Errorf("%w: %q (registered: %v)", ErrUnknownMeasure, name, Names())
 	}
 	return k, nil
@@ -169,7 +166,7 @@ func Kernels() []Kernel {
 type Info struct {
 	Name     string   `json:"name"`
 	Contract Contract `json:"contract"`
-	Family   string   `json:"family"` // "walk" or "matrix"
+	Family   string   `json:"family"` // always "walk"
 	Walk     string   `json:"walk,omitempty"`
 	Doc      string   `json:"doc"`
 }
@@ -179,12 +176,7 @@ func Describe() []Info {
 	ks := Kernels()
 	out := make([]Info, len(ks))
 	for i, k := range ks {
-		info := Info{Name: k.Name, Contract: k.Contract, Family: "matrix", Doc: k.Doc}
-		if k.WalkBased {
-			info.Family = "walk"
-			info.Walk = k.Walk.String()
-		}
-		out[i] = info
+		out[i] = Info{Name: k.Name, Contract: k.Contract, Family: "walk", Walk: k.Walk.String(), Doc: k.Doc}
 	}
 	return out
 }

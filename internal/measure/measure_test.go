@@ -1,9 +1,9 @@
 package measure_test
 
 import (
-	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,12 +11,9 @@ import (
 	"repro/internal/graph"
 	"repro/internal/measure"
 	"repro/internal/ppr"
-	"repro/internal/service"
-	"repro/internal/simrank"
 )
 
-// testGraph builds a modest directed community graph every kernel can
-// evaluate (well under the SimRank dense cap).
+// testGraph builds a modest directed community graph.
 func testGraph(t *testing.T, seed int64) *graph.Graph {
 	t.Helper()
 	g, _, err := graph.GenerateCommunity(graph.CommunityConfig{
@@ -42,10 +39,13 @@ func TestLookupDefaultsToDHT(t *testing.T) {
 	if kern.Name != "dht" {
 		t.Fatalf("Lookup(\"\") resolved %q, want dht", kern.Name)
 	}
-	for _, name := range []string{"dht", "reach", "ppr", "simrank"} {
+	for _, name := range []string{"dht", "reach", "ppr"} {
 		if _, err := measure.Lookup(name); err != nil {
 			t.Fatalf("Lookup(%q): %v", name, err)
 		}
+	}
+	if got := measure.Names(); !slices.Equal(got, []string{"dht", "ppr", "reach"}) {
+		t.Fatalf("Names() = %v, want [dht ppr reach]", got)
 	}
 }
 
@@ -59,6 +59,12 @@ func TestLookupUnknown(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not list registered measure %q", err, name)
 		}
+	}
+	// A retired measure is unknown too, and its error says where it went.
+	_, err = measure.Lookup("simrank")
+	if !errors.Is(err, measure.ErrUnknownMeasure) || !strings.Contains(err.Error(), "removed") ||
+		!strings.Contains(err.Error(), "ComputeSimRank") {
+		t.Fatalf("Lookup(simrank) = %v, want ErrUnknownMeasure naming the removal", err)
 	}
 }
 
@@ -94,36 +100,6 @@ func TestPPREvaluator(t *testing.T) {
 	}
 }
 
-// TestSimRankEvaluatorMatchesMatrix: the simrank kernel declares its
-// certified-ε contract, and a served Score reads the fixed-point matrix.
-func TestSimRankEvaluatorMatchesMatrix(t *testing.T) {
-	g := testGraph(t, 17)
-	kern, err := measure.Lookup("simrank")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kern.Contract != measure.CertifiedEps || kern.WalkBased {
-		t.Fatalf("simrank kernel = %+v, want a certified-eps matrix kernel", kern)
-	}
-	m, err := simrank.Compute(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := service.Ephemeral(g)
-	for _, tgt := range []graph.NodeID{0, 1, 9, 40, 79} {
-		got, err := svc.Score(context.Background(), "", 9, tgt, service.Query{MeasureName: "simrank"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := m.Score(9, tgt); got != want {
-			t.Fatalf("simrank Score (9,%d) = %v, matrix says %v", tgt, got, want)
-		}
-		if tgt == 9 && got != 1 {
-			t.Fatalf("s(9,9) = %v, want 1", got)
-		}
-	}
-}
-
 func TestResolveParamsCallerWins(t *testing.T) {
 	kern, err := measure.Lookup("ppr")
 	if err != nil {
@@ -144,8 +120,8 @@ func TestResolveParamsCallerWins(t *testing.T) {
 
 func TestDescribe(t *testing.T) {
 	infos := measure.Describe()
-	if len(infos) < 4 {
-		t.Fatalf("Describe returned %d kernels, want at least 4", len(infos))
+	if len(infos) != 3 {
+		t.Fatalf("Describe returned %d kernels, want 3", len(infos))
 	}
 	byName := map[string]measure.Info{}
 	for i, info := range infos {
@@ -155,13 +131,10 @@ func TestDescribe(t *testing.T) {
 		if info.Doc == "" {
 			t.Fatalf("%s has no doc line", info.Name)
 		}
+		if info.Family != "walk" || info.Contract != measure.Exact {
+			t.Fatalf("%s: family %q, contract %v, want an exact walk kernel", info.Name, info.Family, info.Contract)
+		}
 		byName[info.Name] = info
-	}
-	if f := byName["ppr"].Family; f != "walk" {
-		t.Fatalf("ppr family = %q, want walk", f)
-	}
-	if f := byName["simrank"].Family; f != "matrix" {
-		t.Fatalf("simrank family = %q, want matrix", f)
 	}
 	if w := byName["ppr"].Walk; w != dht.Reach.String() {
 		t.Fatalf("ppr walk = %q, want %q", w, dht.Reach)

@@ -2,16 +2,18 @@
 // execution entry points. The paper's experimental section (Figs 7–10) is a
 // study of *which* operator wins under which workload, and this package
 // turns that study into a decision procedure: every served operator
-// (B-IDJ-Y, B-IDJ-X and B-BJ for 2-way joins, PJ-i and AP for n-way, plus
-// the SimRank pair) registers a Descriptor (name, streaming capability,
+// (B-IDJ-Y, B-IDJ-X and B-BJ for 2-way joins, PJ-i and AP for n-way)
+// registers a Descriptor (name, streaming capability,
 // resumability, cost function), Decide ranks the candidates of a query class
 // by estimated cost over a Workload built from the graph's cached structural
 // Stats and the query's shape, and the execution layers (dhtjoin,
 // internal/service) run whatever wins. Operators the model never picks
 // (F-BJ, F-IDJ, NL, PJ) are not registered; they stay in the operator
-// packages for the paper's reproduction. All registered operators produce
-// bit-identical rankings (canonical tie keys), so planning is purely a cost
-// decision — a wrong estimate can only cost time, never change an answer.
+// packages for the paper's reproduction. Every registered operator serves
+// every registered measure (they differ only in the walk kind and params
+// the execution config carries) and produces bit-identical rankings
+// (canonical tie keys), so planning is purely a cost decision — a wrong
+// estimate can only cost time, never change an answer.
 //
 // The cost unit is *edge relaxations*: the number of CSR edge traversals the
 // walk kernels would perform, the quantity the dht.Counters instrument.
@@ -67,11 +69,6 @@ var (
 	// ErrWrongClass reports a forced algorithm of the other query class —
 	// a 2-way joiner forced onto an n-way query or vice versa.
 	ErrWrongClass = errors.New("plan: executor does not evaluate this query class")
-
-	// ErrWrongMeasure reports a forced algorithm that does not evaluate the
-	// workload's proximity measure — a walk executor forced onto a SimRank
-	// query or vice versa.
-	ErrWrongMeasure = errors.New("plan: executor does not evaluate this measure")
 )
 
 // CostFunc estimates the work of one executor on a workload, in edge
@@ -93,15 +90,6 @@ type Descriptor struct {
 	// from the m-th (the incremental F structure of §VI-D); non-resumable
 	// executors re-join with a grown budget when pulled past their batch.
 	Resumable bool
-
-	// Measure names the proximity measure the executor evaluates. Empty
-	// means the walk family: the executor scores pairs through the dht walk
-	// engines and serves every walk-based measure (dht, reach, ppr — they
-	// differ only in the Kind and Params threaded into the engine, which the
-	// execution config carries). A non-empty Measure (e.g. "simrank") marks
-	// an executor that evaluates exactly that measure and nothing else; it
-	// is considered only when the workload declares the same Measure.
-	Measure string
 
 	// Cost estimates the executor's work on a workload.
 	Cost CostFunc
@@ -186,12 +174,8 @@ type Workload struct {
 	// D is the truncation depth (walk length) every walk runs to.
 	D int `json:"d"`
 
-	// Measure selects the executor family by proximity measure, mirroring
-	// Descriptor.Measure: empty means the walk family (dht, reach, ppr —
-	// same executors, different engine parameters), a non-empty name (e.g.
-	// "simrank") restricts the candidate table to the executors registered
-	// for that measure. The execution layers set it from the resolved
-	// measure kernel.
+	// Measure is always empty and unread: every executor serves every
+	// measure. It stays until the benchmark module stops setting it.
 	Measure string `json:"measure,omitempty"`
 }
 
@@ -292,11 +276,6 @@ func Decide(class Class, w Workload, forced string) (*Plan, error) {
 	}
 	ests := make([]Estimate, 0, len(cands))
 	for _, d := range cands {
-		if d.Measure != w.Measure {
-			// The executor cannot evaluate this query at all, so it stays out
-			// of the candidate table entirely (mirroring the class partition).
-			continue
-		}
 		ests = append(ests, Estimate{
 			Algorithm: d.Name,
 			Cost:      d.Cost(w),
@@ -310,16 +289,9 @@ func Decide(class Class, w Workload, forced string) (*Plan, error) {
 		}
 		return ests[i].Algorithm < ests[j].Algorithm
 	})
-	if len(ests) == 0 {
-		// Reachable when no executor is registered for the workload's
-		// measure in this class (e.g. a measure with a 2-way joiner but no
-		// n-way aggregate).
-		return nil, fmt.Errorf("%w: no %s executor registered for measure %q",
-			ErrUnknownExecutor, class, measureName(w.Measure))
-	}
 	pl := &Plan{Class: class, Algorithm: ests[0].Algorithm, Estimates: ests, Workload: w}
 	if forced != "" {
-		if err := ValidateForced(class, forced, w.Measure); err != nil {
+		if err := ValidateForced(class, forced); err != nil {
 			return nil, err
 		}
 		pl.Algorithm = forced
@@ -328,36 +300,21 @@ func Decide(class Class, w Workload, forced string) (*Plan, error) {
 	return pl, nil
 }
 
-// measureName names a workload/descriptor measure for error messages.
-func measureName(m string) string {
-	if m == "" {
-		return "walk"
-	}
-	return m
-}
-
-// ValidateForced checks a forced executor name against a query class and
-// measure without computing a plan — the cheap hint validation the facade
-// runs up front. measure follows the Workload.Measure convention (empty =
-// the walk family).
-func ValidateForced(class Class, name, measure string) error {
+// ValidateForced checks a forced executor name against a query class
+// without computing a plan — the cheap hint validation the facade runs up
+// front.
+func ValidateForced(class Class, name string) error {
 	d, ok := Lookup(name)
 	if !ok {
 		var names []string
 		for _, d := range Executors(class) {
-			if d.Measure == measure {
-				names = append(names, d.Name)
-			}
+			names = append(names, d.Name)
 		}
-		return fmt.Errorf("%w: %q (registered %s executors for measure %s: %s)",
-			ErrUnknownExecutor, name, class, measureName(measure), strings.Join(names, ", "))
+		return fmt.Errorf("%w: %q (registered %s executors: %s)",
+			ErrUnknownExecutor, name, class, strings.Join(names, ", "))
 	}
 	if d.Class != class {
 		return fmt.Errorf("%w: %q is a %s executor, query is %s", ErrWrongClass, name, d.Class, class)
-	}
-	if d.Measure != measure {
-		return fmt.Errorf("%w: %q evaluates measure %s, query uses %s",
-			ErrWrongMeasure, name, measureName(d.Measure), measureName(measure))
 	}
 	return nil
 }
@@ -391,9 +348,6 @@ func (p *Plan) Format() string {
 		}
 		fmt.Fprintf(&sb, "workload: sets=[%s] edges=%d k=%d m=%d d=%d",
 			strings.Join(sizes, ","), len(w.QueryEdges), w.K, w.M, w.D)
-	}
-	if w.Measure != "" {
-		fmt.Fprintf(&sb, "; measure=%s", w.Measure)
 	}
 	fmt.Fprintf(&sb, "; graph |V|=%d |E|=%d meanDeg=%.2f walkCost=%.0f\n",
 		w.Stats.Nodes, w.Stats.Arcs, w.Stats.MeanOutDeg, w.WalkCost())

@@ -6,12 +6,13 @@ package plan_test
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/plan"
 
-	_ "repro/internal/core"  // registers AP / PJ-i / SR-AP
+	_ "repro/internal/core"  // registers AP / PJ-i
 	_ "repro/internal/join2" // registers the served 2-way joiners
 )
 
@@ -24,7 +25,7 @@ func testWorkload(k int) plan.Workload {
 }
 
 func TestRegistryExecutors(t *testing.T) {
-	want2 := []string{"B-BJ", "B-IDJ-X", "B-IDJ-Y", "SR-SCAN"}
+	want2 := []string{"B-BJ", "B-IDJ-X", "B-IDJ-Y"}
 	got2 := plan.Executors(plan.TwoWay)
 	if len(got2) != len(want2) {
 		t.Fatalf("2-way executors: %d, want %d", len(got2), len(want2))
@@ -37,7 +38,7 @@ func TestRegistryExecutors(t *testing.T) {
 			t.Fatalf("%s registered without factory", d.Name)
 		}
 	}
-	wantN := []string{"AP", "PJ-i", "SR-AP"}
+	wantN := []string{"AP", "PJ-i"}
 	gotN := plan.Executors(plan.NWay)
 	if len(gotN) != len(wantN) {
 		t.Fatalf("n-way executors: %d, want %d", len(gotN), len(wantN))
@@ -104,16 +105,23 @@ func TestDecideForced(t *testing.T) {
 	if !pl.Forced || pl.Algorithm != "B-IDJ-X" {
 		t.Fatalf("forced plan = %+v", pl)
 	}
-	if _, err := plan.Decide(plan.TwoWay, testWorkload(50), "nope"); !errors.Is(err, plan.ErrUnknownExecutor) {
+	_, err = plan.Decide(plan.TwoWay, testWorkload(50), "nope")
+	if !errors.Is(err, plan.ErrUnknownExecutor) {
 		t.Fatalf("unknown forced: %v", err)
+	}
+	// The message lists every registered name of the class.
+	for _, d := range plan.Executors(plan.TwoWay) {
+		if !strings.Contains(err.Error(), d.Name) {
+			t.Fatalf("unknown forced error %q omits %s", err, d.Name)
+		}
 	}
 	if _, err := plan.Decide(plan.TwoWay, testWorkload(50), "PJ-i"); !errors.Is(err, plan.ErrWrongClass) {
 		t.Fatalf("wrong-class forced: %v", err)
 	}
-	if err := plan.ValidateForced(plan.NWay, "B-BJ", ""); !errors.Is(err, plan.ErrWrongClass) {
+	if err := plan.ValidateForced(plan.NWay, "B-BJ"); !errors.Is(err, plan.ErrWrongClass) {
 		t.Fatalf("ValidateForced wrong class: %v", err)
 	}
-	if err := plan.ValidateForced(plan.NWay, "AP", ""); err != nil {
+	if err := plan.ValidateForced(plan.NWay, "AP"); err != nil {
 		t.Fatalf("ValidateForced valid: %v", err)
 	}
 	// The reproduction-only operators are not served: forcing one is an
@@ -124,7 +132,7 @@ func TestDecideForced(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"NL", "PJ"} {
-		if err := plan.ValidateForced(plan.NWay, name, ""); !errors.Is(err, plan.ErrUnknownExecutor) {
+		if err := plan.ValidateForced(plan.NWay, name); !errors.Is(err, plan.ErrUnknownExecutor) {
 			t.Fatalf("ValidateForced %s: %v", name, err)
 		}
 	}
@@ -228,58 +236,5 @@ func TestPlanFormatAndFactory(t *testing.T) {
 	out := pl.Format()
 	if out == "" || pl.Factory() == nil {
 		t.Fatalf("Format=%q Factory=%v", out, pl.Factory())
-	}
-}
-
-// TestDecideMeasureFiltering: the candidate table is measure-keyed — a walk
-// workload never sees SimRank's dedicated executors and vice versa, and
-// forcing across the boundary is an ErrWrongMeasure.
-func TestDecideMeasureFiltering(t *testing.T) {
-	walk, err := plan.Decide(plan.TwoWay, testWorkload(50), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, est := range walk.Estimates {
-		if est.Algorithm == "SR-SCAN" {
-			t.Fatal("walk plan priced SR-SCAN")
-		}
-	}
-
-	w := testWorkload(50)
-	w.Measure = "simrank"
-	sr, err := plan.Decide(plan.TwoWay, w, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Algorithm != "SR-SCAN" {
-		t.Fatalf("simrank 2-way plan picked %q, want SR-SCAN", sr.Algorithm)
-	}
-	if len(sr.Estimates) != 1 {
-		t.Fatalf("simrank plan priced %d candidates, want 1", len(sr.Estimates))
-	}
-
-	wn := w
-	wn.P, wn.Q = 0, 0
-	wn.SetSizes = []int{100, 100, 100}
-	wn.QueryEdges = [][2]int{{0, 1}, {1, 2}}
-	srn, err := plan.Decide(plan.NWay, wn, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srn.Algorithm != "SR-AP" {
-		t.Fatalf("simrank n-way plan picked %q, want SR-AP", srn.Algorithm)
-	}
-
-	if _, err := plan.Decide(plan.TwoWay, testWorkload(50), "SR-SCAN"); !errors.Is(err, plan.ErrWrongMeasure) {
-		t.Fatalf("forcing SR-SCAN on a walk workload: %v, want ErrWrongMeasure", err)
-	}
-	if _, err := plan.Decide(plan.TwoWay, w, "B-IDJ-Y"); !errors.Is(err, plan.ErrWrongMeasure) {
-		t.Fatalf("forcing B-IDJ-Y on a simrank workload: %v, want ErrWrongMeasure", err)
-	}
-	if err := plan.ValidateForced(plan.TwoWay, "SR-SCAN", "simrank"); err != nil {
-		t.Fatalf("ValidateForced matching measure: %v", err)
-	}
-	if err := plan.ValidateForced(plan.TwoWay, "SR-SCAN", ""); !errors.Is(err, plan.ErrWrongMeasure) {
-		t.Fatalf("ValidateForced wrong measure: %v", err)
 	}
 }

@@ -1,10 +1,10 @@
 package pqueue
 
 // LRU is a bounded keyed map with least-recently-used eviction: the recency
-// bookkeeping under the service's result cache and the SimRank matrix
-// cache. What a value means (prefix extension, generation stamps) is the
-// owner's business — owners Peek, decide, and then Get or Put. An LRU is not synchronized; owners
-// guard it with their own mutex.
+// bookkeeping under the service's result cache. What a value means (prefix
+// extension, generation stamps) is the owner's business — owners Peek,
+// decide, and then Get or Put. An LRU is not synchronized; owners guard it
+// with their own mutex.
 type LRU[K comparable, V any] struct {
 	cap     int
 	entries map[K]*lruNode[K, V]

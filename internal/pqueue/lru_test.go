@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// TestLRUEvictionOrder pins the one policy every bounded cache in the repo
-// (the result cache, SimRank matrices) relies on: Get and
-// Put refresh recency, Peek does not, and a new key evicts exactly the least
+// TestLRUEvictionOrder pins the one policy the service's result cache relies
+// on: Get and Put refresh recency, Peek does not, and a new key evicts exactly the least
 // recently used entry. The second half checks the linked implementation
 // against the most-recently-used-last key list the caches used to carry.
 func TestLRUEvictionOrder(t *testing.T) {

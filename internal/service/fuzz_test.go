@@ -61,8 +61,9 @@ func FuzzJoinBodies(f *testing.F) {
 	} {
 		f.Add(seed.joinN, []byte(seed.body))
 	}
-	// A retired option is a 400 that names its removal, and so is an n-way
-	// query over more sets than maxQuerySets, before its shape expands.
+	// A retired option or measure is a 400 that names its removal, and so
+	// is an n-way query over more sets than maxQuerySets, before its shape
+	// expands.
 	clique := `"graph":"test","shape":"clique","sets":[` + strings.TrimSuffix(strings.Repeat(`{"set":"`+sets[0].Name+`"},`, 4000), ",") + `]`
 	for _, seed := range []struct {
 		joinN      bool
@@ -72,6 +73,7 @@ func FuzzJoinBodies(f *testing.F) {
 		{true, `{` + tuple + `,"k":4,"options":{"relabel":"bfs"}}`, `"relabel": removed`},
 		{false, `{` + pair + `,"k":3,"options":{"workers":2,"algo":"B-BJ"}}`, `"workers": removed`},
 		{true, `{` + tuple + `,"k":4,"options":{"workers":-1}}`, `"workers": removed`},
+		{false, `{` + pair + `,"k":3,"options":{"measure":"simrank"}}`, `"simrank" removed`},
 		{true, `{` + clique + `,"k":4}`, "4000 sets named, at most 64"},
 		{true, `{` + clique + `,"explain":true,"k":4}`, "4000 sets named, at most 64"},
 	} {
@@ -164,8 +166,9 @@ func FuzzScoreQuery(f *testing.F) {
 	} {
 		f.Add(seed.explain, seed.query)
 	}
-	// A retired option is a 400 that names its removal, and so is an n-way
-	// query over more sets than maxQuerySets, before its shape expands.
+	// A retired option or measure is a 400 that names its removal, and so
+	// is an n-way query over more sets than maxQuerySets, before its shape
+	// expands.
 	for _, seed := range []struct {
 		explain     bool
 		query, want string

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/join2"
 	"repro/internal/plan"
-	"repro/internal/simrank"
 )
 
 // enter counts one join request and applies the drain gate.
@@ -179,16 +178,6 @@ func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID
 		return 0, err
 	}
 	defer s.adm.release(g)
-	if !res.Kernel.WalkBased {
-		// The one matrix measure (simrank) scores through the shared
-		// fixed-point matrix; the session pool holds walk engines it never
-		// touches.
-		m, err := simrank.SharedMatrix(sess.g)
-		if err != nil {
-			return 0, err
-		}
-		return m.Score(u, v), nil
-	}
 	e := sess.pool.Get()
 	defer sess.pool.Put(e)
 	return e.ForwardScore(res.Kernel.Walk, u, v, res.D), nil

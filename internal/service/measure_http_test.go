@@ -1,22 +1,18 @@
 package service
 
 // HTTP suites for the measure registry: discovery (GET /measures), serving
-// ppr and simrank through both join endpoints, the unknown-measure error
-// envelope, canonical cache keys across the "dht"/"" spellings, and the
-// per-measure counters in /stats and /metrics.
+// ppr, the unknown- and retired-measure error envelopes, canonical cache
+// keys across the "dht"/"" spellings, and the per-measure counters in
+// /stats and /metrics.
 
 import (
 	"io"
-	"math"
 	"net/http"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/dht"
-	"repro/internal/graph"
 	"repro/internal/join2"
-	"repro/internal/simrank"
 )
 
 func TestHTTPMeasuresEndpoint(t *testing.T) {
@@ -33,17 +29,15 @@ func TestHTTPMeasuresEndpoint(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/measures", &out); code != http.StatusOK {
 		t.Fatalf("GET /measures = %d", code)
 	}
-	byName := map[string]string{}
+	var names []string
 	for _, m := range out.Measures {
-		if m.Doc == "" || m.Contract == "" {
-			t.Fatalf("measure %q served without doc/contract: %+v", m.Name, m)
+		if m.Doc == "" || m.Contract != "exact" || m.Family != "walk" || m.Walk == "" {
+			t.Fatalf("measure %q is not served as an exact walk kernel: %+v", m.Name, m)
 		}
-		byName[m.Name] = m.Family
+		names = append(names, m.Name)
 	}
-	for name, family := range map[string]string{"dht": "walk", "reach": "walk", "ppr": "walk", "simrank": "matrix"} {
-		if byName[name] != family {
-			t.Fatalf("measure %q family %q, want %q (served: %v)", name, byName[name], family, byName)
-		}
+	if got := strings.Join(names, ","); got != "dht,ppr,reach" {
+		t.Fatalf("GET /measures serves %s, want dht,ppr,reach", got)
 	}
 }
 
@@ -65,7 +59,7 @@ func TestHTTPUnknownMeasure(t *testing.T) {
 	if code := postJSON(t, srv.URL+"/join2", body, &out); code != http.StatusBadRequest {
 		t.Fatalf("POST /join2 with unknown measure: status %d, want 400", code)
 	}
-	if !strings.Contains(out.Error.Message, "katz") || !strings.Contains(out.Error.Message, "simrank") {
+	if !strings.Contains(out.Error.Message, "katz") || !strings.Contains(out.Error.Message, "reach") {
 		t.Fatalf("/join2 error %q does not name the bad measure and the registered ones", out.Error.Message)
 	}
 	out.Error.Message = ""
@@ -75,91 +69,34 @@ func TestHTTPUnknownMeasure(t *testing.T) {
 	if !strings.Contains(out.Error.Message, "katz") {
 		t.Fatalf("/score error %q does not name the bad measure", out.Error.Message)
 	}
-}
 
-// TestHTTPJoinSimRank serves simrank through both join endpoints — batch and
-// streaming — and pins the results against the dense matrix.
-func TestHTTPJoinSimRank(t *testing.T) {
-	srv, g, sets := startServer(t)
-	m, err := simrank.SharedMatrix(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 12
-	want, err := m.TopKPairs(sets[0].Nodes(), sets[1].Nodes(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	req := map[string]any{
-		"graph":   "test",
-		"p":       map[string]any{"set": sets[0].Name},
-		"q":       map[string]any{"set": sets[1].Name},
-		"k":       k,
-		"options": map[string]any{"measure": "simrank"},
-	}
-	var out struct {
-		Results []pairJSON `json:"results"`
-	}
-	if code := postJSON(t, srv.URL+"/join2", req, &out); code != http.StatusOK {
-		t.Fatalf("POST /join2 measure=simrank = %d", code)
-	}
-	if len(out.Results) != k {
-		t.Fatalf("join2: %d results, want %d", len(out.Results), k)
-	}
-	for i, r := range out.Results {
-		if r.P != want[i].Pair.P || r.Q != want[i].Pair.Q || r.Score != want[i].Score {
-			t.Fatalf("join2 rank %d: %+v, matrix says %+v", i, r, want[i])
-		}
-	}
-
-	// Streaming returns the identical prefix through the same path.
-	req["stream"] = true
-	lines, _ := ndjsonLines(t, srv.URL+"/join2", req)
-	if len(lines) != k+1 {
-		t.Fatalf("streamed %d lines, want %d + terminator", len(lines), k)
-	}
-	for i, wr := range want {
-		line := lines[i]
-		if graph.NodeID(line["p"].(float64)) != wr.Pair.P ||
-			graph.NodeID(line["q"].(float64)) != wr.Pair.Q ||
-			line["score"].(float64) != wr.Score {
-			t.Fatalf("stream line %d = %v, want %+v", i, line, wr)
-		}
-	}
-
-	// n-way under MIN over a chain: the served score sequence must equal
-	// the brute-forced tuple scores from the matrix.
-	var scores []float64
-	for _, a := range sets[0].Nodes() {
-		for _, b := range sets[1].Nodes() {
-			sAB := m.Score(a, b)
-			for _, c := range sets[2].Nodes() {
-				scores = append(scores, math.Min(sAB, m.Score(b, c)))
-			}
-		}
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(scores)))
-	const kn = 8
-	reqN := map[string]any{
+	// simrank left the server: every front end answers it with a 400 that
+	// names the removal.
+	body["options"] = map[string]any{"measure": "simrank"}
+	bodyN := map[string]any{
 		"graph":   "test",
 		"sets":    []map[string]any{{"set": sets[0].Name}, {"set": sets[1].Name}, {"set": sets[2].Name}},
 		"shape":   "chain",
-		"k":       kn,
+		"k":       3,
 		"options": map[string]any{"measure": "simrank"},
 	}
-	var outN struct {
-		Answers []answerJSON `json:"answers"`
-	}
-	if code := postJSON(t, srv.URL+"/joinN", reqN, &outN); code != http.StatusOK {
-		t.Fatalf("POST /joinN measure=simrank = %d", code)
-	}
-	if len(outN.Answers) != kn {
-		t.Fatalf("joinN: %d answers, want %d", len(outN.Answers), kn)
-	}
-	for i, a := range outN.Answers {
-		if a.Score != scores[i] {
-			t.Fatalf("joinN rank %d score %v, brute force says %v", i, a.Score, scores[i])
+	for _, tc := range []struct {
+		route string
+		do    func() int
+	}{
+		{"POST /join2", func() int { return postJSON(t, srv.URL+"/join2", body, &out) }},
+		{"POST /joinN", func() int { return postJSON(t, srv.URL+"/joinN", bodyN, &out) }},
+		{"GET /score", func() int { return getJSON(t, srv.URL+"/score?graph=test&u=0&v=1&measure=simrank", &out) }},
+		{"GET /explain", func() int {
+			return getJSON(t, srv.URL+"/explain?graph=test&p="+sets[0].Name+"&q="+sets[1].Name+"&measure=simrank", &out)
+		}},
+	} {
+		out.Error.Message = ""
+		if code := tc.do(); code != http.StatusBadRequest {
+			t.Fatalf("%s with measure simrank: status %d, want 400", tc.route, code)
+		}
+		if !strings.Contains(out.Error.Message, "simrank") || !strings.Contains(out.Error.Message, "removed") {
+			t.Fatalf("%s error %q does not name the removal", tc.route, out.Error.Message)
 		}
 	}
 }
@@ -255,7 +192,7 @@ func TestHTTPMeasureCanonicalization(t *testing.T) {
 // TestHTTPMeasureCounters: per-measure counters reach /stats and /metrics.
 func TestHTTPMeasureCounters(t *testing.T) {
 	srv, _, sets := startServer(t)
-	for _, measure := range []string{"", "simrank", "ppr"} {
+	for _, measure := range []string{"", "reach", "ppr"} {
 		req := map[string]any{
 			"graph": "test",
 			"p":     map[string]any{"set": sets[0].Name},
@@ -275,7 +212,7 @@ func TestHTTPMeasureCounters(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("GET /stats = %d", code)
 	}
-	for _, name := range []string{"dht", "simrank", "ppr"} {
+	for _, name := range []string{"dht", "reach", "ppr"} {
 		if st.MeasureQueries[name] == 0 {
 			t.Fatalf("measure_queries missing %q: %v", name, st.MeasureQueries)
 		}
@@ -293,7 +230,7 @@ func TestHTTPMeasureCounters(t *testing.T) {
 	text := string(body)
 	for _, sample := range []string{
 		`njoind_measure_queries_total{measure="dht"}`,
-		`njoind_measure_queries_total{measure="simrank"}`,
+		`njoind_measure_queries_total{measure="reach"}`,
 		`njoind_measure_queries_total{measure="ppr"}`,
 	} {
 		if !strings.Contains(text, sample) {

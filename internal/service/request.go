@@ -32,7 +32,7 @@ type Query struct {
 	// D forces the truncation depth directly.
 	D int
 	// MeasureName selects a registered proximity measure by name ("dht",
-	// "reach", "ppr", "simrank"); empty means "dht", the paper's measure.
+	// "reach", "ppr"); empty means "dht", the paper's measure.
 	// An unknown name fails the request with measure.ErrUnknownMeasure.
 	MeasureName string
 	// Agg is the n-way aggregate; nil means Min. It is the one field the
@@ -44,9 +44,9 @@ type Query struct {
 	Distinct bool
 	// Algorithm forces the named registered executor instead of the
 	// cost-based planner's pick: "B-IDJ-Y", "B-IDJ-X" or "B-BJ" for a pair
-	// query, "PJ-i" or "AP" for an n-way one ("SR-SCAN" / "SR-AP" under
-	// simrank). Results are bit-identical under any choice; an unknown name
-	// or one of the wrong query class fails the request.
+	// query, "PJ-i" or "AP" for an n-way one. Results are bit-identical
+	// under any choice; an unknown name or one of the wrong query class
+	// fails the request.
 	Algorithm string
 	// Priority selects the admission class: PriorityInteractive (the zero
 	// value) or PriorityBatch; any other value fails the request. Batch
@@ -308,7 +308,7 @@ func resolveJoin[T any](s *Service, graphName string, spec joinSpec[T], query Qu
 	}
 	s.recordMeasure(res.Kernel.Name)
 	if query.Algorithm != "" {
-		if err := plan.ValidateForced(spec.class(), query.Algorithm, res.Kernel.PlanMeasure); err != nil {
+		if err := plan.ValidateForced(spec.class(), query.Algorithm); err != nil {
 			return nil, err
 		}
 	}
@@ -346,7 +346,6 @@ func (rq *request[T]) plan(k int) (*plan.Plan, error) {
 	w, res := rq.work, rq.res
 	w.Stats = rq.sess.g.Stats()
 	w.K, w.M, w.D = rq.demand(k), res.M, res.D
-	w.Measure = res.Kernel.PlanMeasure
 	rq.svc.planReqs.Add(1)
 	return plan.Decide(rq.class, w, rq.query.Algorithm)
 }

@@ -79,12 +79,10 @@ func (s *Service) routed(ctx context.Context, graphName string, p, q SetRef, que
 	} else if ctx.Value(noRouteKey{}) != nil {
 		return nil, false, nil
 	}
-	// Scatter stays walk-only: matrix measures (simrank) score through a
-	// global fixed point no per-shard subgraph can reproduce, so those
-	// queries always evaluate locally. A query that does not resolve falls
-	// through to local resolution, which reports the error.
+	// A query that does not resolve falls through to local resolution,
+	// which reports the error.
 	res, err := query.Resolve()
-	if err != nil || !res.Kernel.WalkBased {
+	if err != nil {
 		return nil, false, nil
 	}
 	// The router gets the pinned query: every shard, local or remote, then

@@ -32,7 +32,7 @@ type Stats struct {
 	PlanCacheHits int64 `json:"plan_cache_hits"`
 
 	// MeasureQueries counts join/score queries per resolved measure name
-	// ("dht", "ppr", "simrank", …) — the serving-side view of the measure
+	// ("dht", "reach", "ppr") — the serving-side view of the measure
 	// registry.
 	MeasureQueries map[string]int64 `json:"measure_queries,omitempty"`
 

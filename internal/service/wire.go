@@ -25,8 +25,8 @@ type OptionsJSON struct {
 	Agg      string  `json:"agg,omitempty"`     // SUM | MIN | MAX | AVG (n-way; default MIN)
 	M        int     `json:"m,omitempty"`       // per-edge budget (n-way; default 50)
 	Distinct bool    `json:"distinct,omitempty"`
-	Measure  string  `json:"measure,omitempty"`   // registered measure name: "dht" (default) | "reach" | "ppr" | "simrank" (GET /measures lists them)
-	Algo     string  `json:"algo,omitempty"`      // force an executor (B-IDJ-Y, B-IDJ-X, B-BJ, PJ-i, AP, SR-SCAN, SR-AP); empty = cost-based planner
+	Measure  string  `json:"measure,omitempty"`   // registered measure name: "dht" (default) | "reach" | "ppr" (GET /measures lists them)
+	Algo     string  `json:"algo,omitempty"`      // force an executor (B-IDJ-Y, B-IDJ-X, B-BJ, PJ-i, AP); empty = cost-based planner
 	Priority string  `json:"priority,omitempty"`  // "interactive" (default) | "batch" (X-Priority header is the fallback)
 	BudgetMS int     `json:"budget_ms,omitempty"` // wall-clock deadline budget in milliseconds; 0 = server default
 }
