@@ -16,7 +16,7 @@
 // By default (-algo auto) the cost-based planner picks the evaluation
 // algorithm from the graph's structural stats and the query shape; -explain
 // prints the chosen plan and the per-candidate cost table without running
-// the join. -measure selects a scoring measure from the registry
+// the join. -measure selects a served scoring measure
 // (internal/measure): every measure runs on the same executors with its
 // kernel's walk kind and parameters.
 package main
@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		algo      = fs.String("algo", "auto", "auto (cost-based planner) | ap | pji")
 		explain   = fs.Bool("explain", false, "print the chosen plan and cost table without running the join")
 		aggName   = fs.String("agg", "MIN", "aggregate: SUM | MIN | MAX | AVG")
-		measureID = fs.String("measure", "", "scoring measure from the registry: dht | reach | ppr (default \"dht\")")
+		measureID = fs.String("measure", "", "scoring measure: dht | reach | ppr (default \"dht\")")
 		lambda    = fs.Float64("lambda", 0, "the measure's decay: DHTλ's λ, ppr's damping factor (default: the measure's own, 0.2 for dht, 0.5 for ppr)")
 		useDHTE   = fs.Bool("dhte", false, "use the DHTe measure instead of DHTλ")
 		eps       = fs.Float64("eps", 0, "truncation accuracy target (Lemma 1; default 1e-6)")
@@ -125,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Resolve the -algo flag to a registered executor name ("" = planner).
+	// Resolve the -algo flag to a served executor name ("" = planner).
 	var forced string
 	switch *algo {
 	case "auto":

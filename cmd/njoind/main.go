@@ -27,13 +27,13 @@
 //	POST   /joinN           {"graph":"g","sets":[...],"shape":"chain","k":5}
 //	GET    /score           ?graph=g&u=3&v=8
 //	GET    /explain         ?graph=g&p=U&q=D&k=10 (dry-run plan, named sets)
-//	GET    /measures        registered scoring measures (name, contract, family)
+//	GET    /measures        served scoring measures (name, contract, family)
 //	GET    /stats           service counters (incl. planner picks and persistence)
 //	GET    /metrics         the same counters in Prometheus text format
 //
-// Every join scores under a registered measure (internal/measure): add
+// Every join scores under a served measure (internal/measure): add
 // "measure":"ppr" (or "reach") to options; the default is the paper's
-// "dht". Unknown names are a 400 listing the registry.
+// "dht". Unknown names are a 400 listing the served ones.
 //
 // Cluster mode (see internal/cluster) starts when -cluster-addr is set: the
 // node serves a Kademlia-style RPC port, joins the ring via -peers, and two
@@ -197,7 +197,7 @@ func runService(addr string, svc *service.Service, drainBudget time.Duration, pr
 		}
 		fmt.Fprintf(os.Stderr, "njoind: loaded graph %q from %s\n", name, path)
 	}
-	fmt.Fprintf(os.Stderr, "njoind: measures registered: %s\n", strings.Join(measure.Names(), ", "))
+	fmt.Fprintf(os.Stderr, "njoind: measures served: %s\n", strings.Join(measure.Names(), ", "))
 	handler := http.Handler(service.NewHandler(svc))
 	if copts.Bind != "" {
 		node, err := cluster.Start(cluster.Config{

@@ -165,7 +165,7 @@ func resolve(o *Options) (measure.Resolved, error) {
 	return res, nil
 }
 
-// Measures lists the registered proximity-measure names — the valid values
+// Measures lists the served proximity-measure names — the valid values
 // of Options.MeasureName and Query.WithMeasure.
 func Measures() []string { return measure.Names() }
 

@@ -38,7 +38,7 @@ var (
 	// ErrStreamStopped reports a pull from a stream after Stop.
 	ErrStreamStopped = errors.New("dhtjoin: stream already stopped")
 
-	// ErrUnknownAlgorithm reports a Hints.Algorithm naming no registered
+	// ErrUnknownAlgorithm reports a Hints.Algorithm naming no served
 	// executor (the valid names are Algorithms2Way / AlgorithmsNWay).
 	ErrUnknownAlgorithm = errors.New("dhtjoin: unknown algorithm hint")
 
@@ -55,8 +55,8 @@ var (
 )
 
 // ErrUnknownMeasure reports an Options.MeasureName (or Query.WithMeasure
-// argument) naming no registered proximity measure; Measures lists the
-// valid names. It is the registry's own sentinel, re-exported so callers
+// argument) naming no served proximity measure; Measures lists the
+// valid names. It is internal/measure's own sentinel, re-exported so callers
 // can branch with errors.Is without importing internal packages — njoind
 // maps it to HTTP 400.
 var ErrUnknownMeasure = measure.ErrUnknownMeasure

@@ -96,7 +96,7 @@ func ExampleQuery_Explain() {
 	g := square()
 	p := dhtjoin.NewNodeSet("P", []dhtjoin.NodeID{0, 1})
 	q := dhtjoin.NewNodeSet("Q", []dhtjoin.NodeID{2, 3})
-	// Explain is a dry run: the cost-based planner prices every registered
+	// Explain is a dry run: the cost-based planner prices every served
 	// executor against the graph's cached stats and reports its pick —
 	// here B-BJ, because the default budget covers the whole 2×2 candidate
 	// space, leaving iterative deepening nothing to prune. The streaming

@@ -1,6 +1,6 @@
 package dhtjoin
 
-// The measure-registry suites: the "dht" kernel through the registry must be
+// The served-measure suites: the "dht" kernel named on a query must be
 // bit-identical to the measure-less path, the ppr kernel must match its
 // reference evaluator, and unknown or retired measure spellings must fail
 // with the typed sentinels.
@@ -17,11 +17,11 @@ import (
 	"repro/internal/ppr"
 )
 
-// TestMeasureDHTBitIdentical is the registry's equivalence property: a
+// TestMeasureDHTBitIdentical is the measure lookup's equivalence property: a
 // query that names the default measure explicitly ("dht", or the empty
 // spelling) returns the bit-identical ranking of the same query without a
 // measure, across seeds, demands, and both query forms. This is what pins
-// "registry resolution changed no numbers".
+// "measure resolution changed no numbers".
 func TestMeasureDHTBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{3, 21, 77} {

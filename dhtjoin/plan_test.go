@@ -181,12 +181,12 @@ func TestHintRejection(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want %v", tc.name, err, tc.want)
 		}
 		// An unknown name is answered with the names that would have worked.
-		registered := "B-IDJ-Y"
+		served := "B-IDJ-Y"
 		if tc.query == nway {
-			registered = "PJ-i"
+			served = "PJ-i"
 		}
-		if tc.want == ErrUnknownAlgorithm && !strings.Contains(err.Error(), registered) {
-			t.Errorf("%s: %v does not list the registered executors", tc.name, err)
+		if tc.want == ErrUnknownAlgorithm && !strings.Contains(err.Error(), served) {
+			t.Errorf("%s: %v does not list the served executors", tc.name, err)
 		}
 		if _, err := qy.Explain(ctx); !errors.Is(err, tc.want) {
 			t.Errorf("%s: Explain = %v, want %v", tc.name, err, tc.want)
@@ -207,7 +207,7 @@ func TestHintRejection(t *testing.T) {
 }
 
 // TestExplain pins the plan shape: every supported query form gets a plan
-// with every registered candidate priced, estimates ascending, and the
+// with every served candidate priced, estimates ascending, and the
 // forced flag faithfully reported.
 func TestExplain(t *testing.T) {
 	ctx := context.Background()

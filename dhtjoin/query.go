@@ -45,7 +45,7 @@ type Query struct {
 // Hints force planner decisions for one query. The zero value defers
 // everything to the cost-based planner. Invalid hints are rejected at
 // Validate/open time with the package's typed errors: an Algorithm naming no
-// registered executor fails with ErrUnknownAlgorithm, an algorithm of the
+// served executor fails with ErrUnknownAlgorithm, an algorithm of the
 // wrong query class (a 2-way joiner on an n-way query, or vice versa) fails
 // with ErrHintConflict — both errors.Is-able.
 type Hints struct {
@@ -75,23 +75,13 @@ type QueryPlan = plan.Plan
 // PlanEstimate is one candidate row of a QueryPlan.
 type PlanEstimate = plan.Estimate
 
-// Algorithms2Way and AlgorithmsNWay list the registered executor names of
-// each query class, in registry (alphabetical) order — the valid values of
-// Hints.Algorithm under every measure.
-func Algorithms2Way() []string { return algorithmNames(plan.TwoWay) }
+// Algorithms2Way and AlgorithmsNWay list the served executor names of each
+// query class, in alphabetical order — the valid values of Hints.Algorithm
+// under every measure.
+func Algorithms2Way() []string { return plan.Names(plan.TwoWay) }
 
-// AlgorithmsNWay lists the registered n-way executor names; see
-// Algorithms2Way.
-func AlgorithmsNWay() []string { return algorithmNames(plan.NWay) }
-
-func algorithmNames(class plan.Class) []string {
-	ds := plan.Executors(class)
-	out := make([]string, len(ds))
-	for i, d := range ds {
-		out[i] = d.Name
-	}
-	return out
-}
+// AlgorithmsNWay lists the served n-way executor names; see Algorithms2Way.
+func AlgorithmsNWay() []string { return plan.Names(plan.NWay) }
 
 // NewPairQuery describes a 2-way join from p to q over g. The cost-based
 // planner picks the evaluation algorithm per query — usually B-IDJ-Y (the
@@ -119,7 +109,7 @@ func (qy *Query) WithOptions(opts *Options) *Query {
 	return &cp
 }
 
-// WithMeasure returns a copy of the query evaluating the named registered
+// WithMeasure returns a copy of the query evaluating the named served
 // proximity measure ("dht", "reach", "ppr"; Measures lists
 // them). It is shorthand for setting Options.MeasureName — a later
 // WithOptions replaces it. The empty name selects "dht", the paper's
@@ -218,7 +208,7 @@ func (qy *Query) session(wantJoin bool) (svc *service.Service, name string, q Op
 
 // Explain validates the query and returns the plan its streaming entry
 // points (Results, Answers, OpenPairs, OpenAnswers) would run, without
-// executing anything: the chosen algorithm, every registered candidate's
+// executing anything: the chosen algorithm, every served candidate's
 // cost estimate, and the stats snapshot the estimates were computed from.
 // Streams have unknown demand up front, so the plan is sized for the
 // initial batch (the resolved per-edge budget M) — exactly the demand those

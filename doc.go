@@ -6,7 +6,7 @@
 // context-aware iter.Seq2 of rank-ordered results (break to stop the join
 // early), with batch top-k calls kept as thin wrappers that drain the
 // stream. The evaluation operator is chosen per query by a cost-based
-// planner (internal/plan) over every registered 2-way and n-way executor;
+// planner (internal/plan) over every served 2-way and n-way executor;
 // Query.Explain reports the decision and Query.WithHints forces one. The
 // implementation is in internal/ (graph substrate, DHT engine, 2-way
 // joins, rank join, multi-way join operators, planner, synthetic datasets,

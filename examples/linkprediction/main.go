@@ -45,8 +45,8 @@ func main() {
 		fmt.Printf("  %.2f → %.3f\n", fpr, tprAt(res.ROC, fpr))
 	}
 
-	// Serve the actionable output. The service resolves "measure" through
-	// the registry exactly like njoind's HTTP endpoints do.
+	// Serve the actionable output. The service resolves "measure" among
+	// the served measures exactly like njoind's HTTP endpoints do.
 	svc := dhtjoin.NewService(dhtjoin.ServiceConfig{})
 	if err := svc.LoadGraph("yeast-test", testG, p, q); err != nil {
 		log.Fatal(err)

@@ -5,7 +5,7 @@
 //
 // The query is served: the social graph lives in an embedded serving stack
 // (the same internal/service njoind runs), the star join is a service call,
-// and the scoring measure is named per query through the measure registry —
+// and the scoring measure is named per query from the served measures —
 // the paper's DHT first, then personalized PageRank over the identical
 // query, so the two rosters are directly comparable.
 package main
@@ -58,7 +58,7 @@ func main() {
 	printRosters("measure=dht", sports, answers)
 
 	// The identical served query under personalized PageRank: naming the
-	// measure is the only change, and the registry resolves the kernel's
+	// measure is the only change, and the served kernel supplies its
 	// own default parameters (damping 0.5).
 	pprOpts := opts
 	pprOpts.MeasureName = "ppr"

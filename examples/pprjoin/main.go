@@ -28,7 +28,7 @@ func main() {
 	}
 
 	dhtOpts := &dhtjoin.Options{Params: dhtjoin.DHTLambda(0.2)}
-	// Naming the measure pulls params and walk kind from the registry
+	// Naming the measure pulls params and walk kind from the served kernel
 	// (ppr defaults to damping 0.5 over the reach fold).
 	pprOpts := &dhtjoin.Options{MeasureName: "ppr"}
 

@@ -71,7 +71,7 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("njoin -algo pj: err %v\n%s", err, out)
 	}
 
-	// simrank left the served measures: the registry names the removal.
+	// simrank left the served measures: the lookup error names the removal.
 	out, err = exec.Command(njoin, "-graph", graphFile, "-sets", "3-U,8-D", "-measure", "simrank").CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "removed") {
 		t.Fatalf("njoin -measure simrank: err %v\n%s", err, out)

@@ -615,3 +615,25 @@ func TestRunStatsFrontierCounters(t *testing.T) {
 		t.Fatalf("no walk work recorded: %+v", st)
 	}
 }
+
+// TestNewNamedServedOnly: NewNamed opens exactly the served n-way executors.
+// NL and PJ stay constructible directly for the paper's reproduction, but by
+// name they are as unknown as a typo.
+func TestNewNamedServedOnly(t *testing.T) {
+	g, sets := testWorld(t, 7, 8, 8, 8)
+	spec := Spec{Graph: g, Query: Chain(sets...), Params: dht.DHTLambda(0.2), D: 8, Agg: rankjoin.Min, K: 5}
+	for _, name := range []string{"AP", "PJ-i"} {
+		alg, err := NewNamed(name, spec, 5)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := alg.Run(); err != nil {
+			t.Fatalf("%s run: %v", name, err)
+		}
+	}
+	for _, name := range []string{"NL", "PJ", "nope", ""} {
+		if alg, err := NewNamed(name, spec, 5); err == nil {
+			t.Fatalf("NewNamed(%q) = %v, want an error", name, alg)
+		}
+	}
+}

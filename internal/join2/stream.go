@@ -54,13 +54,6 @@ type StreamSpec struct {
 	// result.
 	Initial int
 
-	// Grow picks the next re-join budget from the current one for
-	// NewRejoinStream: nil selects the +1 schedule of the paper's PJ
-	// ("simply running a top-(m+1) join"). NewNamedStream overrides nil with
-	// a doubling schedule, which amortizes re-joins to O(log) of the drained
-	// length. Ignored by NewIncrementalStream.
-	Grow func(current int) int
-
 	// Refetches, when non-nil, is incremented once per pull that had to
 	// compute past the initial batch — the n-way RunStats counter.
 	Refetches *int64
@@ -125,19 +118,21 @@ func (s *incStream) Next() (Result, bool, error) {
 func (s *incStream) Release() { s.inc.Release() }
 
 // NewRejoinStream opens a stream over any joiner by re-running TopK with a
-// growing budget: the PJ production path ("simply running a top-(m+1)
-// join"), generalized with a pluggable growth schedule. Correctness rests on
-// the prefix invariant of the canonical tie key: re-running top-(m') for
-// m' > m reproduces the first m results bit-identically, so the stream only
-// ever exposes new suffix entries.
+// budget grown by one per re-join: the PJ production path ("simply running
+// a top-(m+1) join"). Correctness rests on the prefix invariant of the
+// canonical tie key: re-running top-(m') for m' > m reproduces the first m
+// results bit-identically, so the stream only ever exposes new suffix
+// entries.
 func NewRejoinStream(j Joiner, spec StreamSpec) (Stream, error) {
+	return newRejoinStream(j, spec, func(n int) int { return n + 1 })
+}
+
+// newRejoinStream is NewRejoinStream with the growth schedule grow, which
+// picks the next re-join budget from the current one.
+func newRejoinStream(j Joiner, spec StreamSpec, grow func(int) int) (Stream, error) {
 	mp := 0
 	if b, ok := j.(interface{ MaxPairs() int }); ok {
 		mp = b.MaxPairs()
-	}
-	grow := spec.Grow
-	if grow == nil {
-		grow = func(n int) int { return n + 1 }
 	}
 	return &rejoinStream{j: j, maxPairs: mp, budget: spec.initial(), grow: grow, refetches: spec.Refetches}, nil
 }

@@ -185,7 +185,7 @@ func TestStreamRefetchCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rjRefetches int64
-	st, err = NewRejoinStream(j, StreamSpec{Initial: 4, Refetches: &rjRefetches, Grow: growDouble})
+	st, err = newRejoinStream(j, StreamSpec{Initial: 4, Refetches: &rjRefetches}, growDouble)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +228,31 @@ func TestStreamExhaustionIsSticky(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if _, ok, err := st.Next(); ok || err != nil {
 			t.Fatalf("post-exhaustion next = ok=%v err=%v", ok, err)
+		}
+	}
+}
+
+// TestNewNamedStreamServedOnly: NewNamedStream opens exactly the served
+// 2-way executors, in both the streaming and the batch form. The forward
+// joiners stay constructible directly for the paper's reproduction, but by
+// name they are as unknown as a typo.
+func TestNewNamedStreamServedOnly(t *testing.T) {
+	cfg := testConfig(t, 5, 0.2)
+	for _, name := range []string{"B-BJ", "B-IDJ-X", "B-IDJ-Y"} {
+		for _, batch := range []bool{false, true} {
+			st, err := NewNamedStream(name, cfg, StreamSpec{Initial: 3}, batch)
+			if err != nil {
+				t.Fatalf("%s batch=%v: %v", name, batch, err)
+			}
+			if _, ok, err := st.Next(); err != nil || !ok {
+				t.Fatalf("%s batch=%v: first pull ok=%v err=%v", name, batch, ok, err)
+			}
+			st.Release()
+		}
+	}
+	for _, name := range []string{"F-BJ", "F-IDJ", "nope", ""} {
+		if st, err := NewNamedStream(name, cfg, StreamSpec{Initial: 3}, true); err == nil {
+			t.Fatalf("NewNamedStream(%q) = %v, want an error", name, st)
 		}
 	}
 }

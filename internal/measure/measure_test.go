@@ -57,7 +57,7 @@ func TestLookupUnknown(t *testing.T) {
 	// The message must teach the valid spellings.
 	for _, name := range measure.Names() {
 		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("error %q does not list registered measure %q", err, name)
+			t.Fatalf("error %q does not list served measure %q", err, name)
 		}
 	}
 	// A retired measure is unknown too, and its error says where it went.
@@ -131,7 +131,7 @@ func TestDescribe(t *testing.T) {
 		if info.Doc == "" {
 			t.Fatalf("%s has no doc line", info.Name)
 		}
-		if info.Family != "walk" || info.Contract != measure.Exact {
+		if info.Family != "walk" || info.Contract != "exact" {
 			t.Fatalf("%s: family %q, contract %v, want an exact walk kernel", info.Name, info.Family, info.Contract)
 		}
 		byName[info.Name] = info
@@ -142,15 +142,18 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, k measure.Kernel) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: Register did not panic", name)
-			}
-		}()
-		measure.Register(k)
+	// The served set is a table: its names must be non-empty, unique and
+	// sorted, since Describe and the Lookup error list them in that order.
+	names := measure.Names()
+	if len(names) == 0 {
+		t.Fatal("no served measures")
 	}
-	mustPanic("empty name", measure.Kernel{})
-	mustPanic("duplicate", measure.Kernel{Name: "dht"})
+	for i, name := range names {
+		if name == "" {
+			t.Fatalf("measure %d has an empty name", i)
+		}
+		if i > 0 && names[i-1] >= name {
+			t.Fatalf("Names not sorted and unique at %d: %q before %q", i, names[i-1], name)
+		}
+	}
 }

@@ -12,7 +12,7 @@ import (
 // Request is the ranking-determining part of a join or score request as the
 // caller spelled it. The zero value asks for the paper's defaults.
 type Request struct {
-	Measure string             // registered measure name; "" selects "dht"
+	Measure string             // served measure name; "" selects "dht"
 	Params  dht.Params         // zero selects the kernel's own default
 	Epsilon float64            // truncation error bound; zero selects 1e-6; ignored when D is set
 	D       int                // forces the truncation depth

@@ -1,29 +1,28 @@
 // Package plan is the cost-based query planner behind the library's
 // execution entry points. The paper's experimental section (Figs 7–10) is a
 // study of *which* operator wins under which workload, and this package
-// turns that study into a decision procedure: every served operator
-// (B-IDJ-Y, B-IDJ-X and B-BJ for 2-way joins, PJ-i and AP for n-way)
-// registers a Descriptor (name, streaming capability,
-// resumability, cost function), Decide ranks the candidates of a query class
-// by estimated cost over a Workload built from the graph's cached structural
-// Stats and the query's shape, and the execution layers (dhtjoin,
-// internal/service) run whatever wins. Operators the model never picks
-// (F-BJ, F-IDJ, NL, PJ) are not registered; they stay in the operator
-// packages for the paper's reproduction. Every registered operator serves
-// every registered measure (they differ only in the walk kind and params
-// the execution config carries) and produces bit-identical rankings
-// (canonical tie keys), so planning is purely a cost decision — a wrong
-// estimate can only cost time, never change an answer.
+// turns that study into a decision procedure: the served operators (B-IDJ-Y,
+// B-IDJ-X and B-BJ for 2-way joins, PJ-i and AP for n-way) are one table
+// (name, class, streaming capability, resumability, cost function), Decide
+// ranks the candidates of a query class by estimated cost over a Workload
+// built from the graph's cached structural Stats and the query's shape, and
+// the execution layers (dhtjoin, internal/service) open whatever wins by
+// name through join2.NewNamedStream and core.NewNamed. Operators the model
+// never picks (F-BJ, F-IDJ, NL, PJ) are not served; they stay in the
+// operator packages for the paper's reproduction. Every served operator
+// serves every measure (they differ only in the walk kind and params the
+// execution config carries) and produces bit-identical rankings (canonical
+// tie keys), so planning is purely a cost decision — a wrong estimate can
+// only cost time, never change an answer.
 //
 // The cost unit is *edge relaxations*: the number of CSR edge traversals the
 // walk kernels would perform, the quantity the dht.Counters instrument.
 // Estimates come from an analytic frontier-growth model of one truncated
-// walk, so a plan is a pure function of the request and the graph's stats.
+// walk (cost.go), so a plan is a pure function of the request and the
+// graph's stats.
 //
-// Import shape: plan sits below the operator packages. internal/join2 and
-// internal/core import plan to register their executors (via init), so plan
-// must not import either; Descriptor.New is therefore an opaque factory the
-// registering package types and the execution layer asserts back.
+// Import shape: plan imports neither operator package, and neither imports
+// plan; the executor names are the only thing they share.
 package plan
 
 import (
@@ -31,7 +30,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -62,8 +60,8 @@ func (c Class) MarshalJSON() ([]byte, error) {
 // Typed planner errors; callers branch with errors.Is. The dhtjoin facade
 // wraps them into its own sentinels (ErrUnknownAlgorithm, ErrHintConflict).
 var (
-	// ErrUnknownExecutor reports a forced algorithm name no package
-	// registered.
+	// ErrUnknownExecutor reports a forced algorithm name that is not
+	// served.
 	ErrUnknownExecutor = errors.New("plan: unknown executor")
 
 	// ErrWrongClass reports a forced algorithm of the other query class —
@@ -71,79 +69,50 @@ var (
 	ErrWrongClass = errors.New("plan: executor does not evaluate this query class")
 )
 
-// CostFunc estimates the work of one executor on a workload, in edge
-// relaxations. Registered by the operator package alongside its factory.
-type CostFunc func(w Workload) float64
-
-// Descriptor is one registered executor. Name is the paper's operator name
+// executor is one served operator. name is the paper's operator name
 // ("B-IDJ-Y", "PJ-i", …) and is the key users force through hints.
-type Descriptor struct {
-	Name  string
-	Class Class
+type executor struct {
+	name  string
+	class Class
 
-	// Streaming marks executors that produce rank-ordered results
+	// streaming marks executors that produce rank-ordered results
 	// incrementally (results surface before the full top-k is computed);
 	// non-streaming executors materialize their work up front and replay it.
-	Streaming bool
+	streaming bool
 
-	// Resumable marks executors whose (m+1)-th result is cheap to derive
+	// resumable marks executors whose (m+1)-th result is cheap to derive
 	// from the m-th (the incremental F structure of §VI-D); non-resumable
 	// executors re-join with a grown budget when pulled past their batch.
-	Resumable bool
+	resumable bool
 
-	// Cost estimates the executor's work on a workload.
-	Cost CostFunc
-
-	// New is the executor factory, typed by the registering package
-	// (join2.Factory / core.Factory) and asserted back by the execution
-	// layer. Opaque here so plan stays import-free of the operator packages.
-	New any
+	// cost estimates the executor's work on a workload, in edge relaxations
+	// (cost.go).
+	cost func(w Workload) float64
 }
 
-// registry holds the executors by name. Registration happens in the operator
-// packages' init functions; the lock exists for tests that register probes.
-var registry = struct {
-	sync.RWMutex
-	byName map[string]Descriptor
-}{byName: make(map[string]Descriptor)}
-
-// Register publishes an executor descriptor. It panics on an empty or
-// duplicate name or a nil cost function — registration is init-time wiring,
-// and a broken registry should fail the process, not a query.
-func Register(d Descriptor) {
-	if d.Name == "" {
-		panic("plan: Register with empty executor name")
-	}
-	if d.Cost == nil {
-		panic(fmt.Sprintf("plan: executor %q registered without a cost function", d.Name))
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[d.Name]; dup {
-		panic(fmt.Sprintf("plan: executor %q registered twice", d.Name))
-	}
-	registry.byName[d.Name] = d
+// executors is the served set, sorted by name. join2.NewNamedStream and
+// core.NewNamed open the same names.
+var executors = []executor{
+	// Served AP joins its edges backward (core.NewNamed).
+	{name: "AP", class: NWay, cost: costAP},
+	// The basic join materializes its top-k in one pass; streaming past it
+	// re-joins with a grown budget.
+	{name: "B-BJ", class: TwoWay, cost: costBBJ},
+	// The B-IDJ family streams natively (pairs confirm as the bound deepens)
+	// and resumes through the incremental F structure of §VI-D.
+	{name: "B-IDJ-X", class: TwoWay, streaming: true, resumable: true, cost: costBIDJX},
+	{name: "B-IDJ-Y", class: TwoWay, streaming: true, resumable: true, cost: costBIDJY},
+	{name: "PJ-i", class: NWay, streaming: true, resumable: true, cost: costPJI},
 }
 
-// Lookup resolves an executor by name.
-func Lookup(name string) (Descriptor, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	d, ok := registry.byName[name]
-	return d, ok
-}
-
-// Executors lists the registered executors of a class, sorted by name.
-func Executors(class Class) []Descriptor {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]Descriptor, 0, len(registry.byName))
-	for _, d := range registry.byName {
-		if d.Class == class {
-			out = append(out, d)
+// Names lists the served executor names of a class, sorted.
+func Names(class Class) []string {
+	var out []string
+	for _, e := range executors {
+		if e.class == class {
+			out = append(out, e.name)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -179,71 +148,6 @@ type Workload struct {
 	Measure string `json:"measure,omitempty"`
 }
 
-// PairCost is the modeled cost (in edge relaxations) of one candidate-pair
-// heap insertion or score fold — a handful of comparisons and float ops,
-// small next to an edge relaxation but not free: it is what separates the
-// O(|P|·|Q|) bookkeeping floors of the algorithms once walk costs converge.
-// Exported for the operator packages' registered cost functions.
-const PairCost = 4.0
-
-// WalkCost estimates the edge relaxations of one full-depth (D-step)
-// truncated walk by an analytic frontier-growth model: the frontier
-// multiplies by the mean out-degree each step until it saturates at |E|
-// relaxations per step (the dense-sweep ceiling the adaptive kernel switches
-// to).
-func (w Workload) WalkCost() float64 {
-	delta := w.Stats.MeanOutDeg
-	if delta < 1.05 {
-		delta = 1.05 // sublinear growth still touches ≥ 1 edge per step
-	}
-	edges := float64(w.Stats.Arcs)
-	if edges < 1 {
-		edges = 1
-	}
-	cost, frontier := 0.0, delta
-	for l := 0; l < w.D; l++ {
-		cost += min(frontier, edges)
-		frontier *= delta
-	}
-	return max(cost, 1)
-}
-
-// Selectivity is k over the candidate-space size, clamped to [0, 1]: the
-// fraction of the space the query demands. Iterative deepening pays off when
-// it is small (pruning discards most of the space before full-depth walks)
-// and turns into pure overhead as it approaches 1.
-func (w Workload) Selectivity() float64 {
-	space := w.SpaceSize()
-	if space <= 0 {
-		return 1
-	}
-	rho := float64(w.K) / float64(space)
-	if rho > 1 {
-		return 1
-	}
-	if rho < 0 {
-		return 0
-	}
-	return rho
-}
-
-// SpaceSize is the candidate-space size: |P|·|Q| for 2-way, Π|R_i| for
-// n-way (saturating).
-func (w Workload) SpaceSize() int {
-	if len(w.SetSizes) == 0 {
-		return w.P * w.Q
-	}
-	const maxInt = int(^uint(0) >> 1)
-	total := 1
-	for _, s := range w.SetSizes {
-		if s > 0 && total > maxInt/s {
-			return maxInt
-		}
-		total *= s
-	}
-	return total
-}
-
 // Estimate is one candidate's scored row in a plan.
 type Estimate struct {
 	Algorithm string  `json:"algorithm"`
@@ -263,25 +167,18 @@ type Plan struct {
 	Workload  Workload   `json:"workload"`
 }
 
-// Decide ranks the registered executors of class by estimated cost over w
-// and returns the plan. A non-empty forced name skips the cost choice — the
+// Decide ranks the served executors of class by estimated cost over w and
+// returns the plan. A non-empty forced name skips the cost choice — the
 // named executor is validated (ErrUnknownExecutor, ErrWrongClass) and chosen,
 // with the full estimate table still attached so Explain shows what the
 // forced choice passed up. Ties break by name, making the decision a pure
 // function of (class, w, forced).
 func Decide(class Class, w Workload, forced string) (*Plan, error) {
-	cands := Executors(class)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("%w: no executors registered for %s queries", ErrUnknownExecutor, class)
-	}
-	ests := make([]Estimate, 0, len(cands))
-	for _, d := range cands {
-		ests = append(ests, Estimate{
-			Algorithm: d.Name,
-			Cost:      d.Cost(w),
-			Streaming: d.Streaming,
-			Resumable: d.Resumable,
-		})
+	ests := make([]Estimate, 0, len(executors))
+	for _, e := range executors {
+		if e.class == class {
+			ests = append(ests, Estimate{Algorithm: e.name, Cost: e.cost(w), Streaming: e.streaming, Resumable: e.resumable})
+		}
 	}
 	sort.SliceStable(ests, func(i, j int) bool {
 		if ests[i].Cost != ests[j].Cost {
@@ -304,29 +201,17 @@ func Decide(class Class, w Workload, forced string) (*Plan, error) {
 // without computing a plan — the cheap hint validation the facade runs up
 // front.
 func ValidateForced(class Class, name string) error {
-	d, ok := Lookup(name)
-	if !ok {
-		var names []string
-		for _, d := range Executors(class) {
-			names = append(names, d.Name)
+	for _, e := range executors {
+		if e.name != name {
+			continue
 		}
-		return fmt.Errorf("%w: %q (registered %s executors: %s)",
-			ErrUnknownExecutor, name, class, strings.Join(names, ", "))
-	}
-	if d.Class != class {
-		return fmt.Errorf("%w: %q is a %s executor, query is %s", ErrWrongClass, name, d.Class, class)
-	}
-	return nil
-}
-
-// Factory returns the chosen executor's registered factory (the opaque New
-// field) for the execution layer to assert to its typed signature.
-func (p *Plan) Factory() any {
-	d, ok := Lookup(p.Algorithm)
-	if !ok {
+		if e.class != class {
+			return fmt.Errorf("%w: %q is a %s executor, query is %s", ErrWrongClass, name, e.class, class)
+		}
 		return nil
 	}
-	return d.New
+	return fmt.Errorf("%w: %q (registered %s executors: %s)",
+		ErrUnknownExecutor, name, class, strings.Join(Names(class), ", "))
 }
 
 // Format renders the plan as the human-readable cost table the CLI tools

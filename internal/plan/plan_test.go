@@ -1,8 +1,5 @@
 package plan_test
 
-// The external test package imports the operator packages for their
-// registration side effects, so these tests see the real registry.
-
 import (
 	"errors"
 	"slices"
@@ -11,9 +8,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/plan"
-
-	_ "repro/internal/core"  // registers AP / PJ-i
-	_ "repro/internal/join2" // registers the served 2-way joiners
 )
 
 // testWorkload is a mid-sized 2-way workload over a dense-ish graph.
@@ -25,28 +19,11 @@ func testWorkload(k int) plan.Workload {
 }
 
 func TestRegistryExecutors(t *testing.T) {
-	want2 := []string{"B-BJ", "B-IDJ-X", "B-IDJ-Y"}
-	got2 := plan.Executors(plan.TwoWay)
-	if len(got2) != len(want2) {
-		t.Fatalf("2-way executors: %d, want %d", len(got2), len(want2))
+	if got, want := plan.Names(plan.TwoWay), []string{"B-BJ", "B-IDJ-X", "B-IDJ-Y"}; !slices.Equal(got, want) {
+		t.Fatalf("2-way executors %v, want %v", got, want)
 	}
-	for i, d := range got2 {
-		if d.Name != want2[i] {
-			t.Fatalf("2-way executor %d = %q, want %q", i, d.Name, want2[i])
-		}
-		if d.New == nil {
-			t.Fatalf("%s registered without factory", d.Name)
-		}
-	}
-	wantN := []string{"AP", "PJ-i"}
-	gotN := plan.Executors(plan.NWay)
-	if len(gotN) != len(wantN) {
-		t.Fatalf("n-way executors: %d, want %d", len(gotN), len(wantN))
-	}
-	for i, d := range gotN {
-		if d.Name != wantN[i] {
-			t.Fatalf("n-way executor %d = %q, want %q", i, d.Name, wantN[i])
-		}
+	if got, want := plan.Names(plan.NWay), []string{"AP", "PJ-i"}; !slices.Equal(got, want) {
+		t.Fatalf("n-way executors %v, want %v", got, want)
 	}
 }
 
@@ -109,10 +86,10 @@ func TestDecideForced(t *testing.T) {
 	if !errors.Is(err, plan.ErrUnknownExecutor) {
 		t.Fatalf("unknown forced: %v", err)
 	}
-	// The message lists every registered name of the class.
-	for _, d := range plan.Executors(plan.TwoWay) {
-		if !strings.Contains(err.Error(), d.Name) {
-			t.Fatalf("unknown forced error %q omits %s", err, d.Name)
+	// The message lists every served name of the class.
+	for _, name := range plan.Names(plan.TwoWay) {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("unknown forced error %q omits %s", err, name)
 		}
 	}
 	if _, err := plan.Decide(plan.TwoWay, testWorkload(50), "PJ-i"); !errors.Is(err, plan.ErrWrongClass) {
@@ -234,7 +211,17 @@ func TestPlanFormatAndFactory(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := pl.Format()
-	if out == "" || pl.Factory() == nil {
-		t.Fatalf("Format=%q Factory=%v", out, pl.Factory())
+	if !strings.HasPrefix(out, "plan: B-IDJ-Y  [2-way join]\n") {
+		t.Fatalf("Format header: %q", out)
+	}
+	// One row per candidate, cheapest first, under the column header.
+	rows := strings.Split(strings.TrimSuffix(out, "\n"), "\n")[3:]
+	if len(rows) != len(pl.Estimates) {
+		t.Fatalf("Format has %d candidate rows, want %d:\n%s", len(rows), len(pl.Estimates), out)
+	}
+	for i, e := range pl.Estimates {
+		if !strings.HasPrefix(rows[i], e.Algorithm+" ") {
+			t.Fatalf("row %d = %q, want %s", i, rows[i], e.Algorithm)
+		}
 	}
 }

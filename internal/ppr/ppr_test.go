@@ -36,8 +36,8 @@ func testGraph(t testing.TB, seed int64) *graph.Graph {
 }
 
 // TestPowerIterationMatchesReachEngine pins PowerIteration to the dht walk
-// engine under Kind Reach with PPR parameters — the relationship the measure
-// registry relies on when it serves "ppr" through the existing executors.
+// engine under Kind Reach with PPR parameters — the relationship the served
+// "ppr" measure relies on when it runs through the existing executors.
 func TestPowerIterationMatchesReachEngine(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		g := testGraph(t, seed)

@@ -31,7 +31,7 @@ const maxGraphBody = 256 << 20
 //	POST   /graphs/{name}/edges  apply an atomic edge-update batch ({"add":[{"u":..,"v":..,"w":..}],"del":[{"u":..,"v":..}]})
 //	POST   /join2           top-k 2-way join (planner-picked; force with options.algo)
 //	POST   /joinN           top-k n-way join (planner-picked; force with options.algo)
-//	GET    /measures        registered proximity measures (name, contract, family)
+//	GET    /measures        served proximity measures (name, contract, family)
 //	GET    /score           single pair score (?graph=&u=&v=[&lambda=&d=&measure=...])
 //	GET    /explain         dry-run plan over named sets (?graph=&p=&q= or ?graph=&sets=&shape=)
 //	GET    /stats           service counters (incl. planner picks)
@@ -96,7 +96,7 @@ func NewHandler(svc *Service) http.Handler {
 	})
 
 	mux.HandleFunc("GET /measures", func(w http.ResponseWriter, r *http.Request) {
-		// The measure registry: every kernel a join request can name in
+		// The served measures: every kernel a join request can name in
 		// options.measure, with its accuracy contract and family.
 		writeJSON(w, http.StatusOK, map[string]any{"measures": measure.Describe()})
 	})

@@ -623,7 +623,7 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 			"cursor": math.MaxInt - 1,
 		}, "cursor 9223372036854775806 plus k 5 overflows", ""},
 		// The retired certified executors fail as any unknown name does,
-		// with the registered ones listed.
+		// with the served ones listed.
 		{"retired B-BJ-fast executor", withOptions(map[string]any{"algo": "B-BJ-fast"}), "B-IDJ-Y", ""},
 		{"retired F-BJ-fast executor", withOptions(map[string]any{"algo": "F-BJ-fast"}), "B-IDJ-Y", ""},
 		// An edit grows the 140-node graph by at most one node per add
@@ -712,6 +712,34 @@ func TestHTTPScoreQueryOptions(t *testing.T) {
 		url := fmt.Sprintf("%s/score?%s&graph=test&u=%d&v=%d", srv.URL, tc.param, u, v)
 		if code := getJSON(t, url, &out); code != tc.code || out.Score != tc.want {
 			t.Errorf("GET /score?%s = %d, score %v; want %d, score %v", tc.param, code, out.Score, tc.code, tc.want)
+		}
+	}
+}
+
+// TestHTTPQueryParseOrder: a GET query with several unparsable numbers is
+// rejected for the first of lambda, epsilon, d, m, on every call. The
+// parser once ranged over map literals, so the message named whichever bad
+// value the map yielded first.
+func TestHTTPQueryParseOrder(t *testing.T) {
+	srv, _, sets := startServer(t)
+	u, v := sets[0].Nodes()[0], sets[1].Nodes()[0]
+	for _, tc := range []struct{ route, bad, want string }{
+		{"score", "lambda=x&epsilon=y&d=a&m=b", `options: bad lambda "x"`},
+		{"explain", "lambda=x&epsilon=y&d=a&m=b", `options: bad lambda "x"`},
+		{"score", "epsilon=y&d=a&m=b", `options: bad epsilon "y"`},
+		{"score", "m=b&d=a", `options: bad d "a"`},
+		{"explain", "m=b&d=a", `options: bad d "a"`},
+	} {
+		url := fmt.Sprintf("%s/%s?%s&graph=test&u=%d&v=%d&p=C0&q=C1", srv.URL, tc.route, tc.bad, u, v)
+		for i := 0; i < 40; i++ {
+			var out struct {
+				Error struct {
+					Message string `json:"message"`
+				} `json:"error"`
+			}
+			if code := getJSON(t, url, &out); code != http.StatusBadRequest || out.Error.Message != tc.want {
+				t.Fatalf("GET /%s?%s call %d = %d %q; want 400 %q", tc.route, tc.bad, i, code, out.Error.Message, tc.want)
+			}
 		}
 	}
 }

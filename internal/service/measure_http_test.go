@@ -1,6 +1,6 @@
 package service
 
-// HTTP suites for the measure registry: discovery (GET /measures), serving
+// HTTP suites for the served measures: discovery (GET /measures), serving
 // ppr, the unknown- and retired-measure error envelopes, canonical cache
 // keys across the "dht"/"" spellings, and the per-measure counters in
 // /stats and /metrics.
@@ -60,7 +60,7 @@ func TestHTTPUnknownMeasure(t *testing.T) {
 		t.Fatalf("POST /join2 with unknown measure: status %d, want 400", code)
 	}
 	if !strings.Contains(out.Error.Message, "katz") || !strings.Contains(out.Error.Message, "reach") {
-		t.Fatalf("/join2 error %q does not name the bad measure and the registered ones", out.Error.Message)
+		t.Fatalf("/join2 error %q does not name the bad measure and the served ones", out.Error.Message)
 	}
 	out.Error.Message = ""
 	if code := getJSON(t, srv.URL+"/score?graph=test&u=0&v=1&measure=katz", &out); code != http.StatusBadRequest {

@@ -126,7 +126,7 @@ func sumPicks(picks map[string]int64) int64 {
 	return total
 }
 
-// TestServiceForcedAlgorithm: forcing any registered 2-way executor through
+// TestServiceForcedAlgorithm: forcing any served 2-way executor through
 // Query.Algorithm serves the bit-identical ranking, and bad names fail.
 func TestServiceForcedAlgorithm(t *testing.T) {
 	g, sets := testGraph(t)
@@ -151,7 +151,7 @@ func TestServiceForcedAlgorithm(t *testing.T) {
 	if _, err := svc.Join2(ctx, "g", p, q, 15, Query{Algorithm: "PJ-i"}); err == nil {
 		t.Fatal("n-way executor accepted on a 2-way request")
 	}
-	// The reproduction-only executors are not registered.
+	// The reproduction-only executors are not served.
 	for _, name := range []string{"F-BJ", "F-IDJ"} {
 		if _, err := svc.Join2(ctx, "g", p, q, 15, Query{Algorithm: name}); !errors.Is(err, plan.ErrUnknownExecutor) {
 			t.Fatalf("forcing %s: %v", name, err)

@@ -31,7 +31,7 @@ type Query struct {
 	Epsilon float64
 	// D forces the truncation depth directly.
 	D int
-	// MeasureName selects a registered proximity measure by name ("dht",
+	// MeasureName selects a served proximity measure by name ("dht",
 	// "reach", "ppr"); empty means "dht", the paper's measure.
 	// An unknown name fails the request with measure.ErrUnknownMeasure.
 	MeasureName string
@@ -42,7 +42,7 @@ type Query struct {
 	M int
 	// Distinct drops n-way answers repeating a node across positions.
 	Distinct bool
-	// Algorithm forces the named registered executor instead of the
+	// Algorithm forces the named served executor instead of the
 	// cost-based planner's pick: "B-IDJ-Y", "B-IDJ-X" or "B-BJ" for a pair
 	// query, "PJ-i" or "AP" for an n-way one. Results are bit-identical
 	// under any choice; an unknown name or one of the wrong query class

@@ -25,7 +25,7 @@ type OptionsJSON struct {
 	Agg      string  `json:"agg,omitempty"`     // SUM | MIN | MAX | AVG (n-way; default MIN)
 	M        int     `json:"m,omitempty"`       // per-edge budget (n-way; default 50)
 	Distinct bool    `json:"distinct,omitempty"`
-	Measure  string  `json:"measure,omitempty"`   // registered measure name: "dht" (default) | "reach" | "ppr" (GET /measures lists them)
+	Measure  string  `json:"measure,omitempty"`   // served measure name: "dht" (default) | "reach" | "ppr" (GET /measures lists them)
 	Algo     string  `json:"algo,omitempty"`      // force an executor (B-IDJ-Y, B-IDJ-X, B-BJ, PJ-i, AP); empty = cost-based planner
 	Priority string  `json:"priority,omitempty"`  // "interactive" (default) | "batch" (X-Priority header is the fallback)
 	BudgetMS int     `json:"budget_ms,omitempty"` // wall-clock deadline budget in milliseconds; 0 = server default
@@ -39,7 +39,7 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	}
 	// lambda means whatever the named measure's kernel says it means
 	// (DHTλ's decay, ppr's damping factor); an unknown name fails here with
-	// ErrUnknownMeasure, listing the registered spellings.
+	// ErrUnknownMeasure, listing the served spellings.
 	params, err := measure.ParamsFor(o.Measure, o.Lambda, o.DHTE)
 	if err != nil {
 		return q, err
@@ -277,17 +277,25 @@ func queryFromURL(r *http.Request) (Query, error) {
 			return Query{}, fmt.Errorf("options: bad dhte %q", s)
 		}
 	}
-	for name, dst := range map[string]*float64{"lambda": &opts.Lambda, "epsilon": &opts.Epsilon} {
-		if s := qp.Get(name); s != "" {
-			if *dst, err = strconv.ParseFloat(s, 64); err != nil {
-				return Query{}, fmt.Errorf("options: bad %s %q", name, s)
+	// A fixed order, so a query with several bad numbers always reports the
+	// same one.
+	for _, f := range []struct {
+		name string
+		dst  *float64
+	}{{"lambda", &opts.Lambda}, {"epsilon", &opts.Epsilon}} {
+		if s := qp.Get(f.name); s != "" {
+			if *f.dst, err = strconv.ParseFloat(s, 64); err != nil {
+				return Query{}, fmt.Errorf("options: bad %s %q", f.name, s)
 			}
 		}
 	}
-	for name, dst := range map[string]*int{"d": &opts.D, "m": &opts.M} {
-		if s := qp.Get(name); s != "" {
-			if *dst, err = strconv.Atoi(s); err != nil {
-				return Query{}, fmt.Errorf("options: bad %s %q", name, s)
+	for _, f := range []struct {
+		name string
+		dst  *int
+	}{{"d", &opts.D}, {"m", &opts.M}} {
+		if s := qp.Get(f.name); s != "" {
+			if *f.dst, err = strconv.Atoi(s); err != nil {
+				return Query{}, fmt.Errorf("options: bad %s %q", f.name, s)
 			}
 		}
 	}
